@@ -68,40 +68,15 @@ import (
 
 func main() {
 	listen := flag.String("listen", ":4077", "address to listen on")
-	parts := flag.Int("parts", 14000, "OO7 AtomicParts cardinality")
-	fb := flag.Bool("feedback", true, "absorb execution feedback into the cost model")
-	fbSnap := flag.String("feedback-snapshot", "", "JSON file persisting learned corrections across restarts")
-	maxInFlight := flag.Int("max-inflight", 32, "maximum concurrently executing queries (0 = unlimited)")
-	queueTimeout := flag.Duration("queue-timeout", time.Second, "admission queue wait before shedding a query")
 	idleTimeout := flag.Duration("idle-timeout", 5*time.Minute, "drop connections idle longer than this (0 = never)")
 	drainTimeout := flag.Duration("drain-timeout", 5*time.Second, "shutdown wait for in-flight connections")
-	rcOn := flag.Bool("result-cache", false, "enable the semantic result cache")
-	rcEntries := flag.Int("result-cache-entries", resultcache.DefaultEntries, "result cache entry bound")
-	rcBytes := flag.Int64("result-cache-bytes", resultcache.DefaultMaxBytes, "result cache byte budget")
-	rcTTL := flag.Float64("result-cache-ttl-ms", 0, "result cache entry TTL in virtual ms (0 = none)")
-	execWorkers := flag.Int("exec-workers", 0, "morsel-parallel workers for mediator pipeline breakers (<2 = sequential)")
-	execMem := flag.Int64("exec-mem-bytes", 0, "spill budget for mediator hash joins/aggregations (0 = never spill)")
-	execSpillDir := flag.String("exec-spill-dir", "", "directory for spill partitions (default: OS temp dir)")
-	adaptive := flag.Bool("adaptive", false, "re-optimize running queries mid-flight when observed cardinalities diverge from estimates")
+	opts := serving.RegisterFlags(flag.CommandLine, 14000)
+	flag.StringVar(&opts.FeedbackSnapshot, "feedback-snapshot", "", "JSON file persisting learned corrections across restarts")
+	flag.IntVar(&opts.ResultCache.Entries, "result-cache-entries", resultcache.DefaultEntries, "result cache entry bound")
+	flag.StringVar(&opts.ExecSpillDir, "exec-spill-dir", "", "directory for spill partitions (default: OS temp dir)")
 	flag.Parse()
 
-	fed, err := serving.NewDemoFederation(serving.Options{
-		Parts:            *parts,
-		Feedback:         *fb,
-		FeedbackSnapshot: *fbSnap,
-		MaxInFlight:      *maxInFlight,
-		QueueTimeout:     *queueTimeout,
-		ResultCache: resultcache.Config{
-			Enabled:  *rcOn,
-			Entries:  *rcEntries,
-			MaxBytes: *rcBytes,
-			TTLMS:    *rcTTL,
-		},
-		ExecWorkers:  *execWorkers,
-		ExecMemBytes: *execMem,
-		ExecSpillDir: *execSpillDir,
-		Adaptive:     *adaptive,
-	})
+	fed, err := serving.NewDemoFederation(*opts)
 	if err != nil {
 		log.Fatal(err)
 	}

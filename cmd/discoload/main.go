@@ -15,7 +15,7 @@
 // single-binary soak mode CI uses. Demo mode accepts -result-cache (plus
 // -result-cache-bytes / -result-cache-ttl-ms) to serve the zipf-hot pool
 // from the semantic result cache; the scraped hit rate lands in the
-// report as result_cache_hit_rate and on the -bench line. -exec-workers
+// report as result_cache_hit_rate. -exec-workers
 // and -exec-mem-bytes switch the mediator's vectorized engine into
 // morsel-parallel and spill-bounded modes respectively; -adaptive turns
 // on mid-flight adaptive re-optimization. -replicas N
@@ -32,11 +32,8 @@
 // query records an order-insensitive result digest for offline oracle
 // verification.
 //
-// Output is the JSON report on stdout; with -bench NAME it instead
-// emits one `go test -bench`-style line that cmd/benchjson ingests
-// (`discoload -bench Soak | benchjson -merge BENCH_pr.json`), and the
-// JSON report moves to stderr. Exit status is non-zero when any client
-// wedged (timed out or hit an I/O error mid-schedule).
+// Output is the JSON report on stdout. Exit status is non-zero when any
+// client wedged (timed out or hit an I/O error mid-schedule).
 package main
 
 import (
@@ -50,7 +47,6 @@ import (
 	"time"
 
 	"disco/internal/loadgen"
-	"disco/internal/resultcache"
 	"disco/internal/router"
 	"disco/internal/serving"
 )
@@ -59,16 +55,7 @@ func main() {
 	var (
 		addrs    = flag.String("addrs", "", "comma-separated discod addresses (client c dials addrs[c mod n])")
 		demo     = flag.Bool("demo", false, "serve an in-process demo federation instead of dialing -addrs")
-		parts    = flag.Int("parts", 2000, "demo mode: OO7 AtomicParts cardinality")
-		feedback = flag.Bool("feedback", true, "demo mode: absorb execution feedback into the cost model")
-		inflight = flag.Int("max-inflight", 32, "demo mode: admission-control bound (0 = unlimited)")
-		queue    = flag.Duration("queue-timeout", time.Second, "demo mode: admission queue wait before shedding")
-		rcOn     = flag.Bool("result-cache", false, "demo mode: enable the semantic result cache")
-		rcBytes  = flag.Int64("result-cache-bytes", resultcache.DefaultMaxBytes, "demo mode: result cache byte budget")
-		rcTTL    = flag.Float64("result-cache-ttl-ms", 0, "demo mode: result cache TTL in virtual ms (0 = none)")
-		execW    = flag.Int("exec-workers", 0, "demo mode: morsel-parallel breaker workers (<2 = sequential)")
-		execMem  = flag.Int64("exec-mem-bytes", 0, "demo mode: breaker spill budget in bytes (0 = never spill)")
-		adaptive = flag.Bool("adaptive", false, "demo mode: re-optimize running queries mid-flight on cardinality divergence")
+		opts     = serving.RegisterFlags(flag.CommandLine, 2000) // demo mode: the in-process servers' options
 		replicas = flag.Int("replicas", 1, "demo mode: identical replicas fronted by an in-process federation router (1 = single server)")
 
 		clients  = flag.Int("clients", 64, "concurrent client connections")
@@ -80,7 +67,6 @@ func main() {
 		mix      = flag.String("mix", "explain=200,analyze=100,reregister=20,setlink=30", "per-10000 event weights")
 		sample   = flag.Int("sample", 0, "record an oracle digest every n-th query (0 = never)")
 		timeout  = flag.Duration("timeout", loadgen.DefaultTimeout, "per-request wedge bound")
-		bench    = flag.String("bench", "", "emit a go-bench result line named Benchmark<NAME> instead of JSON on stdout")
 	)
 	flag.Parse()
 
@@ -102,20 +88,7 @@ func main() {
 		// the shards into exact answers.
 		repConfigs := make([]router.ReplicaConfig, 0, *replicas)
 		for i := 0; i < *replicas; i++ {
-			fed, err := serving.NewDemoFederation(serving.Options{
-				Parts:        *parts,
-				Feedback:     *feedback,
-				MaxInFlight:  *inflight,
-				QueueTimeout: *queue,
-				ResultCache: resultcache.Config{
-					Enabled:  *rcOn,
-					MaxBytes: *rcBytes,
-					TTLMS:    *rcTTL,
-				},
-				ExecWorkers:  *execW,
-				ExecMemBytes: *execMem,
-				Adaptive:     *adaptive,
-			})
+			fed, err := serving.NewDemoFederation(*opts)
 			if err != nil {
 				log.Fatal("discoload: ", err)
 			}
@@ -131,11 +104,11 @@ func main() {
 		if *replicas == 1 {
 			targets = []string{repConfigs[0].Addr}
 			fmt.Fprintf(os.Stderr, "discoload: demo server on %s (parts=%d, max-inflight=%d)\n",
-				targets[0], *parts, *inflight)
+				targets[0], opts.Parts, opts.MaxInFlight)
 		} else {
 			rt, err := router.New(router.Config{
 				Replicas:   repConfigs,
-				Partitions: router.DemoPartitions(*parts),
+				Partitions: router.DemoPartitions(opts.Parts),
 			})
 			if err != nil {
 				log.Fatal("discoload: ", err)
@@ -149,7 +122,7 @@ func main() {
 			defer rsrv.Shutdown(5 * time.Second)
 			targets = []string{rln.Addr().String()}
 			fmt.Fprintf(os.Stderr, "discoload: demo router on %s fronting %d replicas (parts=%d, max-inflight=%d)\n",
-				targets[0], *replicas, *parts, *inflight)
+				targets[0], *replicas, opts.Parts, opts.MaxInFlight)
 		}
 	} else {
 		targets = strings.Split(*addrs, ",")
@@ -162,7 +135,7 @@ func main() {
 		Seed:        *seed,
 		Clients:     *clients,
 		Requests:    *requests,
-		Templates:   loadgen.DemoTemplates(*parts),
+		Templates:   loadgen.DemoTemplates(opts.Parts),
 		HotRatio:    *hot,
 		HotPool:     *hotPool,
 		ZipfS:       *zipfS,
@@ -197,12 +170,7 @@ func main() {
 		fmt.Fprintln(os.Stderr)
 	}
 
-	jsonDst := os.Stdout
-	if *bench != "" {
-		fmt.Println(rep.BenchLine(*bench))
-		jsonDst = os.Stderr
-	}
-	enc := json.NewEncoder(jsonDst)
+	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
 		log.Fatal("discoload: ", err)

@@ -24,10 +24,9 @@ import (
 //	a.Equal(b)  =>  a.StructuralHash() == b.StructuralHash()
 //	!a.Equal(b) =>  hashes differ except with probability ~2^-128
 //
-// The memo therefore uses the hash alone as its key by default and keeps
-// the exact signature-string key behind optimizer.Options.ExactMemo for
-// debugging; the randomized agreement test in hash_test.go checks the
-// hash against Signature() over generated plan trees.
+// The memo therefore uses the hash alone as its key; the randomized
+// agreement test in hash_test.go checks the hash against Signature() over
+// generated plan trees.
 
 // Hash128 is a 128-bit structural plan hash, used as a comparable map key.
 type Hash128 struct {
@@ -163,7 +162,7 @@ func (h *structHasher) pred(p *Predicate) {
 // in the optimizer mutates plans after construction, so in practice the
 // cache is write-once. Lazy cache fills are not synchronized — concurrent
 // hashers must pre-hash shared subtrees from one goroutine first (the
-// parallel search hashes candidates during its sequential enumeration).
+// plan search hashes each level's candidates while enumerating them).
 func (n *Node) StructuralHash() Hash128 {
 	if n == nil {
 		return Hash128{}

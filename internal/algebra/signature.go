@@ -39,14 +39,6 @@ func (n *Node) Fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// SignatureFingerprint hashes an already-computed signature, so callers
-// that keep the signature string around do not re-encode the tree.
-func SignatureFingerprint(sig string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(sig))
-	return h.Sum64()
-}
-
 func (n *Node) appendSig(b *strings.Builder) {
 	if n == nil {
 		b.WriteString("~")

@@ -96,7 +96,4 @@ func TestFingerprintStable(t *testing.T) {
 	if p.Fingerprint() != p.Clone().Fingerprint() {
 		t.Error("clone should fingerprint identically")
 	}
-	if p.Fingerprint() != SignatureFingerprint(p.Signature()) {
-		t.Error("Fingerprint must hash the Signature encoding")
-	}
 }

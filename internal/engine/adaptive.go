@@ -1,12 +1,8 @@
 package engine
 
 import (
-	"sort"
-
 	"disco/internal/algebra"
 	"disco/internal/feedback"
-	"disco/internal/netsim"
-	"disco/internal/rowops"
 	"disco/internal/types"
 	"disco/internal/vexec"
 )
@@ -30,8 +26,7 @@ const (
 )
 
 // AdaptiveOptions configure mid-flight adaptive re-optimization. The
-// zero value disables it entirely: Execute is used unmodified and the
-// engine behaves bit-identically to a build without this file.
+// zero value disables it: no plan is ever staged.
 type AdaptiveOptions struct {
 	Enabled bool
 	// Threshold is the observed-vs-predicted cardinality q-error that
@@ -74,21 +69,15 @@ type ReplanResult struct {
 	Predicted map[*algebra.Node]float64
 }
 
-// ExecuteAdaptive runs a plan in stages, pausing at every materialization
-// boundary — submit leaves and pipeline breakers — to compare the
-// observed cardinality against the optimizer's prediction. Past the
-// q-error threshold it asks the Replan callback to re-cost the remaining
-// plan with the materialized subtrees pinned as exact zero-cost leaves,
-// and switches to the candidate when it wins by the hysteresis margin.
-// With the feature disabled (or no Replan wired) it falls through to
-// Execute, bit-identically.
-//
-// predicted maps plan nodes to the optimizer's estimated output
-// cardinality (CountObject); nodes without an entry are never checked.
-func (e *Engine) ExecuteAdaptive(plan *algebra.Node, predicted map[*algebra.Node]float64) (*Result, error) {
-	if !e.Adaptive.Enabled || e.Replan == nil {
-		return e.Execute(plan)
-	}
+// stage runs the plan's materialization boundaries — submit leaves and
+// pipeline breakers — one at a time, comparing each boundary's observed
+// cardinality against the prediction. Past the q-error threshold it asks
+// the Replan callback to re-cost the remaining plan with the materialized
+// subtrees pinned as exact zero-cost leaves, and switches to the
+// candidate when it wins by the hysteresis margin. It returns the plan
+// whose remainder is still to run, with the attempt and switch counts in
+// res.
+func (e *Engine) stage(plan *algebra.Node, predicted map[*algebra.Node]float64, st *execState, res *Result) (*algebra.Node, error) {
 	thresh := e.Adaptive.Threshold
 	if thresh <= 1 {
 		thresh = DefaultAdaptiveThreshold
@@ -102,45 +91,20 @@ func (e *Engine) ExecuteAdaptive(plan *algebra.Node, predicted map[*algebra.Node
 		maxSwitches = DefaultAdaptiveMaxSwitches
 	}
 
-	watch := netsim.StartWatch(e.clock)
-	st := execState{prof: feedback.NewProfile(), submits: make(map[*algebra.Node]*submitFacts)}
-	if e.Results != nil {
-		st.cacheGen = e.Results.Begin()
-	}
-	// mat holds the materialized output of every completed stage, keyed by
-	// the stage's root node. A switched plan reuses the same leaf-unit
-	// node pointers, so entries stay valid across switches.
-	mat := make(map[*algebra.Node][]types.Row)
-	leaf := func(n *algebra.Node) ([]types.Row, bool, error) {
-		if rows, ok := mat[n]; ok {
-			return rows, true, nil
-		}
-		return e.leaf(n, &st)
-	}
-	runStage := func(root *algebra.Node) ([]types.Row, error) {
-		counts := vexec.Counts{}
-		rows, err := vexec.Run(root, &vexec.Env{Opts: e.Exec, Counts: counts, Leaf: leaf})
-		if err != nil {
-			return nil, err
-		}
-		e.chargeStaged(root, counts, &st)
-		return rows, nil
-	}
-
-	res := &Result{}
+	st.mat = make(map[*algebra.Node][]types.Row)
 	cur := plan
 	for {
-		stage := nextStage(cur, mat)
-		if stage == nil || stage == cur {
-			break
+		boundary := nextStage(cur, st.mat)
+		if boundary == nil || boundary == cur {
+			return cur, nil
 		}
-		rows, err := runStage(stage)
+		rows, err := e.run(boundary, st)
 		if err != nil {
 			return nil, err
 		}
-		mat[stage] = rows
+		st.mat[boundary] = rows
 
-		est, ok := predicted[stage]
+		est, ok := predicted[boundary]
 		if !ok || res.PlanSwitches >= maxSwitches {
 			continue
 		}
@@ -150,9 +114,9 @@ func (e *Engine) ExecuteAdaptive(plan *algebra.Node, predicted map[*algebra.Node
 		// The estimate is proven wrong at this boundary: re-cost the
 		// remainder with every materialized subtree pinned to its facts.
 		res.Replans++
-		req := &ReplanRequest{Remaining: cur, Pinned: make(map[*algebra.Node]PinnedActual, len(mat))}
-		for n, rs := range mat {
-			req.Pinned[n] = PinnedActual{Rows: int64(len(rs)), Bytes: rowops.RowBytes(rs)}
+		req := &ReplanRequest{Remaining: cur, Pinned: make(map[*algebra.Node]PinnedActual, len(st.mat))}
+		for n, rs := range st.mat {
+			req.Pinned[n] = PinnedActual{Rows: int64(len(rs)), Bytes: types.RowBytes(rs)}
 		}
 		rr, err := e.Replan(req)
 		if err != nil || rr == nil || rr.Plan == nil {
@@ -166,31 +130,6 @@ func (e *Engine) ExecuteAdaptive(plan *algebra.Node, predicted map[*algebra.Node
 			}
 		}
 	}
-
-	// Final stage: whatever remains of the (possibly switched) plan, with
-	// every earlier stage served from its materialization.
-	rows, err := runStage(cur)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = rows
-	res.Schema = cur.OutSchema
-	res.ElapsedMS = watch.ElapsedMS()
-	res.Profile = st.prof
-	if len(st.excluded) > 0 {
-		res.Partial = true
-		res.Excluded = make([]string, 0, len(st.excluded))
-		for n := range st.excluded {
-			res.Excluded = append(res.Excluded, n)
-		}
-		sort.Strings(res.Excluded)
-	}
-	st.prof.ElapsedMS = res.ElapsedMS
-	st.prof.Partial = res.Partial
-	if res.PlanSwitches > 0 {
-		res.ExecutedPlan = cur
-	}
-	return res, nil
 }
 
 // nextStage returns the deepest un-materialized staging boundary of the
@@ -214,30 +153,4 @@ func nextStage(n *algebra.Node, mat map[*algebra.Node][]types.Row) *algebra.Node
 		return n
 	}
 	return nil
-}
-
-// chargeStaged is charge() for staged execution: nodes charged in an
-// earlier stage return their recorded actuals without advancing the
-// clock again — re-reading a materialized row set is free — while newly
-// executed nodes are charged exactly as the one-shot path charges them.
-func (e *Engine) chargeStaged(n *algebra.Node, counts vexec.Counts, st *execState) *feedback.OpActual {
-	if a, ok := st.prof.ByNode[n]; ok {
-		return a
-	}
-	if n.Kind == algebra.OpSubmit {
-		return e.charge(n, counts, st)
-	}
-	var kidsMS float64
-	var in int64
-	for _, c := range n.Children {
-		ca := e.chargeStaged(c, counts, st)
-		kidsMS += ca.SubtreeMS
-		in += ca.RowsOut
-	}
-	out := counts.Out(n)
-	own := e.ownCharge(n, counts, in, out)
-	e.clock.Advance(own)
-	a := &feedback.OpActual{RowsIn: in, RowsOut: out, OwnMS: own, SubtreeMS: own + kidsMS}
-	st.prof.ByNode[n] = a
-	return a
 }

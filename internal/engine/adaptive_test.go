@@ -40,8 +40,8 @@ func TestAdaptiveNextStageOrder(t *testing.T) {
 }
 
 // TestAdaptiveNextStageSubmitRoot: a plan that is one submit is its own
-// first boundary; ExecuteAdaptive's stage loop breaks on stage == cur
-// and runs it as the final stage.
+// first boundary; the stage loop stops on boundary == cur and leaves it
+// to the final pipeline.
 func TestAdaptiveNextStageSubmitRoot(t *testing.T) {
 	sub := &algebra.Node{Kind: algebra.OpSubmit}
 	if got := nextStage(sub, map[*algebra.Node][]types.Row{}); got != sub {

@@ -9,11 +9,10 @@
 // Virtual time is decoupled from the pipeline's wall-clock execution:
 // submits charge the clock live (wrapper work, shipping, cache hits),
 // while mediator-side operator time is charged analytically after the
-// pipeline drains, from the per-operator row counts vexec reports. The
-// analytic charges use exactly the formulas the row-at-a-time engine
-// charged inline, so simulated response times — and the per-operator
-// profile built from them — are preserved across the refactor, while
-// wall-clock execution gets batching, morsel parallelism and spilling.
+// pipeline drains, from the per-operator row counts vexec reports, so
+// simulated response times — and the per-operator profile built from
+// them — do not depend on how the pipeline batches, parallelizes or
+// spills.
 package engine
 
 import (
@@ -34,10 +33,9 @@ import (
 // MorselSpeedup models the simulated wall-clock speedup of the
 // parallelizable breaker work (sort, hash, join pair matching) at a
 // given worker count: near-linear with the standard 0.7 morsel
-// efficiency factor. Workers <= 1 is exactly 1, keeping single-threaded
-// simulated times bit-identical to the pre-vectorization engine. The
-// mediator divides its Med* cost-model coefficients by the same factor
-// so estimates and measurements stay aligned.
+// efficiency factor. Workers <= 1 is exactly 1. The mediator divides its
+// Med* cost-model coefficients by the same factor so estimates and
+// measurements stay aligned.
 func MorselSpeedup(workers int) float64 {
 	if workers <= 1 {
 		return 1
@@ -118,12 +116,11 @@ type Engine struct {
 	// falls back to the generic model.
 	OnUnavailable func(wrapper string)
 	// Results, when set, is the semantic result cache consulted at submit
-	// boundaries (see SubmitCache). Nil leaves execution bit-identical to
-	// a build without the cache.
+	// boundaries (see SubmitCache); nil disables it.
 	Results SubmitCache
 	// Exec configures the vectorized pipeline: morsel workers inside
 	// breakers, the spill memory budget, spill directory and batch size.
-	// The zero value (sequential, no spill) is the bit-identical mode.
+	// The zero value is sequential with no spill.
 	Exec vexec.Options
 	// Adaptive configures mid-flight re-optimization (ExecuteAdaptive);
 	// the zero value disables it and nothing below changes.
@@ -212,7 +209,7 @@ type Result struct {
 	Profile *feedback.Profile
 	// Replans counts mid-flight re-cost attempts by the adaptive
 	// executor; PlanSwitches counts the ones that actually switched the
-	// running plan. Both are zero on the non-adaptive path.
+	// running plan. Both are zero for an unstaged run.
 	Replans      int
 	PlanSwitches int
 	// ExecutedPlan is the plan that finished the query when it differs
@@ -238,6 +235,11 @@ type execState struct {
 	excluded map[string]bool
 	prof     *feedback.Profile
 	submits  map[*algebra.Node]*submitFacts
+	// mat holds the materialized output of every completed stage, keyed by
+	// the stage's root node; later pipelines read it as a leaf. A switched
+	// plan reuses the same leaf-unit node pointers, so entries stay valid
+	// across switches. Nil for an unstaged run.
+	mat map[*algebra.Node][]types.Row
 	// cacheGen is the result cache's invalidation generation at execution
 	// start; Put carries it so a mid-query invalidation voids the insert.
 	cacheGen uint64
@@ -255,22 +257,42 @@ func (st *execState) exclude(name string) {
 // does not fail the query: its subtree contributes no rows and the result
 // is marked Partial with the wrapper listed in Excluded.
 func (e *Engine) Execute(plan *algebra.Node) (*Result, error) {
+	return e.ExecuteAdaptive(plan, nil)
+}
+
+// ExecuteAdaptive is Execute with mid-flight re-optimization: when
+// Adaptive is enabled, Replan is wired and predictions exist, the plan
+// first runs in stages (see stage), pausing at every materialization
+// boundary to compare the observed cardinality against the prediction,
+// and may switch to a re-costed remainder. Whatever is left of the
+// (possibly switched) plan then runs as one pipeline over the stages'
+// materialized outputs — for an unstaged run, the whole plan.
+//
+// predicted maps plan nodes to the optimizer's estimated output
+// cardinality (CountObject); nodes without an entry are never checked.
+func (e *Engine) ExecuteAdaptive(plan *algebra.Node, predicted map[*algebra.Node]float64) (*Result, error) {
 	watch := netsim.StartWatch(e.clock)
 	st := execState{prof: feedback.NewProfile(), submits: make(map[*algebra.Node]*submitFacts)}
 	if e.Results != nil {
 		st.cacheGen = e.Results.Begin()
 	}
-	counts := vexec.Counts{}
-	rows, err := vexec.Run(plan, &vexec.Env{
-		Opts:   e.Exec,
-		Counts: counts,
-		Leaf:   func(n *algebra.Node) ([]types.Row, bool, error) { return e.leaf(n, &st) },
-	})
+	res := &Result{Profile: st.prof}
+	if e.Adaptive.Enabled && e.Replan != nil && len(predicted) > 0 {
+		var err error
+		if plan, err = e.stage(plan, predicted, &st, res); err != nil {
+			return nil, err
+		}
+		if res.PlanSwitches > 0 {
+			res.ExecutedPlan = plan
+		}
+	}
+	rows, err := e.run(plan, &st)
 	if err != nil {
 		return nil, err
 	}
-	e.charge(plan, counts, &st)
-	res := &Result{Rows: rows, Schema: plan.OutSchema, ElapsedMS: watch.ElapsedMS(), Profile: st.prof}
+	res.Rows = rows
+	res.Schema = plan.OutSchema
+	res.ElapsedMS = watch.ElapsedMS()
 	if len(st.excluded) > 0 {
 		res.Partial = true
 		res.Excluded = make([]string, 0, len(st.excluded))
@@ -284,11 +306,31 @@ func (e *Engine) Execute(plan *algebra.Node) (*Result, error) {
 	return res, nil
 }
 
-// leaf is the pipeline's Leaf hook: it executes submit boundaries
-// (wrapper delegation, outage degradation, result cache, shipping) with
-// live clock charging, rejects bare scans, and leaves every other node
-// to the generic vectorized operators.
+// run executes one pipeline rooted at root — a stage, or the whole plan —
+// and charges the operators it ran to the virtual clock.
+func (e *Engine) run(root *algebra.Node, st *execState) ([]types.Row, error) {
+	counts := vexec.Counts{}
+	rows, err := vexec.Run(root, &vexec.Env{
+		Opts:   e.Exec,
+		Counts: counts,
+		Leaf:   func(n *algebra.Node) ([]types.Row, bool, error) { return e.leaf(n, st) },
+	})
+	if err != nil {
+		return nil, err
+	}
+	e.charge(root, counts, st)
+	return rows, nil
+}
+
+// leaf is the pipeline's Leaf hook: it serves earlier stages from their
+// materialization, executes submit boundaries (wrapper delegation, outage
+// degradation, result cache, shipping) with live clock charging, rejects
+// bare scans, and leaves every other node to the generic vectorized
+// operators.
 func (e *Engine) leaf(n *algebra.Node, st *execState) ([]types.Row, bool, error) {
+	if rows, ok := st.mat[n]; ok {
+		return rows, true, nil
+	}
 	switch n.Kind {
 	case algebra.OpSubmit:
 		t0 := e.clock.Now()
@@ -304,8 +346,8 @@ func (e *Engine) leaf(n *algebra.Node, st *execState) ([]types.Row, bool, error)
 	return nil, false, nil
 }
 
-// submit executes one submit boundary exactly as the row-at-a-time
-// engine did, recording the transport facts for the profile.
+// submit executes one submit boundary, recording the transport facts for
+// the profile.
 func (e *Engine) submit(n *algebra.Node, st *execState, f *submitFacts) ([]types.Row, error) {
 	w, ok := e.wrappers[n.Wrapper]
 	if !ok {
@@ -361,17 +403,20 @@ func (e *Engine) submit(n *algebra.Node, st *execState, f *submitFacts) ([]types
 	return res.Rows, nil
 }
 
-// charge replays the mediator-side operator costs analytically after the
+// charge replays the mediator-side operator costs analytically after a
 // pipeline drains, advancing the virtual clock and building the profile
-// in post-order. The per-operator formulas are identical to the charges
-// the row-at-a-time engine made inline, so SubtreeMS/OwnMS decompose the
-// same way they always did: a node's own share is its formula, its
-// subtree time is that plus the children's. Submit boundaries carry the
+// in post-order: a node's own share is its formula, its subtree time is
+// that plus the children's. A node charged by an earlier stage returns
+// its recorded actuals without advancing the clock again — re-reading a
+// materialized row set is free. Submit boundaries carry the
 // live-measured facts from the Leaf hook and are opaque below (the
 // wrapper executed the subtree; there are no mediator charges under it).
 // Breaker charges (sort, hash, pair matching) are divided by
 // MorselSpeedup — the simulated benefit of intra-query parallelism.
 func (e *Engine) charge(n *algebra.Node, counts vexec.Counts, st *execState) *feedback.OpActual {
+	if a, ok := st.prof.ByNode[n]; ok {
+		return a
+	}
 	if n.Kind == algebra.OpSubmit {
 		f := st.submits[n]
 		if f == nil {

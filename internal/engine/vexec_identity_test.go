@@ -1,114 +1,73 @@
 package engine
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
 	"disco/internal/algebra"
 	"disco/internal/netsim"
-	"disco/internal/rowops"
+	"disco/internal/refeval"
 	"disco/internal/stats"
 	"disco/internal/types"
 	"disco/internal/vexec"
 )
 
-// legacyExec is a faithful reimplementation of the engine's
-// pre-vectorization row-at-a-time executor (materializing rowops calls
-// with inline clock charges). The identity tests run it against
-// Engine.Execute on identical fresh deployments: rows must match bit for
-// bit and the virtual elapsed time must agree to float round-off.
-func legacyExec(e *Engine, n *algebra.Node) ([]types.Row, error) {
-	if n.OutSchema == nil {
-		return nil, fmt.Errorf("legacy: unresolved plan node %s", n.Kind)
+// naiveExec is the engine's oracle: the naive plan evaluator computes the
+// rows, running every submit on its wrapper and shipping the result, and
+// the mediator operators' virtual time is then charged from the row
+// counts it observed, with the cost-model formulas written out once more.
+// The identity tests run it against Engine.Execute on identical fresh
+// deployments: rows must match bit for bit and the virtual elapsed time
+// must agree to float round-off.
+func naiveExec(e *Engine, plan *algebra.Node) ([]types.Row, error) {
+	out := make(map[*algebra.Node]float64)
+	rows, err := refeval.Eval(plan, func(n *algebra.Node) ([]types.Row, bool, error) {
+		if n.Kind != algebra.OpSubmit {
+			return nil, false, nil
+		}
+		res, err := e.wrappers[n.Wrapper].Execute(n.Children[0])
+		if err != nil {
+			return nil, true, err
+		}
+		e.net.Ship(n.Wrapper, res.Bytes)
+		return res.Rows, true, nil
+	}, func(n *algebra.Node, rows []types.Row) { out[n] = float64(len(rows)) })
+	if err != nil {
+		return nil, err
 	}
-	switch n.Kind {
-	case algebra.OpSubmit:
-		w, ok := e.wrappers[n.Wrapper]
-		if !ok {
-			return nil, fmt.Errorf("legacy: unknown wrapper %q", n.Wrapper)
+	plan.Walk(func(n *algebra.Node) bool {
+		if n.Kind == algebra.OpSubmit {
+			return false
 		}
-		res, err := w.Execute(n.Children[0])
-		if err != nil {
-			return nil, err
+		in := out[n.Children[0]]
+		switch n.Kind {
+		case algebra.OpSelect:
+			e.clock.Advance(in * e.costs.PerPred)
+		case algebra.OpProject:
+			e.clock.Advance(in * e.costs.ProjPerObj)
+		case algebra.OpSort:
+			e.clock.Advance(nLogN(int(in)) * e.costs.SortPerObj)
+		case algebra.OpDupElim:
+			e.clock.Advance(in * e.costs.HashPerObj)
+		case algebra.OpAggregate:
+			e.clock.Advance(in*e.costs.HashPerObj + out[n]*e.costs.PerObj)
+		case algebra.OpUnion:
+			e.clock.Advance(out[n] * e.costs.PerObj)
+		case algebra.OpJoin:
+			right := out[n.Children[1]]
+			equi := false
+			for _, c := range n.Pred.JoinComparisons() {
+				equi = equi || c.Op == stats.CmpEQ
+			}
+			if equi {
+				e.clock.Advance((in+right)*e.costs.HashPerObj + out[n]*e.costs.PerObj)
+			} else {
+				e.clock.Advance(in * right * e.costs.JoinPerPair)
+			}
 		}
-		if e.net != nil {
-			e.net.Ship(n.Wrapper, res.Bytes)
-		}
-		return res.Rows, nil
-	case algebra.OpSelect:
-		rows, err := legacyExec(e, n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		e.clock.Advance(float64(len(rows)) * e.costs.PerPred)
-		return rowops.Filter(n.OutSchema, rows, n.Pred), nil
-	case algebra.OpProject:
-		rows, err := legacyExec(e, n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		e.clock.Advance(float64(len(rows)) * e.costs.ProjPerObj)
-		return rowops.Project(n.Children[0].OutSchema, rows, n.Cols)
-	case algebra.OpSort:
-		rows, err := legacyExec(e, n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		e.clock.Advance(nLogN(len(rows)) * e.costs.SortPerObj)
-		return rowops.Sort(n.OutSchema, rows, n.Keys)
-	case algebra.OpDupElim:
-		rows, err := legacyExec(e, n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		e.clock.Advance(float64(len(rows)) * e.costs.HashPerObj)
-		return rowops.DupElim(rows), nil
-	case algebra.OpAggregate:
-		rows, err := legacyExec(e, n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		e.clock.Advance(float64(len(rows)) * e.costs.HashPerObj)
-		out, err := rowops.Aggregate(n.Children[0].OutSchema, rows, n.GroupBy, n.Aggs)
-		if err != nil {
-			return nil, err
-		}
-		e.clock.Advance(float64(len(out)) * e.costs.PerObj)
-		return out, nil
-	case algebra.OpUnion:
-		left, err := legacyExec(e, n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		right, err := legacyExec(e, n.Children[1])
-		if err != nil {
-			return nil, err
-		}
-		out := rowops.Union(left, right)
-		e.clock.Advance(float64(len(out)) * e.costs.PerObj)
-		return out, nil
-	case algebra.OpJoin:
-		left, err := legacyExec(e, n.Children[0])
-		if err != nil {
-			return nil, err
-		}
-		right, err := legacyExec(e, n.Children[1])
-		if err != nil {
-			return nil, err
-		}
-		ls, rs := n.Children[0].OutSchema, n.Children[1].OutSchema
-		if out, ok := rowops.HashJoin(ls, rs, n.OutSchema, left, right, n.Pred, nil); ok {
-			e.clock.Advance(float64(len(left)+len(right)) * e.costs.HashPerObj)
-			e.clock.Advance(float64(len(out)) * e.costs.PerObj)
-			return out, nil
-		}
-		out := rowops.NestedLoopJoin(n.OutSchema, left, right, n.Pred, nil)
-		e.clock.Advance(float64(len(left)*len(right)) * e.costs.JoinPerPair)
-		return out, nil
-	default:
-		return nil, fmt.Errorf("legacy: cannot execute operator %s", n.Kind)
-	}
+		return true
+	})
+	return rows, nil
 }
 
 // identityPlans are the plan shapes the equivalence tests cover — every
@@ -146,17 +105,16 @@ func identityPlans(t *testing.T, d *deployment) map[string]*algebra.Node {
 	return plans
 }
 
-// TestVectorizedMatchesLegacy: the vectorized engine at Workers<=1 with
-// no spill budget must reproduce the row-at-a-time executor bit for bit
-// — rows, order, and virtual elapsed time (to float round-off from
-// charge-summation order).
+// TestVectorizedMatchesLegacy: the engine at Workers<=1 with no spill
+// budget must reproduce the naive executor bit for bit — rows, order, and
+// virtual elapsed time (to float round-off from charge-summation order).
 func TestVectorizedMatchesLegacy(t *testing.T) {
 	for name := range identityPlans(t, buildDeployment(t)) {
 		t.Run(name, func(t *testing.T) {
 			dLegacy := buildDeployment(t)
 			legacyPlan := identityPlans(t, dLegacy)[name]
 			watch := netsim.StartWatch(dLegacy.clock)
-			wantRows, err := legacyExec(dLegacy.engine, legacyPlan)
+			wantRows, err := naiveExec(dLegacy.engine, legacyPlan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,6 +137,40 @@ func TestVectorizedMatchesLegacy(t *testing.T) {
 			}
 			if diff := res.ElapsedMS - wantMS; diff > 1e-9 || diff < -1e-9 {
 				t.Fatalf("elapsed = %v, legacy %v", res.ElapsedMS, wantMS)
+			}
+		})
+	}
+}
+
+// TestAdaptiveWithoutPredictionsIsExecute: with adaptive enabled and a
+// Replan callback wired but no predictions to check against, nothing is
+// staged — rows, virtual elapsed time and the per-operator profile equal
+// Execute's on a fresh deployment, and Replan is never consulted.
+func TestAdaptiveWithoutPredictionsIsExecute(t *testing.T) {
+	for name, plan := range identityPlans(t, buildDeployment(t)) {
+		t.Run(name, func(t *testing.T) {
+			want, err := buildDeployment(t).engine.Execute(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := buildDeployment(t).engine
+			eng.Adaptive = AdaptiveOptions{Enabled: true}
+			eng.Replan = func(*ReplanRequest) (*ReplanResult, error) {
+				t.Error("Replan consulted without predictions")
+				return nil, nil
+			}
+			got, err := eng.ExecuteAdaptive(plan, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want.Rows, got.Rows) {
+				t.Errorf("rows differ: %d vs %d", len(got.Rows), len(want.Rows))
+			}
+			if got.ElapsedMS != want.ElapsedMS {
+				t.Errorf("elapsed = %v, Execute %v", got.ElapsedMS, want.ElapsedMS)
+			}
+			if !reflect.DeepEqual(want.Profile, got.Profile) {
+				t.Errorf("profiles differ:\ngot  %+v\nwant %+v", got.Profile, want.Profile)
 			}
 		})
 	}

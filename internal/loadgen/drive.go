@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"net"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -402,17 +401,4 @@ func canonValue(v any) string {
 	default:
 		return fmt.Sprintf("v%v", v)
 	}
-}
-
-// BenchLine renders the report as one `go test -bench` result line, the
-// format cmd/benchjson ingests: the soak's serving metrics ride into
-// BENCH_pr.json next to the optimization benchmarks. ns/op is the mean
-// request latency.
-func (r *Report) BenchLine(name string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Benchmark%s\t%8d\t%d ns/op", name, r.Requests, int64(r.MeanMS*1e6))
-	fmt.Fprintf(&b, "\t%.3f p50-ms\t%.3f p99-ms\t%.3f p999-ms", r.P50MS, r.P99MS, r.P999MS)
-	fmt.Fprintf(&b, "\t%.1f qps\t%.4f shed-rate\t%.4f partial-rate", r.QPS, r.ShedRate, r.PartialRate)
-	fmt.Fprintf(&b, "\t%.4f result-cache-hit-rate", r.ResultCacheHitRate)
-	return b.String()
 }

@@ -101,9 +101,8 @@ type Config struct {
 	OptimizerOptions optimizer.Options
 	// ExecWorkers is the morsel-driven parallelism inside the engine's
 	// pipeline breakers (sort, hash join, aggregation, dup-elim). Values
-	// below 2 run sequentially — the mode whose results and simulated
-	// times are bit-identical to the pre-vectorization engine. With
-	// workers, the Med* cost-model coefficients are divided by
+	// below 2 run sequentially. With workers, answers stay bit-identical
+	// and the Med* cost-model coefficients are divided by
 	// engine.MorselSpeedup(ExecWorkers) so estimates track the faster
 	// simulated breaker execution.
 	ExecWorkers int
@@ -121,8 +120,7 @@ type Config struct {
 	// threshold re-costs the remaining plan with the materialized
 	// subtrees pinned as exact zero-cost leaves, switching when the
 	// candidate wins by the hysteresis margin. Off by default: with the
-	// zero value the mediator's plans, results and timings are
-	// bit-identical to a build without the subsystem.
+	// zero value no plan is ever staged.
 	Adaptive bool
 	// AdaptiveThreshold is the cardinality q-error that triggers a
 	// re-cost (0 uses engine.DefaultAdaptiveThreshold).
@@ -356,14 +354,11 @@ func (m *Mediator) replan(req *engine.ReplanRequest) (*engine.ReplanResult, erro
 	return rr, nil
 }
 
-// execute runs a prepared plan on the engine — adaptively when enabled,
-// through the unmodified one-shot path otherwise — and rolls the
-// adaptive counters. Callers hold the read lock.
+// execute runs a prepared plan on the engine, which stages it for
+// adaptive re-optimization when that is enabled, and rolls the adaptive
+// counters. Callers hold the read lock.
 func (m *Mediator) execute(eng *engine.Engine, p *Prepared) (*engine.Result, error) {
-	if !m.cfg.Adaptive {
-		return eng.Execute(p.Plan)
-	}
-	res, err := eng.ExecuteAdaptive(p.Plan, predictedRows(p.Cost))
+	res, err := eng.ExecuteAdaptive(p.Plan, p.predicted)
 	if res != nil {
 		if res.Replans > 0 {
 			m.replans.Add(int64(res.Replans))
@@ -539,6 +534,9 @@ type Prepared struct {
 	Epoch uint64
 	// Hash is the 128-bit structural hash of the chosen plan.
 	Hash algebra.Hash128
+	// predicted is Cost's per-node cardinality, the form the engine's
+	// adaptive staging checks observed cardinalities against.
+	predicted map[*algebra.Node]float64
 }
 
 // Prepare parses, binds and optimizes a query, serving repeated
@@ -609,6 +607,7 @@ func (m *Mediator) prepareLocked(sql string, trace, capture bool) (*Prepared, *c
 		PlansCosted: res.PlansCosted,
 		Epoch:       m.Catalog.Epoch(),
 		Hash:        res.Plan.StructuralHash(),
+		predicted:   predictedRows(res.Cost),
 	}, est, nil
 }
 

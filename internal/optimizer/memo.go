@@ -11,20 +11,11 @@ import (
 // pool.
 const memoShards = 16
 
-// memoKey identifies a candidate plan in the memo table. The default key
-// is the 128-bit structural hash (algebra.StructuralHash) — cached on the
-// plan nodes and combined incrementally, so keying a candidate costs a few
-// word mixes instead of rendering its whole signature string. Under
-// Options.ExactMemo the key is the canonical signature string itself.
-// Exactly one of the two fields is populated per search.
-type memoKey struct {
-	hash algebra.Hash128
-	sig  string
-}
-
 // memoTable caches candidate objective costs for the duration of one
-// Optimize call. The table is sharded so the parallel search's workers
-// rarely contend on one lock.
+// Optimize call, keyed by the 128-bit structural hash
+// (algebra.StructuralHash) — cached on the plan nodes and combined
+// incrementally, so keying a candidate costs a few word mixes. The table
+// is sharded so the search's workers rarely contend on one lock.
 //
 // Only complete estimations are stored. A branch-and-bound abort
 // (core.ErrOverBudget) is relative to the budget in place at the time and
@@ -33,56 +24,33 @@ type memoKey struct {
 // patterns — which vary with worker timing — from ever changing the
 // winning plan.
 type memoTable struct {
-	exact  bool // keyed by signature string instead of structural hash
 	shards [memoShards]memoShard
 }
 
 type memoShard struct {
 	mu sync.RWMutex
-	h  map[algebra.Hash128]float64
-	s  map[string]float64
+	m  map[algebra.Hash128]float64
 }
 
-func newMemoTable(exact bool) *memoTable {
-	t := &memoTable{exact: exact}
+func newMemoTable() *memoTable {
+	t := &memoTable{}
 	for i := range t.shards {
-		if exact {
-			t.shards[i].s = make(map[string]float64)
-		} else {
-			t.shards[i].h = make(map[algebra.Hash128]float64)
-		}
+		t.shards[i].m = make(map[algebra.Hash128]float64)
 	}
 	return t
 }
 
-func (t *memoTable) shard(k memoKey) *memoShard {
-	if t.exact {
-		return &t.shards[algebra.SignatureFingerprint(k.sig)%memoShards]
-	}
-	return &t.shards[k.hash.Lo%memoShards]
-}
-
-func (t *memoTable) get(k memoKey) (float64, bool) {
-	s := t.shard(k)
+func (t *memoTable) get(h algebra.Hash128) (float64, bool) {
+	s := &t.shards[h.Lo%memoShards]
 	s.mu.RLock()
-	var c float64
-	var ok bool
-	if t.exact {
-		c, ok = s.s[k.sig]
-	} else {
-		c, ok = s.h[k.hash]
-	}
+	c, ok := s.m[h]
 	s.mu.RUnlock()
 	return c, ok
 }
 
-func (t *memoTable) put(k memoKey, cost float64) {
-	s := t.shard(k)
+func (t *memoTable) put(h algebra.Hash128, cost float64) {
+	s := &t.shards[h.Lo%memoShards]
 	s.mu.Lock()
-	if t.exact {
-		s.s[k.sig] = cost
-	} else {
-		s.h[k.hash] = cost
-	}
+	s.m[h] = cost
 	s.mu.Unlock()
 }

@@ -1,146 +1,31 @@
 package optimizer
 
 import (
-	"fmt"
 	"testing"
 
 	"disco/internal/algebra"
 )
 
-// TestExactMemoMatchesHashedMemo is the differential gate for the hashed
-// memo table: across every equivalence block, both tree shapes and both
-// worker settings, a search memoized by 128-bit structural hash must
-// choose a plan bit-identical (structure and cost) to the same search
-// memoized by full signature strings. Sequentially, the hit counts must
-// agree too — the hash partitions the candidate space exactly like the
-// signature does (under parallel workers hit counts vary with timing, so
-// only the outcome is compared).
-func TestExactMemoMatchesHashedMemo(t *testing.T) {
-	f := buildFixture(t)
-	for name, qb := range equivalenceBlocks() {
-		for _, bushy := range []bool{false, true} {
-			for _, workers := range []int{1, 4} {
-				label := fmt.Sprintf("%s/bushy=%v/workers=%d", name, bushy, workers)
-				base := Options{Pruning: true, MaxDPRelations: 10, Bushy: bushy, Workers: workers, Memo: true}
-
-				base.ExactMemo = true
-				f.opt.Opt = base
-				exact, err := f.opt.Optimize(qb)
-				if err != nil {
-					t.Fatalf("%s exact: %v", label, err)
-				}
-
-				base.ExactMemo = false
-				f.opt.Opt = base
-				hashed, err := f.opt.Optimize(qb)
-				if err != nil {
-					t.Fatalf("%s hashed: %v", label, err)
-				}
-
-				if !hashed.Plan.Equal(exact.Plan) {
-					t.Errorf("%s: hashed memo chose a different plan\ngot:  %s\nwant: %s",
-						label, hashed.Plan.Signature(), exact.Plan.Signature())
-				}
-				if hashed.Cost.TotalTime() != exact.Cost.TotalTime() {
-					t.Errorf("%s: TotalTime %v (hashed) vs %v (exact)",
-						label, hashed.Cost.TotalTime(), exact.Cost.TotalTime())
-				}
-				if workers == 1 {
-					if hashed.MemoHits != exact.MemoHits {
-						t.Errorf("%s: MemoHits %d (hashed) vs %d (exact) — hash key partitions differ from signature",
-							label, hashed.MemoHits, exact.MemoHits)
-					}
-					if hashed.PlansCosted != exact.PlansCosted {
-						t.Errorf("%s: PlansCosted %d (hashed) vs %d (exact)",
-							label, hashed.PlansCosted, exact.PlansCosted)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestMemoTableAllocFree pins the memo's per-probe cost: once a key is
-// cached, re-reading and re-writing it must not allocate in either
-// keying mode (the search probes the table once per candidate, so a
-// single stray allocation here multiplies across the whole enumeration).
+// cached, re-reading and re-writing it must not allocate (the search
+// probes the table once per candidate, so a single stray allocation here
+// multiplies across the whole enumeration).
 func TestMemoTableAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	for _, exact := range []bool{false, true} {
-		name := "hashed"
-		if exact {
-			name = "exact"
-		}
-		t.Run(name, func(t *testing.T) {
-			m := newMemoTable(exact)
-			k := memoKey{hash: algebra.Hash128{Lo: 0x1234, Hi: 0x5678},
-				sig: "join(scan(src1,Employee),scan(src1,Manager))"}
-			m.put(k, 42)
-			avg := testing.AllocsPerRun(200, func() {
-				if v, ok := m.get(k); !ok || v != 42 {
-					t.Fatal("memo lost its entry")
-				}
-				m.put(k, 42)
-			})
-			if avg > 0 {
-				t.Errorf("%s memo get+put allocates %.1f objects/run, want 0", name, avg)
+	t.Run("hashed", func(t *testing.T) {
+		m := newMemoTable()
+		k := algebra.Hash128{Lo: 0x1234, Hi: 0x5678}
+		m.put(k, 42)
+		avg := testing.AllocsPerRun(200, func() {
+			if v, ok := m.get(k); !ok || v != 42 {
+				t.Fatal("memo lost its entry")
 			}
+			m.put(k, 42)
 		})
-	}
-}
-
-// TestMemoCollisionDisambiguatedByExactMemo forces every candidate onto
-// one hash value through the planHash test hook: the hashed memo then
-// answers structurally different plans from each other's cached costs,
-// while ExactMemo keys by the full signature and stays correct. This pins
-// both the purpose of the debug option and the fact that the memo path
-// actually flows through the hook.
-func TestMemoCollisionDisambiguatedByExactMemo(t *testing.T) {
-	f := buildFixture(t)
-	qb := equivalenceBlocks()["four-way"]
-	base := Options{Pruning: true, MaxDPRelations: 10, Workers: 1}
-
-	f.opt.Opt = base
-	want, err := f.opt.Optimize(qb)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	orig := planHash
-	planHash = func(*algebra.Node) algebra.Hash128 { return algebra.Hash128{Lo: 0xdead, Hi: 0xbeef} }
-	defer func() { planHash = orig }()
-
-	// Total collision: after the first candidate is cached, every other
-	// candidate "hits" — almost nothing is actually estimated.
-	base.Memo = true
-	f.opt.Opt = base
-	collided, err := f.opt.Optimize(qb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if collided.MemoHits == 0 {
-		t.Error("colliding hash should produce spurious memo hits")
-	}
-	if collided.PlansCosted >= want.PlansCosted {
-		t.Errorf("total collision should collapse estimations: %d costed vs %d in the honest search",
-			collided.PlansCosted, want.PlansCosted)
-	}
-
-	// ExactMemo never consults the hash and must reproduce the memo-less
-	// search bit-identically, colliding hook and all.
-	base.ExactMemo = true
-	f.opt.Opt = base
-	exact, err := f.opt.Optimize(qb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !exact.Plan.Equal(want.Plan) {
-		t.Errorf("ExactMemo under colliding hashes chose a different plan\ngot:  %s\nwant: %s",
-			exact.Plan.Signature(), want.Plan.Signature())
-	}
-	if exact.Cost.TotalTime() != want.Cost.TotalTime() {
-		t.Errorf("ExactMemo TotalTime %v, want %v", exact.Cost.TotalTime(), want.Cost.TotalTime())
-	}
+		if avg > 0 {
+			t.Errorf("memo get+put allocates %.1f objects/run, want 0", avg)
+		}
+	})
 }

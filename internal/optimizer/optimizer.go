@@ -64,12 +64,12 @@ type Options struct {
 	// to the first tuple — the paper's TimeFirst variable exists exactly
 	// for response-time-to-first optimization.
 	Objective Objective
-	// Workers is the number of goroutines the dynamic program shards its
-	// subset enumeration across: 0 uses GOMAXPROCS, 1 forces the
-	// sequential search. Each worker prices candidates on its own
+	// Workers is the number of goroutines that price each level of the
+	// dynamic program: 0 uses GOMAXPROCS, 1 prices on the caller's
+	// goroutine alone. Each worker prices candidates on its own
 	// core.Estimator clone; a shared atomic best-cost bound keeps
-	// branch-and-bound pruning effective across workers. The parallel
-	// search chooses bit-identical plans to the sequential one.
+	// branch-and-bound pruning effective across workers. The chosen plan
+	// is bit-identical at every worker count.
 	Workers int
 	// Memo enables the plan-cost memo table: candidate costs are cached
 	// by 128-bit structural plan hash (algebra.StructuralHash) for the
@@ -91,16 +91,9 @@ type Options struct {
 	// cardinality) instead of a model estimation — the semantic result
 	// cache as a candidate access path in the blending hierarchy. The
 	// view must be immutable for the duration of one Optimize call (the
-	// mediator passes a frozen resultcache snapshot), or the parallel
-	// search's bit-identical-plan guarantee would break.
+	// mediator passes a frozen resultcache snapshot), or the chosen plan
+	// would depend on worker timing.
 	CacheView CacheView
-	// ExactMemo keys the memo table by the full canonical signature
-	// string (algebra.Signature) instead of its 128-bit structural hash.
-	// The hash is collision-free for any realistic search space; this
-	// debug mode trades the hashing speedup for a bitwise-exact key, and
-	// the differential tests use it to prove the hashed table chooses
-	// identical plans.
-	ExactMemo bool
 }
 
 // CacheView answers whether a materialized result for the plan with the
@@ -148,7 +141,7 @@ type Result struct {
 	// PlansCosted counts full or partial candidate estimations.
 	PlansCosted int
 	// PrunedEstimations counts estimations aborted by branch-and-bound.
-	// Under parallel search the count depends on worker timing (a tighter
+	// With several workers the count depends on worker timing (a tighter
 	// or looser bound may be in place when a candidate is priced); the
 	// chosen plan does not.
 	PrunedEstimations int
@@ -175,9 +168,8 @@ func New(cat *catalog.Catalog, est *core.Estimator, opt Options) *Optimizer {
 // Optimize picks the cheapest plan for the query block. The returned plan
 // is resolved and ready for execution.
 //
-// With Options.Workers != 1 the dynamic program runs on a worker pool;
-// the chosen plan and its cost are guaranteed bit-identical to the
-// sequential search (see dpJoinParallel for the argument).
+// The chosen plan and its cost do not depend on Options.Workers (see
+// joinDP for the argument).
 func (o *Optimizer) Optimize(qb *QueryBlock) (*Result, error) {
 	if len(qb.Relations) == 0 {
 		return nil, fmt.Errorf("optimizer: query block has no relations")
@@ -203,11 +195,9 @@ func (o *Optimizer) Optimize(qb *QueryBlock) (*Result, error) {
 	case len(base) == 1:
 		joined = base[0]
 	case len(qb.Relations) <= o.Opt.MaxDPRelations:
-		if w := o.workerCount(); w > 1 {
-			joined, err = s.dpJoinParallel(qb, base, w)
-		} else {
-			joined, err = s.dpJoin(qb, base)
-		}
+		joined, err = s.joinDP(base, o.workerCount(), func(best map[uint64]*entry, set uint64, size int) []*tagged {
+			return s.subsetCandidates(qb, base, best, set, size)
+		})
 	default:
 		joined, err = s.greedyJoin(qb, base)
 	}
@@ -254,7 +244,7 @@ func (o *Optimizer) workerCount() int {
 // it, so a bound is only sound when the objective itself is TotalTime;
 // pruning a TimeFirst search against a TimeFirst bound could abort the
 // true optimum (its TotalTime may dwarf its TimeFirst) and would also
-// break the sequential/parallel equivalence guarantee.
+// let worker timing change the chosen plan.
 func (o *Optimizer) pruneEnabled() bool {
 	return o.Opt.Pruning && o.Opt.Objective == ObjectiveTotalTime
 }
@@ -267,8 +257,8 @@ type tagged struct {
 	// mat caches the materialized form so every candidate built over this
 	// subplan shares one submit node (and its resolved schema and cached
 	// structural hash). Estimation never mutates a node, so sharing is
-	// safe; the parallel search materializes on the coordinator before
-	// workers touch the candidate.
+	// safe; joinDP materializes on the coordinator before workers touch
+	// the candidate.
 	mat *algebra.Node
 }
 
@@ -325,11 +315,11 @@ type entry struct {
 // subsetCandidates enumerates every join candidate of one relation subset
 // in the canonical deterministic order — bushy partitions (both build
 // orders) or left-deep splits, each expanded through joinCandidates. The
-// order is the contract that lets the sequential and parallel searches
-// choose bit-identical plans: ties on cost are always broken towards the
-// earlier candidate.
-func (s *search) subsetCandidates(qb *QueryBlock, base []*tagged, best map[uint64]*entry, set uint64, size, n int) []*tagged {
-	o := s.o
+// order is the contract that makes the chosen plan independent of the
+// worker count: ties on cost are always broken towards the earlier
+// candidate.
+func (s *search) subsetCandidates(qb *QueryBlock, base []*tagged, best map[uint64]*entry, set uint64, size int) []*tagged {
+	o, n := s.o, len(base)
 	var out []*tagged
 	if o.Opt.Bushy {
 		// All partitions into two non-empty halves; iterate the
@@ -372,57 +362,6 @@ func (s *search) subsetCandidates(qb *QueryBlock, base []*tagged, best map[uint6
 		}
 	}
 	return out
-}
-
-// dpJoin runs the sequential dynamic program over relation subsets,
-// producing the cheapest left-deep (or bushy) join tree.
-func (s *search) dpJoin(qb *QueryBlock, base []*tagged) (*tagged, error) {
-	n := len(base)
-	best := make(map[uint64]*entry, 1<<uint(n))
-	for i, b := range base {
-		c, err := s.costTagged(s.o.Est, b, 0)
-		if err != nil {
-			return nil, err
-		}
-		best[1<<uint(i)] = &entry{t: b, cost: c}
-	}
-
-	full := uint64(1)<<uint(n) - 1
-	prune := s.o.pruneEnabled()
-	// Enumerate subsets in increasing popcount by iterating sizes.
-	for size := 2; size <= n; size++ {
-		for set := uint64(1); set <= full; set++ {
-			if popcount(set) != size {
-				continue
-			}
-			var bestEntry *entry
-			for _, cand := range s.subsetCandidates(qb, base, best, set, size, n) {
-				budget := math.Inf(1)
-				if prune && bestEntry != nil {
-					budget = bestEntry.cost
-				}
-				c, err := s.costTagged(s.o.Est, cand, budget)
-				if err == core.ErrOverBudget {
-					s.pruned.Add(1)
-					continue
-				}
-				if err != nil {
-					return nil, err
-				}
-				if bestEntry == nil || c < bestEntry.cost {
-					bestEntry = &entry{t: cand, cost: c}
-				}
-			}
-			if bestEntry != nil {
-				best[set] = bestEntry
-			}
-		}
-	}
-	e, ok := best[full]
-	if !ok {
-		return nil, fmt.Errorf("optimizer: no join order found (disconnected join graph)")
-	}
-	return e.t, nil
 }
 
 // greedyJoin joins the cheapest pair first, repeatedly — the fallback for
@@ -595,10 +534,6 @@ func (o *Optimizer) finalize(qb *QueryBlock, t *tagged) (*algebra.Node, error) {
 	return plan, nil
 }
 
-// planHash computes a candidate's memo key; a package variable so tests
-// can substitute a colliding hash and exercise the ExactMemo safeguard.
-var planHash = (*algebra.Node).StructuralHash
-
 // costTagged estimates a candidate as it would run (submits placed) on
 // the given estimator, consulting the memo table when enabled. Memoized
 // results are final costs — a memo hit never depends on the budget, so
@@ -615,18 +550,14 @@ func (s *search) costTagged(est *core.Estimator, t *tagged, budget float64) (flo
 		// exact. Returned before the memo (and never memoized): the memo
 		// outlives no Optimize call, but keeping cache pricing out of it
 		// means a hash-colliding submit could never inherit a cache cost.
-		if rows, ok := cv.Lookup(planHash(plan)); ok {
+		if rows, ok := cv.Lookup(plan.StructuralHash()); ok {
 			s.cacheHits.Add(1)
 			return resultcache.HitCostMS(rows), nil
 		}
 	}
-	var key memoKey
+	var key algebra.Hash128
 	if s.memo != nil {
-		if s.o.Opt.ExactMemo {
-			key.sig = plan.Signature()
-		} else {
-			key.hash = planHash(plan)
-		}
+		key = plan.StructuralHash()
 		if c, ok := s.memo.get(key); ok {
 			s.memoHits.Add(1)
 			return c, nil

@@ -17,9 +17,11 @@ import (
 )
 
 type fixture struct {
-	cat *catalog.Catalog
-	est *core.Estimator
-	opt *Optimizer
+	cat    *catalog.Catalog
+	reg    *core.Registry
+	est    *core.Estimator
+	opt    *Optimizer
+	fstore *filestore.Store
 }
 
 func buildFixture(t *testing.T) *fixture {
@@ -100,7 +102,7 @@ func buildFixture(t *testing.T) *fixture {
 		}
 	}
 	est := core.NewEstimator(reg, cat, netsim.NewNetwork(netsim.Link{LatencyMS: 10, PerByteMS: 0.0005}, nil))
-	return &fixture{cat: cat, est: est, opt: New(cat, est, DefaultOptions())}
+	return &fixture{cat: cat, reg: reg, fstore: fstore, est: est, opt: New(cat, est, DefaultOptions())}
 }
 
 func TestSingleRelationPushdown(t *testing.T) {

@@ -1,7 +1,7 @@
 package optimizer
 
 import (
-	"fmt"
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -10,10 +10,9 @@ import (
 	"disco/internal/core"
 )
 
-// search carries the state of one Optimize call that both the sequential
-// and parallel paths share: the owning optimizer, the optional memo
-// table, and the search counters. Counters are atomics so parallel
-// workers update them without coordination.
+// search carries the state of one Optimize call: the owning optimizer,
+// the optional memo table, and the search counters. Counters are atomics
+// so the dynamic program's workers update them without coordination.
 type search struct {
 	o           *Optimizer
 	memo        *memoTable
@@ -26,7 +25,7 @@ type search struct {
 func newSearch(o *Optimizer) *search {
 	s := &search{o: o}
 	if o.Opt.Memo {
-		s.memo = newMemoTable(o.Opt.ExactMemo)
+		s.memo = newMemoTable()
 	}
 	return s
 }
@@ -42,10 +41,10 @@ func (s *search) result() *Result {
 }
 
 // subsetState accumulates the winner of one relation subset during a
-// parallel level. The winner is selected under the mutex by lexicographic
-// (cost, candidate index) minimum — exactly the candidate the sequential
-// scan's "first strict improvement" rule keeps — so worker timing cannot
-// change the outcome. The atomic bits mirror the best cost seen so far
+// level. The winner is selected under the mutex by lexicographic (cost,
+// candidate index) minimum — the first candidate in enumeration order
+// achieving the minimum cost — so worker timing cannot change the
+// outcome. The atomic bits mirror the best cost seen so far
 // for lock-free branch-and-bound reads; Float64bits ordering agrees with
 // float ordering on the non-negative costs the estimator produces.
 type subsetState struct {
@@ -87,7 +86,7 @@ func (st *subsetState) winner() *entry {
 	return &entry{t: st.t, cost: st.cost}
 }
 
-// dpJob is one unit of parallel work: price candidate t (the idx-th
+// dpJob is one unit of level work: price candidate t (the idx-th
 // candidate of its subset in canonical order) and offer it to state.
 type dpJob struct {
 	state *subsetState
@@ -95,22 +94,25 @@ type dpJob struct {
 	t     *tagged
 }
 
-// dpJoinParallel is the level-synchronous parallel form of dpJoin. Each
-// popcount level depends only on the winners of strictly smaller subsets,
-// so the level's candidates are enumerated up front (in the sequential
-// order) and priced by a worker pool, with a barrier before the winners
-// are frozen into the best table.
+// errNoJoinOrder reports that no candidate covered every base unit.
+var errNoJoinOrder = errors.New("optimizer: no join order found (disconnected join graph)")
+
+// joinDP runs the dynamic program over subsets of the base units,
+// producing the cheapest join tree candidates can build. candidates
+// enumerates one subset's join candidates, in a deterministic order, from
+// the winners of strictly smaller subsets. The program is
+// level-synchronous: each popcount level depends only on earlier levels,
+// so the level's candidates are enumerated up front and priced by up to
+// `workers` goroutines (the caller's included), with a barrier before
+// the winners are frozen into the best table.
 //
-// Why the chosen plan is bit-identical to dpJoin's:
+// Why the chosen plan does not depend on the worker count:
 //
 //  1. Workers only read the best table, which is frozen between levels —
-//     every candidate is built from exactly the subplans the sequential
-//     scan would use.
-//  2. Each candidate carries its index in the sequential enumeration
-//     order, and the per-subset winner is the lexicographic minimum of
-//     (cost, index). The sequential loop keeps the first strict
-//     improvement, i.e. the lowest-index candidate achieving the minimum
-//     cost — the same plan.
+//     every candidate is built from the same subplans at any count.
+//  2. Each candidate carries its index in the enumeration order, and the
+//     per-subset winner is the lexicographic minimum of (cost, index):
+//     the lowest-index candidate achieving the minimum cost.
 //  3. Branch-and-bound prunes a candidate only when the estimator's
 //     running cost strictly exceeds the bound in place when it is priced.
 //     The bound is always >= the subset's final minimum, so only
@@ -118,9 +120,10 @@ type dpJob struct {
 //     the worker timing. (PrunedEstimations does vary with timing; the
 //     plan and its cost do not.)
 //
-// Each worker prices candidates on its own estimator clone; worker 0
-// reuses the optimizer's own estimator, which is idle during the search.
-func (s *search) dpJoinParallel(qb *QueryBlock, base []*tagged, workers int) (*tagged, error) {
+// Each extra worker prices candidates on its own estimator clone; the
+// caller's goroutine uses the optimizer's own estimator.
+func (s *search) joinDP(base []*tagged, workers int,
+	candidates func(best map[uint64]*entry, set uint64, size int) []*tagged) (*tagged, error) {
 	n := len(base)
 	best := make(map[uint64]*entry, 1<<uint(n))
 	for i, b := range base {
@@ -138,7 +141,6 @@ func (s *search) dpJoinParallel(qb *QueryBlock, base []*tagged, workers int) (*t
 	}
 
 	full := uint64(1)<<uint(n) - 1
-	prune := s.o.pruneEnabled()
 	var states []*subsetState
 	var jobs []dpJob
 	for size := 2; size <= n; size++ {
@@ -148,7 +150,7 @@ func (s *search) dpJoinParallel(qb *QueryBlock, base []*tagged, workers int) (*t
 			if popcount(set) != size {
 				continue
 			}
-			cands := s.subsetCandidates(qb, base, best, set, size, n)
+			cands := candidates(best, set, size)
 			if len(cands) == 0 {
 				continue
 			}
@@ -157,66 +159,24 @@ func (s *search) dpJoinParallel(qb *QueryBlock, base []*tagged, workers int) (*t
 			for i, t := range cands {
 				// Candidates share uncloned subtrees, so all lazy per-node
 				// state — the materialized submit, the resolved schemas,
-				// the cached structural hash — is filled here on the
-				// coordinator, before the goroutines start (a happens-
-				// before edge). Workers then only read the trees.
+				// the cached structural hash — is filled here, before any
+				// goroutine starts (a happens-before edge). Workers then
+				// only read the trees: the memo, the cache view and the
+				// estimator's exact-rule prefilter all find the hash
+				// cached, even for a rule published mid-search.
 				m := t.materialize()
 				if err := algebra.Resolve(m, s.o.Cat); err != nil {
 					return nil, err
 				}
-				if s.memo != nil && !s.o.Opt.ExactMemo {
-					planHash(m)
-				}
+				m.StructuralHash()
 				jobs = append(jobs, dpJob{state: st, idx: i, t: t})
 			}
 		}
 		if len(jobs) == 0 {
 			continue
 		}
-
-		var next atomic.Int64
-		var failed atomic.Bool
-		var errOnce sync.Once
-		var firstErr error
-		w := workers
-		if len(jobs) < w {
-			w = len(jobs)
-		}
-		var wg sync.WaitGroup
-		for wi := 0; wi < w; wi++ {
-			wg.Add(1)
-			go func(est *core.Estimator) {
-				defer wg.Done()
-				for {
-					if failed.Load() {
-						return
-					}
-					j := int(next.Add(1)) - 1
-					if j >= len(jobs) {
-						return
-					}
-					job := jobs[j]
-					budget := math.Inf(1)
-					if prune {
-						budget = job.state.bound()
-					}
-					c, err := s.costTagged(est, job.t, budget)
-					if err == core.ErrOverBudget {
-						s.pruned.Add(1)
-						continue
-					}
-					if err != nil {
-						errOnce.Do(func() { firstErr = err })
-						failed.Store(true)
-						return
-					}
-					job.state.offer(job.t, c, job.idx)
-				}
-			}(ests[wi])
-		}
-		wg.Wait()
-		if failed.Load() {
-			return nil, firstErr
+		if err := s.priceLevel(jobs, ests[:min(workers, len(jobs))]); err != nil {
+			return nil, err
 		}
 		for _, st := range states {
 			if e := st.winner(); e != nil {
@@ -226,7 +186,53 @@ func (s *search) dpJoinParallel(qb *QueryBlock, base []*tagged, workers int) (*t
 	}
 	e, ok := best[full]
 	if !ok {
-		return nil, fmt.Errorf("optimizer: no join order found (disconnected join graph)")
+		return nil, errNoJoinOrder
 	}
 	return e.t, nil
+}
+
+// priceLevel prices one level's jobs, one worker per estimator. The
+// caller's goroutine is the first worker, so a level with one estimator
+// (Workers = 1, or a single job) runs inline.
+func (s *search) priceLevel(jobs []dpJob, ests []*core.Estimator) error {
+	prune := s.o.pruneEnabled()
+	var next atomic.Int64
+	var failed atomic.Bool
+	var errOnce sync.Once
+	var firstErr error
+	work := func(est *core.Estimator) {
+		for !failed.Load() {
+			j := int(next.Add(1)) - 1
+			if j >= len(jobs) {
+				return
+			}
+			job := jobs[j]
+			budget := math.Inf(1)
+			if prune {
+				budget = job.state.bound()
+			}
+			c, err := s.costTagged(est, job.t, budget)
+			if err == core.ErrOverBudget {
+				s.pruned.Add(1)
+				continue
+			}
+			if err != nil {
+				errOnce.Do(func() { firstErr = err })
+				failed.Store(true)
+				return
+			}
+			job.state.offer(job.t, c, job.idx)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, est := range ests[1:] {
+		wg.Add(1)
+		go func(est *core.Estimator) {
+			defer wg.Done()
+			work(est)
+		}(est)
+	}
+	work(ests[0])
+	wg.Wait()
+	return firstErr
 }

@@ -2,11 +2,14 @@ package optimizer
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"disco/internal/algebra"
+	"disco/internal/history"
 	"disco/internal/stats"
 	"disco/internal/types"
+	"disco/internal/wrapper"
 )
 
 // equivalenceBlocks returns the query blocks the parallel search is
@@ -65,12 +68,12 @@ func equivalenceBlocks() map[string]*QueryBlock {
 	}
 }
 
-// TestParallelMatchesSequential is the equivalence gate of the parallel
-// search: for every query block, every objective, both tree shapes and
-// both memo settings, the plan chosen at Workers=4 must be bit-identical
-// (plan structure and cost) to the sequential Workers=1 plan. Run under
-// -race this also exercises the sharing contract of the estimator clones,
-// the memo table and the per-subset bounds.
+// TestParallelMatchesSequential is the equivalence gate of the search's
+// worker pool: for every query block, every objective, both tree shapes
+// and both memo settings, the plan chosen at Workers=2 and 4 must be
+// bit-identical (plan structure and cost) to the Workers=1 plan. Run
+// under -race this also exercises the sharing contract of the estimator
+// clones, the memo table and the per-subset bounds.
 func TestParallelMatchesSequential(t *testing.T) {
 	f := buildFixture(t)
 	for name, qb := range equivalenceBlocks() {
@@ -83,7 +86,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 					t.Fatalf("%s sequential: %v", name, err)
 				}
 				for _, memo := range []bool{false, true} {
-					for _, workers := range []int{1, 4} {
+					for _, workers := range []int{1, 2, 4} {
 						if workers == 1 && !memo {
 							continue // that is the baseline itself
 						}
@@ -114,6 +117,87 @@ func TestParallelMatchesSequential(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// scanOnly strips a wrapper's capabilities: selections over it stay at
+// the mediator, above the submit.
+type scanOnly struct{ wrapper.Wrapper }
+
+func (scanOnly) Capabilities() wrapper.Capabilities { return wrapper.Capabilities{} }
+
+// lateRuleView is an empty cache view whose fourth lookup has the history
+// recorder publish a query-scope rule for the scan-only wrapper — what an
+// execution finishing on another goroutine does to a search in flight.
+type lateRuleView struct {
+	lookups atomic.Int32
+	rec     *history.Recorder
+	t       *testing.T
+}
+
+func (v *lateRuleView) Lookup(algebra.Hash128) (int64, bool) {
+	if v.lookups.Add(1) == 4 {
+		if err := v.rec.Record("raw", algebra.Project(algebra.Scan("raw", "Docs"), "did"), 5, 7, 70); err != nil {
+			v.t.Error(err)
+		}
+	}
+	return 0, false
+}
+
+// TestRulePublishedMidSearch is the race regression for the estimator's
+// exact-rule prefilter, which hashes every submit it visits once the
+// submit's wrapper has a history rule. The scan-only wrapper's base plan
+// is a mediator select over the submit, so the cache view is never asked
+// about it, no exact rule exists when it is priced, and its submit enters
+// level 2 unhashed. The view's first three lookups price the other base
+// relations; the fourth is the co-located Employee-Manager candidate at
+// the head of level 2, and publishes the rule while the level is being
+// priced. The candidates that share the unhashed submit close the level.
+// Under -race the workers must find its hash cached; at any worker count
+// the outcome must be the same.
+func TestRulePublishedMidSearch(t *testing.T) {
+	eq := func(lc, la, rc, ra string) algebra.Comparison {
+		r := algebra.Ref{Collection: rc, Attr: ra}
+		return algebra.Comparison{Left: algebra.Ref{Collection: lc, Attr: la}, Op: stats.CmpEQ, RightAttr: &r}
+	}
+	qb := &QueryBlock{
+		Relations: []Rel{
+			{Wrapper: "obj1", Collection: "Employee"},
+			{Wrapper: "obj1", Collection: "Manager"},
+			{Wrapper: "rel1", Collection: "Dept"},
+			{Wrapper: "raw", Collection: "Docs",
+				Pred: algebra.NewSelPred(algebra.Ref{Collection: "Docs", Attr: "did"}, stats.CmpLT, types.Int(50))},
+		},
+		JoinPreds: []algebra.Comparison{
+			eq("Employee", "dept", "Manager", "mdept"),
+			eq("Docs", "did", "Employee", "id"),
+			eq("Docs", "did", "Manager", "mid"),
+			eq("Docs", "did", "Dept", "dno"),
+		},
+	}
+	var want *Result
+	for round := 0; round < 8; round++ {
+		for _, workers := range []int{1, 2, 4} {
+			f := buildFixture(t)
+			if err := f.cat.Register(scanOnly{wrapper.NewFileWrapper("raw", f.fstore)}); err != nil {
+				t.Fatal(err)
+			}
+			f.opt.Opt = Options{Pruning: true, MaxDPRelations: 10, Bushy: true, Workers: workers,
+				CacheView: &lateRuleView{rec: history.NewRecorder(f.reg), t: t}}
+			got, err := f.opt.Optimize(qb)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", workers, err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			if !got.Plan.Equal(want.Plan) || got.Cost.TotalTime() != want.Cost.TotalTime() || got.PlansCosted != want.PlansCosted {
+				t.Fatalf("workers=%d: plan %s cost %v costed %d, want %s cost %v costed %d", workers,
+					got.Plan.Signature(), got.Cost.TotalTime(), got.PlansCosted,
+					want.Plan.Signature(), want.Cost.TotalTime(), want.PlansCosted)
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 package optimizer
 
 import (
-	"math"
+	"errors"
 	"strings"
 
 	"disco/internal/algebra"
@@ -178,8 +178,8 @@ peel:
 		return &algebra.Predicate{Conjuncts: cs}
 	}
 
-	// The dynamic program of dpJoin over leaf units instead of base
-	// relations. Units are mediator-side (site "") — pinned subtrees and
+	// The dynamic program over leaf units instead of base relations, on
+	// this call's one private estimator. Units are mediator-side (site "") — pinned subtrees and
 	// shipped submits alike — so joinCandidates yields mediator joins;
 	// both build orders are enumerated because pinned inputs make the
 	// sides genuinely asymmetric (a pinned build side costs nothing to
@@ -188,70 +188,39 @@ peel:
 	// estimator's pins — both keyed by node pointer — valid across the
 	// switch.
 	tunits := make([]*tagged, n)
-	best := make(map[uint64]*entry, 1<<uint(n))
 	for i, u := range units {
 		tunits[i] = &tagged{plan: u, site: ""}
-		c, err := s.costTagged(ro.Est, tunits[i], 0)
-		if err != nil {
-			return nil, err
-		}
-		best[1<<uint(i)] = &entry{t: tunits[i], cost: c}
 	}
-	full := uint64(1)<<uint(n) - 1
-	prune := ro.pruneEnabled()
-	for size := 2; size <= n; size++ {
-		for set := uint64(1); set <= full; set++ {
-			if popcount(set) != size {
+	winner, err := s.joinDP(tunits, 1, func(best map[uint64]*entry, set uint64, size int) []*tagged {
+		var cands []*tagged
+		for i := 0; i < n; i++ {
+			bit := uint64(1) << uint(i)
+			if set&bit == 0 {
 				continue
 			}
-			var bestEntry *entry
-			var cands []*tagged
-			for i := 0; i < n; i++ {
-				bit := uint64(1) << uint(i)
-				if set&bit == 0 {
-					continue
-				}
-				left, ok := best[set&^bit]
-				if !ok {
-					continue
-				}
-				pred := connecting(set&^bit, bit)
-				if pred == nil && size < n {
-					continue
-				}
-				cands = append(cands, ro.joinCandidates(left.t, tunits[i], pred)...)
-				cands = append(cands, ro.joinCandidates(tunits[i], left.t, flipPred(pred))...)
+			left, ok := best[set&^bit]
+			if !ok {
+				continue
 			}
-			for _, cand := range cands {
-				budget := math.Inf(1)
-				if prune && bestEntry != nil {
-					budget = bestEntry.cost
-				}
-				c, err := s.costTagged(ro.Est, cand, budget)
-				if err == core.ErrOverBudget {
-					s.pruned.Add(1)
-					continue
-				}
-				if err != nil {
-					return nil, err
-				}
-				if bestEntry == nil || c < bestEntry.cost {
-					bestEntry = &entry{t: cand, cost: c}
-				}
+			pred := connecting(set&^bit, bit)
+			if pred == nil && size < n {
+				continue
 			}
-			if bestEntry != nil {
-				best[set] = bestEntry
-			}
+			cands = append(cands, ro.joinCandidates(left.t, tunits[i], pred)...)
+			cands = append(cands, ro.joinCandidates(tunits[i], left.t, flipPred(pred))...)
 		}
-	}
-	e, ok := best[full]
-	if !ok {
+		return cands
+	})
+	if errors.Is(err, errNoJoinOrder) {
 		return unchanged()
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	// Rebuild the peeled shape over the winning join tree, innermost
 	// spine operator first.
-	rebuilt := e.t.plan
+	rebuilt := winner.plan
 	for i := len(spine) - 1; i >= 0; i-- {
 		sp := spine[i]
 		switch sp.Kind {
@@ -282,7 +251,7 @@ peel:
 		}
 		rebuilt = algebra.Project(rebuilt, cols...)
 	}
-	if planHash(rebuilt) == planHash(plan) {
+	if rebuilt.StructuralHash() == plan.StructuralHash() {
 		return unchanged()
 	}
 

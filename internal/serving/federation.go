@@ -7,6 +7,7 @@
 package serving
 
 import (
+	"flag"
 	"fmt"
 	"strconv"
 	"strings"
@@ -56,6 +57,24 @@ type Options struct {
 	// Adaptive enables mid-flight adaptive re-optimization (see
 	// mediator.Config.Adaptive; off by default).
 	Adaptive bool
+}
+
+// RegisterFlags declares the serving flags discod and discoload share on
+// fs, bound to the returned Options; parts defaults to defaultParts.
+// Callers read the Options after fs.Parse.
+func RegisterFlags(fs *flag.FlagSet, defaultParts int) *Options {
+	o := &Options{}
+	fs.IntVar(&o.Parts, "parts", defaultParts, "OO7 AtomicParts cardinality")
+	fs.BoolVar(&o.Feedback, "feedback", true, "absorb execution feedback into the cost model")
+	fs.IntVar(&o.MaxInFlight, "max-inflight", 32, "maximum concurrently executing queries (0 = unlimited)")
+	fs.DurationVar(&o.QueueTimeout, "queue-timeout", time.Second, "admission queue wait before shedding a query")
+	fs.BoolVar(&o.ResultCache.Enabled, "result-cache", false, "enable the semantic result cache")
+	fs.Int64Var(&o.ResultCache.MaxBytes, "result-cache-bytes", resultcache.DefaultMaxBytes, "result cache byte budget")
+	fs.Float64Var(&o.ResultCache.TTLMS, "result-cache-ttl-ms", 0, "result cache entry TTL in virtual ms (0 = none)")
+	fs.IntVar(&o.ExecWorkers, "exec-workers", 0, "morsel-parallel workers for mediator pipeline breakers (<2 = sequential)")
+	fs.Int64Var(&o.ExecMemBytes, "exec-mem-bytes", 0, "spill budget for mediator hash joins/aggregations (0 = never spill)")
+	fs.BoolVar(&o.Adaptive, "adaptive", false, "re-optimize running queries mid-flight when observed cardinalities diverge from estimates")
+	return o
 }
 
 // Federation is one assembled demo deployment: the mediator plus the

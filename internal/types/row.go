@@ -156,3 +156,19 @@ func (r Row) Key() string {
 	}
 	return b.String()
 }
+
+// RowBytes estimates the wire size of a row set: 8 bytes per numeric or
+// boolean field, string length plus 8 per string field.
+func RowBytes(rows []Row) int64 {
+	var total int64
+	for _, r := range rows {
+		for _, c := range r {
+			if c.Kind() == KindString {
+				total += int64(len(c.AsString())) + 8
+			} else {
+				total += 8
+			}
+		}
+	}
+	return total
+}

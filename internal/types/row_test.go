@@ -128,3 +128,17 @@ func TestRowKeyKindDisambiguation(t *testing.T) {
 		t.Error("field boundaries should be preserved in keys")
 	}
 }
+
+func TestRowBytes(t *testing.T) {
+	rows := []Row{
+		{Int(1), Str("abc")},
+		{Int(2), Str("")},
+	}
+	// 8 + (3+8) + 8 + (0+8) = 35.
+	if got := RowBytes(rows); got != 35 {
+		t.Errorf("RowBytes = %d, want 35", got)
+	}
+	if RowBytes(nil) != 0 {
+		t.Error("empty row set should be 0 bytes")
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"disco/internal/algebra"
-	"disco/internal/rowops"
 	"disco/internal/types"
 )
 
@@ -17,7 +16,7 @@ import (
 //   - no grouping attributes: a single accumulator folded streamingly —
 //     O(1) state, never spills, fully pipelined.
 //   - sequential: streaming fold into the group table (grouped output in
-//     first-seen order, exactly rowops.Aggregate).
+//     first-seen order).
 //   - morsel-parallel (Workers > 1): partition-owner workers — each
 //     scans the full materialized input in order, folding only groups
 //     that hash to its partition and recording each group's first-seen
@@ -125,7 +124,7 @@ func (o *aggOp) build() error {
 		}
 		rows = append(rows, b.Rows...)
 		if budget > 0 {
-			bytes += rowops.RowBytes(b.Rows)
+			bytes += types.RowBytes(b.Rows)
 			if bytes > budget {
 				sset, err = newSpillSet(o.opts.SpillDir, 0)
 				if err != nil {
@@ -223,14 +222,13 @@ func (o *aggOp) spillAgg(sset *spillSet) error {
 // foldGroup is one group under accumulation.
 type foldGroup struct {
 	key    types.Row
-	states []rowops.AggState
+	states []aggState
 	first  int // first-seen global row index (parallel merge order)
 }
 
-// foldState replicates rowops.Aggregate's accumulation loop
-// incrementally: same key encoding, same first-seen ordering, same
-// AggState arithmetic — streaming batches through it yields exactly the
-// reference output. With owner/ownerOf set it becomes a partition-owner
+// foldState is the grouping accumulation loop: groups keyed by the exact
+// key encoding, kept in first-seen order, each folding its values in
+// input order. With owner/ownerOf set it becomes a partition-owner
 // fold: rows whose group hash belongs to another partition are skipped
 // (but still encoded, preserving the full-scan input ordering).
 type foldState struct {
@@ -238,7 +236,7 @@ type foldState struct {
 	aggs       []algebra.AggSpec
 	groups     map[string]*foldGroup
 	order      []*foldGroup
-	enc        rowops.KeyEncoder
+	enc        keyEnc
 	owner      int
 	ownerOf    int // 0 = own everything (sequential)
 }
@@ -274,31 +272,31 @@ func newFoldState(schema *types.Schema, groupBy []algebra.Ref, aggs []algebra.Ag
 // keyHash encodes the row's grouping values and hashes them (the spill
 // and partition-owner distribution key).
 func (f *foldState) keyHash(r types.Row) uint64 {
-	f.enc.Reset()
+	f.enc.reset()
 	for _, p := range f.gpos {
-		f.enc.Constant(r[p])
+		f.enc.constant(r[p])
 	}
-	return fnvBytes(f.enc.Bytes())
+	return fnvBytes(f.enc.buf)
 }
 
 // add folds one row; idx is its global input index (first-seen order for
 // the parallel merge; sequential callers pass 0).
 func (f *foldState) add(r types.Row, idx int) {
-	f.enc.Reset()
+	f.enc.reset()
 	for _, p := range f.gpos {
-		f.enc.Constant(r[p])
+		f.enc.constant(r[p])
 	}
-	if f.ownerOf > 0 && int(fnvBytes(f.enc.Bytes())%uint64(f.ownerOf)) != f.owner {
+	if f.ownerOf > 0 && int(fnvBytes(f.enc.buf)%uint64(f.ownerOf)) != f.owner {
 		return
 	}
-	g, ok := f.groups[string(f.enc.Bytes())]
+	g, ok := f.groups[string(f.enc.buf)]
 	if !ok {
 		key := make(types.Row, len(f.gpos))
 		for i, p := range f.gpos {
 			key[i] = r[p]
 		}
-		g = &foldGroup{key: key, states: rowops.NewAggStates(f.aggs), first: idx}
-		f.groups[string(f.enc.Bytes())] = g
+		g = &foldGroup{key: key, states: newAggStates(f.aggs), first: idx}
+		f.groups[string(f.enc.buf)] = g
 		f.order = append(f.order, g)
 	}
 	for i := range f.aggs {
@@ -314,7 +312,7 @@ func (f *foldState) add(r types.Row, idx int) {
 // zero-group row an ungrouped aggregate over empty input produces.
 func (f *foldState) finish() []types.Row {
 	if len(f.gpos) == 0 && len(f.order) == 0 {
-		f.order = append(f.order, &foldGroup{key: types.Row{}, states: rowops.NewAggStates(f.aggs)})
+		f.order = append(f.order, &foldGroup{key: types.Row{}, states: newAggStates(f.aggs)})
 	}
 	return renderGroups(f.order, f.aggs)
 }
@@ -329,4 +327,68 @@ func renderGroups(groups []*foldGroup, aggs []algebra.AggSpec) []types.Row {
 		out = append(out, row)
 	}
 	return out
+}
+
+// aggState accumulates one aggregate function. Accumulation order
+// matters for the float sum (addition is not associative), so callers
+// needing bit-exact results must feed rows in input order.
+type aggState struct {
+	fn    algebra.AggFunc
+	count int64
+	sum   float64
+	min   types.Constant
+	max   types.Constant
+}
+
+// newAggStates builds one fresh accumulator per aggregate spec.
+func newAggStates(aggs []algebra.AggSpec) []aggState {
+	out := make([]aggState, len(aggs))
+	for i, a := range aggs {
+		out[i] = aggState{fn: a.Func, min: types.Null, max: types.Null}
+	}
+	return out
+}
+
+// Add folds one value into the accumulator. Only the fields the
+// function's Result reads are maintained — the extrema comparisons are
+// the expensive part, and a COUNT/SUM accumulator never looks at them.
+func (s *aggState) Add(v types.Constant) {
+	switch s.fn {
+	case algebra.AggCount:
+		s.count++
+	case algebra.AggSum:
+		s.sum += v.AsFloat()
+	case algebra.AggAvg:
+		s.count++
+		s.sum += v.AsFloat()
+	case algebra.AggMin:
+		if s.min.IsNull() || v.Less(s.min) {
+			s.min = v
+		}
+	case algebra.AggMax:
+		if s.max.IsNull() || s.max.Less(v) {
+			s.max = v
+		}
+	}
+}
+
+// Result finalizes the accumulator into the aggregate's value.
+func (s *aggState) Result() types.Constant {
+	switch s.fn {
+	case algebra.AggCount:
+		return types.Int(s.count)
+	case algebra.AggSum:
+		return types.Float(s.sum)
+	case algebra.AggAvg:
+		if s.count == 0 {
+			return types.Null
+		}
+		return types.Float(s.sum / float64(s.count))
+	case algebra.AggMin:
+		return s.min
+	case algebra.AggMax:
+		return s.max
+	default:
+		return types.Null
+	}
 }

@@ -1,10 +1,10 @@
 package vexec
 
 import (
+	"fmt"
 	"slices"
 
 	"disco/internal/algebra"
-	"disco/internal/rowops"
 	"disco/internal/types"
 )
 
@@ -61,7 +61,7 @@ func (s *sortOp) build() error {
 	if err != nil {
 		return err
 	}
-	cmp, err := rowops.CompileComparator(s.schema, s.keys)
+	cmp, err := compileComparator(s.schema, s.keys)
 	if err != nil {
 		return err
 	}
@@ -81,7 +81,7 @@ func (s *sortOp) Close() error { return s.child.Close() }
 // merges adjacent pairs (also concurrently) until one run remains. A
 // stable merge that prefers the left run on ties yields exactly the
 // sequential stable sort's order.
-func parallelStableSort(rows []types.Row, cmp rowops.RowComparator, w int) []types.Row {
+func parallelStableSort(rows []types.Row, cmp rowComparator, w int) []types.Row {
 	chunks := chunkBounds(len(rows), w)
 	runWorkers(len(chunks), func(i int) {
 		c := chunks[i]
@@ -110,7 +110,7 @@ func parallelStableSort(rows []types.Row, cmp rowops.RowComparator, w int) []typ
 }
 
 // mergeStable merges two sorted runs into dst, left run winning ties.
-func mergeStable(dst, l, r []types.Row, cmp rowops.RowComparator) {
+func mergeStable(dst, l, r []types.Row, cmp rowComparator) {
 	i, j, k := 0, 0, 0
 	for i < len(l) && j < len(r) {
 		if cmp.Compare(l[i], r[j]) <= 0 {
@@ -139,7 +139,7 @@ type dupElimOp struct {
 
 	// streaming state (workers <= 1)
 	seen map[string]struct{}
-	enc  rowops.KeyEncoder
+	enc  keyEnc
 	in   *Batch
 	done bool
 
@@ -178,12 +178,12 @@ func (d *dupElimOp) Next(b *Batch) (bool, error) {
 			break
 		}
 		for _, r := range d.in.Rows {
-			d.enc.Reset()
-			d.enc.Row(r)
-			if _, dup := d.seen[string(d.enc.Bytes())]; dup {
+			d.enc.reset()
+			d.enc.row(r)
+			if _, dup := d.seen[string(d.enc.buf)]; dup {
 				continue
 			}
-			d.seen[string(d.enc.Bytes())] = struct{}{}
+			d.seen[string(d.enc.buf)] = struct{}{}
 			out = append(out, r)
 		}
 		if len(out) >= d.size/2 {
@@ -209,7 +209,7 @@ func (d *dupElimOp) buildParallel() error {
 	parts := make([][]survivor, w)
 	errs := make([]error, w)
 	runWorkers(w, func(p int) {
-		var enc rowops.KeyEncoder
+		var enc keyEnc
 		seen := make(map[string]struct{})
 		var mine []survivor
 		i := 0
@@ -224,15 +224,15 @@ func (d *dupElimOp) buildParallel() error {
 			}
 			for ; i < len(rows); i++ {
 				r := rows[i]
-				enc.Reset()
-				enc.Row(r)
-				if int(fnvBytes(enc.Bytes())%uint64(w)) != p {
+				enc.reset()
+				enc.row(r)
+				if int(fnvBytes(enc.buf)%uint64(w)) != p {
 					continue
 				}
-				if _, dup := seen[string(enc.Bytes())]; dup {
+				if _, dup := seen[string(enc.buf)]; dup {
 					continue
 				}
-				seen[string(enc.Bytes())] = struct{}{}
+				seen[string(enc.buf)] = struct{}{}
 				mine = append(mine, survivor{row: r, idx: i})
 			}
 		}
@@ -261,17 +261,45 @@ func (d *dupElimOp) Close() error {
 	return d.child.Close()
 }
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
+// keyPos is one compiled sort key: a resolved position and a direction.
+type keyPos struct {
+	pos  int
+	desc bool
+}
 
-// fnvBytes is the FNV-1a hash partition-owner breakers use to assign
-// encoded keys to partitions.
-func fnvBytes(b []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for _, c := range b {
-		h = (h ^ uint64(c)) * fnvPrime64
+// rowComparator is a precompiled multi-key row comparator: sort keys are
+// resolved to row positions once, so each comparison is two index loads
+// and a Constant.Compare with no name lookups and no captured state.
+type rowComparator struct {
+	keys []keyPos
+}
+
+// compileComparator resolves sort keys against the schema into a
+// position-based comparator.
+func compileComparator(schema *types.Schema, keys []algebra.SortKey) (rowComparator, error) {
+	kps := make([]keyPos, len(keys))
+	for i, k := range keys {
+		pos, ok := algebra.RefIndex(schema, k.Attr)
+		if !ok {
+			return rowComparator{}, fmt.Errorf("vexec: unknown sort key %s", k.Attr)
+		}
+		kps[i] = keyPos{pos: pos, desc: k.Desc}
 	}
-	return h
+	return rowComparator{keys: kps}, nil
+}
+
+// Compare orders a against b: negative when a sorts first, positive when
+// b does, zero when the keys tie.
+func (rc rowComparator) Compare(a, b types.Row) int {
+	for _, kp := range rc.keys {
+		c := a[kp.pos].Compare(b[kp.pos])
+		if c == 0 {
+			continue
+		}
+		if kp.desc {
+			return -c
+		}
+		return c
+	}
+	return 0
 }

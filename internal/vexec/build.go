@@ -2,9 +2,9 @@ package vexec
 
 import (
 	"fmt"
+	"strings"
 
 	"disco/internal/algebra"
-	"disco/internal/rowops"
 	"disco/internal/types"
 )
 
@@ -66,9 +66,8 @@ func (e *Env) stat(n *algebra.Node) *NodeStat {
 }
 
 // Build compiles a resolved algebra tree into a batch pipeline. Leaf
-// hooks run during Build (materializing submits/scans up front, exactly
-// like the row-at-a-time engine did); the operator pipeline itself runs
-// when the returned Op is pulled.
+// hooks run during Build (materializing submits/scans up front); the
+// operator pipeline itself runs when the returned Op is pulled.
 func Build(n *algebra.Node, env *Env) (Op, error) {
 	op, err := env.build(n)
 	if err != nil {
@@ -113,7 +112,7 @@ func (e *Env) build(n *algebra.Node) (Op, error) {
 		if err != nil {
 			return nil, err
 		}
-		idx, err := rowops.ProjectIndex(n.Children[0].OutSchema, n.Cols)
+		idx, err := projectIndex(n.Children[0].OutSchema, n.Cols)
 		if err != nil {
 			return nil, err
 		}
@@ -171,7 +170,7 @@ func (e *Env) build(n *algebra.Node) (Op, error) {
 		}
 		ls, rs := n.Children[0].OutSchema, n.Children[1].OutSchema
 		pred := compilePairPred(n.OutSchema, ls.Len(), n.Pred)
-		if lpos, rpos, ok := rowops.EquiJoinCols(ls, rs, n.Pred); ok {
+		if lpos, rpos, ok := equiJoinCols(ls, rs, n.Pred); ok {
 			stat := e.stat(n)
 			stat.HashJoin = true
 			return e.count(n, &hashJoinOp{left: left, right: right, lpos: lpos, rpos: rpos,
@@ -198,7 +197,7 @@ func IsBreaker(n *algebra.Node) bool {
 	case algebra.OpSort, algebra.OpDupElim, algebra.OpAggregate:
 		return true
 	case algebra.OpJoin:
-		_, _, ok := rowops.EquiJoinCols(n.Children[0].OutSchema, n.Children[1].OutSchema, n.Pred)
+		_, _, ok := equiJoinCols(n.Children[0].OutSchema, n.Children[1].OutSchema, n.Pred)
 		return ok
 	default:
 		return false
@@ -245,4 +244,52 @@ func (c *countOp) Next(b *Batch) (bool, error) {
 		c.stat.Out += int64(len(b.Rows))
 	}
 	return ok, err
+}
+
+// projectIndex resolves projection columns to row positions via colIndex.
+func projectIndex(schema *types.Schema, cols []string) ([]int, error) {
+	idx := make([]int, len(cols))
+	for i, c := range cols {
+		pos, ok := colIndex(schema, c)
+		if !ok {
+			return nil, fmt.Errorf("vexec: unknown projection column %q", c)
+		}
+		idx[i] = pos
+	}
+	return idx, nil
+}
+
+// colIndex resolves a column name, possibly written in qualified rel.col
+// form, against a schema: the qualified name first, then the bare
+// attribute — algebra.RefIndex semantics, so every column spelling a
+// sort key accepts resolves here too.
+func colIndex(schema *types.Schema, col string) (int, bool) {
+	if coll, attr, ok := strings.Cut(col, "."); ok {
+		return algebra.RefIndex(schema, algebra.Ref{Collection: coll, Attr: attr})
+	}
+	return schema.Lookup(col)
+}
+
+// equiJoinCols finds the first `=` conjunct joining an attribute of
+// leftSchema to one of rightSchema (either writing orientation) and
+// returns the two resolved positions. ok=false means the predicate has
+// no usable equi-join conjunct and the join runs as nested loops.
+func equiJoinCols(leftSchema, rightSchema *types.Schema, pred *algebra.Predicate) (lpos, rpos int, ok bool) {
+	for _, c := range pred.JoinComparisons() {
+		if c.Op.String() != "=" {
+			continue
+		}
+		lp, lok := algebra.RefIndex(leftSchema, c.Left)
+		rp, rok := algebra.RefIndex(rightSchema, *c.RightAttr)
+		if lok && rok {
+			return lp, rp, true
+		}
+		// The conjunct may be written right-to-left.
+		lp, lok = algebra.RefIndex(leftSchema, *c.RightAttr)
+		rp, rok = algebra.RefIndex(rightSchema, c.Left)
+		if lok && rok {
+			return lp, rp, true
+		}
+	}
+	return -1, -1, false
 }

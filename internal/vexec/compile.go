@@ -65,6 +65,22 @@ func compilePred(s *types.Schema, p *algebra.Predicate) compiledPred {
 	return out
 }
 
+// Filter returns the rows satisfying the predicate, compiled once against
+// the schema; a nil or empty predicate keeps rows as they are.
+func Filter(schema *types.Schema, rows []types.Row, pred *algebra.Predicate) []types.Row {
+	p := compilePred(schema, pred)
+	if p.trivial() {
+		return rows
+	}
+	out := make([]types.Row, 0, len(rows))
+	for _, r := range rows {
+		if p.eval(r) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 func (p *compiledPred) trivial() bool { return !p.alwaysFalse && len(p.slots) == 0 }
 
 func (p *compiledPred) eval(r types.Row) bool {

@@ -4,16 +4,15 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"disco/internal/rowops"
 	"disco/internal/types"
 )
 
 // hashJoinOp is the equi-join breaker. The right child is the build side
-// and the left the probe side (matching rowops.HashJoin). Three modes:
+// and the left the probe side, so output is left-major like the
+// nested-loop join's. Three modes:
 //
 //   - sequential in-memory: one hash table built in input order, probe
-//     batches streamed through it — fully pipelined on the probe side
-//     and bit-identical to the reference join.
+//     batches streamed through it — fully pipelined on the probe side.
 //   - morsel-parallel in-memory (Workers > 1): the build table is
 //     partitioned by hash across workers (each worker scans the full
 //     build input in order, keeping its partition, so bucket lists stay
@@ -108,7 +107,7 @@ func (o *hashJoinOp) build() error {
 		}
 		if bset != nil {
 			for _, r := range b.Rows {
-				if err := bset.add(rowops.JoinKeyHash(r[o.rpos]), r); err != nil {
+				if err := bset.add(joinKeyHash(r[o.rpos]), r); err != nil {
 					return err
 				}
 			}
@@ -116,7 +115,7 @@ func (o *hashJoinOp) build() error {
 		}
 		buildRows = append(buildRows, b.Rows...)
 		if budget > 0 {
-			bytes += rowops.RowBytes(b.Rows)
+			bytes += types.RowBytes(b.Rows)
 			if bytes > budget {
 				bset, err = newSpillSet(o.opts.SpillDir, 0)
 				if err != nil {
@@ -124,7 +123,7 @@ func (o *hashJoinOp) build() error {
 				}
 				o.spills = append(o.spills, bset)
 				for _, r := range buildRows {
-					if err := bset.add(rowops.JoinKeyHash(r[o.rpos]), r); err != nil {
+					if err := bset.add(joinKeyHash(r[o.rpos]), r); err != nil {
 						return err
 					}
 				}
@@ -155,7 +154,7 @@ func (o *hashJoinOp) match(l, r types.Row) bool {
 func buildSeqTable(rows []types.Row, rpos int) map[uint64][]types.Row {
 	t := make(map[uint64][]types.Row, len(rows))
 	for _, r := range rows {
-		h := rowops.JoinKeyHash(r[rpos])
+		h := joinKeyHash(r[rpos])
 		t[h] = append(t[h], r)
 	}
 	return t
@@ -179,7 +178,7 @@ func (o *hashJoinOp) probeStream(b *Batch) (bool, error) {
 		if o.equiOnly {
 			for _, l := range o.in.Rows {
 				lk := l[o.lpos]
-				for _, r := range o.table[rowops.JoinKeyHash(lk)] {
+				for _, r := range o.table[joinKeyHash(lk)] {
 					if lk.Equal(r[o.rpos]) {
 						out = append(out, o.arena.concat(l, r))
 					}
@@ -187,7 +186,7 @@ func (o *hashJoinOp) probeStream(b *Batch) (bool, error) {
 			}
 		} else {
 			for _, l := range o.in.Rows {
-				for _, r := range o.table[rowops.JoinKeyHash(l[o.lpos])] {
+				for _, r := range o.table[joinKeyHash(l[o.lpos])] {
 					if o.pred.eval(l, r) {
 						out = append(out, o.arena.concat(l, r))
 					}
@@ -216,7 +215,7 @@ func (o *hashJoinOp) parallelJoin(buildRows []types.Row) error {
 				return
 			}
 			for i := lo; i < hi; i++ {
-				hashes[i] = rowops.JoinKeyHash(buildRows[i][o.rpos])
+				hashes[i] = joinKeyHash(buildRows[i][o.rpos])
 			}
 		}
 	})
@@ -265,7 +264,7 @@ func (o *hashJoinOp) parallelJoin(buildRows []types.Row) error {
 			var slot []types.Row
 			for i := lo; i < hi; i++ {
 				l := probeRows[i]
-				h := rowops.JoinKeyHash(l[o.lpos])
+				h := joinKeyHash(l[o.lpos])
 				for _, r := range tables[h%uint64(w)][h] {
 					if o.match(l, r) {
 						slot = append(slot, a.concat(l, r))
@@ -314,7 +313,7 @@ func (o *hashJoinOp) spillJoin(bset *spillSet) error {
 			break
 		}
 		for _, l := range b.Rows {
-			if err := pset.add(rowops.JoinKeyHash(l[o.lpos]), l); err != nil {
+			if err := pset.add(joinKeyHash(l[o.lpos]), l); err != nil {
 				return err
 			}
 		}
@@ -336,14 +335,14 @@ func (o *hashJoinOp) joinPartition(bset, pset *spillSet, p int) error {
 		return err
 	}
 	level := bset.level
-	if level+1 < maxSpillLevels && o.opts.MemBytes > 0 && rowops.RowBytes(build) > o.opts.MemBytes {
+	if level+1 < maxSpillLevels && o.opts.MemBytes > 0 && types.RowBytes(build) > o.opts.MemBytes {
 		bsub, err := newSpillSet(o.opts.SpillDir, level+1)
 		if err != nil {
 			return err
 		}
 		o.spills = append(o.spills, bsub)
 		for _, r := range build {
-			if err := bsub.add(rowops.JoinKeyHash(r[o.rpos]), r); err != nil {
+			if err := bsub.add(joinKeyHash(r[o.rpos]), r); err != nil {
 				return err
 			}
 		}
@@ -365,7 +364,7 @@ func (o *hashJoinOp) joinPartition(bset, pset *spillSet, p int) error {
 			if !ok {
 				break
 			}
-			if err := psub.add(rowops.JoinKeyHash(l[o.lpos]), l); err != nil {
+			if err := psub.add(joinKeyHash(l[o.lpos]), l); err != nil {
 				return err
 			}
 		}
@@ -389,7 +388,7 @@ func (o *hashJoinOp) joinPartition(bset, pset *spillSet, p int) error {
 		if !ok {
 			return nil
 		}
-		for _, r := range table[rowops.JoinKeyHash(l[o.lpos])] {
+		for _, r := range table[joinKeyHash(l[o.lpos])] {
 			if o.match(l, r) {
 				o.out = append(o.out, o.arena.concat(l, r))
 			}

@@ -1,4 +1,4 @@
-package rowops
+package vexec
 
 import (
 	"math"
@@ -6,12 +6,10 @@ import (
 	"disco/internal/types"
 )
 
-// This file holds the hashing/encoding machinery behind the hash join,
-// duplicate elimination and grouping. The previous implementation rendered
-// every row and join key to a fresh string (fmt-style kind names, decimal
-// float formatting); the encoder below appends a compact binary form to a
-// reused buffer instead, and the join hashes constants straight to a
-// uint64 without materializing a key at all.
+// This file holds the hashing/encoding kernels behind the hash join,
+// duplicate elimination and grouping: join keys hash straight to a uint64
+// without materializing a key, and dedup/group keys are appended in a
+// compact binary form to a reused buffer.
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -35,14 +33,23 @@ func fnvStr(h uint64, s string) uint64 {
 	return h
 }
 
-// JoinKeyHash hashes one join attribute value to its hash-table bucket.
+// fnvBytes is the FNV-1a hash partition-owner breakers use to assign
+// encoded keys to partitions.
+func fnvBytes(b []byte) uint64 {
+	h := uint64(fnvOffset64)
+	for _, c := range b {
+		h = fnvByte(h, c)
+	}
+	return h
+}
+
+// joinKeyHash hashes one join attribute value to its hash-table bucket.
 // Numerics are canonicalized through their float64 value so Int(3) and
 // Float(3) land in the same bucket (they must join). Bucket collisions are
-// harmless: HashJoin re-verifies every candidate pair with the full
-// predicate before emitting it. Exported for the vectorized engine, whose
-// partitioned hash joins and Grace spill partitioning must bucket values
-// exactly like this reference implementation.
-func JoinKeyHash(c types.Constant) uint64 {
+// harmless: the hash join re-verifies every candidate pair with the full
+// predicate before emitting it. In-memory tables, partition-owner builds
+// and Grace spill partitioning all bucket through this one function.
+func joinKeyHash(c types.Constant) uint64 {
 	h := uint64(fnvOffset64)
 	switch {
 	case c.IsNull():
@@ -65,7 +72,8 @@ func JoinKeyHash(c types.Constant) uint64 {
 // encodings mean equal (same-kind) values; unlike a separator-joined
 // string it cannot collide on embedded separator bytes. Lookups via
 // m[string(enc.buf)] do not allocate (the compiler elides the conversion);
-// only a first-seen insertion materializes the key string.
+// only a first-seen insertion materializes the key string. The zero value
+// is ready to use; buf is valid until the next reset.
 type keyEnc struct {
 	buf []byte
 }
@@ -109,25 +117,3 @@ func (e *keyEnc) row(r types.Row) {
 		e.constant(c)
 	}
 }
-
-// KeyEncoder is the exported face of keyEnc for the vectorized engine:
-// its grouping and duplicate-elimination operators must produce exactly
-// the same map keys as the reference operators above. The zero value is
-// ready to use; Bytes aliases an internal buffer that the next Reset
-// invalidates, but an indexing conversion m[string(e.Bytes())] does not
-// allocate.
-type KeyEncoder struct {
-	enc keyEnc
-}
-
-// Reset clears the buffer for the next key.
-func (e *KeyEncoder) Reset() { e.enc.reset() }
-
-// Constant appends one value's exact, kind-distinguishing encoding.
-func (e *KeyEncoder) Constant(c types.Constant) { e.enc.constant(c) }
-
-// Row appends every value of the row.
-func (e *KeyEncoder) Row(r types.Row) { e.enc.row(r) }
-
-// Bytes returns the encoded key, valid until the next Reset.
-func (e *KeyEncoder) Bytes() []byte { return e.enc.buf }

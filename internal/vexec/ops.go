@@ -132,7 +132,7 @@ func (p *projectOp) Close() error {
 }
 
 // unionOp streams the left child to exhaustion, then the right (bag
-// semantics, concatenation order — exactly rowops.Union).
+// semantics, concatenation order).
 type unionOp struct {
 	left, right Op
 	onRight     bool
@@ -166,7 +166,7 @@ func (u *unionOp) Close() error {
 
 // nljOp is the nested-loop join fallback for predicates without an
 // equi-conjunct: the right side materializes once, the left streams, and
-// output order is left-major exactly like rowops.NestedLoopJoin.
+// output order is left-major.
 type nljOp struct {
 	left, right Op
 	pred        pairPred

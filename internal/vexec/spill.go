@@ -24,8 +24,7 @@ import (
 //
 // Spill row format: uvarint column count, then per column a tag byte
 // ('z' null, 'i' zigzag-varint int, 'd' 8-byte little-endian float bits,
-// 's' uvarint length + bytes, 't'/'f' bool) — the same tags as the
-// rowops key encoder.
+// 's' uvarint length + bytes, 't'/'f' bool) — the same tags as keyEnc.
 
 const (
 	// spillFanout is the partition count per spill level.

@@ -92,8 +92,8 @@ func NewSliceSource(rows []types.Row, batchSize int) Op {
 	return newSource(rows, batchSize)
 }
 
-// NewUnionAll chains children into a left-to-right bag union (exactly
-// rowops.Union semantics, n-ary). No children yields an empty pipeline.
+// NewUnionAll chains children into a left-to-right n-ary bag union. No
+// children yields an empty pipeline.
 func NewUnionAll(children ...Op) Op {
 	if len(children) == 0 {
 		return newSource(nil, DefaultBatchSize)

@@ -12,8 +12,8 @@
 // Determinism contract (relied on by the engine's bit-identity tests and
 // the loadgen digest oracle):
 //
-//   - Workers <= 1 and no spill: output is bit-identical to the
-//     materializing reference operators in internal/rowops.
+//   - Workers <= 1 and no spill: output is bit-identical to the naive
+//     plan evaluator the tests compare against (internal/refeval).
 //   - Workers > 1, no spill: still bit-identical — breakers use
 //     partition-owner scheduling (each worker folds the full input in
 //     order, keeping only its partition) and morsel-ordered merges, so

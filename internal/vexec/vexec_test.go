@@ -7,17 +7,17 @@ import (
 	"testing"
 
 	"disco/internal/algebra"
-	"disco/internal/rowops"
+	"disco/internal/refeval"
 	"disco/internal/stats"
 	"disco/internal/types"
 	"disco/internal/vexec"
 )
 
 // The equivalence suite: every plan shape runs through the vectorized
-// pipeline and through a reference evaluator built on the materializing
-// rowops operators (the pre-refactor engine semantics), and the outputs
-// must be bit-identical — reflect.DeepEqual over the row slices, which
-// compares constant kinds and exact float bits, not just Equal-ity.
+// pipeline and through the naive plan evaluator (internal/refeval), and
+// the outputs must be bit-identical — reflect.DeepEqual over the row
+// slices, which compares constant kinds and exact float bits, not just
+// Equal-ity.
 
 // testCatalog maps collection -> (schema, rows) and doubles as the
 // algebra.SchemaSource for Resolve.
@@ -45,74 +45,6 @@ func (c testCatalog) scanLeaf(n *algebra.Node) ([]types.Row, bool, error) {
 		return nil, false, fmt.Errorf("no collection %s", n.Collection)
 	}
 	return t.rows, true, nil
-}
-
-// refEval is the materializing reference: the exact operator calls (and
-// child-schema choices) the row-at-a-time engine made.
-func refEval(n *algebra.Node, leaf func(*algebra.Node) ([]types.Row, bool, error)) ([]types.Row, error) {
-	if rows, ok, err := leaf(n); err != nil {
-		return nil, err
-	} else if ok {
-		return rows, nil
-	}
-	switch n.Kind {
-	case algebra.OpSelect:
-		rows, err := refEval(n.Children[0], leaf)
-		if err != nil {
-			return nil, err
-		}
-		return rowops.Filter(n.OutSchema, rows, n.Pred), nil
-	case algebra.OpProject:
-		rows, err := refEval(n.Children[0], leaf)
-		if err != nil {
-			return nil, err
-		}
-		return rowops.Project(n.Children[0].OutSchema, rows, n.Cols)
-	case algebra.OpSort:
-		rows, err := refEval(n.Children[0], leaf)
-		if err != nil {
-			return nil, err
-		}
-		return rowops.Sort(n.OutSchema, rows, n.Keys)
-	case algebra.OpDupElim:
-		rows, err := refEval(n.Children[0], leaf)
-		if err != nil {
-			return nil, err
-		}
-		return rowops.DupElim(rows), nil
-	case algebra.OpAggregate:
-		rows, err := refEval(n.Children[0], leaf)
-		if err != nil {
-			return nil, err
-		}
-		return rowops.Aggregate(n.Children[0].OutSchema, rows, n.GroupBy, n.Aggs)
-	case algebra.OpUnion:
-		left, err := refEval(n.Children[0], leaf)
-		if err != nil {
-			return nil, err
-		}
-		right, err := refEval(n.Children[1], leaf)
-		if err != nil {
-			return nil, err
-		}
-		return rowops.Union(left, right), nil
-	case algebra.OpJoin:
-		left, err := refEval(n.Children[0], leaf)
-		if err != nil {
-			return nil, err
-		}
-		right, err := refEval(n.Children[1], leaf)
-		if err != nil {
-			return nil, err
-		}
-		ls, rs := n.Children[0].OutSchema, n.Children[1].OutSchema
-		if out, ok := rowops.HashJoin(ls, rs, n.OutSchema, left, right, n.Pred, nil); ok {
-			return out, nil
-		}
-		return rowops.NestedLoopJoin(n.OutSchema, left, right, n.Pred, nil), nil
-	default:
-		return nil, fmt.Errorf("refEval: cannot execute %s", n.Kind)
-	}
 }
 
 // makeCatalog builds the two seeded test tables: parts (wide, skewed
@@ -203,7 +135,7 @@ func runPlans(t *testing.T, cat testCatalog, opts vexec.Options, check func(t *t
 	t.Helper()
 	for name, plan := range testPlans(t, cat) {
 		t.Run(name, func(t *testing.T) {
-			want, err := refEval(plan, cat.scanLeaf)
+			want, err := refeval.Eval(plan, cat.scanLeaf, nil)
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
@@ -277,23 +209,12 @@ func TestCountsMatchReference(t *testing.T) {
 			if out := counts.Out(plan); out != int64(len(want)) {
 				t.Fatalf("%s: root count %d, reference emitted %d", name, out, len(want))
 			}
-			var walk func(n *algebra.Node) error
-			walk = func(n *algebra.Node) error {
-				wantRows, err := refEval(n, cat.scanLeaf)
-				if err != nil {
-					return err
-				}
+			_, err := refeval.Eval(plan, cat.scanLeaf, func(n *algebra.Node, wantRows []types.Row) {
 				if out := counts.Out(n); out != int64(len(wantRows)) {
-					t.Fatalf("%s: node %s count %d, reference %d", name, n.Kind, out, len(wantRows))
+					t.Errorf("%s: node %s count %d, reference %d", name, n.Kind, out, len(wantRows))
 				}
-				for _, c := range n.Children {
-					if err := walk(c); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			if err := walk(plan); err != nil {
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -11,7 +11,6 @@ import (
 
 	"disco/internal/algebra"
 	"disco/internal/netsim"
-	"disco/internal/rowops"
 	"disco/internal/stats"
 	"disco/internal/types"
 	"disco/internal/vexec"
@@ -146,7 +145,7 @@ func execPlan(src planSource, n *algebra.Node) ([]types.Row, error) {
 						rest.Conjuncts = append(rest.Conjuncts, c.Clone())
 					}
 				}
-				return rowops.Filter(n.OutSchema, rows, rest), true, nil
+				return vexec.Filter(n.OutSchema, rows, rest), true, nil
 			}
 			return nil, false, nil
 
@@ -164,7 +163,7 @@ func runSubplan(src planSource, plan *algebra.Node) (*Result, error) {
 		return nil, err
 	}
 	src.deliver(len(rows))
-	return &Result{Rows: rows, Schema: plan.OutSchema, Bytes: rowops.RowBytes(rows)}, nil
+	return &Result{Rows: rows, Schema: plan.OutSchema, Bytes: types.RowBytes(rows)}, nil
 }
 
 // checkCapabilities walks a subplan and verifies the wrapper advertises

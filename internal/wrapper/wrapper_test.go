@@ -114,6 +114,26 @@ func TestObjWrapperExecuteScanSelect(t *testing.T) {
 	}
 }
 
+// TestObjWrapperIndexSelectResidual: a multi-conjunct selection answers
+// one conjunct through the index and filters the rest over the rows the
+// index returned.
+func TestObjWrapperIndexSelectResidual(t *testing.T) {
+	w := newObjWrapper(t, 400)
+	pred := selPred("id", stats.CmpLT, 40).And(selPred("salary", stats.CmpGE, 1030))
+	res, err := w.Execute(resolveAt(t, w, algebra.Select(algebra.Scan("obj1", "Employee"), pred)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 10 { // ids 30..39 carry salaries 1030..1039
+		t.Fatalf("rows = %d, want 10", len(res.Rows))
+	}
+	for _, r := range res.Rows {
+		if r[0].AsInt() < 30 || r[0].AsInt() >= 40 {
+			t.Errorf("row %s escaped the residual filter", r)
+		}
+	}
+}
+
 func TestObjWrapperIndexVsSeqTiming(t *testing.T) {
 	w := newObjWrapper(t, 4000)
 	clock := w.Clock()

@@ -12,9 +12,8 @@ import (
 // BenchmarkSoakServing runs a scaled-down deterministic soak — the
 // cmd/discoload workload over real sockets against an in-process demo
 // server — and reports the serving-latency headline metrics
-// (p50/p99/p999 wall-clock ms, qps, shed rate). `make ci-bench` sweeps
-// it into BENCH_pr.json, so every PR archives a serving-latency
-// snapshot even before the longer `make ci-soak` gate runs.
+// (p50/p99/p999 wall-clock ms, qps, shed rate) for `make bench`; the
+// repo's benchmark under bench/ is the gated measure.
 //
 // This file is an external test package (disco_test): it has to import
 // internal/serving, which in turn imports the packages the in-package
