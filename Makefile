@@ -47,16 +47,16 @@ ci-lint:
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	elif GOBIN=$(CURDIR)/.tools $(GO) install $(STATICCHECK) 2>/dev/null; then $(CURDIR)/.tools/staticcheck ./...; \
 	else echo "ci-lint: staticcheck not on PATH and $(STATICCHECK) not installable (offline?) — SKIPPED"; fi
-# Everything that shares state across goroutines: plan search workers,
-# mediator, wrapper server, virtual clock, executor, morsel breakers, and
-# the benchmark's own smoke run of all four workloads.
+# Everything that shares state across goroutines: rule registry, history
+# recorder, plan search workers, mediator, wrapper server, virtual clock,
+# executor, morsel breakers, and the benchmark's smoke run of all workloads.
 ci-race:
-	$(GO) test -race ./internal/optimizer ./internal/mediator ./internal/wrapper ./internal/netsim \
-		./internal/engine ./internal/vexec ./bench
-# AllocsPerRun gates, without -race (the tests skip under it): EstimateRoot
-# and memo probes allocate nothing, a warm batch pipeline ~0 per batch.
+	$(GO) test -race ./internal/core ./internal/history ./internal/optimizer ./internal/mediator \
+		./internal/wrapper ./internal/netsim ./internal/engine ./internal/vexec ./bench
+# Allocation gates, skipped under -race: EstimateRoot and memo probes
+# allocate nothing, a warm batch ~0, a 70-row answer under 128 KiB.
 ci-alloc:
-	$(GO) test -run 'Alloc' -count=1 ./internal/core ./internal/optimizer ./internal/vexec
+	$(GO) test -run 'Alloc' -count=1 ./internal/core ./internal/optimizer ./internal/vexec ./internal/serving
 ci-faultmatrix: # every injected fault recovers or degrades to a partial answer
 	$(GO) test -race -run 'Fault|Remote|Injector|Resilience' ./internal/mediator ./internal/wrapper ./internal/netsim ./internal/experiments
 ci-feedback: # extents mis-registered 10x are repaired by the workload (E10)

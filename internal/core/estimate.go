@@ -519,15 +519,25 @@ func (e *Estimator) associate(sc *scratch, ctx *nodeCtx) {
 	// Wrapper-site nodes consult the wrapper's own rules first, then the
 	// defaults; mediator-site nodes consult local-scope then default.
 	if ctx.wrapper != "" {
-		e.appendMatches(sc, ctx, e.Registry.WrapperRulesFor(ctx.wrapper, ctx.node.Kind), false)
-		e.appendMatches(sc, ctx, e.Registry.DefaultRulesFor(ctx.node.Kind), true)
+		bucket, exact := e.Registry.rulesForNode(ctx.wrapper, ctx.node)
+		e.appendMatches(sc, ctx, bucket, exact, false)
+		e.appendMatches(sc, ctx, e.Registry.DefaultRulesFor(ctx.node.Kind), nil, true)
 	} else {
-		e.appendMatches(sc, ctx, e.Registry.DefaultRulesFor(ctx.node.Kind), false)
+		e.appendMatches(sc, ctx, e.Registry.DefaultRulesFor(ctx.node.Kind), nil, false)
 	}
 }
 
-func (e *Estimator) appendMatches(sc *scratch, ctx *nodeCtx, rules []*Rule, skipLocal bool) {
+// appendMatches unifies the node with each rule of a sorted bucket and
+// appends the matches. exact, when non-nil, is the index's rule for this
+// very node: it needs no unification and is appended where the
+// specialization order places it among the bucket's rules.
+func (e *Estimator) appendMatches(sc *scratch, ctx *nodeCtx, rules []*Rule, exact *Rule, skipLocal bool) {
 	for _, r := range rules {
+		if exact != nil && exact.before(r) {
+			sc.rulesMatched++
+			ctx.appendMatch(exact, sc.takeMatch())
+			exact = nil
+		}
 		if skipLocal && r.Scope == ScopeLocal {
 			continue
 		}
@@ -537,18 +547,28 @@ func (e *Estimator) appendMatches(sc *scratch, ctx *nodeCtx, rules []*Rule, skip
 			sc.untakeMatch()
 			continue
 		}
-		n := len(ctx.levels)
-		if n > 0 && ctx.levels[n-1].scope == r.Scope && ctx.levels[n-1].specificity == r.Specificity {
-			ctx.levels[n-1].end++
-		} else {
-			ctx.levels = append(ctx.levels, matchLevel{
-				scope: r.Scope, specificity: r.Specificity,
-				start: len(ctx.mrules), end: len(ctx.mrules) + 1,
-			})
-		}
-		ctx.mrules = append(ctx.mrules, r)
-		ctx.mmatches = append(ctx.mmatches, m)
+		ctx.appendMatch(r, m)
 	}
+	if exact != nil {
+		sc.rulesMatched++
+		ctx.appendMatch(exact, sc.takeMatch())
+	}
+}
+
+// appendMatch records a matched (rule, bindings) pair, extending the last
+// level when the rule shares its scope and specificity.
+func (c *nodeCtx) appendMatch(r *Rule, m *matchResult) {
+	n := len(c.levels)
+	if n > 0 && c.levels[n-1].scope == r.Scope && c.levels[n-1].specificity == r.Specificity {
+		c.levels[n-1].end++
+	} else {
+		c.levels = append(c.levels, matchLevel{
+			scope: r.Scope, specificity: r.Specificity,
+			start: len(c.mrules), end: len(c.mrules) + 1,
+		})
+	}
+	c.mrules = append(c.mrules, r)
+	c.mmatches = append(c.mmatches, m)
 }
 
 // closeNeed extends the needed-variable set with self-referenced earlier

@@ -181,9 +181,7 @@ type Rule struct {
 
 	// Matching metadata precomputed by Finalize so the estimation hot loop
 	// runs on bitsets instead of re-scanning formula strings and parameter
-	// paths per node. Every registry integration path finalizes; code that
-	// mutates Formulas/Lets of a registered rule in place (the history
-	// recorder) must call Finalize again.
+	// paths per node. Every registry integration path finalizes.
 	provides  VarSet              // variables some formula assigns
 	settles   VarSet              // variables with an infallible formula (and no lets)
 	closure   [NumVars]VarSet     // self result variables read when computing variable i
@@ -327,22 +325,44 @@ var DefaultAttribute = stats.AttributeStats{Indexed: false, CountDistinct: 100}
 // tables", §3.3.2) keep matching time independent of rules for other
 // operators.
 //
+// Query-scope rules that name one exact subquery and bind nothing — the
+// history recorder's (§4.3.1), one per observed subquery shape — are not
+// in the buckets: they live in a hash index keyed by the subquery's
+// structural hash, so a wrapper's ten thousandth observed shape costs the
+// same to add, replace, drop and look up as its first, and no estimation
+// ever unifies against a shape that cannot apply.
+//
 // The registry is safe for concurrent use: estimations read rule slices
 // while registrations, re-registrations, outage-driven drops and the
-// history recorder's query-scope injections mutate them. Mutators publish
-// copy-on-write — they build fresh slices and index maps and swap them in
-// under the write lock — so a reader that fetched a slice before a
-// mutation keeps iterating its (now superseded) snapshot safely; published
-// rules themselves are immutable, updates replace the rule pointer.
+// history recorder's query-scope injections mutate them. Bucket mutators
+// publish copy-on-write — they build fresh slices and index maps and swap
+// them in under the write lock — so a reader that fetched a slice before
+// a mutation keeps iterating its (now superseded) snapshot safely. The
+// exact index is updated in place under the write lock and read one rule
+// at a time under the read lock. Published rules themselves are
+// immutable, updates replace the rule pointer.
 type Registry struct {
 	mu           sync.RWMutex
 	defaults     []*Rule // ScopeDefault and ScopeLocal
 	defaultsByOp map[algebra.OpKind][]*Rule
 	byWrapper    map[string][]*Rule
 	byWrapperOp  map[string]map[algebra.OpKind][]*Rule
+	exact        map[exactKey]map[algebra.Hash128]*Rule
 	seq          int
 	baseFuncs    *costvm.FuncRegistry
 }
+
+// exactKey names one exact-rule index: the rules of one wrapper for one
+// operator kind, so a node is hashed only when some exact rule could
+// apply to it.
+type exactKey struct {
+	wrapper string
+	op      algebra.OpKind
+}
+
+// indexed reports whether the rule lives in the exact index rather than
+// in its wrapper's sorted bucket.
+func (r *Rule) indexed() bool { return r.Exact != nil && len(r.Terms) == 0 }
 
 // NewRegistry returns an empty registry whose rules share the given base
 // function registry (nil means a fresh stdlib registry).
@@ -354,6 +374,7 @@ func NewRegistry(base *costvm.FuncRegistry) *Registry {
 		byWrapper:    make(map[string][]*Rule),
 		byWrapperOp:  make(map[string]map[algebra.OpKind][]*Rule),
 		defaultsByOp: make(map[algebra.OpKind][]*Rule),
+		exact:        make(map[exactKey]map[algebra.Hash128]*Rule),
 		baseFuncs:    base,
 	}
 }
@@ -370,6 +391,9 @@ func (reg *Registry) RuleCount() int {
 	for _, rs := range reg.byWrapper {
 		n += len(rs)
 	}
+	for _, idx := range reg.exact {
+		n += len(idx)
+	}
 	return n
 }
 
@@ -378,7 +402,19 @@ func (reg *Registry) RuleCount() int {
 func (reg *Registry) WrapperRules(wrapper string) []*Rule {
 	reg.mu.RLock()
 	defer reg.mu.RUnlock()
-	return reg.byWrapper[wrapper]
+	bucket := reg.byWrapper[wrapper]
+	rules := bucket[:len(bucket):len(bucket)] // appending copies: the bucket is shared
+	for k, idx := range reg.exact {
+		if k.wrapper == wrapper {
+			for _, r := range idx {
+				rules = append(rules, r)
+			}
+		}
+	}
+	if len(rules) > len(bucket) {
+		sortRules(rules)
+	}
+	return rules
 }
 
 // DefaultRules returns the default- and local-scope rules.
@@ -472,10 +508,12 @@ func (reg *Registry) IntegrateWrapper(wrapper string, file *costlang.File, view 
 	return nil
 }
 
-// AddQueryRule injects a query-scope rule recording observed costs for an
-// exact subquery shape; the history package uses it (§4.3.1). The head
-// matcher is the provided match function, evaluated against candidate
-// nodes.
+// AddQueryRule injects a query-scope rule recording observed costs for a
+// subquery shape; the history package uses it (§4.3.1). A rule naming one
+// exact subquery with no head terms goes into the exact index, where it
+// takes the place of any earlier rule for the same subquery; any other
+// rule joins the wrapper's sorted bucket and is unified like a wrapper
+// rule.
 func (reg *Registry) AddQueryRule(wrapper string, rule *Rule) {
 	rule.Scope = ScopeQuery
 	rule.Wrapper = wrapper
@@ -487,43 +525,74 @@ func (reg *Registry) AddQueryRule(wrapper string, rule *Rule) {
 	if rule.Funcs == nil {
 		rule.Funcs = reg.baseFuncs
 	}
+	if rule.indexed() {
+		reg.putExact(rule)
+		return
+	}
 	rules := append(append([]*Rule(nil), reg.byWrapper[wrapper]...), rule)
 	sortRules(rules)
 	reg.byWrapper[wrapper] = rules
 	reg.byWrapperOp[wrapper] = indexByOp(rules)
 }
 
-// ReplaceQueryRule swaps a previously injected query-scope rule for a
-// fresh one carrying updated formulas, keeping its position in the
-// specialization order (the replacement inherits the old rule's sequence
-// number). The history recorder uses it on repeat observations of the
-// same subquery shape: published rules are immutable, so updating means
-// replacing the pointer, never mutating formulas in place under readers.
-// A rule not (or no longer) present — e.g. dropped by an intervening
-// re-registration — is ignored and false is returned.
+// putExact stores an indexed rule; the caller holds the write lock.
+func (reg *Registry) putExact(rule *Rule) {
+	k := exactKey{rule.Wrapper, rule.Op}
+	idx := reg.exact[k]
+	if idx == nil {
+		idx = make(map[algebra.Hash128]*Rule)
+		reg.exact[k] = idx
+	}
+	idx[rule.exactHash] = rule
+}
+
+// ReplaceQueryRule swaps an exact rule in the index for a fresh exact rule
+// carrying updated formulas, keeping its position in the specialization
+// order (the replacement inherits the old rule's sequence number). The
+// history recorder uses it on repeat observations of the same subquery
+// shape: published rules are immutable, so updating means replacing the
+// pointer, never mutating formulas in place under readers. It returns
+// false and changes nothing when either rule is not an exact, term-less
+// rule, or when old is not (or no longer) published — e.g. dropped by an
+// intervening re-registration.
 func (reg *Registry) ReplaceQueryRule(wrapper string, old, fresh *Rule) bool {
 	fresh.Scope = ScopeQuery
 	fresh.Wrapper = wrapper
 	fresh.Finalize()
+	if !old.indexed() || !fresh.indexed() {
+		return false
+	}
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
-	bucket := reg.byWrapper[wrapper]
-	for i, r := range bucket {
-		if r != old {
-			continue
-		}
-		fresh.Seq = old.Seq
-		fresh.Specificity = old.Specificity
-		if fresh.Funcs == nil {
-			fresh.Funcs = old.Funcs
-		}
-		rules := append([]*Rule(nil), bucket...)
-		rules[i] = fresh
-		reg.byWrapper[wrapper] = rules
-		reg.byWrapperOp[wrapper] = indexByOp(rules)
-		return true
+	if !reg.removeExact(wrapper, old) {
+		return false
 	}
-	return false
+	fresh.Seq = old.Seq
+	fresh.Specificity = old.Specificity
+	if fresh.Funcs == nil {
+		fresh.Funcs = old.Funcs
+	}
+	reg.putExact(fresh)
+	return true
+}
+
+// RemoveQueryRule takes an exact rule out of the index (the history
+// recorder evicting a shape) and reports whether it was still there.
+func (reg *Registry) RemoveQueryRule(wrapper string, rule *Rule) bool {
+	reg.mu.Lock()
+	defer reg.mu.Unlock()
+	return reg.removeExact(wrapper, rule)
+}
+
+// removeExact deletes an indexed rule if it is the one published for its
+// subquery; the caller holds the write lock.
+func (reg *Registry) removeExact(wrapper string, rule *Rule) bool {
+	idx := reg.exact[exactKey{wrapper, rule.Op}]
+	if idx[rule.exactHash] != rule {
+		return false
+	}
+	delete(idx, rule.exactHash)
+	return true
 }
 
 // DropWrapper removes every rule of a wrapper (re-registration, paper
@@ -533,19 +602,27 @@ func (reg *Registry) DropWrapper(wrapper string) {
 	defer reg.mu.Unlock()
 	delete(reg.byWrapper, wrapper)
 	delete(reg.byWrapperOp, wrapper)
+	for k := range reg.exact {
+		if k.wrapper == wrapper {
+			delete(reg.exact, k)
+		}
+	}
 }
 
-// WrapperRulesFor returns a wrapper's rules for one operator kind,
-// most-specific-first (the dispatch-table view the estimator matches
-// against).
-func (reg *Registry) WrapperRulesFor(wrapper string, op algebra.OpKind) []*Rule {
+// rulesForNode is the estimator's view of a wrapper-site node: the
+// wrapper's bucket rules for the node's operator kind, most-specific-first
+// (the dispatch-table view), plus the indexed rule naming this very
+// subquery, if any. The node is hashed only when the wrapper has exact
+// rules of that kind; Equal guards a hash collision.
+func (reg *Registry) rulesForNode(wrapper string, n *algebra.Node) (bucket []*Rule, exact *Rule) {
 	reg.mu.RLock()
 	defer reg.mu.RUnlock()
-	m, ok := reg.byWrapperOp[wrapper]
-	if !ok {
-		return nil
+	if idx := reg.exact[exactKey{wrapper, n.Kind}]; len(idx) > 0 {
+		if r := idx[n.StructuralHash()]; r != nil && n.Equal(r.Exact) {
+			exact = r
+		}
 	}
-	return m[op]
+	return reg.byWrapperOp[wrapper][n.Kind], exact
 }
 
 // DefaultRulesFor returns the default/local rules for one operator kind.
@@ -568,16 +645,19 @@ func indexByOp(rules []*Rule) map[algebra.OpKind][]*Rule {
 // rules before sorting: re-finalizing already-published rules here would
 // write derived fields concurrent estimations are reading.
 func sortRules(rules []*Rule) {
-	sort.SliceStable(rules, func(i, j int) bool {
-		a, b := rules[i], rules[j]
-		if a.Scope != b.Scope {
-			return a.Scope > b.Scope
-		}
-		if a.Specificity != b.Specificity {
-			return a.Specificity > b.Specificity
-		}
-		return a.Seq < b.Seq
-	})
+	sort.SliceStable(rules, func(i, j int) bool { return rules[i].before(rules[j]) })
+}
+
+// before is the specialization order: scope, then specificity, then
+// registration order.
+func (r *Rule) before(o *Rule) bool {
+	if r.Scope != o.Scope {
+		return r.Scope > o.Scope
+	}
+	if r.Specificity != o.Specificity {
+		return r.Specificity > o.Specificity
+	}
+	return r.Seq < o.Seq
 }
 
 func evalGlobals(file *costlang.File, funcs *costvm.FuncRegistry) (map[string]types.Constant, error) {

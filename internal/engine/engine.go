@@ -106,10 +106,9 @@ type Engine struct {
 	downMu sync.Mutex
 	down   map[string]bool
 
-	// SubmitHook, when set, observes every executed wrapper subquery
-	// with its measured virtual time; the history recorder (§4.3.1)
-	// hangs off it.
-	SubmitHook func(wrapper string, subplan *algebra.Node, elapsedMS float64, rows int, bytes int64)
+	// SubmitHook, when set, observes every executed submit node with its
+	// measured virtual time; the history recorder (§4.3.1) hangs off it.
+	SubmitHook func(submit *algebra.Node, elapsedMS float64, rows int, bytes int64)
 	// OnUnavailable, when set, is notified the first time a wrapper is
 	// marked down (submit failed with wrapper.ErrUnavailable). The
 	// mediator uses it to drop the wrapper's cost rules so estimation
@@ -392,7 +391,7 @@ func (e *Engine) submit(n *algebra.Node, st *execState, f *submitFacts) ([]types
 	}
 	f.bytes = res.Bytes
 	if e.SubmitHook != nil {
-		e.SubmitHook(n.Wrapper, n.Children[0], e.clock.Now()-start, len(res.Rows), res.Bytes)
+		e.SubmitHook(n, e.clock.Now()-start, len(res.Rows), res.Bytes)
 	}
 	if e.Results != nil {
 		// Only a complete wrapper answer is offered; the excluded paths

@@ -228,8 +228,8 @@ func TestSubmitHookObservesExecutions(t *testing.T) {
 	d := buildDeployment(t)
 	var seen []string
 	var rows int
-	d.engine.SubmitHook = func(w string, subplan *algebra.Node, elapsed float64, n int, bytes int64) {
-		seen = append(seen, w)
+	d.engine.SubmitHook = func(submit *algebra.Node, elapsed float64, n int, bytes int64) {
+		seen = append(seen, submit.Wrapper)
 		rows += n
 		if elapsed <= 0 || bytes <= 0 {
 			t.Errorf("hook got elapsed=%v bytes=%v", elapsed, bytes)

@@ -9,16 +9,26 @@
 package history
 
 import (
+	"container/list"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
 	"disco/internal/algebra"
 	"disco/internal/core"
+	"disco/internal/costlang"
 	"disco/internal/costvm"
 	"disco/internal/types"
 )
+
+// maxShapes bounds the subquery shapes remembered per wrapper: the
+// proliferation §4.3.1 warns about would otherwise grow with uptime under
+// never-repeated ad-hoc traffic. Past the bound the least recently
+// observed shape is forgotten; every evaluation pass of this repository
+// stays under 1000 shapes per wrapper.
+const maxShapes = 4096
 
 // Vector is the observed cost of one subquery execution, averaged over
 // repetitions (the paper assumes identical subqueries cost the same
@@ -34,52 +44,78 @@ type Vector struct {
 // Recorder stores cost vectors and maintains the corresponding
 // query-scope rules in the registry.
 type Recorder struct {
-	mu      sync.Mutex
-	reg     *core.Registry
-	entries map[string]*entry
+	mu       sync.Mutex
+	reg      *core.Registry
+	wrappers map[string]*shapes
+}
+
+// shapes holds one wrapper's recorded subqueries by the structural hash
+// of their submit node, and their recency order.
+type shapes struct {
+	byHash map[algebra.Hash128]*entry
+	recent list.List // of *entry, most recently observed first
 }
 
 type entry struct {
-	vec  Vector
-	rule *core.Rule
+	// submit is the recorder's own copy of the observed submit node, taken
+	// on first sight; every rule published for the shape shares it.
+	submit *algebra.Node
+	vec    Vector
+	rule   *core.Rule
+	pos    *list.Element
 }
 
 // NewRecorder attaches a recorder to the registry rules are injected
 // into.
 func NewRecorder(reg *core.Registry) *Recorder {
-	return &Recorder{reg: reg, entries: make(map[string]*entry)}
+	return &Recorder{reg: reg, wrappers: make(map[string]*shapes)}
 }
 
 // Len reports the number of recorded subquery shapes.
 func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.entries)
-}
-
-// signature canonically identifies a subquery at a wrapper.
-func signature(wrapper string, plan *algebra.Node) string {
-	return wrapper + "\x00" + plan.String()
+	n := 0
+	for _, w := range r.wrappers {
+		n += len(w.byHash)
+	}
+	return n
 }
 
 // Record stores the observed execution of a wrapper subquery and injects
-// (or updates) its query-scope rule. plan is the subplan below the
-// submit; elapsed covers the whole boundary — wrapper work, result
-// delivery and shipping — so the injected rule is keyed to the submit
-// node itself and replaces the submit estimate wholesale (no double
-// counting of delivery).
-func (r *Recorder) Record(wrapper string, plan *algebra.Node, elapsedMS float64, rows int64, bytes int64) error {
-	if wrapper == "" || plan == nil {
-		return fmt.Errorf("history: record needs a wrapper and plan")
+// (or updates) its query-scope rule. submit is the executed submit node;
+// elapsed covers the whole boundary — wrapper work, result delivery and
+// shipping — so the injected rule is keyed to the submit node itself and
+// replaces the submit estimate wholesale (no double counting of
+// delivery).
+func (r *Recorder) Record(submit *algebra.Node, elapsedMS float64, rows int64, bytes int64) error {
+	if submit == nil || submit.Kind != algebra.OpSubmit || submit.Wrapper == "" {
+		return fmt.Errorf("history: record needs a submit node naming its wrapper")
 	}
-	plan = algebra.Submit(plan.Clone(), wrapper)
+	wrapper := submit.Wrapper
+	hash := submit.StructuralHash()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	sig := signature(wrapper, plan)
-	e, ok := r.entries[sig]
-	if !ok {
-		e = &entry{}
-		r.entries[sig] = e
+	w := r.wrappers[wrapper]
+	if w == nil {
+		w = &shapes{byHash: make(map[algebra.Hash128]*entry)}
+		r.wrappers[wrapper] = w
+	}
+	e := w.byHash[hash]
+	if e != nil && !e.submit.Equal(submit) {
+		// Two shapes under one hash: the newcomer takes the slot.
+		r.forget(w, e)
+		e = nil
+	}
+	if e == nil {
+		if len(w.byHash) >= maxShapes {
+			r.forget(w, w.recent.Back().Value.(*entry))
+		}
+		e = &entry{submit: submit.Clone()}
+		e.pos = w.recent.PushFront(e)
+		w.byHash[hash] = e
+	} else {
+		w.recent.MoveToFront(e.pos)
 	}
 	// Running mean over repetitions.
 	n := float64(e.vec.Samples)
@@ -89,37 +125,42 @@ func (r *Recorder) Record(wrapper string, plan *algebra.Node, elapsedMS float64,
 	e.vec.TotalSize = (e.vec.TotalSize*n + float64(bytes)) / (n + 1)
 	e.vec.Samples++
 
-	formulas, err := constFormulas(e.vec)
-	if err != nil {
-		return err
-	}
 	// Published rules are immutable — concurrent estimations may be
-	// matching against them — so repeat observations build a fresh rule
-	// and swap the registry pointer instead of rewriting formulas in
-	// place.
+	// evaluating them — so repeat observations build a fresh rule and swap
+	// the registry pointer instead of rewriting formulas in place.
 	fresh := &core.Rule{
-		Op:       plan.Kind,
-		Exact:    plan.Clone(),
-		Formulas: formulas,
-		Source:   fmt.Sprintf("history %s (%d samples)", wrapper, e.vec.Samples),
+		Op:       algebra.OpSubmit,
+		Exact:    e.submit,
+		Formulas: constFormulas(e.vec),
+		Source:   "history " + wrapper + " (" + strconv.Itoa(e.vec.Samples) + " samples)",
 	}
-	if e.rule != nil && r.reg.ReplaceQueryRule(wrapper, e.rule, fresh) {
-		e.rule = fresh
-		return nil
+	// A rule dropped by an intervening re-registration is published anew.
+	if e.rule == nil || !r.reg.ReplaceQueryRule(wrapper, e.rule, fresh) {
+		r.reg.AddQueryRule(wrapper, fresh)
 	}
 	e.rule = fresh
-	r.reg.AddQueryRule(wrapper, fresh)
 	return nil
 }
 
-// Lookup returns the recorded vector for a subquery shape; plan is the
-// subplan below the submit, as passed to Record.
-func (r *Recorder) Lookup(wrapper string, plan *algebra.Node) (Vector, bool) {
-	wrapped := algebra.Submit(plan.Clone(), wrapper)
+// forget drops a shape and its published rule; the caller holds r.mu.
+func (r *Recorder) forget(w *shapes, e *entry) {
+	delete(w.byHash, e.submit.StructuralHash())
+	w.recent.Remove(e.pos)
+	r.reg.RemoveQueryRule(e.submit.Wrapper, e.rule)
+}
+
+// Lookup returns the recorded vector for a subquery shape; submit is the
+// submit node, as passed to Record.
+func (r *Recorder) Lookup(submit *algebra.Node) (Vector, bool) {
+	hash := submit.StructuralHash()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.entries[signature(wrapper, wrapped)]
-	if !ok {
+	w := r.wrappers[submit.Wrapper]
+	if w == nil {
+		return Vector{}, false
+	}
+	e := w.byHash[hash]
+	if e == nil || !e.submit.Equal(submit) {
 		return Vector{}, false
 	}
 	return e.vec, true
@@ -129,61 +170,41 @@ func (r *Recorder) Lookup(wrapper string, plan *algebra.Node) (Vector, bool) {
 func (r *Recorder) Summary() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	type row struct {
-		sig string
-		vec Vector
-	}
-	rows := make([]row, 0, len(r.entries))
-	for sig, e := range r.entries {
-		rows = append(rows, row{sig, e.vec})
+	var rows []*entry
+	for _, w := range r.wrappers {
+		for _, e := range w.byHash {
+			rows = append(rows, e)
+		}
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].vec.TotalTimeMS > rows[j].vec.TotalTimeMS })
 	var b strings.Builder
-	for _, rw := range rows {
-		parts := strings.SplitN(rw.sig, "\x00", 2)
+	for _, e := range rows {
 		fmt.Fprintf(&b, "%8.1f ms  %6.0f objects  x%d  @%s  %s\n",
-			rw.vec.TotalTimeMS, rw.vec.CountObject, rw.vec.Samples, parts[0],
-			strings.ReplaceAll(strings.TrimSpace(parts[1]), "\n", " / "))
+			e.vec.TotalTimeMS, e.vec.CountObject, e.vec.Samples, e.submit.Wrapper,
+			strings.ReplaceAll(strings.TrimSpace(e.submit.String()), "\n", " / "))
 	}
 	return b.String()
 }
 
-func constFormulas(v Vector) ([]core.Formula, error) {
-	mk := func(name string, val float64) (core.Formula, error) {
-		prog, err := costvm.CompileString(types.Float(val).String())
-		if err != nil {
-			return core.Formula{}, err
-		}
-		return core.Formula{Var: name, Prog: prog}, nil
-	}
-	timeNext := 0.0
+// constFormulas builds the six constant formulas of an observed vector,
+// each compiled straight from its value.
+func constFormulas(v Vector) []core.Formula {
+	timeNext, objectSize := 0.0, 0.0
 	if v.CountObject > 0 {
 		timeNext = (v.TotalTimeMS - v.TimeFirstMS) / v.CountObject
-	}
-	objectSize := 0.0
-	if v.CountObject > 0 {
 		objectSize = v.TotalSize / v.CountObject
 	}
-	specs := []struct {
-		name string
-		val  float64
-	}{
-		{"CountObject", v.CountObject},
-		{"ObjectSize", objectSize},
-		{"TotalSize", v.TotalSize},
-		{"TimeFirst", v.TimeFirstMS},
-		{"TotalTime", v.TotalTimeMS},
-		{"TimeNext", timeNext},
+	mk := func(name string, val float64) core.Formula {
+		return core.Formula{Var: name, Prog: costvm.MustCompile(costlang.NumLit(val))}
 	}
-	out := make([]core.Formula, 0, len(specs))
-	for _, s := range specs {
-		f, err := mk(s.name, s.val)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
+	return []core.Formula{
+		mk("CountObject", v.CountObject),
+		mk("ObjectSize", objectSize),
+		mk("TotalSize", v.TotalSize),
+		mk("TimeFirst", v.TimeFirstMS),
+		mk("TotalTime", v.TotalTimeMS),
+		mk("TimeNext", timeNext),
 	}
-	return out, nil
 }
 
 // Adjuster implements the parameter-adjustment variant: instead of

@@ -307,9 +307,9 @@ func (m *Mediator) rebuildEngine() error {
 	}
 	if m.History != nil {
 		rec := m.History
-		eng.SubmitHook = func(w string, subplan *algebra.Node, elapsed float64, rows int, bytes int64) {
+		eng.SubmitHook = func(submit *algebra.Node, elapsed float64, rows int, bytes int64) {
 			// Recording failures must not fail queries.
-			_ = rec.Record(w, subplan, elapsed, int64(rows), bytes)
+			_ = rec.Record(submit, elapsed, int64(rows), bytes)
 		}
 	}
 	eng.OnUnavailable = m.markUnavailable

@@ -139,7 +139,7 @@ type lateRuleView struct {
 
 func (v *lateRuleView) Lookup(algebra.Hash128) (int64, bool) {
 	if v.lookups.Add(1) == 4 {
-		if err := v.rec.Record("raw", algebra.Project(algebra.Scan("raw", "Docs"), "did"), 5, 7, 70); err != nil {
+		if err := v.rec.Record(algebra.Submit(algebra.Project(algebra.Scan("raw", "Docs"), "did"), "raw"), 5, 7, 70); err != nil {
 			v.t.Error(err)
 		}
 	}

@@ -80,6 +80,7 @@ func (s *Server) Handle(req *proto.Request) *proto.Response {
 		for i := 0; i < res.Schema.Len(); i++ {
 			resp.Columns = append(resp.Columns, res.Schema.Field(i).QualifiedName())
 		}
+		resp.Rows = make([][]any, 0, len(res.Rows))
 		for _, row := range res.Rows {
 			resp.Rows = append(resp.Rows, proto.EncodeRow(row))
 		}

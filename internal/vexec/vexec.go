@@ -178,35 +178,42 @@ func Discard(root Op, batchSize int) error {
 	return root.Close()
 }
 
-// arenaChunk is the constants-per-slab granularity of the row arena.
-const arenaChunk = 16384
+// Slab sizes of the row arena, in constants: an arena's first slab is
+// arenaMinSlab (12 KiB) and each later one doubles, up to arenaMaxSlab.
+const (
+	arenaMinSlab = 256
+	arenaMaxSlab = 16384
+)
 
-// arena bump-allocates row storage in large slabs so operators that
-// build output rows (project, joins) do not allocate per row. By default
-// slabs are never recycled: emitted rows reference them, and the arena
-// simply drops its pointer when a slab fills (the rows keep it alive).
-// An operator marked transient (its consumer provably never retains row
-// storage past the next pull — see markTransient) calls reset() at the
-// top of each Next instead, reusing one steady-state slab so join- and
-// project-heavy pipelines stop allocating per batch.
+// arena bump-allocates row storage in slabs so operators that build
+// output rows (project, joins) do not allocate per row. Slabs grow
+// geometrically, so what an operator allocates is proportional to what it
+// emits: a 70-row answer costs one 12 KiB slab, and a long scan settles on
+// arenaMaxSlab-sized ones after wasting at most half of what it used.
+// Growth copies nothing: emitted rows keep referencing their slab, and
+// the arena simply drops its pointer when a slab fills (the rows keep it
+// alive). An operator marked transient (its consumer provably never
+// retains row storage past the next pull — see markTransient) calls
+// reset() at the top of each Next instead, rewinding the slab it has
+// grown to, so join- and project-heavy pipelines stop allocating per
+// batch once that slab holds a whole batch.
 type arena struct {
 	slab []types.Constant
 }
 
-// reset rewinds the slab for reuse. Only safe when every row handed out
-// since the last reset is already dead (the transient contract).
+// reset rewinds the current slab — the largest of the growth sequence —
+// for reuse. Only safe when every row handed out since the last reset is
+// already dead (the transient contract).
 func (a *arena) reset() { a.slab = a.slab[:0] }
 
 // alloc returns a row of n constants carved from the slab (zeroed when
-// the slab is fresh; callers overwrite every position). The full slice
-// expression pins the capacity so a later append on the row cannot
-// clobber a neighbour.
+// the slab is fresh; callers overwrite every position). A full slab is
+// replaced by one twice its size, or of n constants when the row is wider
+// than that. The full slice expression pins the capacity so a later
+// append on the row cannot clobber a neighbour.
 func (a *arena) alloc(n int) types.Row {
 	if len(a.slab)+n > cap(a.slab) {
-		c := arenaChunk
-		if n > c {
-			c = n
-		}
+		c := max(arenaMinSlab, min(2*cap(a.slab), arenaMaxSlab), n)
 		a.slab = make([]types.Constant, 0, c)
 	}
 	off := len(a.slab)

@@ -72,7 +72,7 @@ func (s fileSource) scanAll(collection string) ([]types.Row, error) {
 	if !ok {
 		return nil, fmt.Errorf("wrapper: no file %q", collection)
 	}
-	var rows []types.Row
+	rows := make([]types.Row, 0, f.Count())
 	it := f.Scan()
 	for {
 		row, ok := it.Next()

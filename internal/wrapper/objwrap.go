@@ -210,7 +210,7 @@ func (s objSource) scanAll(collection string) ([]types.Row, error) {
 	if !ok {
 		return nil, fmt.Errorf("wrapper: no collection %q", collection)
 	}
-	var rows []types.Row
+	rows := make([]types.Row, 0, c.Count())
 	it := c.SeqScan()
 	for {
 		row, ok := it.Next()

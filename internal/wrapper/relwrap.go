@@ -149,7 +149,7 @@ func (s relSource) scanAll(collection string) ([]types.Row, error) {
 	if !ok {
 		return nil, fmt.Errorf("wrapper: no table %q", collection)
 	}
-	var rows []types.Row
+	rows := make([]types.Row, 0, t.Count())
 	it := t.Scan()
 	for {
 		row, ok := it.Next()
