@@ -49,19 +49,20 @@ ci-lint:
 	else echo "ci-lint: staticcheck not on PATH and $(STATICCHECK) not installable (offline?) — SKIPPED"; fi
 # Everything that shares state across goroutines: rule registry, history
 # recorder, plan search workers, mediator, wrapper server, virtual clock,
-# executor, morsel breakers, and the benchmark's smoke run of all workloads.
+# executor, morsel breakers, per-connection frame readers, the bench smoke run.
 ci-race:
 	$(GO) test -race ./internal/core ./internal/history ./internal/optimizer ./internal/mediator \
-		./internal/wrapper ./internal/netsim ./internal/engine ./internal/vexec ./bench
+		./internal/wrapper ./internal/netsim ./internal/engine ./internal/vexec ./internal/serving ./bench
 # Allocation gates, skipped under -race: EstimateRoot and memo probes
-# allocate nothing, a warm batch ~0, a 70-row answer under 128 KiB.
+# allocate nothing, a warm batch ~0, a 70-row answer under 128 KiB, a row
+# frame decodes with one allocation per boxed value and none per row.
 ci-alloc:
-	$(GO) test -run 'Alloc' -count=1 ./internal/core ./internal/optimizer ./internal/vexec ./internal/serving
+	$(GO) test -run 'Alloc' -count=1 ./internal/core ./internal/optimizer ./internal/vexec ./internal/serving ./internal/proto
 ci-faultmatrix: # every injected fault recovers or degrades to a partial answer
 	$(GO) test -race -run 'Fault|Remote|Injector|Resilience' ./internal/mediator ./internal/wrapper ./internal/netsim ./internal/experiments
 ci-feedback: # extents mis-registered 10x are repaired by the workload (E10)
 	$(GO) test -run 'TestFeedbackConvergence' -count=1 -v ./internal/experiments
-# 30-second native-fuzzer smokes of every parser of outside input.
+# 30 s fuzzer smokes of every parser of outside input (frames: lines and blocks).
 ci-fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/costlang
 	$(GO) test -fuzz=FuzzParseFaultSpec -fuzztime=30s ./internal/netsim

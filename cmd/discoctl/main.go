@@ -1,5 +1,5 @@
 // Command discoctl is the interactive client for a discod mediator
-// server: a small SQL shell over the JSON line protocol.
+// server: a small SQL shell over the wire protocol of internal/proto.
 //
 // Usage:
 //

@@ -1,5 +1,5 @@
-// Command discod runs a DISCO mediator as a TCP server speaking the JSON
-// line protocol of internal/proto. It assembles the demo federation —
+// Command discod runs a DISCO mediator as a TCP server speaking the wire
+// protocol of internal/proto. It assembles the demo federation —
 // the OO7 object database, a relational catalog of suppliers, and a flat
 // file of inspection notes — registers the wrappers, and serves queries.
 // Connections are handled concurrently: the mediator pipeline is

@@ -1,7 +1,7 @@
 // Command discorouter fronts a set of discod replicas with the
 // federation router: cost-based plan-affine routing, catalog gossip for
 // epoch-bumping admin ops, and scatter-gather execution of partitioned
-// scans. It speaks the same JSON line protocol as discod, so discoctl
+// scans. It speaks the same wire protocol as discod, so discoctl
 // and discoload connect to it unchanged.
 //
 // Usage:

@@ -3,9 +3,9 @@ package loadgen
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -361,44 +361,47 @@ func ScrapeStats(addr string, timeout time.Duration) (json.RawMessage, error) {
 // rows in different orders — produce equal digests iff they returned the
 // same multiset of rows (up to hash collisions).
 func HashRows(rows [][]any) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211 // FNV-1a
 	var sum, xor uint64
+	buf := make([]byte, 0, 64)
 	for _, row := range rows {
-		h := fnv.New64a()
+		rh := uint64(offset64)
 		for _, v := range row {
-			h.Write([]byte(canonValue(v)))
-			h.Write([]byte{0})
+			buf = append(canonValue(buf[:0], v), 0)
+			for _, c := range buf {
+				rh = (rh ^ uint64(c)) * prime64
+			}
 		}
-		rh := h.Sum64()
 		sum += rh
 		xor ^= rh
 	}
 	return sum ^ (xor * 0x9e3779b97f4a7c15) ^ uint64(len(rows))
 }
 
-// canonValue renders one JSON-decoded result value canonically:
-// wire-decoded numbers (float64) and oracle-side int64s of the same
-// value must render identically.
-func canonValue(v any) string {
+// canonValue renders one result value canonically: a float that holds
+// an integer and the equal int render identically, because the oracle
+// side and the wire side of a comparison may differ in Go type.
+func canonValue(buf []byte, v any) []byte {
 	switch x := v.(type) {
 	case nil:
-		return "∅"
+		return append(buf, "∅"...)
 	case bool:
 		if x {
-			return "t"
+			return append(buf, 't')
 		}
-		return "f"
+		return append(buf, 'f')
 	case string:
-		return "s" + x
+		return append(append(buf, 's'), x...)
 	case int64:
-		return fmt.Sprintf("i%d", x)
+		return strconv.AppendInt(append(buf, 'i'), x, 10)
 	case int:
-		return fmt.Sprintf("i%d", x)
+		return strconv.AppendInt(append(buf, 'i'), int64(x), 10)
 	case float64:
 		if x == float64(int64(x)) {
-			return fmt.Sprintf("i%d", int64(x))
+			return strconv.AppendInt(append(buf, 'i'), int64(x), 10)
 		}
-		return fmt.Sprintf("g%g", x)
+		return strconv.AppendFloat(append(buf, 'g'), x, 'g', -1, 64)
 	default:
-		return fmt.Sprintf("v%v", v)
+		return fmt.Appendf(buf, "v%v", v)
 	}
 }

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -219,10 +220,52 @@ func TestHashRowsOrderInsensitive(t *testing.T) {
 	if HashRows(a) == HashRows(c) {
 		t.Error("dropping a duplicate row kept the digest")
 	}
-	// Wire responses decode integers as float64; the oracle sees int64.
+	// One value may be a float64 on one side of a comparison and an int64
+	// on the other (a SUM over ints, say).
 	wire := [][]any{{float64(7), "s"}}
 	oracle := [][]any{{int64(7), "s"}}
 	if HashRows(wire) != HashRows(oracle) {
 		t.Error("float64(7) and int64(7) must hash identically")
+	}
+}
+
+// TestHashRowsGolden pins the digest itself: every oracle digest and
+// every recorded soak digest was computed by the fmt- and hash/fnv-based
+// HashRows, and the expected values below come from that implementation.
+func TestHashRowsGolden(t *testing.T) {
+	rows := [][]any{
+		{int64(0), int64(-1), int64(math.MaxInt64), int64(math.MinInt64), int(42)},
+		{float64(7), float64(-3), 2.5, -0.125, 1e300, 1e-7, math.Copysign(0, -1)},
+		{math.NaN(), math.Inf(1), math.Inf(-1), float64(1 << 53), -9.223372036854775808e18},
+		{"", "héllo\x00world", "line\nbreak", nil, true, false},
+		{},
+		{int64(1234567), "x"},
+		{int64(1234567), "x"},
+	}
+	want := []uint64{
+		0xeb67d2ccd8645f81, 0xd0e4b4c9079cc535, 0xb125607194441679, 0xe34d149f5b9759fd,
+		0x33490e2d67a6ed2d, 0x858a4f3c330186ad, 0x858a4f3c330186ad,
+	}
+	for i, row := range rows {
+		if got := HashRows([][]any{row}); got != want[i] {
+			t.Errorf("row %d %v: digest %#x, want %#x", i, row, got, want[i])
+		}
+	}
+	const all = 0x9530f55c46919e1f
+	if got := HashRows(rows); got != all {
+		t.Errorf("all rows: digest %#x, want %#x", got, uint64(all))
+	}
+	rows[0], rows[5], rows[2], rows[3] = rows[5], rows[0], rows[3], rows[2]
+	if got := HashRows(rows); got != all {
+		t.Errorf("all rows, permuted: digest %#x, want %#x", got, uint64(all))
+	}
+	if got := HashRows(nil); got != 0 {
+		t.Errorf("no rows: digest %#x, want 0", got)
+	}
+	if got := HashRows([][]any{{int32(5), uint8(7)}}); got != 0xc3abebb4654f9575 {
+		t.Errorf("values of other Go types: digest %#x, want 0xc3abebb4654f9575", got)
+	}
+	if n := testing.AllocsPerRun(10, func() { HashRows(rows[:6]) }); n > 1 {
+		t.Errorf("HashRows made %.0f allocations over strings, ints and floats, want at most 1", n)
 	}
 }

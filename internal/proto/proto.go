@@ -1,11 +1,20 @@
-// Package proto defines the JSON line protocol spoken between the discod
-// mediator server and its clients (cmd/discoctl): one JSON request per
-// line in, one JSON response per line out. It corresponds to the paper's
-// client-mediator interface (Figure 2, steps 3 and 6).
+// Package proto defines the wire protocol spoken between the discod
+// mediator server and its clients and, in wrapper.go, between a mediator
+// and a remote wrapper: the paper's client-mediator interface (Figure 2,
+// steps 3 and 6) and the submit operator's transfer (steps 4 and 5).
+//
+// A frame is one JSON object on one line, so requests and control
+// answers stay readable with nc. A response that carries rows is its
+// JSON header line, whose rowBytes field counts the bytes that follow,
+// and then that many bytes of row block: uvarint row count, uvarint
+// column count (at least one), then the values row by row in the types
+// value codec. encoding/json never sees a row.
 package proto
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -37,7 +46,7 @@ type Response struct {
 	Overloaded bool `json:"overloaded,omitempty"`
 	// Query results.
 	Columns   []string `json:"columns,omitempty"`
-	Rows      [][]any  `json:"rows,omitempty"`
+	Rows      [][]any  `json:"-"` // travels as the frame's row block
 	ElapsedMS float64  `json:"elapsedMs,omitempty"`
 	// Partial marks an answer missing the contribution of unavailable
 	// wrappers, listed in Excluded. A federation router reuses the pair
@@ -69,16 +78,39 @@ type ShardServed struct {
 	Rows      int     `json:"rows,omitempty"`
 }
 
-// EncodeRow converts a result row into JSON-safe values.
-func EncodeRow(row types.Row) []any {
-	out := make([]any, len(row))
-	for i, c := range row {
-		out[i] = EncodeConstant(c)
+// EncodeRow boxes a result row into the values a Response carries.
+func EncodeRow(row types.Row) []any { return EncodeRows([]types.Row{row})[0] }
+
+// EncodeRows is EncodeRow over a result set, on one backing array.
+func EncodeRows(rows []types.Row) [][]any {
+	n := 0
+	for _, row := range rows {
+		n += len(row)
+	}
+	flat := make([]any, n)
+	out := make([][]any, len(rows))
+	for i, row := range rows {
+		out[i], flat = flat[:len(row):len(row)], flat[len(row):]
+		for j, c := range row {
+			out[i][j] = EncodeConstant(c)
+		}
 	}
 	return out
 }
 
-// EncodeConstant converts one constant into a JSON-safe value.
+// DecodeRows turns the rows of a response back into constants.
+func DecodeRows(enc [][]any) []types.Row {
+	out := make([]types.Row, len(enc))
+	for i, row := range enc {
+		out[i] = make(types.Row, len(row))
+		for j, v := range row {
+			out[i][j] = DecodeConstant(v)
+		}
+	}
+	return out
+}
+
+// EncodeConstant boxes one constant as the Go value of its kind.
 func EncodeConstant(c types.Constant) any {
 	switch c.Kind() {
 	case types.KindInt:
@@ -94,8 +126,9 @@ func EncodeConstant(c types.Constant) any {
 	}
 }
 
-// DecodeConstant converts a decoded JSON value back into a constant.
-// JSON numbers arrive as float64; integral ones become Int.
+// DecodeConstant is the inverse of EncodeConstant. A value that went
+// through JSON (plan constants, attribute statistics) has lost the
+// int/float distinction and is repaired by its declared kind there.
 func DecodeConstant(v any) types.Constant {
 	switch x := v.(type) {
 	case nil:
@@ -109,32 +142,106 @@ func DecodeConstant(v any) types.Constant {
 	case int64:
 		return types.Int(x)
 	case float64:
-		if x == float64(int64(x)) {
-			return types.Int(int64(x))
-		}
 		return types.Float(x)
-	case json.Number:
-		if n, err := x.Int64(); err == nil {
-			return types.Int(n)
-		}
-		f, _ := x.Float64()
-		return types.Float(f)
 	default:
 		return types.Str(fmt.Sprint(v))
 	}
 }
 
-// EncodeFrame renders one message as its wire frame: the JSON encoding
-// followed by the newline delimiter.
+// maxFrame bounds one frame, header line plus row block, where it is
+// built and where it is read. A variable so tests can lower it.
+var maxFrame = 16 << 20
+
+// responseHeader and wrapperResponseHeader are the JSON line of a response
+// with rows: the message's own fields and the length of the block behind it.
+type responseHeader struct {
+	*Response
+	RowBytes int `json:"rowBytes,omitempty"`
+}
+
+type wrapperResponseHeader struct {
+	*WrapperResponse
+	RowBytes int `json:"rowBytes,omitempty"`
+}
+
+// EncodeFrame renders one message (passed by pointer) as its wire frame:
+// the JSON line and, for a response with rows, the row block. A frame
+// over the limit, and rows of unequal or no width, are errors.
 func EncodeFrame(v any) ([]byte, error) {
-	data, err := json.Marshal(v)
+	var block []byte
+	var err error
+	switch m := v.(type) {
+	case *Response:
+		if len(m.Rows) > 0 {
+			block, err = encodeBlock(m.Rows)
+			v = responseHeader{m, len(block)}
+		}
+	case *WrapperResponse:
+		if len(m.Rows) > 0 {
+			block, err = encodeBlock(m.Rows)
+			v = wrapperResponseHeader{m, len(block)}
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	return append(data, '\n'), nil
+	line, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	if n := len(line) + 1 + len(block); n > maxFrame {
+		return nil, fmt.Errorf("proto: a %d-byte frame exceeds the %d-byte limit", n, maxFrame)
+	}
+	return append(append(line, '\n'), block...), nil
 }
 
-// Write sends one message as a JSON line.
+func encodeBlock(rows [][]any) ([]byte, error) {
+	cols := len(rows[0])
+	buf := make([]byte, 0, 2*binary.MaxVarintLen64+4*len(rows)*cols)
+	buf = binary.AppendUvarint(buf, uint64(len(rows)))
+	buf = binary.AppendUvarint(buf, uint64(cols))
+	for _, row := range rows {
+		if len(row) != cols || cols == 0 {
+			return nil, fmt.Errorf("proto: a row of %d values in a result of %d columns", len(row), cols)
+		}
+		for _, v := range row {
+			buf = types.AppendValue(buf, DecodeConstant(v))
+		}
+	}
+	return buf, nil
+}
+
+// decodeBlock rebuilds the rows of a block over one backing array. The
+// counts are outside input: a value is at least a byte, so counts the
+// block cannot hold are refused before anything is allocated for them.
+func decodeBlock(b []byte) ([][]any, error) {
+	rows, n := binary.Uvarint(b)
+	cols, m := binary.Uvarint(b[max(n, 0):])
+	if n <= 0 || m <= 0 {
+		return nil, fmt.Errorf("proto: row block: truncated counts")
+	}
+	if b = b[n+m:]; cols == 0 || cols > uint64(len(b)) || rows > uint64(len(b))/cols {
+		return nil, fmt.Errorf("proto: row block: %d rows of %d columns claimed in %d bytes", rows, cols, len(b))
+	}
+	flat := make([]any, rows*cols)
+	out := make([][]any, rows)
+	for i := range out {
+		out[i], flat = flat[:cols:cols], flat[cols:]
+		for j := range out[i] {
+			c, n, err := types.DecodeValue(b)
+			if err != nil {
+				return nil, fmt.Errorf("proto: row block: %w", err)
+			}
+			out[i][j], b = EncodeConstant(c), b[n:]
+		}
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("proto: row block: %d bytes left over", len(b))
+	}
+	return out, nil
+}
+
+// Write sends one message as its frame.
 func Write(w io.Writer, v any) error {
 	data, err := EncodeFrame(v)
 	if err != nil {
@@ -145,15 +252,15 @@ func Write(w io.Writer, v any) error {
 }
 
 // WriteTruncated writes only a prefix of the message's frame — at least
-// one byte, never the whole frame — leaving the peer mid-read. The fault
-// injector uses it to model a connection dropped while a response is in
-// flight, the failure mode that used to desync RemoteWrapper's stream.
+// one byte, never the whole frame — leaving the peer mid-line or mid-block.
+// The fault injector uses it to model a connection dropped while a response
+// is in flight, the failure mode that used to desync RemoteWrapper's stream.
 func WriteTruncated(w io.Writer, v any, frac float64) error {
 	data, err := EncodeFrame(v)
 	if err != nil {
 		return err
 	}
-	// Cut inside the JSON body, not merely before the newline: a frame
+	// Cut inside the frame, not merely before a header's newline: a line
 	// missing only its delimiter would still decode once the connection
 	// closes and the reader sees EOF.
 	n := int(float64(len(data)) * frac)
@@ -167,17 +274,20 @@ func WriteTruncated(w io.Writer, v any, frac float64) error {
 	return err
 }
 
-// Reader reads JSON lines into messages.
+// Reader reads frames off one stream. It is not safe for concurrent use;
+// each connection has its own.
 type Reader struct {
-	sc *bufio.Scanner
+	br *bufio.Reader
+	// line gathers a header longer than br's buffer; block holds the
+	// current row block. Both are kept between frames.
+	line  []byte
+	block bytes.Buffer
 }
 
-// NewReader wraps a connection for line reading; lines up to 16 MiB are
-// accepted (result sets are shipped inline).
+// NewReader wraps a connection for frame reading; frames up to 16 MiB
+// are accepted (a result set is shipped as one frame).
 func NewReader(r io.Reader) *Reader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	return &Reader{sc: sc}
+	return &Reader{br: bufio.NewReaderSize(r, 32<<10)}
 }
 
 // ReadRequest reads the next request; io.EOF at end of stream.
@@ -189,27 +299,55 @@ func (r *Reader) ReadRequest() (*Request, error) {
 	return &req, nil
 }
 
-// ReadResponse reads the next response; io.EOF at end of stream.
+// ReadResponse reads the next response, rows included; io.EOF at end of
+// stream.
 func (r *Reader) ReadResponse() (*Response, error) {
-	var resp Response
-	if err := r.read(&resp); err != nil {
+	h := responseHeader{Response: new(Response)}
+	if err := r.readWithRows(&h, &h.RowBytes, &h.Rows); err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	return h.Response, nil
 }
 
+// read decodes the next non-blank line into v; a last line without its
+// delimiter still counts at end of stream.
 func (r *Reader) read(v any) error {
+	r.line = r.line[:0]
 	for {
-		if !r.sc.Scan() {
-			if err := r.sc.Err(); err != nil {
-				return err
+		line, more, err := r.br.ReadLine()
+		if err != nil {
+			return err
+		}
+		if more || len(r.line) > 0 {
+			if r.line = append(r.line, line...); len(r.line) > maxFrame {
+				return fmt.Errorf("proto: a header line exceeds the %d-byte frame limit", maxFrame)
 			}
-			return io.EOF
+			line = r.line
 		}
-		line := r.sc.Bytes()
-		if len(line) == 0 {
-			continue
+		if !more && len(line) > 0 {
+			return json.Unmarshal(line, v)
 		}
-		return json.Unmarshal(line, v)
 	}
+}
+
+// readWithRows reads a response: its header line into h, then the block
+// of *n bytes that the header announced into *rows. *n is outside input:
+// the block buffer grows as bytes arrive, never ahead of them.
+func (r *Reader) readWithRows(h any, n *int, rows *[][]any) error {
+	if err := r.read(h); err != nil || *n == 0 {
+		return err
+	}
+	if *n < 0 || *n > maxFrame {
+		return fmt.Errorf("proto: a %d-byte row block is outside the %d-byte frame limit", *n, maxFrame)
+	}
+	r.block.Reset()
+	_, err := io.CopyN(&r.block, r.br, int64(*n))
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
+		return fmt.Errorf("proto: a %d-byte row block cut short: %w", *n, err)
+	}
+	*rows, err = decodeBlock(r.block.Bytes())
+	return err
 }

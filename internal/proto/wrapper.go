@@ -5,7 +5,7 @@ import (
 	"disco/internal/types"
 )
 
-// The wrapper wire protocol: a mediator speaks JSON lines to a remote
+// The wrapper wire protocol: a mediator speaks the same frames to a remote
 // wrapper process (cmd/wrapperd). Two operations exist, mirroring the
 // paper's two phases: "meta" uploads the registration payload (schema,
 // capabilities, statistics, cost rules — Figure 1 steps 1-2) and
@@ -115,7 +115,7 @@ type WrapperResponse struct {
 	// Meta answers "meta".
 	Meta *WrapperMeta `json:"meta,omitempty"`
 	// Execute results.
-	Rows  [][]any `json:"rows,omitempty"`
+	Rows  [][]any `json:"-"` // travels as the frame's row block
 	Bytes int64   `json:"bytes,omitempty"`
 	// VirtualMS is the wrapper-side virtual time the subquery consumed;
 	// the mediator advances its clock by it.
@@ -131,11 +131,11 @@ func (r *Reader) ReadWrapperRequest() (*WrapperRequest, error) {
 	return &req, nil
 }
 
-// ReadWrapperResponse reads the next wrapper response.
+// ReadWrapperResponse reads the next wrapper response, rows included.
 func (r *Reader) ReadWrapperResponse() (*WrapperResponse, error) {
-	var resp WrapperResponse
-	if err := r.read(&resp); err != nil {
+	h := wrapperResponseHeader{WrapperResponse: new(WrapperResponse)}
+	if err := r.readWithRows(&h, &h.RowBytes, &h.Rows); err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	return h.WrapperResponse, nil
 }

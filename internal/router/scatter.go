@@ -182,15 +182,7 @@ func (rt *Router) scatter(q *sqlparser.Query, part Partition, healthy []int) *pr
 			merged.Partial = true
 			merged.Excluded = append(merged.Excluded, res.resp.Excluded...)
 		}
-		rows := make([]types.Row, len(res.resp.Rows))
-		for i, wire := range res.resp.Rows {
-			row := make(types.Row, len(wire))
-			for j, v := range wire {
-				row[j] = proto.DecodeConstant(v)
-			}
-			rows[i] = row
-		}
-		sources = append(sources, vexec.NewSliceSource(rows, 0))
+		sources = append(sources, vexec.NewSliceSource(proto.DecodeRows(res.resp.Rows), 0))
 	}
 	if succeeded == 0 {
 		return &proto.Response{Error: "router: every shard failed on every live replica"}
@@ -199,9 +191,7 @@ func (rt *Router) scatter(q *sqlparser.Query, part Partition, healthy []int) *pr
 	if err != nil {
 		return &proto.Response{Error: "router: shard merge: " + err.Error()}
 	}
-	for _, row := range out {
-		merged.Rows = append(merged.Rows, proto.EncodeRow(row))
-	}
+	merged.Rows = proto.EncodeRows(out)
 	if len(excluded) > 0 {
 		merged.Partial = true
 		merged.Excluded = append(merged.Excluded, excluded...)

@@ -17,7 +17,7 @@ type Handler interface {
 	Handle(*proto.Request) *proto.Response
 }
 
-// ConnServer is the transport layer of the JSON line protocol, factored
+// ConnServer is the transport layer of the wire protocol, factored
 // out of the mediator server so any Handler (mediator or router) gets
 // the same accept loop, connection tracking, idle deadlines and drained
 // shutdown. Connections are handled concurrently; the Handler must be
@@ -177,7 +177,14 @@ func (s *ConnServer) ServeConn(conn net.Conn) {
 		if s.IdleTimeout > 0 {
 			_ = conn.SetWriteDeadline(time.Now().Add(s.IdleTimeout))
 		}
-		if err := proto.Write(conn, resp); err != nil {
+		frame, err := proto.EncodeFrame(resp)
+		if err != nil {
+			// Over the frame limit: say so and keep the connection.
+			if frame, err = proto.EncodeFrame(&proto.Response{Error: err.Error()}); err != nil {
+				return
+			}
+		}
+		if _, err := conn.Write(frame); err != nil {
 			return
 		}
 	}

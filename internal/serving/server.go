@@ -10,7 +10,7 @@ import (
 	"disco/internal/proto"
 )
 
-// Server serves the JSON line protocol over TCP for one federation: the
+// Server serves the wire protocol over TCP for one federation: the
 // mediator Handler mounted on the shared connection layer (ConnServer,
 // which the federation router reuses). The mediator pipeline is
 // thread-safe, so connections are handled concurrently.
@@ -80,10 +80,7 @@ func (s *Server) Handle(req *proto.Request) *proto.Response {
 		for i := 0; i < res.Schema.Len(); i++ {
 			resp.Columns = append(resp.Columns, res.Schema.Field(i).QualifiedName())
 		}
-		resp.Rows = make([][]any, 0, len(res.Rows))
-		for _, row := range res.Rows {
-			resp.Rows = append(resp.Rows, proto.EncodeRow(row))
-		}
+		resp.Rows = proto.EncodeRows(res.Rows)
 		return resp
 
 	case "explain":

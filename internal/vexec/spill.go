@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
+	"slices"
 
 	"disco/internal/types"
 )
@@ -22,9 +22,9 @@ import (
 // partition-major, i.e. a multiset-identical permutation of the
 // in-memory result.
 //
-// Spill row format: uvarint column count, then per column a tag byte
-// ('z' null, 'i' zigzag-varint int, 'd' 8-byte little-endian float bits,
-// 's' uvarint length + bytes, 't'/'f' bool) — the same tags as keyEnc.
+// A spill file is a sequence of rows, each framed as uvarint column
+// count, uvarint byte length, then that many bytes of values in the
+// types value codec (the one the wire's result blocks use).
 
 const (
 	// spillFanout is the partition count per spill level.
@@ -50,11 +50,11 @@ func spillPart(h uint64, level int) int {
 
 // spillFile is one buffered tempdir spill partition.
 type spillFile struct {
-	f     *os.File
-	w     *bufio.Writer
-	buf   []byte
-	rows  int64
-	bytes int64
+	f    *os.File
+	w    *bufio.Writer
+	head []byte
+	buf  []byte
+	rows int64
 }
 
 func createSpill(dir string) (*spillFile, error) {
@@ -74,12 +74,19 @@ func (s *spillFile) write(r types.Row) error {
 			return fmt.Errorf("vexec: spill write: %w", err)
 		}
 	}
-	s.buf = encodeSpillRow(s.buf[:0], r)
-	if _, err := s.w.Write(s.buf); err != nil {
+	s.buf = s.buf[:0]
+	for _, c := range r {
+		s.buf = types.AppendValue(s.buf, c)
+	}
+	s.head = binary.AppendUvarint(binary.AppendUvarint(s.head[:0], uint64(len(r))), uint64(len(s.buf)))
+	_, err := s.w.Write(s.head)
+	if err == nil {
+		_, err = s.w.Write(s.buf)
+	}
+	if err != nil {
 		return fmt.Errorf("vexec: spill write: %w", err)
 	}
 	s.rows++
-	s.bytes += int64(len(s.buf))
 	return nil
 }
 
@@ -110,7 +117,7 @@ type spillReader struct {
 	r     *bufio.Reader
 	left  int64
 	arena arena
-	sbuf  []byte
+	buf   []byte
 }
 
 // next decodes one row; ok=false at end of partition.
@@ -119,89 +126,31 @@ func (sr *spillReader) next() (types.Row, bool, error) {
 		return nil, false, nil
 	}
 	sr.left--
-	n, err := binary.ReadUvarint(sr.r)
+	cols, err := binary.ReadUvarint(sr.r)
+	var size uint64
+	if err == nil {
+		size, err = binary.ReadUvarint(sr.r)
+	}
+	if err == nil {
+		sr.buf = slices.Grow(sr.buf[:0], int(size))[:size]
+		_, err = io.ReadFull(sr.r, sr.buf)
+	}
 	if err != nil {
 		return nil, false, fmt.Errorf("vexec: spill read: %w", err)
 	}
-	row := sr.arena.alloc(int(n))
+	rest := sr.buf
+	row := sr.arena.alloc(int(cols))
 	for i := range row {
-		c, err := sr.constant()
-		if err != nil {
-			return nil, false, err
+		var n int
+		if row[i], n, err = types.DecodeValue(rest); err != nil {
+			return nil, false, fmt.Errorf("vexec: spill read: %w", err)
 		}
-		row[i] = c
+		rest = rest[n:]
+	}
+	if len(rest) != 0 {
+		return nil, false, fmt.Errorf("vexec: spill read: %d bytes left over after a row", len(rest))
 	}
 	return row, true, nil
-}
-
-func (sr *spillReader) constant() (types.Constant, error) {
-	tag, err := sr.r.ReadByte()
-	if err != nil {
-		return types.Null, fmt.Errorf("vexec: spill read: %w", err)
-	}
-	switch tag {
-	case 'z':
-		return types.Null, nil
-	case 'i':
-		v, err := binary.ReadVarint(sr.r)
-		if err != nil {
-			return types.Null, fmt.Errorf("vexec: spill read: %w", err)
-		}
-		return types.Int(v), nil
-	case 'd':
-		var b [8]byte
-		if _, err := io.ReadFull(sr.r, b[:]); err != nil {
-			return types.Null, fmt.Errorf("vexec: spill read: %w", err)
-		}
-		return types.Float(math.Float64frombits(binary.LittleEndian.Uint64(b[:]))), nil
-	case 's':
-		n, err := binary.ReadUvarint(sr.r)
-		if err != nil {
-			return types.Null, fmt.Errorf("vexec: spill read: %w", err)
-		}
-		if cap(sr.sbuf) < int(n) {
-			sr.sbuf = make([]byte, n)
-		}
-		sr.sbuf = sr.sbuf[:n]
-		if _, err := io.ReadFull(sr.r, sr.sbuf); err != nil {
-			return types.Null, fmt.Errorf("vexec: spill read: %w", err)
-		}
-		return types.Str(string(sr.sbuf)), nil
-	case 't':
-		return types.Bool(true), nil
-	case 'f':
-		return types.Bool(false), nil
-	default:
-		return types.Null, fmt.Errorf("vexec: spill read: unknown value tag %q", tag)
-	}
-}
-
-func encodeSpillRow(buf []byte, r types.Row) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(r)))
-	for _, c := range r {
-		switch c.Kind() {
-		case types.KindNull:
-			buf = append(buf, 'z')
-		case types.KindInt:
-			buf = append(buf, 'i')
-			buf = binary.AppendVarint(buf, c.AsInt())
-		case types.KindFloat:
-			buf = append(buf, 'd')
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.AsFloat()))
-		case types.KindString:
-			s := c.AsString()
-			buf = append(buf, 's')
-			buf = binary.AppendUvarint(buf, uint64(len(s)))
-			buf = append(buf, s...)
-		case types.KindBool:
-			if c.AsBool() {
-				buf = append(buf, 't')
-			} else {
-				buf = append(buf, 'f')
-			}
-		}
-	}
-	return buf
 }
 
 // spillSet is one level's fan-out of partitions.

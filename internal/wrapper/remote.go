@@ -336,15 +336,7 @@ func (w *RemoteWrapper) Execute(plan *algebra.Node) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]types.Row, len(resp.Rows))
-	for i, enc := range resp.Rows {
-		row := make(types.Row, len(enc))
-		for j, v := range enc {
-			row[j] = proto.DecodeConstant(v)
-		}
-		rows[i] = row
-	}
-	return &Result{Rows: rows, Schema: plan.OutSchema, Bytes: resp.Bytes}, nil
+	return &Result{Rows: proto.DecodeRows(resp.Rows), Schema: plan.OutSchema, Bytes: resp.Bytes}, nil
 }
 
 // Serve answers the wrapper wire protocol for one local wrapper,
@@ -414,7 +406,15 @@ func serveConn(conn net.Conn, w Wrapper, clockMu *sync.Mutex, inj *netsim.Inject
 			proto.WriteTruncated(conn, resp, 0.5)
 			return
 		}
-		if err := proto.Write(conn, resp); err != nil {
+		frame, err := proto.EncodeFrame(resp)
+		if err != nil {
+			// Over the frame limit: not retryable, it would overflow again.
+			frame, err = proto.EncodeFrame(&proto.WrapperResponse{Error: err.Error(), VirtualMS: resp.VirtualMS})
+			if err != nil {
+				return
+			}
+		}
+		if _, err := conn.Write(frame); err != nil {
 			return
 		}
 	}
@@ -475,11 +475,7 @@ func handleWrapperRequest(req *proto.WrapperRequest, w Wrapper, clockMu *sync.Mu
 		if err != nil {
 			return &proto.WrapperResponse{Error: err.Error()}
 		}
-		resp := &proto.WrapperResponse{OK: true, Bytes: res.Bytes, VirtualMS: elapsed}
-		for _, row := range res.Rows {
-			resp.Rows = append(resp.Rows, proto.EncodeRow(row))
-		}
-		return resp
+		return &proto.WrapperResponse{OK: true, Rows: proto.EncodeRows(res.Rows), Bytes: res.Bytes, VirtualMS: elapsed}
 
 	default:
 		return &proto.WrapperResponse{Error: fmt.Sprintf("unknown op %q", req.Op)}

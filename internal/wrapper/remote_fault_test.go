@@ -61,8 +61,8 @@ func idPlan(t *testing.T, w Wrapper, n int64) *algebra.Node {
 }
 
 // TestRemoteTruncatedFrameRedial is the regression test for the stream
-// desync bug: the server cuts the first execute response mid-frame (a
-// truncated JSON line, then close). The old client kept the half-read
+// desync bug: the server cuts the first execute response mid-frame
+// (inside its row block, then close). The old client kept the half-read
 // connection and wedged every later request; the hardened client must
 // discard it, redial, and answer correctly.
 func TestRemoteTruncatedFrameRedial(t *testing.T) {
