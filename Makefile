@@ -48,14 +48,14 @@ ci-lint:
 	elif GOBIN=$(CURDIR)/.tools $(GO) install $(STATICCHECK) 2>/dev/null; then $(CURDIR)/.tools/staticcheck ./...; \
 	else echo "ci-lint: staticcheck not on PATH and $(STATICCHECK) not installable (offline?) — SKIPPED"; fi
 # Everything that shares state across goroutines: rule registry, history
-# recorder, plan search workers, mediator, wrapper server, virtual clock,
+# recorder, concurrent prepares, mediator, wrapper server, virtual clock,
 # executor, morsel breakers, per-connection frame readers, the bench smoke run.
 ci-race:
 	$(GO) test -race ./internal/core ./internal/history ./internal/optimizer ./internal/mediator \
 		./internal/wrapper ./internal/netsim ./internal/engine ./internal/vexec ./internal/serving ./bench
-# Allocation gates, skipped under -race: EstimateRoot and memo probes
-# allocate nothing, a warm batch ~0, a 70-row answer under 128 KiB, a row
-# frame decodes with one allocation per boxed value and none per row.
+# Allocation gates, skipped under -race: EstimateRoot and its search-table
+# hits allocate nothing, a warm batch ~0, a 70-row answer under 128 KiB, a
+# row frame decodes with one allocation per boxed value and none per row.
 ci-alloc:
 	$(GO) test -run 'Alloc' -count=1 ./internal/core ./internal/optimizer ./internal/vexec ./internal/serving ./internal/proto
 ci-faultmatrix: # every injected fault recovers or degrades to a partial answer

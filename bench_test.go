@@ -230,11 +230,10 @@ func BenchmarkFeedbackConvergence(b *testing.B) {
 // benchOptimizeFixture builds an nrel-relation join chain spread across
 // an object and a relational wrapper — the search-space workload for
 // the BenchmarkOptimize* family. Relation cardinalities vary so join
-// orders have genuinely different costs and pruning has work to do. At
-// 7 relations the dynamic program explores the space; above
-// MaxDPRelations (10) the optimizer switches to the greedy heuristic,
-// which re-prices surviving join pairs every round — the workload the
-// plan-cost memo exists for (see TestGreedyMemoHits).
+// orders have genuinely different costs. At 7 relations the dynamic
+// program explores the space; above MaxDPRelations (10) the optimizer
+// switches to the greedy heuristic, which re-prices surviving join pairs
+// every round.
 func benchOptimizeFixture(tb testing.TB, nrel int) (*optimizer.Optimizer, *optimizer.QueryBlock) {
 	tb.Helper()
 	clock := netsim.NewClock()
@@ -285,9 +284,9 @@ func benchOptimizeFixture(tb testing.TB, nrel int) (*optimizer.Optimizer, *optim
 		}
 	}
 	// Chords on top of the chain: the denser graph connects far more
-	// relation subsets, so the dynamic program prices enough candidates
-	// per level for the worker pool to amortize. Chords past nrel are
-	// skipped, keeping the graph shape stable as the fixture scales.
+	// relation subsets, so the dynamic program prices more candidates per
+	// level. Chords past nrel are skipped, keeping the graph shape stable
+	// as the fixture scales.
 	for _, chord := range [][2]int{{0, 3}, {2, 6}, {5, 11}, {1, 8}} {
 		if chord[1] >= nrel {
 			continue
@@ -326,14 +325,8 @@ func benchOptimizeFixture(tb testing.TB, nrel int) (*optimizer.Optimizer, *optim
 }
 
 // benchmarkOptimize times full plan searches over an nrel-relation
-// chain under the given search options, reporting candidate counts from
+// chain under the given search options, reporting the candidate count of
 // the last run.
-//
-// On the DP path (nrel ≤ MaxDPRelations) memoHits legitimately reports
-// 0: the dynamic program enumerates each (subset, split) structure
-// exactly once, so no plan is ever priced twice and the memo has
-// nothing to serve. The greedy benchmarks below cross MaxDPRelations,
-// where surviving pairs are re-priced every round and the memo pays.
 func benchmarkOptimize(b *testing.B, nrel int, opts optimizer.Options) {
 	opt, qb := benchOptimizeFixture(b, nrel)
 	opt.Opt = opts
@@ -345,52 +338,26 @@ func benchmarkOptimize(b *testing.B, nrel int, opts optimizer.Options) {
 		}
 		if i == b.N-1 {
 			b.ReportMetric(float64(res.PlansCosted), "plans")
-			b.ReportMetric(float64(res.MemoHits), "memoHits")
 		}
 	}
 }
 
-// BenchmarkOptimizeSequential is the Workers=1 baseline of the parallel
-// search; compare against BenchmarkOptimizeWorkers4 on a multi-core
-// machine (GOMAXPROCS=1 makes them equivalent).
-func BenchmarkOptimizeSequential(b *testing.B) {
-	benchmarkOptimize(b, 7, optimizer.Options{Pruning: true, MaxDPRelations: 10, Workers: 1})
+// BenchmarkOptimize is the left-deep dynamic program over 7 relations.
+func BenchmarkOptimize(b *testing.B) {
+	benchmarkOptimize(b, 7, optimizer.DefaultOptions())
 }
 
-// BenchmarkOptimizeWorkers4 shards the dynamic program across 4 workers.
-func BenchmarkOptimizeWorkers4(b *testing.B) {
-	benchmarkOptimize(b, 7, optimizer.Options{Pruning: true, MaxDPRelations: 10, Workers: 4})
-}
-
-// BenchmarkOptimizeWorkers4Memo adds the plan-cost memo table.
-func BenchmarkOptimizeWorkers4Memo(b *testing.B) {
-	benchmarkOptimize(b, 7, optimizer.Options{Pruning: true, MaxDPRelations: 10, Workers: 4, Memo: true})
-}
-
-// BenchmarkOptimizeBushySequential widens the search to bushy trees —
-// the heaviest sequential workload.
-func BenchmarkOptimizeBushySequential(b *testing.B) {
-	benchmarkOptimize(b, 7, optimizer.Options{Pruning: true, MaxDPRelations: 10, Bushy: true, Workers: 1})
-}
-
-// BenchmarkOptimizeBushyWorkers4 is the bushy search on 4 workers, where
-// the larger per-level candidate count amortizes pool overhead best.
-func BenchmarkOptimizeBushyWorkers4(b *testing.B) {
-	benchmarkOptimize(b, 7, optimizer.Options{Pruning: true, MaxDPRelations: 10, Bushy: true, Workers: 4})
+// BenchmarkOptimizeBushy widens the search to bushy trees —
+// the heaviest workload.
+func BenchmarkOptimizeBushy(b *testing.B) {
+	benchmarkOptimize(b, 7, optimizer.Options{MaxDPRelations: 10, Bushy: true})
 }
 
 // BenchmarkOptimizeGreedy crosses MaxDPRelations: 12 relations force
 // the greedy join heuristic, which re-prices surviving pairs every
 // round.
 func BenchmarkOptimizeGreedy(b *testing.B) {
-	benchmarkOptimize(b, 12, optimizer.Options{Pruning: true, MaxDPRelations: 10, Workers: 1})
-}
-
-// BenchmarkOptimizeGreedyMemo is the greedy search with the plan-cost
-// memo — the configuration where memoHits must be non-zero (gated by
-// TestGreedyMemoHits).
-func BenchmarkOptimizeGreedyMemo(b *testing.B) {
-	benchmarkOptimize(b, 12, optimizer.Options{Pruning: true, MaxDPRelations: 10, Workers: 1, Memo: true})
+	benchmarkOptimize(b, 12, optimizer.DefaultOptions())
 }
 
 // benchServingMediator builds the federation the concurrent serving
@@ -402,7 +369,6 @@ func benchServingMediator(b *testing.B, planCacheSize int) *Mediator {
 	cfg := DefaultConfig()
 	cfg.RecordHistory = false
 	cfg.PlanCacheSize = planCacheSize
-	cfg.OptimizerOptions.Workers = 1
 	m, err := NewMediator(cfg)
 	if err != nil {
 		b.Fatal(err)

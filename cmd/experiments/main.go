@@ -30,8 +30,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run: all, fig12, planquality, ruleoverhead, history, pruning, joincross, clustering, oo7suite, feedback, adaptive, resilience")
 	scaleN := flag.Int("scale", 70000, "AtomicParts cardinality (70000 = paper scale)")
 	csv := flag.Bool("csv", false, "emit fig12 as CSV instead of a table (for plotting)")
-	workers := flag.Int("workers", 0, "optimizer search goroutines (0 = GOMAXPROCS, 1 = sequential)")
-	memo := flag.Bool("memo", false, "enable the optimizer's plan-cost memo table")
 	faults := flag.String("faults", "", "fault scenarios for -exp resilience (wrapper:drop=0.1,delay=50,...;... syntax)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file when the run completes")
@@ -74,8 +72,6 @@ func main() {
 
 	scale := oo7.PaperScale()
 	scale.AtomicParts = *scaleN
-	experiments.Search.Workers = *workers
-	experiments.Search.Memo = *memo
 
 	run := func(name string, fn func() (fmt.Stringer, error)) {
 		if *exp != "all" && *exp != name {

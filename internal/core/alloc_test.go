@@ -72,6 +72,29 @@ func TestEstimateRootRequiredVarsAllocFree(t *testing.T) {
 	}
 }
 
+// TestEstimateRootTableHitAllocFree: inside a search, re-pricing a plan
+// the search has priced reads its root from the table and allocates
+// nothing.
+func TestEstimateRootTableHitAllocFree(t *testing.T) {
+	skipUnderRace(t)
+	e := newTestEstimator(t)
+	plan := allocPlan(t)
+	e.BeginSearch()
+	defer e.EndSearch()
+	want, err := e.EstimateRoot(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		if got, err := e.EstimateRoot(plan); err != nil || got != want {
+			t.Fatalf("table hit = %v, %v; want %v", got, err, want)
+		}
+	})
+	if avg > 0 {
+		t.Errorf("EstimateRoot table hit allocates %.1f objects/run, want 0", avg)
+	}
+}
+
 // TestEstimateSteadyStateAllocBudget bounds the full Estimate path, which
 // must still build the per-node result maps (they are the API) but nothing
 // else: budget = a small constant per plan node.

@@ -10,8 +10,8 @@ import (
 )
 
 // TestCloneIsolatesOptions verifies the per-goroutine contract of Clone:
-// option mutations (the pruning budget the optimizer sets per candidate)
-// never leak between clones, and Reset clears them.
+// option mutations (such as the pruning budget) never leak between
+// clones, and Reset clears the budget.
 func TestCloneIsolatesOptions(t *testing.T) {
 	e := newTestEstimator(t)
 	e.Options.RequiredVarsOnly = true

@@ -21,9 +21,9 @@ var varOrder = []string{"CountObject", "ObjectSize", "TotalSize", "TimeFirst", "
 // AllVars returns the canonical result variables in evaluation order.
 func AllVars() []string { return append([]string(nil), varOrder...) }
 
-// ErrOverBudget is returned by Estimate when branch-and-bound pruning
-// aborted the estimation because a subplan already costs more than the
-// best complete plan seen so far (paper §4.3.2).
+// ErrOverBudget is returned when Options.Budget aborted an estimation
+// because a node's TotalTime exceeded it (paper §4.3.2). The E6 ablation
+// measures the abort on its deep plan.
 var ErrOverBudget = errors.New("core: plan cost exceeds budget, estimation aborted")
 
 // NetProvider supplies per-wrapper communication parameters for the
@@ -56,7 +56,11 @@ type Options struct {
 	// and recursion into a child that owes nothing is cut (§4.2).
 	RequiredVarsOnly bool
 	// Budget, when positive, aborts estimation with ErrOverBudget as soon
-	// as any node's TotalTime exceeds it (§4.3.2).
+	// as any node's TotalTime exceeds it (§4.3.2). The E6 ablation sets it
+	// on a whole-plan Estimate. The plan search does not: a query-scope
+	// rule can price a submit below the model's estimate of the subtree
+	// under it, so a node dearer than the bound does not make its plan
+	// dearer, and the search compares complete candidate costs instead.
 	Budget float64
 	// RootVars restricts which variables the caller needs at the plan
 	// root (nil means all). Only meaningful with RequiredVarsOnly.
@@ -177,11 +181,11 @@ func NewEstimator(reg *Registry, view CatalogView, net NetProvider) *Estimator {
 
 // Clone returns an independent estimator for use on another goroutine.
 // The registry, catalog view, network model and globals are shared — they
-// are read-only during estimation — while Options (including the mutable
-// per-search pruning Budget) are copied and the scratch arena is dropped
+// are read-only during estimation — while Options are copied and the
+// scratch arena, with any search's record of priced nodes, is dropped
 // (each clone lazily grows its own), so concurrent estimations never
-// observe each other's state. The parallel plan search clones one
-// estimator per worker.
+// observe each other's state. Every prepare clones the mediator's
+// template estimator.
 func (e *Estimator) Clone() *Estimator {
 	c := *e
 	c.scr = nil
@@ -189,8 +193,8 @@ func (e *Estimator) Clone() *Estimator {
 	return &c
 }
 
-// Reset clears the per-search option state (the branch-and-bound pruning
-// budget) so a reused or pooled estimator starts its next search clean.
+// Reset clears the pruning budget (Options.Budget) so a reused or pooled
+// estimator starts its next estimation unbounded.
 func (e *Estimator) Reset() { e.Options.Budget = 0 }
 
 // scratch is the estimator's reusable working memory. Node contexts and
@@ -208,6 +212,12 @@ type scratch struct {
 
 	vmStack []types.Constant
 	env     evalEnv
+
+	// search is the running search's record (BeginSearch to EndSearch);
+	// table is that record while an EstimateRoot walk reads it, and nil in
+	// every other walk.
+	search *searchTable
+	table  *searchTable
 
 	nodesVisited int
 	formulaEvals int
@@ -343,37 +353,47 @@ func (c *nodeCtx) addLets(r *Rule) *letEntry {
 // evaluate; failures are not cached, matching the fallback semantics).
 func (c *nodeCtx) dropLastLets() { c.lets = c.lets[:len(c.lets)-1] }
 
-// run executes the two-phase algorithm over a resolved plan and returns
-// the root context; the context tree is valid until the estimator's next
-// estimation.
-func (e *Estimator) run(plan *algebra.Node) (*nodeCtx, error) {
+// scratch returns the estimator's scratch arena, creating it on first use.
+func (e *Estimator) scratch() *scratch {
 	if e.scr == nil {
 		e.scr = &scratch{}
 	}
-	sc := e.scr
+	return e.scr
+}
+
+// run executes the two-phase algorithm over a resolved plan and returns
+// the root context; the context tree is valid until the estimator's next
+// estimation. A non-nil table answers and records priced nodes.
+func (e *Estimator) run(plan *algebra.Node, table *searchTable) (*nodeCtx, error) {
+	sc := e.scratch()
 	sc.reset()
+	sc.table = table
 	root := e.buildCtx(sc, plan, "")
-	var need VarSet
-	if e.Options.RequiredVarsOnly && len(e.Options.RootVars) > 0 {
-		for _, v := range e.Options.RootVars {
-			if vi := varIndex(v); vi >= 0 {
-				need = need.With(vi)
-			}
-		}
-	} else {
-		need = allVarSet
-	}
-	if err := e.estimateNode(sc, root, need); err != nil {
+	if err := e.estimateNode(sc, root, e.rootNeed()); err != nil {
 		return nil, err
 	}
 	return root, nil
+}
+
+// rootNeed is the set of variables the caller needs at the plan root.
+func (e *Estimator) rootNeed() VarSet {
+	if !e.Options.RequiredVarsOnly || len(e.Options.RootVars) == 0 {
+		return allVarSet
+	}
+	var need VarSet
+	for _, v := range e.Options.RootVars {
+		if vi := varIndex(v); vi >= 0 {
+			need = need.With(vi)
+		}
+	}
+	return need
 }
 
 // Estimate runs the two-phase algorithm of Figure 11 over a resolved plan
 // and returns per-node costs. The plan must have been resolved
 // (algebra.Resolve) so schemas are available.
 func (e *Estimator) Estimate(plan *algebra.Node) (*PlanCost, error) {
-	root, err := e.run(plan)
+	root, err := e.run(plan, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -392,9 +412,10 @@ func (e *Estimator) Estimate(plan *algebra.Node) (*PlanCost, error) {
 // EstimateRoot estimates a resolved plan and returns only the root result
 // variables. It is the optimizer's candidate-pricing fast path: the same
 // algorithm as Estimate, without materializing the per-node cost maps —
-// in steady state it performs no heap allocation at all.
+// in steady state it performs no heap allocation at all. Inside a search
+// (BeginSearch) it prices only the nodes the search has not priced yet.
 func (e *Estimator) EstimateRoot(plan *algebra.Node) (RootCost, error) {
-	root, err := e.run(plan)
+	root, err := e.run(plan, e.scratch().search)
 	if err != nil {
 		return RootCost{}, err
 	}
@@ -479,6 +500,15 @@ func (e *Estimator) estimateNode(sc *scratch, ctx *nodeCtx, need VarSet) error {
 		pinCtx(ctx, pv)
 		return nil
 	}
+	// A node the search has priced is answered the same way: its
+	// variables are a function of its subtree, site and need set.
+	key := tableKey{node: ctx.node, site: ctx.wrapper, need: need}
+	if sc.table != nil {
+		if rc, ok := sc.table.priced[key]; ok {
+			ctx.vars, ctx.varsSet = rc.vars, rc.set
+			return nil
+		}
+	}
 	// Step 1: associate cost formulas with node (most specific rules).
 	e.associate(sc, ctx)
 
@@ -503,6 +533,10 @@ func (e *Estimator) estimateNode(sc *scratch, ctx *nodeCtx, need VarSet) error {
 
 	// Step 3: apply formulas to node.
 	e.apply(sc, ctx)
+	if sc.table != nil {
+		sc.table.applied++
+		sc.table.priced[key] = RootCost{vars: ctx.vars, set: ctx.varsSet}
+	}
 	if e.Options.Budget > 0 &&
 		ctx.varsSet.Has(idxTotalTime) && ctx.vars[idxTotalTime] > e.Options.Budget {
 		return ErrOverBudget

@@ -26,28 +26,10 @@ type oo7Mediator struct {
 // Wrapperstore exposes the deployment's object store.
 func (m *oo7Mediator) Wrapperstore() *objstore.Store { return m.store }
 
-// Search tunes the optimizer's plan search for every experiment that
-// builds a mediator; cmd/experiments wires its -workers and -memo flags
-// here. The zero value matches optimizer.DefaultOptions (Workers 0 =
-// GOMAXPROCS, memo off).
-var Search struct {
-	Workers int
-	Memo    bool
-}
-
-// mediatorConfig is mediator.DefaultConfig with the experiment-wide
-// search knobs applied.
-func mediatorConfig() mediator.Config {
-	cfg := mediator.DefaultConfig()
-	cfg.OptimizerOptions.Workers = Search.Workers
-	cfg.OptimizerOptions.Memo = Search.Memo
-	return cfg
-}
-
 // newMediatorOO7 assembles a mediator over one OO7 object source, with or
 // without integrating the wrapper's exported cost rules.
 func newMediatorOO7(scale oo7.Scale, useRules bool) (*oo7Mediator, error) {
-	cfg := mediatorConfig()
+	cfg := mediator.DefaultConfig()
 	cfg.UseWrapperRules = useRules
 	cfg.RecordHistory = false
 	m, err := mediator.New(cfg)
@@ -228,8 +210,7 @@ func (r *HistoryResult) Table() string {
 // history-recording mediator; the repeat estimate uses the recorded cost
 // vector.
 func History(scale oo7.Scale) (*HistoryResult, error) {
-	cfg := mediatorConfig()
-	m, err := mediator.New(cfg)
+	m, err := mediator.New(mediator.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -11,14 +11,6 @@ import (
 	"disco/internal/wrapper"
 )
 
-// faultConfig enables the parallel plan search so the fault matrix also
-// exercises the optimizer's worker pool under -race.
-func faultConfig() Config {
-	cfg := DefaultConfig()
-	cfg.OptimizerOptions.Workers = 4
-	return cfg
-}
-
 // testRetryPolicy keeps wall-clock waits tiny: backoff is virtual anyway,
 // and the injected faults are deterministic, so short I/O deadlines only
 // matter for genuinely stuck connections.
@@ -32,7 +24,7 @@ func testRetryPolicy() wrapper.RetryPolicy {
 // observes every request the server decided on.
 func startFaultyDeployment(t *testing.T, plan netsim.FaultPlan) (*Mediator, *wrapper.RemoteWrapper, *netsim.Injector) {
 	t.Helper()
-	m := buildMediator(t, faultConfig())
+	m := buildMediator(t, DefaultConfig())
 
 	backendClock := netsim.NewClock()
 	store := objstore.Open(objstore.DefaultConfig(), backendClock)

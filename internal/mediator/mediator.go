@@ -587,9 +587,9 @@ func (m *Mediator) prepareLocked(sql string, trace, capture bool) (*Prepared, *c
 		opts.CapturePlanCosts = true
 	}
 	// Price cache-hit access paths against a frozen snapshot of the
-	// result cache: the live cache may churn mid-search, and the parallel
-	// workers must all see one consistent view for the chosen plan to
-	// stay deterministic. A nil view (cache disabled or empty) leaves the
+	// result cache: the live cache may churn mid-search, and the search
+	// must see one consistent view for the chosen plan to stay
+	// deterministic. A nil view (cache disabled or empty) leaves the
 	// search bit-identical to the cache-less build.
 	if view := m.rcache.SnapshotView(m.Catalog.Epoch()); view != nil {
 		opts.CacheView = view

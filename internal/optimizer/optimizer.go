@@ -3,14 +3,14 @@
 // placements for a query block, estimates every candidate with the
 // blending cost model (internal/core), and returns the cheapest plan.
 // Join ordering uses dynamic programming over relation subsets producing
-// left-deep trees; subplans are pushed into wrappers whenever capabilities
-// allow, and co-located joins may execute at the source.
+// left-deep (or bushy) trees, in one sequential loop that prices each plan
+// node once per search; subplans are pushed into wrappers whenever
+// capabilities allow, and co-located joins may execute at the source.
 package optimizer
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 
 	"disco/internal/algebra"
@@ -45,12 +45,6 @@ type QueryBlock struct {
 
 // Options tune the search.
 type Options struct {
-	// Pruning enables branch-and-bound: candidate estimation aborts as
-	// soon as a subcost exceeds the best complete plan (paper §4.3.2).
-	// The estimator's budget aborts on TotalTime, so pruning only
-	// applies under ObjectiveTotalTime; a TimeFirst search could
-	// otherwise discard its true optimum.
-	Pruning bool
 	// MaxDPRelations bounds the dynamic program; blocks with more
 	// relations use a greedy fallback.
 	MaxDPRelations int
@@ -64,19 +58,6 @@ type Options struct {
 	// to the first tuple — the paper's TimeFirst variable exists exactly
 	// for response-time-to-first optimization.
 	Objective Objective
-	// Workers is the number of goroutines that price each level of the
-	// dynamic program: 0 uses GOMAXPROCS, 1 prices on the caller's
-	// goroutine alone. Each worker prices candidates on its own
-	// core.Estimator clone; a shared atomic best-cost bound keeps
-	// branch-and-bound pruning effective across workers. The chosen plan
-	// is bit-identical at every worker count.
-	Workers int
-	// Memo enables the plan-cost memo table: candidate costs are cached
-	// by 128-bit structural plan hash (algebra.StructuralHash) for the
-	// duration of one Optimize call, so structurally identical candidates
-	// — the greedy search re-prices surviving pairs every round — are
-	// estimated once. The table is shared by all workers.
-	Memo bool
 	// CapturePlanCosts guarantees the returned Result.Cost carries a
 	// complete per-node variable capture for the chosen plan: the final
 	// estimation runs with every result variable enabled even when the
@@ -92,7 +73,7 @@ type Options struct {
 	// cache as a candidate access path in the blending hierarchy. The
 	// view must be immutable for the duration of one Optimize call (the
 	// mediator passes a frozen resultcache snapshot), or the chosen plan
-	// would depend on worker timing.
+	// would depend on when the cache changed.
 	CacheView CacheView
 }
 
@@ -130,24 +111,16 @@ func (o Objective) metricRoot(rc core.RootCost) float64 {
 	return rc.TotalTime()
 }
 
-// DefaultOptions enables pruning with DP up to 10 relations, searching on
-// every available CPU (Workers = 0).
-func DefaultOptions() Options { return Options{Pruning: true, MaxDPRelations: 10} }
+// DefaultOptions searches left-deep trees by dynamic programming up to 10
+// relations.
+func DefaultOptions() Options { return Options{MaxDPRelations: 10} }
 
 // Result carries the chosen plan and search metrics.
 type Result struct {
 	Plan *algebra.Node
 	Cost *core.PlanCost
-	// PlansCosted counts full or partial candidate estimations.
+	// PlansCosted counts candidate estimations, the final one included.
 	PlansCosted int
-	// PrunedEstimations counts estimations aborted by branch-and-bound.
-	// With several workers the count depends on worker timing (a tighter
-	// or looser bound may be in place when a candidate is priced); the
-	// chosen plan does not.
-	PrunedEstimations int
-	// MemoHits counts candidate estimations answered from the memo table
-	// (always 0 with Options.Memo disabled).
-	MemoHits int
 	// CachePricedPaths counts candidates priced as cache-hit access
 	// paths through Options.CacheView (always 0 without a view).
 	CachePricedPaths int
@@ -166,10 +139,10 @@ func New(cat *catalog.Catalog, est *core.Estimator, opt Options) *Optimizer {
 }
 
 // Optimize picks the cheapest plan for the query block. The returned plan
-// is resolved and ready for execution.
-//
-// The chosen plan and its cost do not depend on Options.Workers (see
-// joinDP for the argument).
+// is resolved and ready for execution. The chosen plan depends only on
+// the query and the cost model (see joinDP for the argument). The search
+// runs on the optimizer's estimator, which records every node it prices
+// until Optimize returns (core.Estimator.BeginSearch).
 func (o *Optimizer) Optimize(qb *QueryBlock) (*Result, error) {
 	if len(qb.Relations) == 0 {
 		return nil, fmt.Errorf("optimizer: query block has no relations")
@@ -177,7 +150,9 @@ func (o *Optimizer) Optimize(qb *QueryBlock) (*Result, error) {
 	if len(qb.Relations) > 63 {
 		return nil, fmt.Errorf("optimizer: too many relations (%d)", len(qb.Relations))
 	}
-	s := newSearch(o)
+	s := &search{o: o}
+	o.Est.BeginSearch()
+	defer o.Est.EndSearch()
 
 	// Access paths: one pushed-down subplan per relation.
 	base := make([]*tagged, len(qb.Relations))
@@ -195,7 +170,7 @@ func (o *Optimizer) Optimize(qb *QueryBlock) (*Result, error) {
 	case len(base) == 1:
 		joined = base[0]
 	case len(qb.Relations) <= o.Opt.MaxDPRelations:
-		joined, err = s.joinDP(base, o.workerCount(), func(best map[uint64]*entry, set uint64, size int) []*tagged {
+		joined, err = s.joinDP(base, func(best map[uint64]*entry, set uint64, size int) []*tagged {
 			return s.subsetCandidates(qb, base, best, set, size)
 		})
 	default:
@@ -221,32 +196,11 @@ func (o *Optimizer) Optimize(qb *QueryBlock) (*Result, error) {
 			o.Est.Options.RootVars = savedRoot
 		}()
 	}
-	cost, err := s.costPlan(o.Est, plan, 0)
+	cost, err := s.costPlan(plan)
 	if err != nil {
 		return nil, err
 	}
-	res := s.result()
-	res.Plan = plan
-	res.Cost = cost
-	return res, nil
-}
-
-// workerCount resolves Options.Workers (0 = GOMAXPROCS).
-func (o *Optimizer) workerCount() int {
-	if o.Opt.Workers > 0 {
-		return o.Opt.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// pruneEnabled reports whether branch-and-bound pruning applies. The
-// estimator's budget aborts estimation when any node's TotalTime exceeds
-// it, so a bound is only sound when the objective itself is TotalTime;
-// pruning a TimeFirst search against a TimeFirst bound could abort the
-// true optimum (its TotalTime may dwarf its TimeFirst) and would also
-// let worker timing change the chosen plan.
-func (o *Optimizer) pruneEnabled() bool {
-	return o.Opt.Pruning && o.Opt.Objective == ObjectiveTotalTime
+	return &Result{Plan: plan, Cost: cost, PlansCosted: s.plansCosted, CachePricedPaths: s.cacheHits}, nil
 }
 
 // tagged is a candidate subplan with its execution site: site != "" means
@@ -255,10 +209,9 @@ type tagged struct {
 	plan *algebra.Node
 	site string
 	// mat caches the materialized form so every candidate built over this
-	// subplan shares one submit node (and its resolved schema and cached
-	// structural hash). Estimation never mutates a node, so sharing is
-	// safe; joinDP materializes on the coordinator before workers touch
-	// the candidate.
+	// subplan shares one submit node (and its resolved schema, cached
+	// structural hash and the search's record of its estimate).
+	// Estimation never mutates a node, so sharing is safe.
 	mat *algebra.Node
 }
 
@@ -314,10 +267,8 @@ type entry struct {
 
 // subsetCandidates enumerates every join candidate of one relation subset
 // in the canonical deterministic order — bushy partitions (both build
-// orders) or left-deep splits, each expanded through joinCandidates. The
-// order is the contract that makes the chosen plan independent of the
-// worker count: ties on cost are always broken towards the earlier
-// candidate.
+// orders) or left-deep splits, each expanded through joinCandidates. Ties
+// on cost are broken towards the earlier candidate.
 func (s *search) subsetCandidates(qb *QueryBlock, base []*tagged, best map[uint64]*entry, set uint64, size int) []*tagged {
 	o, n := s.o, len(base)
 	var out []*tagged
@@ -365,8 +316,9 @@ func (s *search) subsetCandidates(qb *QueryBlock, base []*tagged, best map[uint6
 }
 
 // greedyJoin joins the cheapest pair first, repeatedly — the fallback for
-// very large blocks. It reprices the surviving pairs every round, which
-// is exactly the access pattern the memo table collapses.
+// very large blocks. It reprices the surviving pairs every round; each
+// repriced pair costs only its new join node, because its inputs are
+// already priced in this search.
 func (s *search) greedyJoin(qb *QueryBlock, base []*tagged) (*tagged, error) {
 	type item struct {
 		t    *tagged
@@ -375,7 +327,7 @@ func (s *search) greedyJoin(qb *QueryBlock, base []*tagged) (*tagged, error) {
 	}
 	items := make([]*item, len(base))
 	for i, b := range base {
-		c, err := s.costTagged(s.o.Est, b, 0)
+		c, err := s.costTagged(b)
 		if err != nil {
 			return nil, err
 		}
@@ -395,11 +347,7 @@ func (s *search) greedyJoin(qb *QueryBlock, base []*tagged) (*tagged, error) {
 					continue
 				}
 				for _, cand := range s.o.joinCandidates(items[i].t, items[j].t, pred) {
-					c, err := s.costTagged(s.o.Est, cand, bc)
-					if err == core.ErrOverBudget {
-						s.pruned.Add(1)
-						continue
-					}
+					c, err := s.costTagged(cand)
 					if err != nil {
 						return nil, err
 					}
@@ -534,85 +482,48 @@ func (o *Optimizer) finalize(qb *QueryBlock, t *tagged) (*algebra.Node, error) {
 	return plan, nil
 }
 
-// costTagged estimates a candidate as it would run (submits placed) on
-// the given estimator, consulting the memo table when enabled. Memoized
-// results are final costs — a memo hit never depends on the budget, so
-// hit/miss patterns cannot change which plan wins. Candidates are priced
-// through the estimator's root-only fast path on the shared (uncloned)
-// candidate tree; estimation does not mutate nodes, and re-resolution of
-// already-resolved subtrees is a no-op.
-func (s *search) costTagged(est *core.Estimator, t *tagged, budget float64) (float64, error) {
+// costTagged estimates a candidate as it would run (submits placed),
+// returning its objective. Candidates are priced through the estimator's
+// root-only fast path on the shared (uncloned) candidate tree; estimation
+// does not mutate nodes, and re-resolution of already-resolved subtrees
+// is a no-op.
+func (s *search) costTagged(t *tagged) (float64, error) {
 	plan := t.materialize()
 	if cv := s.o.Opt.CacheView; cv != nil && plan.Kind == algebra.OpSubmit {
 		// ScopeCache access path: the subtree's answer is already
 		// materialized at the mediator, so the candidate costs a cache
 		// lookup at a known cardinality — cheaper than any submit, and
-		// exact. Returned before the memo (and never memoized): the memo
-		// outlives no Optimize call, but keeping cache pricing out of it
-		// means a hash-colliding submit could never inherit a cache cost.
+		// exact.
 		if rows, ok := cv.Lookup(plan.StructuralHash()); ok {
-			s.cacheHits.Add(1)
+			s.cacheHits++
 			return resultcache.HitCostMS(rows), nil
 		}
 	}
-	var key algebra.Hash128
-	if s.memo != nil {
-		key = plan.StructuralHash()
-		if c, ok := s.memo.get(key); ok {
-			s.memoHits.Add(1)
-			return c, nil
-		}
-	}
-	rc, err := s.costRoot(est, plan, budget)
+	rc, err := s.costRoot(plan)
 	if err != nil {
 		return 0, err
 	}
-	c := s.o.Opt.Objective.metricRoot(rc)
-	if s.memo != nil {
-		// Only complete estimations are cached; an ErrOverBudget abort is
-		// budget-relative and must re-estimate under a looser bound.
-		s.memo.put(key, c)
-	}
-	return c, nil
+	return s.o.Opt.Objective.metricRoot(rc), nil
 }
 
-// costRoot resolves and estimates one plan on the given estimator,
-// returning only the root variables — the allocation-free candidate
-// pricing path. The branch-and-bound budget applies when pruning is sound
-// for the objective. The estimator must be private to the calling
-// goroutine; its budget is saved and restored around the call.
-func (s *search) costRoot(est *core.Estimator, plan *algebra.Node, budget float64) (core.RootCost, error) {
+// costRoot resolves and estimates one plan, returning only the root
+// variables — the allocation-free candidate pricing path.
+func (s *search) costRoot(plan *algebra.Node) (core.RootCost, error) {
 	if err := algebra.Resolve(plan, s.o.Cat); err != nil {
 		return core.RootCost{}, err
 	}
-	s.plansCosted.Add(1)
-	saved := est.Options.Budget
-	if s.o.pruneEnabled() && budget > 0 && !math.IsInf(budget, 1) {
-		est.Options.Budget = budget
-	} else {
-		est.Options.Budget = 0
-	}
-	rc, err := est.EstimateRoot(plan)
-	est.Options.Budget = saved
-	return rc, err
+	s.plansCosted++
+	return s.o.Est.EstimateRoot(plan)
 }
 
 // costPlan is costRoot with the full per-node cost breakdown, used once
 // per Optimize call on the chosen plan.
-func (s *search) costPlan(est *core.Estimator, plan *algebra.Node, budget float64) (*core.PlanCost, error) {
+func (s *search) costPlan(plan *algebra.Node) (*core.PlanCost, error) {
 	if err := algebra.Resolve(plan, s.o.Cat); err != nil {
 		return nil, err
 	}
-	s.plansCosted.Add(1)
-	saved := est.Options.Budget
-	if s.o.pruneEnabled() && budget > 0 && !math.IsInf(budget, 1) {
-		est.Options.Budget = budget
-	} else {
-		est.Options.Budget = 0
-	}
-	pc, err := est.Estimate(plan)
-	est.Options.Budget = saved
-	return pc, err
+	s.plansCosted++
+	return s.o.Est.Estimate(plan)
 }
 
 func popcount(x uint64) int {

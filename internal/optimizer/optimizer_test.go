@@ -252,36 +252,6 @@ func TestThreeWayJoinAndAggregation(t *testing.T) {
 	}
 }
 
-func TestPruningReducesWork(t *testing.T) {
-	f := buildFixture(t)
-	qb := &QueryBlock{
-		Relations: []Rel{
-			{Wrapper: "obj1", Collection: "Employee"},
-			{Wrapper: "rel1", Collection: "Dept"},
-			{Wrapper: "obj1", Collection: "Manager"},
-		},
-		JoinPreds: []algebra.Comparison{
-			{Left: algebra.Ref{Collection: "Employee", Attr: "dept"}, Op: stats.CmpEQ,
-				RightAttr: &algebra.Ref{Collection: "Dept", Attr: "dno"}},
-			{Left: algebra.Ref{Collection: "Dept", Attr: "dno"}, Op: stats.CmpEQ,
-				RightAttr: &algebra.Ref{Collection: "Manager", Attr: "mdept"}},
-		},
-	}
-	res, err := f.opt.Optimize(qb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.opt.Opt.Pruning = false
-	res2, err := f.opt.Optimize(qb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same plan either way.
-	if !res.Plan.Equal(res2.Plan) {
-		t.Errorf("pruning changed the chosen plan:\n%s\nvs\n%s", res.Plan, res2.Plan)
-	}
-}
-
 func TestOptimizeErrors(t *testing.T) {
 	f := buildFixture(t)
 	if _, err := f.opt.Optimize(&QueryBlock{}); err == nil {

@@ -46,15 +46,14 @@ type SuffixResult struct {
 // actuals and whose re-read costs nothing. The remaining join tree is
 // decomposed into leaf units — pinned subtrees, submit subtrees, and
 // whatever other non-join subtrees feed the joins — and re-joined by the
-// same dynamic program, candidate pricing, and pruning discipline the
-// initial search uses, now against facts instead of estimates. The
-// post-join shape (aggregate/project/distinct/sort spine) is rebuilt on
-// top of the winning join order.
+// same dynamic program and candidate pricing the initial search uses, now
+// against facts instead of estimates. The post-join shape
+// (aggregate/project/distinct/sort spine) is rebuilt on top of the
+// winning join order.
 //
 // The optimizer's estimator is mutated (pins installed, full-variable
-// capture toggled): callers must pass a private clone, exactly as the
-// parallel search requires per-worker estimators. The result cache view
-// is ignored for the suffix search — a pinned submit is priced by its
+// capture toggled, a search recorded): callers must pass a private clone,
+// as every prepare does. The result cache view is ignored for the suffix search — a pinned submit is priced by its
 // pins, which are at least as exact as any cache entry.
 func (o *Optimizer) ReoptimizeSuffix(plan *algebra.Node, pins map[*algebra.Node]core.PinnedVars) (*SuffixResult, error) {
 	ro := *o
@@ -62,10 +61,12 @@ func (o *Optimizer) ReoptimizeSuffix(plan *algebra.Node, pins map[*algebra.Node]
 	for n, pv := range pins {
 		ro.Est.Pin(n, pv)
 	}
-	s := newSearch(&ro)
+	s := &search{o: &ro}
+	ro.Est.BeginSearch()
+	defer ro.Est.EndSearch()
 
 	unchanged := func() (*SuffixResult, error) {
-		rc, err := s.costRoot(ro.Est, plan, 0)
+		rc, err := s.costRoot(plan)
 		if err != nil {
 			return nil, err
 		}
@@ -179,8 +180,8 @@ peel:
 	}
 
 	// The dynamic program over leaf units instead of base relations, on
-	// this call's one private estimator. Units are mediator-side (site "") — pinned subtrees and
-	// shipped submits alike — so joinCandidates yields mediator joins;
+	// this call's one private estimator. Units are mediator-side (site
+	// "") — pinned subtrees and shipped submits alike — so joinCandidates yields mediator joins;
 	// both build orders are enumerated because pinned inputs make the
 	// sides genuinely asymmetric (a pinned build side costs nothing to
 	// re-read). Candidates share the unit subtrees rather than cloning
@@ -191,7 +192,7 @@ peel:
 	for i, u := range units {
 		tunits[i] = &tagged{plan: u, site: ""}
 	}
-	winner, err := s.joinDP(tunits, 1, func(best map[uint64]*entry, set uint64, size int) []*tagged {
+	winner, err := s.joinDP(tunits, func(best map[uint64]*entry, set uint64, size int) []*tagged {
 		var cands []*tagged
 		for i := 0; i < n; i++ {
 			bit := uint64(1) << uint(i)
@@ -257,7 +258,7 @@ peel:
 
 	// Price both complete remainders — spine included — on the pinned
 	// estimator so the executor's hysteresis compares like with like.
-	oldRC, err := s.costRoot(ro.Est, plan, 0)
+	oldRC, err := s.costRoot(plan)
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +270,7 @@ peel:
 	savedRoot := ro.Est.Options.RootVars
 	ro.Est.Options.RequiredVarsOnly = false
 	ro.Est.Options.RootVars = nil
-	pc, err := s.costPlan(ro.Est, rebuilt, 0)
+	pc, err := s.costPlan(rebuilt)
 	ro.Est.Options.RequiredVarsOnly = savedRequired
 	ro.Est.Options.RootVars = savedRoot
 	if err != nil {

@@ -1,0 +1,269 @@
+package optimizer
+
+import (
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+
+	"disco/internal/algebra"
+	"disco/internal/history"
+	"disco/internal/stats"
+	"disco/internal/types"
+	"disco/internal/wrapper"
+)
+
+var update = flag.Bool("update", false, "rewrite the .golden files under testdata")
+
+// equivalenceBlocks returns the query blocks the search's golden plans are
+// taken over: a selective two-way join, a co-located pair, a three-way
+// join with aggregation shape, and a four-way join spanning all three
+// wrappers.
+func equivalenceBlocks() map[string]*QueryBlock {
+	eqJoin := func(lc, la, rc, ra string) algebra.Comparison {
+		r := algebra.Ref{Collection: rc, Attr: ra}
+		return algebra.Comparison{Left: algebra.Ref{Collection: lc, Attr: la}, Op: stats.CmpEQ, RightAttr: &r}
+	}
+	return map[string]*QueryBlock{
+		"two-way": {
+			Relations: []Rel{
+				{Wrapper: "obj1", Collection: "Employee",
+					Pred: algebra.NewSelPred(algebra.Ref{Collection: "Employee", Attr: "salary"}, stats.CmpLT, types.Int(1200))},
+				{Wrapper: "rel1", Collection: "Dept"},
+			},
+			JoinPreds: []algebra.Comparison{eqJoin("Employee", "dept", "Dept", "dno")},
+		},
+		"colocated": {
+			Relations: []Rel{
+				{Wrapper: "obj1", Collection: "Employee"},
+				{Wrapper: "obj1", Collection: "Manager"},
+			},
+			JoinPreds: []algebra.Comparison{eqJoin("Employee", "dept", "Manager", "mdept")},
+		},
+		"three-way": {
+			Relations: []Rel{
+				{Wrapper: "obj1", Collection: "Employee",
+					Pred: algebra.NewSelPred(algebra.Ref{Collection: "Employee", Attr: "id"}, stats.CmpLT, types.Int(500))},
+				{Wrapper: "rel1", Collection: "Dept"},
+				{Wrapper: "obj1", Collection: "Manager"},
+			},
+			JoinPreds: []algebra.Comparison{
+				eqJoin("Employee", "dept", "Dept", "dno"),
+				eqJoin("Manager", "mdept", "Dept", "dno"),
+			},
+			GroupBy: []algebra.Ref{{Collection: "Dept", Attr: "dname"}},
+			Aggs:    []algebra.AggSpec{{Func: algebra.AggCount, Star: true, As: "n"}},
+		},
+		"four-way": {
+			Relations: []Rel{
+				{Wrapper: "obj1", Collection: "Employee",
+					Pred: algebra.NewSelPred(algebra.Ref{Collection: "Employee", Attr: "id"}, stats.CmpLT, types.Int(200))},
+				{Wrapper: "rel1", Collection: "Dept"},
+				{Wrapper: "obj1", Collection: "Manager"},
+				{Wrapper: "files", Collection: "Docs"},
+			},
+			JoinPreds: []algebra.Comparison{
+				eqJoin("Employee", "dept", "Dept", "dno"),
+				eqJoin("Manager", "mdept", "Dept", "dno"),
+				eqJoin("Docs", "did", "Employee", "id"),
+			},
+		},
+	}
+}
+
+// TestSearchGolden pins the plan and cost the search chooses for every
+// query block, tree shape and objective, and those of the greedy fallback
+// (MaxDPRelations below the relation count) on the blocks it applies to.
+// Run with -update to rewrite testdata/search.golden after a deliberate
+// change to the cost model or the search.
+func TestSearchGolden(t *testing.T) {
+	f := buildFixture(t)
+	blocks := equivalenceBlocks()
+	names := make([]string, 0, len(blocks))
+	for name := range blocks {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var b strings.Builder
+	for _, name := range names {
+		qb := blocks[name]
+		for _, maxDP := range []int{10, 2} {
+			if maxDP == 2 && len(qb.Relations) <= 2 {
+				continue // the dynamic program covers the block
+			}
+			for _, bushy := range []bool{false, true} {
+				for _, objective := range []Objective{ObjectiveTotalTime, ObjectiveTimeFirst} {
+					f.opt.Opt = Options{MaxDPRelations: maxDP, Bushy: bushy, Objective: objective}
+					res, err := f.opt.Optimize(qb)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					fmt.Fprintf(&b, "%s maxdp=%d bushy=%v objective=%d cost=%s plan=%s\n", name, maxDP, bushy, objective,
+						strconv.FormatFloat(res.Cost.TotalTime(), 'g', -1, 64), res.Plan.Signature())
+				}
+			}
+		}
+	}
+	path := filepath.Join("testdata", "search.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("search drifted from %s:\n--- want ---\n%s--- got ---\n%s", path, want, got)
+	}
+}
+
+// scanOnly strips a wrapper's capabilities: selections over it stay at
+// the mediator, above the submit.
+type scanOnly struct{ wrapper.Wrapper }
+
+func (scanOnly) Capabilities() wrapper.Capabilities { return wrapper.Capabilities{} }
+
+// lateRuleView is an empty cache view whose fourth lookup has the history
+// recorder publish a query-scope rule for the scan-only wrapper — what an
+// execution finishing on another goroutine does to a search in flight.
+type lateRuleView struct {
+	lookups int
+	rec     *history.Recorder
+	t       *testing.T
+}
+
+func (v *lateRuleView) Lookup(algebra.Hash128) (int64, bool) {
+	if v.lookups++; v.lookups == 4 {
+		if err := v.rec.Record(algebra.Submit(algebra.Project(algebra.Scan("raw", "Docs"), "did"), "raw"), 5, 7, 70); err != nil {
+			v.t.Error(err)
+		}
+	}
+	return 0, false
+}
+
+// TestRulePublishedMidSearch publishes a history rule while a search is
+// pricing candidates. The scan-only wrapper's base plan is a mediator
+// select over its submit, so the cache view is never asked about it and
+// no exact rule exists when it is priced. The view's first three lookups
+// price the other base relations; the fourth is the co-located
+// Employee-Manager candidate at the head of level 2, and publishes the
+// rule while the level is being priced. The submit was priced before the
+// rule existed, so the search keeps that estimate for it: the rule
+// reaches only nodes priced after it, and every search on a fresh fixture
+// chooses the same plan after the same number of estimations.
+func TestRulePublishedMidSearch(t *testing.T) {
+	eq := func(lc, la, rc, ra string) algebra.Comparison {
+		r := algebra.Ref{Collection: rc, Attr: ra}
+		return algebra.Comparison{Left: algebra.Ref{Collection: lc, Attr: la}, Op: stats.CmpEQ, RightAttr: &r}
+	}
+	qb := &QueryBlock{
+		Relations: []Rel{
+			{Wrapper: "obj1", Collection: "Employee"},
+			{Wrapper: "obj1", Collection: "Manager"},
+			{Wrapper: "rel1", Collection: "Dept"},
+			{Wrapper: "raw", Collection: "Docs",
+				Pred: algebra.NewSelPred(algebra.Ref{Collection: "Docs", Attr: "did"}, stats.CmpLT, types.Int(50))},
+		},
+		JoinPreds: []algebra.Comparison{
+			eq("Employee", "dept", "Manager", "mdept"),
+			eq("Docs", "did", "Employee", "id"),
+			eq("Docs", "did", "Manager", "mid"),
+			eq("Docs", "did", "Dept", "dno"),
+		},
+	}
+	var want *Result
+	for round := 0; round < 3; round++ {
+		f := buildFixture(t)
+		if err := f.cat.Register(scanOnly{wrapper.NewFileWrapper("raw", f.fstore)}); err != nil {
+			t.Fatal(err)
+		}
+		f.opt.Opt = Options{MaxDPRelations: 10, Bushy: true,
+			CacheView: &lateRuleView{rec: history.NewRecorder(f.reg), t: t}}
+		got, err := f.opt.Optimize(qb)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if !got.Plan.Equal(want.Plan) || got.Cost.TotalTime() != want.Cost.TotalTime() || got.PlansCosted != want.PlansCosted {
+			t.Fatalf("round %d: plan %s cost %v costed %d, want %s cost %v costed %d", round,
+				got.Plan.Signature(), got.Cost.TotalTime(), got.PlansCosted,
+				want.Plan.Signature(), want.Cost.TotalTime(), want.PlansCosted)
+		}
+	}
+}
+
+// TestBoundComparesCompleteCosts is the regression for branch-and-bound
+// pruning a candidate cheaper than the bound. Employee and Manager live in
+// one join-capable wrapper, so their subset has four candidates: a
+// mediator join and a source-side join in each build order. History has
+// observed Employee's submit at 100 ms (its scan alone models at 2100 ms)
+// and the source-side Employee-Manager join at 200 ms. The first mediator
+// join then costs about 668 ms, a bound between the two observations and
+// the scan; the last candidate, the observed source-side join, costs 200
+// ms, but the scan under its submit models above the bound. The search
+// must return the cheapest candidate as each prices without a bound.
+func TestBoundComparesCompleteCosts(t *testing.T) {
+	f := buildFixture(t)
+	mdept := algebra.Ref{Collection: "Manager", Attr: "mdept"}
+	qb := &QueryBlock{
+		Relations: []Rel{{Wrapper: "obj1", Collection: "Employee"}, {Wrapper: "obj1", Collection: "Manager"}},
+		JoinPreds: []algebra.Comparison{{Left: algebra.Ref{Collection: "Employee", Attr: "dept"}, Op: stats.CmpEQ, RightAttr: &mdept}},
+	}
+	emp, err := f.opt.accessPath(qb.Relations[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := f.opt.accessPath(qb.Relations[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := connectingPred(qb, 1, 2)
+	// Left-deep enumeration order of the subset {Employee, Manager}.
+	cands := append(f.opt.joinCandidates(mgr, emp, pred), f.opt.joinCandidates(emp, mgr, pred)...)
+	rec := history.NewRecorder(f.reg)
+	if err := rec.Record(emp.materialize(), 100, 5000, 5000*40); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Record(cands[3].materialize(), 200, 5000, 5000*40); err != nil {
+		t.Fatal(err)
+	}
+
+	best, bestCost := (*algebra.Node)(nil), math.Inf(1)
+	for _, c := range cands {
+		plan := c.materialize()
+		if err := algebra.Resolve(plan, f.cat); err != nil {
+			t.Fatal(err)
+		}
+		est := f.est.Clone()
+		est.Reset()
+		rc, err := est.EstimateRoot(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rc.TotalTime() < bestCost {
+			best, bestCost = plan, rc.TotalTime()
+		}
+	}
+	res, err := f.opt.Optimize(qb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Plan.Equal(best) || res.Cost.TotalTime() != bestCost {
+		t.Errorf("chose %s at %v, want the cheapest candidate %s at %v",
+			res.Plan.Signature(), res.Cost.TotalTime(), best.Signature(), bestCost)
+	}
+}

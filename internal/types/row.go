@@ -29,21 +29,13 @@ func (f Field) QualifiedName() string {
 // rather than mutating existing ones.
 type Schema struct {
 	fields []Field
-	index  map[string]int // lower-cased name and qualified name -> position
 }
 
 // NewSchema builds a schema from fields. Later duplicates of the same
 // unqualified name shadow earlier ones in unqualified lookup; qualified
 // lookup stays unambiguous.
 func NewSchema(fields ...Field) *Schema {
-	s := &Schema{fields: append([]Field(nil), fields...), index: make(map[string]int, 2*len(fields))}
-	for i, f := range s.fields {
-		s.index[strings.ToLower(f.Name)] = i
-		if f.Collection != "" {
-			s.index[strings.ToLower(f.QualifiedName())] = i
-		}
-	}
-	return s
+	return &Schema{fields: append([]Field(nil), fields...)}
 }
 
 // Len reports the number of fields.
@@ -56,10 +48,24 @@ func (s *Schema) Field(i int) Field { return s.fields[i] }
 func (s *Schema) Fields() []Field { return append([]Field(nil), s.fields...) }
 
 // Lookup resolves an attribute reference, qualified or not, case-
-// insensitively. It returns the field position and true when found.
+// insensitively. It returns the field position and true when found. A
+// field matches by its name, or as Collection.Name when it has a
+// collection; the last matching field wins. Schemas have at most a few
+// dozen fields, so a scan beats building an index per schema: the
+// optimizer derives a schema for every candidate join and looks up a
+// handful of its columns.
 func (s *Schema) Lookup(name string) (int, bool) {
-	i, ok := s.index[strings.ToLower(name)]
-	return i, ok
+	for i := len(s.fields) - 1; i >= 0; i-- {
+		f := &s.fields[i]
+		if strings.EqualFold(f.Name, name) {
+			return i, true
+		}
+		if c := len(f.Collection); c > 0 && len(name) == c+1+len(f.Name) && name[c] == '.' &&
+			strings.EqualFold(name[:c], f.Collection) && strings.EqualFold(name[c+1:], f.Name) {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // MustLookup is Lookup that panics on a miss; used where the planner has
@@ -75,7 +81,8 @@ func (s *Schema) MustLookup(name string) int {
 // Concat builds the schema of a join: the fields of s followed by those of
 // o.
 func (s *Schema) Concat(o *Schema) *Schema {
-	return NewSchema(append(s.Fields(), o.Fields()...)...)
+	fields := make([]Field, 0, len(s.fields)+len(o.fields))
+	return &Schema{fields: append(append(fields, s.fields...), o.fields...)}
 }
 
 // Project builds a schema containing only the named fields, in order.
@@ -88,7 +95,7 @@ func (s *Schema) Project(names []string) (*Schema, error) {
 		}
 		out = append(out, s.fields[i])
 	}
-	return NewSchema(out...), nil
+	return &Schema{fields: out}, nil
 }
 
 // String renders the schema as (a:int, b:string).

@@ -29,6 +29,30 @@ func TestSchemaLookup(t *testing.T) {
 	if i := s.MustLookup("salary"); i != 2 {
 		t.Errorf("MustLookup(salary) = %d", i)
 	}
+
+	// A bare field named "A.x" and a qualified A.x hold the same key; the
+	// later field wins it, in either order, whatever the case.
+	bareFirst := NewSchema(Field{Name: "A.x", Type: KindInt}, Field{Name: "x", Collection: "A", Type: KindInt})
+	qualFirst := NewSchema(Field{Name: "x", Collection: "A", Type: KindInt}, Field{Name: "A.x", Type: KindInt})
+	for _, c := range []struct {
+		s    *Schema
+		name string
+		want int
+	}{
+		{bareFirst, "A.x", 1}, {bareFirst, "a.X", 1}, {bareFirst, "x", 1},
+		{qualFirst, "A.x", 1}, {qualFirst, "a.X", 1}, {qualFirst, "X", 0},
+		{s, "EMPLOYEE.SALARY", 2}, {s, "Name", 1},
+	} {
+		if i, ok := c.s.Lookup(c.name); !ok || i != c.want {
+			t.Errorf("Lookup(%q) in %s = %d, %v; want %d", c.name, c.s, i, ok, c.want)
+		}
+	}
+	// Qualified misses: another collection, a partial name, a bare dot.
+	for _, name := range []string{"Dept.salary", "Employee.sal", "Employee.", ".salary", "Employee_salary", "x.A"} {
+		if i, ok := s.Lookup(name); ok {
+			t.Errorf("Lookup(%q) = %d, want a miss", name, i)
+		}
+	}
 }
 
 func TestSchemaMustLookupPanics(t *testing.T) {
@@ -59,6 +83,20 @@ func TestSchemaProjectConcat(t *testing.T) {
 	}
 	if i, ok := cat.Lookup("Book.title"); !ok || i != 3 {
 		t.Errorf("Concat lookup title = %d, %v", i, ok)
+	}
+	// A name both sides hold resolves to the right side's field bare and
+	// to each side's field qualified.
+	dup := s.Concat(NewSchema(Field{Name: "ID", Collection: "Book", Type: KindInt}))
+	for name, want := range map[string]int{"id": 3, "employee.id": 0, "BOOK.id": 3, "Employee.ID": 0} {
+		if i, ok := dup.Lookup(name); !ok || i != want {
+			t.Errorf("Concat lookup %q = %d, %v; want %d", name, i, ok, want)
+		}
+	}
+	if _, ok := dup.Lookup("Book.name"); ok {
+		t.Error("Concat lookup Book.name should miss")
+	}
+	if p, err := dup.Project([]string{"book.id", "Employee.id"}); err != nil || p.Field(0).Collection != "Book" || p.Field(1).Collection != "Employee" {
+		t.Errorf("Project of duplicates = %v, %v", p, err)
 	}
 }
 
