@@ -49,15 +49,20 @@ ci-lint:
 	else echo "ci-lint: staticcheck not on PATH and $(STATICCHECK) not installable (offline?) — SKIPPED"; fi
 # Everything that shares state across goroutines: rule registry, history
 # recorder, concurrent prepares, mediator, wrapper server, virtual clock,
-# executor, morsel breakers, per-connection frame readers, the bench smoke run.
+# the stores whose rows answers alias, executor, morsel breakers,
+# per-connection frame readers, the bench smoke run.
 ci-race:
 	$(GO) test -race ./internal/core ./internal/history ./internal/optimizer ./internal/mediator \
-		./internal/wrapper ./internal/netsim ./internal/engine ./internal/vexec ./internal/serving ./bench
+		./internal/wrapper ./internal/netsim ./internal/engine ./internal/vexec ./internal/serving ./bench \
+		./internal/relstore ./internal/filestore ./internal/objstore ./internal/types
 # Allocation gates, skipped under -race: EstimateRoot and its search-table
-# hits allocate nothing, a warm batch ~0, a 70-row answer under 128 KiB, a
-# row frame decodes with one allocation per boxed value and none per row.
+# hits allocate nothing, a warm batch ~0, Drain of a sort or aggregate
+# nothing and of a pipelined root one slice, a 70-row answer under 128 KiB,
+# a row frame decodes with one allocation per boxed value and none per
+# row, and a Constant is 32 bytes.
 ci-alloc:
-	$(GO) test -run 'Alloc' -count=1 ./internal/core ./internal/optimizer ./internal/vexec ./internal/serving ./internal/proto
+	$(GO) test -run 'Alloc|ConstantSize' -count=1 ./internal/core ./internal/optimizer ./internal/vexec \
+		./internal/serving ./internal/proto ./internal/types
 ci-faultmatrix: # every injected fault recovers or degrades to a partial answer
 	$(GO) test -race -run 'Fault|Remote|Injector|Resilience' ./internal/mediator ./internal/wrapper ./internal/netsim ./internal/experiments
 ci-feedback: # extents mis-registered 10x are repaired by the workload (E10)

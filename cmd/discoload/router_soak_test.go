@@ -4,6 +4,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -53,6 +54,27 @@ func startSoakReplica(t *testing.T, addr string) (string, *serving.Server) {
 	return ln.Addr().String(), srv
 }
 
+// progress answers through a router and closes a mark's channel once
+// that many requests have been answered, so the chaos schedule follows the
+// run's progress rather than the wall clock. Holding gate for writing
+// pauses the clients between requests.
+type progress struct {
+	serving.Handler
+	gate     sync.RWMutex
+	answered atomic.Int64
+	marks    map[int64]chan struct{}
+}
+
+func (p *progress) Handle(req *proto.Request) *proto.Response {
+	p.gate.RLock()
+	resp := p.Handler.Handle(req)
+	p.gate.RUnlock()
+	if ch, ok := p.marks[p.answered.Add(1)]; ok {
+		close(ch)
+	}
+	return resp
+}
+
 // TestSoakRouter is the federation chaos gate (`make ci-router`): the
 // fixed-seed chaos workload driven through a discorouter-fronted
 // replica set of three, over real sockets, under the race detector —
@@ -86,13 +108,22 @@ func TestSoakRouter(t *testing.T) {
 		Replicas: []router.ReplicaConfig{
 			{Addr: addrs[0]}, {Addr: addrs[1]}, {Addr: addrs[2]},
 		},
-		Partitions:   router.DemoPartitions(soakParts),
-		PollInterval: 300 * time.Millisecond,
+		Partitions: router.DemoPartitions(soakParts),
+		// No background poll: the router must learn of the outage from a
+		// failed request, and the chaos schedule polls when it revives.
+		PollInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsrv := serving.NewConnServer(rt, time.Minute, rt.Close)
+	rt.PollNow()
+	const clients, perClient = 128, 20
+	killAt, reviveAt := make(chan struct{}), make(chan struct{})
+	h := &progress{Handler: rt, marks: map[int64]chan struct{}{
+		clients * perClient / 4: killAt,
+		clients * perClient / 2: reviveAt,
+	}}
+	rsrv := serving.NewConnServer(h, time.Minute, rt.Close)
 	rln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +131,6 @@ func TestSoakRouter(t *testing.T) {
 	go rsrv.Serve(rln)
 	defer rsrv.Shutdown(10 * time.Second)
 
-	const clients, perClient = 128, 20
 	sched, err := loadgen.Generate(loadgen.Config{
 		Seed:        42,
 		Clients:     clients,
@@ -113,24 +143,46 @@ func TestSoakRouter(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Chaos: kill replica 1 a second into the run, bring a fresh replica
-	// up on the same address two seconds later. The router must mark it
-	// down, reroute its ring share, then revive it via the stats poll
-	// (and re-warm it — the restart resets its catalog epoch history).
+	// Chaos: kill replica 1 a quarter into the run, bring a fresh replica
+	// up on the same address at the halfway mark. The kill pauses the
+	// clients and then scatters one statement itself, so the router
+	// learns of the outage from a failed shard that fails over, never
+	// from a gossip or a poll first. It marks the replica down, reroutes
+	// its ring share, then revives it via the stats poll (and re-warms it
+	// — the restart resets its catalog epoch history).
 	var chaos sync.WaitGroup
+	driven := make(chan struct{})
 	chaos.Add(1)
 	go func() {
 		defer chaos.Done()
-		time.Sleep(1 * time.Second)
-		srvs[1].Shutdown(5 * time.Second)
-		time.Sleep(2 * time.Second)
+		select {
+		case <-killAt:
+		case <-driven:
+			return
+		}
+		h.gate.Lock()
+		// Nothing is in flight while the clients are paused: a zero drain
+		// only closes the router's idle pooled connections.
+		srvs[1].Shutdown(0)
+		resp := rt.Handle(&proto.Request{Op: "query", SQL: "SELECT part, passed FROM Inspections WHERE part < 100"})
+		h.gate.Unlock()
+		if !resp.OK || resp.Partial || resp.Shards != 3 {
+			t.Errorf("scatter across the outage: ok=%v partial=%v shards=%d %s",
+				resp.OK, resp.Partial, resp.Shards, resp.Error)
+		}
+		select {
+		case <-reviveAt:
+		case <-driven:
+		}
 		_, srvs[1] = startSoakReplica(t, addrs[1])
+		rt.PollNow()
 	}()
 
 	rep, err := loadgen.Drive(sched, loadgen.DriveOptions{
 		Addrs:          []string{rln.Addr().String()},
 		RequestTimeout: 60 * time.Second,
 	})
+	close(driven)
 	chaos.Wait()
 	if err != nil {
 		t.Fatal(err)

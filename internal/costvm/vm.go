@@ -135,6 +135,21 @@ func MustCompile(e costlang.Expr) *Program {
 	return p
 }
 
+// Literal returns the program MustCompile(costlang.NumLit(v)) compiles to
+// — one constant push, with the same pools, stack depth and source text —
+// built directly in one allocation, without parsing, folding or emitting.
+// The history recorder publishes six of these per observed submit.
+func Literal(v float64) *Program {
+	lit := &struct {
+		p      Program
+		code   [1]Instr
+		consts [1]types.Constant
+	}{code: [1]Instr{{Op: opConst}}, consts: [1]types.Constant{numConst(v)}}
+	lit.p = Program{Code: lit.code[:], Consts: lit.consts[:], MaxStack: 1,
+		Source: costlang.NumLit(v).String()}
+	return &lit.p
+}
+
 // CompileString parses and compiles an expression in one step.
 func CompileString(src string) (*Program, error) {
 	e, err := costlang.ParseExpr(src)

@@ -2,6 +2,7 @@ package costvm
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -383,5 +384,29 @@ func TestEvalRecoversEnvPanic(t *testing.T) {
 	}
 	if v != types.Null {
 		t.Errorf("value on error = %v, want Null", v)
+	}
+}
+
+// Literal builds, without compiling, exactly the program MustCompile makes
+// of a number literal: code, pools, stack depth, source and disassembly.
+func TestLiteralMatchesCompile(t *testing.T) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 1, 42, -7, 0.5, -2.25, 1.0 / 3, 123456.789,
+		999999999999999, 1e15, -1e15, 1e15 + 1, 3e20, 1e300, math.MaxFloat64, math.SmallestNonzeroFloat64} {
+		want := MustCompile(costlang.NumLit(v))
+		got := Literal(v)
+		if !reflect.DeepEqual(got.Code, want.Code) || got.MaxStack != want.MaxStack ||
+			got.Source != want.Source || len(got.Paths) != 0 || len(got.Names) != 0 {
+			t.Errorf("%v: Literal %+v, MustCompile %+v", v, *got, *want)
+		}
+		if len(got.Consts) != 1 || len(want.Consts) != 1 || got.Consts[0].Kind() != want.Consts[0].Kind() ||
+			got.Consts[0] != want.Consts[0] {
+			t.Errorf("%v: Literal consts %v, MustCompile %v", v, got.Consts, want.Consts)
+		}
+		if got.Disassemble() != want.Disassemble() {
+			t.Errorf("%v: Literal disassembles to\n%s\nMustCompile to\n%s", v, got.Disassemble(), want.Disassemble())
+		}
+		if x, err := got.Eval(newMapEnv(nil)); err != nil || x != want.Consts[0] {
+			t.Errorf("%v: Literal evaluates to %v, %v", v, x, err)
+		}
 	}
 }

@@ -4,6 +4,10 @@
 // — querying it exercises the mediator's pure default-scope path ("in
 // case they are not provided, standard values are given, as usual",
 // paper §6).
+//
+// A full read (File.ReadAll) charges the open and every record's parse
+// time, exactly as the Scan iterator does, and returns the file's own
+// records: records a file returns are read-only to every caller.
 package filestore
 
 import (
@@ -182,6 +186,17 @@ func (it *Iter) Next() (types.Row, bool) {
 	it.i++
 	f.store.clock.Advance(f.store.cfg.ReadRecordMS)
 	return row, true
+}
+
+// ReadAll reads the whole file and charges it exactly as a Scan iterator
+// would: the open, then the parse time of every record. It returns the
+// file's own records with the capacity pinned to the length, so a
+// caller's append copies; the records are read-only.
+func (f *File) ReadAll() []types.Row {
+	rows := f.rows[:len(f.rows):len(f.rows)]
+	f.store.clock.Advance(f.store.cfg.OpenMS)
+	f.store.clock.AdvanceN(f.store.cfg.ReadRecordMS, len(rows))
+	return rows
 }
 
 // DeliverOutput charges per-record delivery for n result records.

@@ -111,3 +111,42 @@ func TestDeliverOutput(t *testing.T) {
 		t.Errorf("output = %v, want 10", clock.Now())
 	}
 }
+
+// ReadAll charges exactly what a Scan iterator charges, bit for bit (the
+// open even on an empty file), and returns the file's own records with
+// the capacity pinned.
+func TestReadAllChargesLikeScan(t *testing.T) {
+	for _, n := range []int{0, 1, 1000} {
+		iterClock, readClock := netsim.NewClock(), netsim.NewClock()
+		files := make([]*File, 2)
+		for i, clock := range []*netsim.Clock{iterClock, readClock} {
+			f, err := Open(DefaultConfig(), clock).CreateFile("Doc", docSchema())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := 0; id < n; id++ {
+				if err := f.Append(types.Row{types.Int(int64(id)), types.Str("t"), types.Float(0.5), types.Bool(true)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			files[i] = f
+		}
+		var want []types.Row
+		it := files[0].Scan()
+		for row, ok := it.Next(); ok; row, ok = it.Next() {
+			want = append(want, row)
+		}
+		got := files[1].ReadAll()
+		if math.Float64bits(readClock.Now()) != math.Float64bits(iterClock.Now()) {
+			t.Errorf("n=%d: ReadAll clock %v, Scan clock %v", n, readClock.Now(), iterClock.Now())
+		}
+		if len(got) != len(want) || cap(got) != len(got) {
+			t.Fatalf("n=%d: ReadAll len %d cap %d, Scan %d records", n, len(got), cap(got), len(want))
+		}
+		for i := range got {
+			if !got[i].Equal(want[i]) || &got[i][0] != &files[1].rows[i][0] {
+				t.Fatalf("n=%d record %d: %v is not the file's record %v", n, i, got[i], want[i])
+			}
+		}
+	}
+}

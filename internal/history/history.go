@@ -18,7 +18,6 @@ import (
 
 	"disco/internal/algebra"
 	"disco/internal/core"
-	"disco/internal/costlang"
 	"disco/internal/costvm"
 	"disco/internal/types"
 )
@@ -187,7 +186,7 @@ func (r *Recorder) Summary() string {
 }
 
 // constFormulas builds the six constant formulas of an observed vector,
-// each compiled straight from its value.
+// each a literal program built straight from its value.
 func constFormulas(v Vector) []core.Formula {
 	timeNext, objectSize := 0.0, 0.0
 	if v.CountObject > 0 {
@@ -195,7 +194,7 @@ func constFormulas(v Vector) []core.Formula {
 		objectSize = v.TotalSize / v.CountObject
 	}
 	mk := func(name string, val float64) core.Formula {
-		return core.Formula{Var: name, Prog: costvm.MustCompile(costlang.NumLit(val))}
+		return core.Formula{Var: name, Prog: costvm.Literal(val)}
 	}
 	return []core.Formula{
 		mk("CountObject", v.CountObject),

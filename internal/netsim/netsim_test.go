@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -112,5 +113,29 @@ func TestNetworkConcurrentReconfigure(t *testing.T) {
 	wg.Wait()
 	if got := n.LatencyMS("w"); got != 499 {
 		t.Errorf("final latency = %v, want 499", got)
+	}
+}
+
+// AdvanceN must be n Advance calls bit for bit: the stores charge a page
+// of rows with one call where they used to make one per row.
+func TestClockAdvanceNMatchesAdvance(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 127, 1000, 12345} {
+		a, b := NewClock(), NewClock()
+		a.Advance(1.0 / 3)
+		b.Advance(1.0 / 3)
+		a.AdvanceN(0.1, n)
+		for range n {
+			b.Advance(0.1)
+		}
+		if math.Float64bits(a.Now()) != math.Float64bits(b.Now()) {
+			t.Errorf("n=%d: AdvanceN reads %v, %d Advance calls %v", n, a.Now(), n, b.Now())
+		}
+	}
+	c := NewClock()
+	c.AdvanceN(-1, 5)
+	c.AdvanceN(0, 5)
+	c.AdvanceN(2, -1)
+	if c.Now() != 0 {
+		t.Errorf("non-positive AdvanceN moved the clock to %v", c.Now())
 	}
 }

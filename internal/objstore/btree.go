@@ -5,6 +5,10 @@
 // pure function of pages fetched and objects processed. With the paper's
 // constants (25 ms/page, 9 ms/object) the measured index-scan curve of
 // Figure 12 emerges from the page/buffer mechanics.
+//
+// A whole-extent read (Collection.ReadAll) charges a page at a time,
+// exactly as SeqScan charges row by row, and hands out the stored rows
+// themselves: rows a store returns are read-only to every caller.
 package objstore
 
 import (

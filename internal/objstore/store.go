@@ -283,6 +283,20 @@ func (s *SeqIter) Next() (types.Row, bool) {
 	return nil, false
 }
 
+// ReadAll reads every page in physical order and charges it exactly as a
+// SeqScan would, a page at a time: the buffer-pool touch, then the
+// per-object CPU time of the objects on it. The rows are gathered into
+// one exact-size slice; they are the store's own and read-only.
+func (c *Collection) ReadAll() []types.Row {
+	out := make([]types.Row, 0, c.count)
+	for pi, p := range c.pages {
+		c.store.buf.touch(c.name, int32(pi))
+		c.store.clock.AdvanceN(c.store.cfg.CPUTimeMS, len(p.rows))
+		out = append(out, p.rows...)
+	}
+	return out
+}
+
 // IndexIter walks an index range, fetching each qualifying object through
 // the buffer pool (the unclustered access pattern of Figure 12).
 type IndexIter struct {

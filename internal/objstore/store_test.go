@@ -334,3 +334,45 @@ func TestBufferLRUKeepsHotPages(t *testing.T) {
 		t.Errorf("page 0 should stay resident under LRU: hits %d -> %d", hits, hits2)
 	}
 }
+
+// ReadAll charges exactly what a SeqScan charges — clock bit for bit and
+// buffer-pool hits and misses — on an empty extent, a partial last page,
+// a cold and a warm pool, and a pool smaller than the extent.
+func TestReadAllChargesLikeSeqScan(t *testing.T) {
+	for _, n := range []int{0, 6999, 7000} {
+		for _, bufPages := range []int{256, 40} {
+			cfg := DefaultConfig()
+			cfg.BufferPages = bufPages
+			iterClock, readClock := netsim.NewClock(), netsim.NewClock()
+			iterStore, readStore := Open(cfg, iterClock), Open(cfg, readClock)
+			iterColl := loadParts(t, iterStore, n, true)
+			readColl := loadParts(t, readStore, n, true)
+			for pass := 0; pass < 2; pass++ { // cold, then warm
+				var want []types.Row
+				it := iterColl.SeqScan()
+				for row, ok := it.Next(); ok; row, ok = it.Next() {
+					want = append(want, row)
+				}
+				got := readColl.ReadAll()
+				if math.Float64bits(readClock.Now()) != math.Float64bits(iterClock.Now()) {
+					t.Errorf("n=%d buffer=%d pass %d: ReadAll clock %v, SeqScan clock %v",
+						n, bufPages, pass, readClock.Now(), iterClock.Now())
+				}
+				ih, im := iterStore.BufferStats()
+				rh, rm := readStore.BufferStats()
+				if ih != rh || im != rm {
+					t.Errorf("n=%d buffer=%d pass %d: ReadAll hits/misses %d/%d, SeqScan %d/%d",
+						n, bufPages, pass, rh, rm, ih, im)
+				}
+				if len(got) != len(want) || cap(got) != len(got) {
+					t.Fatalf("n=%d: ReadAll len %d cap %d, SeqScan %d rows", n, len(got), cap(got), len(want))
+				}
+				for i := range got {
+					if !got[i].Equal(want[i]) {
+						t.Fatalf("n=%d row %d: %v, SeqScan %v", n, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

@@ -4,6 +4,10 @@
 // equality-only (hash) indexes, no range index scans. A mediator relying
 // on one generic cost model mispredicts one of the two source classes;
 // blending per-wrapper rules fixes that (the paper's central claim).
+//
+// A full read (Table.ReadAll) charges a page at a time, exactly as the
+// Scan iterator charges row by row, and returns the heap file's own rows:
+// rows a table returns are read-only to every caller.
 package relstore
 
 import (
@@ -262,6 +266,20 @@ func (it *Iter) Next() (types.Row, bool) {
 	it.i++
 	t.store.clock.Advance(t.store.cfg.CPUTimeMS)
 	return row, true
+}
+
+// ReadAll reads the whole table and charges it exactly as a Scan
+// iterator would, a page at a time: the page fetch, then the per-tuple
+// CPU time of the rows on it. It returns the table's own rows with the
+// capacity pinned to the length, so a caller's append copies instead of
+// writing into the heap file; the rows are read-only.
+func (t *Table) ReadAll() []types.Row {
+	rows := t.rows[:len(t.rows):len(t.rows)]
+	for lo := 0; lo < len(rows); lo += t.perPage {
+		t.touchPage(lo / t.perPage)
+		t.store.clock.AdvanceN(t.store.cfg.CPUTimeMS, min(t.perPage, len(rows)-lo))
+	}
+	return rows
 }
 
 // DeliverOutput charges per-tuple delivery for n result rows.

@@ -207,3 +207,48 @@ func TestDeliverOutput(t *testing.T) {
 		t.Errorf("output = %v, want 15", clock.Now())
 	}
 }
+
+// scanRows drains a sequential iterator.
+func scanRows(tb *Table) []types.Row {
+	var rows []types.Row
+	it := tb.Scan()
+	for {
+		row, ok := it.Next()
+		if !ok {
+			return rows
+		}
+		rows = append(rows, row)
+	}
+}
+
+// ReadAll charges exactly what a Scan iterator charges, bit for bit, on
+// an empty table, a partial last page, a cold and a warm cache, and a
+// cache too small to hold the table; it returns the table's own rows
+// with the capacity pinned.
+func TestReadAllChargesLikeScan(t *testing.T) {
+	for _, n := range []int{0, 1000, 1024} {
+		for _, bufPages := range []int{512, 3} {
+			cfg := DefaultConfig()
+			cfg.BufferPages = bufPages
+			iterClock, readClock := netsim.NewClock(), netsim.NewClock()
+			iterTb := loadBooks(t, Open(cfg, iterClock), n)
+			readTb := loadBooks(t, Open(cfg, readClock), n)
+			for pass := 0; pass < 2; pass++ { // cold, then warm
+				want := scanRows(iterTb)
+				got := readTb.ReadAll()
+				if math.Float64bits(readClock.Now()) != math.Float64bits(iterClock.Now()) {
+					t.Errorf("n=%d buffer=%d pass %d: ReadAll clock %v, Scan clock %v",
+						n, bufPages, pass, readClock.Now(), iterClock.Now())
+				}
+				if len(got) != len(want) || cap(got) != len(got) {
+					t.Fatalf("n=%d: ReadAll len %d cap %d, Scan %d rows", n, len(got), cap(got), len(want))
+				}
+				for i := range got {
+					if !got[i].Equal(want[i]) || &got[i][0] != &readTb.rows[i][0] {
+						t.Fatalf("n=%d row %d: %v is not the table's row %v", n, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}

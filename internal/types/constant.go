@@ -5,9 +5,11 @@
 package types
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // Kind enumerates the dynamic type of a Constant.
@@ -45,28 +47,35 @@ func (k Kind) String() string {
 // Constant is a polymorphic immutable value. The zero value is Null.
 // It plays the role of the paper's "special polymorphic Constant object"
 // used to encode attribute minima and maxima of arbitrary type.
+//
+// The representation is 32 bytes: one 64-bit payload holds an int's
+// two's-complement bits, a float's IEEE 754 bits, or 0/1 for a bool, so
+// every row, arena slab and aggregate state stays small.
 type Constant struct {
 	kind Kind
-	i    int64
-	f    float64
+	n    uint64
 	s    string
-	b    bool
 }
 
 // Null is the absent value.
 var Null = Constant{}
 
 // Int builds an integer constant.
-func Int(v int64) Constant { return Constant{kind: KindInt, i: v} }
+func Int(v int64) Constant { return Constant{kind: KindInt, n: uint64(v)} }
 
 // Float builds a floating-point constant.
-func Float(v float64) Constant { return Constant{kind: KindFloat, f: v} }
+func Float(v float64) Constant { return Constant{kind: KindFloat, n: math.Float64bits(v)} }
 
 // String builds a string constant.
 func Str(v string) Constant { return Constant{kind: KindString, s: v} }
 
 // Bool builds a boolean constant.
-func Bool(v bool) Constant { return Constant{kind: KindBool, b: v} }
+func Bool(v bool) Constant {
+	if v {
+		return Constant{kind: KindBool, n: 1}
+	}
+	return Constant{kind: KindBool}
+}
 
 // Kind reports the dynamic type of c.
 func (c Constant) Kind() Kind { return c.kind }
@@ -77,19 +86,17 @@ func (c Constant) IsNull() bool { return c.kind == KindNull }
 // IsNumeric reports whether c is an int or float.
 func (c Constant) IsNumeric() bool { return c.kind == KindInt || c.kind == KindFloat }
 
+func (c Constant) i64() int64   { return int64(c.n) }
+func (c Constant) f64() float64 { return math.Float64frombits(c.n) }
+
 // AsInt returns the integer value of c. Floats are truncated, booleans map
 // to 0/1, and anything else returns 0.
 func (c Constant) AsInt() int64 {
 	switch c.kind {
-	case KindInt:
-		return c.i
+	case KindInt, KindBool:
+		return c.i64()
 	case KindFloat:
-		return int64(c.f)
-	case KindBool:
-		if c.b {
-			return 1
-		}
-		return 0
+		return int64(c.f64())
 	default:
 		return 0
 	}
@@ -99,15 +106,10 @@ func (c Constant) AsInt() int64 {
 // return 0; booleans map to 0/1.
 func (c Constant) AsFloat() float64 {
 	switch c.kind {
-	case KindInt:
-		return float64(c.i)
+	case KindInt, KindBool:
+		return float64(c.i64())
 	case KindFloat:
-		return c.f
-	case KindBool:
-		if c.b {
-			return 1
-		}
-		return 0
+		return c.f64()
 	default:
 		return 0
 	}
@@ -126,12 +128,10 @@ func (c Constant) AsString() string {
 // strings when non-empty, Null is false.
 func (c Constant) AsBool() bool {
 	switch c.kind {
-	case KindBool:
-		return c.b
-	case KindInt:
-		return c.i != 0
+	case KindBool, KindInt:
+		return c.n != 0
 	case KindFloat:
-		return c.f != 0
+		return c.f64() != 0
 	case KindString:
 		return c.s != ""
 	default:
@@ -145,24 +145,27 @@ func (c Constant) String() string {
 	case KindNull:
 		return "null"
 	case KindInt:
-		return strconv.FormatInt(c.i, 10)
+		return strconv.FormatInt(c.i64(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(c.f, 'g', -1, 64)
+		return strconv.FormatFloat(c.f64(), 'g', -1, 64)
 	case KindString:
 		return strconv.Quote(c.s)
 	case KindBool:
-		return strconv.FormatBool(c.b)
+		return strconv.FormatBool(c.n != 0)
 	default:
 		return "?"
 	}
 }
 
-// Equal reports deep value equality. Int and Float compare numerically, so
-// Int(3).Equal(Float(3)) is true — the rule matcher relies on this when
-// unifying predicate constants.
+// Equal reports deep value equality. Int and Float compare by exact
+// numeric value, so Int(3).Equal(Float(3)) is true — the rule matcher
+// relies on this when unifying predicate constants — while two ints
+// beyond 2^53 that round to the same float stay distinct. NaN equals
+// nothing, as under float comparison.
 func (c Constant) Equal(o Constant) bool {
 	if c.IsNumeric() && o.IsNumeric() {
-		return c.AsFloat() == o.AsFloat()
+		order, ordered := numCompare(c, o)
+		return ordered && order == 0
 	}
 	if c.kind != o.kind {
 		return false
@@ -173,51 +176,70 @@ func (c Constant) Equal(o Constant) bool {
 	case KindString:
 		return c.s == o.s
 	case KindBool:
-		return c.b == o.b
+		return c.n == o.n
 	default:
 		return false
 	}
 }
 
 // Compare orders two constants: -1 when c < o, 0 when equal, +1 when
-// greater. Numeric kinds compare numerically; strings lexically; booleans
-// false < true. Null sorts before everything. Mixed incomparable kinds
-// order by kind tag so sorting is total and deterministic.
+// greater. Numeric kinds compare by exact value (a NaN ties with every
+// number); strings lexically; booleans false < true. Null sorts before
+// everything. Mixed incomparable kinds order by kind tag so sorting is
+// total and deterministic.
 func (c Constant) Compare(o Constant) int {
 	if c.IsNumeric() && o.IsNumeric() {
-		a, b := c.AsFloat(), o.AsFloat()
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		default:
-			return 0
-		}
+		order, _ := numCompare(c, o)
+		return order
 	}
 	if c.kind != o.kind {
-		if c.kind < o.kind {
-			return -1
-		}
-		return 1
+		return cmp.Compare(c.kind, o.kind)
 	}
 	switch c.kind {
 	case KindString:
-		switch {
-		case c.s < o.s:
-			return -1
-		case c.s > o.s:
-			return 1
-		}
+		return strings.Compare(c.s, o.s)
 	case KindBool:
-		switch {
-		case !c.b && o.b:
-			return -1
-		case c.b && !o.b:
-			return 1
-		}
+		return cmp.Compare(c.n, o.n)
 	}
 	return 0
+}
+
+// numCompare orders two numeric constants by exact value: ints as int64,
+// floats as float64, an int against a float without rounding the int.
+// ordered is false when a NaN is involved; the order then reports 0.
+func numCompare(a, b Constant) (order int, ordered bool) {
+	switch {
+	case a.kind == KindInt && b.kind == KindInt:
+		return cmp.Compare(a.i64(), b.i64()), true
+	case a.kind == KindFloat && b.kind == KindFloat:
+		x, y := a.f64(), b.f64()
+		if x != x || y != y {
+			return 0, false
+		}
+		return cmp.Compare(x, y), true
+	case a.kind == KindInt:
+		return cmpIntFloat(a.i64(), b.f64())
+	default:
+		order, ordered = cmpIntFloat(b.i64(), a.f64())
+		return -order, ordered
+	}
+}
+
+// cmpIntFloat orders an int64 against a float64 exactly. Rounding i to a
+// float is monotone, so a strict order between float64(i) and f is the
+// order of the exact values; only on a tie is f an integer close enough
+// to i that the two must be compared as integers.
+func cmpIntFloat(i int64, f float64) (int, bool) {
+	if f != f {
+		return 0, false
+	}
+	if order := cmp.Compare(float64(i), f); order != 0 {
+		return order, true
+	}
+	if f >= 1<<63 { // float64(i) rounded up to 2^63, past every int64
+		return -1, true
+	}
+	return cmp.Compare(i, int64(f)), true
 }
 
 // Less reports c < o under Compare.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestConstantKinds(t *testing.T) {
@@ -158,5 +159,84 @@ func TestFractionEdge(t *testing.T) {
 func TestFractionNaNSafe(t *testing.T) {
 	if got := Fraction(Float(math.NaN()), Int(0), Int(1)); got != 0 {
 		t.Errorf("NaN fraction = %v, want clamped 0", got)
+	}
+}
+
+// Ints compare as int64 and an int against a float by exact value, so
+// distinct integers past 2^53 (where float64 stops being exact) never
+// compare equal. Each case lists Compare(a, b); Equal is Compare == 0.
+func TestConstantCompareExactPast2p53(t *testing.T) {
+	const p53, p63 = 1 << 53, 1 << 63
+	cases := []struct {
+		a, b Constant
+		want int
+	}{
+		{Int(p53 + 1), Int(p53), 1},
+		{Int(p53), Int(p53 + 1), -1},
+		{Int(-p53 - 1), Int(-p53), -1},
+		{Int(p53 + 1), Float(p53), 1},
+		{Float(p53), Int(p53 + 1), -1},
+		{Int(p53), Float(p53), 0},
+		{Int(-p53 - 1), Float(-p53), -1},
+		{Int(p53 + 1), Float(p53 + 2), -1},
+		{Int(math.MaxInt64), Float(p63), -1},
+		{Float(p63), Int(math.MaxInt64), 1},
+		{Int(math.MinInt64), Float(-p63), 0},
+		{Int(math.MinInt64 + 1), Float(-p63), 1},
+		{Int(math.MaxInt64), Int(math.MaxInt64 - 1), 1},
+		{Int(math.MinInt64), Int(math.MaxInt64), -1},
+		{Int(3), Float(3), 0},
+		{Int(3), Float(3.5), -1},
+		{Int(-3), Float(-3.5), 1},
+		{Int(0), Float(math.Inf(1)), -1},
+		{Int(math.MinInt64), Float(math.Inf(-1)), 1},
+	}
+	for _, c := range cases {
+		if got := c.a.Compare(c.b); got != c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+		if got := c.b.Compare(c.a); got != -c.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.b, c.a, got, -c.want)
+		}
+		if got := c.a.Equal(c.b); got != (c.want == 0) {
+			t.Errorf("Equal(%v, %v) = %v, want %v", c.a, c.b, got, c.want == 0)
+		}
+	}
+}
+
+// The payload holds float bits, so -0 and +0 (and NaNs) differ in their
+// struct bits; Equal and Compare still follow float comparison, as they
+// always have: -0 == 0, and NaN equals nothing yet ties under Compare.
+func TestConstantSignedZeroAndNaN(t *testing.T) {
+	nan := Float(math.NaN())
+	cases := []struct {
+		a, b  Constant
+		equal bool
+		cmp   int
+	}{
+		{Float(math.Copysign(0, -1)), Float(0), true, 0},
+		{Float(math.Copysign(0, -1)), Int(0), true, 0},
+		{nan, nan, false, 0},
+		{nan, Float(1), false, 0},
+		{nan, Int(1), false, 0},
+		{Int(1), nan, false, 0},
+	}
+	for _, c := range cases {
+		if got := c.a.Equal(c.b); got != c.equal {
+			t.Errorf("Equal(%v, %v) = %v, want %v", c.a, c.b, got, c.equal)
+		}
+		if got := c.a.Compare(c.b); got != c.cmp {
+			t.Errorf("Compare(%v, %v) = %d, want %d", c.a, c.b, got, c.cmp)
+		}
+	}
+	if got := Float(math.Copysign(0, -1)).String(); got != "-0" {
+		t.Errorf("-0 renders as %q", got)
+	}
+}
+
+// A Constant is 32 bytes: the kind, one 64-bit payload and a string.
+func TestConstantSize(t *testing.T) {
+	if got := unsafe.Sizeof(Constant{}); got != 32 {
+		t.Errorf("sizeof(Constant) = %d, want 32", got)
 	}
 }

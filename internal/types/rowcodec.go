@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // The value codec: the one place a Constant becomes bytes. Spill files
@@ -24,13 +23,13 @@ var errBadValue = errors.New("types: truncated or overlong value")
 func AppendValue(buf []byte, c Constant) []byte {
 	switch c.kind {
 	case KindInt:
-		return binary.AppendVarint(append(buf, 'i'), c.i)
+		return binary.AppendVarint(append(buf, 'i'), c.i64())
 	case KindFloat:
-		return binary.LittleEndian.AppendUint64(append(buf, 'd'), math.Float64bits(c.f))
+		return binary.LittleEndian.AppendUint64(append(buf, 'd'), c.n)
 	case KindString:
 		return append(binary.AppendUvarint(append(buf, 's'), uint64(len(c.s))), c.s...)
 	case KindBool:
-		if c.b {
+		if c.n != 0 {
 			return append(buf, 't')
 		}
 		return append(buf, 'f')
@@ -56,7 +55,7 @@ func DecodeValue(b []byte) (Constant, int, error) {
 		}
 	case 'd':
 		if len(b) >= 9 {
-			return Float(math.Float64frombits(binary.LittleEndian.Uint64(b[1:]))), 9, nil
+			return Constant{kind: KindFloat, n: binary.LittleEndian.Uint64(b[1:])}, 9, nil
 		}
 	case 's':
 		if l, n := binary.Uvarint(b[1:]); n > 0 && l <= uint64(len(b)-1-n) {

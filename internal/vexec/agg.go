@@ -45,13 +45,26 @@ type aggOp struct {
 func (o *aggOp) Open() error { return o.child.Open() }
 
 func (o *aggOp) Next(b *Batch) (bool, error) {
-	if !o.started {
-		if err := o.build(); err != nil {
-			return false, err
-		}
-		o.started = true
+	if err := o.start(); err != nil {
+		return false, err
 	}
 	return emitSlice(o.out, &o.pos, o.size, b), nil
+}
+
+func (o *aggOp) rest() ([]types.Row, bool, error) {
+	if err := o.start(); err != nil {
+		return nil, false, err
+	}
+	return restOf(o.out, &o.pos), true, nil
+}
+
+// start runs the build phase once.
+func (o *aggOp) start() error {
+	if o.started {
+		return nil
+	}
+	o.started = true
+	return o.build()
 }
 
 func (o *aggOp) Close() error {

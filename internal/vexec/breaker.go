@@ -31,13 +31,26 @@ type sortOp struct {
 func (s *sortOp) Open() error { return s.child.Open() }
 
 func (s *sortOp) Next(b *Batch) (bool, error) {
-	if !s.started {
-		if err := s.build(); err != nil {
-			return false, err
-		}
-		s.started = true
+	if err := s.start(); err != nil {
+		return false, err
 	}
 	return emitSlice(s.rows, &s.pos, s.size, b), nil
+}
+
+func (s *sortOp) rest() ([]types.Row, bool, error) {
+	if err := s.start(); err != nil {
+		return nil, false, err
+	}
+	return restOf(s.rows, &s.pos), true, nil
+}
+
+// start runs the build phase once.
+func (s *sortOp) start() error {
+	if s.started {
+		return nil
+	}
+	s.started = true
+	return s.build()
 }
 
 // emitSlice streams a materialized result in aliasing batches; it is the
@@ -159,11 +172,8 @@ func (d *dupElimOp) Open() error {
 
 func (d *dupElimOp) Next(b *Batch) (bool, error) {
 	if d.opts.workers() > 1 {
-		if !d.started {
-			if err := d.buildParallel(); err != nil {
-				return false, err
-			}
-			d.started = true
+		if err := d.start(); err != nil {
+			return false, err
 		}
 		return emitSlice(d.out, &d.pos, d.size, b), nil
 	}
@@ -193,6 +203,27 @@ func (d *dupElimOp) Next(b *Batch) (bool, error) {
 	}
 	b.emit(out)
 	return len(out) > 0, nil
+}
+
+// rest hands over the materialized (parallel) output; the sequential
+// mode streams.
+func (d *dupElimOp) rest() ([]types.Row, bool, error) {
+	if d.opts.workers() <= 1 {
+		return nil, false, nil
+	}
+	if err := d.start(); err != nil {
+		return nil, false, err
+	}
+	return restOf(d.out, &d.pos), true, nil
+}
+
+// start runs the parallel build phase once.
+func (d *dupElimOp) start() error {
+	if d.started {
+		return nil
+	}
+	d.started = true
+	return d.buildParallel()
 }
 
 func (d *dupElimOp) buildParallel() error {

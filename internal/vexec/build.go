@@ -54,7 +54,10 @@ type Env struct {
 	// Leaf, when non-nil, is consulted for every node before generic
 	// operator construction: handled=true short-circuits the node (and
 	// its whole subtree) into a materialized source of the given rows.
-	// An error aborts the build.
+	// An error aborts the build. The rows are not copied — they may be a
+	// store's own, and a bare source root's answer is that very slice —
+	// so the pipeline and whoever receives its answer treat them as
+	// read-only.
 	Leaf func(n *algebra.Node) (rows []types.Row, handled bool, err error)
 }
 
@@ -244,6 +247,16 @@ func (c *countOp) Next(b *Batch) (bool, error) {
 		c.stat.Out += int64(len(b.Rows))
 	}
 	return ok, err
+}
+
+func (c *countOp) rest() ([]types.Row, bool, error) {
+	m, ok := c.Op.(materialized)
+	if !ok {
+		return nil, false, nil
+	}
+	rows, ok, err := m.rest()
+	c.stat.Out += int64(len(rows))
+	return rows, ok, err
 }
 
 // projectIndex resolves projection columns to row positions via colIndex.

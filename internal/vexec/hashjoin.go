@@ -61,16 +61,31 @@ func (o *hashJoinOp) Open() error {
 }
 
 func (o *hashJoinOp) Next(b *Batch) (bool, error) {
-	if !o.started {
-		if err := o.build(); err != nil {
-			return false, err
-		}
-		o.started = true
+	if err := o.start(); err != nil {
+		return false, err
 	}
 	if o.streaming {
 		return o.probeStream(b)
 	}
 	return emitSlice(o.out, &o.pos, o.size, b), nil
+}
+
+// rest hands over the materialized (parallel or spill) output; the
+// sequential in-memory mode streams its probe side.
+func (o *hashJoinOp) rest() ([]types.Row, bool, error) {
+	if err := o.start(); err != nil || o.streaming {
+		return nil, false, err
+	}
+	return restOf(o.out, &o.pos), true, nil
+}
+
+// start runs the build phase once.
+func (o *hashJoinOp) start() error {
+	if o.started {
+		return nil
+	}
+	o.started = true
+	return o.build()
 }
 
 func (o *hashJoinOp) Close() error {

@@ -45,7 +45,9 @@ func fnvBytes(b []byte) uint64 {
 
 // joinKeyHash hashes one join attribute value to its hash-table bucket.
 // Numerics are canonicalized through their float64 value so Int(3) and
-// Float(3) land in the same bucket (they must join). Bucket collisions are
+// Float(3) land in the same bucket (they must join), and so do -0 and 0.
+// Values Equal calls equal always share a bucket: rounding an int to a
+// float maps equal values to one float. Bucket collisions are
 // harmless: the hash join re-verifies every candidate pair with the full
 // predicate before emitting it. In-memory tables, partition-owner builds
 // and Grace spill partitioning all bucket through this one function.
@@ -55,7 +57,11 @@ func joinKeyHash(c types.Constant) uint64 {
 	case c.IsNull():
 		return fnvByte(h, 'z')
 	case c.IsNumeric():
-		return fnvU64(fnvByte(h, 'n'), math.Float64bits(c.AsFloat()))
+		f := c.AsFloat()
+		if f == 0 {
+			f = 0 // -0 joins 0
+		}
+		return fnvU64(fnvByte(h, 'n'), math.Float64bits(f))
 	case c.Kind() == types.KindString:
 		return fnvStr(fnvByte(h, 's'), c.AsString())
 	default:

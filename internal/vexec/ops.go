@@ -1,6 +1,8 @@
 package vexec
 
 import (
+	"slices"
+
 	"disco/internal/types"
 )
 
@@ -32,6 +34,8 @@ func (s *sourceOp) Next(b *Batch) (bool, error) {
 	s.pos += n
 	return true, nil
 }
+
+func (s *sourceOp) rest() ([]types.Row, bool, error) { return restOf(s.rows, &s.pos), true, nil }
 
 func (s *sourceOp) Close() error { return nil }
 
@@ -246,21 +250,17 @@ func (o *nljOp) Close() error {
 	return err
 }
 
-// drainChild materializes a child pipeline (the breakers' build phase).
-// Unlike Drain it does not Open or Close the child — the parent operator
-// owns that lifecycle.
+// drainChild materializes a child pipeline (the breakers' build phase)
+// into one exact-size slice the caller owns and may reorder: a
+// materialized child's slice is cloned once, anything else is collected
+// like Drain's batches. Unlike Drain it does not Open or Close the child
+// — the parent operator owns that lifecycle.
 func drainChild(child Op, batchSize int) ([]types.Row, error) {
-	b := getBatch(batchSize)
-	defer putBatch(b)
-	var out []types.Row
-	for {
-		ok, err := child.Next(b)
-		if err != nil {
-			return nil, err
+	if m, ok := child.(materialized); ok {
+		rows, ok, err := m.rest()
+		if err != nil || ok {
+			return slices.Clone(rows), err
 		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, b.Rows...)
 	}
+	return collect(child, batchSize)
 }

@@ -68,11 +68,13 @@ func (o Options) batchSize() int {
 // Batch is one vector of rows flowing through the pipeline. The slice
 // header is reused across Next calls; the row backing arrays are not, so
 // retaining row values across pulls is safe (breakers depend on this),
-// retaining the Rows slice itself is not.
+// retaining the Rows slice itself is not. Rows may be the data source's
+// own storage — a store's rows reach the pipeline uncopied — so no
+// operator writes into a row it did not build.
 type Batch struct {
 	// Rows is the batch contents. It may alias upstream storage (a
-	// source's row set, a breaker's materialized output) — read-only for
-	// the consumer.
+	// store's rows, a source's row set, a breaker's materialized output)
+	// — read-only for the consumer.
 	Rows []types.Row
 	// buf is the batch's owned backing array. Operators that build output
 	// into the caller's batch MUST append into own() and publish with
@@ -128,30 +130,126 @@ func putBatch(b *Batch) {
 
 // Drain opens the pipeline, pulls it to exhaustion and returns every row
 // in emission order. It is the materialization boundary the engine and
-// wrapper use at the plan root.
+// wrapper use at the plan root, and it copies an answer at most once:
+// when the root's whole remaining output already is one slice (a source,
+// or a sort, aggregate, materialized hash join or dup-elim after its
+// build) Drain takes that slice, counted into the root's NodeStat.Out as
+// the batches would have been; otherwise it collects the batches' row
+// headers in pooled chunks and allocates the result once, at its exact
+// size. The answer may alias store or operator storage: it is read-only.
 func Drain(root Op, batchSize int) ([]types.Row, error) {
 	if err := root.Open(); err != nil {
 		root.Close()
 		return nil, err
 	}
-	b := getBatch(batchSize)
-	defer putBatch(b)
-	var out []types.Row
-	for {
-		ok, err := root.Next(b)
-		if err != nil {
-			root.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, b.Rows...)
+	out, err := drainAll(root, batchSize)
+	if err != nil {
+		root.Close()
+		return nil, err
 	}
 	if err := root.Close(); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// materialized is implemented by operators whose remaining output is, or
+// after their build phase becomes, one slice.
+type materialized interface {
+	// rest builds the operator if it has not run yet and returns all of
+	// its remaining output, consuming it. ok is false when the output
+	// streams instead; then nothing is consumed and Next carries on.
+	rest() (rows []types.Row, ok bool, err error)
+}
+
+// restOf returns rows[*pos:] with its capacity pinned, so an append by the
+// taker copies, and marks the slice consumed.
+func restOf(rows []types.Row, pos *int) []types.Row {
+	out := rows[*pos:len(rows):len(rows)]
+	*pos = len(rows)
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// drainAll pulls an opened operator to exhaustion: the operator's own
+// slice when it has one, else one exact-size copy of its batches.
+func drainAll(op Op, batchSize int) ([]types.Row, error) {
+	if m, ok := op.(materialized); ok {
+		rows, ok, err := m.rest()
+		if err != nil || ok {
+			return rows, err
+		}
+	}
+	return collect(op, batchSize)
+}
+
+// collect pulls op's batches to exhaustion into one exact-size slice.
+func collect(op Op, batchSize int) ([]types.Row, error) {
+	c := collectorPool.Get().(*collector)
+	defer collectorPool.Put(c)
+	b := getBatch(batchSize)
+	defer putBatch(b)
+	for {
+		ok, err := op.Next(b)
+		if err != nil {
+			c.reset()
+			return nil, err
+		}
+		if !ok {
+			return c.result(), nil
+		}
+		c.add(b.Rows)
+	}
+}
+
+// chunkRows is the row-header capacity of one collector chunk.
+const chunkRows = 4096
+
+// collector gathers row headers in fixed-size chunks that survive in
+// collectorPool, so collecting an answer of unknown length allocates
+// nothing until result() makes the one exact-size copy.
+type collector struct {
+	chunks [][]types.Row
+	n      int
+}
+
+var collectorPool = sync.Pool{New: func() any { return new(collector) }}
+
+func (c *collector) add(rows []types.Row) {
+	for len(rows) > 0 {
+		ci, off := c.n/chunkRows, c.n%chunkRows
+		if ci == len(c.chunks) {
+			c.chunks = append(c.chunks, make([]types.Row, chunkRows))
+		}
+		k := copy(c.chunks[ci][off:], rows)
+		rows = rows[k:]
+		c.n += k
+	}
+}
+
+// result returns the collected rows in one new slice (nil when empty) and
+// resets the collector.
+func (c *collector) result() []types.Row {
+	if c.n == 0 {
+		return nil
+	}
+	out := make([]types.Row, c.n)
+	for i := 0; i*chunkRows < c.n; i++ {
+		copy(out[i*chunkRows:], c.chunks[i][:min(chunkRows, c.n-i*chunkRows)])
+	}
+	c.reset()
+	return out
+}
+
+// reset drops the collected row references, so a pooled chunk keeps no
+// answer alive.
+func (c *collector) reset() {
+	for i := 0; i*chunkRows < c.n; i++ {
+		clear(c.chunks[i][:min(chunkRows, c.n-i*chunkRows)])
+	}
+	c.n = 0
 }
 
 // Discard opens the pipeline and pulls it to exhaustion without

@@ -72,15 +72,7 @@ func (s fileSource) scanAll(collection string) ([]types.Row, error) {
 	if !ok {
 		return nil, fmt.Errorf("wrapper: no file %q", collection)
 	}
-	rows := make([]types.Row, 0, f.Count())
-	it := f.Scan()
-	for {
-		row, ok := it.Next()
-		if !ok {
-			return rows, nil
-		}
-		rows = append(rows, row)
-	}
+	return f.ReadAll(), nil
 }
 
 func (s fileSource) indexSelect(string, algebra.Comparison) ([]types.Row, bool, error) {

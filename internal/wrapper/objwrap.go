@@ -210,15 +210,7 @@ func (s objSource) scanAll(collection string) ([]types.Row, error) {
 	if !ok {
 		return nil, fmt.Errorf("wrapper: no collection %q", collection)
 	}
-	rows := make([]types.Row, 0, c.Count())
-	it := c.SeqScan()
-	for {
-		row, ok := it.Next()
-		if !ok {
-			return rows, nil
-		}
-		rows = append(rows, row)
-	}
+	return c.ReadAll(), nil
 }
 
 func (s objSource) indexSelect(collection string, cmp algebra.Comparison) ([]types.Row, bool, error) {

@@ -149,15 +149,7 @@ func (s relSource) scanAll(collection string) ([]types.Row, error) {
 	if !ok {
 		return nil, fmt.Errorf("wrapper: no table %q", collection)
 	}
-	rows := make([]types.Row, 0, t.Count())
-	it := t.Scan()
-	for {
-		row, ok := it.Next()
-		if !ok {
-			return rows, nil
-		}
-		rows = append(rows, row)
-	}
+	return t.ReadAll(), nil
 }
 
 func (s relSource) indexSelect(collection string, cmp algebra.Comparison) ([]types.Row, bool, error) {
