@@ -56,12 +56,13 @@ ci-race:
 		./internal/wrapper ./internal/netsim ./internal/engine ./internal/vexec ./internal/serving ./bench \
 		./internal/relstore ./internal/filestore ./internal/objstore ./internal/types
 # Allocation gates, skipped under -race: EstimateRoot and its search-table
-# hits allocate nothing, a warm batch ~0, Drain of a sort or aggregate
-# nothing and of a pipelined root one slice, a 70-row answer under 128 KiB,
-# a row frame decodes with one allocation per boxed value and none per
-# row, and a Constant is 32 bytes.
+# hits allocate nothing, a search on a fresh clone only its candidates, a
+# warm batch ~0, Drain of a sort or aggregate nothing and of a pipelined
+# root one slice, a projection's first slab its batch, a 70-row answer
+# under 128 KiB, a row frame decodes with one allocation per boxed value
+# and none per row, and a Constant is 32 bytes.
 ci-alloc:
-	$(GO) test -run 'Alloc|ConstantSize' -count=1 ./internal/core ./internal/optimizer ./internal/vexec \
+	$(GO) test -run 'Alloc|ConstantSize|Slab|ArenaReserve' -count=1 ./internal/core ./internal/optimizer ./internal/vexec \
 		./internal/serving ./internal/proto ./internal/types
 ci-faultmatrix: # every injected fault recovers or degrades to a partial answer
 	$(GO) test -race -run 'Fault|Remote|Injector|Resilience' ./internal/mediator ./internal/wrapper ./internal/netsim ./internal/experiments

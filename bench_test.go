@@ -326,13 +326,24 @@ func benchOptimizeFixture(tb testing.TB, nrel int) (*optimizer.Optimizer, *optim
 
 // benchmarkOptimize times full plan searches over an nrel-relation
 // chain under the given search options, reporting the candidate count of
-// the last run.
-func benchmarkOptimize(b *testing.B, nrel int, opts optimizer.Options) {
+// the last run. Each search runs on a fresh clone of the estimator, as
+// every prepare does, so what a search costs its clone is counted. With
+// freshLiteral, each search also filters the first relation on a literal
+// no earlier search used, as a stream of never-repeated statements does.
+func benchmarkOptimize(b *testing.B, nrel int, opts optimizer.Options, freshLiteral bool) {
 	opt, qb := benchOptimizeFixture(b, nrel)
-	opt.Opt = opts
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := opt.Optimize(qb)
+		q := qb
+		if freshLiteral {
+			cp := *qb
+			cp.Relations = append([]optimizer.Rel(nil), qb.Relations...)
+			cp.Relations[0].Pred = algebra.NewSelPred(algebra.Ref{Collection: "C0", Attr: "id"}, stats.CmpLT, types.Int(int64(400+i)))
+			q = &cp
+		}
+		est := opt.Est.Clone()
+		est.Reset()
+		res, err := optimizer.New(opt.Cat, est, opts).Optimize(q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -344,20 +355,27 @@ func benchmarkOptimize(b *testing.B, nrel int, opts optimizer.Options) {
 
 // BenchmarkOptimize is the left-deep dynamic program over 7 relations.
 func BenchmarkOptimize(b *testing.B) {
-	benchmarkOptimize(b, 7, optimizer.DefaultOptions())
+	benchmarkOptimize(b, 7, optimizer.DefaultOptions(), false)
+}
+
+// BenchmarkOptimizeWide is the left-deep dynamic program over the
+// 8-relation chord graph, each search on a fresh literal: the shape of
+// the bench's adhoc-widejoin statements, whose plan cache always misses.
+func BenchmarkOptimizeWide(b *testing.B) {
+	benchmarkOptimize(b, 8, optimizer.DefaultOptions(), true)
 }
 
 // BenchmarkOptimizeBushy widens the search to bushy trees —
 // the heaviest workload.
 func BenchmarkOptimizeBushy(b *testing.B) {
-	benchmarkOptimize(b, 7, optimizer.Options{MaxDPRelations: 10, Bushy: true})
+	benchmarkOptimize(b, 7, optimizer.Options{MaxDPRelations: 10, Bushy: true}, false)
 }
 
 // BenchmarkOptimizeGreedy crosses MaxDPRelations: 12 relations force
 // the greedy join heuristic, which re-prices surviving pairs every
 // round.
 func BenchmarkOptimizeGreedy(b *testing.B) {
-	benchmarkOptimize(b, 12, optimizer.DefaultOptions())
+	benchmarkOptimize(b, 12, optimizer.DefaultOptions(), false)
 }
 
 // benchServingMediator builds the federation the concurrent serving

@@ -9,9 +9,9 @@ import (
 )
 
 // Steady-state allocation regressions for the estimation hot path. The
-// optimizer prices tens of thousands of candidates per search through
-// EstimateRoot; after the estimator's scratch arena warms up, pricing a
-// plan must not allocate at all. The budgets are hard ceilings enforced
+// optimizer prices every candidate of every search through EstimateRoot;
+// after the estimator's scratch arena warms up, pricing a plan must not
+// allocate at all. The budgets are hard ceilings enforced
 // in CI (make ci) — raising them is a deliberate decision, not noise.
 
 // allocPlan builds a moderately deep plan exercising selects, a join and

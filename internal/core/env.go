@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"disco/internal/algebra"
+	"disco/internal/costvm"
 	"disco/internal/stats"
 	"disco/internal/types"
 )
@@ -20,63 +21,178 @@ import (
 //	Arity, C.Arity       schema widths (extension)
 type evalEnv struct {
 	est   *Estimator
+	sc    *scratch
 	ctx   *nodeCtx
 	rule  *Rule
 	match *matchResult
-	// locals are the owning rule's evaluated lets (exact-name lookup, the
-	// same rule the map they replace used for its keys).
+	// locals are the owning rule's evaluated lets, in declaration order:
+	// a prefix of rule.Lets while the lets themselves are evaluated.
 	locals []letVal
+	// refs classifies the running program's paths (Formula.refs).
+	refs []pathRef
 }
 
-// Lookup resolves a dotted path. Resolution order for the first segment:
-// rule lets, self result variables, head bindings, wrapper globals,
-// mediator globals, collection names of the executing wrapper, Net.
-func (e *evalEnv) Lookup(path []string) (types.Constant, bool) {
-	head := path[0]
+// pathRef is one parameter path of a rule body, classified once against
+// its rule (Rule.Finalize) so that evaluation compares no names. Each
+// field answers whether one step of the resolution order applies to the
+// path; resolve tries the steps in that order, first segment first: rule
+// lets, self result variables, self arity, head bindings, wrapper
+// globals, mediator globals, Net, collection names of the executing
+// wrapper. Globals are read by name at evaluation time, because the
+// feedback adjuster rewrites them between searches.
+type pathRef struct {
+	let  int // the first rule let a one-segment path names; -1 if none
+	self int // the self result variable a one-segment path names; -1 if none
+	slot int // the head slot the first segment names; -1 if none
+	// arity and global apply to one-segment paths, net to Net.X, coll to
+	// paths of two or more segments, whose first may name a collection.
+	arity, global, net, coll bool
+	tail                     tailRef
+}
 
-	// Rule-local lets (per node, per rule).
-	if len(path) == 1 {
-		for i := range e.locals {
-			if e.locals[i].name == head {
-				return e.locals[i].val, true
+// tailRef classifies what follows the first segment: X of C.X or Net.X,
+// A.S of C.A.S.
+type tailRef struct {
+	vi       int  // C.X: the child result variable X names; -1 if none
+	stat     stat // the statistic the last segment names
+	attrSlot int  // C.A.S: the head slot that may rebind A; -1 if none
+}
+
+// stat is a statistic or parameter the last segment of a path can name.
+type stat uint8
+
+const (
+	statNone stat = iota
+	statArity
+	statCountObject // extent statistics (C.X)
+	statTotalSize
+	statObjectSize
+	statCountPage
+	statIndexed // attribute statistics (C.A.S)
+	statClustered
+	statCountDistinct
+	statMin
+	statMax
+	statLatency // Net parameters
+	statPerByte
+)
+
+var statNames = [...]string{
+	statArity: "Arity", statCountObject: "CountObject", statTotalSize: "TotalSize",
+	statObjectSize: "ObjectSize", statCountPage: "CountPage", statIndexed: "Indexed",
+	statClustered: "Clustered", statCountDistinct: "CountDistinct", statMin: "Min", statMax: "Max",
+	statLatency: "Latency", statPerByte: "PerByte",
+}
+
+// statOf names the statistic a segment spells, ignoring case.
+func statOf(name string) stat {
+	for i, n := range statNames {
+		if n != "" && strings.EqualFold(n, name) {
+			return stat(i)
+		}
+	}
+	return statNone
+}
+
+// classifyPaths classifies every path of a program against the rule.
+func (r *Rule) classifyPaths(p *costvm.Program) []pathRef {
+	if len(p.Paths) == 0 {
+		return nil
+	}
+	refs := make([]pathRef, len(p.Paths))
+	for i, path := range p.Paths {
+		refs[i] = r.classifyPath(path)
+	}
+	return refs
+}
+
+// classifyPath decides, from the rule alone, which resolution steps can
+// apply to a path (see pathRef).
+func (r *Rule) classifyPath(path []string) pathRef {
+	ref := pathRef{let: -1, self: -1, slot: -1, tail: tailRef{vi: -1, attrSlot: -1}}
+	if len(path) == 0 {
+		return ref
+	}
+	head := path[0]
+	ref.slot = r.slotOf(head)
+	ref.coll = len(path) >= 2
+	switch len(path) {
+	case 1:
+		for j := range r.Lets {
+			if r.Lets[j].Var == head {
+				ref.let = j
+				break
 			}
 		}
+		ref.self = varIndex(head)
+		ref.arity = statOf(head) == statArity
+		ref.global = true
+	case 2:
+		ref.net = strings.EqualFold(head, "Net")
+		ref.tail.vi = varIndex(path[1])
+		ref.tail.stat = statOf(path[1])
+	case 3:
+		ref.tail.attrSlot = r.slotOf(path[1])
+		ref.tail.stat = statOf(path[2])
+	}
+	return ref
+}
+
+// LookupIndex resolves path i of the running program through its
+// classification (costvm.IndexedEnv).
+func (e *evalEnv) LookupIndex(i int, path []string) (types.Constant, bool) {
+	if i >= len(e.refs) {
+		return e.Lookup(path)
+	}
+	return e.resolve(path, &e.refs[i])
+}
+
+// Lookup resolves a path no classification covers by classifying it
+// first.
+func (e *evalEnv) Lookup(path []string) (types.Constant, bool) {
+	ref := e.rule.classifyPath(path)
+	return e.resolve(path, &ref)
+}
+
+// resolve runs the resolution order of pathRef over a classified path.
+func (e *evalEnv) resolve(path []string, ref *pathRef) (types.Constant, bool) {
+	// Rule-local lets (per node, per rule), once evaluated.
+	if ref.let >= 0 && ref.let < len(e.locals) {
+		return e.locals[ref.let].val, true
 	}
 	// Self result variables, computed earlier in canonical order.
-	if len(path) == 1 {
-		if vi := varIndex(head); vi >= 0 {
-			if e.ctx.varsSet.Has(vi) {
-				return types.Float(e.ctx.vars[vi]), true
-			}
-			return types.Null, false
+	if ref.self >= 0 {
+		if e.ctx.varsSet.Has(ref.self) {
+			return types.Float(e.ctx.vars[ref.self]), true
 		}
+		return types.Null, false
 	}
 	// Self arity.
-	if len(path) == 1 && strings.EqualFold(head, "Arity") {
+	if ref.arity {
 		if s := e.ctx.node.OutSchema; s != nil {
 			return types.Int(int64(s.Len())), true
 		}
 		return types.Null, false
 	}
 	// Head bindings.
-	if b, ok := e.match.lookup(head); ok {
-		return e.resolveBinding(b, path[1:])
+	if b := e.match.slot(ref.slot); b.kind != bindNone {
+		return e.resolveBinding(b, path[1:], &ref.tail)
 	}
 	// Wrapper globals, then mediator globals.
-	if len(path) == 1 {
-		if v, ok := e.rule.Globals[head]; ok {
+	if ref.global {
+		if v, ok := e.rule.Globals[path[0]]; ok {
 			return v, true
 		}
-		if v, ok := e.est.Globals[head]; ok {
+		if v, ok := e.est.Globals[path[0]]; ok {
 			return v, true
 		}
 	}
 	// Net parameters of the executing site.
-	if strings.EqualFold(head, "Net") && len(path) == 2 {
-		switch {
-		case strings.EqualFold(path[1], "latency"):
+	if ref.net {
+		switch ref.tail.stat {
+		case statLatency:
 			return types.Float(e.est.Net.LatencyMS(e.ctx.wrapper)), true
-		case strings.EqualFold(path[1], "perbyte"):
+		case statPerByte:
 			return types.Float(e.est.Net.PerByteMS(e.ctx.wrapper)), true
 		}
 		return types.Null, false
@@ -87,14 +203,14 @@ func (e *evalEnv) Lookup(path []string) (types.Constant, bool) {
 	if wrapper == "" {
 		wrapper = e.ctx.wrapper
 	}
-	if len(path) >= 2 && wrapper != "" && e.est.View.HasCollection(wrapper, head) {
-		return e.resolveBinding(binding{kind: bindColl, coll: head, wrapper: wrapper}, path[1:])
+	if ref.coll && wrapper != "" && e.est.View.HasCollection(wrapper, path[0]) {
+		return e.resolveBinding(&binding{kind: bindColl, coll: path[0], wrapper: wrapper}, path[1:], &ref.tail)
 	}
 	return types.Null, false
 }
 
 // resolveBinding resolves the tail of a path against a head binding.
-func (e *evalEnv) resolveBinding(b binding, tail []string) (types.Constant, bool) {
+func (e *evalEnv) resolveBinding(b *binding, tail []string, t *tailRef) (types.Constant, bool) {
 	switch b.kind {
 	case bindAttr:
 		if len(tail) == 0 {
@@ -109,45 +225,37 @@ func (e *evalEnv) resolveBinding(b binding, tail []string) (types.Constant, bool
 	case bindPred:
 		return types.Null, false // predicates are only usable via predsel()
 	case bindColl:
-		return e.resolveCollPath(b, tail)
+		return e.resolveCollPath(b, tail, t)
 	default:
 		return types.Null, false
 	}
 }
 
 // resolveCollPath resolves C.<var-or-stat> and C.<attr>.<stat>.
-func (e *evalEnv) resolveCollPath(b binding, tail []string) (types.Constant, bool) {
+func (e *evalEnv) resolveCollPath(b *binding, tail []string, t *tailRef) (types.Constant, bool) {
 	switch len(tail) {
-	case 0:
-		return types.Null, false
 	case 1:
-		name := tail[0]
 		// Child result variable (TotalTime of the input, etc.).
-		if b.ctx != nil {
-			if vi := varIndex(name); vi >= 0 && b.ctx.varsSet.Has(vi) {
-				return types.Float(b.ctx.vars[vi]), true
-			}
-			// Fall through: an unestimated child (leaf collection
-			// target) may still answer from base statistics.
+		if b.ctx != nil && t.vi >= 0 && b.ctx.varsSet.Has(t.vi) {
+			return types.Float(b.ctx.vars[t.vi]), true
 		}
-		if strings.EqualFold(name, "Arity") {
-			if b.ctx != nil && b.ctx.node.OutSchema != nil {
-				return types.Int(int64(b.ctx.node.OutSchema.Len())), true
-			}
+		// Otherwise an unestimated child (leaf collection target) may
+		// still answer from base statistics.
+		if t.stat == statArity && b.ctx != nil && b.ctx.node.OutSchema != nil {
+			return types.Int(int64(b.ctx.node.OutSchema.Len())), true
 		}
-		// Base collection statistics.
 		ext, ok := e.extentOf(b)
 		if !ok {
 			return types.Null, false
 		}
-		switch {
-		case strings.EqualFold(name, "countobject"):
+		switch t.stat {
+		case statCountObject:
 			return types.Int(ext.CountObject), true
-		case strings.EqualFold(name, "totalsize"):
+		case statTotalSize:
 			return types.Int(ext.TotalSize), true
-		case strings.EqualFold(name, "objectsize"):
+		case statObjectSize:
 			return types.Int(ext.ObjectSize), true
-		case strings.EqualFold(name, "countpage"):
+		case statCountPage:
 			return types.Int(ext.CountPage(e.pageSize())), true
 		default:
 			return types.Null, false
@@ -156,26 +264,36 @@ func (e *evalEnv) resolveCollPath(b binding, tail []string) (types.Constant, boo
 		attr := tail[0]
 		// The attribute segment may itself be a bound head variable (the
 		// C.A.Indexed indirection).
-		if ab, ok := e.match.lookup(attr); ok && ab.kind == bindAttr {
+		if ab := e.match.slot(t.attrSlot); ab.kind == bindAttr {
 			attr = ab.str
 		}
-		ast, ok := e.attrStats(b, attr)
-		if !ok {
+		var ast *stats.AttributeStats
+		switch {
+		case b.coll != "" && b.wrapper != "":
+			st, ok := e.est.View.Attribute(b.wrapper, b.coll, attr)
+			if !ok {
+				return types.Null, false
+			}
+			ast = &st
+		case b.ctx != nil:
+			ast = e.sc.statsUnder(e.est.View, b.ctx.node, attr)
+		}
+		if ast == nil {
 			return types.Null, false
 		}
-		switch {
-		case strings.EqualFold(tail[1], "indexed"):
+		switch t.stat {
+		case statIndexed:
 			return types.Bool(ast.Indexed), true
-		case strings.EqualFold(tail[1], "clustered"):
+		case statClustered:
 			return types.Bool(ast.Clustered), true
-		case strings.EqualFold(tail[1], "countdistinct"):
+		case statCountDistinct:
 			return types.Int(ast.CountDistinct), true
-		case strings.EqualFold(tail[1], "min"):
+		case statMin:
 			if ast.Min.IsNull() {
 				return types.Null, false
 			}
 			return ast.Min, true
-		case strings.EqualFold(tail[1], "max"):
+		case statMax:
 			if ast.Max.IsNull() {
 				return types.Null, false
 			}
@@ -200,7 +318,7 @@ func (e *evalEnv) pageSize() int64 {
 
 // extentOf returns extent statistics for a collection binding: the base
 // collection's exported stats, or the default fallback.
-func (e *evalEnv) extentOf(b binding) (stats.ExtentStats, bool) {
+func (e *evalEnv) extentOf(b *binding) (stats.ExtentStats, bool) {
 	if b.coll != "" && b.wrapper != "" {
 		if ext, ok := e.est.View.Extent(b.wrapper, b.coll); ok {
 			return ext, true
@@ -233,35 +351,45 @@ func (e *evalEnv) extentOf(b binding) (stats.ExtentStats, bool) {
 	return stats.ExtentStats{}, false
 }
 
-// attrStats resolves attribute statistics for a collection binding,
-// searching the bound subtree's base collections when the binding is an
-// intermediate result.
-func (e *evalEnv) attrStats(b binding, attr string) (stats.AttributeStats, bool) {
-	if b.coll != "" && b.wrapper != "" {
-		if st, ok := e.est.View.Attribute(b.wrapper, b.coll, attr); ok {
-			return st, true
-		}
-		return stats.AttributeStats{}, false
-	}
-	if b.ctx != nil {
-		return attrStatsUnder(e.est.View, b.ctx.node, attr)
-	}
-	return stats.AttributeStats{}, false
+// attrKey names one remembered statsUnder answer.
+type attrKey struct {
+	node *algebra.Node
+	attr string
 }
 
-// attrStatsUnder searches the scans under a node, in walk order, for one
-// exporting statistics for the attribute (direct recursion rather than
-// materializing the scan list — this runs per formula evaluation).
-func attrStatsUnder(view CatalogView, n *algebra.Node, attr string) (stats.AttributeStats, bool) {
-	if n.Kind == algebra.OpScan {
-		return view.Attribute(n.Wrapper, n.Collection, attr)
+// statsUnder returns the statistics of the first scan under a node, in
+// walk order, that exports the attribute; nil when none does. Answers are
+// remembered per (node, attribute) for the search, or for the one
+// estimation outside a search: a node's answer is its first child's that
+// has one, so pricing a new join node reads its inputs' answers. The
+// statistics live once in the scratch's attrVals slab.
+func (sc *scratch) statsUnder(view CatalogView, n *algebra.Node, attr string) *stats.AttributeStats {
+	if i := sc.statsIndex(view, n, attr); i >= 0 {
+		return &sc.attrVals[i]
 	}
-	for _, c := range n.Children {
-		if st, ok := attrStatsUnder(view, c, attr); ok {
-			return st, true
+	return nil
+}
+
+func (sc *scratch) statsIndex(view CatalogView, n *algebra.Node, attr string) int32 {
+	k := attrKey{node: n, attr: attr}
+	if i, ok := sc.attrMemo[k]; ok {
+		return i
+	}
+	i := int32(-1)
+	if n.Kind == algebra.OpScan {
+		if st, ok := view.Attribute(n.Wrapper, n.Collection, attr); ok {
+			sc.attrVals = append(sc.attrVals, st)
+			i = int32(len(sc.attrVals) - 1)
+		}
+	} else {
+		for _, c := range n.Children {
+			if i = sc.statsIndex(view, c, attr); i >= 0 {
+				break
+			}
 		}
 	}
-	return stats.AttributeStats{}, false
+	sc.attrMemo[k] = i
+	return i
 }
 
 // Call resolves function invocations: the rule's registry (stdlib plus
@@ -276,7 +404,13 @@ func (e *evalEnv) Call(name string, args []types.Constant) (types.Constant, erro
 	case strings.EqualFold(name, "predsel"):
 		return types.Float(e.predSelectivity(e.ctx.node.Pred)), nil
 	case strings.EqualFold(name, "joinsel"):
-		return types.Float(e.joinSelectivity()), nil
+		// A node's join selectivity depends only on its predicate and
+		// its inputs, so every formula of the context shares one.
+		if !e.ctx.joinSelSet {
+			e.ctx.joinSel, e.ctx.joinSelSet = e.joinSelectivity(), true
+			e.sc.tab.joinsels++
+		}
+		return types.Float(e.ctx.joinSel), nil
 	case strings.EqualFold(name, "groups"):
 		return types.Float(e.groupEstimate()), nil
 	}
@@ -297,24 +431,30 @@ func (e *evalEnv) callSelectivity(args []types.Constant) (types.Constant, error)
 	if e.match.hasSel {
 		op = e.match.selOp
 	}
-	st, ok := e.inputAttrStats(attr)
-	if !ok {
-		st = DefaultAttribute
-	}
-	return types.Float(st.Selectivity(op, value)), nil
+	return types.Float(e.inputAttrStatsOrDefault(attr).Selectivity(op, value)), nil
 }
 
-// inputAttrStats finds statistics for an attribute of the node's input(s).
-func (e *evalEnv) inputAttrStats(attr string) (stats.AttributeStats, bool) {
+// inputAttrStats finds statistics for an attribute of the node's
+// input(s); nil when none exports it.
+func (e *evalEnv) inputAttrStats(attr string) *stats.AttributeStats {
 	for _, child := range e.ctx.children {
-		if st, ok := attrStatsUnder(e.est.View, child.node, attr); ok {
-			return st, true
+		if st := e.sc.statsUnder(e.est.View, child.node, attr); st != nil {
+			return st
 		}
 	}
 	if e.ctx.node.Kind == algebra.OpScan {
-		return e.est.View.Attribute(e.ctx.node.Wrapper, e.ctx.node.Collection, attr)
+		return e.sc.statsUnder(e.est.View, e.ctx.node, attr)
 	}
-	return stats.AttributeStats{}, false
+	return nil
+}
+
+// inputAttrStatsOrDefault is inputAttrStats falling back to
+// DefaultAttribute.
+func (e *evalEnv) inputAttrStatsOrDefault(attr string) *stats.AttributeStats {
+	if st := e.inputAttrStats(attr); st != nil {
+		return st
+	}
+	return &DefaultAttribute
 }
 
 // predSelectivity estimates the selectivity of a whole predicate as the
@@ -324,26 +464,18 @@ func (e *evalEnv) predSelectivity(p *algebra.Predicate) float64 {
 		return 1
 	}
 	sel := 1.0
-	for _, c := range p.Conjuncts {
-		if c.IsJoin() {
-			l, okL := e.inputAttrStats(c.Left.Attr)
-			r, okR := e.inputAttrStats(c.RightAttr.Attr)
-			if !okL {
-				l = DefaultAttribute
-			}
-			if !okR {
-				r = DefaultAttribute
-			}
-			sel *= stats.JoinSelectivity(l, r)
-			continue
-		}
-		st, ok := e.inputAttrStats(c.Left.Attr)
-		if !ok {
-			st = DefaultAttribute
-		}
-		sel *= st.Selectivity(c.Op, c.RightConst)
+	for i := range p.Conjuncts {
+		sel *= e.conjunctSelectivity(&p.Conjuncts[i])
 	}
 	return sel
+}
+
+// conjunctSelectivity estimates one comparison over the node's inputs.
+func (e *evalEnv) conjunctSelectivity(c *algebra.Comparison) float64 {
+	if c.IsJoin() {
+		return stats.JoinSelectivity(*e.inputAttrStatsOrDefault(c.Left.Attr), *e.inputAttrStatsOrDefault(c.RightAttr.Attr))
+	}
+	return e.inputAttrStatsOrDefault(c.Left.Attr).Selectivity(c.Op, c.RightConst)
 }
 
 // joinSelectivity estimates the node's join predicate selectivity relative
@@ -353,33 +485,10 @@ func (e *evalEnv) joinSelectivity() float64 {
 	if p == nil {
 		return 1 // cross product
 	}
-	sel := 1.0
-	matched := false
-	for i := range p.Conjuncts {
-		c := &p.Conjuncts[i]
-		if c.IsJoin() {
-			l, okL := e.inputAttrStats(c.Left.Attr)
-			r, okR := e.inputAttrStats(c.RightAttr.Attr)
-			if !okL {
-				l = DefaultAttribute
-			}
-			if !okR {
-				r = DefaultAttribute
-			}
-			sel *= stats.JoinSelectivity(l, r)
-		} else {
-			st, ok := e.inputAttrStats(c.Left.Attr)
-			if !ok {
-				st = DefaultAttribute
-			}
-			sel *= st.Selectivity(c.Op, c.RightConst)
-		}
-		matched = true
-	}
-	if !matched {
+	if len(p.Conjuncts) == 0 {
 		return 0.01
 	}
-	return sel
+	return e.predSelectivity(p)
 }
 
 // groupEstimate estimates the number of groups an aggregate produces.
@@ -396,7 +505,7 @@ func (e *evalEnv) groupEstimate() float64 {
 	}
 	groups := 1.0
 	for _, g := range n.GroupBy {
-		if st, ok := e.inputAttrStats(g.Attr); ok && st.CountDistinct > 0 {
+		if st := e.inputAttrStats(g.Attr); st != nil && st.CountDistinct > 0 {
 			groups *= float64(st.CountDistinct)
 		} else {
 			groups *= 10 // default distinct factor

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"disco/internal/algebra"
 	"disco/internal/costvm"
+	"disco/internal/stats"
 	"disco/internal/types"
 )
 
@@ -141,10 +143,12 @@ func (r RootCost) TimeFirst() float64 {
 // Estimator evaluates plan costs against the integrated rule hierarchy.
 // An Estimator is cheap to construct and safe for sequential reuse; use
 // one per goroutine — Clone makes an independent per-goroutine copy over
-// the same (read-only) registry, view and network model. Reuse is what
-// makes estimation fast: the estimator keeps a private scratch arena of
-// node contexts, match results and VM stacks that reaches a steady state
-// after the first few plans, after which estimation allocates nothing.
+// the same (read-only) registry, view and network model. Estimation runs
+// in a scratch arena of node contexts, match results, the VM stack and a
+// search's tables, which reaches a steady state after the first few plans,
+// after which estimation allocates nothing. Arenas outlive estimators: an
+// estimator takes one from a process-wide pool on first use and EndSearch
+// hands it back, so a clone per prepare does not grow a fresh one.
 type Estimator struct {
 	Registry *Registry
 	View     CatalogView
@@ -160,8 +164,8 @@ type Estimator struct {
 	// Globals.
 	Pinned map[*algebra.Node]PinnedVars
 
-	// scr is the reusable per-estimator scratch arena; lazily initialized
-	// so zero-value and literal-constructed estimators work.
+	// scr is the estimator's scratch arena, taken from scratchPool on
+	// first use so zero-value and literal-constructed estimators work.
 	scr *scratch
 }
 
@@ -182,9 +186,9 @@ func NewEstimator(reg *Registry, view CatalogView, net NetProvider) *Estimator {
 // Clone returns an independent estimator for use on another goroutine.
 // The registry, catalog view, network model and globals are shared — they
 // are read-only during estimation — while Options are copied and the
-// scratch arena, with any search's record of priced nodes, is dropped
-// (each clone lazily grows its own), so concurrent estimations never
-// observe each other's state. Every prepare clones the mediator's
+// scratch arena is not: the clone takes a pooled arena on first use, so
+// concurrent estimations never observe each other's state, and cloning
+// copies only the estimator itself. Every prepare clones the mediator's
 // template estimator.
 func (e *Estimator) Clone() *Estimator {
 	c := *e
@@ -202,7 +206,9 @@ func (e *Estimator) Reset() { e.Options.Budget = 0 }
 // estimation, the objects and their inner slice capacities survive), and
 // one VM evaluation stack plus one eval environment are shared by every
 // formula evaluation. Estimation metrics accumulate here and are copied
-// into PlanCost at the end.
+// into PlanCost at the end. Arenas are recycled through scratchPool;
+// nothing in one is read before the estimation or search using it has
+// reset it.
 type scratch struct {
 	ctxs    []*nodeCtx
 	ctxUsed int
@@ -213,16 +219,35 @@ type scratch struct {
 	vmStack []types.Constant
 	env     evalEnv
 
-	// search is the running search's record (BeginSearch to EndSearch);
-	// table is that record while an EstimateRoot walk reads it, and nil in
-	// every other walk.
-	search *searchTable
-	table  *searchTable
+	// search is the running search's record (BeginSearch to EndSearch),
+	// backed by tab; table is the record a walk reads (nil when it may
+	// not), and descend makes the walk continue below the nodes the
+	// record answers.
+	search  *searchTable
+	tab     searchTable
+	table   *searchTable
+	descend bool
+
+	// attrMemo remembers attribute statistics per (node, attribute) for
+	// the search, or for one estimation outside a search; the values live
+	// in attrVals (see statsUnder).
+	attrMemo map[attrKey]int32
+	attrVals []stats.AttributeStats
 
 	nodesVisited int
 	formulaEvals int
 	rulesMatched int
 }
+
+// scratchPool recycles scratch arenas across estimators: a prepare's clone
+// takes the arena an earlier prepare's EndSearch returned, with its grown
+// pools and maps.
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{
+		tab:      searchTable{priced: make(map[tableKey]tableEntry)},
+		attrMemo: make(map[attrKey]int32),
+	}
+}}
 
 func (s *scratch) reset() {
 	s.ctxUsed = 0
@@ -230,6 +255,18 @@ func (s *scratch) reset() {
 	s.nodesVisited = 0
 	s.formulaEvals = 0
 	s.rulesMatched = 0
+	if s.search == nil {
+		s.forgetAttrs()
+	}
+}
+
+// forgetAttrs drops the remembered attribute statistics.
+func (s *scratch) forgetAttrs() {
+	if len(s.attrMemo) > 0 {
+		clear(s.attrMemo)
+		clear(s.attrVals)
+		s.attrVals = s.attrVals[:0]
+	}
 }
 
 func (s *scratch) newCtx() *nodeCtx {
@@ -288,6 +325,10 @@ type nodeCtx struct {
 
 	// Per-rule evaluated lets of this node (small linear-scanned cache).
 	lets []letEntry
+
+	// joinSel is the node's joinsel(), computed on the first call.
+	joinSel    float64
+	joinSelSet bool
 }
 
 func (c *nodeCtx) reset() {
@@ -304,6 +345,7 @@ func (c *nodeCtx) reset() {
 	c.mrules = c.mrules[:0]
 	c.mmatches = c.mmatches[:0]
 	c.lets = c.lets[:0]
+	c.joinSel, c.joinSelSet = 0, false
 }
 
 // matchLevel delimits the matched rules of one (scope, specificity) level:
@@ -353,21 +395,24 @@ func (c *nodeCtx) addLets(r *Rule) *letEntry {
 // evaluate; failures are not cached, matching the fallback semantics).
 func (c *nodeCtx) dropLastLets() { c.lets = c.lets[:len(c.lets)-1] }
 
-// scratch returns the estimator's scratch arena, creating it on first use.
+// scratch returns the estimator's scratch arena, taking one from the pool
+// on first use.
 func (e *Estimator) scratch() *scratch {
 	if e.scr == nil {
-		e.scr = &scratch{}
+		e.scr = scratchPool.Get().(*scratch)
 	}
 	return e.scr
 }
 
 // run executes the two-phase algorithm over a resolved plan and returns
 // the root context; the context tree is valid until the estimator's next
-// estimation. A non-nil table answers and records priced nodes.
-func (e *Estimator) run(plan *algebra.Node, table *searchTable) (*nodeCtx, error) {
+// estimation. A non-nil table answers and records priced nodes; descend
+// makes the walk visit, below an answered node, the children its
+// estimate read.
+func (e *Estimator) run(plan *algebra.Node, table *searchTable, descend bool) (*nodeCtx, error) {
 	sc := e.scratch()
 	sc.reset()
-	sc.table = table
+	sc.table, sc.descend = table, descend
 	root := e.buildCtx(sc, plan, "")
 	if err := e.estimateNode(sc, root, e.rootNeed()); err != nil {
 		return nil, err
@@ -392,8 +437,21 @@ func (e *Estimator) rootNeed() VarSet {
 // Estimate runs the two-phase algorithm of Figure 11 over a resolved plan
 // and returns per-node costs. The plan must have been resolved
 // (algebra.Resolve) so schemas are available.
+//
+// Inside a search (BeginSearch) Estimate answers every node the search
+// has priced from its record, as EstimateRoot does, and still visits the
+// nodes below so that every node gets its variables: the returned costs
+// are the ones the search compared. A history rule published during the
+// search therefore reaches only the nodes priced after it; the next search
+// sees it everywhere. With Options.Trace (so that ChosenRules names every
+// node's rules), outside a search, or under a RequiredVarsOnly setting
+// other than the search's, Estimate walks the whole plan.
 func (e *Estimator) Estimate(plan *algebra.Node) (*PlanCost, error) {
-	root, err := e.run(plan, nil)
+	var table *searchTable
+	if !e.Options.Trace {
+		table = e.liveTable()
+	}
+	root, err := e.run(plan, table, true)
 	if err != nil {
 		return nil, err
 	}
@@ -415,7 +473,7 @@ func (e *Estimator) Estimate(plan *algebra.Node) (*PlanCost, error) {
 // in steady state it performs no heap allocation at all. Inside a search
 // (BeginSearch) it prices only the nodes the search has not priced yet.
 func (e *Estimator) EstimateRoot(plan *algebra.Node) (RootCost, error) {
-	root, err := e.run(plan, e.scratch().search)
+	root, err := e.run(plan, e.liveTable(), false)
 	if err != nil {
 		return RootCost{}, err
 	}
@@ -504,9 +562,12 @@ func (e *Estimator) estimateNode(sc *scratch, ctx *nodeCtx, need VarSet) error {
 	// variables are a function of its subtree, site and need set.
 	key := tableKey{node: ctx.node, site: ctx.wrapper, need: need}
 	if sc.table != nil {
-		if rc, ok := sc.table.priced[key]; ok {
-			ctx.vars, ctx.varsSet = rc.vars, rc.set
-			return nil
+		if ent, ok := sc.table.priced[key]; ok {
+			ctx.vars, ctx.varsSet = ent.vars, ent.set
+			if !sc.descend {
+				return nil
+			}
+			return e.estimateChildren(sc, ctx, &ent.childNeeds)
 		}
 	}
 	// Step 1: associate cost formulas with node (most specific rules).
@@ -520,26 +581,36 @@ func (e *Estimator) estimateNode(sc *scratch, ctx *nodeCtx, need VarSet) error {
 	var childNeeds [2]VarSet
 	e.childRequirements(ctx, &childNeeds)
 
-	// Step 2: recursive traversal (cut when a child owes nothing).
-	for i, child := range ctx.children {
-		cn := childNeeds[i]
-		if e.Options.RequiredVarsOnly && cn.Empty() {
-			continue // traversal cut (§4.2 optimization ii)
-		}
-		if err := e.estimateNode(sc, child, cn); err != nil {
-			return err
-		}
+	// Step 2: recursive traversal.
+	if err := e.estimateChildren(sc, ctx, &childNeeds); err != nil {
+		return err
 	}
 
 	// Step 3: apply formulas to node.
 	e.apply(sc, ctx)
 	if sc.table != nil {
 		sc.table.applied++
-		sc.table.priced[key] = RootCost{vars: ctx.vars, set: ctx.varsSet}
+		sc.table.priced[key] = tableEntry{RootCost: RootCost{vars: ctx.vars, set: ctx.varsSet}, childNeeds: childNeeds}
 	}
 	if e.Options.Budget > 0 &&
 		ctx.varsSet.Has(idxTotalTime) && ctx.vars[idxTotalTime] > e.Options.Budget {
 		return ErrOverBudget
+	}
+	return nil
+}
+
+// estimateChildren is step 2 of Figure 11: it estimates each child for
+// the variables the node's formulas read from it, cutting the traversal
+// at a child that owes nothing (§4.2 optimization ii).
+func (e *Estimator) estimateChildren(sc *scratch, ctx *nodeCtx, needs *[2]VarSet) error {
+	for i, child := range ctx.children {
+		cn := needs[i]
+		if e.Options.RequiredVarsOnly && cn.Empty() {
+			continue
+		}
+		if err := e.estimateNode(sc, child, cn); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -671,8 +742,8 @@ func (e *Estimator) childRequirements(ctx *nodeCtx, reqs *[2]VarSet) {
 				}
 				m := ctx.mmatches[ri]
 				for _, cr := range r.childRefs[vi] {
-					b, ok := m.lookup(cr.name)
-					if !ok || b.kind != bindColl || b.ctx == nil {
+					b := m.slot(cr.slot)
+					if b.kind != bindColl || b.ctx == nil {
 						continue
 					}
 					for i, c := range ctx.children {
@@ -768,6 +839,7 @@ func (e *Estimator) apply(sc *scratch, ctx *nodeCtx) {
 func (e *Estimator) evalFormula(sc *scratch, ctx *nodeCtx, r *Rule, m *matchResult, f *Formula) (float64, error) {
 	env := &sc.env
 	env.est = e
+	env.sc = sc
 	env.ctx = ctx
 	env.rule = r
 	env.match = m
@@ -781,8 +853,10 @@ func (e *Estimator) evalFormula(sc *scratch, ctx *nodeCtx, r *Rule, m *matchResu
 			env.locals = vals
 		} else {
 			entry := ctx.addLets(r)
-			for _, let := range r.Lets {
+			for li := range r.Lets {
+				let := &r.Lets[li]
 				sc.formulaEvals++
+				env.refs = let.refs
 				v, err := e.evalProg(sc, env, let.Prog)
 				if err != nil {
 					ctx.dropLastLets()
@@ -796,6 +870,7 @@ func (e *Estimator) evalFormula(sc *scratch, ctx *nodeCtx, r *Rule, m *matchResu
 		}
 	}
 	sc.formulaEvals++
+	env.refs = f.refs
 	v, err := e.evalProg(sc, env, f.Prog)
 	if err != nil {
 		return 0, err

@@ -135,7 +135,7 @@ func TestExactRuleLevelOrder(t *testing.T) {
 	reg.byWrapperOp["src1"] = indexByOp(bucket)
 	reg.AddQueryRule("src1", historyRule(t, plan, 200))
 
-	root, err := e.run(plan, nil)
+	root, err := e.run(plan, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,8 @@ import (
 type bindKind uint8
 
 const (
-	bindColl  bindKind = iota // a collection term: child node and/or base collection
+	bindNone  bindKind = iota // an unbound slot
+	bindColl                  // a collection term: child node and/or base collection
 	bindAttr                  // an attribute name
 	bindValue                 // a predicate constant
 	bindPred                  // a whole predicate
@@ -39,22 +40,14 @@ type binding struct {
 // plus the predicate components the match consumed (used by the contextual
 // selectivity function even when the rule head bound them as constants).
 // Results are pooled on the estimator's scratch space; bindings live in a
-// small reused slice (heads have at most a handful of variables) searched
-// case-insensitively, which replaces the per-match map and the lower-cased
-// key allocations.
+// small reused slice indexed by the rule's head slots (Rule.Finalize), so
+// neither binding nor lookup compares names.
 type matchResult struct {
-	bindings []namedBinding
+	bindings []binding
 	selAttr  string
 	selOp    stats.CmpOp
 	selValue types.Constant
 	hasSel   bool
-}
-
-// namedBinding is one head-variable binding, keyed by the variable's
-// original spelling (lookups fold case).
-type namedBinding struct {
-	name string
-	b    binding
 }
 
 // reset clears the result for reuse, keeping the bindings capacity.
@@ -66,26 +59,32 @@ func (m *matchResult) reset() {
 	m.hasSel = false
 }
 
-func (m *matchResult) bind(name string, b binding) {
-	if name == "" {
+// unbind sizes the bindings to n unbound slots.
+func (m *matchResult) unbind(n int) {
+	if cap(m.bindings) < n {
+		m.bindings = make([]binding, n)
 		return
 	}
-	for i := range m.bindings {
-		if strings.EqualFold(m.bindings[i].name, name) {
-			m.bindings[i].b = b
-			return
-		}
-	}
-	m.bindings = append(m.bindings, namedBinding{name: name, b: b})
+	m.bindings = m.bindings[:n]
+	clear(m.bindings)
 }
 
-func (m *matchResult) lookup(name string) (binding, bool) {
-	for i := range m.bindings {
-		if strings.EqualFold(m.bindings[i].name, name) {
-			return m.bindings[i].b, true
-		}
+func (m *matchResult) bind(slot int, b binding) {
+	if slot >= 0 {
+		m.bindings[slot] = b
 	}
-	return binding{}, false
+}
+
+// unbound is what slot returns for no slot.
+var unbound binding
+
+// slot returns a slot's binding; kind bindNone when the slot is unbound
+// or out of range (-1 names no slot). The binding must not be modified.
+func (m *matchResult) slot(s int) *binding {
+	if s < 0 || s >= len(m.bindings) {
+		return &unbound
+	}
+	return &m.bindings[s]
 }
 
 // collTarget is a position a collection term can unify with.
@@ -116,6 +115,7 @@ func matchRule(rule *Rule, ctx *nodeCtx, m *matchResult) bool {
 		}
 	}
 	node := ctx.node
+	m.unbind(len(rule.slots))
 
 	// Lay out the unification targets for this operator shape. A fixed
 	// array keeps the hot path off the heap (operators have at most two
@@ -153,7 +153,7 @@ func matchRule(rule *Rule, ctx *nodeCtx, m *matchResult) bool {
 		if i >= len(terms) {
 			return false // head has fewer args than the operator shape
 		}
-		if !unifyColl(m, terms[i], target) {
+		if !unifyColl(m, &terms[i], target) {
 			return false
 		}
 	}
@@ -168,7 +168,7 @@ func matchRule(rule *Rule, ctx *nodeCtx, m *matchResult) bool {
 		if len(rest) > 1 {
 			return false
 		}
-		if !unifyPred(m, rest[0], pred) {
+		if !unifyPred(m, &rest[0], pred) {
 			return false
 		}
 	}
@@ -180,16 +180,16 @@ func childTarget(ctx *nodeCtx, i int) collTarget {
 	return collTarget{ctx: c, coll: c.derivedColl, wrapper: c.derivedWrapper}
 }
 
-func unifyColl(m *matchResult, t HeadTerm, target collTarget) bool {
+func unifyColl(m *matchResult, t *HeadTerm, target collTarget) bool {
 	switch t.Kind {
 	case TermVar:
-		m.bind(t.Name, binding{kind: bindColl, ctx: target.ctx, coll: target.coll, wrapper: target.wrapper})
+		m.bind(t.slot, binding{kind: bindColl, ctx: target.ctx, coll: target.coll, wrapper: target.wrapper})
 		return true
 	case TermCollection:
 		if !strings.EqualFold(t.Name, target.coll) {
 			return false
 		}
-		m.bind(t.Name, binding{kind: bindColl, ctx: target.ctx, coll: target.coll, wrapper: target.wrapper})
+		m.bind(t.slot, binding{kind: bindColl, ctx: target.ctx, coll: target.coll, wrapper: target.wrapper})
 		return true
 	default:
 		return false // a comparison cannot appear in a collection position
@@ -200,9 +200,9 @@ func unifyColl(m *matchResult, t HeadTerm, target collTarget) bool {
 // variable term matches any predicate; a comparison term matches a
 // single-conjunct predicate (the optimizer cascades conjunctive selects,
 // so wrapper-visible predicates are single comparisons).
-func unifyPred(m *matchResult, t HeadTerm, pred *algebra.Predicate) bool {
+func unifyPred(m *matchResult, t *HeadTerm, pred *algebra.Predicate) bool {
 	if t.Kind == TermVar {
-		m.bind(t.Name, binding{kind: bindPred, pred: pred})
+		m.bind(t.slot, binding{kind: bindPred, pred: pred})
 		if pred != nil && len(pred.Conjuncts) == 1 {
 			recordSel(m, &pred.Conjuncts[0])
 		}
@@ -241,7 +241,7 @@ func recordSel(m *matchResult, c *algebra.Comparison) {
 	m.hasSel = true
 }
 
-func matchCmp(m *matchResult, t HeadTerm, c *algebra.Comparison) bool {
+func matchCmp(m *matchResult, t *HeadTerm, c *algebra.Comparison) bool {
 	if c.IsJoin() {
 		return matchCmpParts(m, t, c.Left.Attr, c.Op, true, c.RightAttr.Attr, types.Null)
 	}
@@ -251,7 +251,7 @@ func matchCmp(m *matchResult, t HeadTerm, c *algebra.Comparison) bool {
 // matchCmpParts unifies a head comparison term against a node comparison
 // decomposed into its parts: leftAttr op rightAttr (join) or
 // leftAttr op rightConst (selection).
-func matchCmpParts(m *matchResult, t HeadTerm, leftAttr string, op stats.CmpOp,
+func matchCmpParts(m *matchResult, t *HeadTerm, leftAttr string, op stats.CmpOp,
 	isJoin bool, rightAttr string, rightConst types.Constant) bool {
 	if t.Op != op {
 		return false
@@ -282,15 +282,11 @@ func matchCmpParts(m *matchResult, t HeadTerm, leftAttr string, op stats.CmpOp,
 	// failed match leaves no partial bindings behind... bindings are
 	// per-call anyway, but partial state would leak through the flipped
 	// retry in unifyPred).
-	if t.AttrVar != "" {
-		m.bind(t.AttrVar, binding{kind: bindAttr, str: leftAttr})
-	}
-	if t.ValueVar != "" {
-		if isJoin {
-			m.bind(t.ValueVar, binding{kind: bindAttr, str: rightAttr})
-		} else {
-			m.bind(t.ValueVar, binding{kind: bindValue, val: rightConst})
-		}
+	m.bind(t.attrSlot, binding{kind: bindAttr, str: leftAttr})
+	if isJoin {
+		m.bind(t.valueSlot, binding{kind: bindAttr, str: rightAttr})
+	} else {
+		m.bind(t.valueSlot, binding{kind: bindValue, val: rightConst})
 	}
 	return true
 }

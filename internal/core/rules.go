@@ -108,6 +108,10 @@ type HeadTerm struct {
 	// join-style head such as join(E, B, id = author)); it matches the
 	// right-hand attribute of a join conjunct rather than a constant.
 	ValueIsAttr bool
+
+	// The match-result slots Name, AttrVar and ValueVar bind, assigned by
+	// Rule.Finalize (-1 for an empty name).
+	slot, attrSlot, valueSlot int
 }
 
 // String renders the classified term.
@@ -140,6 +144,9 @@ type Formula struct {
 	// varIdx is Var's index in varOrder (-1 when Var is not a canonical
 	// result variable), filled by Rule.Finalize.
 	varIdx int
+	// refs classifies Prog.Paths, index for index, against the owning
+	// rule; filled by Rule.Finalize.
+	refs []pathRef
 }
 
 // Rule is a compiled, integrated cost rule. Rules are immutable after
@@ -187,32 +194,50 @@ type Rule struct {
 	closure   [NumVars]VarSet     // self result variables read when computing variable i
 	childRefs [NumVars][]childRef // child result variables read when computing variable i
 	exactHash algebra.Hash128     // Exact plan's structural hash (when Exact != nil)
+	// slots are the head's variable names, one per case-insensitively
+	// distinct name in head order; a match binds by slot.
+	slots []string
 }
 
 // childRef is one precomputed child-variable reference of a rule body: the
-// head-binding name whose bound child must supply result variable vi.
+// head slot whose bound child must supply result variable vi.
 type childRef struct {
-	name string
+	slot int
 	vi   int
 }
 
 // Finalize computes the rule's derived matching metadata. Registry
 // integration calls it for every rule; it must be called again after any
-// in-place mutation of Formulas or Lets.
+// in-place mutation of Terms, Formulas or Lets.
 func (r *Rule) Finalize() {
+	r.slots = r.slots[:0]
+	for i := range r.Terms {
+		t := &r.Terms[i]
+		t.slot, t.attrSlot, t.valueSlot = -1, -1, -1
+		switch t.Kind {
+		case TermVar, TermCollection:
+			t.slot = r.addSlot(t.Name)
+		case TermCmp:
+			t.attrSlot = r.addSlot(t.AttrVar)
+			t.valueSlot = r.addSlot(t.ValueVar)
+		}
+	}
+	for i := range r.Lets {
+		r.Lets[i].refs = r.classifyPaths(r.Lets[i].Prog)
+	}
 	// Let bodies run before every formula of the rule, so their parameter
 	// references count towards every provided variable.
 	var letSelf VarSet
 	var letChild []childRef
 	for _, f := range r.Lets {
-		for _, p := range f.Prog.Paths {
+		for pi, p := range f.Prog.Paths {
 			if len(p) == 1 {
 				if vi := varIndex(p[0]); vi >= 0 {
 					letSelf = letSelf.With(vi)
 				}
 			} else if len(p) == 2 {
 				if vi := varIndex(p[1]); vi >= 0 {
-					letChild = addChildRef(letChild, p[0], vi)
+					letChild = addChildRef(letChild, f.refs[pi].slot, vi)
 				}
 			}
 		}
@@ -225,6 +250,7 @@ func (r *Rule) Finalize() {
 	for i := range r.Formulas {
 		f := &r.Formulas[i]
 		f.varIdx = varIndexExact(f.Var)
+		f.refs = r.classifyPaths(f.Prog)
 		vi := f.varIdx
 		if vi < 0 {
 			continue
@@ -235,16 +261,16 @@ func (r *Rule) Finalize() {
 		}
 		r.closure[vi] |= letSelf
 		for _, c := range letChild {
-			r.childRefs[vi] = addChildRef(r.childRefs[vi], c.name, c.vi)
+			r.childRefs[vi] = addChildRef(r.childRefs[vi], c.slot, c.vi)
 		}
-		for _, p := range f.Prog.Paths {
+		for pi, p := range f.Prog.Paths {
 			if len(p) == 1 {
 				if j := varIndex(p[0]); j >= 0 {
 					r.closure[vi] = r.closure[vi].With(j)
 				}
 			} else if len(p) == 2 {
 				if j := varIndex(p[1]); j >= 0 {
-					r.childRefs[vi] = addChildRef(r.childRefs[vi], p[0], j)
+					r.childRefs[vi] = addChildRef(r.childRefs[vi], f.refs[pi].slot, j)
 				}
 			}
 		}
@@ -254,13 +280,42 @@ func (r *Rule) Finalize() {
 	}
 }
 
-func addChildRef(refs []childRef, name string, vi int) []childRef {
+// addSlot returns the slot of a head variable name, adding one for a name
+// no earlier term bound (names compare case-insensitively); -1 for "".
+func (r *Rule) addSlot(name string) int {
+	if name == "" {
+		return -1
+	}
+	if s := r.slotOf(name); s >= 0 {
+		return s
+	}
+	r.slots = append(r.slots, name)
+	return len(r.slots) - 1
+}
+
+// slotOf returns the slot a name binds in the rule's head, or -1.
+func (r *Rule) slotOf(name string) int {
+	for i, s := range r.slots {
+		if strings.EqualFold(s, name) {
+			return i
+		}
+	}
+	return -1
+}
+
+// addChildRef records that the child bound at slot must supply variable
+// vi. A name no head term binds never resolves to a child, so it needs
+// nothing.
+func addChildRef(refs []childRef, slot, vi int) []childRef {
+	if slot < 0 {
+		return refs
+	}
 	for _, c := range refs {
-		if c.vi == vi && strings.EqualFold(c.name, name) {
+		if c.vi == vi && c.slot == slot {
 			return refs
 		}
 	}
-	return append(refs, childRef{name: name, vi: vi})
+	return append(refs, childRef{slot: slot, vi: vi})
 }
 
 // Provides reports whether the rule has a formula for the named variable.

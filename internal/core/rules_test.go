@@ -11,10 +11,21 @@ import (
 )
 
 // tryMatch adapts matchRule's pooled-result signature for tests.
-func tryMatch(r *Rule, ctx *nodeCtx) (*matchResult, bool) {
+func tryMatch(r *Rule, ctx *nodeCtx) (*ruleMatch, bool) {
 	m := &matchResult{}
 	ok := matchRule(r, ctx, m)
-	return m, ok
+	return &ruleMatch{matchResult: m, rule: r}, ok
+}
+
+// ruleMatch is a match result that looks bindings up by head name.
+type ruleMatch struct {
+	*matchResult
+	rule *Rule
+}
+
+func (m *ruleMatch) lookup(name string) (binding, bool) {
+	b := m.slot(m.rule.slotOf(name))
+	return *b, b.kind != bindNone
 }
 
 func mustParse(t *testing.T, src string) *costlang.File {

@@ -11,30 +11,69 @@ type tableKey struct {
 	need VarSet
 }
 
+// tableEntry is one priced node: its variables and what its estimate
+// asked of each child, so a walk that must visit the children can.
+type tableEntry struct {
+	RootCost
+	childNeeds [2]VarSet
+}
+
 // searchTable is one plan search's record of priced nodes.
 type searchTable struct {
-	priced map[tableKey]RootCost
+	priced map[tableKey]tableEntry
+	// required is the Options.RequiredVarsOnly the search began under: a
+	// node's estimate also depends on it (it decides which child
+	// variables exist), so walks under the other setting do not read the
+	// record.
+	required bool
 	// applied counts the formula applications of table-backed walks; the
 	// tests check that it equals the number of distinct priced nodes.
 	applied int
+	// joinsels counts joinsel() computations; the tests check one per
+	// priced join.
+	joinsels int
 }
 
 // BeginSearch starts one plan search on the estimator. Until EndSearch,
-// EstimateRoot records the result variables of every node it prices and
-// answers a node it has already priced from that record: it matches no
-// rule and visits nothing below the node. A node's two-phase estimate
-// depends only on its subtree (§4.2), so a candidate built over priced
-// inputs costs its new nodes only. A rule published during the search
-// reaches only the nodes priced after it. Estimate, and EstimateRoot
-// outside a search, always walk the whole plan.
+// EstimateRoot and Estimate record the result variables of every node
+// they price and answer a node already priced from that record: it
+// matches no rule, and EstimateRoot visits nothing below it. A node's
+// two-phase estimate depends only on its subtree (§4.2), so a candidate
+// built over priced inputs costs its new nodes only. Attribute statistics
+// are remembered per (node, attribute) for the search. A rule published
+// during the search reaches only the nodes priced after it. BeginSearch
+// clears the arena's tables, keeping their memory.
 func (e *Estimator) BeginSearch() {
-	e.scratch().search = &searchTable{priced: make(map[tableKey]RootCost)}
+	sc := e.scratch()
+	if len(sc.tab.priced) > 0 {
+		clear(sc.tab.priced)
+	}
+	sc.tab.required = e.Options.RequiredVarsOnly
+	sc.tab.applied, sc.tab.joinsels = 0, 0
+	sc.search = &sc.tab
+	sc.forgetAttrs()
 }
 
-// EndSearch drops the search's record, so the next search sees every
-// registry and statistics change made since.
+// EndSearch ends the search and returns the estimator's scratch arena to
+// the pool, so the next search on any estimator starts from grown pools
+// and maps, and sees every registry and statistics change made since.
 func (e *Estimator) EndSearch() {
-	if e.scr != nil {
-		e.scr.search = nil
+	sc := e.scr
+	if sc == nil {
+		return
 	}
+	sc.search, sc.table = nil, nil
+	sc.env = evalEnv{}
+	e.scr = nil
+	scratchPool.Put(sc)
+}
+
+// liveTable returns the running search's record when this estimator's
+// walks may read it: inside a search begun under the current
+// RequiredVarsOnly setting.
+func (e *Estimator) liveTable() *searchTable {
+	if sc := e.scratch(); sc.search != nil && sc.search.required == e.Options.RequiredVarsOnly {
+		return sc.search
+	}
+	return nil
 }

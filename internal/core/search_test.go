@@ -18,12 +18,12 @@ import (
 )
 
 // spyView hands the test the estimator's running search: the scan
-// formulas read extents on every search, so the last table seen is the
-// search's record, complete once Optimize returns.
+// formulas read extents on every search, so the last state seen is the
+// search's, complete once Optimize returns.
 type spyView struct {
 	core.CatalogView
 	est   *core.Estimator
-	table *core.SearchTable
+	table *core.SearchState
 }
 
 func (v *spyView) Extent(w, c string) (stats.ExtentStats, bool) {
@@ -122,8 +122,7 @@ func TestSearchTableMatchesUncached(t *testing.T) {
 					t.Fatalf("%s: %v", label, err)
 				}
 				roots := view.table.RootEntries(opt.Est)
-				// Every candidate is a root entry; the final Estimate of the
-				// chosen plan is not.
+				// Every candidate is a root entry, and so is the chosen plan.
 				if len(roots) < res.PlansCosted-1 {
 					t.Fatalf("%s: %d root entries for %d candidates", label, len(roots), res.PlansCosted-1)
 				}
@@ -162,5 +161,53 @@ func TestSearchPricesEachNodeOnce(t *testing.T) {
 		if !bushy && applied > 2*res.PlansCosted {
 			t.Errorf("applied %d times for %d candidates", applied, res.PlansCosted)
 		}
+	}
+}
+
+// TestSearchRemembersAttrStats checks the statistics a search remembers
+// per (node, attribute) against the walk that finds them, for every pair
+// the 7-relation chord search remembered and for every node it priced.
+// Every relation exports id and fk, so a join's inputs hold several scans
+// with the same bare name (C0.id, C3.id): the answer must be the first
+// scan in walk order, as the walk finds it.
+func TestSearchRemembersAttrStats(t *testing.T) {
+	for _, bushy := range []bool{false, true} {
+		opt, qb, view := chordSearch(t)
+		opt.Opt.Bushy = bushy
+		if _, err := opt.Optimize(qb); err != nil {
+			t.Fatal(err)
+		}
+		msg, remembered := view.table.AttrStatsMismatch(view.CatalogView, []string{"id", "fk", "ID", "nosuch"})
+		if msg != "" {
+			t.Fatalf("bushy=%v: %s", bushy, msg)
+		}
+		if remembered == 0 {
+			t.Fatalf("bushy=%v: the search remembered no attribute statistics", bushy)
+		}
+	}
+}
+
+// TestJoinselOncePerContext gives the object wrapper a second equi-join
+// rule beside its own, whose two formulas both call joinsel(), and checks
+// that a search computes joinsel() at most once per join it prices.
+func TestJoinselOncePerContext(t *testing.T) {
+	opt, qb, view := chordSearch(t)
+	file, err := costlang.Parse(`
+join(C1, C2, A1 = A2) {
+  CountObject = C1.CountObject * C2.CountObject * joinsel();
+  TotalTime   = C1.TotalTime + C2.TotalTime + C1.CountObject * C2.CountObject * joinsel();
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := opt.Est.Registry.IntegrateWrapper("obj1", file, view.CatalogView); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := opt.Optimize(qb); err != nil {
+		t.Fatal(err)
+	}
+	joins, calls := view.table.PricedJoins(), view.table.Joinsels()
+	if calls == 0 || calls > joins {
+		t.Errorf("joinsel() computed %d times for %d priced joins", calls, joins)
 	}
 }

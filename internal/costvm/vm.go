@@ -34,6 +34,17 @@ type Env interface {
 	Call(name string, args []types.Constant) (types.Constant, error)
 }
 
+// IndexedEnv is an Env that also resolves a parameter by its position in
+// the program's path pool. Evaluation calls LookupIndex in place of Lookup
+// on an environment that implements it, so an environment that classified
+// a program's paths once can skip reading the names on every evaluation.
+type IndexedEnv interface {
+	Env
+	// LookupIndex resolves Paths[i] (passed as path) of the program
+	// being evaluated.
+	LookupIndex(i int, path []string) (types.Constant, bool)
+}
+
 // Op is a bytecode opcode.
 type Op uint8
 
@@ -296,6 +307,7 @@ func (p *Program) evalWith(env Env, stack []types.Constant) (val types.Constant,
 			val, err = types.Null, fmt.Errorf("costvm: panic evaluating %q: %v", p.Source, r)
 		}
 	}()
+	indexed, _ := env.(IndexedEnv)
 	for _, in := range p.Code {
 		switch in.Op {
 		case opConst:
@@ -307,7 +319,13 @@ func (p *Program) evalWith(env Env, stack []types.Constant) (val types.Constant,
 			if int(in.A) >= len(p.Paths) {
 				return types.Null, fmt.Errorf("costvm: path index %d out of range in %q", in.A, p.Source)
 			}
-			v, ok := env.Lookup(p.Paths[in.A])
+			var v types.Constant
+			var ok bool
+			if indexed != nil {
+				v, ok = indexed.LookupIndex(int(in.A), p.Paths[in.A])
+			} else {
+				v, ok = env.Lookup(p.Paths[in.A])
+			}
 			if !ok {
 				// The usual estimation failure (a missing statistic): the
 				// estimator's level-fallback machinery catches it, so a

@@ -150,7 +150,7 @@ func (o *Optimizer) Optimize(qb *QueryBlock) (*Result, error) {
 	if len(qb.Relations) > 63 {
 		return nil, fmt.Errorf("optimizer: too many relations (%d)", len(qb.Relations))
 	}
-	s := &search{o: o}
+	s := &search{o: o, edges: joinEdges(qb)}
 	o.Est.BeginSearch()
 	defer o.Est.EndSearch()
 
@@ -171,10 +171,10 @@ func (o *Optimizer) Optimize(qb *QueryBlock) (*Result, error) {
 		joined = base[0]
 	case len(qb.Relations) <= o.Opt.MaxDPRelations:
 		joined, err = s.joinDP(base, func(best map[uint64]*entry, set uint64, size int) []*tagged {
-			return s.subsetCandidates(qb, base, best, set, size)
+			return s.subsetCandidates(base, best, set, size)
 		})
 	default:
-		joined, err = s.greedyJoin(qb, base)
+		joined, err = s.greedyJoin(base)
 	}
 	if err != nil {
 		return nil, err
@@ -269,7 +269,7 @@ type entry struct {
 // in the canonical deterministic order — bushy partitions (both build
 // orders) or left-deep splits, each expanded through joinCandidates. Ties
 // on cost are broken towards the earlier candidate.
-func (s *search) subsetCandidates(qb *QueryBlock, base []*tagged, best map[uint64]*entry, set uint64, size int) []*tagged {
+func (s *search) subsetCandidates(base []*tagged, best map[uint64]*entry, set uint64, size int) []*tagged {
 	o, n := s.o, len(base)
 	var out []*tagged
 	if o.Opt.Bushy {
@@ -285,7 +285,7 @@ func (s *search) subsetCandidates(qb *QueryBlock, base []*tagged, best map[uint6
 			if !okL || !okR {
 				continue
 			}
-			pred := connectingPred(qb, sub, other)
+			pred := s.connectingPred(sub, other)
 			if pred == nil && size < n {
 				continue
 			}
@@ -305,7 +305,7 @@ func (s *search) subsetCandidates(qb *QueryBlock, base []*tagged, best map[uint6
 			if !ok {
 				continue
 			}
-			pred := connectingPred(qb, set&^bit, bit)
+			pred := s.connectingPred(set&^bit, bit)
 			if pred == nil && size < n {
 				continue
 			}
@@ -319,7 +319,7 @@ func (s *search) subsetCandidates(qb *QueryBlock, base []*tagged, best map[uint6
 // very large blocks. It reprices the surviving pairs every round; each
 // repriced pair costs only its new join node, because its inputs are
 // already priced in this search.
-func (s *search) greedyJoin(qb *QueryBlock, base []*tagged) (*tagged, error) {
+func (s *search) greedyJoin(base []*tagged) (*tagged, error) {
 	type item struct {
 		t    *tagged
 		set  uint64
@@ -342,7 +342,7 @@ func (s *search) greedyJoin(qb *QueryBlock, base []*tagged) (*tagged, error) {
 				if i == j {
 					continue
 				}
-				pred := connectingPred(qb, items[i].set, items[j].set)
+				pred := s.connectingPred(items[i].set, items[j].set)
 				if pred == nil && len(items) > 2 {
 					continue
 				}
@@ -374,14 +374,15 @@ func (s *search) greedyJoin(qb *QueryBlock, base []*tagged) (*tagged, error) {
 
 // joinCandidates produces the placement alternatives for joining two
 // subplans: a mediator join of the shipped inputs and, when both sides
-// are resident at the same join-capable wrapper, a source-side join.
+// are resident at the same join-capable wrapper, a source-side join. The
+// mediator join takes pred itself; the source-side join gets a copy.
 func (o *Optimizer) joinCandidates(left, right *tagged, pred *algebra.Predicate) []*tagged {
 	var out []*tagged
 	// Candidates share the input subtrees rather than cloning them: nodes
 	// are immutable during search (Resolve is idempotent, estimation only
 	// reads), so the same resolved, hash-cached subplan can appear under
 	// many candidate joins.
-	med := algebra.Join(left.materialize(), right.materialize(), pred.Clone())
+	med := algebra.Join(left.materialize(), right.materialize(), pred)
 	out = append(out, &tagged{plan: med, site: ""})
 	if left.site != "" && left.site == right.site {
 		if caps, ok := o.Cat.Capabilities(left.site); ok && caps.Join {
@@ -412,25 +413,19 @@ func flipPred(p *algebra.Predicate) *algebra.Predicate {
 	return out
 }
 
-// connectingPred collects the join conjuncts linking two relation sets;
-// nil when none connect them.
-func connectingPred(qb *QueryBlock, a, b uint64) *algebra.Predicate {
-	var conj []algebra.Comparison
+// joinEdges places each join conjunct of the block between the relations
+// its two sides name; a conjunct naming no relation of the block joins
+// nothing.
+func joinEdges(qb *QueryBlock) []edge {
+	edges := make([]edge, 0, len(qb.JoinPreds))
 	for _, c := range qb.JoinPreds {
-		li := relIndexOf(qb, c.Left)
-		ri := relIndexOf(qb, *c.RightAttr)
+		li, ri := relIndexOf(qb, c.Left), relIndexOf(qb, *c.RightAttr)
 		if li < 0 || ri < 0 {
 			continue
 		}
-		lb, rb := uint64(1)<<uint(li), uint64(1)<<uint(ri)
-		if (a&lb != 0 && b&rb != 0) || (a&rb != 0 && b&lb != 0) {
-			conj = append(conj, c.Clone())
-		}
+		edges = append(edges, edge{c: c, lb: 1 << uint(li), rb: 1 << uint(ri)})
 	}
-	if len(conj) == 0 {
-		return nil
-	}
-	return &algebra.Predicate{Conjuncts: conj}
+	return edges
 }
 
 // relIndexOf locates the relation a qualified attribute belongs to.
@@ -517,7 +512,8 @@ func (s *search) costRoot(plan *algebra.Node) (core.RootCost, error) {
 }
 
 // costPlan is costRoot with the full per-node cost breakdown, used once
-// per Optimize call on the chosen plan.
+// per Optimize call on the chosen plan; inside the search it reads the
+// nodes the candidates priced.
 func (s *search) costPlan(plan *algebra.Node) (*core.PlanCost, error) {
 	if err := algebra.Resolve(plan, s.o.Cat); err != nil {
 		return nil, err

@@ -24,7 +24,11 @@ type fixture struct {
 	fstore *filestore.Store
 }
 
-func buildFixture(t *testing.T) *fixture {
+func buildFixture(t *testing.T) *fixture { return buildFixtureOf(t, 5000) }
+
+// buildFixtureOf builds the fixture federation with the given number of
+// employees.
+func buildFixtureOf(t *testing.T, employees int) *fixture {
 	t.Helper()
 	clock := netsim.NewClock()
 
@@ -38,7 +42,7 @@ func buildFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5000; i++ {
+	for i := 0; i < employees; i++ {
 		emp.Insert(types.Row{types.Int(int64(i)), types.Str("e"),
 			types.Int(int64(i % 50)), types.Int(int64(1000 + i%2000))})
 	}

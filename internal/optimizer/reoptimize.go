@@ -150,11 +150,6 @@ peel:
 		}
 		return -1
 	}
-	type edge struct {
-		c      algebra.Comparison
-		li, ri int
-	}
-	var edges []edge
 	for _, c := range conjs {
 		if c.RightAttr == nil {
 			continue
@@ -163,20 +158,7 @@ peel:
 		if li < 0 || ri < 0 || li == ri {
 			continue
 		}
-		edges = append(edges, edge{c: c, li: li, ri: ri})
-	}
-	connecting := func(a, b uint64) *algebra.Predicate {
-		var cs []algebra.Comparison
-		for _, e := range edges {
-			lb, rb := uint64(1)<<uint(e.li), uint64(1)<<uint(e.ri)
-			if (a&lb != 0 && b&rb != 0) || (a&rb != 0 && b&lb != 0) {
-				cs = append(cs, e.c.Clone())
-			}
-		}
-		if len(cs) == 0 {
-			return nil
-		}
-		return &algebra.Predicate{Conjuncts: cs}
+		s.edges = append(s.edges, edge{c: c, lb: 1 << uint(li), rb: 1 << uint(ri)})
 	}
 
 	// The dynamic program over leaf units instead of base relations, on
@@ -203,7 +185,7 @@ peel:
 			if !ok {
 				continue
 			}
-			pred := connecting(set&^bit, bit)
+			pred := s.connectingPred(set&^bit, bit)
 			if pred == nil && size < n {
 				continue
 			}

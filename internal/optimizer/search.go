@@ -3,14 +3,40 @@ package optimizer
 import (
 	"errors"
 	"math"
+
+	"disco/internal/algebra"
 )
 
-// search carries the state of one Optimize call: the owning optimizer and
-// the search counters.
+// search carries the state of one Optimize call: the owning optimizer,
+// the join edges between its base units and the search counters.
 type search struct {
 	o           *Optimizer
+	edges       []edge
 	plansCosted int
 	cacheHits   int
+}
+
+// edge is one join conjunct with the base units its two sides belong to,
+// as bits of a unit set; both are computed once per search.
+type edge struct {
+	c      algebra.Comparison
+	lb, rb uint64
+}
+
+// connectingPred collects the join conjuncts linking two unit sets into
+// one fresh predicate; nil when none connect them.
+func (s *search) connectingPred(a, b uint64) *algebra.Predicate {
+	var conj []algebra.Comparison
+	for i := range s.edges {
+		e := &s.edges[i]
+		if (a&e.lb != 0 && b&e.rb != 0) || (a&e.rb != 0 && b&e.lb != 0) {
+			conj = append(conj, e.c.Clone())
+		}
+	}
+	if len(conj) == 0 {
+		return nil
+	}
+	return &algebra.Predicate{Conjuncts: conj}
 }
 
 // errNoJoinOrder reports that no candidate covered every base unit.

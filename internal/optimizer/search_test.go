@@ -231,7 +231,7 @@ func TestBoundComparesCompleteCosts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := connectingPred(qb, 1, 2)
+	pred := (&search{edges: joinEdges(qb)}).connectingPred(1, 2)
 	// Left-deep enumeration order of the subset {Employee, Manager}.
 	cands := append(f.opt.joinCandidates(mgr, emp, pred), f.opt.joinCandidates(emp, mgr, pred)...)
 	rec := history.NewRecorder(f.reg)

@@ -1,0 +1,219 @@
+package optimizer
+
+import (
+	"fmt"
+	"math"
+	"sort"
+	"sync"
+	"testing"
+
+	"disco/internal/core"
+)
+
+// blockNames returns the golden blocks' names in a fixed order.
+func blockNames(blocks map[string]*QueryBlock) []string {
+	names := make([]string, 0, len(blocks))
+	for name := range blocks {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// samePlanCost reports the first difference between two plan costs: the
+// nodes they cover and every variable's bits.
+func samePlanCost(got, want *core.PlanCost) error {
+	if len(got.ByNode) != len(want.ByNode) {
+		return fmt.Errorf("%d nodes costed, want %d", len(got.ByNode), len(want.ByNode))
+	}
+	for n, w := range want.ByNode {
+		g, ok := got.ByNode[n]
+		if !ok {
+			return fmt.Errorf("no cost for %s", n.Signature())
+		}
+		if len(g.Vars) != len(w.Vars) {
+			return fmt.Errorf("%s: variables %v, want %v", n.Signature(), g.Vars, w.Vars)
+		}
+		for v, x := range w.Vars {
+			if y, ok := g.Vars[v]; !ok || math.Float64bits(x) != math.Float64bits(y) {
+				return fmt.Errorf("%s: %s = %v, want %v", n.Signature(), v, y, x)
+			}
+		}
+	}
+	for n, c := range want.ByNode {
+		if c == want.Root && got.Root != got.ByNode[n] {
+			return fmt.Errorf("root cost is not the entry of the plan root %s", n.Signature())
+		}
+	}
+	return nil
+}
+
+// TestFinalCostFromTable: the chosen plan's costs, which Optimize reads
+// from the search's table, equal a full estimate of the plan outside any
+// search, node for node and bit for bit, for every golden block, tree
+// shape and objective, the greedy fallback, and required-variable pruning
+// off, on, and on with a full per-node capture — asking the root for two
+// variables or for all of them. With Trace on, every costed node still
+// names the rule behind each variable.
+func TestFinalCostFromTable(t *testing.T) {
+	f := buildFixture(t)
+	blocks := equivalenceBlocks()
+	modes := []struct {
+		name     string
+		required bool
+		rootVars []string
+		capture  bool
+	}{
+		{name: "full"},
+		{name: "required", required: true, rootVars: []string{"TimeFirst", "TotalTime"}},
+		{name: "required+capture", required: true, rootVars: []string{"TimeFirst", "TotalTime"}, capture: true},
+		{name: "required-all+capture", required: true, capture: true},
+	}
+	for _, name := range blockNames(blocks) {
+		qb := blocks[name]
+		for _, maxDP := range []int{10, 2} {
+			if maxDP == 2 && len(qb.Relations) <= 2 {
+				continue
+			}
+			for _, bushy := range []bool{false, true} {
+				for _, objective := range []Objective{ObjectiveTotalTime, ObjectiveTimeFirst} {
+					for _, mode := range modes {
+						label := fmt.Sprintf("%s maxdp=%d bushy=%v objective=%d %s", name, maxDP, bushy, objective, mode.name)
+						est := f.est.Clone()
+						est.Options.RequiredVarsOnly, est.Options.RootVars = mode.required, mode.rootVars
+						opts := Options{MaxDPRelations: maxDP, Bushy: bushy, Objective: objective, CapturePlanCosts: mode.capture}
+						res, err := New(f.cat, est, opts).Optimize(qb)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						fresh := est.Clone()
+						if opts.CapturePlanCosts {
+							fresh.Options.RequiredVarsOnly, fresh.Options.RootVars = false, nil
+						}
+						want, err := fresh.Estimate(res.Plan)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if err := samePlanCost(res.Cost, want); err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	est := f.est.Clone()
+	est.Options.Trace = true
+	res, err := New(f.cat, est, DefaultOptions()).Optimize(blocks["four-way"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, c := range res.Cost.ByNode {
+		for v := range c.Vars {
+			if c.ChosenRules[v] == "" {
+				t.Errorf("traced plan: no rule named for %s of %s", v, n.Signature())
+			}
+		}
+	}
+}
+
+// TestPooledScratchCarriesNothing runs searches over two federations with
+// different statistics — alternately on each goroutine, and on several
+// goroutines at once — so estimators keep taking arenas the other
+// federation's searches returned to the pool. Every search must choose
+// the plan, cost and candidate count that federation's first search did.
+func TestPooledScratchCarriesNothing(t *testing.T) {
+	fixtures := []*fixture{buildFixtureOf(t, 5000), buildFixtureOf(t, 40)}
+	blocks := equivalenceBlocks()
+	names := blockNames(blocks)
+	type outcome struct {
+		plan   string
+		cost   uint64
+		costed int
+	}
+	run := func(f *fixture, qb *QueryBlock, bushy bool) (outcome, error) {
+		res, err := New(f.cat, f.est.Clone(), Options{MaxDPRelations: 10, Bushy: bushy}).Optimize(qb)
+		if err != nil {
+			return outcome{}, err
+		}
+		return outcome{res.Plan.Signature(), math.Float64bits(res.Cost.TotalTime()), res.PlansCosted}, nil
+	}
+	want := make(map[string]outcome)
+	for fi, f := range fixtures {
+		for _, name := range names {
+			for _, bushy := range []bool{false, true} {
+				o, err := run(f, blocks[name], bushy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[fmt.Sprint(fi, name, bushy)] = o
+			}
+		}
+	}
+	if want[fmt.Sprint(0, "four-way", false)] == want[fmt.Sprint(1, "four-way", false)] {
+		t.Fatal("the two federations choose the same four-way plan at the same cost; the test cannot see a leak")
+	}
+	const goroutines, rounds = 4, 6
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for _, name := range names {
+					for _, bushy := range []bool{false, true} {
+						for k := range fixtures {
+							fi := (g + r + k) % len(fixtures)
+							got, err := run(fixtures[fi], blocks[name], bushy)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							if w := want[fmt.Sprint(fi, name, bushy)]; got != w {
+								t.Errorf("federation %d %s bushy=%v: %+v, first search %+v", fi, name, bushy, got, w)
+								return
+							}
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestOptimizeAllocs is the search's allocation gate: after warm-up, a
+// search on a fresh clone of the estimator (as every prepare runs one)
+// allocates what its candidates are made of — join nodes, their
+// predicates and schemas, the search's own bookkeeping — and nothing per
+// node priced: the arena, its tables and its statistics come warm from
+// the pool.
+func TestOptimizeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	f := buildFixture(t)
+	qb := equivalenceBlocks()["four-way"]
+	var costed int
+	optimize := func() {
+		res, err := New(f.cat, f.est.Clone(), DefaultOptions()).Optimize(qb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		costed = res.PlansCosted
+	}
+	optimize()
+	allocs := testing.AllocsPerRun(50, optimize)
+	// Per candidate, about ten: the join node, the tagged candidate, its
+	// predicate (struct, conjunct slice, one cloned reference per
+	// conjunct), its resolved schema, the join conjuncts Resolve checks,
+	// and its share of the candidate lists. The fixed part is the search's
+	// setup (access paths, the subset table) and the chosen plan's
+	// PlanCost maps, three objects per plan node. A clone that grows its
+	// own arena allocates 485 here.
+	const perCandidate, fixed = 11, 60
+	if ceiling := float64(perCandidate*costed + fixed); allocs > ceiling {
+		t.Errorf("Optimize on a fresh clone allocates %.0f objects for %d candidates, ceiling %.0f", allocs, costed, ceiling)
+	}
+}

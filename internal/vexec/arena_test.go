@@ -81,6 +81,57 @@ func TestArenaSlabs(t *testing.T) {
 	}
 }
 
+// TestArenaReserve: a reservation sizes only a fresh arena's first slab,
+// exactly; from then on slabs double as in TestArenaSlabs, and a rewound
+// arena keeps reusing the slab it reached.
+func TestArenaReserve(t *testing.T) {
+	var a arena
+	a.reserve(0)
+	if cap(a.slab) != 0 {
+		t.Fatalf("reserving nothing made a %d-constant slab", cap(a.slab))
+	}
+	a.reserve(6)
+	a.alloc(3)
+	a.alloc(3)
+	if cap(a.slab) != 6 {
+		t.Fatalf("first slab holds %d constants, want the reserved 6", cap(a.slab))
+	}
+	a.reserve(6)
+	a.alloc(3)
+	if cap(a.slab) != arenaMinSlab {
+		t.Fatalf("second slab holds %d constants, want %d", cap(a.slab), arenaMinSlab)
+	}
+	a.reset()
+	a.reserve(4 * arenaMinSlab)
+	if cap(a.slab) != arenaMinSlab {
+		t.Fatalf("a reservation replaced the rewound slab with %d constants", cap(a.slab))
+	}
+}
+
+// TestProjectOneRowSlab: a one-row answer projected onto two columns
+// allocates one two-constant slab, not a first slab of arenaMinSlab.
+func TestProjectOneRowSlab(t *testing.T) {
+	src := newSource([]types.Row{{types.Int(1), types.Int(2), types.Int(3)}}, DefaultBatchSize)
+	p := &projectOp{child: src, idx: []int{2, 0}, size: DefaultBatchSize}
+	if err := p.Open(); err != nil {
+		t.Fatal(err)
+	}
+	b := getBatch(DefaultBatchSize)
+	if ok, err := p.Next(b); err != nil || !ok || len(b.Rows) != 1 {
+		t.Fatalf("Next = %v, %v with %d rows", ok, err, len(b.Rows))
+	}
+	if got := b.Rows[0]; !got[0].Equal(types.Int(3)) || !got[1].Equal(types.Int(1)) {
+		t.Fatalf("projected row %v, want [3 1]", got)
+	}
+	if cap(p.arena.slab) != 2 {
+		t.Errorf("slab holds %d constants, want the row's 2", cap(p.arena.slab))
+	}
+	putBatch(b)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestArenaRowsSurviveGrowth: growth copies nothing and recycles nothing,
 // so rows handed out before a slab is replaced keep their values, and an
 // append on a row reallocates instead of writing into its neighbour.

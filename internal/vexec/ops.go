@@ -118,6 +118,7 @@ func (p *projectOp) Next(b *Batch) (bool, error) {
 		return false, err
 	}
 	out := b.own()
+	p.arena.reserve(len(p.in.Rows) * len(p.idx))
 	for _, r := range p.in.Rows {
 		nr := p.arena.alloc(len(p.idx))
 		for i, pos := range p.idx {

@@ -277,7 +277,7 @@ func Discard(root Op, batchSize int) error {
 }
 
 // Slab sizes of the row arena, in constants: an arena's first slab is
-// arenaMinSlab (12 KiB) and each later one doubles, up to arenaMaxSlab.
+// arenaMinSlab (8 KiB) and each later one doubles, up to arenaMaxSlab.
 const (
 	arenaMinSlab = 256
 	arenaMaxSlab = 16384
@@ -286,8 +286,10 @@ const (
 // arena bump-allocates row storage in slabs so operators that build
 // output rows (project, joins) do not allocate per row. Slabs grow
 // geometrically, so what an operator allocates is proportional to what it
-// emits: a 70-row answer costs one 12 KiB slab, and a long scan settles on
-// arenaMaxSlab-sized ones after wasting at most half of what it used.
+// emits: a 70-row answer costs one 8 KiB slab, and a long scan settles on
+// arenaMaxSlab-sized ones after wasting at most half of what it used. An
+// operator that knows its batch's size reserves it first, so a fresh
+// arena's first slab is exactly that batch.
 // Growth copies nothing: emitted rows keep referencing their slab, and
 // the arena simply drops its pointer when a slab fills (the rows keep it
 // alive). An operator marked transient (its consumer provably never
@@ -303,6 +305,15 @@ type arena struct {
 // for reuse. Only safe when every row handed out since the last reset is
 // already dead (the transient contract).
 func (a *arena) reset() { a.slab = a.slab[:0] }
+
+// reserve sizes a fresh arena's first slab to exactly n constants, the
+// storage of the batch about to be built; an arena that has a slab keeps
+// growing by alloc's doubling.
+func (a *arena) reserve(n int) {
+	if cap(a.slab) == 0 && n > 0 {
+		a.slab = make([]types.Constant, 0, n)
+	}
+}
 
 // alloc returns a row of n constants carved from the slab (zeroed when
 // the slab is fresh; callers overwrite every position). A full slab is
