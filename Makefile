@@ -49,7 +49,7 @@ ci-lint:
 	else echo "ci-lint: staticcheck not on PATH and $(STATICCHECK) not installable (offline?) — SKIPPED"; fi
 # Everything that shares state across goroutines: rule registry, history
 # recorder, concurrent prepares, mediator, wrapper server, virtual clock,
-# the stores whose rows answers alias, executor, morsel breakers,
+# the stores whose rows answers alias, executor and spill breakers,
 # per-connection frame readers, the bench smoke run.
 ci-race:
 	$(GO) test -race ./internal/core ./internal/history ./internal/optimizer ./internal/mediator \
@@ -80,12 +80,12 @@ ci-concurrency:
 		-run 'Concurrent|Race|Admission|PlanCache|Reprepare|StalePlan|Debounce|IdleTimeout|Overloaded|NormalizeSQL|Shutdown|StatsOp|ReregisterOp|SetLinkOp' \
 		./internal/mediator ./internal/feedback ./internal/serving
 # The digest-checked chaos soaks (E11-E14): zero wedged clients, zero
-# oracle mismatches — plain, morsel-parallel with a spill budget, result
-# cache on, and three replicas with one killed and restarted mid-run.
+# oracle mismatches — plain, under a spill budget, result cache on, and
+# three replicas with one killed and restarted mid-run.
 ci-soak:
 	$(SOAK) 'TestSoak$$'
 ci-exec:
-	$(SOAK) 'TestSoakExecParallel'
+	$(SOAK) 'TestSoakExecSpill'
 ci-resultcache:
 	$(GO) test -race -count=2 -run 'ResultCache|NormalizeSQL|PlanCacheStale|Hist' \
 		./internal/resultcache ./internal/mediator ./internal/optimizer ./internal/loadgen

@@ -12,7 +12,7 @@
 //	       [-max-inflight 32] [-queue-timeout 1s] [-idle-timeout 5m]
 //	       [-drain-timeout 5s] [-result-cache] [-result-cache-entries 1024]
 //	       [-result-cache-bytes 67108864] [-result-cache-ttl-ms 0]
-//	       [-exec-workers 4] [-exec-mem-bytes 0] [-exec-spill-dir dir]
+//	       [-exec-mem-bytes 0] [-exec-spill-dir dir]
 //	       [-adaptive]
 //
 // With -feedback (the default) every executed query is profiled and fed
@@ -33,11 +33,9 @@
 // -result-cache-ttl-ms ages entries on the virtual clock (0 = no TTL).
 // Hit/miss/eviction counters appear in the `stats` admin op.
 //
-// -exec-workers turns on morsel-parallel execution inside the mediator's
-// pipeline breakers (hash join, aggregation, sort, duplicate
-// elimination); answers stay bit-identical to sequential runs.
-// -exec-mem-bytes bounds the memory those breakers may hold before
-// Grace-style spilling to -exec-spill-dir (0 = never spill).
+// -exec-mem-bytes bounds the memory the mediator's hash joins and
+// aggregations may hold before Grace-style spilling to -exec-spill-dir
+// (0 = never spill).
 //
 // -adaptive turns on mid-flight adaptive re-optimization: execution
 // pauses at materialization boundaries, compares observed cardinalities

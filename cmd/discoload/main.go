@@ -15,10 +15,9 @@
 // single-binary soak mode CI uses. Demo mode accepts -result-cache (plus
 // -result-cache-bytes / -result-cache-ttl-ms) to serve the zipf-hot pool
 // from the semantic result cache; the scraped hit rate lands in the
-// report as result_cache_hit_rate. -exec-workers
-// and -exec-mem-bytes switch the mediator's vectorized engine into
-// morsel-parallel and spill-bounded modes respectively; -adaptive turns
-// on mid-flight adaptive re-optimization. -replicas N
+// report as result_cache_hit_rate. -exec-mem-bytes bounds the memory the
+// mediator's hash joins and aggregations hold before spilling; -adaptive
+// turns on mid-flight adaptive re-optimization. -replicas N
 // (N > 1) brings up N identical demo replicas fronted by an in-process
 // federation router (internal/router) with scatter-gather partitions
 // declared — the scale-out soak mode; the report's per_target section

@@ -146,17 +146,16 @@ func TestSoak(t *testing.T) {
 		len(rep.Samples), len(digests), mismatches)
 }
 
-// TestSoakExecParallel is the vectorized-engine soak gate (`make
-// ci-exec`): the fixed-seed chaos workload against a server running the
-// mediator's breakers morsel-parallel (4 workers) under a deliberately
-// tiny spill budget, so hash joins and aggregations Grace-partition to
-// disk mid-serving, under the race detector. On top of the TestSoak
-// liveness invariants it asserts the execution mode is invisible to
-// clients: every sampled result digest matches a sequential,
+// TestSoakExecSpill is the vectorized-engine soak gate (`make ci-exec`):
+// the fixed-seed chaos workload against a server whose mediator runs
+// under a deliberately tiny spill budget, so hash joins and aggregations
+// Grace-partition to disk mid-serving, under the race detector. On top
+// of the TestSoak liveness invariants it asserts the execution mode is
+// invisible to clients: every sampled result digest matches a
 // spill-free, feedback-off oracle re-execution. Digests are
 // order-insensitive, which is exactly the guarantee spilled execution
 // keeps (multiset-identical, bit-exact values).
-func TestSoakExecParallel(t *testing.T) {
+func TestSoakExecSpill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak gate is not a -short test")
 	}
@@ -165,7 +164,6 @@ func TestSoakExecParallel(t *testing.T) {
 		Feedback:     true,
 		MaxInFlight:  64,
 		QueueTimeout: 2 * time.Second,
-		ExecWorkers:  4,
 		ExecMemBytes: 64 << 10, // tiny: force spills at soak scale
 		ExecSpillDir: t.TempDir(),
 	})
@@ -222,8 +220,8 @@ func TestSoakExecParallel(t *testing.T) {
 	}
 
 	// Oracle pass: a fresh federation with the vectorized engine in its
-	// default sequential spill-free mode and feedback off. Parallel and
-	// spilled answers must be indistinguishable digest-for-digest.
+	// default spill-free mode and feedback off. Spilled answers must be
+	// indistinguishable digest-for-digest.
 	oracle, err := serving.NewDemoFederation(serving.Options{Parts: soakParts})
 	if err != nil {
 		t.Fatal(err)

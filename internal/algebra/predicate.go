@@ -167,19 +167,13 @@ func (p *Predicate) Eval(schema *types.Schema, row types.Row) bool {
 		return true
 	}
 	for _, c := range p.Conjuncts {
-		li, ok := schema.Lookup(c.Left.String())
-		if !ok {
-			li, ok = schema.Lookup(c.Left.Attr)
-		}
+		li, ok := RefIndex(schema, c.Left)
 		if !ok {
 			return false
 		}
 		var right types.Constant
 		if c.RightAttr != nil {
-			ri, ok := schema.Lookup(c.RightAttr.String())
-			if !ok {
-				ri, ok = schema.Lookup(c.RightAttr.Attr)
-			}
+			ri, ok := RefIndex(schema, *c.RightAttr)
 			if !ok {
 				return false
 			}

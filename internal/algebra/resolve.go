@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"strings"
 
 	"disco/internal/types"
 )
@@ -60,11 +61,16 @@ func Resolve(n *Node, src SchemaSource) error {
 		n.OutSchema = child
 
 	case OpProject:
-		s, err := n.Children[0].OutSchema.Project(n.Cols)
-		if err != nil {
-			return fmt.Errorf("algebra: %w", err)
+		child := n.Children[0].OutSchema
+		fields := make([]types.Field, len(n.Cols))
+		for i, col := range n.Cols {
+			pos, ok := ColIndex(child, col)
+			if !ok {
+				return fmt.Errorf("algebra: projection column %q not in %s", col, child)
+			}
+			fields[i] = child.Field(pos)
 		}
-		n.OutSchema = s
+		n.OutSchema = types.NewSchema(fields...)
 
 	case OpSort:
 		child := n.Children[0].OutSchema
@@ -98,7 +104,7 @@ func Resolve(n *Node, src SchemaSource) error {
 		child := n.Children[0].OutSchema
 		fields := make([]types.Field, 0, len(n.GroupBy)+len(n.Aggs))
 		for _, g := range n.GroupBy {
-			i, ok := lookupRefIdx(child, g)
+			i, ok := RefIndex(child, g)
 			if !ok {
 				return fmt.Errorf("algebra: group-by attribute %s not in %s", g, child)
 			}
@@ -114,12 +120,12 @@ func Resolve(n *Node, src SchemaSource) error {
 				ty = types.KindInt
 			}
 			if (a.Func == AggMin || a.Func == AggMax) && !a.Star {
-				if i, ok := lookupRefIdx(child, a.Attr); ok {
+				if i, ok := RefIndex(child, a.Attr); ok {
 					ty = child.Field(i).Type
 				}
 			}
 			if !a.Star {
-				if _, ok := lookupRefIdx(child, a.Attr); !ok {
+				if _, ok := RefIndex(child, a.Attr); !ok {
 					return fmt.Errorf("algebra: aggregate attribute %s not in %s", a.Attr, child)
 				}
 			}
@@ -134,21 +140,58 @@ func Resolve(n *Node, src SchemaSource) error {
 }
 
 func lookupRef(s *types.Schema, r Ref) bool {
-	_, ok := lookupRefIdx(s, r)
+	_, ok := RefIndex(s, r)
 	return ok
 }
 
-func lookupRefIdx(s *types.Schema, r Ref) (int, bool) {
-	if i, ok := s.Lookup(r.String()); ok {
-		return i, true
+// RefIndex resolves an attribute reference to its position in a schema,
+// case-insensitively; Resolve, the executor and Predicate.Eval all
+// resolve through it. A qualified reference matches the field of that
+// collection and name, else a field of that name that has no collection
+// (a derived column); it never matches a field of another collection. A
+// bare reference matches any field of that name, and is ambiguous — not
+// found — when the matches come from two collections. Among several
+// matches the last field wins.
+func RefIndex(s *types.Schema, r Ref) (int, bool) {
+	found, from := -1, ""
+	for i := s.Len() - 1; i >= 0; i-- {
+		f := s.Field(i)
+		if !strings.EqualFold(f.Name, r.Attr) {
+			continue
+		}
+		if r.Collection != "" {
+			if strings.EqualFold(f.Collection, r.Collection) {
+				return i, true
+			}
+			if f.Collection == "" && found < 0 {
+				found = i
+			}
+			continue
+		}
+		if f.Collection != "" {
+			if from != "" && !strings.EqualFold(from, f.Collection) {
+				return -1, false
+			}
+			from = f.Collection
+		}
+		if found < 0 {
+			found = i
+		}
 	}
-	return s.Lookup(r.Attr)
+	return found, found >= 0
 }
 
-// RefIndex resolves an attribute reference to its position in a schema,
-// trying the qualified name first. The executor uses it after Resolve has
-// validated the plan.
-func RefIndex(s *types.Schema, r Ref) (int, bool) { return lookupRefIdx(s, r) }
+// ColIndex resolves a projection column, written rel.col or bare, by
+// RefIndex's rule. A name that is not a qualified reference to a field,
+// such as an aggregate's "sum(T.x)", matches the field of that name.
+func ColIndex(s *types.Schema, col string) (int, bool) {
+	if coll, attr, ok := strings.Cut(col, "."); ok {
+		if i, ok := RefIndex(s, Ref{Collection: coll, Attr: attr}); ok {
+			return i, true
+		}
+	}
+	return RefIndex(s, Ref{Attr: col})
+}
 
 // FixedSchemas is a SchemaSource backed by a map keyed "wrapper/collection";
 // tests and single-wrapper tools use it.

@@ -434,10 +434,6 @@ func NewRegistry(base *costvm.FuncRegistry) *Registry {
 	}
 }
 
-// BaseFuncs exposes the shared stdlib registry (for registering extra
-// mediator builtins).
-func (reg *Registry) BaseFuncs() *costvm.FuncRegistry { return reg.baseFuncs }
-
 // RuleCount reports the total number of integrated rules.
 func (reg *Registry) RuleCount() int {
 	reg.mu.RLock()

@@ -11,8 +11,7 @@
 // while mediator-side operator time is charged analytically after the
 // pipeline drains, from the per-operator row counts vexec reports, so
 // simulated response times — and the per-operator profile built from
-// them — do not depend on how the pipeline batches, parallelizes or
-// spills.
+// them — do not depend on how the pipeline batches or spills.
 package engine
 
 import (
@@ -29,19 +28,6 @@ import (
 	"disco/internal/vexec"
 	"disco/internal/wrapper"
 )
-
-// MorselSpeedup models the simulated wall-clock speedup of the
-// parallelizable breaker work (sort, hash, join pair matching) at a
-// given worker count: near-linear with the standard 0.7 morsel
-// efficiency factor. Workers <= 1 is exactly 1. The mediator divides its
-// Med* cost-model coefficients by the same factor so estimates and
-// measurements stay aligned.
-func MorselSpeedup(workers int) float64 {
-	if workers <= 1 {
-		return 1
-	}
-	return 1 + 0.7*float64(workers-1)
-}
 
 // Costs are the mediator's per-row processing times in milliseconds. They
 // intentionally mirror the local-scope cost model's coefficients so that
@@ -117,9 +103,8 @@ type Engine struct {
 	// Results, when set, is the semantic result cache consulted at submit
 	// boundaries (see SubmitCache); nil disables it.
 	Results SubmitCache
-	// Exec configures the vectorized pipeline: morsel workers inside
-	// breakers, the spill memory budget, spill directory and batch size.
-	// The zero value is sequential with no spill.
+	// Exec configures the vectorized pipeline: the spill memory budget,
+	// spill directory and batch size. The zero value never spills.
 	Exec vexec.Options
 	// Adaptive configures mid-flight re-optimization (ExecuteAdaptive);
 	// the zero value disables it and nothing below changes.
@@ -160,14 +145,6 @@ func (e *Engine) MarkUnavailable(name string) {
 	if !already && e.OnUnavailable != nil {
 		e.OnUnavailable(name)
 	}
-}
-
-// MarkAvailable clears a wrapper's down mark (an administrative revival;
-// re-registration rebuilds the engine and clears marks anyway).
-func (e *Engine) MarkAvailable(name string) {
-	e.downMu.Lock()
-	delete(e.down, name)
-	e.downMu.Unlock()
 }
 
 // Unavailable lists the wrappers currently marked down, sorted.
@@ -410,8 +387,8 @@ func (e *Engine) submit(n *algebra.Node, st *execState, f *submitFacts) ([]types
 // materialized row set is free. Submit boundaries carry the
 // live-measured facts from the Leaf hook and are opaque below (the
 // wrapper executed the subtree; there are no mediator charges under it).
-// Breaker charges (sort, hash, pair matching) are divided by
-// MorselSpeedup — the simulated benefit of intra-query parallelism.
+// The formulas are the cost model's Med* ones over observed row counts,
+// so the charge is the same however the pipeline ran.
 func (e *Engine) charge(n *algebra.Node, counts vexec.Counts, st *execState) *feedback.OpActual {
 	if a, ok := st.prof.ByNode[n]; ok {
 		return a
@@ -459,27 +436,26 @@ func (e *Engine) charge(n *algebra.Node, counts vexec.Counts, st *execState) *fe
 // ownCharge is one mediator operator's virtual-time formula over its
 // consumed and produced cardinalities.
 func (e *Engine) ownCharge(n *algebra.Node, counts vexec.Counts, in, out int64) float64 {
-	speed := MorselSpeedup(e.Exec.Workers)
 	switch n.Kind {
 	case algebra.OpSelect:
 		return float64(in) * e.costs.PerPred
 	case algebra.OpProject:
 		return float64(in) * e.costs.ProjPerObj
 	case algebra.OpSort:
-		return nLogN(int(in)) * e.costs.SortPerObj / speed
+		return nLogN(int(in)) * e.costs.SortPerObj
 	case algebra.OpDupElim:
-		return float64(in) * e.costs.HashPerObj / speed
+		return float64(in) * e.costs.HashPerObj
 	case algebra.OpAggregate:
-		return float64(in)*e.costs.HashPerObj/speed + float64(out)*e.costs.PerObj
+		return float64(in)*e.costs.HashPerObj + float64(out)*e.costs.PerObj
 	case algebra.OpUnion:
 		return float64(out) * e.costs.PerObj
 	case algebra.OpJoin:
 		l := counts.Out(n.Children[0])
 		r := counts.Out(n.Children[1])
 		if counts.Stat(n).HashJoin {
-			return float64(l+r)*e.costs.HashPerObj/speed + float64(out)*e.costs.PerObj
+			return float64(l+r)*e.costs.HashPerObj + float64(out)*e.costs.PerObj
 		}
-		return float64(l*r) * e.costs.JoinPerPair / speed
+		return float64(l*r) * e.costs.JoinPerPair
 	}
 	return 0
 }

@@ -105,8 +105,8 @@ func identityPlans(t *testing.T, d *deployment) map[string]*algebra.Node {
 	return plans
 }
 
-// TestVectorizedMatchesLegacy: the engine at Workers<=1 with no spill
-// budget must reproduce the naive executor bit for bit — rows, order, and
+// TestVectorizedMatchesLegacy: the engine with no spill budget must
+// reproduce the naive executor bit for bit — rows, order, and
 // virtual elapsed time (to float round-off from charge-summation order).
 func TestVectorizedMatchesLegacy(t *testing.T) {
 	for name := range identityPlans(t, buildDeployment(t)) {
@@ -173,48 +173,6 @@ func TestAdaptiveWithoutPredictionsIsExecute(t *testing.T) {
 				t.Errorf("profiles differ:\ngot  %+v\nwant %+v", got.Profile, want.Profile)
 			}
 		})
-	}
-}
-
-// TestParallelWorkersPreserveRows: Workers>1 keeps the answer
-// bit-identical while the simulated breaker time shrinks by
-// MorselSpeedup.
-func TestParallelWorkersPreserveRows(t *testing.T) {
-	for name := range identityPlans(t, buildDeployment(t)) {
-		t.Run(name, func(t *testing.T) {
-			dSeq := buildDeployment(t)
-			seq, err := dSeq.engine.Execute(identityPlans(t, dSeq)[name])
-			if err != nil {
-				t.Fatal(err)
-			}
-			dPar := buildDeployment(t)
-			dPar.engine.Exec = vexec.Options{Workers: 4}
-			par, err := dPar.engine.Execute(identityPlans(t, dPar)[name])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(seq.Rows, par.Rows) {
-				t.Fatalf("parallel rows diverge from sequential (%d vs %d rows)", len(par.Rows), len(seq.Rows))
-			}
-			if par.ElapsedMS > seq.ElapsedMS+1e-9 {
-				t.Fatalf("parallel elapsed %v exceeds sequential %v", par.ElapsedMS, seq.ElapsedMS)
-			}
-		})
-	}
-}
-
-// TestMorselSpeedupFactor pins the simulated scaling model.
-func TestMorselSpeedupFactor(t *testing.T) {
-	for _, w := range []int{-1, 0, 1} {
-		if got := MorselSpeedup(w); got != 1 {
-			t.Errorf("MorselSpeedup(%d) = %v, want 1", w, got)
-		}
-	}
-	for _, w := range []int{2, 4, 8} {
-		want := 1 + 0.7*float64(w-1)
-		if got := MorselSpeedup(w); got != want {
-			t.Errorf("MorselSpeedup(%d) = %v, want %v", w, got, want)
-		}
 	}
 }
 

@@ -62,17 +62,6 @@ func (r *Report) MedianCardQ() float64 {
 	return qs[len(qs)/2]
 }
 
-// MaxCardQ is the maximum cardinality q-error across usable observations.
-func (r *Report) MaxCardQ() float64 {
-	max := 0.0
-	for _, o := range r.Obs {
-		if !o.Excluded && o.QRows > max {
-			max = o.QRows
-		}
-	}
-	return max
-}
-
 // Recorder joins execution profiles against the estimator's per-node
 // predictions and maintains per-scope q-error accumulators. Scopes follow
 // the cost model's specialization idea: estimation quality is tracked per

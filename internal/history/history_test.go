@@ -7,7 +7,6 @@ import (
 
 	"disco/internal/algebra"
 	"disco/internal/core"
-	"disco/internal/costlang"
 	"disco/internal/stats"
 	"disco/internal/types"
 )
@@ -133,51 +132,6 @@ func TestSummary(t *testing.T) {
 	s := rec.Summary()
 	if !strings.Contains(s, "@w1") || !strings.Contains(s, "500.0 ms") {
 		t.Errorf("summary = %q", s)
-	}
-}
-
-func TestAdjusterMovesParameter(t *testing.T) {
-	reg := core.MustDefaultRegistry()
-	view := histView{}
-	file, err := costlang.Parse(`
-let IO = 10;
-scan(C) { TotalTime = C.CountPage * IO; }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.IntegrateWrapper("w1", file, view); err != nil {
-		t.Fatal(err)
-	}
-	adj := NewAdjuster()
-	// Estimated 250 ms but observed 500 ms: IO should rise.
-	next, err := adj.Adjust(reg, "w1", "IO", 250, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next <= 10 {
-		t.Errorf("IO after adjustment = %v, want > 10", next)
-	}
-	// Damping 0.5 and ratio 2 -> factor 1.5 -> 15.
-	if next != 15 {
-		t.Errorf("IO = %v, want 15", next)
-	}
-	// Repeated convergent adjustments approach the true value.
-	for i := 0; i < 20; i++ {
-		est := next * 25 // pretend the model is linear in IO: est = pages*IO
-		next, err = adj.Adjust(reg, "w1", "IO", est, 500)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if next < 19 || next > 21 {
-		t.Errorf("converged IO = %v, want ~20", next)
-	}
-	// Errors.
-	if _, err := adj.Adjust(reg, "w1", "Nope", 1, 1); err == nil {
-		t.Error("unknown parameter should fail")
-	}
-	if _, err := adj.Adjust(reg, "w1", "IO", 0, 1); err == nil {
-		t.Error("zero estimate should fail")
 	}
 }
 

@@ -316,19 +316,6 @@ func (s *Schedule) OpCounts() map[string]int {
 	return out
 }
 
-// TemplateCounts tallies the query requests by template index.
-func (s *Schedule) TemplateCounts() map[int]int {
-	out := make(map[int]int)
-	for _, c := range s.Clients {
-		for _, r := range c {
-			if r.Op == OpQuery {
-				out[r.Template]++
-			}
-		}
-	}
-	return out
-}
-
 // Digest is a stable FNV-1a fingerprint of the whole schedule — two
 // schedules are bit-identical iff their digests match (up to hash
 // collisions), which is what the determinism gate asserts without

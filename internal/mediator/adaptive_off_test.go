@@ -28,10 +28,9 @@ type adaptiveOffTrace struct {
 	stats    Stats
 }
 
-func runAdaptiveOffWorkload(t *testing.T, workers int) adaptiveOffTrace {
+func runAdaptiveOffWorkload(t *testing.T) adaptiveOffTrace {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.ExecWorkers = workers
 	cfg.Feedback = true
 	cfg.Adaptive = false // the regression under test: off must mean off
 	m := buildMediator(t, cfg)
@@ -71,51 +70,37 @@ func runAdaptiveOffWorkload(t *testing.T, workers int) adaptiveOffTrace {
 // TestAdaptiveOffBitIdentical is the Adaptive=false regression gate: a
 // mediator with the adaptive executor disabled must behave exactly like
 // a build without the subsystem. Two independent runs of the same
-// workload — at serial and at morsel-parallel execution — must agree
-// bit-for-bit on plans, result rows, virtual elapsed times, EXPLAIN
-// ANALYZE renderings, and feedback snapshots, with the adaptive counters
-// pinned at zero. (The golden files of golden_test.go, which predate the
-// adaptive subsystem and are unchanged, pin the same contract against
-// the pre-adaptive rendering.) Run under -race, this also shakes out any
-// shared state the adaptive path might leak into the off path.
+// workload must agree bit-for-bit on plans, result rows, virtual elapsed
+// times, EXPLAIN ANALYZE renderings, and feedback snapshots, with the
+// adaptive counters pinned at zero. (The golden files of golden_test.go,
+// which predate the adaptive subsystem and are unchanged, pin the same
+// contract against the pre-adaptive rendering.) Run under -race, this
+// also shakes out any shared state the adaptive path might leak into the
+// off path.
 func TestAdaptiveOffBitIdentical(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			a := runAdaptiveOffWorkload(t, workers)
-			b := runAdaptiveOffWorkload(t, workers)
-			for i, sql := range adaptiveOffWorkload {
-				if a.plans[i] != b.plans[i] {
-					t.Errorf("%q: plan drifted between identical runs:\n--- run A ---\n%s\n--- run B ---\n%s", sql, a.plans[i], b.plans[i])
-				}
-				if a.rows[i] != b.rows[i] {
-					t.Errorf("%q: result rows drifted between identical runs", sql)
-				}
-				if a.elapsed[i] != b.elapsed[i] {
-					t.Errorf("%q: virtual elapsed drifted: %.6f vs %.6f ms", sql, a.elapsed[i], b.elapsed[i])
-				}
-				if a.analyze[i] != b.analyze[i] {
-					t.Errorf("%q: EXPLAIN ANALYZE drifted between identical runs:\n--- run A ---\n%s\n--- run B ---\n%s", sql, a.analyze[i], b.analyze[i])
-				}
-			}
-			if a.feedback != b.feedback {
-				t.Errorf("feedback snapshot drifted between identical runs:\n--- run A ---\n%s\n--- run B ---\n%s", a.feedback, b.feedback)
-			}
-			for _, tr := range []adaptiveOffTrace{a, b} {
-				if tr.stats.AdaptiveReplans != 0 || tr.stats.AdaptiveSwitches != 0 {
-					t.Errorf("adaptive counters moved with Adaptive=false: replans=%d switches=%d",
-						tr.stats.AdaptiveReplans, tr.stats.AdaptiveSwitches)
-				}
-			}
-		})
-	}
-
-	// Result rows are also invariant across the worker counts — morsel
-	// parallelism changes timing, never answers.
-	serial := runAdaptiveOffWorkload(t, 1)
-	parallel := runAdaptiveOffWorkload(t, 4)
+	a := runAdaptiveOffWorkload(t)
+	b := runAdaptiveOffWorkload(t)
 	for i, sql := range adaptiveOffWorkload {
-		if serial.rows[i] != parallel.rows[i] {
-			t.Errorf("%q: result rows differ between workers=1 and workers=4", sql)
+		if a.plans[i] != b.plans[i] {
+			t.Errorf("%q: plan drifted between identical runs:\n--- run A ---\n%s\n--- run B ---\n%s", sql, a.plans[i], b.plans[i])
+		}
+		if a.rows[i] != b.rows[i] {
+			t.Errorf("%q: result rows drifted between identical runs", sql)
+		}
+		if a.elapsed[i] != b.elapsed[i] {
+			t.Errorf("%q: virtual elapsed drifted: %.6f vs %.6f ms", sql, a.elapsed[i], b.elapsed[i])
+		}
+		if a.analyze[i] != b.analyze[i] {
+			t.Errorf("%q: EXPLAIN ANALYZE drifted between identical runs:\n--- run A ---\n%s\n--- run B ---\n%s", sql, a.analyze[i], b.analyze[i])
+		}
+	}
+	if a.feedback != b.feedback {
+		t.Errorf("feedback snapshot drifted between identical runs:\n--- run A ---\n%s\n--- run B ---\n%s", a.feedback, b.feedback)
+	}
+	for _, tr := range []adaptiveOffTrace{a, b} {
+		if tr.stats.AdaptiveReplans != 0 || tr.stats.AdaptiveSwitches != 0 {
+			t.Errorf("adaptive counters moved with Adaptive=false: replans=%d switches=%d",
+				tr.stats.AdaptiveReplans, tr.stats.AdaptiveSwitches)
 		}
 	}
 }

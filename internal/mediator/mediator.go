@@ -99,13 +99,6 @@ type Config struct {
 	AdmissionTimeout time.Duration
 	// OptimizerOptions tune the plan search.
 	OptimizerOptions optimizer.Options
-	// ExecWorkers is the morsel-driven parallelism inside the engine's
-	// pipeline breakers (sort, hash join, aggregation, dup-elim). Values
-	// below 2 run sequentially. With workers, answers stay bit-identical
-	// and the Med* cost-model coefficients are divided by
-	// engine.MorselSpeedup(ExecWorkers) so estimates track the faster
-	// simulated breaker execution.
-	ExecWorkers int
 	// ExecMemBytes bounds the memory a mediator-side hash join build or
 	// aggregation input may hold before Grace-spilling to disk. Zero
 	// disables spilling.
@@ -251,17 +244,6 @@ func New(cfg Config) (*Mediator, error) {
 		adm:         newAdmission(cfg.MaxInFlight, cfg.AdmissionTimeout),
 	}
 	m.Estimator = core.NewEstimator(reg, m.Catalog, cfg.Net)
-	if speed := engine.MorselSpeedup(cfg.ExecWorkers); speed != 1 {
-		// The engine divides its breaker charges by the morsel speedup;
-		// divide the matching estimator coefficients so predicted and
-		// measured mediator times stay aligned. Factor 1 (the default)
-		// leaves the globals untouched — bit-identical estimates.
-		for _, g := range []string{"MedSortPerObj", "MedHashPerObj", "MedJoinPerPair"} {
-			if v, ok := m.Estimator.Globals[g]; ok {
-				m.Estimator.Globals[g] = types.Float(v.AsFloat() / speed)
-			}
-		}
-	}
 	m.Optimizer = optimizer.New(m.Catalog, m.Estimator, cfg.OptimizerOptions)
 	if cfg.RecordHistory {
 		m.History = history.NewRecorder(reg)
@@ -301,7 +283,6 @@ func (m *Mediator) rebuildEngine() error {
 		return err
 	}
 	eng.Exec = vexec.Options{
-		Workers:  m.cfg.ExecWorkers,
 		MemBytes: m.cfg.ExecMemBytes,
 		SpillDir: m.cfg.ExecSpillDir,
 	}

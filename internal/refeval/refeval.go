@@ -11,7 +11,6 @@ package refeval
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"disco/internal/algebra"
 	"disco/internal/types"
@@ -57,11 +56,7 @@ func eval(n *algebra.Node, leaf Leaf, visit func(*algebra.Node, []types.Row)) ([
 		schema := n.Children[0].OutSchema
 		idx := make([]int, len(n.Cols))
 		for i, col := range n.Cols {
-			ref := algebra.Ref{Attr: col}
-			if coll, attr, ok := strings.Cut(col, "."); ok {
-				ref = algebra.Ref{Collection: coll, Attr: attr}
-			}
-			pos, ok := algebra.RefIndex(schema, ref)
+			pos, ok := algebra.ColIndex(schema, col)
 			if !ok {
 				return nil, fmt.Errorf("refeval: unknown projection column %q", col)
 			}

@@ -150,9 +150,6 @@ func (t *Table) Count() int { return len(t.rows) }
 // PageCount reports how many heap pages the table occupies.
 func (t *Table) PageCount() int { return (len(t.rows) + t.perPage - 1) / t.perPage }
 
-// RowSize reports the declared bytes per row.
-func (t *Table) RowSize() int { return t.rowSize }
-
 // Insert appends a row (bulk load; no clock cost).
 func (t *Table) Insert(row types.Row) error {
 	if len(row) != t.schema.Len() {

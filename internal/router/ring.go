@@ -152,6 +152,3 @@ func (r *Ring) VnodeCount(i int) int {
 	}
 	return r.counts[i]
 }
-
-// Size reports the total virtual-node population.
-func (r *Ring) Size() int { return len(r.points) }

@@ -45,10 +45,6 @@ type Options struct {
 	// ResultCache configures the semantic result cache (off by default;
 	// see mediator.Config.ResultCache).
 	ResultCache resultcache.Config
-	// ExecWorkers enables morsel-parallel execution inside the engine's
-	// pipeline breakers (see mediator.Config.ExecWorkers; <2 =
-	// sequential).
-	ExecWorkers int
 	// ExecMemBytes is the spill budget for mediator-side hash joins and
 	// aggregations (see mediator.Config.ExecMemBytes; 0 = never spill).
 	ExecMemBytes int64
@@ -71,7 +67,6 @@ func RegisterFlags(fs *flag.FlagSet, defaultParts int) *Options {
 	fs.BoolVar(&o.ResultCache.Enabled, "result-cache", false, "enable the semantic result cache")
 	fs.Int64Var(&o.ResultCache.MaxBytes, "result-cache-bytes", resultcache.DefaultMaxBytes, "result cache byte budget")
 	fs.Float64Var(&o.ResultCache.TTLMS, "result-cache-ttl-ms", 0, "result cache entry TTL in virtual ms (0 = none)")
-	fs.IntVar(&o.ExecWorkers, "exec-workers", 0, "morsel-parallel workers for mediator pipeline breakers (<2 = sequential)")
 	fs.Int64Var(&o.ExecMemBytes, "exec-mem-bytes", 0, "spill budget for mediator hash joins/aggregations (0 = never spill)")
 	fs.BoolVar(&o.Adaptive, "adaptive", false, "re-optimize running queries mid-flight when observed cardinalities diverge from estimates")
 	return o
@@ -104,7 +99,6 @@ func NewDemoFederation(opts Options) (*Federation, error) {
 	cfg.AdmissionTimeout = opts.QueueTimeout
 	cfg.PlanCacheSize = opts.PlanCacheSize
 	cfg.ResultCache = opts.ResultCache
-	cfg.ExecWorkers = opts.ExecWorkers
 	cfg.ExecMemBytes = opts.ExecMemBytes
 	cfg.ExecSpillDir = opts.ExecSpillDir
 	cfg.Adaptive = opts.Adaptive

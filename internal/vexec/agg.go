@@ -2,7 +2,6 @@ package vexec
 
 import (
 	"fmt"
-	"slices"
 
 	"disco/internal/algebra"
 	"disco/internal/types"
@@ -15,13 +14,8 @@ import (
 //
 //   - no grouping attributes: a single accumulator folded streamingly —
 //     O(1) state, never spills, fully pipelined.
-//   - sequential: streaming fold into the group table (grouped output in
+//   - in-memory: streaming fold into the group table (grouped output in
 //     first-seen order).
-//   - morsel-parallel (Workers > 1): partition-owner workers — each
-//     scans the full materialized input in order, folding only groups
-//     that hash to its partition and recording each group's first-seen
-//     global row index; the final merge sorts groups by that index,
-//     restoring the sequential first-seen output order exactly.
 //   - Grace spill (input exceeds Options.MemBytes): raw input rows
 //     partition to disk by group-key hash (a group never straddles
 //     partitions), each partition folds in input order, outputs
@@ -83,12 +77,10 @@ func (o *aggOp) build() error {
 	b := getBatch(o.size)
 	defer putBatch(b)
 	budget := o.opts.MemBytes
-	w := o.opts.workers()
 
-	// Pure streaming: no grouping attributes (single O(1) accumulator,
-	// parallelism and spill are pointless), or sequential with no budget
-	// to enforce.
-	if len(o.groupBy) == 0 || (w <= 1 && budget <= 0) {
+	// Pure streaming: no grouping attributes (a single O(1) accumulator
+	// never spills), or no budget to enforce.
+	if len(o.groupBy) == 0 || budget <= 0 {
 		for {
 			ok, err := o.child.Next(b)
 			if err != nil {
@@ -98,24 +90,16 @@ func (o *aggOp) build() error {
 				break
 			}
 			for _, r := range b.Rows {
-				fold.add(r, 0)
+				fold.add(r)
 			}
 		}
 		o.out = fold.finish()
 		return nil
 	}
 
-	// No budget to enforce: the morsel workers can consume the child
-	// incrementally instead of waiting for a full materialization.
-	if budget <= 0 {
-		return o.parallelAgg(startFeeder(o.child, o.size))
-	}
-
 	// Materialize the input, tracking bytes against the budget; the
 	// moment it exceeds, redistribute everything into spill partitions
-	// keyed by group hash and keep draining straight to disk. (A budget
-	// precludes streaming into the workers: whether this input spills is
-	// only known once it has been seen in full.)
+	// keyed by group hash and keep draining straight to disk.
 	var rows []types.Row
 	var bytes int64
 	var sset *spillSet
@@ -136,73 +120,29 @@ func (o *aggOp) build() error {
 			continue
 		}
 		rows = append(rows, b.Rows...)
-		if budget > 0 {
-			bytes += types.RowBytes(b.Rows)
-			if bytes > budget {
-				sset, err = newSpillSet(o.opts.SpillDir, 0)
-				if err != nil {
+		bytes += types.RowBytes(b.Rows)
+		if bytes > budget {
+			sset, err = newSpillSet(o.opts.SpillDir, 0)
+			if err != nil {
+				return err
+			}
+			o.spills = append(o.spills, sset)
+			for _, r := range rows {
+				if err := sset.add(fold.keyHash(r), r); err != nil {
 					return err
 				}
-				o.spills = append(o.spills, sset)
-				for _, r := range rows {
-					if err := sset.add(fold.keyHash(r), r); err != nil {
-						return err
-					}
-				}
-				rows = nil
 			}
+			rows = nil
 		}
 	}
 	if sset != nil {
 		o.stat.Spilled = true
 		return o.spillAgg(sset)
 	}
-	if w > 1 {
-		return o.parallelAgg(preloadedFeeder(rows))
-	}
 	for _, r := range rows {
-		fold.add(r, 0)
+		fold.add(r)
 	}
 	o.out = fold.finish()
-	return nil
-}
-
-// parallelAgg: partition-owner folding over the feeder's input stream
-// (live when no spill budget constrains the build, preloaded otherwise).
-func (o *aggOp) parallelAgg(in *streamFeeder) error {
-	w := o.opts.workers()
-	folds := make([]*foldState, w)
-	errs := make([]error, w)
-	runWorkers(w, func(p int) {
-		f, _ := newFoldState(o.inSchema, o.groupBy, o.aggs)
-		f.owner, f.ownerOf = p, w
-		i := 0
-		for {
-			rows, err := in.waitFor(i + 1)
-			if err != nil {
-				errs[p] = err
-				return
-			}
-			if i >= len(rows) {
-				break
-			}
-			for ; i < len(rows); i++ {
-				f.add(rows[i], i)
-			}
-		}
-		folds[p] = f
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	var all []*foldGroup
-	for _, f := range folds {
-		all = append(all, f.order...)
-	}
-	slices.SortFunc(all, func(a, b *foldGroup) int { return a.first - b.first })
-	o.out = renderGroups(all, o.aggs)
 	return nil
 }
 
@@ -225,7 +165,7 @@ func (o *aggOp) spillAgg(sset *spillSet) error {
 			if !ok {
 				break
 			}
-			f.add(r, 0)
+			f.add(r)
 		}
 		o.out = append(o.out, renderGroups(f.order, o.aggs)...)
 	}
@@ -236,22 +176,17 @@ func (o *aggOp) spillAgg(sset *spillSet) error {
 type foldGroup struct {
 	key    types.Row
 	states []aggState
-	first  int // first-seen global row index (parallel merge order)
 }
 
 // foldState is the grouping accumulation loop: groups keyed by the exact
 // key encoding, kept in first-seen order, each folding its values in
-// input order. With owner/ownerOf set it becomes a partition-owner
-// fold: rows whose group hash belongs to another partition are skipped
-// (but still encoded, preserving the full-scan input ordering).
+// input order.
 type foldState struct {
 	gpos, apos []int
 	aggs       []algebra.AggSpec
 	groups     map[string]*foldGroup
 	order      []*foldGroup
 	enc        keyEnc
-	owner      int
-	ownerOf    int // 0 = own everything (sequential)
 }
 
 func newFoldState(schema *types.Schema, groupBy []algebra.Ref, aggs []algebra.AggSpec) (*foldState, error) {
@@ -283,7 +218,7 @@ func newFoldState(schema *types.Schema, groupBy []algebra.Ref, aggs []algebra.Ag
 }
 
 // keyHash encodes the row's grouping values and hashes them (the spill
-// and partition-owner distribution key).
+// distribution key).
 func (f *foldState) keyHash(r types.Row) uint64 {
 	f.enc.reset()
 	for _, p := range f.gpos {
@@ -292,15 +227,11 @@ func (f *foldState) keyHash(r types.Row) uint64 {
 	return fnvBytes(f.enc.buf)
 }
 
-// add folds one row; idx is its global input index (first-seen order for
-// the parallel merge; sequential callers pass 0).
-func (f *foldState) add(r types.Row, idx int) {
+// add folds one row.
+func (f *foldState) add(r types.Row) {
 	f.enc.reset()
 	for _, p := range f.gpos {
 		f.enc.constant(r[p])
-	}
-	if f.ownerOf > 0 && int(fnvBytes(f.enc.buf)%uint64(f.ownerOf)) != f.owner {
-		return
 	}
 	g, ok := f.groups[string(f.enc.buf)]
 	if !ok {
@@ -308,7 +239,7 @@ func (f *foldState) add(r types.Row, idx int) {
 		for i, p := range f.gpos {
 			key[i] = r[p]
 		}
-		g = &foldGroup{key: key, states: newAggStates(f.aggs), first: idx}
+		g = &foldGroup{key: key, states: newAggStates(f.aggs)}
 		f.groups[string(f.enc.buf)] = g
 		f.order = append(f.order, g)
 	}

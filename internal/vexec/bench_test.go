@@ -48,24 +48,18 @@ func benchPipeline(tb testing.TB, nParts int) (testCatalog, *algebra.Node) {
 }
 
 // BenchmarkExecPipeline measures the vectorized engine over the
-// benchmark pipeline; worker counts above 1 show morsel scaling inside
-// the breakers.
+// benchmark pipeline.
 func BenchmarkExecPipeline(b *testing.B) {
 	cat, plan := benchPipeline(b, benchParts)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := vexec.Options{Workers: workers}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				out, err := vexec.Run(plan, &vexec.Env{Opts: opts, Leaf: cat.scanLeaf})
-				if err != nil || len(out) == 0 {
-					b.Fatalf("run: %v (%d rows)", err, len(out))
-				}
-			}
-			b.ReportMetric(float64(benchParts)*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := vexec.Run(plan, &vexec.Env{Leaf: cat.scanLeaf})
+		if err != nil || len(out) == 0 {
+			b.Fatalf("run: %v (%d rows)", err, len(out))
+		}
 	}
+	b.ReportMetric(float64(benchParts)*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
 }
 
 // BenchmarkExecSpill measures the spill crossover: the same pipeline

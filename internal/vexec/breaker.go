@@ -9,18 +9,14 @@ import (
 )
 
 // This file holds the two breakers without a spill path: sort and
-// duplicate elimination. Both materialize their input (they must), and
-// both produce exactly the sequential reference order under any worker
-// count — see the package comment's determinism contract.
+// duplicate elimination. Both produce exactly the reference order — see
+// the package comment's determinism contract.
 
-// sortOp materializes, sorts and streams. Workers > 1 stable-sorts
-// contiguous chunks in parallel and merges pairwise with left-chunk tie
-// priority, which reproduces the sequential stable sort bit for bit.
+// sortOp materializes its input, stable-sorts it and streams the result.
 type sortOp struct {
 	child  Op
 	schema *types.Schema
 	keys   []algebra.SortKey
-	opts   Options
 	size   int
 
 	started bool
@@ -78,105 +74,32 @@ func (s *sortOp) build() error {
 	if err != nil {
 		return err
 	}
-	w := s.opts.workers()
-	if w <= 1 || len(rows) < 2*morselRows {
-		slices.SortStableFunc(rows, cmp.Compare)
-		s.rows = rows
-		return nil
-	}
-	s.rows = parallelStableSort(rows, cmp, w)
+	slices.SortStableFunc(rows, cmp.Compare)
+	s.rows = rows
 	return nil
 }
 
 func (s *sortOp) Close() error { return s.child.Close() }
 
-// parallelStableSort stable-sorts w contiguous chunks concurrently and
-// merges adjacent pairs (also concurrently) until one run remains. A
-// stable merge that prefers the left run on ties yields exactly the
-// sequential stable sort's order.
-func parallelStableSort(rows []types.Row, cmp rowComparator, w int) []types.Row {
-	chunks := chunkBounds(len(rows), w)
-	runWorkers(len(chunks), func(i int) {
-		c := chunks[i]
-		slices.SortStableFunc(rows[c[0]:c[1]], cmp.Compare)
-	})
-	buf := make([]types.Row, len(rows))
-	for len(chunks) > 1 {
-		pairs := len(chunks) / 2
-		next := make([][2]int, 0, (len(chunks)+1)/2)
-		for p := 0; p < pairs; p++ {
-			next = append(next, [2]int{chunks[2*p][0], chunks[2*p+1][1]})
-		}
-		if len(chunks)%2 == 1 {
-			next = append(next, chunks[len(chunks)-1])
-		}
-		runWorkers(pairs, func(p int) {
-			l, r := chunks[2*p], chunks[2*p+1]
-			mergeStable(buf[l[0]:r[1]], rows[l[0]:l[1]], rows[r[0]:r[1]], cmp)
-		})
-		for p := 0; p < pairs; p++ {
-			copy(rows[chunks[2*p][0]:chunks[2*p+1][1]], buf[chunks[2*p][0]:chunks[2*p+1][1]])
-		}
-		chunks = next
-	}
-	return rows
-}
-
-// mergeStable merges two sorted runs into dst, left run winning ties.
-func mergeStable(dst, l, r []types.Row, cmp rowComparator) {
-	i, j, k := 0, 0, 0
-	for i < len(l) && j < len(r) {
-		if cmp.Compare(l[i], r[j]) <= 0 {
-			dst[k] = l[i]
-			i++
-		} else {
-			dst[k] = r[j]
-			j++
-		}
-		k++
-	}
-	k += copy(dst[k:], l[i:])
-	copy(dst[k:], r[j:])
-}
-
-// dupElimOp removes duplicate rows keeping first occurrences in order.
-// Sequentially it streams (the seen-set is the only state); with workers
-// it materializes and uses partition-owner scanning: worker w encodes
-// every row in order but only consults its own seen-set for rows hashing
-// to its partition, recording survivors with their global index; a final
-// index sort restores the exact first-seen order.
+// dupElimOp removes duplicate rows keeping first occurrences in order. It
+// streams: the seen-set is its only state.
 type dupElimOp struct {
 	child Op
-	opts  Options
 	size  int
 
-	// streaming state (workers <= 1)
 	seen map[string]struct{}
 	enc  keyEnc
 	in   *Batch
 	done bool
-
-	// materialized state (workers > 1)
-	started bool
-	out     []types.Row
-	pos     int
 }
 
 func (d *dupElimOp) Open() error {
-	if d.opts.workers() <= 1 {
-		d.seen = make(map[string]struct{})
-		d.in = getBatch(d.size)
-	}
+	d.seen = make(map[string]struct{})
+	d.in = getBatch(d.size)
 	return d.child.Open()
 }
 
 func (d *dupElimOp) Next(b *Batch) (bool, error) {
-	if d.opts.workers() > 1 {
-		if err := d.start(); err != nil {
-			return false, err
-		}
-		return emitSlice(d.out, &d.pos, d.size, b), nil
-	}
 	out := b.own()
 	for !d.done {
 		ok, err := d.child.Next(d.in)
@@ -203,87 +126,6 @@ func (d *dupElimOp) Next(b *Batch) (bool, error) {
 	}
 	b.emit(out)
 	return len(out) > 0, nil
-}
-
-// rest hands over the materialized (parallel) output; the sequential
-// mode streams.
-func (d *dupElimOp) rest() ([]types.Row, bool, error) {
-	if d.opts.workers() <= 1 {
-		return nil, false, nil
-	}
-	if err := d.start(); err != nil {
-		return nil, false, err
-	}
-	return restOf(d.out, &d.pos), true, nil
-}
-
-// start runs the parallel build phase once.
-func (d *dupElimOp) start() error {
-	if d.started {
-		return nil
-	}
-	d.started = true
-	return d.buildParallel()
-}
-
-func (d *dupElimOp) buildParallel() error {
-	// Workers consume the child's rows as the feeder publishes them —
-	// the breaker no longer waits for the full input before scanning.
-	// Each worker still encodes every row in global input order, so the
-	// partition-owner determinism argument is unchanged.
-	f := startFeeder(d.child, d.size)
-	w := d.opts.workers()
-	type survivor struct {
-		row types.Row
-		idx int
-	}
-	parts := make([][]survivor, w)
-	errs := make([]error, w)
-	runWorkers(w, func(p int) {
-		var enc keyEnc
-		seen := make(map[string]struct{})
-		var mine []survivor
-		i := 0
-		for {
-			rows, err := f.waitFor(i + 1)
-			if err != nil {
-				errs[p] = err
-				return
-			}
-			if i >= len(rows) {
-				break
-			}
-			for ; i < len(rows); i++ {
-				r := rows[i]
-				enc.reset()
-				enc.row(r)
-				if int(fnvBytes(enc.buf)%uint64(w)) != p {
-					continue
-				}
-				if _, dup := seen[string(enc.buf)]; dup {
-					continue
-				}
-				seen[string(enc.buf)] = struct{}{}
-				mine = append(mine, survivor{row: r, idx: i})
-			}
-		}
-		parts[p] = mine
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	var all []survivor
-	for _, p := range parts {
-		all = append(all, p...)
-	}
-	slices.SortFunc(all, func(a, b survivor) int { return a.idx - b.idx })
-	d.out = make([]types.Row, len(all))
-	for i, s := range all {
-		d.out[i] = s.row
-	}
-	return nil
 }
 
 func (d *dupElimOp) Close() error {

@@ -2,7 +2,6 @@ package vexec
 
 import (
 	"fmt"
-	"strings"
 
 	"disco/internal/algebra"
 	"disco/internal/types"
@@ -126,14 +125,14 @@ func (e *Env) build(n *algebra.Node) (Op, error) {
 		if err != nil {
 			return nil, err
 		}
-		return e.count(n, &sortOp{child: child, schema: n.OutSchema, keys: n.Keys, opts: e.Opts, size: size}), nil
+		return e.count(n, &sortOp{child: child, schema: n.OutSchema, keys: n.Keys, size: size}), nil
 
 	case algebra.OpDupElim:
 		child, err := e.build(n.Children[0])
 		if err != nil {
 			return nil, err
 		}
-		return e.count(n, &dupElimOp{child: child, opts: e.Opts, size: size}), nil
+		return e.count(n, &dupElimOp{child: child, size: size}), nil
 
 	case algebra.OpAggregate:
 		child, err := e.build(n.Children[0])
@@ -143,9 +142,9 @@ func (e *Env) build(n *algebra.Node) (Op, error) {
 		// A streaming-mode aggregate folds every row the moment it arrives
 		// and never retains input storage, so an arena-producing child may
 		// recycle its slab batch-to-batch instead of growing the heap.
-		// The parallel and budgeted modes materialize the input first and
-		// must keep the default keep-everything arena discipline.
-		if len(n.GroupBy) == 0 || (e.Opts.workers() <= 1 && e.Opts.MemBytes <= 0) {
+		// The budgeted mode materializes the input first and must keep
+		// the default keep-everything arena discipline.
+		if len(n.GroupBy) == 0 || e.Opts.MemBytes <= 0 {
 			markTransient(child)
 		}
 		return e.count(n, &aggOp{child: child, inSchema: n.Children[0].OutSchema,
@@ -259,28 +258,18 @@ func (c *countOp) rest() ([]types.Row, bool, error) {
 	return rows, ok, err
 }
 
-// projectIndex resolves projection columns to row positions via colIndex.
+// projectIndex resolves projection columns to row positions via
+// algebra.ColIndex.
 func projectIndex(schema *types.Schema, cols []string) ([]int, error) {
 	idx := make([]int, len(cols))
 	for i, c := range cols {
-		pos, ok := colIndex(schema, c)
+		pos, ok := algebra.ColIndex(schema, c)
 		if !ok {
 			return nil, fmt.Errorf("vexec: unknown projection column %q", c)
 		}
 		idx[i] = pos
 	}
 	return idx, nil
-}
-
-// colIndex resolves a column name, possibly written in qualified rel.col
-// form, against a schema: the qualified name first, then the bare
-// attribute — algebra.RefIndex semantics, so every column spelling a
-// sort key accepts resolves here too.
-func colIndex(schema *types.Schema, col string) (int, bool) {
-	if coll, attr, ok := strings.Cut(col, "."); ok {
-		return algebra.RefIndex(schema, algebra.Ref{Collection: coll, Attr: attr})
-	}
-	return schema.Lookup(col)
 }
 
 // equiJoinCols finds the first `=` conjunct joining an attribute of

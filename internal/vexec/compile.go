@@ -29,15 +29,6 @@ type compiledPred struct {
 	alwaysFalse bool
 }
 
-// refPos mirrors Predicate.Eval's resolution order exactly: the full
-// dotted spelling first, then the bare attribute.
-func refPos(s *types.Schema, r algebra.Ref) (int, bool) {
-	if i, ok := s.Lookup(r.String()); ok {
-		return i, true
-	}
-	return s.Lookup(r.Attr)
-}
-
 // compilePred compiles p against the schema. A nil or empty predicate
 // compiles to the trivially-true evaluator.
 func compilePred(s *types.Schema, p *algebra.Predicate) compiledPred {
@@ -46,13 +37,13 @@ func compilePred(s *types.Schema, p *algebra.Predicate) compiledPred {
 	}
 	out := compiledPred{slots: make([]cmpSlot, 0, len(p.Conjuncts))}
 	for _, c := range p.Conjuncts {
-		li, ok := refPos(s, c.Left)
+		li, ok := algebra.RefIndex(s, c.Left)
 		if !ok {
 			return compiledPred{alwaysFalse: true}
 		}
 		slot := cmpSlot{left: li, right: -1, op: c.Op}
 		if c.RightAttr != nil {
-			ri, ok := refPos(s, *c.RightAttr)
+			ri, ok := algebra.RefIndex(s, *c.RightAttr)
 			if !ok {
 				return compiledPred{alwaysFalse: true}
 			}

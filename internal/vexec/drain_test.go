@@ -71,16 +71,14 @@ func requireSameBag(t *testing.T, want, got []types.Row) {
 // execModes are the executor configurations every operator runs in.
 func execModes(t *testing.T) map[string]vexec.Options {
 	return map[string]vexec.Options{
-		"workers=1":       {Workers: 1},
-		"workers=4":       {Workers: 4},
-		"workers=1,spill": {Workers: 1, MemBytes: 4096, SpillDir: t.TempDir()},
-		"workers=4,spill": {Workers: 4, MemBytes: 4096, SpillDir: t.TempDir()},
+		"in-memory": {},
+		"spill":     {MemBytes: 4096, SpillDir: t.TempDir()},
 	}
 }
 
 // Scans hand the pipeline a relational table's own rows, so no operator
-// may write into them: every operator kind, sequential, morsel-parallel
-// and spilling, leaves the store deep-equal to a snapshot taken first.
+// may write into them: every operator kind, in memory and spilling,
+// leaves the store deep-equal to a snapshot taken first.
 func TestOperatorsLeaveStoreRowsUntouched(t *testing.T) {
 	cat := makeCatalog(3000, 40, 8) // 3000 appends leave spare capacity
 	store := relstore.Open(relstore.DefaultConfig(), nil)

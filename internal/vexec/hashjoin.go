@@ -1,24 +1,13 @@
 package vexec
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"disco/internal/types"
-)
+import "disco/internal/types"
 
 // hashJoinOp is the equi-join breaker. The right child is the build side
 // and the left the probe side, so output is left-major like the
-// nested-loop join's. Three modes:
+// nested-loop join's. Two modes:
 //
-//   - sequential in-memory: one hash table built in input order, probe
-//     batches streamed through it — fully pipelined on the probe side.
-//   - morsel-parallel in-memory (Workers > 1): the build table is
-//     partitioned by hash across workers (each worker scans the full
-//     build input in order, keeping its partition, so bucket lists stay
-//     input-ordered); the probe side is split into morsels claimed off
-//     an atomic cursor, each morsel's matches land in its own slot, and
-//     slots concatenate in morsel order — still bit-identical.
+//   - in-memory: one hash table built in input order, probe batches
+//     streamed through it — fully pipelined on the probe side.
 //   - Grace spill (build side exceeds Options.MemBytes): both sides
 //     partition to disk by join-key hash, partitions join independently
 //     (recursing with the next hash window when one is still over
@@ -39,14 +28,14 @@ type hashJoinOp struct {
 	size     int
 
 	started bool
-	// streaming probe state (sequential in-memory mode)
+	// streaming probe state (in-memory mode)
 	streaming bool
 	transient bool
 	table     map[uint64][]types.Row
 	in        *Batch
 	done      bool
 	arena     arena
-	// materialized output (parallel and spill modes)
+	// materialized output (spill mode)
 	out    []types.Row
 	pos    int
 	spills []*spillSet
@@ -70,8 +59,8 @@ func (o *hashJoinOp) Next(b *Batch) (bool, error) {
 	return emitSlice(o.out, &o.pos, o.size, b), nil
 }
 
-// rest hands over the materialized (parallel or spill) output; the
-// sequential in-memory mode streams its probe side.
+// rest hands over the spill mode's materialized output; the in-memory
+// mode streams its probe side.
 func (o *hashJoinOp) rest() ([]types.Row, bool, error) {
 	if err := o.start(); err != nil || o.streaming {
 		return nil, false, err
@@ -150,9 +139,6 @@ func (o *hashJoinOp) build() error {
 		o.stat.Spilled = true
 		return o.spillJoin(bset)
 	}
-	if o.opts.workers() > 1 {
-		return o.parallelJoin(buildRows)
-	}
 	o.table = buildSeqTable(buildRows, o.rpos)
 	o.streaming = true
 	return nil
@@ -215,99 +201,6 @@ func (o *hashJoinOp) probeStream(b *Batch) (bool, error) {
 	}
 	b.emit(out)
 	return len(out) > 0, nil
-}
-
-// parallelJoin is the morsel-parallel in-memory mode.
-func (o *hashJoinOp) parallelJoin(buildRows []types.Row) error {
-	w := o.opts.workers()
-	// Hash the build keys once, in parallel morsels (disjoint ranges).
-	hashes := make([]uint64, len(buildRows))
-	hq := newMorselQueue(len(buildRows))
-	runWorkers(w, func(int) {
-		for {
-			lo, hi, _, ok := hq.claim()
-			if !ok {
-				return
-			}
-			for i := lo; i < hi; i++ {
-				hashes[i] = joinKeyHash(buildRows[i][o.rpos])
-			}
-		}
-	})
-	// Partition-owner build: worker p scans the full build input in
-	// order, keeping rows hashing to its partition — bucket lists are
-	// input-ordered exactly like the sequential table's.
-	tables := make([]map[uint64][]types.Row, w)
-	runWorkers(w, func(p int) {
-		t := make(map[uint64][]types.Row, len(buildRows)/w+1)
-		for i, r := range buildRows {
-			if int(hashes[i]%uint64(w)) == p {
-				t[hashes[i]] = append(t[hashes[i]], r)
-			}
-		}
-		tables[p] = t
-	})
-	// Morsel-driven probe over the probe side as it streams in: workers
-	// claim fixed-width morsel ordinals off an atomic cursor and wait for
-	// the feeder to publish each morsel's row range, so probing overlaps
-	// the probe child's own execution. Output slots still concatenate in
-	// morsel order — the merge stays deterministic even though the total
-	// morsel count is unknown until the stream ends.
-	f := startFeeder(o.left, o.size)
-	var next atomic.Int64
-	var outsMu sync.Mutex
-	var outs [][]types.Row
-	errs := make([]error, w)
-	arenas := make([]arena, w)
-	runWorkers(w, func(wk int) {
-		a := &arenas[wk]
-		for {
-			idx := int(next.Add(1)) - 1
-			lo := idx * morselRows
-			probeRows, err := f.waitFor(lo + morselRows)
-			if err != nil {
-				errs[wk] = err
-				return
-			}
-			if lo >= len(probeRows) {
-				return
-			}
-			hi := lo + morselRows
-			if hi > len(probeRows) {
-				hi = len(probeRows)
-			}
-			var slot []types.Row
-			for i := lo; i < hi; i++ {
-				l := probeRows[i]
-				h := joinKeyHash(l[o.lpos])
-				for _, r := range tables[h%uint64(w)][h] {
-					if o.match(l, r) {
-						slot = append(slot, a.concat(l, r))
-					}
-				}
-			}
-			outsMu.Lock()
-			for len(outs) <= idx {
-				outs = append(outs, nil)
-			}
-			outs[idx] = slot
-			outsMu.Unlock()
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	total := 0
-	for _, s := range outs {
-		total += len(s)
-	}
-	o.out = make([]types.Row, 0, total)
-	for _, s := range outs {
-		o.out = append(o.out, s...)
-	}
-	return nil
 }
 
 // spillJoin partitions the probe side to disk and joins partition pairs.

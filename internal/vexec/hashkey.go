@@ -33,8 +33,8 @@ func fnvStr(h uint64, s string) uint64 {
 	return h
 }
 
-// fnvBytes is the FNV-1a hash partition-owner breakers use to assign
-// encoded keys to partitions.
+// fnvBytes is the FNV-1a hash the aggregate's spill uses to assign
+// encoded group keys to partitions.
 func fnvBytes(b []byte) uint64 {
 	h := uint64(fnvOffset64)
 	for _, c := range b {
@@ -49,8 +49,8 @@ func fnvBytes(b []byte) uint64 {
 // Values Equal calls equal always share a bucket: rounding an int to a
 // float maps equal values to one float. Bucket collisions are
 // harmless: the hash join re-verifies every candidate pair with the full
-// predicate before emitting it. In-memory tables, partition-owner builds
-// and Grace spill partitioning all bucket through this one function.
+// predicate before emitting it. In-memory tables and Grace spill
+// partitioning both bucket through this one function.
 func joinKeyHash(c types.Constant) uint64 {
 	h := uint64(fnvOffset64)
 	switch {

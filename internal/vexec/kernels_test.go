@@ -63,19 +63,9 @@ func TestProjectQualifiedRefs(t *testing.T) {
 	if idx[0] != 3 || idx[1] != 0 {
 		t.Errorf("qualified projection = %v, want [3 0]", idx)
 	}
-	// A bare ambiguous name resolves to whatever position Schema.Lookup
-	// indexes for it — the fallback step of algebra.RefIndex. The same
-	// holds for an unknown qualifier with a known bare attribute, so
-	// Emp.name and Nowhere.name need not agree; only a fully unknown
-	// attribute fails.
-	wantBare, ok := s.Lookup("name")
-	if !ok {
-		t.Fatal("bare ambiguous name should resolve")
-	}
-	if got, ok := colIndex(s, "name"); !ok || got != wantBare {
-		t.Errorf("bare projection = %d, want %d", got, wantBare)
-	}
-	for _, col := range []string{"Nowhere.bogus", "zzz"} {
+	// A bare name held by two collections is ambiguous, and a qualifier
+	// never falls back to another collection's field of that name.
+	for _, col := range []string{"name", "Nowhere.name", "Nowhere.bogus", "zzz"} {
 		if _, err := projectIndex(s, []string{col}); err == nil {
 			t.Errorf("unknown column %q should fail", col)
 		}

@@ -11,8 +11,8 @@ import (
 )
 
 // trickleOp emits rows in deliberately tiny batches and can fail
-// mid-stream, exercising the feeder's incremental publication and error
-// paths in a way a materialized source cannot.
+// mid-stream, exercising the breakers' error paths in a way a
+// materialized source cannot.
 type trickleOp struct {
 	rows  []types.Row
 	chunk int
@@ -57,82 +57,33 @@ func trickleSchema() *types.Schema {
 	)
 }
 
-// TestStreamFeederPublishesAll checks the feeder hands every row to a
-// late-arriving consumer, in order.
-func TestStreamFeederPublishesAll(t *testing.T) {
-	rows := trickleRows(5000)
-	f := startFeeder(&trickleOp{rows: rows, chunk: 7, errAt: -1}, 64)
-	got, err := f.waitFor(len(rows) + 1) // beyond the end: returns at exhaustion
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, rows) {
-		t.Fatalf("feeder published %d rows, want %d (or order diverged)", len(got), len(rows))
-	}
-}
-
-// TestStreamFeederErrorPropagation checks a child failure mid-stream
-// reaches every streaming breaker as a build error, not a hang or a
-// short result.
-func TestStreamFeederErrorPropagation(t *testing.T) {
+// TestBreakerErrorPropagation checks a child failure mid-stream reaches
+// every breaker as an error, not a hang or a short result, in memory and
+// under a spill budget small enough that the hash join and the grouped
+// aggregate partition to disk before the failure.
+func TestBreakerErrorPropagation(t *testing.T) {
 	rows := trickleRows(4000)
 	failing := func() Op { return &trickleOp{rows: rows, chunk: 11, errAt: 2500} }
-	ops := map[string]Op{
-		"dupelim": &dupElimOp{child: failing(), opts: Options{Workers: 4}, size: 64},
-		"agg": &aggOp{child: failing(), inSchema: trickleSchema(),
-			groupBy: []algebra.Ref{{Collection: "T", Attr: "k"}},
-			aggs:    []algebra.AggSpec{{Func: algebra.AggCount, Star: true}},
-			opts:    Options{Workers: 4}, stat: &NodeStat{}, size: 64},
-		"hashjoin": &hashJoinOp{left: failing(), right: newSource(trickleRows(200), 64),
-			lpos: 0, rpos: 0, equiOnly: true,
-			opts: Options{Workers: 4}, stat: &NodeStat{}, size: 64},
-	}
-	for name, op := range ops {
-		_, err := Drain(op, 64)
-		if err == nil || err.Error() != "trickle: injected failure" {
-			t.Errorf("%s: got err %v, want the injected failure", name, err)
-		}
-	}
-}
-
-// TestStreamingBreakersBitIdentical runs the streaming parallel builds
-// against their sequential references over a trickling child (chunk
-// sizes far below a morsel) and requires bit-identical output.
-func TestStreamingBreakersBitIdentical(t *testing.T) {
-	rows := trickleRows(7000)
-	trickle := func() Op { return &trickleOp{rows: rows, chunk: 5, errAt: -1} }
-	build := map[string]func(w int) Op{
-		"dupelim": func(w int) Op {
-			return &dupElimOp{child: trickle(), opts: Options{Workers: w}, size: 64}
-		},
-		"agg": func(w int) Op {
-			return &aggOp{child: trickle(), inSchema: trickleSchema(),
-				groupBy: []algebra.Ref{{Collection: "T", Attr: "k"}, {Collection: "T", Attr: "v"}},
-				aggs:    []algebra.AggSpec{{Func: algebra.AggSum, Attr: algebra.Ref{Collection: "T", Attr: "k"}}},
-				opts:    Options{Workers: w}, stat: &NodeStat{}, size: 64}
-		},
-		"hashjoin": func(w int) Op {
-			return &hashJoinOp{left: trickle(), right: newSource(trickleRows(300), 64),
+	for mode, opts := range map[string]Options{
+		"in-memory": {},
+		"spill":     {MemBytes: 1, SpillDir: t.TempDir()},
+	} {
+		ops := map[string]Op{
+			"sort": &sortOp{child: failing(), schema: trickleSchema(),
+				keys: []algebra.SortKey{{Attr: algebra.Ref{Collection: "T", Attr: "k"}}}, size: 64},
+			"dupelim": &dupElimOp{child: failing(), size: 64},
+			"agg": &aggOp{child: failing(), inSchema: trickleSchema(),
+				groupBy: []algebra.Ref{{Collection: "T", Attr: "k"}},
+				aggs:    []algebra.AggSpec{{Func: algebra.AggCount, Star: true}},
+				opts:    opts, stat: &NodeStat{}, size: 64},
+			"hashjoin": &hashJoinOp{left: failing(), right: newSource(trickleRows(200), 64),
 				lpos: 0, rpos: 0, equiOnly: true,
-				opts: Options{Workers: w}, stat: &NodeStat{}, size: 64}
-		},
-	}
-	for name, mk := range build {
-		seq, err := Drain(mk(1), 64)
-		if err != nil {
-			t.Fatalf("%s sequential: %v", name, err)
+				opts: opts, stat: &NodeStat{}, size: 64},
 		}
-		if len(seq) == 0 {
-			t.Fatalf("%s: sequential reference produced no rows", name)
-		}
-		for _, w := range []int{2, 4, 7} {
-			par, err := Drain(mk(w), 64)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, w, err)
-			}
-			if !reflect.DeepEqual(seq, par) {
-				t.Errorf("%s workers=%d diverged from sequential (%d vs %d rows)",
-					name, w, len(par), len(seq))
+		for name, op := range ops {
+			_, err := Drain(op, 64)
+			if err == nil || err.Error() != "trickle: injected failure" {
+				t.Errorf("%s %s: got err %v, want the injected failure", mode, name, err)
 			}
 		}
 	}

@@ -4,27 +4,23 @@
 // fixed-size row batches (DefaultBatchSize rows) through a pull-based
 // Next(batch) interface; filter, project, union and nested-loop join run
 // fully pipelined, while sort, duplicate elimination, hash join and
-// aggregation are pipeline breakers with morsel-driven intra-query
-// parallelism (Options.Workers) and Grace-style spill-to-disk
+// aggregation are pipeline breakers, with Grace-style spill-to-disk
 // partitioning for inputs larger than the memory budget
-// (Options.MemBytes).
+// (Options.MemBytes). A pipeline runs on its caller's goroutine:
+// concurrency lives across queries, not inside one.
 //
 // Determinism contract (relied on by the engine's bit-identity tests and
 // the loadgen digest oracle):
 //
-//   - Workers <= 1 and no spill: output is bit-identical to the naive
-//     plan evaluator the tests compare against (internal/refeval).
-//   - Workers > 1, no spill: still bit-identical — breakers use
-//     partition-owner scheduling (each worker folds the full input in
-//     order, keeping only its partition) and morsel-ordered merges, so
-//     even float aggregate sums accumulate in exact input order.
+//   - No spill: output is bit-identical to the naive plan evaluator the
+//     tests compare against (internal/refeval).
 //   - Spill: row values stay bit-identical (per-group/per-pair work is
 //     still input-ordered inside a partition) but output order becomes
 //     partition-major — a multiset-identical permutation.
 //
 // The engine charges virtual-clock time analytically from the operator
-// row counts this package reports (see Counts), so the wall-clock gains
-// here never perturb the simulation's measured response times.
+// row counts this package reports (see Counts), so how the pipeline
+// batches or spills never perturbs the simulation's response times.
 package vexec
 
 import (
@@ -38,9 +34,6 @@ const DefaultBatchSize = 1024
 
 // Options configures one pipeline execution.
 type Options struct {
-	// Workers is the morsel-driven parallelism inside pipeline breakers;
-	// values below 2 mean sequential execution (the bit-identical mode).
-	Workers int
 	// MemBytes bounds the bytes a hash join build side or an aggregation
 	// input may hold in memory before Grace-partitioning to disk.
 	// 0 disables spilling.
@@ -49,13 +42,6 @@ type Options struct {
 	SpillDir string
 	// BatchSize overrides DefaultBatchSize (0 = default).
 	BatchSize int
-}
-
-func (o Options) workers() int {
-	if o.Workers < 1 {
-		return 1
-	}
-	return o.Workers
 }
 
 func (o Options) batchSize() int {
@@ -132,8 +118,8 @@ func putBatch(b *Batch) {
 // in emission order. It is the materialization boundary the engine and
 // wrapper use at the plan root, and it copies an answer at most once:
 // when the root's whole remaining output already is one slice (a source,
-// or a sort, aggregate, materialized hash join or dup-elim after its
-// build) Drain takes that slice, counted into the root's NodeStat.Out as
+// or a sort, aggregate or spilled hash join after its build) Drain takes
+// that slice, counted into the root's NodeStat.Out as
 // the batches would have been; otherwise it collects the batches' row
 // headers in pooled chunks and allocates the result once, at its exact
 // size. The answer may alias store or operator storage: it is read-only.

@@ -169,30 +169,14 @@ func requireBitIdentical(t *testing.T, name string, want, got []types.Row) {
 	}
 }
 
-// TestBatchSequentialBitIdentical: Workers=1, no spill — the pipeline
-// must reproduce the materializing reference bit for bit on every
-// operator shape, across batch sizes that do and don't divide the input.
+// TestBatchSequentialBitIdentical: no spill — the pipeline must
+// reproduce the materializing reference bit for bit on every operator
+// shape, across batch sizes that do and don't divide the input.
 func TestBatchSequentialBitIdentical(t *testing.T) {
 	cat := makeCatalog(3000, 40, 1)
 	for _, bs := range []int{0, 7, 256} {
 		t.Run(fmt.Sprintf("batch=%d", bs), func(t *testing.T) {
 			runPlans(t, cat, vexec.Options{BatchSize: bs},
-				func(t *testing.T, name string, want, got []types.Row, _ vexec.Counts, _ *algebra.Node) {
-					requireBitIdentical(t, name, want, got)
-				})
-		})
-	}
-}
-
-// TestMorselParallelBitIdentical: Workers>1 — partition-owner breakers
-// and morsel-ordered merges must keep the output bit-identical to the
-// sequential reference, not merely multiset-equal. Run under -race in
-// ci-exec.
-func TestMorselParallelBitIdentical(t *testing.T) {
-	cat := makeCatalog(5000, 60, 2)
-	for _, workers := range []int{2, 4, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			runPlans(t, cat, vexec.Options{Workers: workers},
 				func(t *testing.T, name string, want, got []types.Row, _ vexec.Counts, _ *algebra.Node) {
 					requireBitIdentical(t, name, want, got)
 				})
@@ -228,12 +212,6 @@ func TestEmptyInputs(t *testing.T) {
 		func(t *testing.T, name string, want, got []types.Row, _ vexec.Counts, _ *algebra.Node) {
 			requireBitIdentical(t, name, want, got)
 		})
-	t.Run("parallel", func(t *testing.T) {
-		runPlans(t, cat, vexec.Options{Workers: 4},
-			func(t *testing.T, name string, want, got []types.Row, _ vexec.Counts, _ *algebra.Node) {
-				requireBitIdentical(t, name, want, got)
-			})
-	})
 }
 
 // TestHashJoinStatRecorded: the join strategy facts the engine charges

@@ -109,15 +109,10 @@ func DialRemotePolicy(addr string, clock *netsim.Clock, policy RetryPolicy) (*Re
 	return newRemote(conn, clock, dial, policy)
 }
 
-// NewRemoteWrapper wraps an established connection (tests use net.Pipe).
-// Without a dialer the wrapper cannot redial: the first transport failure
-// after the initial handshake makes it unavailable.
-func NewRemoteWrapper(conn net.Conn, clock *netsim.Clock) (*RemoteWrapper, error) {
-	return newRemote(conn, clock, nil, DefaultRetryPolicy())
-}
-
-// NewRemoteWrapperPolicy wraps an established connection with an explicit
-// redial function (nil disables reconnecting) and retry policy.
+// NewRemoteWrapperPolicy wraps an established connection (tests use
+// net.Pipe) with an explicit redial function and retry policy. Without a
+// dialer the wrapper cannot redial: the first transport failure after
+// the initial handshake makes it unavailable.
 func NewRemoteWrapperPolicy(conn net.Conn, clock *netsim.Clock, dial func() (net.Conn, error), policy RetryPolicy) (*RemoteWrapper, error) {
 	return newRemote(conn, clock, dial, policy)
 }

@@ -112,10 +112,9 @@ type planSource interface {
 // directly over scans try an index access path for one sargable
 // conjunct, mirroring source autonomy — the wrapper, not the mediator,
 // picks its access method. Everything else (projections, sorts, joins a
-// capable wrapper accepted) runs on the generic batch operators,
-// sequentially: morsel parallelism and spilling are mediator-side
-// features, and a wrapper's virtual time is charged by its store, not
-// by operator formulas.
+// capable wrapper accepted) runs on the generic batch operators, never
+// spilling: the spill budget is a mediator-side feature, and a wrapper's
+// virtual time is charged by its store, not by operator formulas.
 func execPlan(src planSource, n *algebra.Node) ([]types.Row, error) {
 	return vexec.Run(n, &vexec.Env{Leaf: func(n *algebra.Node) ([]types.Row, bool, error) {
 		switch n.Kind {
