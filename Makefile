@@ -1,7 +1,10 @@
 # Everything is plain `go` underneath. `make ci` runs what
 # .github/workflows/ci.yml runs: the workflow calls these ci-* targets.
 # Every gate is a correctness gate; performance is judged by the repo's
-# benchmark alone (ci-perf, bench/README.md).
+# benchmark alone (ci-perf, bench/README.md). ci-test includes the root
+# TestReachability (reach_test.go): every declaration no served
+# configuration reaches is listed in testdata/unreached.golden as ref or
+# fixture, or the test fails.
 
 GO ?= go
 SOAK = $(GO) test -race -count=1 -timeout 600s ./cmd/discoload -run
@@ -77,7 +80,7 @@ ci-fuzz:
 # Race-stress of the concurrent serving path (DESIGN.md §9), 3 repetitions.
 ci-concurrency:
 	$(GO) test -race -count=3 \
-		-run 'Concurrent|Race|Admission|PlanCache|Reprepare|StalePlan|Debounce|IdleTimeout|Overloaded|NormalizeSQL|Shutdown|StatsOp|ReregisterOp|SetLinkOp' \
+		-run 'Concurrent|Race|Admission|PlanCache|Reprepare|Debounce|IdleTimeout|Overloaded|NormalizeSQL|Shutdown|StatsOp|ReregisterOp|SetLinkOp' \
 		./internal/mediator ./internal/feedback ./internal/serving
 # The digest-checked chaos soaks (E11-E14): zero wedged clients, zero
 # oracle mismatches — plain, under a spill budget, result cache on, and

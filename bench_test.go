@@ -365,12 +365,6 @@ func BenchmarkOptimizeWide(b *testing.B) {
 	benchmarkOptimize(b, 8, optimizer.DefaultOptions(), true)
 }
 
-// BenchmarkOptimizeBushy widens the search to bushy trees —
-// the heaviest workload.
-func BenchmarkOptimizeBushy(b *testing.B) {
-	benchmarkOptimize(b, 7, optimizer.Options{MaxDPRelations: 10, Bushy: true}, false)
-}
-
 // BenchmarkOptimizeGreedy crosses MaxDPRelations: 12 relations force
 // the greedy join heuristic, which re-prices surviving pairs every
 // round.

@@ -131,9 +131,6 @@ func TestNodeConstructorsAndString(t *testing.T) {
 			t.Errorf("plan string missing %q:\n%s", want, s)
 		}
 	}
-	if plan.Count() != 7 {
-		t.Errorf("Count = %d, want 7", plan.Count())
-	}
 	if len(plan.Scans()) != 2 {
 		t.Errorf("Scans = %d, want 2", len(plan.Scans()))
 	}
@@ -156,24 +153,6 @@ func TestNodeCloneIndependence(t *testing.T) {
 	}
 	if orig.Equal(cl) {
 		t.Error("mutated clone should differ")
-	}
-}
-
-func TestEnclosingWrapper(t *testing.T) {
-	scan1 := Scan("w1", "Employee")
-	sel := Select(scan1, NewSelPred(Ref{Attr: "salary"}, stats.CmpGT, types.Int(0)))
-	sub := Submit(sel, "w1")
-	scan2 := Scan("w2", "Book")
-	sub2 := Submit(scan2, "w2")
-	join := Join(sub, sub2, NewJoinPred(Ref{Attr: "id"}, Ref{Attr: "author"}))
-	if w := join.EnclosingWrapper(sel); w != "w1" {
-		t.Errorf("EnclosingWrapper(sel) = %q, want w1", w)
-	}
-	if w := join.EnclosingWrapper(scan2); w != "w2" {
-		t.Errorf("EnclosingWrapper(scan2) = %q, want w2", w)
-	}
-	if w := join.EnclosingWrapper(join); w != "" {
-		t.Errorf("EnclosingWrapper(join) = %q, want mediator", w)
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 	"disco/internal/types"
 )
 
-// This file implements the 128-bit incremental structural hash that the
-// optimizer's plan-cost memo keys on. The hash encodes exactly the
+// This file implements the 128-bit incremental structural hash that keys
+// the result cache and its search-time view, the history recorder's
+// observations and the registry's exact-rule index. The hash encodes exactly the
 // information Signature() encodes — operator kinds, case-folded attribute
 // references and projection columns, exact collection/wrapper names and
 // aggregate aliases, canonicalized constants — but it is computed
@@ -24,9 +25,10 @@ import (
 //	a.Equal(b)  =>  a.StructuralHash() == b.StructuralHash()
 //	!a.Equal(b) =>  hashes differ except with probability ~2^-128
 //
-// The memo therefore uses the hash alone as its key; the randomized
-// agreement test in hash_test.go checks the hash against Signature() over
-// generated plan trees.
+// Those tables therefore key on the hash alone (the exact-rule index
+// confirms a hit with Equal); the randomized agreement test in
+// hash_test.go checks the hash against Signature() over generated plan
+// trees.
 
 // Hash128 is a 128-bit structural plan hash, used as a comparable map key.
 type Hash128 struct {
@@ -232,18 +234,6 @@ func (n *Node) StructuralHash() Hash128 {
 	n.hashLo, n.hashHi = h.a, h.b
 	n.hashOK = true
 	return Hash128{Lo: n.hashLo, Hi: n.hashHi}
-}
-
-// InvalidateHashes clears the cached structural hash of every node in the
-// subtree. Call it after mutating structural fields of already-hashed
-// nodes (note that ancestors outside the receiver's subtree must be
-// invalidated too — invalidate from the root of any tree that shares the
-// mutated node).
-func (n *Node) InvalidateHashes() {
-	n.Walk(func(m *Node) bool {
-		m.hashOK = false
-		return true
-	})
 }
 
 // String renders the hash as 32 hex digits, for diagnostics.

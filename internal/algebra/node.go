@@ -293,13 +293,6 @@ func (n *Node) Walk(fn func(*Node) bool) {
 	}
 }
 
-// Count reports the number of operator nodes in the tree.
-func (n *Node) Count() int {
-	count := 0
-	n.Walk(func(*Node) bool { count++; return true })
-	return count
-}
-
 // Scans returns every scan node in the tree, left to right.
 func (n *Node) Scans() []*Node {
 	var out []*Node
@@ -310,31 +303,6 @@ func (n *Node) Scans() []*Node {
 		return true
 	})
 	return out
-}
-
-// EnclosingWrapper reports the wrapper a node executes on: for subtrees
-// under a Submit this is the submit's wrapper; mediator-resident operators
-// return "". It assumes the receiver is the plan root.
-func (n *Node) EnclosingWrapper(target *Node) string {
-	wrapper := ""
-	var visit func(m *Node, w string) bool
-	visit = func(m *Node, w string) bool {
-		if m == target {
-			wrapper = w
-			return true
-		}
-		if m.Kind == OpSubmit {
-			w = m.Wrapper
-		}
-		for _, c := range m.Children {
-			if visit(c, w) {
-				return true
-			}
-		}
-		return false
-	}
-	visit(n, "")
-	return wrapper
 }
 
 // head renders the operator with its arguments, the form used both in

@@ -1,7 +1,6 @@
 package algebra
 
 import (
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -9,14 +8,14 @@ import (
 	"disco/internal/types"
 )
 
-// This file defines the canonical subplan signature used by the
-// optimizer's plan-cost memo table. The signature is a total, unambiguous
+// This file defines the canonical subplan signature: the readable
+// reference that hash_test.go checks StructuralHash against, and the
+// plan form test goldens print. The signature is a total, unambiguous
 // textual encoding of a plan tree with the property that
 //
 //	a.Signature() == b.Signature()  <=>  a.Equal(b)
 //
-// so the optimizer may key cached costs by signature without false
-// sharing between structurally different plans. Fields that Equal
+// so two structurally different plans never share one. Fields that Equal
 // compares case-insensitively (attribute references, projection columns)
 // are case-folded here; fields it compares exactly (collection and
 // wrapper names, aggregate aliases) are not. Every variable-length field
@@ -25,18 +24,8 @@ import (
 // Signature returns the canonical encoding of the plan tree.
 func (n *Node) Signature() string {
 	var b strings.Builder
-	b.Grow(64 * n.Count())
 	n.appendSig(&b)
 	return b.String()
-}
-
-// Fingerprint returns a 64-bit FNV-1a hash of the signature — a cheap
-// shard/bucket key. Collisions are possible; use Signature itself as the
-// exact map key.
-func (n *Node) Fingerprint() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(n.Signature()))
-	return h.Sum64()
 }
 
 func (n *Node) appendSig(b *strings.Builder) {

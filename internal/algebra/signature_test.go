@@ -89,11 +89,3 @@ func TestSignatureAdversarialNames(t *testing.T) {
 		t.Error("quoted fields should prevent delimiter injection collisions")
 	}
 }
-
-func TestFingerprintStable(t *testing.T) {
-	p := Submit(Select(Scan("w1", "Emp"),
-		NewSelPred(Ref{Collection: "Emp", Attr: "id"}, stats.CmpLT, types.Int(7))), "w1")
-	if p.Fingerprint() != p.Clone().Fingerprint() {
-		t.Error("clone should fingerprint identically")
-	}
-}

@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"disco/internal/algebra"
-	"disco/internal/core"
 	"disco/internal/netsim"
 	"disco/internal/objstore"
 	"disco/internal/relstore"
@@ -171,35 +170,6 @@ func CalibrateIndexScan(samples []Sample) (LinearFit, error) {
 		return fit, fmt.Errorf("calibration: negative slope %.4g — samples inconsistent", fit.Slope)
 	}
 	return fit, nil
-}
-
-// Apply installs a fitted index-scan line into an estimator's generic
-// coefficients (IdxFirst, IdxPerObj).
-func Apply(est *core.Estimator, fit LinearFit) {
-	est.Globals["IdxFirst"] = types.Float(fit.Intercept)
-	est.Globals["IdxPerObj"] = types.Float(fit.Slope)
-}
-
-// ProbeSeqScan measures full sequential scans of several collections and
-// fits TotalTime = a + b*CountObject, calibrating the generic scan
-// coefficients for a source class.
-func ProbeSeqScan(w wrapper.Wrapper, clock *netsim.Clock, collections []string) (LinearFit, error) {
-	schemaSrc := singleWrapperSchemas{w}
-	var xs, ys []float64
-	for _, coll := range collections {
-		plan := algebra.Scan(w.Name(), coll)
-		if err := algebra.Resolve(plan, schemaSrc); err != nil {
-			return LinearFit{}, err
-		}
-		start := clock.Now()
-		res, err := w.Execute(plan)
-		if err != nil {
-			return LinearFit{}, err
-		}
-		xs = append(xs, float64(len(res.Rows)))
-		ys = append(ys, clock.Now()-start)
-	}
-	return FitLinear(xs, ys)
 }
 
 // RelativeError reports |est-actual| / actual; RMS aggregates it over

@@ -120,19 +120,3 @@ func TestCalibrateOnSimulatedStore(t *testing.T) {
 			predicted, actual)
 	}
 }
-
-func TestProbeSeqScanFits(t *testing.T) {
-	clock := netsim.NewClock()
-	store := objstore.Open(objstore.DefaultConfig(), clock)
-	if err := oo7.Generate(store, oo7.TinyScale(), 5); err != nil {
-		t.Fatal(err)
-	}
-	w := wrapper.NewObjWrapper("obj1", store)
-	fit, err := ProbeSeqScan(w, clock, []string{oo7.AtomicParts, oo7.CompositeParts, oo7.Documents})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fit.Slope <= 0 {
-		t.Errorf("seq scan fit = %s", fit)
-	}
-}

@@ -89,12 +89,6 @@ func (c *Catalog) Register(w wrapper.Wrapper) error {
 	return nil
 }
 
-// Deregister removes a wrapper.
-func (c *Catalog) Deregister(name string) {
-	delete(c.entries, name)
-	c.epoch++
-}
-
 // Wrappers lists registered wrapper names, sorted.
 func (c *Catalog) Wrappers() []string {
 	out := make([]string, 0, len(c.entries))

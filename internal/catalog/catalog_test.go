@@ -121,17 +121,6 @@ func TestCapabilitiesAndFind(t *testing.T) {
 	}
 }
 
-func TestDeregisterAndReplace(t *testing.T) {
-	cat, _ := buildCatalog(t)
-	cat.Deregister("files")
-	if cat.HasCollection("files", "Docs") {
-		t.Error("deregistered wrapper still visible")
-	}
-	if len(cat.Wrappers()) != 1 {
-		t.Error("wrapper count after deregister")
-	}
-}
-
 func TestCatalogString(t *testing.T) {
 	cat, _ := buildCatalog(t)
 	s := cat.String()

@@ -105,7 +105,8 @@ func TestEstimateSteadyStateAllocBudget(t *testing.T) {
 	if _, err := e.Estimate(plan); err != nil {
 		t.Fatal(err)
 	}
-	nodes := float64(plan.Count())
+	var nodes float64
+	plan.Walk(func(*algebra.Node) bool { nodes++; return true })
 	avg := testing.AllocsPerRun(100, func() {
 		if _, err := e.Estimate(plan); err != nil {
 			t.Fatal(err)

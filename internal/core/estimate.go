@@ -115,29 +115,12 @@ type RootCost struct {
 	set  VarSet
 }
 
-// Var returns a computed root variable, or def when it was not computed.
-func (r RootCost) Var(name string, def float64) float64 {
-	if vi := varIndex(name); vi >= 0 && r.set.Has(vi) {
-		return r.vars[vi]
-	}
-	return def
-}
-
 // TotalTime returns the root TotalTime estimate in milliseconds.
 func (r RootCost) TotalTime() float64 {
 	if r.set.Has(idxTotalTime) {
 		return r.vars[idxTotalTime]
 	}
 	return 0
-}
-
-// TimeFirst returns the root TimeFirst estimate, falling back to
-// TotalTime when it was not computed.
-func (r RootCost) TimeFirst() float64 {
-	if r.set.Has(idxTimeFirst) {
-		return r.vars[idxTimeFirst]
-	}
-	return r.TotalTime()
 }
 
 // Estimator evaluates plan costs against the integrated rule hierarchy.

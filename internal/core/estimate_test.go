@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"disco/internal/algebra"
+	"disco/internal/costlang"
 	"disco/internal/costvm"
 	"disco/internal/stats"
 	"disco/internal/types"
@@ -422,7 +423,11 @@ func TestQueryScopeRuleWins(t *testing.T) {
 
 func mustCompileConst(t *testing.T, v float64) *costvm.Program {
 	t.Helper()
-	p, err := costvm.CompileString(types.Float(v).String())
+	e, err := costlang.ParseExpr(types.Float(v).String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := costvm.Compile(e)
 	if err != nil {
 		t.Fatal(err)
 	}

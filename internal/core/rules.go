@@ -318,16 +318,6 @@ func addChildRef(refs []childRef, slot, vi int) []childRef {
 	return append(refs, childRef{slot: slot, vi: vi})
 }
 
-// Provides reports whether the rule has a formula for the named variable.
-func (r *Rule) Provides(varName string) bool {
-	for _, f := range r.Formulas {
-		if f.Var == varName {
-			return true
-		}
-	}
-	return false
-}
-
 // Head renders the rule head for diagnostics.
 func (r *Rule) Head() string {
 	parts := make([]string, len(r.Terms))
@@ -466,13 +456,6 @@ func (reg *Registry) WrapperRules(wrapper string) []*Rule {
 		sortRules(rules)
 	}
 	return rules
-}
-
-// DefaultRules returns the default- and local-scope rules.
-func (reg *Registry) DefaultRules() []*Rule {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	return reg.defaults
 }
 
 // IntegrateDefaults compiles a cost-language file into default-scope (or,

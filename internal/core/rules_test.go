@@ -169,10 +169,9 @@ func TestDefaultRegistryLoads(t *testing.T) {
 		algebra.OpAggregate, algebra.OpSubmit}
 	for _, op := range ops {
 		found := false
-		for _, r := range reg.DefaultRules() {
-			if r.Op == op && r.Scope == ScopeDefault && r.Provides("TotalTime") {
-				found = true
-				break
+		for _, r := range reg.DefaultRulesFor(op) {
+			for _, f := range r.Formulas {
+				found = found || (r.Scope == ScopeDefault && f.Var == "TotalTime")
 			}
 		}
 		if !found {

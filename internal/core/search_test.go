@@ -103,40 +103,34 @@ func chordSearch(t *testing.T) (*optimizer.Optimizer, *optimizer.QueryBlock, *sp
 
 // TestSearchTableMatchesUncached is the node table's equivalence
 // property: after one search, every candidate's recorded root cost equals
-// a full, uncached EstimateRoot of the candidate bit for bit, for both
-// tree shapes, both objectives and with required-variable pruning on and
-// off.
+// a full, uncached EstimateRoot of the candidate bit for bit, with
+// required-variable pruning on and off.
 func TestSearchTableMatchesUncached(t *testing.T) {
-	for _, bushy := range []bool{false, true} {
-		for _, objective := range []optimizer.Objective{optimizer.ObjectiveTotalTime, optimizer.ObjectiveTimeFirst} {
-			for _, required := range []bool{false, true} {
-				label := fmt.Sprintf("bushy=%v/objective=%d/required=%v", bushy, objective, required)
-				opt, qb, view := chordSearch(t)
-				opt.Opt.Bushy, opt.Opt.Objective = bushy, objective
-				if required {
-					opt.Est.Options.RequiredVarsOnly = true
-					opt.Est.Options.RootVars = []string{"TimeFirst", "TotalTime"}
-				}
-				res, err := opt.Optimize(qb)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				roots := view.table.RootEntries(opt.Est)
-				// Every candidate is a root entry, and so is the chosen plan.
-				if len(roots) < res.PlansCosted-1 {
-					t.Fatalf("%s: %d root entries for %d candidates", label, len(roots), res.PlansCosted-1)
-				}
-				uncached := opt.Est.Clone()
-				for n, recorded := range roots {
-					full, err := uncached.EstimateRoot(n)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					if !core.SameBits(recorded, full) {
-						t.Fatalf("%s: recorded TotalTime %v TimeFirst %v, uncached %v %v for %s", label,
-							recorded.TotalTime(), recorded.TimeFirst(), full.TotalTime(), full.TimeFirst(), n.Signature())
-					}
-				}
+	for _, required := range []bool{false, true} {
+		label := fmt.Sprintf("required=%v", required)
+		opt, qb, view := chordSearch(t)
+		if required {
+			opt.Est.Options.RequiredVarsOnly = true
+			opt.Est.Options.RootVars = []string{"TimeFirst", "TotalTime"}
+		}
+		res, err := opt.Optimize(qb)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		roots := view.table.RootEntries(opt.Est)
+		// Every candidate is a root entry, and so is the chosen plan.
+		if len(roots) < res.PlansCosted-1 {
+			t.Fatalf("%s: %d root entries for %d candidates", label, len(roots), res.PlansCosted-1)
+		}
+		uncached := opt.Est.Clone()
+		for n, recorded := range roots {
+			full, err := uncached.EstimateRoot(n)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !core.SameBits(recorded, full) {
+				t.Fatalf("%s: recorded TotalTime %v, uncached %v for %s", label,
+					recorded.TotalTime(), full.TotalTime(), n.Signature())
 			}
 		}
 	}
@@ -146,21 +140,18 @@ func TestSearchTableMatchesUncached(t *testing.T) {
 // formulas exactly once per distinct (node, site) it prices: a candidate
 // costs its new nodes, and its inputs come from the table.
 func TestSearchPricesEachNodeOnce(t *testing.T) {
-	for _, bushy := range []bool{false, true} {
-		opt, qb, view := chordSearch(t)
-		opt.Opt.Bushy = bushy
-		res, err := opt.Optimize(qb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		applied, distinct := view.table.Applied(), view.table.DistinctNodeSites()
-		if applied != distinct {
-			t.Errorf("bushy=%v: apply ran %d times over %d distinct (node, site) keys", bushy, applied, distinct)
-		}
-		// A left-deep candidate adds one or two nodes to priced inputs.
-		if !bushy && applied > 2*res.PlansCosted {
-			t.Errorf("applied %d times for %d candidates", applied, res.PlansCosted)
-		}
+	opt, qb, view := chordSearch(t)
+	res, err := opt.Optimize(qb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applied, distinct := view.table.Applied(), view.table.DistinctNodeSites()
+	if applied != distinct {
+		t.Errorf("apply ran %d times over %d distinct (node, site) keys", applied, distinct)
+	}
+	// A left-deep candidate adds one or two nodes to priced inputs.
+	if applied > 2*res.PlansCosted {
+		t.Errorf("applied %d times for %d candidates", applied, res.PlansCosted)
 	}
 }
 
@@ -171,19 +162,16 @@ func TestSearchPricesEachNodeOnce(t *testing.T) {
 // with the same bare name (C0.id, C3.id): the answer must be the first
 // scan in walk order, as the walk finds it.
 func TestSearchRemembersAttrStats(t *testing.T) {
-	for _, bushy := range []bool{false, true} {
-		opt, qb, view := chordSearch(t)
-		opt.Opt.Bushy = bushy
-		if _, err := opt.Optimize(qb); err != nil {
-			t.Fatal(err)
-		}
-		msg, remembered := view.table.AttrStatsMismatch(view.CatalogView, []string{"id", "fk", "ID", "nosuch"})
-		if msg != "" {
-			t.Fatalf("bushy=%v: %s", bushy, msg)
-		}
-		if remembered == 0 {
-			t.Fatalf("bushy=%v: the search remembered no attribute statistics", bushy)
-		}
+	opt, qb, view := chordSearch(t)
+	if _, err := opt.Optimize(qb); err != nil {
+		t.Fatal(err)
+	}
+	msg, remembered := view.table.AttrStatsMismatch(view.CatalogView, []string{"id", "fk", "ID", "nosuch"})
+	if msg != "" {
+		t.Fatal(msg)
+	}
+	if remembered == 0 {
+		t.Fatal("the search remembered no attribute statistics")
 	}
 }
 

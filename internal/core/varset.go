@@ -56,12 +56,3 @@ func varIndexExact(name string) int {
 	}
 	return -1
 }
-
-func isVarName(name string) bool { return varIndex(name) >= 0 }
-
-func canonVar(name string) string {
-	if i := varIndex(name); i >= 0 {
-		return varOrder[i]
-	}
-	return name
-}

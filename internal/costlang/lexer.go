@@ -362,19 +362,3 @@ func (l *lexer) next() (Token, error) {
 	tok.Text = tok.Kind.String()
 	return tok, nil
 }
-
-// Lex tokenizes src fully; mainly a test and tooling convenience.
-func Lex(src string) ([]Token, error) {
-	l := newLexer(src)
-	var out []Token
-	for {
-		t, err := l.next()
-		if err != nil {
-			return out, err
-		}
-		out = append(out, t)
-		if t.Kind == TokEOF {
-			return out, nil
-		}
-	}
-}

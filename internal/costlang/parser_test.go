@@ -9,6 +9,22 @@ import (
 	"disco/internal/stats"
 )
 
+// Lex tokenizes src fully; the token stream the lexer tests check.
+func Lex(src string) ([]Token, error) {
+	l := newLexer(src)
+	var out []Token
+	for {
+		t, err := l.next()
+		if err != nil {
+			return out, err
+		}
+		out = append(out, t)
+		if t.Kind == TokEOF {
+			return out, nil
+		}
+	}
+}
+
 func TestLexBasics(t *testing.T) {
 	toks, err := Lex(`scan(employee) { TotalTime = 120 + C.TotalSize * 12; } // trailing`)
 	if err != nil {

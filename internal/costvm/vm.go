@@ -161,15 +161,6 @@ func Literal(v float64) *Program {
 	return &lit.p
 }
 
-// CompileString parses and compiles an expression in one step.
-func CompileString(src string) (*Program, error) {
-	e, err := costlang.ParseExpr(src)
-	if err != nil {
-		return nil, err
-	}
-	return Compile(e)
-}
-
 // emit appends code for e; cur is the stack depth before e executes, and
 // the depth after (always cur+1) is returned.
 func (p *Program) emit(e costlang.Expr, cur int) (int, error) {

@@ -11,6 +11,15 @@ import (
 	"disco/internal/types"
 )
 
+// CompileString parses and compiles an expression in one step.
+func CompileString(src string) (*Program, error) {
+	e, err := costlang.ParseExpr(src)
+	if err != nil {
+		return nil, err
+	}
+	return Compile(e)
+}
+
 // mapEnv is a test Env over a flat map keyed by the joined path.
 type mapEnv struct {
 	vars map[string]types.Constant

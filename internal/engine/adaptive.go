@@ -19,11 +19,12 @@ const (
 	// plan must beat the current remainder by this much before the
 	// engine switches, so near-ties never cause churn.
 	DefaultAdaptiveMargin = 0.2
-	// DefaultAdaptiveMaxSwitches bounds switches per query: each switch
-	// re-enumerates the suffix, and past a couple the remaining plan is
-	// dominated by pinned facts anyway.
-	DefaultAdaptiveMaxSwitches = 2
 )
+
+// adaptiveMaxSwitches bounds plan switches per query: each switch
+// re-enumerates the suffix, and past a couple the remaining plan is
+// dominated by pinned facts anyway.
+const adaptiveMaxSwitches = 2
 
 // AdaptiveOptions configure mid-flight adaptive re-optimization. The
 // zero value disables it: no plan is ever staged.
@@ -35,9 +36,6 @@ type AdaptiveOptions struct {
 	// Margin is the hysteresis fraction a candidate must win by
 	// (0 = DefaultAdaptiveMargin).
 	Margin float64
-	// MaxSwitches bounds plan switches per query
-	// (0 = DefaultAdaptiveMaxSwitches).
-	MaxSwitches int
 }
 
 // PinnedActual is the observed output of one fully materialized subtree,
@@ -86,10 +84,6 @@ func (e *Engine) stage(plan *algebra.Node, predicted map[*algebra.Node]float64, 
 	if margin <= 0 {
 		margin = DefaultAdaptiveMargin
 	}
-	maxSwitches := e.Adaptive.MaxSwitches
-	if maxSwitches <= 0 {
-		maxSwitches = DefaultAdaptiveMaxSwitches
-	}
 
 	st.mat = make(map[*algebra.Node][]types.Row)
 	cur := plan
@@ -105,7 +99,7 @@ func (e *Engine) stage(plan *algebra.Node, predicted map[*algebra.Node]float64, 
 		st.mat[boundary] = rows
 
 		est, ok := predicted[boundary]
-		if !ok || res.PlanSwitches >= maxSwitches {
+		if !ok || res.PlanSwitches >= adaptiveMaxSwitches {
 			continue
 		}
 		if feedback.QError(est, float64(len(rows)), 1) < thresh {

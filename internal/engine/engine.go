@@ -147,18 +147,6 @@ func (e *Engine) MarkUnavailable(name string) {
 	}
 }
 
-// Unavailable lists the wrappers currently marked down, sorted.
-func (e *Engine) Unavailable() []string {
-	e.downMu.Lock()
-	defer e.downMu.Unlock()
-	out := make([]string, 0, len(e.down))
-	for n := range e.down {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func (e *Engine) isDown(name string) bool {
 	e.downMu.Lock()
 	defer e.downMu.Unlock()

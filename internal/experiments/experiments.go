@@ -248,16 +248,6 @@ func (r *PlanQualityResult) Table() string {
 	return b.String()
 }
 
-// ActualOf returns the executed time of a (query, model) pair.
-func (r *PlanQualityResult) ActualOf(query, model string) (float64, bool) {
-	for _, row := range r.Rows {
-		if row.Query == query && row.Model == model {
-			return row.ActualS, true
-		}
-	}
-	return 0, false
-}
-
 // planQualityQueries builds the E3 workload over the OO7 deployment.
 func planQualityQueries() []struct{ name, sql string } {
 	return []struct{ name, sql string }{

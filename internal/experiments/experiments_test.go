@@ -341,3 +341,13 @@ func TestFeedbackConvergence(t *testing.T) {
 		}
 	}
 }
+
+// ActualOf returns the executed time of a (query, model) pair.
+func (r *PlanQualityResult) ActualOf(query, model string) (float64, bool) {
+	for _, row := range r.Rows {
+		if row.Query == query && row.Model == model {
+			return row.ActualS, true
+		}
+	}
+	return 0, false
+}

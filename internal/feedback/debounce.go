@@ -5,8 +5,7 @@ import (
 	"time"
 )
 
-// DefaultSaveInterval is the debounce window when the caller does not
-// configure one.
+// DefaultSaveInterval is the debounce window the mediator saves under.
 const DefaultSaveInterval = 5 * time.Second
 
 // Debouncer coalesces snapshot saves so a stream of absorbed executions
@@ -33,11 +32,10 @@ type Debouncer struct {
 	saves    int64
 }
 
-// NewDebouncer wraps a store with a save window. interval == 0 uses
-// DefaultSaveInterval; interval < 0 disables debouncing (every Mark
-// saves — the pre-debounce behaviour).
+// NewDebouncer wraps a store with a save window; interval <= 0 uses
+// DefaultSaveInterval.
 func NewDebouncer(store Store, interval time.Duration) *Debouncer {
-	if interval == 0 {
+	if interval <= 0 {
 		interval = DefaultSaveInterval
 	}
 	return &Debouncer{store: store, interval: interval}
@@ -51,7 +49,7 @@ func (d *Debouncer) Mark(capture func() *Snapshot) error {
 	defer d.mu.Unlock()
 	d.capture = capture
 	d.dirty = true
-	if d.interval >= 0 && !d.lastSave.IsZero() && time.Since(d.lastSave) < d.interval {
+	if !d.lastSave.IsZero() && time.Since(d.lastSave) < d.interval {
 		return nil
 	}
 	return d.saveLocked()

@@ -114,9 +114,6 @@ func TestRecorderObserve(t *testing.T) {
 	if q := rep.Obs[1].QRows; q != 1 {
 		t.Errorf("submit card q-error = %v, want 1", q)
 	}
-	if med := rep.MedianCardQ(); med != 10 {
-		t.Errorf("report median = %v, want 10 (upper median of {1,10})", med)
-	}
 	scopes := r.Scopes()
 	if len(scopes) != 2 {
 		t.Fatalf("scopes = %d, want 2", len(scopes))
@@ -144,9 +141,6 @@ func TestRecorderSkipsExcluded(t *testing.T) {
 	}
 	if len(r.Scopes()) != 0 {
 		t.Error("excluded observations must not reach the accumulators")
-	}
-	if rep.MedianCardQ() != 0 {
-		t.Error("excluded-only report has no usable median")
 	}
 }
 
@@ -192,15 +186,12 @@ func (f *fakeWrapper) Clock() *netsim.Clock                           { return f
 
 func testCatalog(t *testing.T) *catalog.Catalog {
 	t.Helper()
-	hist := stats.NewEquiWidth([]types.Constant{
-		types.Int(0), types.Int(1), types.Int(2), types.Int(3), types.Int(4),
-		types.Int(5), types.Int(6), types.Int(7), types.Int(8), types.Int(9),
-	}, 2)
-	// Inflate the histogram to the claimed 1000-object extent.
-	for i := range hist.Buckets {
-		hist.Buckets[i].Count *= 100
-	}
-	hist.Total = 1000
+	// Two equal-width buckets over dept 0..9, inflated to the claimed
+	// 1000-object extent.
+	hist := &stats.Histogram{Total: 1000, Buckets: []stats.Bucket{
+		{Lo: types.Float(0), Hi: types.Float(4.5), Count: 500, Distinct: 5},
+		{Lo: types.Float(4.5), Hi: types.Float(9), Count: 500, Distinct: 5},
+	}}
 	w := &fakeWrapper{
 		name:  "w1",
 		clock: netsim.NewClock(),
@@ -476,21 +467,6 @@ func TestStoreCorruptLoadsEmpty(t *testing.T) {
 
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
-}
-
-func TestMemStore(t *testing.T) {
-	s := NewMemStore()
-	snap, err := s.Load()
-	if err != nil || len(snap.Cards) != 0 {
-		t.Fatalf("empty mem store: %+v, %v", snap, err)
-	}
-	if err := s.Save(&Snapshot{Cards: []CardCorrection{{Wrapper: "w", Collection: "c", Base: 1, Factor: 2}}}); err != nil {
-		t.Fatal(err)
-	}
-	snap, _ = s.Load()
-	if len(snap.Cards) != 1 {
-		t.Errorf("mem store lost the snapshot: %+v", snap)
-	}
 }
 
 func TestAdjusterLearnsMissingExtent(t *testing.T) {

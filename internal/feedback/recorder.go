@@ -46,22 +46,6 @@ type Report struct {
 	Partial   bool
 }
 
-// MedianCardQ is the median cardinality q-error across this report's
-// usable observations (0 when none).
-func (r *Report) MedianCardQ() float64 {
-	qs := make([]float64, 0, len(r.Obs))
-	for _, o := range r.Obs {
-		if !o.Excluded {
-			qs = append(qs, o.QRows)
-		}
-	}
-	if len(qs) == 0 {
-		return 0
-	}
-	sort.Float64s(qs)
-	return qs[len(qs)/2]
-}
-
 // Recorder joins execution profiles against the estimator's per-node
 // predictions and maintains per-scope q-error accumulators. Scopes follow
 // the cost model's specialization idea: estimation quality is tracked per

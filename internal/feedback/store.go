@@ -37,29 +37,6 @@ type Store interface {
 	Load() (*Snapshot, error)
 }
 
-// MemStore is the in-memory Store: snapshots survive re-wiring within a
-// process but not a restart. The zero value is ready to use.
-type MemStore struct {
-	snap *Snapshot
-}
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore { return &MemStore{} }
-
-// Save implements Store.
-func (s *MemStore) Save(snap *Snapshot) error {
-	s.snap = snap
-	return nil
-}
-
-// Load implements Store.
-func (s *MemStore) Load() (*Snapshot, error) {
-	if s.snap == nil {
-		return &Snapshot{Version: SnapshotVersion}, nil
-	}
-	return s.snap, nil
-}
-
 // FileStore persists snapshots as a JSON file, written atomically
 // (temp file + rename) so a crash mid-save never corrupts the previous
 // snapshot.

@@ -11,11 +11,8 @@
 package filestore
 
 import (
-	"bufio"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"disco/internal/netsim"
 	"disco/internal/types"
@@ -94,9 +91,6 @@ func (f *File) Name() string { return f.name }
 // Schema returns the record schema.
 func (f *File) Schema() *types.Schema { return f.schema }
 
-// Count reports the number of records.
-func (f *File) Count() int { return len(f.rows) }
-
 // Append adds one record (loading is not timed).
 func (f *File) Append(row types.Row) error {
 	if len(row) != f.schema.Len() {
@@ -104,62 +98,6 @@ func (f *File) Append(row types.Row) error {
 	}
 	f.rows = append(f.rows, row)
 	return nil
-}
-
-// LoadCSV parses comma-separated lines against the schema, coercing each
-// field to its declared kind. Lines beginning with '#' and blank lines
-// are skipped.
-func (f *File) LoadCSV(data string) error {
-	sc := bufio.NewScanner(strings.NewReader(data))
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Split(line, ",")
-		if len(fields) != f.schema.Len() {
-			return fmt.Errorf("filestore: %s line %d: %d fields, schema has %d",
-				f.name, lineNo, len(fields), f.schema.Len())
-		}
-		row := make(types.Row, len(fields))
-		for i, raw := range fields {
-			raw = strings.TrimSpace(raw)
-			v, err := coerce(raw, f.schema.Field(i).Type)
-			if err != nil {
-				return fmt.Errorf("filestore: %s line %d field %d: %w", f.name, lineNo, i+1, err)
-			}
-			row[i] = v
-		}
-		f.rows = append(f.rows, row)
-	}
-	return sc.Err()
-}
-
-func coerce(raw string, kind types.Kind) (types.Constant, error) {
-	switch kind {
-	case types.KindInt:
-		n, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			return types.Null, fmt.Errorf("bad int %q", raw)
-		}
-		return types.Int(n), nil
-	case types.KindFloat:
-		x, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return types.Null, fmt.Errorf("bad float %q", raw)
-		}
-		return types.Float(x), nil
-	case types.KindBool:
-		b, err := strconv.ParseBool(raw)
-		if err != nil {
-			return types.Null, fmt.Errorf("bad bool %q", raw)
-		}
-		return types.Bool(b), nil
-	default:
-		return types.Str(raw), nil
-	}
 }
 
 // Iter reads records sequentially, charging per-record parse time.

@@ -17,7 +17,7 @@ func docSchema() *types.Schema {
 	)
 }
 
-func TestLoadCSVAndScan(t *testing.T) {
+func TestAppendAndScan(t *testing.T) {
 	clock := netsim.NewClock()
 	cfg := DefaultConfig()
 	s := Open(cfg, clock)
@@ -25,16 +25,14 @@ func TestLoadCSVAndScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = f.LoadCSV(`# a comment
-1, intro to mediators , 4.5, true
-
-2,cost models,3.25,false
-3,wrappers,5,true`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Count() != 3 {
-		t.Fatalf("Count = %d", f.Count())
+	for _, row := range []types.Row{
+		{types.Int(1), types.Str("intro to mediators"), types.Float(4.5), types.Bool(true)},
+		{types.Int(2), types.Str("cost models"), types.Float(3.25), types.Bool(false)},
+		{types.Int(3), types.Str("wrappers"), types.Float(5), types.Bool(true)},
+	} {
+		if err := f.Append(row); err != nil {
+			t.Fatal(err)
+		}
 	}
 	start := clock.Now()
 	it := f.Scan()
@@ -49,31 +47,12 @@ func TestLoadCSVAndScan(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("scanned %d", len(rows))
 	}
-	if rows[0][1].AsString() != "intro to mediators" {
-		t.Errorf("trimmed string = %q", rows[0][1].AsString())
-	}
-	if rows[1][2].AsFloat() != 3.25 || !rows[2][3].AsBool() {
-		t.Error("field coercion wrong")
+	if rows[0][1].AsString() != "intro to mediators" || rows[1][2].AsFloat() != 3.25 || !rows[2][3].AsBool() {
+		t.Errorf("scanned %v", rows)
 	}
 	want := cfg.OpenMS + 3*cfg.ReadRecordMS
 	if got := clock.Now() - start; math.Abs(got-want) > 1e-9 {
 		t.Errorf("scan cost = %v, want %v", got, want)
-	}
-}
-
-func TestLoadCSVErrors(t *testing.T) {
-	s := Open(DefaultConfig(), nil)
-	f, _ := s.CreateFile("Doc", docSchema())
-	cases := []string{
-		"1,only,two",        // arity
-		"x,title,1.5,true",  // bad int
-		"1,title,abc,true",  // bad float
-		"1,title,1.5,maybe", // bad bool
-	}
-	for _, src := range cases {
-		if err := f.LoadCSV(src); err == nil {
-			t.Errorf("LoadCSV(%q) should fail", src)
-		}
 	}
 }
 

@@ -101,9 +101,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	h.total += o.total
 }
 
-// Count reports the number of recorded observations.
-func (h *Histogram) Count() int64 { return h.total }
-
 // MaxMicros reports the largest recorded value (0 when empty).
 func (h *Histogram) MaxMicros() int64 { return h.max }
 

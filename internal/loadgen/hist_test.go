@@ -93,3 +93,6 @@ func TestHistogramEmpty(t *testing.T) {
 		t.Error("empty histogram must read as all zeros")
 	}
 }
+
+// Count reports the number of recorded observations.
+func (h *Histogram) Count() int64 { return h.total }

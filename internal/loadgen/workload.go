@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -296,26 +295,6 @@ func Generate(cfg Config) (*Schedule, error) {
 	return s, nil
 }
 
-// Requests reports the total request count of the schedule.
-func (s *Schedule) Requests() int {
-	n := 0
-	for _, c := range s.Clients {
-		n += len(c)
-	}
-	return n
-}
-
-// OpCounts tallies the schedule by operation.
-func (s *Schedule) OpCounts() map[string]int {
-	out := make(map[string]int)
-	for _, c := range s.Clients {
-		for _, r := range c {
-			out[r.Op]++
-		}
-	}
-	return out
-}
-
 // Digest is a stable FNV-1a fingerprint of the whole schedule — two
 // schedules are bit-identical iff their digests match (up to hash
 // collisions), which is what the determinism gate asserts without
@@ -329,25 +308,6 @@ func (s *Schedule) Digest() uint64 {
 		}
 	}
 	return h.Sum64()
-}
-
-// HotStatements lists the distinct hot-pool SQL texts of the schedule,
-// sorted, most clients share; useful for cache-warming and diagnostics.
-func (s *Schedule) HotStatements() []string {
-	seen := make(map[string]bool)
-	for _, c := range s.Clients {
-		for _, r := range c {
-			if r.Hot && r.Op == OpQuery {
-				seen[r.SQL] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for sql := range seen {
-		out = append(out, sql)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // splitmix derives a well-mixed 63-bit seed from (seed, stream) — the

@@ -269,3 +269,42 @@ func TestHashRowsGolden(t *testing.T) {
 		t.Errorf("HashRows made %.0f allocations over strings, ints and floats, want at most 1", n)
 	}
 }
+
+// Requests reports the total request count of the schedule.
+func (s *Schedule) Requests() int {
+	n := 0
+	for _, c := range s.Clients {
+		n += len(c)
+	}
+	return n
+}
+
+// OpCounts tallies the schedule by operation.
+func (s *Schedule) OpCounts() map[string]int {
+	out := make(map[string]int)
+	for _, c := range s.Clients {
+		for _, r := range c {
+			out[r.Op]++
+		}
+	}
+	return out
+}
+
+// HotStatements lists the distinct hot-pool SQL texts of the schedule,
+// sorted, most clients share; useful for cache-warming and diagnostics.
+func (s *Schedule) HotStatements() []string {
+	seen := make(map[string]bool)
+	for _, c := range s.Clients {
+		for _, r := range c {
+			if r.Hot && r.Op == OpQuery {
+				seen[r.SQL] = true
+			}
+		}
+	}
+	out := make([]string, 0, len(seen))
+	for sql := range seen {
+		out = append(out, sql)
+	}
+	sort.Strings(out)
+	return out
+}

@@ -3,12 +3,14 @@ package mediator
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"disco/internal/core"
 	"disco/internal/feedback"
 	"disco/internal/netsim"
 	"disco/internal/types"
@@ -442,12 +444,11 @@ func (c *countingStore) count() int {
 // inside the save window produce far fewer writes than N, and Close
 // flushes a final snapshot carrying the complete learned state.
 func TestFeedbackSaveDebounce(t *testing.T) {
-	store := &countingStore{inner: feedback.NewMemStore()}
+	store := &countingStore{inner: feedback.NewFileStore(filepath.Join(t.TempDir(), "feedback.json"))}
 	cfg := DefaultConfig()
 	cfg.RecordHistory = false
 	cfg.Feedback = true
 	cfg.FeedbackStore = store
-	cfg.FeedbackSaveInterval = time.Hour
 	m := buildMediator(t, cfg)
 
 	const n = 20
@@ -477,19 +478,6 @@ func TestFeedbackSaveDebounce(t *testing.T) {
 			len(snap.Scopes), len(snap.Cards), len(live.Scopes), len(live.Cards))
 	}
 
-	// Negative interval restores save-per-query.
-	store2 := &countingStore{inner: feedback.NewMemStore()}
-	cfg.FeedbackStore = store2
-	cfg.FeedbackSaveInterval = -1
-	m2 := buildMediator(t, cfg)
-	for i := 0; i < 5; i++ {
-		if _, err := m2.Query(`SELECT name FROM Employee WHERE salary < 1050`); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := store2.count(); got != 5 {
-		t.Errorf("negative interval saves = %d, want 5", got)
-	}
 }
 
 // TestNormalizeSQL pins the cache-key canonicalization.
@@ -526,13 +514,78 @@ func TestNormalizeSQL(t *testing.T) {
 	}
 }
 
+// TestPlanCacheGenerationRefusesStalePut pins the clear generation: a
+// put carrying a generation older than the last clear is dropped, and a
+// put under the current generation is kept.
+func TestPlanCacheGenerationRefusesStalePut(t *testing.T) {
+	c := newPlanCache(4)
+	before := c.generation()
+	c.clear()
+	c.put("q", &Prepared{SQL: "q", Epoch: 1}, before)
+	if c.len() != 0 {
+		t.Fatal("a plan snapshotted before the clear was cached after it")
+	}
+	c.put("q", &Prepared{SQL: "q", Epoch: 1}, c.generation())
+	if _, ok := c.get("q", 1); !ok {
+		t.Fatal("a plan under the current generation was not cached")
+	}
+}
+
+// gatedNet is a network model that, once armed, parks the first pricing
+// call that reaches it until release is closed: a prepare stops in the
+// middle of its search.
+type gatedNet struct {
+	core.NetProvider
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedNet) LatencyMS(w string) float64 {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	return g.NetProvider.LatencyMS(w)
+}
+
+// TestPlanCacheOutageMarkMidPrepare marks a wrapper down while a prepare
+// of a query over it is pricing candidates. The plan was priced with the
+// dead wrapper's rules, so it must not reach the plan cache that the
+// mark cleared; otherwise every later prepare of the statement is served
+// that plan until the next registration.
+func TestPlanCacheOutageMarkMidPrepare(t *testing.T) {
+	m := buildMediator(t, DefaultConfig())
+	gate := &gatedNet{NetProvider: m.Estimator.Net, entered: make(chan struct{}), release: make(chan struct{})}
+	m.Estimator.Net = gate
+	const sql = `SELECT name FROM Employee WHERE id < 5`
+	done := make(chan *Prepared)
+	go func() {
+		p, err := m.Prepare(sql)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- p
+	}()
+	<-gate.entered
+	m.markUnavailable("obj1")
+	close(gate.release)
+	first := <-done
+	if n := m.cache.len(); n != 0 {
+		t.Fatalf("the outage mark cleared the plan cache mid-prepare, yet it holds %d plan(s) afterwards", n)
+	}
+	if again, err := m.Prepare(sql); err == nil && first != nil && again == first {
+		t.Error("a later prepare was served the plan priced before the outage mark")
+	}
+}
+
 // TestPlanCacheStaleAccounting pins the stale-entry bookkeeping of
 // planCache.get: an epoch-stale eviction is exactly one miss AND one
 // stale — Stale is a subset of Misses, never a third disjoint outcome —
 // and plain misses leave the stale counter alone.
 func TestPlanCacheStaleAccounting(t *testing.T) {
 	c := newPlanCache(4)
-	c.put("q", &Prepared{SQL: "q", Epoch: 1})
+	c.put("q", &Prepared{SQL: "q", Epoch: 1}, c.generation())
 
 	// Epoch bump between put and get: evicted on sight, one miss + one
 	// stale.
@@ -557,7 +610,7 @@ func TestPlanCacheStaleAccounting(t *testing.T) {
 	}
 
 	// The refreshed entry hits under the new epoch.
-	c.put("q", &Prepared{SQL: "q", Epoch: 2})
+	c.put("q", &Prepared{SQL: "q", Epoch: 2}, c.generation())
 	if _, ok := c.get("q", 2); !ok {
 		t.Fatal("refreshed plan missing")
 	}

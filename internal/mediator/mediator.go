@@ -38,12 +38,6 @@ var ErrStalePlan = errors.New("mediator: prepared plan is stale (federation chan
 
 // Config sets up a mediator deployment.
 type Config struct {
-	// Clock is the shared virtual clock; nil allocates one. Every
-	// registered wrapper must run on this clock.
-	Clock *netsim.Clock
-	// Net is the communication model; nil installs a default uniform
-	// link (10 ms latency, 2 MB/s).
-	Net *netsim.Network
 	// EngineCosts are the mediator-side per-row costs; zero value uses
 	// engine.DefaultCosts.
 	EngineCosts engine.Costs
@@ -62,18 +56,11 @@ type Config struct {
 	// the subsystem.
 	Feedback bool
 	// FeedbackStore, when set with Feedback, persists learned corrections
-	// across restarts (the snapshot loads at construction; saves are
-	// debounced — see FeedbackSaveInterval — and flushed by Close).
+	// across restarts. The snapshot loads at construction; saves are
+	// debounced over feedback.DefaultSaveInterval (absorbed executions
+	// inside the window coalesce into one deferred save, written by the
+	// first absorption past the window or by Close).
 	FeedbackStore feedback.Store
-	// FeedbackWindow sizes the q-error accumulators' ring buffers
-	// (<= 0 uses the package default).
-	FeedbackWindow int
-	// FeedbackSaveInterval debounces snapshot persistence: absorbed
-	// executions inside the window coalesce into one deferred save,
-	// written by the first absorption past the window or by Close. Zero
-	// uses feedback.DefaultSaveInterval; negative saves after every
-	// execution (the pre-debounce behaviour).
-	FeedbackSaveInterval time.Duration
 	// PlanCacheSize bounds the prepared-plan cache in entries. Zero uses
 	// DefaultPlanCacheSize; negative disables caching. Cached plans are
 	// invalidated by catalog epoch (any re-registration), by wrapper
@@ -97,8 +84,6 @@ type Config struct {
 	// indefinitely (no shedding); negative sheds immediately when
 	// MaxInFlight queries are in flight.
 	AdmissionTimeout time.Duration
-	// OptimizerOptions tune the plan search.
-	OptimizerOptions optimizer.Options
 	// ExecMemBytes bounds the memory a mediator-side hash join build or
 	// aggregation input may hold before Grace-spilling to disk. Zero
 	// disables spilling.
@@ -121,18 +106,13 @@ type Config struct {
 	// AdaptiveMargin is the fraction a re-costed plan must win by before
 	// the engine switches (0 uses engine.DefaultAdaptiveMargin).
 	AdaptiveMargin float64
-	// AdaptiveMaxSwitches bounds plan switches per query (0 uses
-	// engine.DefaultAdaptiveMaxSwitches).
-	AdaptiveMaxSwitches int
 }
 
-// DefaultConfig enables wrapper rules and history with default search
-// options.
+// DefaultConfig enables wrapper rules and history.
 func DefaultConfig() Config {
 	return Config{
-		RecordHistory:    true,
-		UseWrapperRules:  true,
-		OptimizerOptions: optimizer.DefaultOptions(),
+		RecordHistory:   true,
+		UseWrapperRules: true,
 	}
 }
 
@@ -156,6 +136,9 @@ type Mediator struct {
 	// downMu guards unavailable; see the lock-order note above.
 	downMu sync.Mutex
 
+	// Clock is the shared virtual clock every registered wrapper must
+	// run on; Net is the communication model, a uniform link of 10 ms
+	// latency and 2 MB/s.
 	Clock    *netsim.Clock
 	Net      *netsim.Network
 	Catalog  *catalog.Catalog
@@ -165,9 +148,12 @@ type Mediator struct {
 	// searches never share scratch state. Mutate it only while no
 	// queries are in flight (calibration, setup).
 	Estimator *core.Estimator
-	// Optimizer is a convenience instance over the template estimator
-	// for tools and tests; the serving path builds a per-call optimizer
-	// from a clone instead.
+	// Optimizer is an instance over the template estimator for tools and
+	// tests. Its Opt are the options every prepare and re-plan searches
+	// with (optimizer.DefaultOptions, plus CapturePlanCosts when feedback
+	// or adaptive execution consume per-node predictions); like
+	// Estimator, change them only while no queries are in flight. The
+	// serving path builds a per-call optimizer from a clone.
 	Optimizer *optimizer.Optimizer
 	Engine    *engine.Engine
 	History   *history.Recorder
@@ -208,12 +194,8 @@ type Mediator struct {
 
 // New builds an empty mediator.
 func New(cfg Config) (*Mediator, error) {
-	if cfg.Clock == nil {
-		cfg.Clock = netsim.NewClock()
-	}
-	if cfg.Net == nil {
-		cfg.Net = netsim.NewNetwork(netsim.Link{LatencyMS: 10, PerByteMS: 0.0005}, cfg.Clock)
-	}
+	clock := netsim.NewClock()
+	net := netsim.NewNetwork(netsim.Link{LatencyMS: 10, PerByteMS: 0.0005}, clock)
 	if cfg.EngineCosts == (engine.Costs{}) {
 		cfg.EngineCosts = engine.DefaultCosts()
 	}
@@ -221,35 +203,31 @@ func New(cfg Config) (*Mediator, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Feedback {
-		// The recorder joins per-node predictions against actuals, so the
-		// final costing of every chosen plan must capture all variables.
-		cfg.OptimizerOptions.CapturePlanCosts = true
-	}
-	if cfg.Adaptive {
-		// The adaptive executor checks divergence against per-node
-		// predicted cardinalities, so it needs the same full capture.
-		cfg.OptimizerOptions.CapturePlanCosts = true
-	}
+	opt := optimizer.DefaultOptions()
+	// The feedback recorder joins per-node predictions against actuals,
+	// and the adaptive executor checks observed cardinalities against
+	// per-node predictions, so either needs the final costing of every
+	// chosen plan to capture all variables.
+	opt.CapturePlanCosts = cfg.Feedback || cfg.Adaptive
 	m := &Mediator{
 		cfg:         cfg,
-		Clock:       cfg.Clock,
-		Net:         cfg.Net,
+		Clock:       clock,
+		Net:         net,
 		Catalog:     catalog.New(),
 		Registry:    reg,
 		wrappers:    make(map[string]wrapper.Wrapper),
 		unavailable: make(map[string]bool),
 		cache:       newPlanCache(cfg.PlanCacheSize),
-		rcache:      resultcache.New(cfg.ResultCache, cfg.Clock.Now),
+		rcache:      resultcache.New(cfg.ResultCache, clock.Now),
 		adm:         newAdmission(cfg.MaxInFlight, cfg.AdmissionTimeout),
 	}
-	m.Estimator = core.NewEstimator(reg, m.Catalog, cfg.Net)
-	m.Optimizer = optimizer.New(m.Catalog, m.Estimator, cfg.OptimizerOptions)
+	m.Estimator = core.NewEstimator(reg, m.Catalog, net)
+	m.Optimizer = optimizer.New(m.Catalog, m.Estimator, opt)
 	if cfg.RecordHistory {
 		m.History = history.NewRecorder(reg)
 	}
 	if cfg.Feedback {
-		m.Feedback = feedback.NewRecorder(cfg.FeedbackWindow)
+		m.Feedback = feedback.NewRecorder(0)
 		m.Adjuster = feedback.NewAdjuster()
 		if cfg.FeedbackStore != nil {
 			// A missing or corrupt snapshot loads as empty; persisted
@@ -264,7 +242,7 @@ func New(cfg Config) (*Mediator, error) {
 					m.Estimator.Globals[name] = types.Float(v)
 				}
 			}
-			m.deb = feedback.NewDebouncer(cfg.FeedbackStore, cfg.FeedbackSaveInterval)
+			m.deb = feedback.NewDebouncer(cfg.FeedbackStore, feedback.DefaultSaveInterval)
 		}
 	}
 	if err := m.rebuildEngine(); err != nil {
@@ -299,10 +277,9 @@ func (m *Mediator) rebuildEngine() error {
 	}
 	if m.cfg.Adaptive {
 		eng.Adaptive = engine.AdaptiveOptions{
-			Enabled:     true,
-			Threshold:   m.cfg.AdaptiveThreshold,
-			Margin:      m.cfg.AdaptiveMargin,
-			MaxSwitches: m.cfg.AdaptiveMaxSwitches,
+			Enabled:   true,
+			Threshold: m.cfg.AdaptiveThreshold,
+			Margin:    m.cfg.AdaptiveMargin,
 		}
 		eng.Replan = m.replan
 	}
@@ -323,7 +300,7 @@ func (m *Mediator) replan(req *engine.ReplanRequest) (*engine.ReplanResult, erro
 	for n, pa := range req.Pinned {
 		pins[n] = core.PinnedVars{Rows: float64(pa.Rows), Bytes: float64(pa.Bytes)}
 	}
-	sr, err := optimizer.New(m.Catalog, est, m.cfg.OptimizerOptions).
+	sr, err := optimizer.New(m.Catalog, est, m.Optimizer.Opt).
 		ReoptimizeSuffix(req.Remaining, pins)
 	if err != nil {
 		return nil, err
@@ -406,29 +383,6 @@ func (m *Mediator) markUnavailable(name string) {
 	// generation bump refuses inserts from executions that raced this
 	// outage — a Partial answer in flight can never seed the cache.
 	m.rcache.Invalidate()
-}
-
-// Available reports whether a registered wrapper is currently usable.
-func (m *Mediator) Available(name string) bool {
-	m.mu.RLock()
-	_, registered := m.wrappers[name]
-	m.mu.RUnlock()
-	m.downMu.Lock()
-	down := m.unavailable[name]
-	m.downMu.Unlock()
-	return registered && !down
-}
-
-// Unavailable lists the wrappers marked down, sorted.
-func (m *Mediator) Unavailable() []string {
-	m.downMu.Lock()
-	defer m.downMu.Unlock()
-	out := make([]string, 0, len(m.unavailable))
-	for n := range m.unavailable {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // downedSnapshot copies the down-mark set for one bind pass.
@@ -536,11 +490,14 @@ func (m *Mediator) prepareCached(sql string) (*Prepared, error) {
 	if p, ok := m.cache.get(key, epoch); ok {
 		return p, nil
 	}
+	// An outage mark may clear the cache while this prepare plans; gen
+	// makes put drop the plan it priced before the mark.
+	gen := m.cache.generation()
 	p, _, err := m.prepareLocked(sql, false, false)
 	if err != nil {
 		return nil, err
 	}
-	m.cache.put(key, p)
+	m.cache.put(key, p, gen)
 	return p, nil
 }
 
@@ -563,7 +520,7 @@ func (m *Mediator) prepareLocked(sql string, trace, capture bool) (*Prepared, *c
 	est := m.Estimator.Clone()
 	est.Reset()
 	est.Options.Trace = trace
-	opts := m.cfg.OptimizerOptions
+	opts := m.Optimizer.Opt
 	if capture {
 		opts.CapturePlanCosts = true
 	}

@@ -6,10 +6,10 @@ import (
 	"testing"
 
 	"disco/internal/algebra"
-
 	"disco/internal/filestore"
 	"disco/internal/netsim"
 	"disco/internal/objstore"
+	"disco/internal/optimizer"
 	"disco/internal/relstore"
 	"disco/internal/types"
 	"disco/internal/wrapper"
@@ -413,5 +413,65 @@ func TestAggregatePushedIntoCapableWrapper(t *testing.T) {
 	}
 	if p.Plan.Kind != algebra.OpSubmit || p.Plan.Children[0].Kind != algebra.OpAggregate {
 		t.Errorf("aggregate should be pushed into the wrapper:\n%s", p.Plan)
+	}
+}
+
+// TestOptimizerMatchesServedPrepare pins Mediator.Optimizer.Opt to the
+// options the served prepare searches with, which tools replaying a
+// search through Optimizer rely on. The template estimator restricts
+// candidate pricing to the root's TotalTime, so a prepare's per-node
+// capture is complete exactly when its options set CapturePlanCosts:
+// with feedback or adaptive execution on, and not otherwise.
+func TestOptimizerMatchesServedPrepare(t *testing.T) {
+	const sql = `SELECT name, dname, text FROM Employee, Dept, Notes WHERE dept = dno AND Employee.id = Notes.emp AND Employee.id < 100`
+	for _, c := range []struct {
+		name    string
+		cfg     func(*Config)
+		capture bool
+	}{
+		{"feedback-off", func(*Config) {}, false},
+		{"feedback-on", func(c *Config) { c.Feedback = true }, true},
+		{"adaptive-on", func(c *Config) { c.Adaptive = true }, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			c.cfg(&cfg)
+			m := buildMediator(t, cfg)
+			if m.Optimizer.Opt.CapturePlanCosts != c.capture {
+				t.Fatalf("Optimizer.Opt.CapturePlanCosts = %v, want %v", m.Optimizer.Opt.CapturePlanCosts, c.capture)
+			}
+			m.Estimator.Options.RequiredVarsOnly = true
+			m.Estimator.Options.RootVars = []string{"TotalTime"}
+			served, err := m.Prepare(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			est := m.Estimator.Clone()
+			est.Reset()
+			replayed, err := optimizer.New(m.Catalog, est, m.Optimizer.Opt).Optimize(served.Block)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := replayed.Plan.Signature(), served.Plan.Signature(); got != want {
+				t.Fatalf("replayed plan %s, served %s", got, want)
+			}
+			if replayed.PlansCosted != served.PlansCosted {
+				t.Errorf("replayed search costed %d plans, served %d", replayed.PlansCosted, served.PlansCosted)
+			}
+			// TotalTime needs no TimeNext anywhere, so only a full
+			// capture has it at the root.
+			if _, ok := served.Cost.Root.Vars["TimeNext"]; ok != c.capture {
+				t.Errorf("served root captures TimeNext = %v, want %v", ok, c.capture)
+			}
+			var servedNodes, replayedNodes []*algebra.Node
+			served.Plan.Walk(func(n *algebra.Node) bool { servedNodes = append(servedNodes, n); return true })
+			replayed.Plan.Walk(func(n *algebra.Node) bool { replayedNodes = append(replayedNodes, n); return true })
+			for i, n := range servedNodes {
+				got, want := replayed.Cost.ByNode[replayedNodes[i]].Vars, served.Cost.ByNode[n].Vars
+				if len(got) != len(want) {
+					t.Errorf("%s: replayed captures %d variables, served %d", n.Signature(), len(got), len(want))
+				}
+			}
+		})
 	}
 }

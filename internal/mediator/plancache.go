@@ -18,11 +18,19 @@ const DefaultPlanCacheSize = 256
 // implicitly invalidates every plan built on the old federation. The
 // cache has its own mutex — it is touched from the read-locked query
 // path, where the mediator's big lock admits many goroutines at once.
+//
+// An outage mark clears the cache from that same read-locked path
+// without bumping the epoch, so a prepare that planned before the clear
+// could insert a plan priced with the dead wrapper's rules after it.
+// gen guards that race exactly as the result cache's generation does: a
+// prepare snapshots it before planning, and put refuses a plan whose
+// snapshot a clear has since retired.
 type planCache struct {
 	mu    sync.Mutex
 	cap   int
 	lru   *list.List // of *planEntry, front = most recent
 	byKey map[string]*list.Element
+	gen   uint64
 
 	hits   int64
 	misses int64
@@ -76,15 +84,30 @@ func (c *planCache) get(key string, epoch uint64) (*Prepared, bool) {
 	return e.p, true
 }
 
+// generation returns the current clear generation; a prepare snapshots
+// it before planning and hands it to put.
+func (c *planCache) generation() uint64 {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.gen
+}
+
 // put stores a prepared plan, evicting the least recently used entry at
-// capacity. Cached Prepared values are shared across goroutines and must
-// never be mutated after insertion.
-func (c *planCache) put(key string, p *Prepared) {
+// capacity, unless a clear has run since gen was snapshotted. Cached
+// Prepared values are shared across goroutines and must never be mutated
+// after insertion.
+func (c *planCache) put(key string, p *Prepared, gen uint64) {
 	if c == nil || key == "" || p == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if gen != c.gen {
+		return
+	}
 	if el, ok := c.byKey[key]; ok {
 		el.Value.(*planEntry).p = p
 		c.lru.MoveToFront(el)
@@ -100,13 +123,15 @@ func (c *planCache) put(key string, p *Prepared) {
 	c.byKey[key] = c.lru.PushFront(&planEntry{key: key, p: p})
 }
 
-// clear drops every entry (federation change, model correction).
+// clear drops every entry (federation change, outage mark, model
+// correction) and refuses every put whose generation predates it.
 func (c *planCache) clear() {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.gen++
 	c.lru.Init()
 	c.byKey = make(map[string]*list.Element, c.cap)
 }

@@ -9,7 +9,6 @@ import (
 
 	"disco/internal/filestore"
 	"disco/internal/objstore"
-	"disco/internal/optimizer"
 	"disco/internal/relstore"
 	"disco/internal/types"
 	"disco/internal/wrapper"
@@ -32,14 +31,13 @@ func chordRows(rel int) []types.Row {
 	return rows
 }
 
-func buildChordMediator(t *testing.T, opts optimizer.Options) *Mediator {
+func buildChordMediator(t *testing.T, maxDP int) *Mediator {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.OptimizerOptions = opts
-	m, err := New(cfg)
+	m, err := New(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	m.Optimizer.Opt.MaxDPRelations = maxDP
 	ostore := objstore.Open(objstore.DefaultConfig(), m.Clock)
 	rstore := relstore.Open(relstore.DefaultConfig(), m.Clock)
 	fstore := filestore.Open(filestore.DefaultConfig(), m.Clock)
@@ -188,7 +186,7 @@ func (q chordQuery) answer() []string {
 
 // TestSharedAttributeNames runs random three- and four-way joins over
 // relations that all name their columns id and fk, under the dynamic
-// program, the greedy fallback and bushy search, and compares every
+// program and the greedy fallback, and compares every
 // answer with brute force. A qualified reference such as R6.fk must never
 // resolve to another relation's fk.
 func TestSharedAttributeNames(t *testing.T) {
@@ -199,13 +197,9 @@ func TestSharedAttributeNames(t *testing.T) {
 		queries[i] = randomChordQuery(rng, 3+rng.Intn(2))
 		wants[i] = queries[i].answer()
 	}
-	for name, opts := range map[string]optimizer.Options{
-		"dp":     {MaxDPRelations: 10},
-		"greedy": {MaxDPRelations: 1},
-		"bushy":  {MaxDPRelations: 10, Bushy: true},
-	} {
+	for name, maxDP := range map[string]int{"dp": 10, "greedy": 1} {
 		t.Run(name, func(t *testing.T) {
-			m := buildChordMediator(t, opts)
+			m := buildChordMediator(t, maxDP)
 			wrong := 0
 			for qi, q := range queries {
 				res, err := m.Query(q.sql())

@@ -168,16 +168,6 @@ func (in *Injector) Requests() int {
 	return in.n
 }
 
-// Down reports whether the unavailable latch has tripped.
-func (in *Injector) Down() bool {
-	if in == nil {
-		return false
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.down
-}
-
 // FaultSet maps wrapper names to their fault plans; the key "*" applies
 // to every wrapper without an explicit plan.
 type FaultSet map[string]FaultPlan

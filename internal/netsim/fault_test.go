@@ -41,9 +41,6 @@ func TestInjectorUnavailableLatch(t *testing.T) {
 			t.Fatalf("request %d after latch: %v", i, f)
 		}
 	}
-	if !in.Down() {
-		t.Error("Down() should report the tripped latch")
-	}
 	if in.Requests() != 8 {
 		t.Errorf("Requests() = %d, want 8", in.Requests())
 	}
@@ -54,7 +51,7 @@ func TestInjectorNilAndZero(t *testing.T) {
 	if f := nilInj.Next(); f != (Fault{}) {
 		t.Errorf("nil injector: %v", f)
 	}
-	if nilInj.Down() || nilInj.Requests() != 0 {
+	if nilInj.Requests() != 0 {
 		t.Error("nil injector should report no state")
 	}
 	zero := NewInjector(FaultPlan{})

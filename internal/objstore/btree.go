@@ -43,7 +43,6 @@ type btnode interface {
 	// seekLeaf returns the leaf that would contain key and the index of
 	// the first entry >= key in it.
 	seekLeaf(key types.Constant) (*btleaf, int)
-	depth() int
 }
 
 type btleaf struct {
@@ -63,9 +62,6 @@ func NewBTree() *BTree { return &BTree{root: &btleaf{}} }
 // Len reports the number of entries (duplicates counted).
 func (t *BTree) Len() int { return t.size }
 
-// Depth reports the tree height (1 = a single leaf).
-func (t *BTree) Depth() int { return t.root.depth() }
-
 // Insert adds key -> rid.
 func (t *BTree) Insert(key types.Constant, rid RID) {
 	sep, right := t.root.insert(key, rid)
@@ -76,8 +72,6 @@ func (t *BTree) Insert(key types.Constant, rid RID) {
 }
 
 // --- leaf ---
-
-func (l *btleaf) depth() int { return 1 }
 
 func (l *btleaf) firstLeaf() *btleaf { return l }
 
@@ -129,8 +123,6 @@ func (l *btleaf) insert(key types.Constant, rid RID) (types.Constant, btnode) {
 }
 
 // --- inner ---
-
-func (n *btinner) depth() int { return 1 + n.children[0].depth() }
 
 func (n *btinner) firstLeaf() *btleaf { return n.children[0].firstLeaf() }
 

@@ -72,13 +72,6 @@ func (b *bufferPool) touch(coll string, page int32) bool {
 	return false
 }
 
-// stats snapshots the hit/miss counters.
-func (b *bufferPool) stats() (hits, misses int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.Hits, b.Misses
-}
-
 // reset empties the pool and counters (each measured experiment run starts
 // cold).
 func (b *bufferPool) reset() {

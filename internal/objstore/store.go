@@ -74,9 +74,6 @@ func (s *Store) Clock() *netsim.Clock { return s.clock }
 // Config returns the store configuration.
 func (s *Store) Config() Config { return s.cfg }
 
-// BufferStats reports buffer pool hits and misses since the last reset.
-func (s *Store) BufferStats() (hits, misses int64) { return s.buf.stats() }
-
 // ResetBuffer empties the buffer pool, so the next measurement starts
 // cold.
 func (s *Store) ResetBuffer() { s.buf.reset() }
@@ -165,14 +162,8 @@ func (c *Collection) Name() string { return c.name }
 // Schema returns the row schema.
 func (c *Collection) Schema() *types.Schema { return c.schema }
 
-// Count reports the number of objects.
-func (c *Collection) Count() int { return c.count }
-
 // PageCount reports the number of pages.
 func (c *Collection) PageCount() int { return len(c.pages) }
-
-// ObjectSize reports the declared per-object size in bytes.
-func (c *Collection) ObjectSize() int { return c.objectSize }
 
 // Insert appends one object in arrival order (physical placement is
 // insertion order: inserting in key order yields clustering on that key,
@@ -246,12 +237,6 @@ func (c *Collection) fetch(rid RID) types.Row {
 	return c.pages[rid.Page].rows[rid.Slot]
 }
 
-// RowIter is the iterator interface both scan kinds implement.
-type RowIter interface {
-	// Next returns the next row; ok is false at the end.
-	Next() (types.Row, bool)
-}
-
 // SeqIter scans every page in physical order.
 type SeqIter struct {
 	coll *Collection
@@ -262,7 +247,7 @@ type SeqIter struct {
 // SeqScan starts a sequential scan.
 func (c *Collection) SeqScan() *SeqIter { return &SeqIter{coll: c} }
 
-// Next implements RowIter.
+// Next returns the next row; ok is false at the end.
 func (s *SeqIter) Next() (types.Row, bool) {
 	c := s.coll
 	for s.pi < len(c.pages) {
@@ -317,7 +302,7 @@ func (c *Collection) IndexScan(attr string, op stats.CmpOp, value types.Constant
 	return &IndexIter{coll: c, it: idx.tree.Seek(op, value)}, nil
 }
 
-// Next implements RowIter.
+// Next returns the next row; ok is false at the end.
 func (i *IndexIter) Next() (types.Row, bool) {
 	e, ok := i.it.Next()
 	if !ok {

@@ -376,3 +376,13 @@ func TestReadAllChargesLikeSeqScan(t *testing.T) {
 		}
 	}
 }
+
+// BufferStats reports buffer pool hits and misses since the last reset.
+func (s *Store) BufferStats() (hits, misses int64) { return s.buf.stats() }
+
+// stats snapshots the hit/miss counters.
+func (b *bufferPool) stats() (hits, misses int64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.Hits, b.Misses
+}

@@ -209,48 +209,12 @@ func Generate(store *objstore.Store, scale Scale, seed int64) error {
 	return nil
 }
 
-// Query builders for the validation suite. All plans are pure access
-// paths over one wrapper (the mediator wraps them in submits).
-
-// Q1ExactMatch is OO7 Q1: lookup AtomicParts by id.
-func Q1ExactMatch(wrapper string, id int64) *algebra.Node {
-	return algebra.Select(
-		algebra.Scan(wrapper, AtomicParts),
-		algebra.NewSelPred(algebra.Ref{Collection: AtomicParts, Attr: "id"}, stats.CmpEQ, types.Int(id)))
-}
-
 // RangeOnID is the paper's Figure 12 workload: AtomicParts with
-// id < sel*|AtomicParts| via the id index.
+// id < sel*|AtomicParts| via the id index, a pure access path over one
+// wrapper (the mediator wraps it in a submit).
 func RangeOnID(wrapper string, scale Scale, sel float64) *algebra.Node {
 	cut := int64(sel * float64(scale.AtomicParts))
 	return algebra.Select(
 		algebra.Scan(wrapper, AtomicParts),
 		algebra.NewSelPred(algebra.Ref{Collection: AtomicParts, Attr: "id"}, stats.CmpLT, types.Int(cut)))
-}
-
-// Q2RangeBuildDate is OO7 Q2/Q3/Q7: a range predicate on buildDate with
-// the given fraction of the date domain.
-func Q2RangeBuildDate(wrapper string, scale Scale, fraction float64) *algebra.Node {
-	cut := int64(fraction * float64(scale.DistinctBuildDates))
-	return algebra.Select(
-		algebra.Scan(wrapper, AtomicParts),
-		algebra.NewSelPred(algebra.Ref{Collection: AtomicParts, Attr: "buildDate"}, stats.CmpLT, types.Int(cut)))
-}
-
-// Q5PartsOfComposite fetches the atomic parts of one composite part via
-// the partOf index.
-func Q5PartsOfComposite(wrapper string, compositeID int64) *algebra.Node {
-	return algebra.Select(
-		algebra.Scan(wrapper, AtomicParts),
-		algebra.NewSelPred(algebra.Ref{Collection: AtomicParts, Attr: "partOf"}, stats.CmpEQ, types.Int(compositeID)))
-}
-
-// Q8JoinDocs joins AtomicParts with Documents on the document id.
-func Q8JoinDocs(wrapper string) *algebra.Node {
-	return algebra.Join(
-		algebra.Scan(wrapper, AtomicParts),
-		algebra.Scan(wrapper, Documents),
-		algebra.NewJoinPred(
-			algebra.Ref{Collection: AtomicParts, Attr: "docId"},
-			algebra.Ref{Collection: Documents, Attr: "id"}))
 }

@@ -3,8 +3,8 @@
 // placements for a query block, estimates every candidate with the
 // blending cost model (internal/core), and returns the cheapest plan.
 // Join ordering uses dynamic programming over relation subsets producing
-// left-deep (or bushy) trees, in one sequential loop that prices each plan
-// node once per search; subplans are pushed into wrappers whenever
+// left-deep trees ranked by TotalTime, in one sequential loop that prices
+// each plan node once per search; subplans are pushed into wrappers whenever
 // capabilities allow, and co-located joins may execute at the source.
 package optimizer
 
@@ -48,21 +48,11 @@ type Options struct {
 	// MaxDPRelations bounds the dynamic program; blocks with more
 	// relations use a greedy fallback.
 	MaxDPRelations int
-	// Bushy widens the dynamic program from left-deep trees to arbitrary
-	// (bushy) join trees: every partition of a relation subset is
-	// considered. Exponentially more candidates; worth it for chains of
-	// joins whose intermediate results are small.
-	Bushy bool
-	// Objective selects the optimization metric: ObjectiveTotalTime
-	// (default) ranks plans by TotalTime, ObjectiveTimeFirst by the time
-	// to the first tuple — the paper's TimeFirst variable exists exactly
-	// for response-time-to-first optimization.
-	Objective Objective
 	// CapturePlanCosts guarantees the returned Result.Cost carries a
 	// complete per-node variable capture for the chosen plan: the final
 	// estimation runs with every result variable enabled even when the
 	// estimator's RequiredVarsOnly/RootVars options restrict candidate
-	// pricing to the objective. The execution-feedback recorder joins
+	// pricing to the root's TotalTime. The execution-feedback recorder joins
 	// these predictions against observed actuals, so it needs estimated
 	// cardinalities and times at every node, not just the root.
 	CapturePlanCosts bool
@@ -82,33 +72,6 @@ type Options struct {
 // resultcache.Snapshot implements it.
 type CacheView interface {
 	Lookup(h algebra.Hash128) (rows int64, ok bool)
-}
-
-// Objective is the plan-ranking metric.
-type Objective uint8
-
-// The available objectives.
-const (
-	// ObjectiveTotalTime ranks plans by total response time.
-	ObjectiveTotalTime Objective = iota
-	// ObjectiveTimeFirst ranks plans by time to the first result tuple.
-	ObjectiveTimeFirst
-)
-
-// metric extracts the objective value from a plan cost.
-func (o Objective) metric(pc *core.PlanCost) float64 {
-	if o == ObjectiveTimeFirst {
-		return pc.Root.Var("TimeFirst", pc.TotalTime())
-	}
-	return pc.TotalTime()
-}
-
-// metricRoot is metric over the root-only fast-path result.
-func (o Objective) metricRoot(rc core.RootCost) float64 {
-	if o == ObjectiveTimeFirst {
-		return rc.TimeFirst()
-	}
-	return rc.TotalTime()
 }
 
 // DefaultOptions searches left-deep trees by dynamic programming up to 10
@@ -259,58 +222,33 @@ func (o *Optimizer) accessPath(rel Rel) (*tagged, error) {
 }
 
 // entry is one memoized dynamic-program solution: the cheapest subplan
-// covering a relation subset and its objective value.
+// covering a relation subset and its TotalTime.
 type entry struct {
 	t    *tagged
 	cost float64
 }
 
 // subsetCandidates enumerates every join candidate of one relation subset
-// in the canonical deterministic order — bushy partitions (both build
-// orders) or left-deep splits, each expanded through joinCandidates. Ties
-// on cost are broken towards the earlier candidate.
+// in the canonical deterministic order — left-deep splits (the subset
+// minus one relation, that relation), each expanded through
+// joinCandidates. Ties on cost are broken towards the earlier candidate.
 func (s *search) subsetCandidates(base []*tagged, best map[uint64]*entry, set uint64, size int) []*tagged {
-	o, n := s.o, len(base)
+	n := len(base)
 	var out []*tagged
-	if o.Opt.Bushy {
-		// All partitions into two non-empty halves; iterate the
-		// sub-subsets of set directly.
-		for sub := (set - 1) & set; sub > 0; sub = (sub - 1) & set {
-			other := set &^ sub
-			if sub > other {
-				continue // each unordered partition once
-			}
-			left, okL := best[sub]
-			right, okR := best[other]
-			if !okL || !okR {
-				continue
-			}
-			pred := s.connectingPred(sub, other)
-			if pred == nil && size < n {
-				continue
-			}
-			out = append(out, o.joinCandidates(left.t, right.t, pred)...)
-			// Also the mirrored build order (outer/inner roles differ in
-			// the cost formulas).
-			out = append(out, o.joinCandidates(right.t, left.t, flipPred(pred))...)
+	for i := 0; i < n; i++ {
+		bit := uint64(1) << uint(i)
+		if set&bit == 0 {
+			continue
 		}
-	} else {
-		// Left-deep: split into (set minus one relation, relation).
-		for i := 0; i < n; i++ {
-			bit := uint64(1) << uint(i)
-			if set&bit == 0 {
-				continue
-			}
-			left, ok := best[set&^bit]
-			if !ok {
-				continue
-			}
-			pred := s.connectingPred(set&^bit, bit)
-			if pred == nil && size < n {
-				continue
-			}
-			out = append(out, o.joinCandidates(left.t, base[i], pred)...)
+		left, ok := best[set&^bit]
+		if !ok {
+			continue
 		}
+		pred := s.connectingPred(set&^bit, bit)
+		if pred == nil && size < n {
+			continue
+		}
+		out = append(out, s.o.joinCandidates(left.t, base[i], pred)...)
 	}
 	return out
 }
@@ -478,7 +416,7 @@ func (o *Optimizer) finalize(qb *QueryBlock, t *tagged) (*algebra.Node, error) {
 }
 
 // costTagged estimates a candidate as it would run (submits placed),
-// returning its objective. Candidates are priced through the estimator's
+// returning its TotalTime. Candidates are priced through the estimator's
 // root-only fast path on the shared (uncloned) candidate tree; estimation
 // does not mutate nodes, and re-resolution of already-resolved subtrees
 // is a no-op.
@@ -498,7 +436,7 @@ func (s *search) costTagged(t *tagged) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return s.o.Opt.Objective.metricRoot(rc), nil
+	return rc.TotalTime(), nil
 }
 
 // costRoot resolves and estimates one plan, returning only the root

@@ -437,90 +437,3 @@ func TestNonUniformLinksChangeEstimates(t *testing.T) {
 			res2.Cost.TotalTime(), res1.Cost.TotalTime())
 	}
 }
-
-func TestObjectiveTimeFirst(t *testing.T) {
-	f := buildFixture(t)
-	qb := &QueryBlock{
-		Relations: []Rel{
-			{Wrapper: "obj1", Collection: "Employee"},
-			{Wrapper: "rel1", Collection: "Dept"},
-		},
-		JoinPreds: []algebra.Comparison{{
-			Left:      algebra.Ref{Collection: "Employee", Attr: "dept"},
-			Op:        stats.CmpEQ,
-			RightAttr: &algebra.Ref{Collection: "Dept", Attr: "dno"},
-		}},
-	}
-	total, err := f.opt.Optimize(qb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.opt.Opt.Objective = ObjectiveTimeFirst
-	first, err := f.opt.Optimize(qb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both objectives yield executable plans; the TimeFirst metric of
-	// the first-optimized plan must not exceed its TotalTime.
-	tf := first.Cost.Root.Var("TimeFirst", -1)
-	tt := first.Cost.TotalTime()
-	if tf < 0 || tf > tt {
-		t.Errorf("TimeFirst %v should be within (0, TotalTime %v]", tf, tt)
-	}
-	if total.Plan == nil || first.Plan == nil {
-		t.Error("both objectives must produce plans")
-	}
-}
-
-func TestBushyConsidersMorePlansAndNeverLoses(t *testing.T) {
-	f := buildFixture(t)
-	// A chain of four relations: Employee - Dept - Manager - Employee2
-	// (self-style chain via distinct collections to keep attributes
-	// unambiguous).
-	qb := &QueryBlock{
-		Relations: []Rel{
-			{Wrapper: "obj1", Collection: "Employee",
-				Pred: algebra.NewSelPred(algebra.Ref{Collection: "Employee", Attr: "id"}, stats.CmpLT, types.Int(500))},
-			{Wrapper: "rel1", Collection: "Dept"},
-			{Wrapper: "obj1", Collection: "Manager"},
-			{Wrapper: "files", Collection: "Docs"},
-		},
-		JoinPreds: []algebra.Comparison{
-			{Left: algebra.Ref{Collection: "Employee", Attr: "dept"}, Op: stats.CmpEQ,
-				RightAttr: &algebra.Ref{Collection: "Dept", Attr: "dno"}},
-			{Left: algebra.Ref{Collection: "Dept", Attr: "dno"}, Op: stats.CmpEQ,
-				RightAttr: &algebra.Ref{Collection: "Manager", Attr: "mdept"}},
-			{Left: algebra.Ref{Collection: "Manager", Attr: "mid"}, Op: stats.CmpEQ,
-				RightAttr: &algebra.Ref{Collection: "Docs", Attr: "did"}},
-		},
-	}
-	deep, err := f.opt.Optimize(qb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.opt.Opt.Bushy = true
-	bushy, err := f.opt.Optimize(qb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bushy search subsumes left-deep: its best estimate can only be
-	// equal or better, and it inspects more candidates.
-	if bushy.Cost.TotalTime() > deep.Cost.TotalTime()+1e-6 {
-		t.Errorf("bushy estimate %v should not exceed left-deep %v",
-			bushy.Cost.TotalTime(), deep.Cost.TotalTime())
-	}
-	if bushy.PlansCosted <= deep.PlansCosted {
-		t.Errorf("bushy costed %d plans, left-deep %d — expected more",
-			bushy.PlansCosted, deep.PlansCosted)
-	}
-	joins := 0
-	bushy.Plan.Walk(func(n *algebra.Node) bool {
-		if n.Kind == algebra.OpJoin {
-			joins++
-		}
-		return true
-	})
-	if joins != 3 {
-		t.Errorf("bushy plan joins = %d, want 3\n%s", joins, bushy.Plan)
-	}
-}

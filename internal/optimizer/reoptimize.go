@@ -25,7 +25,7 @@ func sameFieldOrder(a, b *types.Schema) bool {
 }
 
 // SuffixResult is the outcome of a mid-flight re-optimization: the best
-// remaining plan found, the objective value of that plan and of the
+// remaining plan found, the TotalTime of that plan and of the
 // current remainder (both priced with the pins installed, so the two are
 // directly comparable), and a full per-node variable capture of Plan for
 // the executor's later divergence checks. When re-enumeration finds
@@ -70,7 +70,7 @@ func (o *Optimizer) ReoptimizeSuffix(plan *algebra.Node, pins map[*algebra.Node]
 		if err != nil {
 			return nil, err
 		}
-		c := ro.Opt.Objective.metricRoot(rc)
+		c := rc.TotalTime()
 		return &SuffixResult{Plan: plan, NewCost: c, OldCost: c}, nil
 	}
 
@@ -246,7 +246,7 @@ peel:
 	}
 	// Full-variable pass on the winner: the executor keys its next
 	// divergence checks on this capture, so it needs cardinalities at
-	// every node, not just the objective at the root. Pinned nodes
+	// every node, not just TotalTime at the root. Pinned nodes
 	// predict their own actuals (q-error 1) and can never re-trigger.
 	savedRequired := ro.Est.Options.RequiredVarsOnly
 	savedRoot := ro.Est.Options.RootVars
@@ -260,8 +260,8 @@ peel:
 	}
 	return &SuffixResult{
 		Plan:    rebuilt,
-		NewCost: ro.Opt.Objective.metric(pc),
-		OldCost: ro.Opt.Objective.metricRoot(oldRC),
+		NewCost: pc.TotalTime(),
+		OldCost: oldRC.TotalTime(),
 		Cost:    pc,
 	}, nil
 }

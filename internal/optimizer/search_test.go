@@ -77,7 +77,7 @@ func equivalenceBlocks() map[string]*QueryBlock {
 }
 
 // TestSearchGolden pins the plan and cost the search chooses for every
-// query block, tree shape and objective, and those of the greedy fallback
+// query block, and those of the greedy fallback
 // (MaxDPRelations below the relation count) on the blocks it applies to.
 // Run with -update to rewrite testdata/search.golden after a deliberate
 // change to the cost model or the search.
@@ -96,17 +96,13 @@ func TestSearchGolden(t *testing.T) {
 			if maxDP == 2 && len(qb.Relations) <= 2 {
 				continue // the dynamic program covers the block
 			}
-			for _, bushy := range []bool{false, true} {
-				for _, objective := range []Objective{ObjectiveTotalTime, ObjectiveTimeFirst} {
-					f.opt.Opt = Options{MaxDPRelations: maxDP, Bushy: bushy, Objective: objective}
-					res, err := f.opt.Optimize(qb)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					fmt.Fprintf(&b, "%s maxdp=%d bushy=%v objective=%d cost=%s plan=%s\n", name, maxDP, bushy, objective,
-						strconv.FormatFloat(res.Cost.TotalTime(), 'g', -1, 64), res.Plan.Signature())
-				}
+			f.opt.Opt = Options{MaxDPRelations: maxDP}
+			res, err := f.opt.Optimize(qb)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
+			fmt.Fprintf(&b, "%s maxdp=%d cost=%s plan=%s\n", name, maxDP,
+				strconv.FormatFloat(res.Cost.TotalTime(), 'g', -1, 64), res.Plan.Signature())
 		}
 	}
 	path := filepath.Join("testdata", "search.golden")
@@ -188,8 +184,7 @@ func TestRulePublishedMidSearch(t *testing.T) {
 		if err := f.cat.Register(scanOnly{wrapper.NewFileWrapper("raw", f.fstore)}); err != nil {
 			t.Fatal(err)
 		}
-		f.opt.Opt = Options{MaxDPRelations: 10, Bushy: true,
-			CacheView: &lateRuleView{rec: history.NewRecorder(f.reg), t: t}}
+		f.opt.Opt = Options{MaxDPRelations: 10, CacheView: &lateRuleView{rec: history.NewRecorder(f.reg), t: t}}
 		got, err := f.opt.Optimize(qb)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)

@@ -50,9 +50,8 @@ func samePlanCost(got, want *core.PlanCost) error {
 
 // TestFinalCostFromTable: the chosen plan's costs, which Optimize reads
 // from the search's table, equal a full estimate of the plan outside any
-// search, node for node and bit for bit, for every golden block, tree
-// shape and objective, the greedy fallback, and required-variable pruning
-// off, on, and on with a full per-node capture — asking the root for two
+// search, node for node and bit for bit, for every golden block, the
+// greedy fallback, and required-variable pruning off, on, and on with a full per-node capture — asking the root for two
 // variables or for all of them. With Trace on, every costed node still
 // names the rule behind each variable.
 func TestFinalCostFromTable(t *testing.T) {
@@ -75,29 +74,25 @@ func TestFinalCostFromTable(t *testing.T) {
 			if maxDP == 2 && len(qb.Relations) <= 2 {
 				continue
 			}
-			for _, bushy := range []bool{false, true} {
-				for _, objective := range []Objective{ObjectiveTotalTime, ObjectiveTimeFirst} {
-					for _, mode := range modes {
-						label := fmt.Sprintf("%s maxdp=%d bushy=%v objective=%d %s", name, maxDP, bushy, objective, mode.name)
-						est := f.est.Clone()
-						est.Options.RequiredVarsOnly, est.Options.RootVars = mode.required, mode.rootVars
-						opts := Options{MaxDPRelations: maxDP, Bushy: bushy, Objective: objective, CapturePlanCosts: mode.capture}
-						res, err := New(f.cat, est, opts).Optimize(qb)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						fresh := est.Clone()
-						if opts.CapturePlanCosts {
-							fresh.Options.RequiredVarsOnly, fresh.Options.RootVars = false, nil
-						}
-						want, err := fresh.Estimate(res.Plan)
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-						if err := samePlanCost(res.Cost, want); err != nil {
-							t.Fatalf("%s: %v", label, err)
-						}
-					}
+			for _, mode := range modes {
+				label := fmt.Sprintf("%s maxdp=%d %s", name, maxDP, mode.name)
+				est := f.est.Clone()
+				est.Options.RequiredVarsOnly, est.Options.RootVars = mode.required, mode.rootVars
+				opts := Options{MaxDPRelations: maxDP, CapturePlanCosts: mode.capture}
+				res, err := New(f.cat, est, opts).Optimize(qb)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				fresh := est.Clone()
+				if opts.CapturePlanCosts {
+					fresh.Options.RequiredVarsOnly, fresh.Options.RootVars = false, nil
+				}
+				want, err := fresh.Estimate(res.Plan)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if err := samePlanCost(res.Cost, want); err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
 			}
 		}
@@ -132,8 +127,8 @@ func TestPooledScratchCarriesNothing(t *testing.T) {
 		cost   uint64
 		costed int
 	}
-	run := func(f *fixture, qb *QueryBlock, bushy bool) (outcome, error) {
-		res, err := New(f.cat, f.est.Clone(), Options{MaxDPRelations: 10, Bushy: bushy}).Optimize(qb)
+	run := func(f *fixture, qb *QueryBlock) (outcome, error) {
+		res, err := New(f.cat, f.est.Clone(), DefaultOptions()).Optimize(qb)
 		if err != nil {
 			return outcome{}, err
 		}
@@ -142,16 +137,14 @@ func TestPooledScratchCarriesNothing(t *testing.T) {
 	want := make(map[string]outcome)
 	for fi, f := range fixtures {
 		for _, name := range names {
-			for _, bushy := range []bool{false, true} {
-				o, err := run(f, blocks[name], bushy)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want[fmt.Sprint(fi, name, bushy)] = o
+			o, err := run(f, blocks[name])
+			if err != nil {
+				t.Fatal(err)
 			}
+			want[fmt.Sprint(fi, name)] = o
 		}
 	}
-	if want[fmt.Sprint(0, "four-way", false)] == want[fmt.Sprint(1, "four-way", false)] {
+	if want[fmt.Sprint(0, "four-way")] == want[fmt.Sprint(1, "four-way")] {
 		t.Fatal("the two federations choose the same four-way plan at the same cost; the test cannot see a leak")
 	}
 	const goroutines, rounds = 4, 6
@@ -162,18 +155,16 @@ func TestPooledScratchCarriesNothing(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				for _, name := range names {
-					for _, bushy := range []bool{false, true} {
-						for k := range fixtures {
-							fi := (g + r + k) % len(fixtures)
-							got, err := run(fixtures[fi], blocks[name], bushy)
-							if err != nil {
-								t.Error(err)
-								return
-							}
-							if w := want[fmt.Sprint(fi, name, bushy)]; got != w {
-								t.Errorf("federation %d %s bushy=%v: %+v, first search %+v", fi, name, bushy, got, w)
-								return
-							}
+					for k := range fixtures {
+						fi := (g + r + k) % len(fixtures)
+						got, err := run(fixtures[fi], blocks[name])
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if w := want[fmt.Sprint(fi, name)]; got != w {
+							t.Errorf("federation %d %s: %+v, first search %+v", fi, name, got, w)
+							return
 						}
 					}
 				}

@@ -144,9 +144,6 @@ func (t *Table) Name() string { return t.name }
 // Schema returns the row schema.
 func (t *Table) Schema() *types.Schema { return t.schema }
 
-// Count reports the number of rows.
-func (t *Table) Count() int { return len(t.rows) }
-
 // PageCount reports how many heap pages the table occupies.
 func (t *Table) PageCount() int { return (len(t.rows) + t.perPage - 1) / t.perPage }
 

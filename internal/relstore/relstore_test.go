@@ -252,3 +252,6 @@ func TestReadAllChargesLikeScan(t *testing.T) {
 		}
 	}
 }
+
+// Count reports the number of rows.
+func (t *Table) Count() int { return len(t.rows) }

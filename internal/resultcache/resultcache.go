@@ -310,8 +310,9 @@ func (c *Cache) Counters() Stats {
 // Snapshot is a frozen view of the cache for one plan search: the
 // cardinalities of every entry live under a given epoch at snapshot
 // time. The optimizer prices cache-hit access paths against it
-// (optimizer.Options.CacheView) — freezing keeps the parallel search
-// deterministic, since a live view could answer two workers differently.
+// (optimizer.Options.CacheView) — freezing it matters because the live
+// cache may change during a search, and the chosen plan must depend on
+// one consistent view.
 type Snapshot struct {
 	rows map[algebra.Hash128]int64
 }

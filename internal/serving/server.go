@@ -28,9 +28,6 @@ func NewServer(fed *Federation, idleTimeout time.Duration) *Server {
 	return s
 }
 
-// Federation returns the deployment this server fronts.
-func (s *Server) Federation() *Federation { return s.fed }
-
 // Stats is the server-level snapshot the stats op returns: the
 // mediator's serving counters plus the connection-layer view.
 type Stats struct {

@@ -134,7 +134,7 @@ func TestConcurrentConnections(t *testing.T) {
 		t.Error(err)
 	}
 
-	if st := srv.Federation().Med.Stats(); st.PlanCacheHits == 0 {
+	if st := srv.fed.Med.Stats(); st.PlanCacheHits == 0 {
 		t.Errorf("identical statements across sessions should share cached plans, stats = %+v", st)
 	}
 }

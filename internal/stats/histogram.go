@@ -18,60 +18,12 @@ type Bucket struct {
 }
 
 // Histogram is a one-dimensional frequency histogram over an attribute.
-// Buckets are ordered and non-overlapping. Both equi-width and equi-depth
-// construction are provided; selectivity estimation only relies on the
-// bucket invariants, not on how the histogram was built.
+// Buckets are ordered and non-overlapping. Selectivity estimation only
+// relies on the bucket invariants, not on how the histogram was built
+// (NewEquiDepth, or a wrapper's own export).
 type Histogram struct {
 	Buckets []Bucket
 	Total   int64
-}
-
-// NewEquiWidth builds a histogram with `buckets` equal-width numeric
-// buckets over the given values. It returns nil when values is empty or
-// buckets < 1.
-func NewEquiWidth(values []types.Constant, buckets int) *Histogram {
-	if len(values) == 0 || buckets < 1 {
-		return nil
-	}
-	lo, hi := values[0].AsFloat(), values[0].AsFloat()
-	for _, v := range values {
-		f := v.AsFloat()
-		if f < lo {
-			lo = f
-		}
-		if f > hi {
-			hi = f
-		}
-	}
-	if hi == lo {
-		hi = lo + 1
-	}
-	width := (hi - lo) / float64(buckets)
-	h := &Histogram{Buckets: make([]Bucket, buckets), Total: int64(len(values))}
-	distinct := make([]map[float64]struct{}, buckets)
-	for i := range h.Buckets {
-		h.Buckets[i] = Bucket{
-			Lo: types.Float(lo + float64(i)*width),
-			Hi: types.Float(lo + float64(i+1)*width),
-		}
-		distinct[i] = make(map[float64]struct{})
-	}
-	for _, v := range values {
-		f := v.AsFloat()
-		i := int((f - lo) / width)
-		if i >= buckets {
-			i = buckets - 1
-		}
-		if i < 0 {
-			i = 0
-		}
-		h.Buckets[i].Count++
-		distinct[i][f] = struct{}{}
-	}
-	for i := range h.Buckets {
-		h.Buckets[i].Distinct = int64(len(distinct[i]))
-	}
-	return h
 }
 
 // NewEquiDepth builds a histogram whose buckets hold (approximately) equal

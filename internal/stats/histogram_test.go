@@ -17,28 +17,15 @@ func intVals(vs ...int64) []types.Constant {
 	return out
 }
 
-func TestEquiWidthBasics(t *testing.T) {
-	h := NewEquiWidth(intVals(0, 1, 2, 3, 4, 5, 6, 7, 8, 9), 2)
-	if h == nil || len(h.Buckets) != 2 || h.Total != 10 {
-		t.Fatalf("histogram = %+v", h)
-	}
-	if h.Buckets[0].Count+h.Buckets[1].Count != 10 {
-		t.Errorf("bucket counts should sum to total")
-	}
-	if NewEquiWidth(nil, 3) != nil {
-		t.Error("empty input should give nil")
-	}
-	if NewEquiWidth(intVals(1), 0) != nil {
-		t.Error("zero buckets should give nil")
-	}
-}
-
 func TestEquiWidthDegenerate(t *testing.T) {
-	// All-equal values: single point distribution.
-	h := NewEquiWidth(intVals(5, 5, 5, 5), 4)
-	if h == nil {
-		t.Fatal("nil histogram")
-	}
+	// All-equal values: a single point distribution in four equal-width
+	// buckets over [5, 6].
+	h := &Histogram{Total: 4, Buckets: []Bucket{
+		{Lo: types.Float(5), Hi: types.Float(5.25), Count: 4, Distinct: 1},
+		{Lo: types.Float(5.25), Hi: types.Float(5.5)},
+		{Lo: types.Float(5.5), Hi: types.Float(5.75)},
+		{Lo: types.Float(5.75), Hi: types.Float(6)},
+	}}
 	if got := h.Selectivity(CmpEQ, types.Int(5)); got < 0.2 {
 		t.Errorf("eq selectivity on point distribution = %v, want high", got)
 	}
@@ -132,7 +119,6 @@ func TestHistogramSelectivityProperties(t *testing.T) {
 		vals[i] = types.Int(rng.Int63n(1000))
 	}
 	for name, h := range map[string]*Histogram{
-		"width": NewEquiWidth(vals, 20),
 		"depth": NewEquiDepth(vals, 20),
 	} {
 		f := func(v1, v2 uint16) bool {

@@ -97,24 +97,6 @@ func (op CmpOp) Eval(a, b types.Constant) bool {
 	}
 }
 
-// Negate returns the complementary operator (a op b == !(a Negate(op) b)).
-func (op CmpOp) Negate() CmpOp {
-	switch op {
-	case CmpEQ:
-		return CmpNE
-	case CmpNE:
-		return CmpEQ
-	case CmpLT:
-		return CmpGE
-	case CmpLE:
-		return CmpGT
-	case CmpGT:
-		return CmpLE
-	default: // CmpGE
-		return CmpLT
-	}
-}
-
 // Flip returns the operator with operands swapped (a op b == b Flip(op) a).
 func (op CmpOp) Flip() CmpOp {
 	switch op {

@@ -44,26 +44,6 @@ func TestCmpOpEval(t *testing.T) {
 	}
 }
 
-// Property: Negate is an involution and complements Eval.
-func TestCmpOpNegate(t *testing.T) {
-	ops := []CmpOp{CmpEQ, CmpNE, CmpLT, CmpLE, CmpGT, CmpGE}
-	f := func(a, b int16) bool {
-		x, y := types.Int(int64(a)), types.Int(int64(b))
-		for _, op := range ops {
-			if op.Negate().Negate() != op {
-				return false
-			}
-			if op.Eval(x, y) == op.Negate().Eval(x, y) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: Flip swaps operands: a op b == b Flip(op) a.
 func TestCmpOpFlip(t *testing.T) {
 	ops := []CmpOp{CmpEQ, CmpNE, CmpLT, CmpLE, CmpGT, CmpGE}

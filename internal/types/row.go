@@ -1,7 +1,6 @@
 package types
 
 import (
-	"fmt"
 	"strings"
 )
 
@@ -44,9 +43,6 @@ func (s *Schema) Len() int { return len(s.fields) }
 // Field returns the i-th field.
 func (s *Schema) Field(i int) Field { return s.fields[i] }
 
-// Fields returns a copy of the field list.
-func (s *Schema) Fields() []Field { return append([]Field(nil), s.fields...) }
-
 // Lookup resolves an attribute reference, qualified or not, case-
 // insensitively. It returns the field position and true when found. A
 // field matches by its name, or as Collection.Name when it has a
@@ -68,34 +64,11 @@ func (s *Schema) Lookup(name string) (int, bool) {
 	return 0, false
 }
 
-// MustLookup is Lookup that panics on a miss; used where the planner has
-// already validated references.
-func (s *Schema) MustLookup(name string) int {
-	i, ok := s.Lookup(name)
-	if !ok {
-		panic(fmt.Sprintf("types: schema has no field %q (have %s)", name, s))
-	}
-	return i
-}
-
 // Concat builds the schema of a join: the fields of s followed by those of
 // o.
 func (s *Schema) Concat(o *Schema) *Schema {
 	fields := make([]Field, 0, len(s.fields)+len(o.fields))
 	return &Schema{fields: append(append(fields, s.fields...), o.fields...)}
-}
-
-// Project builds a schema containing only the named fields, in order.
-func (s *Schema) Project(names []string) (*Schema, error) {
-	out := make([]Field, 0, len(names))
-	for _, n := range names {
-		i, ok := s.Lookup(n)
-		if !ok {
-			return nil, fmt.Errorf("types: unknown attribute %q in projection", n)
-		}
-		out = append(out, s.fields[i])
-	}
-	return &Schema{fields: out}, nil
 }
 
 // String renders the schema as (a:int, b:string).
@@ -116,9 +89,6 @@ func (s *Schema) String() string {
 
 // Row is one tuple of constants, positionally aligned with a Schema.
 type Row []Constant
-
-// Clone returns an independent copy of the row.
-func (r Row) Clone() Row { return append(Row(nil), r...) }
 
 // Concat returns the concatenation of r and o as a new row.
 func (r Row) Concat(o Row) Row {

@@ -89,12 +89,12 @@ func TestOperatorsLeaveStoreRowsUntouched(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range tbl.rows {
-			if err := tb.Insert(r.Clone()); err != nil {
+			if err := tb.Insert(append(types.Row(nil), r...)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for _, r := range tb.ReadAll() {
-			snapshot[name] = append(snapshot[name], r.Clone())
+			snapshot[name] = append(snapshot[name], append(types.Row(nil), r...))
 		}
 	}
 	leaf := func(n *algebra.Node) ([]types.Row, bool, error) {

@@ -238,30 +238,6 @@ func (c *collector) reset() {
 	c.n = 0
 }
 
-// Discard opens the pipeline and pulls it to exhaustion without
-// materializing the output. The steady-state allocation gate uses it so
-// the measurement sees only the pipeline's own allocations, not the
-// result slice growing.
-func Discard(root Op, batchSize int) error {
-	if err := root.Open(); err != nil {
-		root.Close()
-		return err
-	}
-	b := getBatch(batchSize)
-	defer putBatch(b)
-	for {
-		ok, err := root.Next(b)
-		if err != nil {
-			root.Close()
-			return err
-		}
-		if !ok {
-			break
-		}
-	}
-	return root.Close()
-}
-
 // Slab sizes of the row arena, in constants: an arena's first slab is
 // arenaMinSlab (8 KiB) and each later one doubles, up to arenaMaxSlab.
 const (

@@ -16,19 +16,14 @@ import (
 // Figure 13, with a clustering-aware variant — exactly the knowledge a
 // generic mediator model cannot have.
 type ObjWrapper struct {
-	name      string
-	store     *objstore.Store
-	histogram int // equi-depth buckets per attribute; 0 disables
+	name  string
+	store *objstore.Store
 }
 
 // NewObjWrapper wraps a store under the given registered name.
 func NewObjWrapper(name string, store *objstore.Store) *ObjWrapper {
 	return &ObjWrapper{name: name, store: store}
 }
-
-// EnableHistograms makes the wrapper export equi-depth histograms with
-// the given bucket count.
-func (w *ObjWrapper) EnableHistograms(buckets int) { w.histogram = buckets }
 
 // Store exposes the underlying store (experiments reset its buffer pool
 // between runs).
@@ -71,7 +66,7 @@ func (w *ObjWrapper) AttributeStats(collection, attr string) (stats.AttributeSta
 	if !ok {
 		return stats.AttributeStats{}, false
 	}
-	st, err := c.AttributeStats(attr, w.histogram)
+	st, err := c.AttributeStats(attr, 0)
 	if err != nil {
 		return stats.AttributeStats{}, false
 	}

@@ -16,18 +16,14 @@ import (
 // cheaper than a generic index scan, while range predicates always pay a
 // full sequential scan (hash indexes cannot serve ranges).
 type RelWrapper struct {
-	name      string
-	store     *relstore.Store
-	histogram int
+	name  string
+	store *relstore.Store
 }
 
 // NewRelWrapper wraps a store under the registered name.
 func NewRelWrapper(name string, store *relstore.Store) *RelWrapper {
 	return &RelWrapper{name: name, store: store}
 }
-
-// EnableHistograms makes the wrapper export equi-depth histograms.
-func (w *RelWrapper) EnableHistograms(buckets int) { w.histogram = buckets }
 
 // Store exposes the underlying store.
 func (w *RelWrapper) Store() *relstore.Store { return w.store }
@@ -68,7 +64,7 @@ func (w *RelWrapper) AttributeStats(collection, attr string) (stats.AttributeSta
 	if !ok {
 		return stats.AttributeStats{}, false
 	}
-	st, err := t.AttributeStats(attr, w.histogram)
+	st, err := t.AttributeStats(attr, 0)
 	if err != nil {
 		return stats.AttributeStats{}, false
 	}

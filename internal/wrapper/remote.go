@@ -109,14 +109,9 @@ func DialRemotePolicy(addr string, clock *netsim.Clock, policy RetryPolicy) (*Re
 	return newRemote(conn, clock, dial, policy)
 }
 
-// NewRemoteWrapperPolicy wraps an established connection (tests use
-// net.Pipe) with an explicit redial function and retry policy. Without a
-// dialer the wrapper cannot redial: the first transport failure after
-// the initial handshake makes it unavailable.
-func NewRemoteWrapperPolicy(conn net.Conn, clock *netsim.Clock, dial func() (net.Conn, error), policy RetryPolicy) (*RemoteWrapper, error) {
-	return newRemote(conn, clock, dial, policy)
-}
-
+// newRemote wraps an established connection with a redial function and a
+// retry policy. Without a dialer the wrapper cannot redial: the first
+// transport failure after the initial handshake makes it unavailable.
 func newRemote(conn net.Conn, clock *netsim.Clock, dial func() (net.Conn, error), policy RetryPolicy) (*RemoteWrapper, error) {
 	if clock == nil {
 		clock = netsim.NewClock()

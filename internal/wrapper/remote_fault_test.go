@@ -41,7 +41,7 @@ func dialFaulty(t *testing.T, dial func() (net.Conn, error), clock *netsim.Clock
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw, err := NewRemoteWrapperPolicy(conn, clock, dial, testPolicy())
+	rw, err := newRemote(conn, clock, dial, testPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestRemoteStaleResponseNotReused(t *testing.T) {
 	}
 	policy := testPolicy()
 	policy.IOTimeout = 50 * time.Millisecond
-	rw, err := NewRemoteWrapperPolicy(conn, netsim.NewClock(), dial, policy)
+	rw, err := newRemote(conn, netsim.NewClock(), dial, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestRemoteNoRedialBecomesUnavailable(t *testing.T) {
 			}
 		}
 	}()
-	rw, err := NewRemoteWrapperPolicy(client, netsim.NewClock(), nil, testPolicy())
+	rw, err := newRemote(client, netsim.NewClock(), nil, testPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -281,8 +281,10 @@ func TestFileWrapperIsOpaque(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.LoadCSV("1,alpha\n2,beta\n3,gamma"); err != nil {
-		t.Fatal(err)
+	for i, title := range []string{"alpha", "beta", "gamma"} {
+		if err := f.Append(types.Row{types.Int(int64(i + 1)), types.Str(title)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	w := NewFileWrapper("files", store)
 	if w.CostRules() != "" {
