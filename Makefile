@@ -12,7 +12,7 @@ SOAK = $(GO) test -race -count=1 -timeout 600s ./cmd/discoload -run
 BENCH_BASE = $(lastword $(sort $(wildcard bench/results/BENCH_*.json)))
 STATICCHECK = honnef.co/go/tools/cmd/staticcheck@2025.1
 
-CI = build test vet fmt lint race alloc faultmatrix feedback fuzz concurrency exec soak resultcache router adaptive perf
+CI = build test vet fmt lint race alloc faultmatrix feedback fuzz concurrency exec soak resultcache router perf
 .PHONY: all build test race bench experiments fmt vet clean ci $(CI:%=ci-%)
 
 all: build test
@@ -69,7 +69,7 @@ ci-alloc:
 		./internal/serving ./internal/proto ./internal/types
 ci-faultmatrix: # every injected fault recovers or degrades to a partial answer
 	$(GO) test -race -run 'Fault|Remote|Injector|Resilience' ./internal/mediator ./internal/wrapper ./internal/netsim ./internal/experiments
-ci-feedback: # extents mis-registered 10x are repaired by the workload (E10)
+ci-feedback: # extents mis-registered 10x are repaired by the workload; the probe runs the truth plan from round 2 (E10)
 	$(GO) test -run 'TestFeedbackConvergence' -count=1 -v ./internal/experiments
 # 30 s fuzzer smokes of every parser of outside input (frames: lines and blocks).
 ci-fuzz:
@@ -77,10 +77,11 @@ ci-fuzz:
 	$(GO) test -fuzz=FuzzParseFaultSpec -fuzztime=30s ./internal/netsim
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=30s ./internal/proto
 	$(GO) test -fuzz=FuzzFeedbackSnapshot -fuzztime=30s ./internal/feedback
-# Race-stress of the concurrent serving path (DESIGN.md §9), 3 repetitions.
+# Race-stress of the concurrent serving path (DESIGN.md §9), 3 repetitions,
+# and two feedback-on serving runs that must agree bit for bit.
 ci-concurrency:
 	$(GO) test -race -count=3 \
-		-run 'Concurrent|Race|Admission|PlanCache|Reprepare|Debounce|IdleTimeout|Overloaded|NormalizeSQL|Shutdown|StatsOp|ReregisterOp|SetLinkOp' \
+		-run 'Concurrent|Race|Admission|PlanCache|Reprepare|Debounce|IdleTimeout|Overloaded|NormalizeSQL|Shutdown|StatsOp|ReregisterOp|SetLinkOp|Deterministic' \
 		./internal/mediator ./internal/feedback ./internal/serving
 # The digest-checked chaos soaks (E11-E14): zero wedged clients, zero
 # oracle mismatches — plain, under a spill budget, result cache on, and
@@ -96,11 +97,6 @@ ci-resultcache:
 ci-router:
 	$(GO) test -race -count=1 ./internal/router
 	$(SOAK) 'TestSoakRouter'
-# Adaptive off is bit-identical; a mis-registered federation switches to
-# the truth plan inside the first query (E15).
-ci-adaptive:
-	$(GO) test -race -count=1 -run 'Adaptive' ./internal/mediator ./internal/engine ./internal/optimizer
-	$(GO) test -run 'TestAdaptiveConvergence' -count=1 -v ./internal/experiments
 # The one perf gate: the repo's benchmark, non-zero on any wrong answer.
 # Verdicts need a host whose fingerprint matches the baseline's.
 ci-perf:

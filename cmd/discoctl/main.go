@@ -102,15 +102,14 @@ func splitAddrs(spec string) []string {
 // (mediator.Stats carries no JSON tags).
 type statsView struct {
 	Mediator struct {
-		QueriesServed    int64
-		QueryErrors      int64
-		Shed             int64
-		InFlight         int
-		PartialAnswers   int64
-		PlanCacheHits    int64
-		PlanCacheMisses  int64
-		ResultCacheHits  int64
-		AdaptiveSwitches int64
+		QueriesServed   int64
+		QueryErrors     int64
+		Shed            int64
+		InFlight        int
+		PartialAnswers  int64
+		PlanCacheHits   int64
+		PlanCacheMisses int64
+		ResultCacheHits int64
 	} `json:"mediator"`
 	Accepted    int64  `json:"accepted"`
 	ActiveConns int    `json:"active_conns"`
@@ -122,7 +121,7 @@ type statsView struct {
 // operator reads instead of n JSON dumps.
 func aggregateStats(addrs []string) bool {
 	header := []string{"replica", "served", "errors", "shed", "inflight", "partials",
-		"plan-hits", "rc-hits", "adapt-sw", "conns", "epoch"}
+		"plan-hits", "rc-hits", "conns", "epoch"}
 	rows := [][]string{header}
 	var total statsView
 	ok := true
@@ -130,7 +129,7 @@ func aggregateStats(addrs []string) bool {
 		var v statsView
 		if err := scrapeInto(a, &v); err != nil {
 			fmt.Fprintf(os.Stderr, "discoctl: %s: %v\n", a, err)
-			rows = append(rows, []string{a, "-", "-", "-", "-", "-", "-", "-", "-", "-", "-"})
+			rows = append(rows, []string{a, "-", "-", "-", "-", "-", "-", "-", "-", "-"})
 			ok = false
 			continue
 		}
@@ -139,7 +138,6 @@ func aggregateStats(addrs []string) bool {
 			fmt.Sprint(m.QueriesServed), fmt.Sprint(m.QueryErrors), fmt.Sprint(m.Shed),
 			fmt.Sprint(m.InFlight), fmt.Sprint(m.PartialAnswers),
 			fmt.Sprint(m.PlanCacheHits), fmt.Sprint(m.ResultCacheHits),
-			fmt.Sprint(m.AdaptiveSwitches),
 			fmt.Sprint(v.ActiveConns), fmt.Sprint(v.Epoch)})
 		total.Mediator.QueriesServed += m.QueriesServed
 		total.Mediator.QueryErrors += m.QueryErrors
@@ -148,7 +146,6 @@ func aggregateStats(addrs []string) bool {
 		total.Mediator.PartialAnswers += m.PartialAnswers
 		total.Mediator.PlanCacheHits += m.PlanCacheHits
 		total.Mediator.ResultCacheHits += m.ResultCacheHits
-		total.Mediator.AdaptiveSwitches += m.AdaptiveSwitches
 		total.ActiveConns += v.ActiveConns
 	}
 	tm := &total.Mediator
@@ -156,7 +153,6 @@ func aggregateStats(addrs []string) bool {
 		fmt.Sprint(tm.QueriesServed), fmt.Sprint(tm.QueryErrors), fmt.Sprint(tm.Shed),
 		fmt.Sprint(tm.InFlight), fmt.Sprint(tm.PartialAnswers),
 		fmt.Sprint(tm.PlanCacheHits), fmt.Sprint(tm.ResultCacheHits),
-		fmt.Sprint(tm.AdaptiveSwitches),
 		fmt.Sprint(total.ActiveConns), "-"})
 
 	widths := make([]int, len(header))

@@ -13,7 +13,6 @@
 //	       [-drain-timeout 5s] [-result-cache] [-result-cache-entries 1024]
 //	       [-result-cache-bytes 67108864] [-result-cache-ttl-ms 0]
 //	       [-exec-mem-bytes 0] [-exec-spill-dir dir]
-//	       [-adaptive]
 //
 // With -feedback (the default) every executed query is profiled and fed
 // back into the cost model; -feedback-snapshot names a JSON file that
@@ -36,13 +35,6 @@
 // -exec-mem-bytes bounds the memory the mediator's hash joins and
 // aggregations may hold before Grace-style spilling to -exec-spill-dir
 // (0 = never spill).
-//
-// -adaptive turns on mid-flight adaptive re-optimization: execution
-// pauses at materialization boundaries, compares observed cardinalities
-// against the optimizer's predictions, and when they diverge badly
-// re-costs the remaining plan with the finished subtrees pinned as exact
-// leaves, switching plans mid-query when the re-cost wins. Replan and
-// switch counters appear in the `stats` admin op.
 //
 // The serving machinery (federation assembly, protocol loop, graceful
 // shutdown, stats/reregister/setlink admin ops) lives in

@@ -16,12 +16,11 @@
 // -result-cache-bytes / -result-cache-ttl-ms) to serve the zipf-hot pool
 // from the semantic result cache; the scraped hit rate lands in the
 // report as result_cache_hit_rate. -exec-mem-bytes bounds the memory the
-// mediator's hash joins and aggregations hold before spilling; -adaptive
-// turns on mid-flight adaptive re-optimization. -replicas N
-// (N > 1) brings up N identical demo replicas fronted by an in-process
-// federation router (internal/router) with scatter-gather partitions
-// declared — the scale-out soak mode; the report's per_target section
-// then breaks the run down by serving replica.
+// mediator's hash joins and aggregations hold before spilling.
+// -replicas N (N > 1) brings up N identical demo replicas fronted by an
+// in-process federation router (internal/router) with scatter-gather
+// partitions declared — the scale-out soak mode; the report's per_target
+// section then breaks the run down by serving replica.
 //
 // The workload is deterministic in -seed: a zipf-skewed hot pool of
 // prepared statements (plan-cache hits), a stream of ad-hoc statements

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	experiments [-exp all|fig12|planquality|ruleoverhead|history|pruning|joincross|feedback|adaptive|resilience] [-scale N]
+//	experiments [-exp all|fig12|planquality|ruleoverhead|history|pruning|joincross|feedback|resilience] [-scale N]
 //
 // -scale sets the AtomicParts cardinality (default: the paper's 70000;
 // use a smaller value like 14000 for quick runs). -faults feeds the
@@ -27,7 +27,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, fig12, planquality, ruleoverhead, history, pruning, joincross, clustering, oo7suite, feedback, adaptive, resilience")
+	exp := flag.String("exp", "all", "experiment to run: all, fig12, planquality, ruleoverhead, history, pruning, joincross, clustering, oo7suite, feedback, resilience")
 	scaleN := flag.Int("scale", 70000, "AtomicParts cardinality (70000 = paper scale)")
 	csv := flag.Bool("csv", false, "emit fig12 as CSV instead of a table (for plotting)")
 	faults := flag.String("faults", "", "fault scenarios for -exp resilience (wrapper:drop=0.1,delay=50,...;... syntax)")
@@ -122,10 +122,6 @@ func main() {
 	})
 	run("feedback", func() (fmt.Stringer, error) {
 		r, err := experiments.Feedback()
-		return tbl{r}, err
-	})
-	run("adaptive", func() (fmt.Stringer, error) {
-		r, err := experiments.Adaptive()
 		return tbl{r}, err
 	})
 	// The resilience study injects faults by definition, so it only runs

@@ -141,11 +141,6 @@ type Estimator struct {
 	// globals shadow them.
 	Globals map[string]types.Constant
 	Options Options
-	// Pinned fixes nodes' result statistics to observed actuals (adaptive
-	// re-optimization pins already-materialized subtrees). Nil — the
-	// normal case — changes nothing. Shared read-only across Clone, like
-	// Globals.
-	Pinned map[*algebra.Node]PinnedVars
 
 	// scr is the estimator's scratch arena, taken from scratchPool on
 	// first use so zero-value and literal-constructed estimators work.
@@ -535,13 +530,7 @@ func (e *Estimator) buildCtx(sc *scratch, n *algebra.Node, wrapper string) *node
 // the formulas bottom-up.
 func (e *Estimator) estimateNode(sc *scratch, ctx *nodeCtx, need VarSet) error {
 	sc.nodesVisited++
-	// Pinned nodes are facts, not estimates: their recorded actuals are
-	// the answer and the subtree below them is never visited.
-	if pv, ok := e.Pinned[ctx.node]; ok {
-		pinCtx(ctx, pv)
-		return nil
-	}
-	// A node the search has priced is answered the same way: its
+	// A node the search has priced is answered from its table: its
 	// variables are a function of its subtree, site and need set.
 	key := tableKey{node: ctx.node, site: ctx.wrapper, need: need}
 	if sc.table != nil {

@@ -11,9 +11,9 @@ const (
 	idxCountObject = iota
 	idxObjectSize
 	idxTotalSize
-	idxTimeFirst
+	_ // TimeFirst
 	idxTotalTime
-	idxTimeNext
+	_ // TimeNext
 )
 
 // VarSet is a bitmask over the canonical result variables, indexed by

@@ -106,13 +106,6 @@ type Engine struct {
 	// Exec configures the vectorized pipeline: the spill memory budget,
 	// spill directory and batch size. The zero value never spills.
 	Exec vexec.Options
-	// Adaptive configures mid-flight re-optimization (ExecuteAdaptive);
-	// the zero value disables it and nothing below changes.
-	Adaptive AdaptiveOptions
-	// Replan, set by the mediator when Adaptive is on, re-costs the
-	// remaining plan of a paused query with materialized subtrees pinned
-	// as exact leaves. Nil disables adaptive switching even when enabled.
-	Replan func(*ReplanRequest) (*ReplanResult, error)
 }
 
 // New builds an engine over the registered wrappers. All wrappers must
@@ -171,15 +164,6 @@ type Result struct {
 	// are recorded too — a degraded run's profile is never silently
 	// empty.
 	Profile *feedback.Profile
-	// Replans counts mid-flight re-cost attempts by the adaptive
-	// executor; PlanSwitches counts the ones that actually switched the
-	// running plan. Both are zero for an unstaged run.
-	Replans      int
-	PlanSwitches int
-	// ExecutedPlan is the plan that finished the query when it differs
-	// from the submitted one (PlanSwitches > 0); nil otherwise. Profile
-	// entries are keyed by this plan's nodes for the switched suffix.
-	ExecutedPlan *algebra.Node
 }
 
 // submitFacts are the transport facts of one executed submit boundary,
@@ -199,11 +183,6 @@ type execState struct {
 	excluded map[string]bool
 	prof     *feedback.Profile
 	submits  map[*algebra.Node]*submitFacts
-	// mat holds the materialized output of every completed stage, keyed by
-	// the stage's root node; later pipelines read it as a leaf. A switched
-	// plan reuses the same leaf-unit node pointers, so entries stay valid
-	// across switches. Nil for an unstaged run.
-	mat map[*algebra.Node][]types.Row
 	// cacheGen is the result cache's invalidation generation at execution
 	// start; Put carries it so a mid-query invalidation voids the insert.
 	cacheGen uint64
@@ -216,47 +195,28 @@ func (st *execState) exclude(name string) {
 	st.excluded[name] = true
 }
 
-// Execute runs a resolved, optimized plan and returns the answer with the
-// virtual time it took. A submit whose wrapper is (or becomes) unavailable
-// does not fail the query: its subtree contributes no rows and the result
-// is marked Partial with the wrapper listed in Excluded.
+// Execute runs a resolved, optimized plan as one pipeline and returns
+// the answer with the virtual time it took. A submit whose wrapper is (or
+// becomes) unavailable does not fail the query: its subtree contributes
+// no rows and the result is marked Partial with the wrapper listed in
+// Excluded.
 func (e *Engine) Execute(plan *algebra.Node) (*Result, error) {
-	return e.ExecuteAdaptive(plan, nil)
-}
-
-// ExecuteAdaptive is Execute with mid-flight re-optimization: when
-// Adaptive is enabled, Replan is wired and predictions exist, the plan
-// first runs in stages (see stage), pausing at every materialization
-// boundary to compare the observed cardinality against the prediction,
-// and may switch to a re-costed remainder. Whatever is left of the
-// (possibly switched) plan then runs as one pipeline over the stages'
-// materialized outputs — for an unstaged run, the whole plan.
-//
-// predicted maps plan nodes to the optimizer's estimated output
-// cardinality (CountObject); nodes without an entry are never checked.
-func (e *Engine) ExecuteAdaptive(plan *algebra.Node, predicted map[*algebra.Node]float64) (*Result, error) {
 	watch := netsim.StartWatch(e.clock)
 	st := execState{prof: feedback.NewProfile(), submits: make(map[*algebra.Node]*submitFacts)}
 	if e.Results != nil {
 		st.cacheGen = e.Results.Begin()
 	}
-	res := &Result{Profile: st.prof}
-	if e.Adaptive.Enabled && e.Replan != nil && len(predicted) > 0 {
-		var err error
-		if plan, err = e.stage(plan, predicted, &st, res); err != nil {
-			return nil, err
-		}
-		if res.PlanSwitches > 0 {
-			res.ExecutedPlan = plan
-		}
-	}
-	rows, err := e.run(plan, &st)
+	counts := vexec.Counts{}
+	rows, err := vexec.Run(plan, &vexec.Env{
+		Opts:   e.Exec,
+		Counts: counts,
+		Leaf:   func(n *algebra.Node) ([]types.Row, bool, error) { return e.leaf(n, &st) },
+	})
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = rows
-	res.Schema = plan.OutSchema
-	res.ElapsedMS = watch.ElapsedMS()
+	e.charge(plan, counts, &st)
+	res := &Result{Rows: rows, Schema: plan.OutSchema, ElapsedMS: watch.ElapsedMS(), Profile: st.prof}
 	if len(st.excluded) > 0 {
 		res.Partial = true
 		res.Excluded = make([]string, 0, len(st.excluded))
@@ -270,31 +230,11 @@ func (e *Engine) ExecuteAdaptive(plan *algebra.Node, predicted map[*algebra.Node
 	return res, nil
 }
 
-// run executes one pipeline rooted at root — a stage, or the whole plan —
-// and charges the operators it ran to the virtual clock.
-func (e *Engine) run(root *algebra.Node, st *execState) ([]types.Row, error) {
-	counts := vexec.Counts{}
-	rows, err := vexec.Run(root, &vexec.Env{
-		Opts:   e.Exec,
-		Counts: counts,
-		Leaf:   func(n *algebra.Node) ([]types.Row, bool, error) { return e.leaf(n, st) },
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.charge(root, counts, st)
-	return rows, nil
-}
-
-// leaf is the pipeline's Leaf hook: it serves earlier stages from their
-// materialization, executes submit boundaries (wrapper delegation, outage
-// degradation, result cache, shipping) with live clock charging, rejects
-// bare scans, and leaves every other node to the generic vectorized
-// operators.
+// leaf is the pipeline's Leaf hook: it executes submit boundaries
+// (wrapper delegation, outage degradation, result cache, shipping) with
+// live clock charging, rejects bare scans, and leaves every other node to
+// the generic vectorized operators.
 func (e *Engine) leaf(n *algebra.Node, st *execState) ([]types.Row, bool, error) {
-	if rows, ok := st.mat[n]; ok {
-		return rows, true, nil
-	}
 	switch n.Kind {
 	case algebra.OpSubmit:
 		t0 := e.clock.Now()
@@ -370,17 +310,12 @@ func (e *Engine) submit(n *algebra.Node, st *execState, f *submitFacts) ([]types
 // charge replays the mediator-side operator costs analytically after a
 // pipeline drains, advancing the virtual clock and building the profile
 // in post-order: a node's own share is its formula, its subtree time is
-// that plus the children's. A node charged by an earlier stage returns
-// its recorded actuals without advancing the clock again — re-reading a
-// materialized row set is free. Submit boundaries carry the
-// live-measured facts from the Leaf hook and are opaque below (the
-// wrapper executed the subtree; there are no mediator charges under it).
-// The formulas are the cost model's Med* ones over observed row counts,
-// so the charge is the same however the pipeline ran.
+// that plus the children's. Submit boundaries carry the live-measured
+// facts from the Leaf hook and are opaque below (the wrapper executed the
+// subtree; there are no mediator charges under it). The formulas are the
+// cost model's Med* ones over observed row counts, so the charge is the
+// same however the pipeline ran.
 func (e *Engine) charge(n *algebra.Node, counts vexec.Counts, st *execState) *feedback.OpActual {
-	if a, ok := st.prof.ByNode[n]; ok {
-		return a
-	}
 	if n.Kind == algebra.OpSubmit {
 		f := st.submits[n]
 		if f == nil {

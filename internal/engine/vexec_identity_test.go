@@ -142,40 +142,6 @@ func TestVectorizedMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestAdaptiveWithoutPredictionsIsExecute: with adaptive enabled and a
-// Replan callback wired but no predictions to check against, nothing is
-// staged — rows, virtual elapsed time and the per-operator profile equal
-// Execute's on a fresh deployment, and Replan is never consulted.
-func TestAdaptiveWithoutPredictionsIsExecute(t *testing.T) {
-	for name, plan := range identityPlans(t, buildDeployment(t)) {
-		t.Run(name, func(t *testing.T) {
-			want, err := buildDeployment(t).engine.Execute(plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng := buildDeployment(t).engine
-			eng.Adaptive = AdaptiveOptions{Enabled: true}
-			eng.Replan = func(*ReplanRequest) (*ReplanResult, error) {
-				t.Error("Replan consulted without predictions")
-				return nil, nil
-			}
-			got, err := eng.ExecuteAdaptive(plan, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want.Rows, got.Rows) {
-				t.Errorf("rows differ: %d vs %d", len(got.Rows), len(want.Rows))
-			}
-			if got.ElapsedMS != want.ElapsedMS {
-				t.Errorf("elapsed = %v, Execute %v", got.ElapsedMS, want.ElapsedMS)
-			}
-			if !reflect.DeepEqual(want.Profile, got.Profile) {
-				t.Errorf("profiles differ:\ngot  %+v\nwant %+v", got.Profile, want.Profile)
-			}
-		})
-	}
-}
-
 // TestSpilledExecutionDegradesGracefully: a tiny memory budget forces
 // mediator-side joins to spill; the answer must stay multiset-identical
 // (here: identical after sorting, since the join output is unique rows).

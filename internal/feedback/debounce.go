@@ -67,16 +67,21 @@ func (d *Debouncer) Flush() error {
 	return d.saveLocked()
 }
 
-// saveLocked captures and writes the snapshot; callers hold d.mu.
+// saveLocked captures and writes the snapshot; callers hold d.mu. A
+// failed write leaves the state dirty and uncounted, so the next Mark
+// past the window or Flush retries it; lastSave is stamped either way,
+// so a failing store is retried once per interval, not once per query.
 func (d *Debouncer) saveLocked() error {
 	if d.capture == nil {
 		return nil
 	}
-	err := d.store.Save(d.capture())
-	d.dirty = false
 	d.lastSave = time.Now()
+	if err := d.store.Save(d.capture()); err != nil {
+		return err
+	}
+	d.dirty = false
 	d.saves++
-	return err
+	return nil
 }
 
 // Saves reports how many snapshot writes reached the store.

@@ -1,6 +1,7 @@
 package feedback
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
@@ -68,6 +69,89 @@ func TestDebouncerReopensWindow(t *testing.T) {
 	snap, _ := store.Load()
 	if snap.Coeffs["x"] != 3 {
 		t.Errorf("coeff = %v, want 3", snap.Coeffs["x"])
+	}
+}
+
+// flakyStore fails its first fails saves, then stores like a MemStore.
+type flakyStore struct {
+	MemStore
+	fails    int
+	attempts int
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (s *flakyStore) Save(snap *Snapshot) error {
+	s.attempts++
+	if s.attempts <= s.fails {
+		return errDiskFull
+	}
+	return s.MemStore.Save(snap)
+}
+
+// TestDebouncerRetriesFailedSave: a save the store refused is neither
+// counted nor forgotten. It stays pending until a Flush (or a Mark past
+// the window) writes it, and a failing store is not retried on every
+// Mark inside the window.
+func TestDebouncerRetriesFailedSave(t *testing.T) {
+	type step struct {
+		op           string // "mark" or "flush"
+		coeff        float64
+		wantErr      bool
+		wantSaves    int64
+		wantAttempts int
+		wantStored   float64 // the stored coeff; -1 = nothing stored yet
+	}
+	for _, c := range []struct {
+		name  string
+		fails int
+		steps []step
+	}{
+		{"flush retries a failed mark", 1, []step{
+			{op: "mark", coeff: 1, wantErr: true, wantSaves: 0, wantAttempts: 1, wantStored: -1},
+			{op: "flush", wantSaves: 1, wantAttempts: 2, wantStored: 1},
+			{op: "flush", wantSaves: 1, wantAttempts: 2, wantStored: 1},
+		}},
+		{"marks inside the window do not retry", 1, []step{
+			{op: "mark", coeff: 1, wantErr: true, wantSaves: 0, wantAttempts: 1, wantStored: -1},
+			{op: "mark", coeff: 2, wantSaves: 0, wantAttempts: 1, wantStored: -1},
+			{op: "flush", wantSaves: 1, wantAttempts: 2, wantStored: 2},
+		}},
+		{"flush reports every failure until the store recovers", 2, []step{
+			{op: "mark", coeff: 1, wantErr: true, wantSaves: 0, wantAttempts: 1, wantStored: -1},
+			{op: "flush", wantErr: true, wantSaves: 0, wantAttempts: 2, wantStored: -1},
+			{op: "flush", wantSaves: 1, wantAttempts: 3, wantStored: 1},
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			store := &flakyStore{fails: c.fails}
+			d := NewDebouncer(store, time.Hour)
+			for i, s := range c.steps {
+				var err error
+				switch s.op {
+				case "mark":
+					err = d.Mark(snapWithCoeff(s.coeff))
+				case "flush":
+					err = d.Flush()
+				}
+				if (err != nil) != s.wantErr {
+					t.Fatalf("step %d (%s): err = %v, want error %v", i, s.op, err, s.wantErr)
+				}
+				if got := d.Saves(); got != s.wantSaves {
+					t.Errorf("step %d (%s): saves = %d, want %d", i, s.op, got, s.wantSaves)
+				}
+				if store.attempts != s.wantAttempts {
+					t.Errorf("step %d (%s): store attempts = %d, want %d", i, s.op, store.attempts, s.wantAttempts)
+				}
+				stored := -1.0
+				if store.snap != nil {
+					stored = store.snap.Coeffs["x"]
+				}
+				if stored != s.wantStored {
+					t.Errorf("step %d (%s): stored coeff = %v, want %v", i, s.op, stored, s.wantStored)
+				}
+			}
+		})
 	}
 }
 

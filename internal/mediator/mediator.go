@@ -38,9 +38,6 @@ var ErrStalePlan = errors.New("mediator: prepared plan is stale (federation chan
 
 // Config sets up a mediator deployment.
 type Config struct {
-	// EngineCosts are the mediator-side per-row costs; zero value uses
-	// engine.DefaultCosts.
-	EngineCosts engine.Costs
 	// RecordHistory enables the §4.3.1 query-scope recorder.
 	RecordHistory bool
 	// UseWrapperRules controls whether registration integrates exported
@@ -91,21 +88,6 @@ type Config struct {
 	// ExecSpillDir is where spill partitions are written ("" uses the
 	// OS temp dir).
 	ExecSpillDir string
-	// Adaptive enables mid-flight adaptive re-optimization (DESIGN.md
-	// §14): execution pauses at materialization boundaries — submit
-	// leaves and pipeline breakers — compares observed cardinalities
-	// against the optimizer's predictions, and past the q-error
-	// threshold re-costs the remaining plan with the materialized
-	// subtrees pinned as exact zero-cost leaves, switching when the
-	// candidate wins by the hysteresis margin. Off by default: with the
-	// zero value no plan is ever staged.
-	Adaptive bool
-	// AdaptiveThreshold is the cardinality q-error that triggers a
-	// re-cost (0 uses engine.DefaultAdaptiveThreshold).
-	AdaptiveThreshold float64
-	// AdaptiveMargin is the fraction a re-costed plan must win by before
-	// the engine switches (0 uses engine.DefaultAdaptiveMargin).
-	AdaptiveMargin float64
 }
 
 // DefaultConfig enables wrapper rules and history.
@@ -149,11 +131,11 @@ type Mediator struct {
 	// queries are in flight (calibration, setup).
 	Estimator *core.Estimator
 	// Optimizer is an instance over the template estimator for tools and
-	// tests. Its Opt are the options every prepare and re-plan searches
-	// with (optimizer.DefaultOptions, plus CapturePlanCosts when feedback
-	// or adaptive execution consume per-node predictions); like
-	// Estimator, change them only while no queries are in flight. The
-	// serving path builds a per-call optimizer from a clone.
+	// tests. Its Opt are the options every prepare searches with
+	// (optimizer.DefaultOptions, plus CapturePlanCosts when the feedback
+	// loop consumes per-node predictions); like Estimator, change them
+	// only while no queries are in flight. The serving path builds a
+	// per-call optimizer from a clone.
 	Optimizer *optimizer.Optimizer
 	Engine    *engine.Engine
 	History   *history.Recorder
@@ -186,29 +168,21 @@ type Mediator struct {
 	served   atomic.Int64
 	qerrors  atomic.Int64
 	partials atomic.Int64
-	// Adaptive re-optimization counters: re-cost attempts and the subset
-	// that switched the running plan (always zero unless Config.Adaptive).
-	replans      atomic.Int64
-	planSwitches atomic.Int64
 }
 
 // New builds an empty mediator.
 func New(cfg Config) (*Mediator, error) {
 	clock := netsim.NewClock()
 	net := netsim.NewNetwork(netsim.Link{LatencyMS: 10, PerByteMS: 0.0005}, clock)
-	if cfg.EngineCosts == (engine.Costs{}) {
-		cfg.EngineCosts = engine.DefaultCosts()
-	}
 	reg, err := core.NewDefaultRegistry()
 	if err != nil {
 		return nil, err
 	}
 	opt := optimizer.DefaultOptions()
 	// The feedback recorder joins per-node predictions against actuals,
-	// and the adaptive executor checks observed cardinalities against
-	// per-node predictions, so either needs the final costing of every
-	// chosen plan to capture all variables.
-	opt.CapturePlanCosts = cfg.Feedback || cfg.Adaptive
+	// so it needs the final costing of every chosen plan to capture all
+	// variables.
+	opt.CapturePlanCosts = cfg.Feedback
 	m := &Mediator{
 		cfg:         cfg,
 		Clock:       clock,
@@ -256,7 +230,7 @@ func New(cfg Config) (*Mediator, error) {
 // engines keep serving in-flight executions safely: engine.New snapshots
 // the wrapper map.
 func (m *Mediator) rebuildEngine() error {
-	eng, err := engine.New(m.Clock, m.Net, m.wrappers, m.cfg.EngineCosts)
+	eng, err := engine.New(m.Clock, m.Net, m.wrappers, engine.DefaultCosts())
 	if err != nil {
 		return err
 	}
@@ -275,70 +249,8 @@ func (m *Mediator) rebuildEngine() error {
 	if m.rcache != nil {
 		eng.Results = submitCacheAdapter{m}
 	}
-	if m.cfg.Adaptive {
-		eng.Adaptive = engine.AdaptiveOptions{
-			Enabled:   true,
-			Threshold: m.cfg.AdaptiveThreshold,
-			Margin:    m.cfg.AdaptiveMargin,
-		}
-		eng.Replan = m.replan
-	}
 	m.Engine = eng
 	return nil
-}
-
-// replan is the engine's mid-flight re-optimization callback: it re-costs
-// the remaining plan of a paused query with the already-materialized
-// subtrees pinned to their observed actuals. It runs during read-locked
-// execution and must not touch mu (like markUnavailable); it clones the
-// template estimator exactly as a concurrent prepare would, so the
-// running search shares no scratch state with anything else.
-func (m *Mediator) replan(req *engine.ReplanRequest) (*engine.ReplanResult, error) {
-	est := m.Estimator.Clone()
-	est.Reset()
-	pins := make(map[*algebra.Node]core.PinnedVars, len(req.Pinned))
-	for n, pa := range req.Pinned {
-		pins[n] = core.PinnedVars{Rows: float64(pa.Rows), Bytes: float64(pa.Bytes)}
-	}
-	sr, err := optimizer.New(m.Catalog, est, m.Optimizer.Opt).
-		ReoptimizeSuffix(req.Remaining, pins)
-	if err != nil {
-		return nil, err
-	}
-	rr := &engine.ReplanResult{Plan: sr.Plan, NewCost: sr.NewCost, OldCost: sr.OldCost}
-	if sr.Cost != nil {
-		rr.Predicted = predictedRows(sr.Cost)
-	}
-	return rr, nil
-}
-
-// execute runs a prepared plan on the engine, which stages it for
-// adaptive re-optimization when that is enabled, and rolls the adaptive
-// counters. Callers hold the read lock.
-func (m *Mediator) execute(eng *engine.Engine, p *Prepared) (*engine.Result, error) {
-	res, err := eng.ExecuteAdaptive(p.Plan, p.predicted)
-	if res != nil {
-		if res.Replans > 0 {
-			m.replans.Add(int64(res.Replans))
-		}
-		if res.PlanSwitches > 0 {
-			m.planSwitches.Add(int64(res.PlanSwitches))
-		}
-	}
-	return res, err
-}
-
-// predictedRows extracts the optimizer's per-node cardinality
-// predictions from a full-variable plan cost capture.
-func predictedRows(pc *core.PlanCost) map[*algebra.Node]float64 {
-	if pc == nil {
-		return nil
-	}
-	out := make(map[*algebra.Node]float64, len(pc.ByNode))
-	for n, nc := range pc.ByNode {
-		out[n] = nc.Var("CountObject", 0)
-	}
-	return out
 }
 
 // submitCacheAdapter exposes the mediator's semantic result cache to the
@@ -469,9 +381,6 @@ type Prepared struct {
 	Epoch uint64
 	// Hash is the 128-bit structural hash of the chosen plan.
 	Hash algebra.Hash128
-	// predicted is Cost's per-node cardinality, the form the engine's
-	// adaptive staging checks observed cardinalities against.
-	predicted map[*algebra.Node]float64
 }
 
 // Prepare parses, binds and optimizes a query, serving repeated
@@ -545,7 +454,6 @@ func (m *Mediator) prepareLocked(sql string, trace, capture bool) (*Prepared, *c
 		PlansCosted: res.PlansCosted,
 		Epoch:       m.Catalog.Epoch(),
 		Hash:        res.Plan.StructuralHash(),
-		predicted:   predictedRows(res.Cost),
 	}, est, nil
 }
 
@@ -641,7 +549,7 @@ func (m *Mediator) executeAdmitted(p *Prepared) (*engine.Result, error) {
 	}
 	gen := m.rcache.Gen()
 	eng := m.Engine
-	res, err := m.execute(eng, p)
+	res, err := eng.Execute(p.Plan)
 	if err == nil && res != nil && !res.Partial && m.rcache != nil {
 		// Admit the complete answer under the read lock (no registration
 		// can interleave, so the epoch stamp is the one the plan ran
@@ -675,14 +583,6 @@ func (m *Mediator) executeAdmitted(p *Prepared) (*engine.Result, error) {
 // no usable profile).
 func (m *Mediator) absorbLocked(p *Prepared, res *engine.Result) *feedback.Report {
 	if m.Feedback == nil || p == nil || p.Cost == nil || res == nil || res.Profile == nil {
-		return nil
-	}
-	if res.PlanSwitches > 0 {
-		// The adaptive executor switched plans mid-query: the profile is
-		// keyed by the executed plan's nodes, which no longer join the
-		// prepared plan's predictions pointer-for-pointer. The switch
-		// itself already corrected this query; absorbing a mismatched
-		// join would teach the model noise.
 		return nil
 	}
 	if res.Profile.CacheServed > 0 {
@@ -781,11 +681,6 @@ type Stats struct {
 	// PartialAnswers is the subset of QueriesServed that excluded one or
 	// more unavailable wrappers.
 	PartialAnswers int64
-	// AdaptiveReplans counts mid-flight re-cost attempts and
-	// AdaptiveSwitches the subset that switched the running plan (both
-	// always zero unless Config.Adaptive).
-	AdaptiveReplans  int64
-	AdaptiveSwitches int64
 	// Epoch is the catalog registration epoch at snapshot time.
 	Epoch uint64
 }
@@ -814,15 +709,13 @@ func (m *Mediator) Stats() Stats {
 		ResultCacheEntries:       rc.Entries,
 		ResultCacheBytes:         rc.Bytes,
 
-		Reprepares:       m.reprepares.Load(),
-		Shed:             m.adm.shedCount(),
-		InFlight:         m.adm.inFlight(),
-		QueriesServed:    m.served.Load(),
-		QueryErrors:      m.qerrors.Load(),
-		PartialAnswers:   m.partials.Load(),
-		AdaptiveReplans:  m.replans.Load(),
-		AdaptiveSwitches: m.planSwitches.Load(),
-		Epoch:            epoch,
+		Reprepares:     m.reprepares.Load(),
+		Shed:           m.adm.shedCount(),
+		InFlight:       m.adm.inFlight(),
+		QueriesServed:  m.served.Load(),
+		QueryErrors:    m.qerrors.Load(),
+		PartialAnswers: m.partials.Load(),
+		Epoch:          epoch,
 	}
 	if m.deb != nil {
 		s.FeedbackSaves = m.deb.Saves()
@@ -871,7 +764,7 @@ func (m *Mediator) ExplainAnalyze(sql string) (string, error) {
 		return "", err
 	}
 	eng := m.Engine
-	res, err := m.execute(eng, p)
+	res, err := eng.Execute(p.Plan)
 	m.mu.RUnlock()
 	if err != nil {
 		return "", err
@@ -890,18 +783,7 @@ func (m *Mediator) ExplainAnalyze(sql string) (string, error) {
 		fmt.Fprintf(&b, " [PARTIAL: excluded %s]", strings.Join(res.Excluded, ", "))
 	}
 	b.WriteByte('\n')
-	plan := p.Plan
-	if res.Replans > 0 {
-		fmt.Fprintf(&b, "-- adaptive: %d replan(s), %d plan switch(es) mid-flight\n",
-			res.Replans, res.PlanSwitches)
-	}
-	if res.ExecutedPlan != nil {
-		// Render the plan that actually finished the query. Subtrees
-		// materialized before the switch keep their original nodes (and
-		// estimates); the switched suffix is new and shows actuals only.
-		plan = res.ExecutedPlan
-	}
-	renderAnalyze(&b, plan, 0, p.Cost, res.Profile)
+	renderAnalyze(&b, p.Plan, 0, p.Cost, res.Profile)
 	return b.String(), nil
 }
 

@@ -421,7 +421,7 @@ func TestAggregatePushedIntoCapableWrapper(t *testing.T) {
 // search through Optimizer rely on. The template estimator restricts
 // candidate pricing to the root's TotalTime, so a prepare's per-node
 // capture is complete exactly when its options set CapturePlanCosts:
-// with feedback or adaptive execution on, and not otherwise.
+// with feedback on, and not otherwise.
 func TestOptimizerMatchesServedPrepare(t *testing.T) {
 	const sql = `SELECT name, dname, text FROM Employee, Dept, Notes WHERE dept = dno AND Employee.id = Notes.emp AND Employee.id < 100`
 	for _, c := range []struct {
@@ -431,7 +431,6 @@ func TestOptimizerMatchesServedPrepare(t *testing.T) {
 	}{
 		{"feedback-off", func(*Config) {}, false},
 		{"feedback-on", func(c *Config) { c.Feedback = true }, true},
-		{"adaptive-on", func(c *Config) { c.Adaptive = true }, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := DefaultConfig()

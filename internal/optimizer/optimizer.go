@@ -331,26 +331,6 @@ func (o *Optimizer) joinCandidates(left, right *tagged, pred *algebra.Predicate)
 	return out
 }
 
-// flipPred mirrors every conjunct of a join predicate (a = b -> b = a),
-// for the swapped build order.
-func flipPred(p *algebra.Predicate) *algebra.Predicate {
-	if p == nil {
-		return nil
-	}
-	out := &algebra.Predicate{}
-	for _, c := range p.Conjuncts {
-		cc := c.Clone()
-		if cc.RightAttr != nil {
-			left := cc.Left
-			cc.Left = *cc.RightAttr
-			*cc.RightAttr = left
-			cc.Op = cc.Op.Flip()
-		}
-		out.Conjuncts = append(out.Conjuncts, cc)
-	}
-	return out
-}
-
 // joinEdges places each join conjunct of the block between the relations
 // its two sides name; a conjunct naming no relation of the block joins
 // nothing.

@@ -50,9 +50,6 @@ type Options struct {
 	ExecMemBytes int64
 	// ExecSpillDir overrides where spill partitions are written.
 	ExecSpillDir string
-	// Adaptive enables mid-flight adaptive re-optimization (see
-	// mediator.Config.Adaptive; off by default).
-	Adaptive bool
 }
 
 // RegisterFlags declares the serving flags discod and discoload share on
@@ -68,7 +65,6 @@ func RegisterFlags(fs *flag.FlagSet, defaultParts int) *Options {
 	fs.Int64Var(&o.ResultCache.MaxBytes, "result-cache-bytes", resultcache.DefaultMaxBytes, "result cache byte budget")
 	fs.Float64Var(&o.ResultCache.TTLMS, "result-cache-ttl-ms", 0, "result cache entry TTL in virtual ms (0 = none)")
 	fs.Int64Var(&o.ExecMemBytes, "exec-mem-bytes", 0, "spill budget for mediator hash joins/aggregations (0 = never spill)")
-	fs.BoolVar(&o.Adaptive, "adaptive", false, "re-optimize running queries mid-flight when observed cardinalities diverge from estimates")
 	return o
 }
 
@@ -101,7 +97,6 @@ func NewDemoFederation(opts Options) (*Federation, error) {
 	cfg.ResultCache = opts.ResultCache
 	cfg.ExecMemBytes = opts.ExecMemBytes
 	cfg.ExecSpillDir = opts.ExecSpillDir
-	cfg.Adaptive = opts.Adaptive
 	m, err := mediator.New(cfg)
 	if err != nil {
 		return nil, err

@@ -186,26 +186,6 @@ func (e *Env) build(n *algebra.Node) (Op, error) {
 	}
 }
 
-// IsBreaker reports whether a node executes as a pipeline breaker: an
-// operator that fully materializes (or consumes) its input before
-// emitting its first row, so its children's actuals are completely known
-// the moment it finishes building. Sort, duplicate elimination and
-// aggregation always break; a join breaks exactly when it runs as a hash
-// join (the build side materializes), which is the same equi-column test
-// build() applies. Breaker boundaries are where mid-flight adaptive
-// re-optimization may pause a plan and compare actuals to estimates.
-func IsBreaker(n *algebra.Node) bool {
-	switch n.Kind {
-	case algebra.OpSort, algebra.OpDupElim, algebra.OpAggregate:
-		return true
-	case algebra.OpJoin:
-		_, _, ok := equiJoinCols(n.Children[0].OutSchema, n.Children[1].OutSchema, n.Pred)
-		return ok
-	default:
-		return false
-	}
-}
-
 // markTransient tells a direct arena-producing child that its consumer
 // never retains row storage past the next pull, enabling slab recycling.
 // It deliberately does NOT descend through pass-through operators like
