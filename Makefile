@@ -95,7 +95,7 @@ ci-resultcache:
 		./internal/resultcache ./internal/mediator ./internal/optimizer ./internal/loadgen
 	$(SOAK) 'TestSoakResultCache'
 ci-router:
-	$(GO) test -race -count=1 ./internal/router
+	$(GO) test -race -count=3 ./internal/router
 	$(SOAK) 'TestSoakRouter'
 # The one perf gate: the repo's benchmark, non-zero on any wrong answer.
 # Verdicts need a host whose fingerprint matches the baseline's.

@@ -1,26 +1,28 @@
 // Command discorouter fronts a set of discod replicas with the
-// federation router: cost-based plan-affine routing, catalog gossip for
-// epoch-bumping admin ops, and scatter-gather execution of partitioned
-// scans. It speaks the same wire protocol as discod, so discoctl
-// and discoload connect to it unchanged.
+// federation router: plan-affine routing with a per-request cost
+// escape, catalog gossip for epoch-bumping admin ops, and
+// scatter-gather execution of partitioned scans. It speaks the same
+// wire protocol as discod, so discoctl and discoload connect to it
+// unchanged.
 //
 // Usage:
 //
 //	discorouter [-listen :4078] -replicas host:4077,host:4177@2,host:4277
 //	            [-demo-partitions 14000] [-partition Coll:col:lo:hi,...]
-//	            [-poll-interval 2s] [-warm-limit 32] [-vnodes 64]
+//	            [-poll-interval 2s] [-warm-limit 32]
 //	            [-dial-timeout 2s] [-request-timeout 30s]
 //	            [-idle-timeout 5m] [-drain-timeout 5s]
 //
-// -replicas lists the replica addresses; an optional @N suffix declares
-// static relative capacity (default 1). -demo-partitions declares the
-// demo federation's partitionable collections at the given AtomicParts
-// cardinality, enabling scatter-gather; -partition declares explicit
-// Collection:column:lo:hi ranges instead. The router polls every
-// replica's stats endpoint on -poll-interval to feed the cost model
-// (measured latency, replica-reported load and sheds, catalog epoch)
-// and re-warms hot statements into replicas that restarted or missed a
-// gossip.
+// -replicas lists the replica addresses, each at most once; an
+// optional @N suffix declares static relative capacity (default 1), the
+// replica's weight in every statement's rendezvous order.
+// -demo-partitions declares the demo federation's partitionable
+// collections at the given AtomicParts cardinality, enabling
+// scatter-gather; -partition declares explicit Collection:column:lo:hi
+// ranges instead. The router polls every replica's stats endpoint on
+// -poll-interval to feed the per-request cost (replica-reported load)
+// and to spot a changed catalog epoch, and re-warms hot statements into
+// a replica that restarted.
 package main
 
 import (
@@ -94,7 +96,6 @@ func main() {
 	partitions := flag.String("partition", "", "explicit partitions, comma-separated Collection:column:lo:hi")
 	pollInterval := flag.Duration("poll-interval", 2*time.Second, "replica stats poll pacing the cost model")
 	warmLimit := flag.Int("warm-limit", 32, "hot statements re-warmed after gossip or replica restart")
-	vnodes := flag.Int("vnodes", router.DefaultVnodesPerUnit, "ring virtual nodes per unit of replica weight")
 	dialTimeout := flag.Duration("dial-timeout", 2*time.Second, "replica dial timeout")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "replica request/response timeout")
 	idleTimeout := flag.Duration("idle-timeout", 5*time.Minute, "drop client connections idle longer than this (0 = never)")
@@ -123,7 +124,6 @@ func main() {
 	rt, err := router.New(router.Config{
 		Replicas:       reps,
 		Partitions:     parts,
-		VnodesPerUnit:  *vnodes,
 		DialTimeout:    *dialTimeout,
 		RequestTimeout: *reqTimeout,
 		PollInterval:   *pollInterval,

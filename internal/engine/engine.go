@@ -29,35 +29,20 @@ import (
 	"disco/internal/wrapper"
 )
 
-// Costs are the mediator's per-row processing times in milliseconds. They
-// intentionally mirror the local-scope cost model's coefficients so that
-// accurate cardinalities imply accurate mediator estimates.
-type Costs struct {
-	PerObj      float64
-	PerPred     float64
-	ProjPerObj  float64
-	SortPerObj  float64
-	HashPerObj  float64
-	JoinPerPair float64
-	// CachePerObj is the per-row charge for serving a submit from the
-	// semantic result cache, behind the resultcache.HitFloorMS lookup
-	// floor — the executed mirror of the ScopeCache pricing formula.
-	CachePerObj float64
-}
-
-// DefaultCosts matches core.DefaultCoefficients' Med* entries; the cache
-// charge matches resultcache.HitPerRowMS so estimate and execution agree.
-func DefaultCosts() Costs {
-	return Costs{
-		PerObj:      0.004,
-		PerPred:     0.006,
-		ProjPerObj:  0.003,
-		SortPerObj:  0.010,
-		HashPerObj:  0.012,
-		JoinPerPair: 0.004,
-		CachePerObj: resultcache.HitPerRowMS,
-	}
-}
+// The mediator's per-row processing times in milliseconds. They
+// intentionally mirror the local-scope cost model's coefficients
+// (core.DefaultCoefficients' Med* entries) so that accurate
+// cardinalities imply accurate mediator estimates; a submit served from
+// the semantic result cache is charged resultcache.HitPerRowMS per row
+// behind its lookup floor, so estimate and execution agree there too.
+const (
+	perObjMS      = 0.004
+	perPredMS     = 0.006
+	projPerObjMS  = 0.003
+	sortPerObjMS  = 0.010
+	hashPerObjMS  = 0.012
+	joinPerPairMS = 0.004
+)
 
 // SubmitCache serves and admits materialized submit results, keyed by the
 // subtree's 128-bit structural hash. The mediator wires its semantic
@@ -85,7 +70,6 @@ type Engine struct {
 	wrappers map[string]wrapper.Wrapper
 	net      *netsim.Network
 	clock    *netsim.Clock
-	costs    Costs
 
 	// downMu guards down: submits consult it, and a wrapper failing
 	// mid-query updates it.
@@ -114,7 +98,7 @@ type Engine struct {
 // of the federation is immutable for its lifetime, so in-flight
 // executions on a superseded engine stay race-free while a registration
 // builds its replacement from the live map.
-func New(clock *netsim.Clock, net *netsim.Network, wrappers map[string]wrapper.Wrapper, costs Costs) (*Engine, error) {
+func New(clock *netsim.Clock, net *netsim.Network, wrappers map[string]wrapper.Wrapper) (*Engine, error) {
 	ws := make(map[string]wrapper.Wrapper, len(wrappers))
 	for name, w := range wrappers {
 		if w.Clock() != clock {
@@ -122,7 +106,7 @@ func New(clock *netsim.Clock, net *netsim.Network, wrappers map[string]wrapper.W
 		}
 		ws[name] = w
 	}
-	return &Engine{wrappers: ws, net: net, clock: clock, costs: costs, down: make(map[string]bool)}, nil
+	return &Engine{wrappers: ws, net: net, clock: clock, down: make(map[string]bool)}, nil
 }
 
 // Clock returns the shared virtual clock.
@@ -271,7 +255,7 @@ func (e *Engine) submit(n *algebra.Node, st *execState, f *submitFacts) ([]types
 		if rows, ok := e.Results.Get(n.StructuralHash()); ok {
 			// Serve the materialized subtree: charge the ScopeCache
 			// formula instead of the wrapper and the wire.
-			e.clock.Advance(resultcache.HitFloorMS + float64(len(rows))*e.costs.CachePerObj)
+			e.clock.Advance(resultcache.HitFloorMS + float64(len(rows))*resultcache.HitPerRowMS)
 			f.cached = true
 			return rows, nil
 		}
@@ -361,24 +345,24 @@ func (e *Engine) charge(n *algebra.Node, counts vexec.Counts, st *execState) *fe
 func (e *Engine) ownCharge(n *algebra.Node, counts vexec.Counts, in, out int64) float64 {
 	switch n.Kind {
 	case algebra.OpSelect:
-		return float64(in) * e.costs.PerPred
+		return float64(in) * perPredMS
 	case algebra.OpProject:
-		return float64(in) * e.costs.ProjPerObj
+		return float64(in) * projPerObjMS
 	case algebra.OpSort:
-		return nLogN(int(in)) * e.costs.SortPerObj
+		return nLogN(int(in)) * sortPerObjMS
 	case algebra.OpDupElim:
-		return float64(in) * e.costs.HashPerObj
+		return float64(in) * hashPerObjMS
 	case algebra.OpAggregate:
-		return float64(in)*e.costs.HashPerObj + float64(out)*e.costs.PerObj
+		return float64(in)*hashPerObjMS + float64(out)*perObjMS
 	case algebra.OpUnion:
-		return float64(out) * e.costs.PerObj
+		return float64(out) * perObjMS
 	case algebra.OpJoin:
 		l := counts.Out(n.Children[0])
 		r := counts.Out(n.Children[1])
 		if counts.Stat(n).HashJoin {
-			return float64(l+r)*e.costs.HashPerObj + float64(out)*e.costs.PerObj
+			return float64(l+r)*hashPerObjMS + float64(out)*perObjMS
 		}
-		return float64(l*r) * e.costs.JoinPerPair
+		return float64(l*r) * joinPerPairMS
 	}
 	return 0
 }

@@ -63,7 +63,7 @@ func buildDeployment(t *testing.T) *deployment {
 			t.Fatal(err)
 		}
 	}
-	eng, err := New(clock, net, wrappers, DefaultCosts())
+	eng, err := New(clock, net, wrappers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestEngineRequiresSharedClock(t *testing.T) {
 	other := objstore.Open(objstore.DefaultConfig(), netsim.NewClock())
 	_, err := New(clock, nil, map[string]wrapper.Wrapper{
 		"w": wrapper.NewObjWrapper("w", other),
-	}, DefaultCosts())
+	})
 	if err == nil {
 		t.Error("mismatched clocks should be rejected")
 	}

@@ -42,17 +42,17 @@ func naiveExec(e *Engine, plan *algebra.Node) ([]types.Row, error) {
 		in := out[n.Children[0]]
 		switch n.Kind {
 		case algebra.OpSelect:
-			e.clock.Advance(in * e.costs.PerPred)
+			e.clock.Advance(in * perPredMS)
 		case algebra.OpProject:
-			e.clock.Advance(in * e.costs.ProjPerObj)
+			e.clock.Advance(in * projPerObjMS)
 		case algebra.OpSort:
-			e.clock.Advance(nLogN(int(in)) * e.costs.SortPerObj)
+			e.clock.Advance(nLogN(int(in)) * sortPerObjMS)
 		case algebra.OpDupElim:
-			e.clock.Advance(in * e.costs.HashPerObj)
+			e.clock.Advance(in * hashPerObjMS)
 		case algebra.OpAggregate:
-			e.clock.Advance(in*e.costs.HashPerObj + out[n]*e.costs.PerObj)
+			e.clock.Advance(in*hashPerObjMS + out[n]*perObjMS)
 		case algebra.OpUnion:
-			e.clock.Advance(out[n] * e.costs.PerObj)
+			e.clock.Advance(out[n] * perObjMS)
 		case algebra.OpJoin:
 			right := out[n.Children[1]]
 			equi := false
@@ -60,9 +60,9 @@ func naiveExec(e *Engine, plan *algebra.Node) ([]types.Row, error) {
 				equi = equi || c.Op == stats.CmpEQ
 			}
 			if equi {
-				e.clock.Advance((in+right)*e.costs.HashPerObj + out[n]*e.costs.PerObj)
+				e.clock.Advance((in+right)*hashPerObjMS + out[n]*perObjMS)
 			} else {
-				e.clock.Advance(in * right * e.costs.JoinPerPair)
+				e.clock.Advance(in * right * joinPerPairMS)
 			}
 		}
 		return true

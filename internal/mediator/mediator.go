@@ -230,7 +230,7 @@ func New(cfg Config) (*Mediator, error) {
 // engines keep serving in-flight executions safely: engine.New snapshots
 // the wrapper map.
 func (m *Mediator) rebuildEngine() error {
-	eng, err := engine.New(m.Clock, m.Net, m.wrappers, engine.DefaultCosts())
+	eng, err := engine.New(m.Clock, m.Net, m.wrappers)
 	if err != nil {
 		return err
 	}

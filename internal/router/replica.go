@@ -18,9 +18,12 @@ import (
 const ewmaAlpha = 0.2
 
 // consecFailsDown is how many consecutive transport failures mark a
-// replica down. Down replicas leave the ring (weight 0) until a probe
-// or stats poll reaches them again.
+// replica down. Dispatch skips a down replica in every key's order
+// until a probe or stats poll reaches it again.
 const consecFailsDown = 2
+
+// poolSize bounds the pooled connections per replica.
+const poolSize = 4
 
 // replicaConn pairs a pooled connection with its protocol reader: the
 // reader buffers, so it must survive with the connection it read from.
@@ -31,9 +34,8 @@ type replicaConn struct {
 
 // replicaState is the router's view of one discod replica: transport
 // (a small connection pool), liveness, and the cost-model inputs — the
-// EWMA of measured wall latency, the replica's self-reported in-flight
-// and shed counters from its stats endpoint, and the derived ring
-// weight.
+// EWMA of measured wall latency and the replica's self-reported
+// in-flight and shed counters from its stats endpoint.
 type replicaState struct {
 	addr     string
 	capacity float64 // static relative capacity (ReplicaConfig.Capacity)
@@ -52,26 +54,16 @@ type replicaState struct {
 	consecFails int
 	ewmaMS      float64 // measured request latency estimate (0 = no data)
 	obs         int64   // observations folded into ewmaMS
-	weight      float64 // current ring weight (recomputeWeights)
 	lastEpoch   uint64  // catalog epoch last seen in a stats poll
 	repInFlight int64   // replica-reported admitted queries
 	repShed     int64   // replica-reported shed total
-	prevShed    int64   // repShed at the previous poll (step penalty)
 }
 
-func newReplicaState(addr string, capacity float64, poolSize int) *replicaState {
+func newReplicaState(addr string, capacity float64) *replicaState {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	if poolSize <= 0 {
-		poolSize = 4
-	}
-	return &replicaState{
-		addr:     addr,
-		capacity: capacity,
-		weight:   capacity,
-		pool:     make(chan *replicaConn, poolSize),
-	}
+	return &replicaState{addr: addr, capacity: capacity, pool: make(chan *replicaConn, poolSize)}
 }
 
 // send performs one request/response exchange, pooling the connection on

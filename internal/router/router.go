@@ -21,40 +21,18 @@ type ReplicaConfig struct {
 	Capacity float64
 }
 
-// RetryPolicy governs the router's per-request resilience, mirroring
-// the wrapper tier's discipline (wrapper.RetryPolicy): transport
-// failures and sheds burn attempts against other replicas with
-// exponential wall-clock backoff between tries.
-type RetryPolicy struct {
-	// MaxAttempts bounds total tries per request (0 = replicas + 1).
-	MaxAttempts int
-	// Backoff before the first retry; doubled (BackoffMult) per retry up
-	// to MaxBackoff.
-	Backoff     time.Duration
-	BackoffMult float64
-	MaxBackoff  time.Duration
-}
+// Failover pacing mirrors the wrapper tier's retry shape
+// (wrapper.RetryPolicy) scaled to wall time: a request tries at most
+// one more time than there are replicas, with a quick first retry
+// doubling up to a tight cap — enough to ride out a replica restart
+// without wedging the client.
+const (
+	retryBackoff    = 25 * time.Millisecond
+	retryMaxBackoff = 400 * time.Millisecond
+)
 
-// DefaultRetryPolicy matches the wrapper tier's shape scaled to wall
-// time: a quick first retry, exponential growth, a tight cap — enough
-// to ride out a replica restart without wedging the client.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{Backoff: 25 * time.Millisecond, BackoffMult: 2, MaxBackoff: 400 * time.Millisecond}
-}
-
-func (p RetryPolicy) backoff(retry int) time.Duration {
-	b := p.Backoff
-	mult := p.BackoffMult
-	if mult <= 0 {
-		mult = 2
-	}
-	for i := 0; i < retry; i++ {
-		b = time.Duration(float64(b) * mult)
-	}
-	if p.MaxBackoff > 0 && b > p.MaxBackoff {
-		b = p.MaxBackoff
-	}
-	return b
+func backoff(retry int) time.Duration {
+	return min(retryBackoff<<min(retry, 4), retryMaxBackoff)
 }
 
 // Config assembles a Router.
@@ -64,22 +42,16 @@ type Config struct {
 	// Partitions declares the partitionable collections for
 	// scatter-gather scans (nil = scatter disabled).
 	Partitions []Partition
-	// VnodesPerUnit is the ring resolution (0 = DefaultVnodesPerUnit).
-	VnodesPerUnit int
 	// DialTimeout bounds replica dials (0 = 2s); RequestTimeout bounds a
 	// full request/response exchange (0 = 30s).
 	DialTimeout    time.Duration
 	RequestTimeout time.Duration
-	// Retry is the failover policy (zero value = DefaultRetryPolicy).
-	Retry RetryPolicy
 	// PollInterval paces the background stats poll that feeds the cost
 	// model (0 = 2s; negative disables the loop — tests drive PollNow).
 	PollInterval time.Duration
 	// WarmLimit bounds hot statements re-warmed after a gossip or a
 	// replica epoch change (0 = 32).
 	WarmLimit int
-	// PoolSize bounds pooled connections per replica (0 = 4).
-	PoolSize int
 	// Now supplies the timestamps the router uses to measure replica
 	// request latency (nil = time.Now). The rest of the system bills
 	// I/O to the netsim virtual clock; the router fronts real TCP
@@ -95,13 +67,10 @@ const hotCap = 64
 // and scatter-gather scans. It implements serving.Handler, so it mounts
 // on the same ConnServer transport as a single mediator.
 type Router struct {
-	cfg      Config
-	replicas []*replicaState
-	names    []string
-
-	ringMu      sync.Mutex
-	ring        *Ring
-	ringWeights []float64
+	cfg         Config
+	replicas    []*replicaState
+	ring        Ring
+	maxAttempts int
 
 	hot hotTracker
 
@@ -124,17 +93,18 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("router: at least one replica required")
 	}
+	seen := make(map[string]bool, len(cfg.Replicas))
+	for _, rc := range cfg.Replicas {
+		if seen[rc.Addr] {
+			return nil, fmt.Errorf("router: replica %s listed twice", rc.Addr)
+		}
+		seen[rc.Addr] = true
+	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 2 * time.Second
 	}
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = 30 * time.Second
-	}
-	if cfg.Retry == (RetryPolicy{}) {
-		cfg.Retry = DefaultRetryPolicy()
-	}
-	if cfg.Retry.MaxAttempts <= 0 {
-		cfg.Retry.MaxAttempts = len(cfg.Replicas) + 1
 	}
 	if cfg.WarmLimit <= 0 {
 		cfg.WarmLimit = 32
@@ -142,18 +112,16 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	rt := &Router{cfg: cfg, stop: make(chan struct{})}
+	rt := &Router{cfg: cfg, maxAttempts: len(cfg.Replicas) + 1, stop: make(chan struct{})}
 	rt.hot.cap = hotCap
+	names := make([]string, len(cfg.Replicas))
 	weights := make([]float64, len(cfg.Replicas))
-	for _, rc := range cfg.Replicas {
-		rt.replicas = append(rt.replicas, newReplicaState(rc.Addr, rc.Capacity, cfg.PoolSize))
-		rt.names = append(rt.names, rc.Addr)
+	for i, rc := range cfg.Replicas {
+		r := newReplicaState(rc.Addr, rc.Capacity)
+		rt.replicas = append(rt.replicas, r)
+		names[i], weights[i] = r.addr, r.capacity
 	}
-	for i, r := range rt.replicas {
-		weights[i] = r.capacity
-	}
-	rt.ring = BuildRing(rt.names, weights, cfg.VnodesPerUnit)
-	rt.ringWeights = weights
+	rt.ring = BuildRing(names, weights)
 	if cfg.PollInterval >= 0 {
 		interval := cfg.PollInterval
 		if interval == 0 {
@@ -231,7 +199,7 @@ func (rt *Router) Handle(req *proto.Request) *proto.Response {
 	}
 }
 
-// forward dispatches one request with consistent-hash affinity (key) and
+// forward dispatches one request with plan affinity (key) and
 // failover: transport failures and sheds burn retry attempts against the
 // next-preferred replicas with backoff in between. An empty key skips
 // affinity and goes straight to the cheapest replica.
@@ -239,9 +207,9 @@ func (rt *Router) forward(req *proto.Request, key string) *proto.Response {
 	tried := make(map[int]bool, len(rt.replicas))
 	var lastErr error
 	sheds, fails := 0, 0
-	for attempt := 0; attempt < rt.cfg.Retry.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < rt.maxAttempts; attempt++ {
 		if attempt > 0 {
-			time.Sleep(rt.cfg.Retry.backoff(attempt - 1))
+			time.Sleep(backoff(attempt - 1))
 		}
 		idx := rt.pick(key, tried)
 		if idx < 0 {
@@ -276,13 +244,13 @@ func (rt *Router) forward(req *proto.Request, key string) *proto.Response {
 	}
 	if lastErr == nil && sheds > 0 {
 		return &proto.Response{
-			Error:      fmt.Sprintf("router: all %d attempts shed by admission control", rt.cfg.Retry.MaxAttempts),
+			Error:      fmt.Sprintf("router: all %d attempts shed by admission control", rt.maxAttempts),
 			Overloaded: true,
 		}
 	}
 	if lastErr != nil {
 		return &proto.Response{Error: fmt.Sprintf("router: no replica answered after %d attempts (%d transport failures, %d sheds): %v",
-			rt.cfg.Retry.MaxAttempts, fails, sheds, lastErr)}
+			rt.maxAttempts, fails, sheds, lastErr)}
 	}
 	return &proto.Response{Error: "router: no replica available"}
 }
@@ -310,10 +278,11 @@ func (rt *Router) exchange(r *replicaState, req *proto.Request) (*proto.Response
 }
 
 // pick chooses the replica for key among live, untried replicas: the
-// ring owner (plan-cache affinity) unless its dispatch cost exceeds
-// twice the cheapest candidate's — the two-choices escape hatch that
-// sheds load off a replica the cost model says is drowning without
-// giving up affinity in the common case. An empty key is pure least-cost.
+// first of them in the key's rendezvous order (plan-cache affinity)
+// unless its dispatch cost exceeds twice the cheapest candidate's — the
+// escape that sheds load off a replica the cost model says is slow or
+// drowning without giving up affinity in the common case. An empty key
+// is pure least-cost.
 func (rt *Router) pick(key string, tried map[int]bool) int {
 	fallback := meanEwmaMS(rt.replicas)
 	best, primary := -1, -1
@@ -331,10 +300,7 @@ func (rt *Router) pick(key string, tried map[int]bool) int {
 		return -1
 	}
 	if key != "" {
-		rt.ringMu.Lock()
-		order := rt.ring.Successors(key, len(rt.replicas))
-		rt.ringMu.Unlock()
-		for _, idx := range order {
+		for _, idx := range rt.ring.Order(key) {
 			if !tried[idx] && !rt.replicas[idx].isDown() {
 				primary = idx
 				break
@@ -352,9 +318,11 @@ func (rt *Router) pick(key string, tried map[int]bool) int {
 
 // gossip fans an epoch-bumping administrative op (reregister, setlink)
 // to every replica in parallel — the catalog-replication path. The op
-// succeeds if at least one replica acked (stragglers are caught up by
-// the poll loop's epoch check); afterwards the router re-warms hot
-// statements so the flushed caches recover before clients notice.
+// succeeds if at least one replica acked; afterwards the router re-warms
+// hot statements so the flushed caches recover before clients notice.
+// Nothing retries a replica that missed the op: unless it restarts it
+// keeps its old epoch, so no poll notices it, the op is never
+// re-applied there, and only the k/n in the reply shows the gap.
 func (rt *Router) gossip(req *proto.Request) *proto.Response {
 	rt.gossips.Add(1)
 	type ack struct {
@@ -402,23 +370,25 @@ func (rt *Router) gossip(req *proto.Request) *proto.Response {
 }
 
 // warmStatements re-warms hot statements. With only == nil each goes to
-// its ring owner (the replica whose caches clients will hit); with a
-// specific replica — one that restarted or missed an epoch — everything
-// warms there. Warming is synchronous and admission-controlled at the
-// replica, so a storm cannot starve queries.
+// the first live replica in its rendezvous order (the replica whose
+// caches clients will hit); with a specific replica — one whose epoch
+// changed under a restart — everything warms there. Warming is
+// synchronous and admission-controlled at the replica, so a storm
+// cannot starve queries.
 func (rt *Router) warmStatements(sqls []string, only *replicaState) {
 	for _, sql := range sqls {
 		req := &proto.Request{Op: "warm", SQL: sql}
 		r := only
 		if r == nil {
-			key := mediator.NormalizeSQL(sql)
-			rt.ringMu.Lock()
-			idx := rt.ring.Lookup(key)
-			rt.ringMu.Unlock()
-			if idx < 0 || rt.replicas[idx].isDown() {
-				continue
+			for _, idx := range rt.ring.Order(mediator.NormalizeSQL(sql)) {
+				if !rt.replicas[idx].isDown() {
+					r = rt.replicas[idx]
+					break
+				}
 			}
-			r = rt.replicas[idx]
+			if r == nil {
+				return // every replica is down
+			}
 		}
 		if resp, err := rt.exchange(r, req); err == nil && resp.OK {
 			rt.warms.Add(1)
@@ -428,9 +398,9 @@ func (rt *Router) warmStatements(sqls []string, only *replicaState) {
 
 // PollNow polls every replica's stats endpoint once, synchronously:
 // liveness, self-reported load and shed counters, catalog epoch. A
-// replica whose epoch changed (restart, missed gossip) gets its caches
-// re-warmed with the hot set. Weights recompute afterwards. The
-// background loop calls this on PollInterval; tests call it directly.
+// replica whose epoch changed (a restart) gets its caches re-warmed
+// with the hot set. The background loop calls this on PollInterval;
+// tests call it directly.
 func (rt *Router) PollNow() {
 	var wg sync.WaitGroup
 	for _, r := range rt.replicas {
@@ -457,109 +427,6 @@ func (rt *Router) PollNow() {
 		}(r)
 	}
 	wg.Wait()
-	rt.recomputeWeights()
-}
-
-// weightClamp bounds how far measured speed can swing a replica's
-// weight from its static capacity, mirroring the estimator's guard
-// against feedback overcorrection.
-const (
-	weightRatioMin = 0.25
-	weightRatioMax = 4.0
-	// shedPenalty discounts a replica that shed queries since the last
-	// poll: its admission controller is telling us it is saturated.
-	shedPenalty = 0.7
-	// rebuildDrift is the relative weight change that triggers a ring
-	// rebuild; smaller drifts keep the ring (and plan affinity) stable.
-	rebuildDrift = 0.15
-)
-
-// recomputeWeights derives each replica's ring weight from static
-// capacity blended with feedback-measured speed (inverse EWMA latency,
-// normalized by the replica mean and clamped) and the shed step
-// penalty, then rebuilds the ring when any weight drifted enough to
-// matter. This is the router-tier cost model: capacity is the prior,
-// measurement refines it, clamps keep a noisy measurement from
-// evicting a replica outright.
-func (rt *Router) recomputeWeights() {
-	type obs struct {
-		speed float64
-		ok    bool
-	}
-	obsv := make([]obs, len(rt.replicas))
-	var speedSum float64
-	var speedN int
-	for i, r := range rt.replicas {
-		r.mu.Lock()
-		if r.obs > 0 && r.ewmaMS > 0 && !r.down {
-			obsv[i] = obs{speed: 1 / r.ewmaMS, ok: true}
-			speedSum += obsv[i].speed
-			speedN++
-		}
-		r.mu.Unlock()
-	}
-	meanSpeed := 0.0
-	if speedN > 0 {
-		meanSpeed = speedSum / float64(speedN)
-	}
-	weights := make([]float64, len(rt.replicas))
-	for i, r := range rt.replicas {
-		r.mu.Lock()
-		if r.down {
-			weights[i] = 0
-			r.weight = 0
-			r.mu.Unlock()
-			continue
-		}
-		w := r.capacity
-		if obsv[i].ok && meanSpeed > 0 {
-			ratio := obsv[i].speed / meanSpeed
-			if ratio < weightRatioMin {
-				ratio = weightRatioMin
-			}
-			if ratio > weightRatioMax {
-				ratio = weightRatioMax
-			}
-			w *= ratio
-		}
-		if r.repShed > r.prevShed {
-			w *= shedPenalty
-		}
-		r.prevShed = r.repShed
-		r.weight = w
-		weights[i] = w
-		r.mu.Unlock()
-	}
-	rt.ringMu.Lock()
-	defer rt.ringMu.Unlock()
-	if !weightsDrifted(rt.ringWeights, weights) {
-		return
-	}
-	rt.ring = BuildRing(rt.names, weights, rt.cfg.VnodesPerUnit)
-	rt.ringWeights = weights
-}
-
-// weightsDrifted reports whether any weight moved more than rebuildDrift
-// relative to the ring's build-time weights, or flipped between zero
-// (excluded) and positive.
-func weightsDrifted(old, cur []float64) bool {
-	for i := range cur {
-		o, c := old[i], cur[i]
-		if (o == 0) != (c == 0) {
-			return true
-		}
-		if o == 0 {
-			continue
-		}
-		d := (c - o) / o
-		if d < 0 {
-			d = -d
-		}
-		if d > rebuildDrift {
-			return true
-		}
-	}
-	return false
 }
 
 // hotTracker is a small LRU of recently routed statements (normalized
@@ -613,13 +480,11 @@ func (h *hotTracker) len() int {
 }
 
 // ReplicaStats is the observable per-replica slice of Stats: the cost
-// model's inputs and outputs, inspectable via discoctl \stats.
+// model's inputs, inspectable via discoctl \stats.
 type ReplicaStats struct {
 	Addr            string  `json:"addr"`
 	Capacity        float64 `json:"capacity"`
-	Weight          float64 `json:"weight"`
 	EwmaMS          float64 `json:"ewma_ms"`
-	Vnodes          int     `json:"vnodes"`
 	Down            bool    `json:"down"`
 	Routed          int64   `json:"routed"`
 	Scattered       int64   `json:"scattered"`
@@ -646,9 +511,6 @@ type Stats struct {
 // Stats snapshots the router counters and every replica's cost-model
 // state.
 func (rt *Router) Stats() Stats {
-	rt.ringMu.Lock()
-	ring := rt.ring
-	rt.ringMu.Unlock()
 	s := Stats{
 		Routed:      rt.routedTotal.Load(),
 		Scattered:   rt.scatteredTotal.Load(),
@@ -659,14 +521,12 @@ func (rt *Router) Stats() Stats {
 		Partials:    rt.partials.Load(),
 		HotTracked:  rt.hot.len(),
 	}
-	for i, r := range rt.replicas {
+	for _, r := range rt.replicas {
 		r.mu.Lock()
 		rs := ReplicaStats{
 			Addr:            r.addr,
 			Capacity:        r.capacity,
-			Weight:          r.weight,
 			EwmaMS:          r.ewmaMS,
-			Vnodes:          ring.VnodeCount(i),
 			Down:            r.down,
 			ReplicaInFlight: r.repInFlight,
 			ReplicaShed:     r.repShed,

@@ -11,7 +11,6 @@ import (
 	"disco/internal/sqlparser"
 	"disco/internal/stats"
 	"disco/internal/types"
-	"disco/internal/vexec"
 )
 
 // Partition declares one collection's partitionable integer column and
@@ -111,8 +110,8 @@ type shardResult struct {
 }
 
 // scatter executes q as len(healthy) range shards, one per live replica,
-// and merges the answers through the vexec batch pipeline (bag union in
-// shard order). A shard whose home replica fails rotates through the
+// and merges the answers by concatenating their rows in shard order (a
+// bag union). A shard whose home replica fails rotates through the
 // other live replicas; only a shard that fails everywhere degrades the
 // answer to Partial, with the replicas it tried listed in Excluded —
 // the same partial-answer contract the mediator uses for dead wrappers.
@@ -153,7 +152,6 @@ func (rt *Router) scatter(q *sqlparser.Query, part Partition, healthy []int) *pr
 	wg.Wait()
 
 	merged := &proto.Response{OK: true, Replica: "", Shards: n}
-	var sources []vexec.Op
 	var excluded []string
 	succeeded := 0
 	for _, res := range results {
@@ -182,16 +180,11 @@ func (rt *Router) scatter(q *sqlparser.Query, part Partition, healthy []int) *pr
 			merged.Partial = true
 			merged.Excluded = append(merged.Excluded, res.resp.Excluded...)
 		}
-		sources = append(sources, vexec.NewSliceSource(proto.DecodeRows(res.resp.Rows), 0))
+		merged.Rows = append(merged.Rows, res.resp.Rows...)
 	}
 	if succeeded == 0 {
 		return &proto.Response{Error: "router: every shard failed on every live replica"}
 	}
-	out, err := vexec.Drain(vexec.NewUnionAll(sources...), vexec.DefaultBatchSize)
-	if err != nil {
-		return &proto.Response{Error: "router: shard merge: " + err.Error()}
-	}
-	merged.Rows = proto.EncodeRows(out)
 	if len(excluded) > 0 {
 		merged.Partial = true
 		merged.Excluded = append(merged.Excluded, excluded...)

@@ -89,8 +89,8 @@ func TestBreakerErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestSliceSourceAndUnionAll sanity-checks the exported gather entry
-// points: aliasing batch emission and left-to-right bag union.
+// TestSliceSourceAndUnionAll sanity-checks the test-only gather
+// helpers: aliasing batch emission and left-to-right bag union.
 func TestSliceSourceAndUnionAll(t *testing.T) {
 	a := trickleRows(100)
 	b := trickleRows(50)
