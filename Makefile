@@ -78,11 +78,12 @@ ci-fuzz:
 	$(GO) test -fuzz=FuzzFrameDecode -fuzztime=30s ./internal/proto
 	$(GO) test -fuzz=FuzzFeedbackSnapshot -fuzztime=30s ./internal/feedback
 # Race-stress of the concurrent serving path (DESIGN.md §9), 3 repetitions,
-# and two feedback-on serving runs that must agree bit for bit.
+# and two feedback-on serving runs that must agree bit for bit; core and
+# optimizer for the rule folds and dispatch caches estimator clones share.
 ci-concurrency:
 	$(GO) test -race -count=3 \
 		-run 'Concurrent|Race|Admission|PlanCache|Reprepare|Debounce|IdleTimeout|Overloaded|NormalizeSQL|Shutdown|StatsOp|ReregisterOp|SetLinkOp|Deterministic' \
-		./internal/mediator ./internal/feedback ./internal/serving
+		./internal/mediator ./internal/feedback ./internal/serving ./internal/core ./internal/optimizer
 # The digest-checked chaos soaks (E11-E14): zero wedged clients, zero
 # oracle mismatches — plain, under a spill budget, result cache on, and
 # three replicas with one killed and restarted mid-run.

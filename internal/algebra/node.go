@@ -162,7 +162,34 @@ type Node struct {
 }
 
 // Convenience constructors. They keep plan-building code in the optimizer
-// and tests declarative.
+// and tests declarative. A node and its children slice are one
+// allocation: the plan search builds a join node per candidate.
+
+// unary and binary are a node together with the backing array of its
+// Children slice.
+type unary struct {
+	n    Node
+	kids [1]*Node
+}
+
+type binary struct {
+	n    Node
+	kids [2]*Node
+}
+
+func newUnary(kind OpKind, child *Node) *Node {
+	u := &unary{kids: [1]*Node{child}}
+	u.n.Kind = kind
+	u.n.Children = u.kids[:]
+	return &u.n
+}
+
+func newBinary(kind OpKind, left, right *Node) *Node {
+	b := &binary{kids: [2]*Node{left, right}}
+	b.n.Kind = kind
+	b.n.Children = b.kids[:]
+	return &b.n
+}
 
 // Scan builds a scan of a wrapper collection.
 func Scan(wrapper, collection string) *Node {
@@ -171,42 +198,50 @@ func Scan(wrapper, collection string) *Node {
 
 // Select filters child by pred.
 func Select(child *Node, pred *Predicate) *Node {
-	return &Node{Kind: OpSelect, Pred: pred, Children: []*Node{child}}
+	n := newUnary(OpSelect, child)
+	n.Pred = pred
+	return n
 }
 
 // Project keeps only cols of child.
 func Project(child *Node, cols ...string) *Node {
-	return &Node{Kind: OpProject, Cols: cols, Children: []*Node{child}}
+	n := newUnary(OpProject, child)
+	n.Cols = cols
+	return n
 }
 
 // Sort orders child by keys.
 func Sort(child *Node, keys ...SortKey) *Node {
-	return &Node{Kind: OpSort, Keys: keys, Children: []*Node{child}}
+	n := newUnary(OpSort, child)
+	n.Keys = keys
+	return n
 }
 
 // Join combines left and right under pred.
 func Join(left, right *Node, pred *Predicate) *Node {
-	return &Node{Kind: OpJoin, Pred: pred, Children: []*Node{left, right}}
+	n := newBinary(OpJoin, left, right)
+	n.Pred = pred
+	return n
 }
 
 // Union concatenates left and right (bag semantics).
-func Union(left, right *Node) *Node {
-	return &Node{Kind: OpUnion, Children: []*Node{left, right}}
-}
+func Union(left, right *Node) *Node { return newBinary(OpUnion, left, right) }
 
 // DupElim removes duplicate rows of child.
-func DupElim(child *Node) *Node {
-	return &Node{Kind: OpDupElim, Children: []*Node{child}}
-}
+func DupElim(child *Node) *Node { return newUnary(OpDupElim, child) }
 
 // Aggregate groups child by groupBy and computes aggs.
 func Aggregate(child *Node, groupBy []Ref, aggs []AggSpec) *Node {
-	return &Node{Kind: OpAggregate, GroupBy: groupBy, Aggs: aggs, Children: []*Node{child}}
+	n := newUnary(OpAggregate, child)
+	n.GroupBy, n.Aggs = groupBy, aggs
+	return n
 }
 
 // Submit ships child to wrapper for execution there.
 func Submit(child *Node, wrapper string) *Node {
-	return &Node{Kind: OpSubmit, Wrapper: wrapper, Children: []*Node{child}}
+	n := newUnary(OpSubmit, child)
+	n.Wrapper = wrapper
+	return n
 }
 
 // Clone deep-copies the plan tree (schemas are shared; they are

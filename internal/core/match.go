@@ -65,13 +65,35 @@ func (m *matchResult) unbind(n int) {
 		m.bindings = make([]binding, n)
 		return
 	}
+	// Only the kinds are reset: a binding's other fields are read only
+	// under the kind that wrote them, so stale ones are never seen, and
+	// not clearing them writes no pointers.
 	m.bindings = m.bindings[:n]
-	clear(m.bindings)
+	for i := range m.bindings {
+		m.bindings[i].kind = bindNone
+	}
 }
 
-func (m *matchResult) bind(slot int, b binding) {
+// bindColl, bindAttrName and bindConst bind a slot of a result unbind
+// cleared, writing only the fields the kind uses.
+func (m *matchResult) bindColl(slot int, t collTarget) {
 	if slot >= 0 {
-		m.bindings[slot] = b
+		b := &m.bindings[slot]
+		b.kind, b.ctx, b.coll, b.wrapper = bindColl, t.ctx, t.coll, t.wrapper
+	}
+}
+
+func (m *matchResult) bindAttrName(slot int, attr string) {
+	if slot >= 0 {
+		b := &m.bindings[slot]
+		b.kind, b.str = bindAttr, attr
+	}
+}
+
+func (m *matchResult) bindConst(slot int, v types.Constant) {
+	if slot >= 0 {
+		b := &m.bindings[slot]
+		b.kind, b.val = bindValue, v
 	}
 }
 
@@ -98,10 +120,17 @@ type collTarget struct {
 // the bindings into the caller-provided (pooled, reset) result; it reports
 // whether the match succeeded.
 func matchRule(rule *Rule, ctx *nodeCtx, m *matchResult) bool {
+	return unify(rule, ctx, m, false)
+}
+
+// unify is matchRule; shape makes it ignore what is not part of a node's
+// shape (see dispatch.go): an exact rule's subquery, and the constants a
+// rule head binds.
+func unify(rule *Rule, ctx *nodeCtx, m *matchResult, shape bool) bool {
 	if rule.Op != ctx.node.Kind {
 		return false
 	}
-	if rule.Exact != nil {
+	if rule.Exact != nil && !shape {
 		// The structural hash is a cheap prefilter for the deep equality
 		// check: Equal implies equal hashes, so a hash mismatch rejects
 		// without walking the trees.
@@ -149,11 +178,11 @@ func matchRule(rule *Rule, ctx *nodeCtx, m *matchResult) bool {
 
 	terms := rule.Terms
 	// Unify collection positions.
-	for i, target := range colls {
+	for i := range colls {
 		if i >= len(terms) {
 			return false // head has fewer args than the operator shape
 		}
-		if !unifyColl(m, &terms[i], target) {
+		if !unifyColl(m, &terms[i], &colls[i]) {
 			return false
 		}
 	}
@@ -168,7 +197,7 @@ func matchRule(rule *Rule, ctx *nodeCtx, m *matchResult) bool {
 		if len(rest) > 1 {
 			return false
 		}
-		if !unifyPred(m, &rest[0], pred) {
+		if !unifyPred(m, &rest[0], pred, shape) {
 			return false
 		}
 	}
@@ -180,16 +209,16 @@ func childTarget(ctx *nodeCtx, i int) collTarget {
 	return collTarget{ctx: c, coll: c.derivedColl, wrapper: c.derivedWrapper}
 }
 
-func unifyColl(m *matchResult, t *HeadTerm, target collTarget) bool {
+func unifyColl(m *matchResult, t *HeadTerm, target *collTarget) bool {
 	switch t.Kind {
 	case TermVar:
-		m.bind(t.slot, binding{kind: bindColl, ctx: target.ctx, coll: target.coll, wrapper: target.wrapper})
+		m.bindColl(t.slot, *target)
 		return true
 	case TermCollection:
 		if !strings.EqualFold(t.Name, target.coll) {
 			return false
 		}
-		m.bind(t.slot, binding{kind: bindColl, ctx: target.ctx, coll: target.coll, wrapper: target.wrapper})
+		m.bindColl(t.slot, *target)
 		return true
 	default:
 		return false // a comparison cannot appear in a collection position
@@ -200,9 +229,12 @@ func unifyColl(m *matchResult, t *HeadTerm, target collTarget) bool {
 // variable term matches any predicate; a comparison term matches a
 // single-conjunct predicate (the optimizer cascades conjunctive selects,
 // so wrapper-visible predicates are single comparisons).
-func unifyPred(m *matchResult, t *HeadTerm, pred *algebra.Predicate) bool {
+func unifyPred(m *matchResult, t *HeadTerm, pred *algebra.Predicate, shape bool) bool {
 	if t.Kind == TermVar {
-		m.bind(t.slot, binding{kind: bindPred, pred: pred})
+		if t.slot >= 0 {
+			b := &m.bindings[t.slot]
+			b.kind, b.pred = bindPred, pred
+		}
 		if pred != nil && len(pred.Conjuncts) == 1 {
 			recordSel(m, &pred.Conjuncts[0])
 		}
@@ -215,7 +247,7 @@ func unifyPred(m *matchResult, t *HeadTerm, pred *algebra.Predicate) bool {
 		return false
 	}
 	c := &pred.Conjuncts[0]
-	if matchCmp(m, t, c) {
+	if matchCmp(m, t, c, shape) {
 		recordSel(m, c)
 		return true
 	}
@@ -223,7 +255,7 @@ func unifyPred(m *matchResult, t *HeadTerm, pred *algebra.Predicate) bool {
 	// head `a = b` also matches a node predicate `b = a`. The comparison is
 	// passed as parts rather than a rebuilt Comparison so no local escapes.
 	if c.IsJoin() {
-		if matchCmpParts(m, t, c.RightAttr.Attr, c.Op.Flip(), true, c.Left.Attr, types.Null) {
+		if matchCmpParts(m, t, c.RightAttr.Attr, c.Op.Flip(), true, c.Left.Attr, types.Null, shape) {
 			recordSel(m, c)
 			return true
 		}
@@ -241,18 +273,18 @@ func recordSel(m *matchResult, c *algebra.Comparison) {
 	m.hasSel = true
 }
 
-func matchCmp(m *matchResult, t *HeadTerm, c *algebra.Comparison) bool {
+func matchCmp(m *matchResult, t *HeadTerm, c *algebra.Comparison, shape bool) bool {
 	if c.IsJoin() {
-		return matchCmpParts(m, t, c.Left.Attr, c.Op, true, c.RightAttr.Attr, types.Null)
+		return matchCmpParts(m, t, c.Left.Attr, c.Op, true, c.RightAttr.Attr, types.Null, shape)
 	}
-	return matchCmpParts(m, t, c.Left.Attr, c.Op, false, "", c.RightConst)
+	return matchCmpParts(m, t, c.Left.Attr, c.Op, false, "", c.RightConst, shape)
 }
 
 // matchCmpParts unifies a head comparison term against a node comparison
 // decomposed into its parts: leftAttr op rightAttr (join) or
-// leftAttr op rightConst (selection).
+// leftAttr op rightConst (selection); shape ignores rightConst.
 func matchCmpParts(m *matchResult, t *HeadTerm, leftAttr string, op stats.CmpOp,
-	isJoin bool, rightAttr string, rightConst types.Constant) bool {
+	isJoin bool, rightAttr string, rightConst types.Constant, shape bool) bool {
 	if t.Op != op {
 		return false
 	}
@@ -273,7 +305,7 @@ func matchCmpParts(m *matchResult, t *HeadTerm, leftAttr string, op stats.CmpOp,
 	} else {
 		// The right-hand side is a constant.
 		if t.BoundVal {
-			if t.ValueIsAttr || !t.Value.Equal(rightConst) {
+			if t.ValueIsAttr || !shape && !t.Value.Equal(rightConst) {
 				return false
 			}
 		}
@@ -282,11 +314,11 @@ func matchCmpParts(m *matchResult, t *HeadTerm, leftAttr string, op stats.CmpOp,
 	// failed match leaves no partial bindings behind... bindings are
 	// per-call anyway, but partial state would leak through the flipped
 	// retry in unifyPred).
-	m.bind(t.attrSlot, binding{kind: bindAttr, str: leftAttr})
+	m.bindAttrName(t.attrSlot, leftAttr)
 	if isJoin {
-		m.bind(t.valueSlot, binding{kind: bindAttr, str: rightAttr})
+		m.bindAttrName(t.valueSlot, rightAttr)
 	} else {
-		m.bind(t.valueSlot, binding{kind: bindValue, val: rightConst})
+		m.bindConst(t.valueSlot, rightConst)
 	}
 	return true
 }

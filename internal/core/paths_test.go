@@ -222,7 +222,7 @@ func TestCompiledPathsMatchNameResolution(t *testing.T) {
 						env.locals = locals[:k]
 						progs := append(append([]Formula(nil), r.Lets...), r.Formulas...)
 						for _, f := range progs {
-							env.refs = f.refs
+							env.prog = &program{refs: f.refs}
 							for i, path := range f.Prog.Paths {
 								got, gotOK := env.LookupIndex(i, path)
 								want, wantOK := nameLookup(env, path)

@@ -169,7 +169,8 @@ func TestDefaultRegistryLoads(t *testing.T) {
 		algebra.OpAggregate, algebra.OpSubmit}
 	for _, op := range ops {
 		found := false
-		for _, r := range reg.DefaultRulesFor(op) {
+		_, defaults, _, _ := reg.rulesForNode("", &algebra.Node{Kind: op})
+		for _, r := range defaults {
 			for _, f := range r.Formulas {
 				found = found || (r.Scope == ScopeDefault && f.Var == "TotalTime")
 			}

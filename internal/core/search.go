@@ -1,26 +1,30 @@
 package core
 
-import "disco/internal/algebra"
-
-// tableKey identifies one priced node of a search: the node, the site it
-// executes at, and the variables asked of it. The variables vary only
-// under Options.RequiredVarsOnly; otherwise every node owes all of them.
-type tableKey struct {
-	node *algebra.Node
-	site string
-	need VarSet
-}
-
 // tableEntry is one priced node: its variables and what its estimate
-// asked of each child, so a walk that must visit the children can.
+// asked of each child, so a walk that must visit the children can. A
+// node's entries are kept under its id (nodeInfo.priced), keyed by the
+// site it executes at and the variables asked of it; the variables vary
+// only under Options.RequiredVarsOnly, otherwise every node owes all of
+// them.
 type tableEntry struct {
 	RootCost
 	childNeeds [2]VarSet
 }
 
+// priced returns the recorded estimate of a node at a site for a need
+// set.
+func (s *scratch) priced(id int32, site string, need VarSet) (*tableEntry, bool) {
+	ps := s.infos[id].priced
+	for i := range ps {
+		if ps[i].need == need && ps[i].site == site {
+			return &ps[i].tableEntry, true
+		}
+	}
+	return nil, false
+}
+
 // searchTable is one plan search's record of priced nodes.
 type searchTable struct {
-	priced map[tableKey]tableEntry
 	// required is the Options.RequiredVarsOnly the search began under: a
 	// node's estimate also depends on it (it decides which child
 	// variables exist), so walks under the other setting do not read the
@@ -40,18 +44,18 @@ type searchTable struct {
 // matches no rule, and EstimateRoot visits nothing below it. A node's
 // two-phase estimate depends only on its subtree (§4.2), so a candidate
 // built over priced inputs costs its new nodes only. Attribute statistics
-// are remembered per (node, attribute) for the search. A rule published
+// are remembered per (node, attribute) for the search. Nodes are known by
+// a dense per-search id (scratch.idOf), under which the record and the
+// statistics live. A rule published
 // during the search reaches only the nodes priced after it. BeginSearch
 // clears the arena's tables, keeping their memory.
 func (e *Estimator) BeginSearch() {
 	sc := e.scratch()
-	if len(sc.tab.priced) > 0 {
-		clear(sc.tab.priced)
-	}
 	sc.tab.required = e.Options.RequiredVarsOnly
 	sc.tab.applied, sc.tab.joinsels = 0, 0
 	sc.search = &sc.tab
-	sc.forgetAttrs()
+	sc.forgetNodes()
+	sc.foldVersion = e.foldVersion()
 }
 
 // EndSearch ends the search and returns the estimator's scratch arena to

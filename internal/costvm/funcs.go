@@ -1,6 +1,7 @@
 package costvm
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -34,10 +35,10 @@ func (r *FuncRegistry) Register(name string, fn Builtin) {
 	r.funcs[strings.ToLower(name)] = fn
 }
 
-// Has reports whether name is registered.
-func (r *FuncRegistry) Has(name string) bool {
-	_, ok := r.funcs[strings.ToLower(name)]
-	return ok
+// Lookup returns a registered function; names are case-insensitive.
+func (r *FuncRegistry) Lookup(name string) (Builtin, bool) {
+	fn, ok := r.funcs[strings.ToLower(name)]
+	return fn, ok
 }
 
 // Call invokes a registered function.
@@ -103,6 +104,10 @@ func (e *defEnv) Call(name string, args []types.Constant) (types.Constant, error
 	return e.reg.Call(name, args)
 }
 
+// errRequire is require()'s refusal: a routine outcome of estimation (the
+// rule declines, the next level applies), so it is one static error.
+var errRequire = errors.New("require condition not satisfied")
+
 func (r *FuncRegistry) registerStdlib() {
 	unary := func(name string, fn func(float64) float64) {
 		r.Register(name, func(args []types.Constant) (types.Constant, error) {
@@ -164,7 +169,7 @@ func (r *FuncRegistry) registerStdlib() {
 			return types.Null, fmt.Errorf("require expects 2 args (condition, value)")
 		}
 		if !args[0].AsBool() {
-			return types.Null, fmt.Errorf("require condition not satisfied")
+			return types.Null, errRequire
 		}
 		return args[1], nil
 	})

@@ -198,10 +198,12 @@ func TestRegistryClone(t *testing.T) {
 	clone.Register("special", func([]types.Constant) (types.Constant, error) {
 		return types.Int(7), nil
 	})
-	if base.Has("special") {
+	if _, ok := base.Lookup("special"); ok {
 		t.Error("clone registration leaked to base")
 	}
-	if !clone.Has("special") || !clone.Has("exp") {
+	_, special := clone.Lookup("special")
+	_, exp := clone.Lookup("EXP")
+	if !special || !exp {
 		t.Error("clone should have both special and stdlib")
 	}
 }
@@ -417,5 +419,74 @@ func TestLiteralMatchesCompile(t *testing.T) {
 		if x, err := got.Eval(newMapEnv(nil)); err != nil || x != want.Consts[0] {
 			t.Errorf("%v: Literal evaluates to %v, %v", v, x, err)
 		}
+	}
+}
+
+// Property: a folded program evaluates exactly like the program it was
+// folded from — the same value, bit for bit and kind for kind, or an
+// error where it erred — whichever parameters fold (K, L: known at fold
+// time) and whichever stay loads (X, Y, and K or L when the fold does not
+// know them), across division by zero, failing require() and string
+// concatenation.
+func TestFoldPreservesEvaluation(t *testing.T) {
+	srcs := []string{
+		"K * X + L",
+		"(K + L) * X - K / L",
+		"max(X, K * 2) + min(L, Y)",
+		"require(gt(K, 0), X / K) + L",
+		"if(gt(X, L), K / 0, K - L) * Y",
+		"exp(0 - K / max(L, 1)) * X + -K",
+		"K + L + X",
+		"X + (K + \"s\")",
+		"require(lt(L, K), 1) + K * L",
+		"K * K * K",
+	}
+	f := func(k, l, x, y int16, kf, lf bool, pick uint8, floats bool) bool {
+		num := func(v int16) types.Constant {
+			if floats {
+				return types.Float(float64(v) / 8)
+			}
+			return types.Int(int64(v))
+		}
+		vars := map[string]types.Constant{"K": num(k), "L": num(l), "X": num(x), "Y": num(y)}
+		src := srcs[int(pick)%len(srcs)]
+		prog, err := CompileString(src)
+		if err != nil {
+			t.Fatalf("compile %q: %v", src, err)
+		}
+		reg := NewFuncRegistry()
+		folded := prog.Fold(func(i int) (types.Constant, bool) {
+			name := prog.Paths[i][0]
+			if (name == "K" && kf) || (name == "L" && lf) {
+				return vars[name], true
+			}
+			return types.Null, false
+		}, func(i int) (Builtin, bool) { return reg.Lookup(prog.Names[i]) })
+		env := newMapEnv(vars)
+		want, werr := prog.Eval(env)
+		got, gerr := folded.Eval(env)
+		if (werr == nil) != (gerr == nil) || got != want {
+			t.Logf("%s with %v (K folded %v, L folded %v): folded %v, %v; original %v, %v\n%s",
+				src, vars, kf, lf, got, gerr, want, werr, folded.Disassemble())
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	// Everything known folds to one constant push.
+	prog, err := CompileString("max(K, 2) * K + 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewFuncRegistry()
+	lit := prog.Fold(func(int) (types.Constant, bool) { return types.Int(3), true },
+		func(i int) (Builtin, bool) { return reg.Lookup(prog.Names[i]) })
+	if len(lit.Code) != 1 || len(lit.Paths) != 0 || len(lit.Names) != 0 || lit.Source != prog.Source {
+		t.Errorf("fully known program folded to:\n%s", lit.Disassemble())
+	}
+	if v, err := lit.Eval(newMapEnv(nil)); err != nil || v != types.Float(10) {
+		t.Errorf("folded literal = %v, %v, want 10", v, err)
 	}
 }

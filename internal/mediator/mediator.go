@@ -858,7 +858,15 @@ func (m *Mediator) FeedbackSummary() (string, error) {
 func (m *Mediator) bind(q *sqlparser.Query) (*optimizer.QueryBlock, error) {
 	down := m.downedSnapshot()
 	rels := make([]optimizer.Rel, 0, len(q.From))
-	for _, tr := range q.From {
+	for i, tr := range q.From {
+		// There are no aliases: attributes and join conjuncts name their
+		// relation by collection, so a collection named twice would bind
+		// each conjunct to its first copy.
+		for _, prev := range q.From[:i] {
+			if strings.EqualFold(prev.Collection, tr.Collection) {
+				return nil, fmt.Errorf("mediator: collection %q appears twice in FROM; a query names each collection once", tr.Collection)
+			}
+		}
 		wrapperName := tr.Wrapper
 		if wrapperName == "" {
 			owners := m.Catalog.FindCollection(tr.Collection)

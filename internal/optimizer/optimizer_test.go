@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"fmt"
 	"testing"
 
 	"disco/internal/algebra"
@@ -17,11 +18,12 @@ import (
 )
 
 type fixture struct {
-	cat    *catalog.Catalog
-	reg    *core.Registry
-	est    *core.Estimator
-	opt    *Optimizer
-	fstore *filestore.Store
+	cat      *catalog.Catalog
+	reg      *core.Registry
+	est      *core.Estimator
+	opt      *Optimizer
+	fstore   *filestore.Store
+	wrappers []wrapper.Wrapper // obj1, rel1, files
 }
 
 func buildFixture(t *testing.T) *fixture { return buildFixtureOf(t, 5000) }
@@ -85,13 +87,48 @@ func buildFixtureOf(t *testing.T, employees int) *fixture {
 		doc.Append(types.Row{types.Int(int64(i)), types.Str("text")})
 	}
 
+	// R0..R7 of the join8 block: two ints each, round-robin over the
+	// three stores, as the benchmark's wide-join federation spreads them.
+	for i, size := range join8Sizes {
+		name := fmt.Sprintf("R%d", i)
+		schema := types.NewSchema(
+			types.Field{Name: fmt.Sprintf("id%d", i), Collection: name, Type: types.KindInt},
+			types.Field{Name: fmt.Sprintf("fk%d", i), Collection: name, Type: types.KindInt},
+		)
+		var insert func(types.Row)
+		switch i % 3 {
+		case 0:
+			coll, err := ostore.CreateCollection(name, schema, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			insert = func(r types.Row) { coll.Insert(r) }
+		case 1:
+			tbl, err := rstore.CreateTable(name, schema, 48)
+			if err != nil {
+				t.Fatal(err)
+			}
+			insert = func(r types.Row) { tbl.Insert(r) }
+		default:
+			file, err := fstore.CreateFile(name, schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			insert = func(r types.Row) { file.Append(r) }
+		}
+		for r := 0; r < size; r++ {
+			insert(types.Row{types.Int(int64(r)), types.Int(int64(r % 50))})
+		}
+	}
+
 	cat := catalog.New()
 	reg := core.MustDefaultRegistry()
-	for _, w := range []wrapper.Wrapper{
+	wrappers := []wrapper.Wrapper{
 		wrapper.NewObjWrapper("obj1", ostore),
 		wrapper.NewRelWrapper("rel1", rstore),
 		wrapper.NewFileWrapper("files", fstore),
-	} {
+	}
+	for _, w := range wrappers {
 		if err := cat.Register(w); err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +143,7 @@ func buildFixtureOf(t *testing.T, employees int) *fixture {
 		}
 	}
 	est := core.NewEstimator(reg, cat, netsim.NewNetwork(netsim.Link{LatencyMS: 10, PerByteMS: 0.0005}, nil))
-	return &fixture{cat: cat, reg: reg, fstore: fstore, est: est, opt: New(cat, est, DefaultOptions())}
+	return &fixture{cat: cat, reg: reg, fstore: fstore, est: est, opt: New(cat, est, DefaultOptions()), wrappers: wrappers}
 }
 
 func TestSingleRelationPushdown(t *testing.T) {
