@@ -61,7 +61,8 @@ ci-race:
 # Allocation gates, skipped under -race: EstimateRoot and its search-table
 # hits allocate nothing, a search on a fresh clone only its candidates, a
 # warm batch ~0, Drain of a sort or aggregate nothing and of a pipelined
-# root one slice, a projection's first slab its batch, a 70-row answer
+# root one slice, grouping, dup-elim and a hash-join build no allocation
+# per key, a projection's first slab its batch, a 70-row answer
 # under 128 KiB, a row frame decodes with one allocation per boxed value
 # and none per row, and a Constant is 32 bytes.
 ci-alloc:

@@ -78,7 +78,9 @@ func execModes(t *testing.T) map[string]vexec.Options {
 
 // Scans hand the pipeline a relational table's own rows, so no operator
 // may write into them: every operator kind, in memory and spilling,
-// leaves the store deep-equal to a snapshot taken first.
+// leaves the store deep-equal to a snapshot taken first. That includes a
+// hash join whose build side is the bare scan of the table with spare
+// capacity, which the in-memory join takes uncopied.
 func TestOperatorsLeaveStoreRowsUntouched(t *testing.T) {
 	cat := makeCatalog(3000, 40, 8) // 3000 appends leave spare capacity
 	store := relstore.Open(relstore.DefaultConfig(), nil)
@@ -104,18 +106,32 @@ func TestOperatorsLeaveStoreRowsUntouched(t *testing.T) {
 		tb, _ := store.Table(n.Collection)
 		return tb.ReadAll(), true, nil
 	}
+	plans := testPlans(t, cat)
+	buildParts := algebra.Join(algebra.Scan("src", "suppliers"), algebra.Scan("src", "parts"),
+		algebra.NewJoinPred(ref("suppliers", "sid"), ref("parts", "supplier")))
+	if err := algebra.Resolve(buildParts, cat); err != nil {
+		t.Fatal(err)
+	}
+	plans["hashJoinBuildParts"] = buildParts
 	for mode, opts := range execModes(t) {
-		for name, plan := range testPlans(t, cat) {
+		for name, plan := range plans {
 			want, err := refeval.Eval(plan, cat.scanLeaf, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := vexec.Run(plan, &vexec.Env{Opts: opts, Leaf: leaf})
+			counts := vexec.Counts{}
+			got, err := vexec.Run(plan, &vexec.Env{Opts: opts, Counts: counts, Leaf: leaf})
 			if err != nil {
 				t.Fatalf("%s %s: %v", mode, name, err)
 			}
 			if len(got) != len(want) {
 				t.Errorf("%s %s: %d rows, reference %d", mode, name, len(got), len(want))
+			}
+			if name == "hashJoinBuildParts" {
+				requireSameBag(t, want, got)
+				if spilled := counts.Stat(plan).Spilled; spilled != (opts.MemBytes > 0) {
+					t.Errorf("%s %s: spilled = %v", mode, name, spilled)
+				}
 			}
 		}
 	}

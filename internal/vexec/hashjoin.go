@@ -6,8 +6,9 @@ import "disco/internal/types"
 // and the left the probe side, so output is left-major like the
 // nested-loop join's. Two modes:
 //
-//   - in-memory: one hash table built in input order, probe batches
-//     streamed through it — fully pipelined on the probe side.
+//   - in-memory: one chained table over the build rows (joinTable), the
+//     build side taken uncopied, probe batches streamed through it —
+//     fully pipelined on the probe side.
 //   - Grace spill (build side exceeds Options.MemBytes): both sides
 //     partition to disk by join-key hash, partitions join independently
 //     (recursing with the next hash window when one is still over
@@ -31,7 +32,7 @@ type hashJoinOp struct {
 	// streaming probe state (in-memory mode)
 	streaming bool
 	transient bool
-	table     map[uint64][]types.Row
+	table     joinTable
 	in        *Batch
 	done      bool
 	arena     arena
@@ -91,13 +92,22 @@ func (o *hashJoinOp) Close() error {
 	return err
 }
 
-// build drains the build (right) side, switching to spill partitioning
-// the moment the tracked bytes exceed the budget, then picks the probe
-// mode.
+// build takes the build (right) side — as drainAll does when there is no
+// budget, else batch by batch, switching to spill partitioning the moment
+// the tracked bytes exceed the budget — then picks the probe mode.
 func (o *hashJoinOp) build() error {
+	budget := o.opts.MemBytes
+	if budget <= 0 {
+		rows, err := drainAll(o.right, o.size)
+		if err != nil {
+			return err
+		}
+		o.table = newJoinTable(rows, o.rpos)
+		o.streaming = true
+		return nil
+	}
 	b := getBatch(o.size)
 	defer putBatch(b)
-	budget := o.opts.MemBytes
 	var buildRows []types.Row
 	var bytes int64
 	var bset *spillSet
@@ -118,28 +128,26 @@ func (o *hashJoinOp) build() error {
 			continue
 		}
 		buildRows = append(buildRows, b.Rows...)
-		if budget > 0 {
-			bytes += types.RowBytes(b.Rows)
-			if bytes > budget {
-				bset, err = newSpillSet(o.opts.SpillDir, 0)
-				if err != nil {
+		bytes += types.RowBytes(b.Rows)
+		if bytes > budget {
+			bset, err = newSpillSet(o.opts.SpillDir, 0)
+			if err != nil {
+				return err
+			}
+			o.spills = append(o.spills, bset)
+			for _, r := range buildRows {
+				if err := bset.add(joinKeyHash(r[o.rpos]), r); err != nil {
 					return err
 				}
-				o.spills = append(o.spills, bset)
-				for _, r := range buildRows {
-					if err := bset.add(joinKeyHash(r[o.rpos]), r); err != nil {
-						return err
-					}
-				}
-				buildRows = nil
 			}
+			buildRows = nil
 		}
 	}
 	if bset != nil {
 		o.stat.Spilled = true
 		return o.spillJoin(bset)
 	}
-	o.table = buildSeqTable(buildRows, o.rpos)
+	o.table = newJoinTable(buildRows, o.rpos)
 	o.streaming = true
 	return nil
 }
@@ -150,15 +158,6 @@ func (o *hashJoinOp) match(l, r types.Row) bool {
 		return l[o.lpos].Equal(r[o.rpos])
 	}
 	return o.pred.eval(l, r)
-}
-
-func buildSeqTable(rows []types.Row, rpos int) map[uint64][]types.Row {
-	t := make(map[uint64][]types.Row, len(rows))
-	for _, r := range rows {
-		h := joinKeyHash(r[rpos])
-		t[h] = append(t[h], r)
-	}
-	return t
 }
 
 // probeStream pipelines probe batches through the in-memory table.
@@ -176,19 +175,22 @@ func (o *hashJoinOp) probeStream(b *Batch) (bool, error) {
 			o.done = true
 			break
 		}
+		t := &o.table
 		if o.equiOnly {
 			for _, l := range o.in.Rows {
 				lk := l[o.lpos]
-				for _, r := range o.table[joinKeyHash(lk)] {
-					if lk.Equal(r[o.rpos]) {
+				h := joinKeyHash(lk)
+				for e := t.first(h); e != 0; e = t.next(e, h) {
+					if r := t.rows[e-1]; lk.Equal(r[o.rpos]) {
 						out = append(out, o.arena.concat(l, r))
 					}
 				}
 			}
 		} else {
 			for _, l := range o.in.Rows {
-				for _, r := range o.table[joinKeyHash(l[o.lpos])] {
-					if o.pred.eval(l, r) {
+				h := joinKeyHash(l[o.lpos])
+				for e := t.first(h); e != 0; e = t.next(e, h) {
+					if r := t.rows[e-1]; o.pred.eval(l, r) {
 						out = append(out, o.arena.concat(l, r))
 					}
 				}
@@ -283,7 +285,7 @@ func (o *hashJoinOp) joinPartition(bset, pset *spillSet, p int) error {
 		}
 		return nil
 	}
-	table := buildSeqTable(build, o.rpos)
+	t := newJoinTable(build, o.rpos)
 	pr, err := pset.parts[p].startRead()
 	if err != nil {
 		return err
@@ -296,8 +298,9 @@ func (o *hashJoinOp) joinPartition(bset, pset *spillSet, p int) error {
 		if !ok {
 			return nil
 		}
-		for _, r := range table[joinKeyHash(l[o.lpos])] {
-			if o.match(l, r) {
+		h := joinKeyHash(l[o.lpos])
+		for e := t.first(h); e != 0; e = t.next(e, h) {
+			if r := t.rows[e-1]; o.match(l, r) {
 				o.out = append(o.out, o.arena.concat(l, r))
 			}
 		}

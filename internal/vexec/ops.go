@@ -1,10 +1,6 @@
 package vexec
 
-import (
-	"slices"
-
-	"disco/internal/types"
-)
+import "disco/internal/types"
 
 // sourceOp streams a materialized row set (a wrapper answer, a cached
 // result, a store scan) in batches. Batches alias the underlying slice
@@ -199,7 +195,7 @@ func (o *nljOp) Next(b *Batch) (bool, error) {
 		o.arena.reset()
 	}
 	if !o.started {
-		rows, err := drainChild(o.right, o.size)
+		rows, err := drainAll(o.right, o.size)
 		if err != nil {
 			return false, err
 		}
@@ -249,19 +245,4 @@ func (o *nljOp) Close() error {
 		err = err2
 	}
 	return err
-}
-
-// drainChild materializes a child pipeline (the breakers' build phase)
-// into one exact-size slice the caller owns and may reorder: a
-// materialized child's slice is cloned once, anything else is collected
-// like Drain's batches. Unlike Drain it does not Open or Close the child
-// — the parent operator owns that lifecycle.
-func drainChild(child Op, batchSize int) ([]types.Row, error) {
-	if m, ok := child.(materialized); ok {
-		rows, ok, err := m.rest()
-		if err != nil || ok {
-			return slices.Clone(rows), err
-		}
-	}
-	return collect(child, batchSize)
 }

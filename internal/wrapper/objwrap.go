@@ -8,6 +8,7 @@ import (
 	"disco/internal/objstore"
 	"disco/internal/stats"
 	"disco/internal/types"
+	"disco/internal/vexec"
 )
 
 // ObjWrapper exposes a simulated object store (internal/objstore) to the
@@ -220,14 +221,7 @@ func (s objSource) indexSelect(collection string, cmp algebra.Comparison) ([]typ
 	if err != nil {
 		return nil, false, nil
 	}
-	var rows []types.Row
-	for {
-		row, ok := it.Next()
-		if !ok {
-			return rows, true, nil
-		}
-		rows = append(rows, row)
-	}
+	return vexec.CollectRows(it.Next), true, nil
 }
 
 func (s objSource) deliver(n int) { s.store.DeliverOutput(n) }

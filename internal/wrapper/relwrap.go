@@ -8,6 +8,7 @@ import (
 	"disco/internal/relstore"
 	"disco/internal/stats"
 	"disco/internal/types"
+	"disco/internal/vexec"
 )
 
 // RelWrapper exposes a relational heap-file store. Its exported cost
@@ -160,14 +161,7 @@ func (s relSource) indexSelect(collection string, cmp algebra.Comparison) ([]typ
 	if err != nil {
 		return nil, false, nil
 	}
-	var rows []types.Row
-	for {
-		row, ok := it.Next()
-		if !ok {
-			return rows, true, nil
-		}
-		rows = append(rows, row)
-	}
+	return vexec.CollectRows(it.Next), true, nil
 }
 
 func (s relSource) deliver(n int) { s.store.DeliverOutput(n) }
