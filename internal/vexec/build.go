@@ -132,7 +132,11 @@ func (e *Env) build(n *algebra.Node) (Op, error) {
 		if err != nil {
 			return nil, err
 		}
-		return e.count(n, &dupElimOp{child: child, size: size}), nil
+		pos := make([]int, n.OutSchema.Len())
+		for i := range pos {
+			pos[i] = i
+		}
+		return e.count(n, &dupElimOp{child: child, pos: pos, size: size}), nil
 
 	case algebra.OpAggregate:
 		child, err := e.build(n.Children[0])
