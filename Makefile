@@ -63,8 +63,10 @@ ci-race:
 # warm batch ~0, Drain of a sort or aggregate nothing and of a pipelined
 # root one slice, grouping, dup-elim and a hash-join build no allocation
 # per key, a projection's first slab its batch, a 70-row answer
-# under 128 KiB, a row frame decodes with one allocation per boxed value
-# and none per row, and a Constant is 32 bytes.
+# under 128 KiB, a row frame encodes and decodes with a constant number
+# of allocations, Server.Handle adds a constant to Mediator.Query, a
+# second answer on one connection allocates nothing for its block, and a
+# Constant is 32 bytes.
 ci-alloc:
 	$(GO) test -run 'Alloc|ConstantSize|Slab|ArenaReserve' -count=1 ./internal/core ./internal/optimizer ./internal/vexec \
 		./internal/serving ./internal/proto ./internal/types

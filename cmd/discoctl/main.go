@@ -259,8 +259,8 @@ func printTable(resp *proto.Response) {
 	cells := make([][]string, len(resp.Rows))
 	for ri, row := range resp.Rows {
 		cells[ri] = make([]string, len(row))
-		for ci, v := range row {
-			s := fmt.Sprint(v)
+		for ci, c := range row {
+			s := fmt.Sprint(proto.EncodeConstant(c))
 			cells[ri][ci] = s
 			if ci < len(widths) && len(s) > widths[ci] {
 				widths[ci] = len(s)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"disco/internal/loadgen"
-	"disco/internal/proto"
 	"disco/internal/resultcache"
 	"disco/internal/serving"
 )
@@ -129,11 +128,7 @@ func TestSoak(t *testing.T) {
 			if err != nil {
 				t.Fatalf("oracle: %s: %v", s.SQL, err)
 			}
-			rows := make([][]any, len(res.Rows))
-			for i, row := range res.Rows {
-				rows[i] = proto.EncodeRow(row)
-			}
-			want = loadgen.HashRows(rows)
+			want = loadgen.HashRows(res.Rows)
 			digests[s.SQL] = want
 		}
 		if s.Hash != want {
@@ -235,11 +230,7 @@ func TestSoakExecSpill(t *testing.T) {
 			if err != nil {
 				t.Fatalf("oracle: %s: %v", s.SQL, err)
 			}
-			rows := make([][]any, len(res.Rows))
-			for i, row := range res.Rows {
-				rows[i] = proto.EncodeRow(row)
-			}
-			want = loadgen.HashRows(rows)
+			want = loadgen.HashRows(res.Rows)
 			digests[s.SQL] = want
 		}
 		if s.Hash != want {
@@ -353,11 +344,7 @@ func TestSoakResultCache(t *testing.T) {
 			if err != nil {
 				t.Fatalf("oracle: %s: %v", s.SQL, err)
 			}
-			rows := make([][]any, len(res.Rows))
-			for i, row := range res.Rows {
-				rows[i] = proto.EncodeRow(row)
-			}
-			want = loadgen.HashRows(rows)
+			want = loadgen.HashRows(res.Rows)
 			digests[s.SQL] = want
 		}
 		if s.Hash != want {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"disco/internal/proto"
+	"disco/internal/types"
 )
 
 // DriveOptions configure one run of a schedule against live servers.
@@ -359,23 +360,38 @@ func ScrapeStats(addr string, timeout time.Duration) (json.RawMessage, error) {
 // with commutative sum and xor lanes plus the count. Two executions of
 // the same statement — possibly under different plans, which may emit
 // rows in different orders — produce equal digests iff they returned the
-// same multiset of rows (up to hash collisions).
-func HashRows(rows [][]any) uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211 // FNV-1a
+// same multiset of rows (up to hash collisions). Rows may be boxed Go
+// values or typed constants; a constant hashes as its boxed value does.
+func HashRows[R []any | types.Row](rows []R) uint64 {
 	var sum, xor uint64
 	buf := make([]byte, 0, 64)
 	for _, row := range rows {
 		rh := uint64(offset64)
-		for _, v := range row {
-			buf = append(canonValue(buf[:0], v), 0)
-			for _, c := range buf {
-				rh = (rh ^ uint64(c)) * prime64
+		switch row := any(row).(type) {
+		case []any:
+			for _, v := range row {
+				buf = append(canonValue(buf[:0], v), 0)
+				rh = fnv1a(rh, buf)
+			}
+		case types.Row:
+			for _, c := range row {
+				buf = append(canonConstant(buf[:0], c), 0)
+				rh = fnv1a(rh, buf)
 			}
 		}
 		sum += rh
 		xor ^= rh
 	}
 	return sum ^ (xor * 0x9e3779b97f4a7c15) ^ uint64(len(rows))
+}
+
+const offset64, prime64 = 14695981039346656037, 1099511628211 // FNV-1a
+
+func fnv1a(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h = (h ^ uint64(c)) * prime64
+	}
+	return h
 }
 
 // canonValue renders one result value canonically: a float that holds
@@ -386,10 +402,7 @@ func canonValue(buf []byte, v any) []byte {
 	case nil:
 		return append(buf, "∅"...)
 	case bool:
-		if x {
-			return append(buf, 't')
-		}
-		return append(buf, 'f')
+		return canonBool(buf, x)
 	case string:
 		return append(append(buf, 's'), x...)
 	case int64:
@@ -397,11 +410,38 @@ func canonValue(buf []byte, v any) []byte {
 	case int:
 		return strconv.AppendInt(append(buf, 'i'), int64(x), 10)
 	case float64:
-		if x == float64(int64(x)) {
-			return strconv.AppendInt(append(buf, 'i'), int64(x), 10)
-		}
-		return strconv.AppendFloat(append(buf, 'g'), x, 'g', -1, 64)
+		return canonFloat(buf, x)
 	default:
 		return fmt.Appendf(buf, "v%v", v)
 	}
+}
+
+// canonConstant renders a constant as canonValue renders its boxed value.
+func canonConstant(buf []byte, c types.Constant) []byte {
+	switch c.Kind() {
+	case types.KindBool:
+		return canonBool(buf, c.AsBool())
+	case types.KindString:
+		return append(append(buf, 's'), c.AsString()...)
+	case types.KindInt:
+		return strconv.AppendInt(append(buf, 'i'), c.AsInt(), 10)
+	case types.KindFloat:
+		return canonFloat(buf, c.AsFloat())
+	default:
+		return append(buf, "∅"...)
+	}
+}
+
+func canonBool(buf []byte, b bool) []byte {
+	if b {
+		return append(buf, 't')
+	}
+	return append(buf, 'f')
+}
+
+func canonFloat(buf []byte, x float64) []byte {
+	if x == float64(int64(x)) {
+		return strconv.AppendInt(append(buf, 'i'), int64(x), 10)
+	}
+	return strconv.AppendFloat(append(buf, 'g'), x, 'g', -1, 64)
 }

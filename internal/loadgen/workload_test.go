@@ -6,6 +6,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"disco/internal/proto"
+	"disco/internal/types"
 )
 
 func testConfig(seed int64) Config {
@@ -259,7 +262,7 @@ func TestHashRowsGolden(t *testing.T) {
 	if got := HashRows(rows); got != all {
 		t.Errorf("all rows, permuted: digest %#x, want %#x", got, uint64(all))
 	}
-	if got := HashRows(nil); got != 0 {
+	if got := HashRows([][]any(nil)); got != 0 {
 		t.Errorf("no rows: digest %#x, want 0", got)
 	}
 	if got := HashRows([][]any{{int32(5), uint8(7)}}); got != 0xc3abebb4654f9575 {
@@ -267,6 +270,45 @@ func TestHashRowsGolden(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, func() { HashRows(rows[:6]) }); n > 1 {
 		t.Errorf("HashRows made %.0f allocations over strings, ints and floats, want at most 1", n)
+	}
+}
+
+// TestHashRowsTypedAsBoxed: typed rows digest exactly as their boxed
+// values do, so the wire side, which hashes typed rows, and an oracle
+// that boxes its rows agree. Hashing typed rows boxes nothing.
+func TestHashRowsTypedAsBoxed(t *testing.T) {
+	values := types.Row{
+		types.Int(math.MaxInt64), types.Int(math.MinInt64), types.Int(1<<53 + 1), types.Int(0),
+		types.Float(2), types.Float(math.Copysign(0, -1)), types.Float(2.5), types.Float(1e300),
+		types.Float(math.NaN()), types.Float(math.Inf(1)), types.Float(math.Inf(-1)),
+		types.Float(-9.223372036854775808e18), types.Str(""), types.Str("a\nb\x00c"), types.Null,
+		types.Bool(true), types.Bool(false),
+	}
+	typed := []types.Row{values}
+	for _, v := range values {
+		typed = append(typed, types.Row{v})
+	}
+	boxed := make([][]any, len(typed))
+	for i, row := range typed {
+		boxed[i] = proto.EncodeRow(row)
+	}
+	for i := range typed {
+		if got, want := HashRows(typed[i:i+1]), HashRows(boxed[i:i+1]); got != want {
+			t.Errorf("row %v: typed digest %#x, boxed %#x", typed[i], got, want)
+		}
+	}
+	if HashRows(typed) != HashRows(boxed) {
+		t.Error("typed and boxed result sets digest differently")
+	}
+	if HashRows([]types.Row{{types.Float(7)}}) != HashRows([]types.Row{{types.Int(7)}}) {
+		t.Error("Float(7) and Int(7) must hash identically")
+	}
+	typedAllocs := testing.AllocsPerRun(10, func() { HashRows(typed) })
+	boxedAllocs := testing.AllocsPerRun(10, func() { HashRows(boxed) })
+	t.Logf("allocations: typed %.0f, boxed %.0f", typedAllocs, boxedAllocs)
+	if typedAllocs > 1 || boxedAllocs > 1 {
+		t.Errorf("HashRows made %.0f allocations over typed rows and %.0f over boxed rows, want at most 1",
+			typedAllocs, boxedAllocs)
 	}
 }
 

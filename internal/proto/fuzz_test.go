@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"disco/internal/types"
 )
 
 // FuzzFrameDecode drives the frame reader with arbitrary byte streams:
@@ -20,39 +22,77 @@ func FuzzFrameDecode(f *testing.F) {
 		f.Add(data)
 	}
 	seed(&WrapperRequest{Op: "meta"})
-	seed(&WrapperResponse{OK: true, Rows: [][]any{{int64(1), "x", 2.5, nil, true}}, VirtualMS: 3.25})
+	seed(&WrapperResponse{OK: true, Rows: []types.Row{{types.Int(1), types.Str("x"), types.Float(2.5), types.Null, types.Bool(true)}},
+		VirtualMS: 3.25})
 	seed(&WrapperResponse{Error: "boom", Retryable: true})
 	seed(&Request{Op: "query", SQL: "select * from Employee"})
 	f.Add([]byte("{\"op\":\n\n{bad json}\n"))
 	f.Add([]byte(strings.Repeat("a", 4096)))
 	f.Add([]byte{0, '\n', 0xff, 0xfe, '\n'})
-	seed(&Response{OK: true, Columns: []string{"a", "b"}, Rows: [][]any{{int64(5), "x\ny"}, {nil, false}}})
+	seed(&Response{OK: true, Columns: []string{"a", "b"},
+		Rows: []types.Row{{types.Int(5), types.Str("x\ny")}, {types.Null, types.Bool(false)}}})
 	f.Add([]byte("{\"ok\":true,\"rowBytes\":1000000}\nzz"))       // rowBytes larger than the stream
 	f.Add(framed(block(1<<40, 1, 'z')))                           // row count larger than the block
 	f.Add(framed(block(1, 1, 'i', 0x80)))                         // truncated varint
 	f.Add(append(framed(block(1, 1, 't')), "{\"ok\":true}\n"...)) // a frame behind a block
+	f.Add(block(2, 2, 'i', 0x0e, 'z', 's', 1, 'x', 'f'))          // a bare block
+	f.Add(framed(block(1, 1, 'i', 0x82, 0x00)))                   // an overlong varint
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, read := range []func(r *Reader) error{
-			func(r *Reader) error { _, err := r.ReadWrapperRequest(); return err },
-			func(r *Reader) error { _, err := r.ReadWrapperResponse(); return err },
-			func(r *Reader) error { _, err := r.ReadRequest(); return err },
-			func(r *Reader) error { _, err := r.ReadResponse(); return err },
+		if rows, err := decodeBlock(data); err == nil {
+			requireReencodes(t, data, rows)
+		}
+		for _, read := range []func(r *Reader) ([]types.Row, error){
+			func(r *Reader) ([]types.Row, error) { _, err := r.ReadWrapperRequest(); return nil, err },
+			func(r *Reader) ([]types.Row, error) {
+				resp, err := r.ReadWrapperResponse()
+				if err != nil {
+					return nil, err
+				}
+				return resp.Rows, nil
+			},
+			func(r *Reader) ([]types.Row, error) { _, err := r.ReadRequest(); return nil, err },
+			func(r *Reader) ([]types.Row, error) {
+				resp, err := r.ReadResponse()
+				if err != nil {
+					return nil, err
+				}
+				return resp.Rows, nil
+			},
 		} {
 			r := NewReader(bytes.NewReader(data))
 			for i := 0; i < 64; i++ { // bounded: a frame per line at most
-				if read(r) != nil {
+				rows, err := read(r)
+				if err != nil {
 					break
+				}
+				if len(rows) > 0 {
+					requireReencodes(t, r.block.Bytes(), rows)
 				}
 			}
 		}
 	})
 }
 
+// requireReencodes: the rows a block decoded to encode to that block
+// again, byte for byte. The decoder accepts only what the encoder
+// writes, so a value has one encoding and a digest of the bytes is a
+// digest of the values.
+func requireReencodes(t *testing.T, block []byte, rows []types.Row) {
+	t.Helper()
+	again, err := appendBlock(nil, rows)
+	if err != nil {
+		t.Fatalf("decoded rows do not encode: %v", err)
+	}
+	if !bytes.Equal(again, block) {
+		t.Fatalf("block %x decoded to %v, which encodes to %x", block, rows, again)
+	}
+}
+
 func TestWriteTruncatedNeverWhole(t *testing.T) {
-	rows := make([][]any, 40)
+	rows := make([]types.Row, 40)
 	for i := range rows {
-		rows[i] = []any{int64(i), "padding"}
+		rows[i] = types.Row{types.Int(int64(i)), types.Str("padding")}
 	}
 	for name, resp := range map[string]*WrapperResponse{
 		"no rows": {OK: true, Bytes: 123, VirtualMS: 4.5},

@@ -8,7 +8,9 @@
 // JSON header line, whose rowBytes field counts the bytes that follow,
 // and then that many bytes of row block: uvarint row count, uvarint
 // column count (at least one), then the values row by row in the types
-// value codec. encoding/json never sees a row.
+// value codec. encoding/json never sees a row, and rows cross the wire
+// typed: a response carries []types.Row, encoding appends each constant
+// to the block, and decoding fills one slab of constants per answer.
 package proto
 
 import (
@@ -18,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"disco/internal/types"
 )
@@ -45,9 +48,9 @@ type Response struct {
 	// run and a retry after backoff is appropriate.
 	Overloaded bool `json:"overloaded,omitempty"`
 	// Query results.
-	Columns   []string `json:"columns,omitempty"`
-	Rows      [][]any  `json:"-"` // travels as the frame's row block
-	ElapsedMS float64  `json:"elapsedMs,omitempty"`
+	Columns   []string    `json:"columns,omitempty"`
+	Rows      []types.Row `json:"-"` // travels as the frame's row block
+	ElapsedMS float64     `json:"elapsedMs,omitempty"`
 	// Partial marks an answer missing the contribution of unavailable
 	// wrappers, listed in Excluded. A federation router reuses the pair
 	// for scatter-gather degradation: a shard that failed on every
@@ -78,34 +81,11 @@ type ShardServed struct {
 	Rows      int     `json:"rows,omitempty"`
 }
 
-// EncodeRow boxes a result row into the values a Response carries.
-func EncodeRow(row types.Row) []any { return EncodeRows([]types.Row{row})[0] }
-
-// EncodeRows is EncodeRow over a result set, on one backing array.
-func EncodeRows(rows []types.Row) [][]any {
-	n := 0
-	for _, row := range rows {
-		n += len(row)
-	}
-	flat := make([]any, n)
-	out := make([][]any, len(rows))
-	for i, row := range rows {
-		out[i], flat = flat[:len(row):len(row)], flat[len(row):]
-		for j, c := range row {
-			out[i][j] = EncodeConstant(c)
-		}
-	}
-	return out
-}
-
-// DecodeRows turns the rows of a response back into constants.
-func DecodeRows(enc [][]any) []types.Row {
-	out := make([]types.Row, len(enc))
-	for i, row := range enc {
-		out[i] = make(types.Row, len(row))
-		for j, v := range row {
-			out[i][j] = DecodeConstant(v)
-		}
+// EncodeRow boxes a result row into the Go values of its kinds.
+func EncodeRow(row types.Row) []any {
+	out := make([]any, len(row))
+	for i, c := range row {
+		out[i] = EncodeConstant(c)
 	}
 	return out
 }
@@ -149,7 +129,11 @@ func DecodeConstant(v any) types.Constant {
 }
 
 // maxFrame bounds one frame, header line plus row block, where it is
-// built and where it is read. A variable so tests can lower it.
+// built and where it is read. A variable so tests can lower it. A value
+// is at least one byte on the wire and 32 bytes decoded (a
+// types.Constant), and a row adds a 24-byte slice header: a full block
+// of 1-byte values (nulls, bools) decodes to 512 MiB of values, and to
+// 896 MiB when each row is one column.
 var maxFrame = 16 << 20
 
 // responseHeader and wrapperResponseHeader are the JSON line of a response
@@ -164,79 +148,90 @@ type wrapperResponseHeader struct {
 	RowBytes int `json:"rowBytes,omitempty"`
 }
 
-// EncodeFrame renders one message (passed by pointer) as its wire frame:
-// the JSON line and, for a response with rows, the row block. A frame
-// over the limit, and rows of unequal or no width, are errors.
-func EncodeFrame(v any) ([]byte, error) {
-	var block []byte
+// AppendFrame appends the wire frame of one message (passed by pointer)
+// in two parts: the JSON line, newline included, to line and, for a
+// response with rows, the row block to block. A connection keeps both
+// buffers from frame to frame and sends the two parts in one write. A
+// frame over the limit, and rows of unequal or no width, are errors;
+// line and block then come back as they were passed in.
+func AppendFrame(line, block []byte, v any) ([]byte, []byte, error) {
+	start := len(block)
 	var err error
 	switch m := v.(type) {
 	case *Response:
 		if len(m.Rows) > 0 {
-			block, err = encodeBlock(m.Rows)
-			v = responseHeader{m, len(block)}
+			block, err = appendBlock(block, m.Rows)
+			v = responseHeader{m, len(block) - start}
 		}
 	case *WrapperResponse:
 		if len(m.Rows) > 0 {
-			block, err = encodeBlock(m.Rows)
-			v = wrapperResponseHeader{m, len(block)}
+			block, err = appendBlock(block, m.Rows)
+			v = wrapperResponseHeader{m, len(block) - start}
 		}
 	}
 	if err != nil {
-		return nil, err
+		return line, block[:start], err
 	}
-	line, err := json.Marshal(v)
+	head, err := json.Marshal(v)
+	if err != nil {
+		return line, block[:start], err
+	}
+	if n := len(head) + 1 + len(block) - start; n > maxFrame {
+		return line, block[:start], fmt.Errorf("proto: a %d-byte frame exceeds the %d-byte limit", n, maxFrame)
+	}
+	return append(append(line, head...), '\n'), block, nil
+}
+
+// EncodeFrame renders one message (passed by pointer) as its wire frame
+// in one buffer: AppendFrame's two parts back to back.
+func EncodeFrame(v any) ([]byte, error) {
+	line, block, err := AppendFrame(nil, nil, v)
 	if err != nil {
 		return nil, err
 	}
-	if n := len(line) + 1 + len(block); n > maxFrame {
-		return nil, fmt.Errorf("proto: a %d-byte frame exceeds the %d-byte limit", n, maxFrame)
-	}
-	return append(append(line, '\n'), block...), nil
+	return append(line, block...), nil
 }
 
-func encodeBlock(rows [][]any) ([]byte, error) {
+// appendBlock appends the row block of rows to buf. The rows are only
+// read: an answer may be a result-cache entry other requests share.
+func appendBlock(buf []byte, rows []types.Row) ([]byte, error) {
 	cols := len(rows[0])
-	buf := make([]byte, 0, 2*binary.MaxVarintLen64+4*len(rows)*cols)
+	buf = slices.Grow(buf, 2*binary.MaxVarintLen64+4*len(rows)*cols)
 	buf = binary.AppendUvarint(buf, uint64(len(rows)))
 	buf = binary.AppendUvarint(buf, uint64(cols))
 	for _, row := range rows {
 		if len(row) != cols || cols == 0 {
-			return nil, fmt.Errorf("proto: a row of %d values in a result of %d columns", len(row), cols)
+			return buf, fmt.Errorf("proto: a row of %d values in a result of %d columns", len(row), cols)
 		}
-		for _, v := range row {
-			buf = types.AppendValue(buf, DecodeConstant(v))
-		}
+		buf = types.AppendValues(buf, row)
 	}
 	return buf, nil
 }
 
-// decodeBlock rebuilds the rows of a block over one backing array. The
-// counts are outside input: a value is at least a byte, so counts the
-// block cannot hold are refused before anything is allocated for them.
-func decodeBlock(b []byte) ([][]any, error) {
+// decodeBlock rebuilds the rows of a block on one slab of constants, so
+// only a string value allocates on its own. The counts are outside input:
+// a value is at least a byte, so counts the block cannot hold are refused
+// before anything is allocated for them.
+func decodeBlock(b []byte) ([]types.Row, error) {
 	rows, n := binary.Uvarint(b)
 	cols, m := binary.Uvarint(b[max(n, 0):])
-	if n <= 0 || m <= 0 {
-		return nil, fmt.Errorf("proto: row block: truncated counts")
+	if !types.MinimalVarint(b, n) || !types.MinimalVarint(b[n:], m) {
+		return nil, fmt.Errorf("proto: row block: truncated or overlong counts")
 	}
 	if b = b[n+m:]; cols == 0 || cols > uint64(len(b)) || rows > uint64(len(b))/cols {
 		return nil, fmt.Errorf("proto: row block: %d rows of %d columns claimed in %d bytes", rows, cols, len(b))
 	}
-	flat := make([]any, rows*cols)
-	out := make([][]any, rows)
-	for i := range out {
-		out[i], flat = flat[:cols:cols], flat[cols:]
-		for j := range out[i] {
-			c, n, err := types.DecodeValue(b)
-			if err != nil {
-				return nil, fmt.Errorf("proto: row block: %w", err)
-			}
-			out[i][j], b = EncodeConstant(c), b[n:]
-		}
+	slab := make([]types.Constant, rows*cols)
+	b, err := types.DecodeValues(slab, b)
+	if err != nil {
+		return nil, fmt.Errorf("proto: row block: %w", err)
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("proto: row block: %d bytes left over", len(b))
+	}
+	out := make([]types.Row, rows)
+	for i := range out {
+		out[i], slab = slab[:cols:cols], slab[cols:]
 	}
 	return out, nil
 }
@@ -333,7 +328,7 @@ func (r *Reader) read(v any) error {
 // readWithRows reads a response: its header line into h, then the block
 // of *n bytes that the header announced into *rows. *n is outside input:
 // the block buffer grows as bytes arrive, never ahead of them.
-func (r *Reader) readWithRows(h any, n *int, rows *[][]any) error {
+func (r *Reader) readWithRows(h any, n *int, rows *[]types.Row) error {
 	if err := r.read(h); err != nil || *n == 0 {
 		return err
 	}

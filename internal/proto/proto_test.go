@@ -40,7 +40,7 @@ func TestResponseRoundTrip(t *testing.T) {
 	resp := &Response{
 		OK:        true,
 		Columns:   []string{"a", "b"},
-		Rows:      [][]any{EncodeRow(types.Row{types.Int(1), types.Str("x")})},
+		Rows:      []types.Row{{types.Int(1), types.Str("x")}},
 		ElapsedMS: 12.5,
 	}
 	if err := Write(&buf, resp); err != nil {
@@ -53,10 +53,10 @@ func TestResponseRoundTrip(t *testing.T) {
 	if !got.OK || len(got.Rows) != 1 || got.ElapsedMS != 12.5 {
 		t.Errorf("got %+v", got)
 	}
-	if DecodeConstant(got.Rows[0][0]).AsInt() != 1 {
+	if got.Rows[0][0].AsInt() != 1 {
 		t.Errorf("int round-trip = %v", got.Rows[0][0])
 	}
-	if DecodeConstant(got.Rows[0][1]).AsString() != "x" {
+	if got.Rows[0][1].AsString() != "x" {
 		t.Errorf("string round-trip = %v", got.Rows[0][1])
 	}
 }

@@ -115,8 +115,8 @@ type WrapperResponse struct {
 	// Meta answers "meta".
 	Meta *WrapperMeta `json:"meta,omitempty"`
 	// Execute results.
-	Rows  [][]any `json:"-"` // travels as the frame's row block
-	Bytes int64   `json:"bytes,omitempty"`
+	Rows  []types.Row `json:"-"` // travels as the frame's row block
+	Bytes int64       `json:"bytes,omitempty"`
 	// VirtualMS is the wrapper-side virtual time the subquery consumed;
 	// the mediator advances its clock by it.
 	VirtualMS float64 `json:"virtualMs,omitempty"`

@@ -1,8 +1,14 @@
 package serving
 
 import (
+	"bytes"
+	"io"
+	"net"
 	"runtime"
 	"testing"
+
+	"disco/internal/proto"
+	"disco/internal/types"
 )
 
 // TestQueryAllocBytesCeiling bounds what one small answer costs in heap:
@@ -44,3 +50,96 @@ func TestQueryAllocBytesCeiling(t *testing.T) {
 		t.Errorf("%d bytes allocated per 70-row query, want at most %d", perQuery, 128<<10)
 	}
 }
+
+// TestHandleAllocConstant: Server.Handle hands the mediator's rows to
+// the response as they are. On a 1000-row answer it allocates a
+// constant number of times beyond Mediator.Query (the response and its
+// column names); boxing the values cost two allocations per row.
+func TestHandleAllocConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	fed, err := NewDemoFederation(Options{Parts: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(fed, 0)
+	const sql = `SELECT x, y FROM AtomicParts WHERE AtomicParts.id < 1000`
+	req := &proto.Request{Op: "query", SQL: sql}
+	for i := 0; i < 10; i++ { // fill the plan cache, the history entry and the batch pool
+		if resp := srv.Handle(req); !resp.OK || len(resp.Rows) != 1000 {
+			t.Fatalf("answer: ok=%t error=%q, %d rows, want 1000", resp.OK, resp.Error, len(resp.Rows))
+		}
+	}
+	query := testing.AllocsPerRun(50, func() {
+		if _, err := fed.Med.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+	})
+	handle := testing.AllocsPerRun(50, func() { srv.Handle(req) })
+	t.Logf("allocations: Mediator.Query %.0f, Server.Handle %.0f", query, handle)
+	if handle > query+8 {
+		t.Errorf("Server.Handle made %.0f allocations on a 1000-row answer, Mediator.Query %.0f; want at most 8 more",
+			handle, query)
+	}
+}
+
+// TestConnBlockAllocFree: a connection keeps its frame buffers, so a
+// second 10 000-row answer on the same ServeConn allocates nothing for
+// its block; what it allocates is the request and the header line.
+func TestConnBlockAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are not meaningful under the race detector")
+	}
+	rows := make([]types.Row, 10000)
+	for i := range rows {
+		rows[i] = types.Row{types.Int(int64(i)), types.Int(int64(i) * 7919)}
+	}
+	answer := &proto.Response{OK: true, Columns: []string{"a", "b"}, Rows: rows}
+	frame, err := proto.EncodeFrame(answer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	request, err := proto.EncodeFrame(&proto.Request{Op: "query"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, server := net.Pipe()
+	defer client.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer server.Close()
+		NewConnServer(fixedHandler{answer}, 0, nil).ServeConn(server)
+	}()
+	got := make([]byte, len(frame))
+	exchange := func() {
+		if _, err := client.Write(request); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(client, got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exchange()
+	if !bytes.Equal(got, frame) {
+		t.Fatal("the connection wrote a frame other than EncodeFrame's")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	exchange()
+	runtime.ReadMemStats(&after)
+	client.Close()
+	<-done
+	block := len(frame) - bytes.IndexByte(frame, '\n') - 1
+	perAnswer := after.TotalAlloc - before.TotalAlloc
+	t.Logf("second answer: %d bytes allocated for a %d-byte block", perAnswer, block)
+	if perAnswer > 4<<10 {
+		t.Errorf("a second %d-byte block on one connection allocated %d bytes, want under 4 KiB", block, perAnswer)
+	}
+}
+
+// fixedHandler answers every request with one response.
+type fixedHandler struct{ resp *proto.Response }
+
+func (h fixedHandler) Handle(*proto.Request) *proto.Response { return h.resp }

@@ -156,12 +156,25 @@ func (s *ConnServer) Shutdown(drain time.Duration) error {
 	return nil
 }
 
+// keepBlock bounds the row-block buffer a connection keeps between
+// responses: one that grew past it for a large answer is dropped, so an
+// idle connection does not pin the largest answer it ever sent.
+const keepBlock = 1 << 20
+
 // ServeConn runs the protocol loop for one connection until the peer
 // hangs up, a protocol-level I/O error occurs, or the idle deadline
 // fires. It does not close or track the connection; Serve does both,
-// and tests may drive it directly.
+// and tests may drive it directly. Each response leaves as its header
+// line and its row block in one vectored write, from two buffers the
+// connection reuses.
 func (s *ConnServer) ServeConn(conn net.Conn) {
 	r := proto.NewReader(conn)
+	var line, block []byte
+	// A write consumes bufs, so each response refills it from vec; both
+	// live across responses and cost nothing per write. An empty block
+	// stays out: a zero-length write still waits for a net.Pipe reader.
+	var vec [2][]byte
+	var bufs net.Buffers
 	for {
 		// The read deadline covers the idle wait for the next request; a
 		// half-open connection (peer gone without FIN) times out here
@@ -177,15 +190,21 @@ func (s *ConnServer) ServeConn(conn net.Conn) {
 		if s.IdleTimeout > 0 {
 			_ = conn.SetWriteDeadline(time.Now().Add(s.IdleTimeout))
 		}
-		frame, err := proto.EncodeFrame(resp)
+		line, block, err = proto.AppendFrame(line[:0], block[:0], resp)
 		if err != nil {
 			// Over the frame limit: say so and keep the connection.
-			if frame, err = proto.EncodeFrame(&proto.Response{Error: err.Error()}); err != nil {
+			if line, block, err = proto.AppendFrame(line[:0], block[:0], &proto.Response{Error: err.Error()}); err != nil {
 				return
 			}
 		}
-		if _, err := conn.Write(frame); err != nil {
+		if bufs = append(vec[:0], line); len(block) > 0 {
+			bufs = append(bufs, block)
+		}
+		if _, err := bufs.WriteTo(conn); err != nil {
 			return
+		}
+		if cap(block) > keepBlock {
+			block = nil
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"disco/internal/proto"
+	"disco/internal/types"
 )
 
 // hugeHandler answers "query" with one value too large for any frame.
@@ -14,7 +15,7 @@ type hugeHandler struct{}
 func (hugeHandler) Handle(req *proto.Request) *proto.Response {
 	if req.Op == "query" {
 		return &proto.Response{OK: true, Columns: []string{"c"},
-			Rows: [][]any{{strings.Repeat("x", 17<<20)}}}
+			Rows: []types.Row{{types.Str(strings.Repeat("x", 17<<20))}}}
 	}
 	return &proto.Response{OK: true, Text: "pong"}
 }

@@ -77,7 +77,9 @@ func (s *Server) Handle(req *proto.Request) *proto.Response {
 		for i := 0; i < res.Schema.Len(); i++ {
 			resp.Columns = append(resp.Columns, res.Schema.Field(i).QualifiedName())
 		}
-		resp.Rows = proto.EncodeRows(res.Rows)
+		// The rows go out as they are; from here on they are only read,
+		// since a result-cache entry is shared between requests.
+		resp.Rows = res.Rows
 		return resp
 
 	case "explain":

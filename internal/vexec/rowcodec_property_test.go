@@ -54,7 +54,7 @@ func requireSameRows(t *testing.T, carrier string, want, got []types.Row) {
 func requireRoundTrip(t *testing.T, rows []types.Row) {
 	t.Helper()
 	requireSpillRoundTrip(t, rows)
-	frame, err := proto.EncodeFrame(&proto.Response{OK: true, Rows: proto.EncodeRows(rows)})
+	frame, err := proto.EncodeFrame(&proto.Response{OK: true, Rows: rows})
 	if len(rows) > 0 && len(rows[0]) == 0 {
 		if err == nil {
 			t.Fatalf("%d rows of no columns were framed", len(rows))
@@ -68,9 +68,9 @@ func requireRoundTrip(t *testing.T, rows []types.Row) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameRows(t, "Response frame", rows, proto.DecodeRows(resp.Rows))
+	requireSameRows(t, "Response frame", rows, resp.Rows)
 
-	frame, err = proto.EncodeFrame(&proto.WrapperResponse{OK: true, Rows: proto.EncodeRows(rows)})
+	frame, err = proto.EncodeFrame(&proto.WrapperResponse{OK: true, Rows: rows})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func requireRoundTrip(t *testing.T, rows []types.Row) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameRows(t, "WrapperResponse frame", rows, proto.DecodeRows(wresp.Rows))
+	requireSameRows(t, "WrapperResponse frame", rows, wresp.Rows)
 }
 
 func requireSpillRoundTrip(t *testing.T, rows []types.Row) {

@@ -74,10 +74,7 @@ func (s *spillFile) write(r types.Row) error {
 			return fmt.Errorf("vexec: spill write: %w", err)
 		}
 	}
-	s.buf = s.buf[:0]
-	for _, c := range r {
-		s.buf = types.AppendValue(s.buf, c)
-	}
+	s.buf = types.AppendValues(s.buf[:0], r)
 	s.head = binary.AppendUvarint(binary.AppendUvarint(s.head[:0], uint64(len(r))), uint64(len(s.buf)))
 	_, err := s.w.Write(s.head)
 	if err == nil {
@@ -138,14 +135,10 @@ func (sr *spillReader) next() (types.Row, bool, error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("vexec: spill read: %w", err)
 	}
-	rest := sr.buf
 	row := sr.arena.alloc(int(cols))
-	for i := range row {
-		var n int
-		if row[i], n, err = types.DecodeValue(rest); err != nil {
-			return nil, false, fmt.Errorf("vexec: spill read: %w", err)
-		}
-		rest = rest[n:]
+	rest, err := types.DecodeValues(row, sr.buf)
+	if err != nil {
+		return nil, false, fmt.Errorf("vexec: spill read: %w", err)
 	}
 	if len(rest) != 0 {
 		return nil, false, fmt.Errorf("vexec: spill read: %d bytes left over after a row", len(rest))

@@ -44,17 +44,14 @@ func (c spillTables) scanLeaf(n *algebra.Node) ([]types.Row, bool, error) {
 // Spill correctness property tests: the spilled execution of a breaker
 // must produce the exact multiset of rows the in-memory execution does —
 // same values to the float bit, any order. Multisets are compared by
-// sorting per-row FNV digests (types.AppendValue is canonical and
+// sorting per-row FNV digests (types.AppendValues is canonical and
 // bit-exact, so equal digests mean equal rows).
 
 func rowDigests(rows []types.Row) []uint64 {
 	ds := make([]uint64, len(rows))
 	var buf []byte
 	for i, r := range rows {
-		buf = buf[:0]
-		for _, c := range r {
-			buf = types.AppendValue(buf, c)
-		}
+		buf = types.AppendValues(buf[:0], r)
 		h := fnv.New64a()
 		h.Write(buf)
 		ds[i] = h.Sum64()

@@ -86,11 +86,7 @@ func keyPlans(t *testing.T, cat spillTables) map[string]*algebra.Node {
 
 // rowBytes renders a row bit-exactly (kind tags, float bits, strings).
 func rowBytes(r types.Row) []byte {
-	var b []byte
-	for _, c := range r {
-		b = types.AppendValue(b, c)
-	}
-	return b
+	return types.AppendValues(nil, r)
 }
 
 func requireSameRowsInOrder(t *testing.T, want, got []types.Row) {

@@ -326,7 +326,7 @@ func (w *RemoteWrapper) Execute(plan *algebra.Node) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Rows: proto.DecodeRows(resp.Rows), Schema: plan.OutSchema, Bytes: resp.Bytes}, nil
+	return &Result{Rows: resp.Rows, Schema: plan.OutSchema, Bytes: resp.Bytes}, nil
 }
 
 // Serve answers the wrapper wire protocol for one local wrapper,
@@ -465,7 +465,7 @@ func handleWrapperRequest(req *proto.WrapperRequest, w Wrapper, clockMu *sync.Mu
 		if err != nil {
 			return &proto.WrapperResponse{Error: err.Error()}
 		}
-		return &proto.WrapperResponse{OK: true, Rows: proto.EncodeRows(res.Rows), Bytes: res.Bytes, VirtualMS: elapsed}
+		return &proto.WrapperResponse{OK: true, Rows: res.Rows, Bytes: res.Bytes, VirtualMS: elapsed}
 
 	default:
 		return &proto.WrapperResponse{Error: fmt.Sprintf("unknown op %q", req.Op)}
