@@ -57,7 +57,7 @@ ci-lint:
 ci-race:
 	$(GO) test -race ./internal/core ./internal/history ./internal/optimizer ./internal/mediator \
 		./internal/wrapper ./internal/netsim ./internal/engine ./internal/vexec ./internal/serving ./bench \
-		./internal/relstore ./internal/filestore ./internal/objstore ./internal/types
+		./internal/relstore ./internal/filestore ./internal/objstore ./internal/types ./internal/feedback
 # Allocation gates, skipped under -race: EstimateRoot and its search-table
 # hits allocate nothing, a search on a fresh clone only its candidates, a
 # warm batch ~0, Drain of a sort or aggregate nothing and of a pipelined

@@ -72,34 +72,6 @@ func FitLinear(xs, ys []float64) (LinearFit, error) {
 	return fit, nil
 }
 
-// FitThroughOrigin computes the weighted least-squares slope of the line
-// y = Slope*x constrained through the origin. The mediator's per-operator
-// cost formulas are proportional (no fixed term), so the execution
-// feedback subsystem re-fits their coefficients with this form. Weights
-// may be nil (uniform); samples with non-positive weight or x are
-// ignored. ok is false when no usable sample remains.
-func FitThroughOrigin(xs, ys, weights []float64) (slope float64, ok bool) {
-	var sxx, sxy float64
-	for i := range xs {
-		if i >= len(ys) {
-			break
-		}
-		w := 1.0
-		if weights != nil && i < len(weights) {
-			w = weights[i]
-		}
-		if w <= 0 || xs[i] <= 0 || math.IsNaN(ys[i]) || math.IsInf(ys[i], 0) {
-			continue
-		}
-		sxx += w * xs[i] * xs[i]
-		sxy += w * xs[i] * ys[i]
-	}
-	if sxx == 0 {
-		return 0, false
-	}
-	return sxy / sxx, true
-}
-
 // Sample is one probe measurement: a query returning K objects took
 // TimeMS of virtual time.
 type Sample struct {

@@ -219,7 +219,7 @@ func (e *evalEnv) resolve(path []string, ref *pathRef) (types.Constant, bool) {
 		if v, ok := e.rule.Globals[path[0]]; ok {
 			return v, true
 		}
-		if v, ok := e.est.Globals[path[0]]; ok {
+		if v, ok := e.est.globals[path[0]]; ok {
 			return v, true
 		}
 	}
@@ -351,7 +351,7 @@ func (e *evalEnv) pageSize() int64 {
 	if v, ok := e.rule.Globals["PageSize"]; ok {
 		return v.AsInt()
 	}
-	if v, ok := e.est.Globals["PageSize"]; ok {
+	if v, ok := e.est.globals["PageSize"]; ok {
 		return v.AsInt()
 	}
 	return 4096

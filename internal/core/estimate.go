@@ -136,11 +136,13 @@ type Estimator struct {
 	Registry *Registry
 	View     CatalogView
 	Net      NetProvider
-	// Globals are mediator-level coefficients resolvable from any formula
-	// (PageSize, the generic model's calibrated constants, ...). Wrapper
-	// globals shadow them.
-	Globals map[string]types.Constant
-	Options Options
+	Options  Options
+
+	// globals are the mediator-level coefficients resolvable from any
+	// formula (PageSize, the generic model's calibrated constants, ...).
+	// Wrapper globals shadow them. NewEstimator sets them and nothing
+	// writes them after; clones share them.
+	globals map[string]types.Constant
 
 	// scr is the estimator's scratch arena, taken from scratchPool on
 	// first use so zero-value and literal-constructed estimators work.
@@ -159,7 +161,7 @@ func NewEstimator(reg *Registry, view CatalogView, net NetProvider) *Estimator {
 		Registry: reg,
 		View:     view,
 		Net:      net,
-		Globals:  DefaultCoefficients(),
+		globals:  DefaultCoefficients(),
 		folds:    &foldSource{},
 	}
 }

@@ -21,12 +21,12 @@ import (
 // predsel, joinsel and groups. Net.* terms depend on the executing site,
 // so they stay loads.
 //
-// A fold remembers the inputs it read from outside its rule — mediator
-// globals and catalog statistics; a wrapper's own globals never change
-// for its rules. BeginSearch, or an estimation outside a search, re-reads
-// them (a few dozen map reads) and retires every fold when one changed:
-// a re-registration, a feedback adjustment of a statistic or coefficient,
-// or any other write. Rules fold again on first use after that.
+// A fold remembers the catalog statistics it read; a wrapper's own
+// globals never change for its rules, and the mediator's are fixed when
+// the estimator is built. BeginSearch, or an estimation outside a search,
+// re-reads them (a few dozen map reads) and retires every fold when one
+// changed: a re-registration, a feedback correction of a statistic, or any
+// other write. Rules fold again on first use after that.
 
 // foldSource is the fold state an estimator and its clones share.
 type foldSource struct {
@@ -35,8 +35,8 @@ type foldSource struct {
 	deps    []foldDep
 }
 
-// foldDep is one input a fold read: a mediator global (rule nil, a path
-// of one segment), or a catalog path of a rule, with the value it had.
+// foldDep is one input a fold read: a catalog path of a rule, with the
+// value it had.
 type foldDep struct {
 	rule *Rule
 	path []string
@@ -155,13 +155,9 @@ func (e *Estimator) foldVersion() uint64 {
 	return src.version
 }
 
-// foldInput reads one input: a mediator global, or a rule's catalog path
-// resolved as evaluation resolves it.
+// foldInput reads one input: a rule's catalog path resolved as
+// evaluation resolves it.
 func (e *Estimator) foldInput(r *Rule, path []string, ref *pathRef) (types.Constant, bool) {
-	if r == nil {
-		v, ok := e.Globals[path[0]]
-		return v, ok
-	}
 	env := evalEnv{est: e, rule: r, match: &noMatch}
 	return env.resolve(path, ref)
 }
@@ -199,12 +195,8 @@ func (e *Estimator) foldRule(r *Rule, version uint64) *ruleFold {
 	f.pageSize = 4096
 	if v, ok := r.Globals["PageSize"]; ok {
 		f.pageSize = v.AsInt()
-	} else {
-		v, ok := e.Globals["PageSize"]
-		if ok {
-			f.pageSize = v.AsInt()
-		}
-		deps = append(deps, foldDep{path: []string{"PageSize"}, val: v, ok: ok})
+	} else if v, ok := e.globals["PageSize"]; ok {
+		f.pageSize = v.AsInt()
 	}
 	src.mu.Lock()
 	for _, d := range deps {
@@ -240,10 +232,7 @@ func (e *Estimator) foldProgram(r *Rule, f *Formula, visible int, deps *[]foldDe
 			if v, ok := r.Globals[path[0]]; ok {
 				return v, true
 			}
-			v, ok := e.Globals[path[0]]
-			if ok {
-				*deps = append(*deps, foldDep{path: path, val: v, ok: true})
-			}
+			v, ok := e.globals[path[0]]
 			return v, ok
 		case len(path) >= 2:
 			// A named collection of the rule's own wrapper, whose

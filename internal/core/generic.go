@@ -6,6 +6,19 @@ import (
 	"disco/internal/types"
 )
 
+// The mediator's per-row processing times in milliseconds: the local-scope
+// coefficients of the generic model and, read by engine.ownCharge, what
+// executing a mediator operator charges the virtual clock. One source for
+// both means accurate cardinalities imply accurate mediator estimates.
+const (
+	MedPerObj      = 0.004
+	MedPerPred     = 0.006
+	MedProjPerObj  = 0.003
+	MedSortPerObj  = 0.010
+	MedHashPerObj  = 0.012
+	MedJoinPerPair = 0.004
+)
+
 // DefaultCoefficients returns the mediator's generic-model coefficient
 // table (paper §2.3: time parameters "buried in global cost formula
 // parameters", established by calibration [GST96]). All times are in
@@ -34,12 +47,12 @@ func DefaultCoefficients() map[string]types.Constant {
 		"DupElimFactor": types.Float(0.5),
 
 		// Mediator-side (local) costs: main-memory operator pipeline.
-		"MedPerObj":      types.Float(0.004),
-		"MedPerPred":     types.Float(0.006),
-		"MedProjPerObj":  types.Float(0.003),
-		"MedSortPerObj":  types.Float(0.010),
-		"MedHashPerObj":  types.Float(0.012),
-		"MedJoinPerPair": types.Float(0.004),
+		"MedPerObj":      types.Float(MedPerObj),
+		"MedPerPred":     types.Float(MedPerPred),
+		"MedProjPerObj":  types.Float(MedProjPerObj),
+		"MedSortPerObj":  types.Float(MedSortPerObj),
+		"MedHashPerObj":  types.Float(MedHashPerObj),
+		"MedJoinPerPair": types.Float(MedJoinPerPair),
 	}
 }
 

@@ -61,7 +61,7 @@ func nameLookup(e *evalEnv, path []string) (types.Constant, bool) {
 		if v, ok := e.rule.Globals[head]; ok {
 			return v, true
 		}
-		if v, ok := e.est.Globals[head]; ok {
+		if v, ok := e.est.globals[head]; ok {
 			return v, true
 		}
 	}

@@ -21,27 +21,13 @@ import (
 	"sync"
 
 	"disco/internal/algebra"
+	"disco/internal/core"
 	"disco/internal/feedback"
 	"disco/internal/netsim"
 	"disco/internal/resultcache"
 	"disco/internal/types"
 	"disco/internal/vexec"
 	"disco/internal/wrapper"
-)
-
-// The mediator's per-row processing times in milliseconds. They
-// intentionally mirror the local-scope cost model's coefficients
-// (core.DefaultCoefficients' Med* entries) so that accurate
-// cardinalities imply accurate mediator estimates; a submit served from
-// the semantic result cache is charged resultcache.HitPerRowMS per row
-// behind its lookup floor, so estimate and execution agree there too.
-const (
-	perObjMS      = 0.004
-	perPredMS     = 0.006
-	projPerObjMS  = 0.003
-	sortPerObjMS  = 0.010
-	hashPerObjMS  = 0.012
-	joinPerPairMS = 0.004
 )
 
 // SubmitCache serves and admits materialized submit results, keyed by the
@@ -341,28 +327,30 @@ func (e *Engine) charge(n *algebra.Node, counts vexec.Counts, st *execState) *fe
 }
 
 // ownCharge is one mediator operator's virtual-time formula over its
-// consumed and produced cardinalities.
+// consumed and produced cardinalities, at the generic model's local-scope
+// coefficients (core.MedPerObj, ...), so that accurate cardinalities
+// imply accurate mediator estimates.
 func (e *Engine) ownCharge(n *algebra.Node, counts vexec.Counts, in, out int64) float64 {
 	switch n.Kind {
 	case algebra.OpSelect:
-		return float64(in) * perPredMS
+		return float64(in) * core.MedPerPred
 	case algebra.OpProject:
-		return float64(in) * projPerObjMS
+		return float64(in) * core.MedProjPerObj
 	case algebra.OpSort:
-		return nLogN(int(in)) * sortPerObjMS
+		return nLogN(int(in)) * core.MedSortPerObj
 	case algebra.OpDupElim:
-		return float64(in) * hashPerObjMS
+		return float64(in) * core.MedHashPerObj
 	case algebra.OpAggregate:
-		return float64(in)*hashPerObjMS + float64(out)*perObjMS
+		return float64(in)*core.MedHashPerObj + float64(out)*core.MedPerObj
 	case algebra.OpUnion:
-		return float64(out) * perObjMS
+		return float64(out) * core.MedPerObj
 	case algebra.OpJoin:
 		l := counts.Out(n.Children[0])
 		r := counts.Out(n.Children[1])
 		if counts.Stat(n).HashJoin {
-			return float64(l+r)*hashPerObjMS + float64(out)*perObjMS
+			return float64(l+r)*core.MedHashPerObj + float64(out)*core.MedPerObj
 		}
-		return float64(l*r) * joinPerPairMS
+		return float64(l*r) * core.MedJoinPerPair
 	}
 	return 0
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"disco/internal/algebra"
+	"disco/internal/core"
 	"disco/internal/netsim"
 	"disco/internal/refeval"
 	"disco/internal/stats"
@@ -42,17 +43,17 @@ func naiveExec(e *Engine, plan *algebra.Node) ([]types.Row, error) {
 		in := out[n.Children[0]]
 		switch n.Kind {
 		case algebra.OpSelect:
-			e.clock.Advance(in * perPredMS)
+			e.clock.Advance(in * core.MedPerPred)
 		case algebra.OpProject:
-			e.clock.Advance(in * projPerObjMS)
+			e.clock.Advance(in * core.MedProjPerObj)
 		case algebra.OpSort:
-			e.clock.Advance(nLogN(int(in)) * sortPerObjMS)
+			e.clock.Advance(nLogN(int(in)) * core.MedSortPerObj)
 		case algebra.OpDupElim:
-			e.clock.Advance(in * hashPerObjMS)
+			e.clock.Advance(in * core.MedHashPerObj)
 		case algebra.OpAggregate:
-			e.clock.Advance(in*hashPerObjMS + out[n]*perObjMS)
+			e.clock.Advance(in*core.MedHashPerObj + out[n]*core.MedPerObj)
 		case algebra.OpUnion:
-			e.clock.Advance(out[n] * perObjMS)
+			e.clock.Advance(out[n] * core.MedPerObj)
 		case algebra.OpJoin:
 			right := out[n.Children[1]]
 			equi := false
@@ -60,9 +61,9 @@ func naiveExec(e *Engine, plan *algebra.Node) ([]types.Row, error) {
 				equi = equi || c.Op == stats.CmpEQ
 			}
 			if equi {
-				e.clock.Advance((in+right)*hashPerObjMS + out[n]*perObjMS)
+				e.clock.Advance((in+right)*core.MedHashPerObj + out[n]*core.MedPerObj)
 			} else {
-				e.clock.Advance(in * right * joinPerPairMS)
+				e.clock.Advance(in * right * core.MedJoinPerPair)
 			}
 		}
 		return true

@@ -7,45 +7,38 @@ import (
 	"sync"
 
 	"disco/internal/algebra"
-	"disco/internal/calibration"
 	"disco/internal/catalog"
 	"disco/internal/stats"
 	"disco/internal/types"
 )
 
-// Adjuster feeds execution observations back into the cost model: it
-// refines catalog extent cardinalities, attribute selectivities and
-// histogram bucket weights toward observed cardinalities, and re-fits the
-// calibrated mediator coefficients from observed per-operator times.
-// Every correction is bounded and exponentially decayed so a single
-// outlier observation cannot poison the model.
+// Adjuster feeds execution observations back into the catalog
+// statistics: it refines extent cardinalities, attribute selectivities and
+// histogram bucket weights toward observed cardinalities. The mediator's
+// own coefficients are not its business; they are set once, by
+// calibration. Every correction is bounded and exponentially decayed so a
+// single outlier observation cannot poison the model.
 type Adjuster struct {
-	// Gain is the fraction of each observed log-ratio applied per update
-	// (exponential smoothing in log space); 1 jumps to the implied value.
-	Gain float64
-	// MaxStep bounds one update's multiplicative change.
-	MaxStep float64
-	// MaxFactor bounds the total correction applied to any registered
-	// statistic, keeping a broken feedback signal recoverable.
-	MaxFactor float64
-
-	mu     sync.Mutex
-	cards  map[string]*CardCorrection
-	coeffs map[string]*coeffFit
+	mu    sync.Mutex
+	cards map[string]*CardCorrection
 }
 
-// NewAdjuster returns an adjuster with moderate damping: half of each
-// observed log-error is applied, no single update moves a statistic by
-// more than 4x, and no statistic drifts further than 64x from its
-// registered value.
+// The adjuster's damping.
+const (
+	// gain is the fraction of each observed log-ratio applied per update
+	// (exponential smoothing in log space); 1 would jump to the implied
+	// value.
+	gain = 0.5
+	// maxStep bounds one update's multiplicative change.
+	maxStep = 4.0
+	// maxFactor bounds the total drift of any statistic from its
+	// registered value, keeping a broken feedback signal recoverable.
+	maxFactor = 64.0
+)
+
+// NewAdjuster returns an adjuster with no corrections learned.
 func NewAdjuster() *Adjuster {
-	return &Adjuster{
-		Gain:      0.5,
-		MaxStep:   4,
-		MaxFactor: 64,
-		cards:     make(map[string]*CardCorrection),
-		coeffs:    make(map[string]*coeffFit),
-	}
+	return &Adjuster{cards: make(map[string]*CardCorrection)}
 }
 
 // CardCorrection is the learned cardinality correction of one registered
@@ -69,59 +62,25 @@ type CardCorrection struct {
 	applied int64
 }
 
-// coeffFit accumulates recent (work, own-time) samples of one mediator
-// coefficient; the ring is the decay (old samples fall out).
-type coeffFit struct {
-	xs, ys []float64
-	next   int
-	filled int
-	count  int64
-}
-
-const coeffWindow = 64
-
-func (c *coeffFit) add(x, y float64) {
-	if len(c.xs) == 0 {
-		c.xs = make([]float64, coeffWindow)
-		c.ys = make([]float64, coeffWindow)
-	}
-	c.xs[c.next], c.ys[c.next] = x, y
-	c.next = (c.next + 1) % len(c.xs)
-	if c.filled < len(c.xs) {
-		c.filled++
-	}
-	c.count++
-}
-
 // Adjustment describes one applied correction, for experiment tables and
 // diagnostics.
 type Adjustment struct {
-	Kind   string // "extent", "extent-learned", "distinct", "histogram" or "coeff"
+	Kind   string // "extent", "extent-learned", "distinct" or "histogram"
 	Target string
 	Old    float64
 	New    float64
 }
 
-// CostOnly reports whether the correction touched only the calibrated
-// time model (a "coeff" refit) and not the catalog statistics. Cost-only
-// corrections change which plan the optimizer prefers but not what any
-// plan returns, so consumers invalidating materialized results on
-// feedback can skip them — coefficient refits converge asymptotically
-// and fire on almost every absorbed execution.
-func (a Adjustment) CostOnly() bool { return a.Kind == "coeff" }
-
 func (a Adjustment) String() string {
 	return fmt.Sprintf("%s %s: %.4g -> %.4g", a.Kind, a.Target, a.Old, a.New)
 }
 
-// Apply folds one execution report into the model: submit-boundary
+// Apply folds one execution report into the catalog: submit-boundary
 // cardinalities correct the source collections' extents (and rescale
-// their histograms), mediator-side selection cardinalities refine
-// attribute selectivities, and mediator-side operator times re-fit the
-// Med* coefficients in the estimator's globals. It returns the applied
-// corrections.
-func (a *Adjuster) Apply(rep *Report, cat *catalog.Catalog, globals map[string]types.Constant) []Adjustment {
-	if rep == nil {
+// their histograms), and mediator-side selection cardinalities refine
+// attribute selectivities. It returns the applied corrections.
+func (a *Adjuster) Apply(rep *Report, cat *catalog.Catalog) []Adjustment {
+	if rep == nil || cat == nil {
 		return nil
 	}
 	a.mu.Lock()
@@ -134,20 +93,9 @@ func (a *Adjuster) Apply(rep *Report, cat *catalog.Catalog, globals map[string]t
 		}
 		switch {
 		case o.Node.Kind == algebra.OpSubmit:
-			if cat != nil {
-				out = append(out, a.correctExtent(o, cat)...)
-			}
+			out = append(out, a.correctExtent(o, cat)...)
 		case o.Site == "mediator" && o.Node.Kind == algebra.OpSelect:
-			if cat != nil {
-				out = append(out, a.refineSelectivity(o, cat)...)
-			}
-			if globals != nil {
-				out = append(out, a.refitCoeff(o, globals)...)
-			}
-		case o.Site == "mediator":
-			if globals != nil {
-				out = append(out, a.refitCoeff(o, globals)...)
-			}
+			out = append(out, a.refineSelectivity(o, cat)...)
 		}
 	}
 	return out
@@ -210,9 +158,9 @@ func (a *Adjuster) correctExtent(o *Obs, cat *catalog.Catalog) []Adjustment {
 		c.Base = info.Extent.CountObject
 	}
 	ratio := math.Max(o.ActRows, 1) / math.Max(o.EstRows, 1)
-	step := math.Exp(a.Gain * math.Log(ratio))
-	step = clampF(step, 1/a.MaxStep, a.MaxStep)
-	c.Factor = clampF(c.Factor*step, 1/a.MaxFactor, a.MaxFactor)
+	step := math.Exp(gain * math.Log(ratio))
+	step = clampF(step, 1/maxStep, maxStep)
+	c.Factor = clampF(c.Factor*step, 1/maxFactor, maxFactor)
 	c.Samples++
 	old := float64(info.Extent.CountObject)
 	a.writeExtent(info, c)
@@ -311,8 +259,8 @@ func (a *Adjuster) refineSelectivity(o *Obs, cat *catalog.Catalog) []Adjustment 
 	// Damped in log space, floored so an empty result cannot zero the
 	// statistic out.
 	lo := math.Max(obsSel, 1e-6)
-	newSel := math.Exp(math.Log(estSel) + a.Gain*(math.Log(lo)-math.Log(estSel)))
-	newSel = clampF(newSel, estSel/a.MaxStep, estSel*a.MaxStep)
+	newSel := math.Exp(math.Log(estSel) + gain*(math.Log(lo)-math.Log(estSel)))
+	newSel = clampF(newSel, estSel/maxStep, estSel*maxStep)
 	newSel = clampF(newSel, 1e-9, 1)
 	target := scan.Wrapper + "/" + scan.Collection + "." + key
 
@@ -459,60 +407,6 @@ func reweightHistogram(h *stats.Histogram, cut types.Constant, target float64) (
 	return out, true
 }
 
-// medCoeff maps a mediator-side operator to the generic-model coefficient
-// its engine cost mirrors and the work measure x such that
-// own-time = coeff * x. Operators charging several coefficients at once
-// (join, aggregate, union) are not attributable to a single one.
-func medCoeff(o *Obs) (name string, x float64, ok bool) {
-	switch o.Node.Kind {
-	case algebra.OpSelect:
-		return "MedPerPred", o.ActIn, true
-	case algebra.OpProject:
-		return "MedProjPerObj", o.ActIn, true
-	case algebra.OpSort:
-		return "MedSortPerObj", nLogN(o.ActIn), true
-	case algebra.OpDupElim:
-		return "MedHashPerObj", o.ActIn, true
-	default:
-		return "", 0, false
-	}
-}
-
-// refitCoeff folds one mediator-side operator observation into the
-// through-origin fit of its coefficient and installs a damped, bounded
-// update into the estimator's globals.
-func (a *Adjuster) refitCoeff(o *Obs, globals map[string]types.Constant) []Adjustment {
-	name, x, ok := medCoeff(o)
-	if !ok || x <= 0 || o.OwnMS < 0 || isBad(o.OwnMS) {
-		return nil
-	}
-	cur, ok := globals[name]
-	if !ok {
-		return nil
-	}
-	curF := cur.AsFloat()
-	if curF <= 0 {
-		return nil
-	}
-	f := a.coeffs[name]
-	if f == nil {
-		f = &coeffFit{}
-		a.coeffs[name] = f
-	}
-	f.add(x, o.OwnMS)
-	slope, ok := calibration.FitThroughOrigin(f.xs[:f.filled], f.ys[:f.filled], nil)
-	if !ok || slope <= 0 {
-		return nil
-	}
-	ratio := clampF(slope/curF, 1/a.MaxStep, a.MaxStep)
-	next := curF * math.Exp(a.Gain*math.Log(ratio))
-	if next <= 0 || isBad(next) || next == curF {
-		return nil
-	}
-	globals[name] = types.Float(next)
-	return []Adjustment{{Kind: "coeff", Target: name, Old: curF, New: next}}
-}
-
 // Reapply installs every learned cardinality correction into the catalog
 // (after a snapshot restore or a wrapper re-registration) and returns the
 // number of collections touched. Fresh registrations become the new
@@ -561,19 +455,6 @@ func (a *Adjuster) Corrections() []CardCorrection {
 	return out
 }
 
-// FittedCoeffs returns the currently fitted coefficient values.
-func (a *Adjuster) FittedCoeffs(globals map[string]types.Constant) map[string]float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[string]float64, len(a.coeffs))
-	for name := range a.coeffs {
-		if v, ok := globals[name]; ok {
-			out[name] = v.AsFloat()
-		}
-	}
-	return out
-}
-
 // restoreCards loads card corrections from a snapshot, dropping invalid
 // entries rather than failing.
 func (a *Adjuster) restoreCards(cards []CardCorrection) {
@@ -585,7 +466,7 @@ func (a *Adjuster) restoreCards(cards []CardCorrection) {
 			continue
 		}
 		cc := c
-		cc.Factor = clampF(cc.Factor, 1/a.MaxFactor, a.MaxFactor)
+		cc.Factor = clampF(cc.Factor, 1/maxFactor, maxFactor)
 		cc.applied = 0 // force a rebase on the next Reapply
 		a.cards[cc.Wrapper+"\x00"+cc.Collection] = &cc
 	}
@@ -653,19 +534,6 @@ func lookupCollection(cat *catalog.Catalog, wrapperName, collection string) *cat
 		}
 	}
 	return nil
-}
-
-// nLogN mirrors engine.nLogN: the work measure of the mediator's sort.
-func nLogN(nf float64) float64 {
-	n := int(nf)
-	if n < 2 {
-		return nf
-	}
-	l := 0.0
-	for x := n + 2; x > 1; x >>= 1 {
-		l++
-	}
-	return float64(n) * l
 }
 
 func clampF(x, lo, hi float64) float64 {

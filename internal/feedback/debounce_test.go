@@ -6,17 +6,29 @@ import (
 	"time"
 )
 
-func snapWithCoeff(v float64) func() *Snapshot {
+// snapWithBase captures a snapshot whose one card correction carries v
+// as its base: the payload the tests follow through the store.
+func snapWithBase(v int64) func() *Snapshot {
 	return func() *Snapshot {
-		return &Snapshot{Version: SnapshotVersion, Coeffs: map[string]float64{"x": v}}
+		return &Snapshot{Version: SnapshotVersion,
+			Cards: []CardCorrection{{Wrapper: "w", Collection: "c", Base: v, Factor: 1}}}
 	}
+}
+
+// storedBase is the payload of a stored snapshot; -1 when nothing is
+// stored.
+func storedBase(s *Snapshot) int64 {
+	if s == nil || len(s.Cards) == 0 {
+		return -1
+	}
+	return s.Cards[0].Base
 }
 
 func TestDebouncerCoalesces(t *testing.T) {
 	store := NewMemStore()
 	d := NewDebouncer(store, time.Hour)
 	for i := 0; i < 50; i++ {
-		if err := d.Mark(snapWithCoeff(float64(i))); err != nil {
+		if err := d.Mark(snapWithBase(int64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -25,8 +37,8 @@ func TestDebouncerCoalesces(t *testing.T) {
 	}
 	// The store holds the first capture until a flush.
 	snap, _ := store.Load()
-	if snap.Coeffs["x"] != 0 {
-		t.Errorf("pre-flush store coeff = %v, want 0 (first mark)", snap.Coeffs["x"])
+	if got := storedBase(snap); got != 0 {
+		t.Errorf("pre-flush stored base = %v, want 0 (first mark)", got)
 	}
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
@@ -35,8 +47,8 @@ func TestDebouncerCoalesces(t *testing.T) {
 		t.Errorf("saves after flush = %d, want 2", got)
 	}
 	snap, _ = store.Load()
-	if snap.Coeffs["x"] != 49 {
-		t.Errorf("flushed coeff = %v, want 49 (latest mark)", snap.Coeffs["x"])
+	if got := storedBase(snap); got != 49 {
+		t.Errorf("flushed base = %v, want 49 (latest mark)", got)
 	}
 	// Nothing dirty: a second flush writes nothing.
 	if err := d.Flush(); err != nil {
@@ -50,25 +62,25 @@ func TestDebouncerCoalesces(t *testing.T) {
 func TestDebouncerReopensWindow(t *testing.T) {
 	store := NewMemStore()
 	d := NewDebouncer(store, 20*time.Millisecond)
-	if err := d.Mark(snapWithCoeff(1)); err != nil {
+	if err := d.Mark(snapWithBase(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Mark(snapWithCoeff(2)); err != nil {
+	if err := d.Mark(snapWithBase(2)); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.Saves(); got != 1 {
 		t.Fatalf("saves inside window = %d, want 1", got)
 	}
 	time.Sleep(25 * time.Millisecond)
-	if err := d.Mark(snapWithCoeff(3)); err != nil {
+	if err := d.Mark(snapWithBase(3)); err != nil {
 		t.Fatal(err)
 	}
 	if got := d.Saves(); got != 2 {
 		t.Errorf("mark past the window must save, saves = %d", got)
 	}
 	snap, _ := store.Load()
-	if snap.Coeffs["x"] != 3 {
-		t.Errorf("coeff = %v, want 3", snap.Coeffs["x"])
+	if got := storedBase(snap); got != 3 {
+		t.Errorf("stored base = %v, want 3", got)
 	}
 }
 
@@ -96,11 +108,11 @@ func (s *flakyStore) Save(snap *Snapshot) error {
 func TestDebouncerRetriesFailedSave(t *testing.T) {
 	type step struct {
 		op           string // "mark" or "flush"
-		coeff        float64
+		base         int64
 		wantErr      bool
 		wantSaves    int64
 		wantAttempts int
-		wantStored   float64 // the stored coeff; -1 = nothing stored yet
+		wantStored   int64 // the stored base; -1 = nothing stored yet
 	}
 	for _, c := range []struct {
 		name  string
@@ -108,17 +120,17 @@ func TestDebouncerRetriesFailedSave(t *testing.T) {
 		steps []step
 	}{
 		{"flush retries a failed mark", 1, []step{
-			{op: "mark", coeff: 1, wantErr: true, wantSaves: 0, wantAttempts: 1, wantStored: -1},
+			{op: "mark", base: 1, wantErr: true, wantSaves: 0, wantAttempts: 1, wantStored: -1},
 			{op: "flush", wantSaves: 1, wantAttempts: 2, wantStored: 1},
 			{op: "flush", wantSaves: 1, wantAttempts: 2, wantStored: 1},
 		}},
 		{"marks inside the window do not retry", 1, []step{
-			{op: "mark", coeff: 1, wantErr: true, wantSaves: 0, wantAttempts: 1, wantStored: -1},
-			{op: "mark", coeff: 2, wantSaves: 0, wantAttempts: 1, wantStored: -1},
+			{op: "mark", base: 1, wantErr: true, wantSaves: 0, wantAttempts: 1, wantStored: -1},
+			{op: "mark", base: 2, wantSaves: 0, wantAttempts: 1, wantStored: -1},
 			{op: "flush", wantSaves: 1, wantAttempts: 2, wantStored: 2},
 		}},
 		{"flush reports every failure until the store recovers", 2, []step{
-			{op: "mark", coeff: 1, wantErr: true, wantSaves: 0, wantAttempts: 1, wantStored: -1},
+			{op: "mark", base: 1, wantErr: true, wantSaves: 0, wantAttempts: 1, wantStored: -1},
 			{op: "flush", wantErr: true, wantSaves: 0, wantAttempts: 2, wantStored: -1},
 			{op: "flush", wantSaves: 1, wantAttempts: 3, wantStored: 1},
 		}},
@@ -130,7 +142,7 @@ func TestDebouncerRetriesFailedSave(t *testing.T) {
 				var err error
 				switch s.op {
 				case "mark":
-					err = d.Mark(snapWithCoeff(s.coeff))
+					err = d.Mark(snapWithBase(s.base))
 				case "flush":
 					err = d.Flush()
 				}
@@ -143,12 +155,8 @@ func TestDebouncerRetriesFailedSave(t *testing.T) {
 				if store.attempts != s.wantAttempts {
 					t.Errorf("step %d (%s): store attempts = %d, want %d", i, s.op, store.attempts, s.wantAttempts)
 				}
-				stored := -1.0
-				if store.snap != nil {
-					stored = store.snap.Coeffs["x"]
-				}
-				if stored != s.wantStored {
-					t.Errorf("step %d (%s): stored coeff = %v, want %v", i, s.op, stored, s.wantStored)
+				if stored := storedBase(store.snap); stored != s.wantStored {
+					t.Errorf("step %d (%s): stored base = %v, want %v", i, s.op, stored, s.wantStored)
 				}
 			}
 		})

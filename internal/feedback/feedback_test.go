@@ -234,7 +234,7 @@ func TestAdjusterExtentConverges(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		info, _ := cat.Entry("w1")
 		est := float64(info.Collections["Employee"].Extent.CountObject)
-		adj.Apply(submitObs(est, 100), cat, nil)
+		adj.Apply(submitObs(est, 100), cat)
 	}
 	info, _ := cat.Entry("w1")
 	got := info.Collections["Employee"].Extent.CountObject
@@ -263,12 +263,12 @@ func TestAdjusterBoundedStep(t *testing.T) {
 	cat := testCatalog(t)
 	adj := NewAdjuster()
 	// A single wild outlier (claimed 1000, observed 1) may move the
-	// extent by at most MaxStep per update.
-	adj.Apply(submitObs(1000, 1), cat, nil)
+	// extent by at most maxStep per update.
+	adj.Apply(submitObs(1000, 1), cat)
 	info, _ := cat.Entry("w1")
 	got := info.Collections["Employee"].Extent.CountObject
-	if got < int64(1000/adj.MaxStep) {
-		t.Errorf("extent = %d dropped below the per-update bound %v", got, 1000/adj.MaxStep)
+	if got < int64(1000/maxStep) {
+		t.Errorf("extent = %d dropped below the per-update bound %v", got, 1000/maxStep)
 	}
 }
 
@@ -278,7 +278,7 @@ func TestAdjusterReapplyAfterReregistration(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		info, _ := cat.Entry("w1")
 		est := float64(info.Collections["Employee"].Extent.CountObject)
-		adj.Apply(submitObs(est, 100), cat, nil)
+		adj.Apply(submitObs(est, 100), cat)
 	}
 	// Re-registration resets the catalog to the wrapper's stale claim …
 	fresh := testCatalog(t)
@@ -305,7 +305,7 @@ func TestAdjusterRefinesSelectivity(t *testing.T) {
 			Node: sel, Site: "mediator", Scope: "mediator/select",
 			EstRows: 1, ActRows: 100, ActIn: 1000,
 		}}}
-		adj.Apply(rep, cat, nil)
+		adj.Apply(rep, cat)
 	}
 	info, _ := cat.Entry("w1")
 	d := info.Collections["Employee"].Attrs["id"].CountDistinct
@@ -330,7 +330,7 @@ func TestAdjusterReweightsHistogram(t *testing.T) {
 			Node: sel, Site: "mediator", Scope: "mediator/select",
 			EstRows: 500, ActRows: 900, ActIn: 1000,
 		}}}
-		adj.Apply(rep, cat, nil)
+		adj.Apply(rep, cat)
 	}
 	after, _ := cat.Attribute("w1", "Employee", "dept")
 	selAfter := after.Selectivity(stats.CmpLT, types.Int(5))
@@ -348,27 +348,6 @@ func TestAdjusterReweightsHistogram(t *testing.T) {
 	}
 	if sum != h.Total {
 		t.Errorf("histogram total %d != bucket sum %d", h.Total, sum)
-	}
-}
-
-func TestAdjusterRefitsCoefficient(t *testing.T) {
-	adj := NewAdjuster()
-	globals := map[string]types.Constant{"MedPerPred": types.Float(0.6)} // 100x too high
-	scan := algebra.Scan("w1", "Employee")
-	sub := algebra.Submit(scan, "w1")
-	sel := algebra.Select(sub, algebra.NewSelPred(
-		algebra.Ref{Collection: "Employee", Attr: "id"}, stats.CmpLT, types.Int(100)))
-	for i := 0; i < 16; i++ {
-		n := float64(500 + 100*(i%3))
-		rep := &Report{Plan: sel, Obs: []Obs{{
-			Node: sel, Site: "mediator", Scope: "mediator/select",
-			EstRows: 100, ActRows: 100, ActIn: n, OwnMS: n * 0.006,
-		}}}
-		adj.Apply(rep, nil, globals)
-	}
-	got := globals["MedPerPred"].AsFloat()
-	if math.Abs(got-0.006) > 0.002 {
-		t.Errorf("refitted MedPerPred = %v, want ~0.006", got)
 	}
 }
 
@@ -395,9 +374,22 @@ func TestDerivedScan(t *testing.T) {
 	}
 }
 
+// parentFormat is a snapshot as written while the feedback loop also
+// re-fitted the mediator's coefficients: the same version, plus a
+// "coeffs" key.
+const parentFormat = `{
+  "version": 1,
+  "cards": [{"wrapper": "w1", "collection": "Employee", "base": 1000, "factor": 0.25, "samples": 6}],
+  "coeffs": {"MedProjPerObj": 0.0029999999999999992},
+  "scopes": {"c w1/submit": {"count": 6, "max": 10, "window": [1, 2, 10]}}
+}`
+
+// TestStoreRoundTrip: a snapshot the store saved, and one in the parent
+// format, load with their cards and scopes intact and restore into a
+// fresh loop.
 func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	store := NewFileStore(filepath.Join(dir, "snap.json"))
+	saved := NewFileStore(filepath.Join(dir, "snap.json"))
 
 	rec := NewRecorder(8)
 	adj := NewAdjuster()
@@ -410,34 +402,54 @@ func TestStoreRoundTrip(t *testing.T) {
 			Root:   &core.NodeCost{Vars: map[string]float64{"TotalTime": 1}},
 			ByNode: map[*algebra.Node]*core.NodeCost{},
 		}, NewProfile())
-		adj.Apply(rep, cat, nil)
+		adj.Apply(rep, cat)
 	}
-	snap := Capture(rec, adj, map[string]float64{"MedPerPred": 0.007})
-	if err := store.Save(snap); err != nil {
+	snap := Capture(rec, adj)
+	if err := saved.Save(snap); err != nil {
+		t.Fatal(err)
+	}
+	parent := NewFileStore(filepath.Join(dir, "parent.json"))
+	if err := writeFile(parent.Path, parentFormat); err != nil {
 		t.Fatal(err)
 	}
 
-	loaded, err := store.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded.Cards) != 1 || loaded.Cards[0].Collection != "Employee" {
-		t.Fatalf("loaded cards = %+v", loaded.Cards)
-	}
-	if loaded.Coeffs["MedPerPred"] != 0.007 {
-		t.Errorf("loaded coeffs = %+v", loaded.Coeffs)
-	}
+	for _, c := range []struct {
+		name  string
+		store *FileStore
+		want  *Snapshot
+	}{
+		{"saved", saved, snap},
+		{"parent format", parent, &Snapshot{
+			Version: SnapshotVersion,
+			Cards:   []CardCorrection{{Wrapper: "w1", Collection: "Employee", Base: 1000, Factor: 0.25, Samples: 6}},
+			Scopes:  map[string]ScopeState{"c w1/submit": {Count: 6, Max: 10, Window: []float64{1, 2, 10}}},
+		}},
+	} {
+		loaded, err := c.store.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(loaded.Cards) != 1 || loaded.Cards[0].Collection != "Employee" {
+			t.Fatalf("%s: loaded cards = %+v", c.name, loaded.Cards)
+		}
+		if !snapshotsEqual(loaded, c.want) {
+			t.Errorf("%s: loaded %+v, want %+v", c.name, loaded, c.want)
+		}
 
-	// Restore into a fresh loop and reapply to a stale catalog.
-	rec2, adj2 := NewRecorder(8), NewAdjuster()
-	Restore(loaded, rec2, adj2)
-	fresh := testCatalog(t)
-	adj2.Reapply(fresh)
-	info, _ := fresh.Entry("w1")
-	got := info.Collections["Employee"].Extent.CountObject
-	want := loaded.Cards[0].Factor * 1000
-	if math.Abs(float64(got)-want) > 1.5 {
-		t.Errorf("restored extent = %d, want ~%.0f", got, want)
+		// Restore into a fresh loop and reapply to a stale catalog.
+		rec2, adj2 := NewRecorder(8), NewAdjuster()
+		Restore(loaded, rec2, adj2)
+		if got := rec2.scopeStates(); !snapshotsEqual(&Snapshot{Scopes: got}, &Snapshot{Scopes: loaded.Scopes}) {
+			t.Errorf("%s: restored scopes = %+v, want %+v", c.name, got, loaded.Scopes)
+		}
+		fresh := testCatalog(t)
+		adj2.Reapply(fresh)
+		info, _ := fresh.Entry("w1")
+		got := info.Collections["Employee"].Extent.CountObject
+		want := loaded.Cards[0].Factor * 1000
+		if math.Abs(float64(got)-want) > 1.5 {
+			t.Errorf("%s: restored extent = %d, want ~%.0f", c.name, got, want)
+		}
 	}
 }
 
@@ -480,7 +492,7 @@ func TestAdjusterLearnsMissingExtent(t *testing.T) {
 	adj := NewAdjuster()
 	rep := submitObs(1000, 100)
 	rep.Obs[0].Bytes = 6400
-	adjs := adj.Apply(rep, cat, nil)
+	adjs := adj.Apply(rep, cat)
 	if len(adjs) != 1 || adjs[0].Kind != "extent-learned" {
 		t.Fatalf("adjustments = %v", adjs)
 	}
@@ -491,7 +503,7 @@ func TestAdjusterLearnsMissingExtent(t *testing.T) {
 
 	// A restart restores the learned extent into a fresh, still
 	// statistics-less registration.
-	snap := Capture(nil, adj, nil)
+	snap := Capture(nil, adj)
 	adj2 := NewAdjuster()
 	Restore(snap, nil, adj2)
 	info.HasExtent = false
@@ -512,7 +524,7 @@ func TestAdjusterSkipsSelectiveSubmitChains(t *testing.T) {
 		algebra.Ref{Attr: "id"}, stats.CmpLT, types.Int(5))), "w1")
 	o := Obs{Node: sub, Site: "w1", Scope: "w1/submit", EstRows: 500, ActRows: 5, ActIn: 5}
 	o.QRows = QError(500, 5, 1)
-	if adjs := adj.Apply(&Report{Plan: sub, Obs: []Obs{o}}, cat, nil); len(adjs) != 0 {
+	if adjs := adj.Apply(&Report{Plan: sub, Obs: []Obs{o}}, cat); len(adjs) != 0 {
 		t.Errorf("selective chain must not correct the extent, got %v", adjs)
 	}
 	if len(adj.Corrections()) != 0 {

@@ -21,6 +21,7 @@ func FuzzFeedbackSnapshot(f *testing.F) {
 	f.Add([]byte(`{"version":1,"cards":[{"wrapper":"w1","collection":"Employee","base":1000,"factor":0.1,"samples":4}]}`))
 	f.Add([]byte(`{"version":1,"cards":[{"wrapper":"","collection":"c","base":-1,"factor":1e999}]}`))
 	f.Add([]byte(`{"version":1,"coeffs":{"MedPerPred":0.006,"bad":-1}}`))
+	f.Add([]byte(parentFormat))
 	f.Add([]byte(`{"version":1,"scopes":{"c w1/submit":{"count":3,"max":10,"window":[1,2,10]}}}`))
 	f.Add([]byte(`{"version":99,"cards":[{"wrapper":"w","collection":"c","base":1,"factor":2}]}`))
 

@@ -19,11 +19,11 @@ type ScopeState struct {
 }
 
 // Snapshot is the JSON-serializable state of the feedback loop: learned
-// cardinality corrections, fitted coefficients and q-error accumulators.
+// cardinality corrections and q-error accumulators. Keys it does not
+// name, such as the "coeffs" of an older snapshot, are ignored on load.
 type Snapshot struct {
 	Version int                   `json:"version"`
 	Cards   []CardCorrection      `json:"cards,omitempty"`
-	Coeffs  map[string]float64    `json:"coeffs,omitempty"`
 	Scopes  map[string]ScopeState `json:"scopes,omitempty"`
 }
 
@@ -97,19 +97,13 @@ func (s *FileStore) Load() (*Snapshot, error) {
 // counts, non-finite factors); a hand-edited or bit-rotted snapshot
 // degrades to fewer corrections, never to a poisoned model or a panic.
 func sanitize(s *Snapshot) *Snapshot {
-	out := &Snapshot{Version: s.Version, Coeffs: make(map[string]float64)}
+	out := &Snapshot{Version: s.Version}
 	for _, c := range s.Cards {
 		if c.Wrapper == "" || c.Collection == "" || c.Base < 0 ||
 			c.Factor <= 0 || isBad(c.Factor) || c.Samples < 0 || c.ObjectSize < 0 {
 			continue
 		}
 		out.Cards = append(out.Cards, c)
-	}
-	for name, v := range s.Coeffs {
-		if name == "" || v <= 0 || isBad(v) {
-			continue
-		}
-		out.Coeffs[name] = v
 	}
 	if len(s.Scopes) > 0 {
 		out.Scopes = make(map[string]ScopeState, len(s.Scopes))
@@ -132,13 +126,10 @@ func sanitize(s *Snapshot) *Snapshot {
 
 // Capture assembles a snapshot from the live recorder and adjuster
 // (either may be nil).
-func Capture(rec *Recorder, adj *Adjuster, globals map[string]float64) *Snapshot {
+func Capture(rec *Recorder, adj *Adjuster) *Snapshot {
 	snap := &Snapshot{Version: SnapshotVersion}
 	if adj != nil {
 		snap.Cards = adj.Corrections()
-	}
-	if len(globals) > 0 {
-		snap.Coeffs = globals
 	}
 	if rec != nil {
 		snap.Scopes = rec.scopeStates()

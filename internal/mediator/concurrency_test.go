@@ -472,7 +472,7 @@ func TestFeedbackSaveDebounce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := feedback.Capture(m.Feedback, m.Adjuster, nil)
+	live := feedback.Capture(m.Feedback, m.Adjuster)
 	if len(snap.Scopes) != len(live.Scopes) || len(snap.Cards) != len(live.Cards) {
 		t.Errorf("flushed snapshot (scopes=%d cards=%d) != live capture (scopes=%d cards=%d)",
 			len(snap.Scopes), len(snap.Cards), len(live.Scopes), len(live.Cards))

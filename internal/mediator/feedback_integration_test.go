@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"disco/internal/feedback"
+	"disco/internal/resultcache"
 )
 
 // misregisterEmployee inflates the registered Employee extent by 10x,
@@ -40,17 +41,54 @@ func employeeCount(t *testing.T, m *Mediator) int64 {
 // its query-scope rules would repair the estimate for the repeated query
 // after one round (masking the catalog-level correction this test is
 // about), while the adjuster repairs the catalog for every future query.
+// The correction clears both caches: a statement whose plan and result
+// were cached before it is planned and executed afresh after it.
 func TestFeedbackCorrectsMisregisteredExtent(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RecordHistory = false
 	cfg.Feedback = true
+	cfg.ResultCache = resultcache.Config{Enabled: true}
 	m := buildMediator(t, cfg)
 	misregisterEmployee(t, m)
 	if got := employeeCount(t, m); got != 10000 {
 		t.Fatalf("inflated extent = %d, want 10000", got)
 	}
 
-	for i := 0; i < 10; i++ {
+	// Dept is registered truthfully, so its runs correct nothing and its
+	// plan and result stay cached.
+	const deptSQL = `SELECT dname FROM Dept`
+	for i := 0; i < 2; i++ {
+		if _, err := m.Query(deptSQL); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := m.Stats(); st.PlanCacheHits != 1 || st.ResultCacheHits != 1 || st.ResultCacheEntries == 0 {
+		t.Fatalf("Dept's plan and result not cached: %+v", st)
+	}
+	if _, err := m.Query(`SELECT name FROM Employee`); err != nil {
+		t.Fatal(err)
+	}
+	if got := employeeCount(t, m); got == 10000 {
+		t.Fatal("one run corrected nothing")
+	}
+	before := m.Stats()
+	if before.ResultCacheEntries != 0 {
+		t.Errorf("%d cached results survived the extent correction", before.ResultCacheEntries)
+	}
+	if _, err := m.Query(deptSQL); err != nil {
+		t.Fatal(err)
+	}
+	after := m.Stats()
+	if after.PlanCacheMisses != before.PlanCacheMisses+1 || after.PlanCacheHits != before.PlanCacheHits {
+		t.Errorf("Dept's prepare after the correction: plan-cache misses %d -> %d, hits %d -> %d; want one more miss",
+			before.PlanCacheMisses, after.PlanCacheMisses, before.PlanCacheHits, after.PlanCacheHits)
+	}
+	if after.ResultCacheHits != before.ResultCacheHits {
+		t.Errorf("Dept's cached result served after the correction (hits %d -> %d)",
+			before.ResultCacheHits, after.ResultCacheHits)
+	}
+
+	for i := 1; i < 10; i++ {
 		if _, err := m.Query(`SELECT name FROM Employee`); err != nil {
 			t.Fatal(err)
 		}
@@ -62,8 +100,10 @@ func TestFeedbackCorrectsMisregisteredExtent(t *testing.T) {
 	if m.Feedback == nil || len(m.Feedback.Scopes()) == 0 {
 		t.Error("recorder should have accumulated scopes")
 	}
+	// Dept's truthful registration leaves its factor at 1.
 	corr := m.Adjuster.Corrections()
-	if len(corr) != 1 || corr[0].Wrapper != "obj1" || corr[0].Collection != "Employee" {
+	if len(corr) != 2 || corr[0].Wrapper != "obj1" || corr[0].Collection != "Employee" ||
+		corr[1].Collection != "Dept" || corr[1].Factor != 1 {
 		t.Fatalf("corrections = %+v", corr)
 	}
 	if corr[0].Factor > 0.2 {

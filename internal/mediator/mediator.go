@@ -9,7 +9,6 @@ package mediator
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,10 +46,9 @@ type Config struct {
 	// Feedback enables the execution-feedback loop (DESIGN.md §8): every
 	// executed query's per-operator actuals are joined against the
 	// optimizer's predictions, per-scope q-error accumulators update, and
-	// the adjuster refines catalog statistics and calibrated coefficients
-	// toward the observations. Off by default: with feedback disabled the
-	// mediator's plans and estimates are bit-identical to a build without
-	// the subsystem.
+	// the adjuster refines catalog statistics toward the observations. Off
+	// by default: with feedback disabled the mediator's plans and estimates
+	// are bit-identical to a build without the subsystem.
 	Feedback bool
 	// FeedbackStore, when set with Feedback, persists learned corrections
 	// across restarts. The snapshot loads at construction; saves are
@@ -211,11 +209,6 @@ func New(cfg Config) (*Mediator, error) {
 				return nil, err
 			}
 			feedback.Restore(snap, m.Feedback, m.Adjuster)
-			for name, v := range snap.Coeffs {
-				if _, ok := m.Estimator.Globals[name]; ok && v > 0 {
-					m.Estimator.Globals[name] = types.Float(v)
-				}
-			}
 			m.deb = feedback.NewDebouncer(cfg.FeedbackStore, feedback.DefaultSaveInterval)
 		}
 	}
@@ -577,7 +570,7 @@ func (m *Mediator) executeAdmitted(p *Prepared) (*engine.Result, error) {
 
 // absorbLocked closes the feedback loop for one execution: the profile
 // is joined against the plan's predicted costs, q-error accumulators
-// update, the adjuster refines statistics and coefficients, and the
+// update, the adjuster refines catalog statistics, and the
 // snapshot save is scheduled (debounced). Callers hold the write lock.
 // Returns the joined report (nil when feedback is off or the run carries
 // no usable profile).
@@ -595,30 +588,21 @@ func (m *Mediator) absorbLocked(p *Prepared, res *engine.Result) *feedback.Repor
 	rep := m.Feedback.Observe(p.Plan, p.Cost, res.Profile)
 	m.LastReport = rep
 	if m.Adjuster != nil {
-		if adj := m.Adjuster.Apply(rep, m.Catalog, m.Estimator.Globals); len(adj) > 0 {
-			// The corrections changed the model cached plans were costed
-			// against; drop them so the next prepare re-plans.
+		if adj := m.Adjuster.Apply(rep, m.Catalog); len(adj) > 0 {
+			// The corrections changed the statistics cached plans were
+			// costed against; drop them so the next prepare re-plans. A
+			// statistics fix also means observations contradicted the
+			// model, so materialized results go too: re-executing is the
+			// conservative move.
 			m.cache.clear()
-			// Materialized results are dropped only for catalog-touching
-			// corrections: a statistics fix means observations contradicted
-			// the model, so re-executing is the conservative move. Pure
-			// time-coefficient refits are exempt — they change nothing
-			// about what a plan returns and fire on almost every absorbed
-			// execution, so honoring them would starve the result cache
-			// under feedback.
-			for _, ad := range adj {
-				if !ad.CostOnly() {
-					m.rcache.Invalidate()
-					break
-				}
-			}
+			m.rcache.Invalidate()
 		}
 	}
 	if m.deb != nil {
 		// Persisting corrections must never fail the query that produced
 		// them; a failed save means relearning after the next restart.
 		_ = m.deb.Mark(func() *feedback.Snapshot {
-			return feedback.Capture(m.Feedback, m.Adjuster, m.Adjuster.FittedCoeffs(m.Estimator.Globals))
+			return feedback.Capture(m.Feedback, m.Adjuster)
 		})
 	}
 	return rep
@@ -820,8 +804,8 @@ func renderAnalyze(b *strings.Builder, n *algebra.Node, depth int, pc *core.Plan
 }
 
 // FeedbackSummary renders the execution-feedback state: the per-scope
-// q-error table, the learned extent corrections and the re-fitted cost
-// coefficients. It errors when feedback is disabled.
+// q-error table and the learned extent corrections. It errors when
+// feedback is disabled.
 func (m *Mediator) FeedbackSummary() (string, error) {
 	if m.Feedback == nil || m.Adjuster == nil {
 		return "", fmt.Errorf("mediator: feedback is disabled (Config.Feedback)")
@@ -835,17 +819,6 @@ func (m *Mediator) FeedbackSummary() (string, error) {
 		for _, c := range corr {
 			fmt.Fprintf(&b, "  %s/%s: claimed %d x %.4g (%d samples)\n",
 				c.Wrapper, c.Collection, c.Base, c.Factor, c.Samples)
-		}
-	}
-	if coeffs := m.Adjuster.FittedCoeffs(m.Estimator.Globals); len(coeffs) > 0 {
-		b.WriteString("\nre-fitted coefficients:\n")
-		names := make([]string, 0, len(coeffs))
-		for n := range coeffs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Fprintf(&b, "  %s = %.6g\n", n, coeffs[n])
 		}
 	}
 	return b.String(), nil

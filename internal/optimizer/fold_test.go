@@ -72,21 +72,17 @@ func search1(t *testing.T, f *fixture, est *core.Estimator, qb *QueryBlock) outc
 }
 
 // freshEstimator builds an estimator over the fixture's registry,
-// catalog and network with a copy of est's globals: one that has folded
+// catalog and network with the default coefficients
+// (core.DefaultCoefficients), which no event changes: one that has folded
 // nothing yet.
 func freshEstimator(f *fixture, est *core.Estimator) *core.Estimator {
-	fresh := core.NewEstimator(f.reg, f.cat, est.Net)
-	fresh.Globals = make(map[string]types.Constant, len(est.Globals))
-	for k, v := range est.Globals {
-		fresh.Globals[k] = v
-	}
-	return fresh
+	return core.NewEstimator(f.reg, f.cat, est.Net)
 }
 
 // The model events the folded rules must follow: a re-registration that
-// scales Manager's extent, a feedback correction of Manager's extent and
-// of MedPerPred, and a link change at obj1. Each returns an error when it
-// did not change the model.
+// scales Manager's extent, a feedback correction of Manager's extent, and
+// a link change at obj1. Each returns an error when it did not change the
+// model.
 func reregisterEvent(f *fixture, factor int64) error {
 	return f.cat.Register(scaledWrapper{Wrapper: f.wrappers[0], coll: "Manager", factor: factor})
 }
@@ -95,14 +91,14 @@ func feedbackEvent(f *fixture, adj *feedback.Adjuster, actRows float64) error {
 	dno := algebra.NewSelPred(algebra.Ref{Collection: "Dept", Attr: "dno"}, stats.CmpLT, types.Int(25))
 	rep := &feedback.Report{Obs: []feedback.Obs{
 		{Node: algebra.Submit(algebra.Scan("obj1", "Manager"), "obj1"), Site: "obj1", EstRows: 50, ActRows: actRows},
-		{Node: algebra.Select(algebra.Scan("rel1", "Dept"), dno), Site: "mediator", ActIn: 1000, ActRows: 500, OwnMS: 60},
+		{Node: algebra.Select(algebra.Scan("rel1", "Dept"), dno), Site: "mediator", ActIn: 1000, ActRows: 500},
 	}}
 	kinds := map[string]bool{}
-	for _, a := range adj.Apply(rep, f.cat, f.est.Globals) {
+	for _, a := range adj.Apply(rep, f.cat) {
 		kinds[a.Kind] = true
 	}
-	if !kinds["extent"] || !kinds["coeff"] {
-		return fmt.Errorf("feedback applied %v, want an extent and a coefficient correction", kinds)
+	if !kinds["extent"] {
+		return fmt.Errorf("feedback applied %v, want an extent correction", kinds)
 	}
 	return nil
 }
@@ -115,11 +111,11 @@ func setLinkEvent(f *fixture, latency float64) error {
 // TestFoldsFollowTheModel: the long-lived estimator, whose rules were
 // folded before each event, must price exactly like an estimator built
 // after it, on every golden block: after re-registering obj1 with a 10x
-// Manager extent, after a feedback correction of Manager's extent and of
-// MedPerPred, and after a link change at obj1. The long-lived estimator
-// searches first, so it reads the folds it made before the event unless
-// the event retired them. Each event must move the four-way cost, or the
-// test could not see a stale fold.
+// Manager extent, after a feedback correction of Manager's extent, and
+// after a link change at obj1. The long-lived estimator searches first,
+// so it reads the folds it made before the event unless the event retired
+// them. Each event must move the four-way cost, or the test could not see
+// a stale fold.
 func TestFoldsFollowTheModel(t *testing.T) {
 	f := foldFixture(t)
 	adj := feedback.NewAdjuster()
