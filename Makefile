@@ -65,11 +65,12 @@ ci-race:
 # per key, a projection's first slab its batch, a 70-row answer
 # under 128 KiB, a row frame encodes and decodes with a constant number
 # of allocations, Server.Handle adds a constant to Mediator.Query, a
-# second answer on one connection allocates nothing for its block, and a
-# Constant is 32 bytes.
+# second answer on one connection allocates nothing for its block, a
+# Constant is 32 bytes, and the object store's ReadAll and buffer-pool
+# misses allocate nothing and its index read only its answer.
 ci-alloc:
 	$(GO) test -run 'Alloc|ConstantSize|Slab|ArenaReserve' -count=1 ./internal/core ./internal/optimizer ./internal/vexec \
-		./internal/serving ./internal/proto ./internal/types
+		./internal/serving ./internal/proto ./internal/types ./internal/objstore
 ci-faultmatrix: # every injected fault recovers or degrades to a partial answer
 	$(GO) test -race -run 'Fault|Remote|Injector|Resilience' ./internal/mediator ./internal/wrapper ./internal/netsim ./internal/experiments
 ci-feedback: # extents mis-registered 10x are repaired by the workload; the probe runs the truth plan from round 2 (E10)

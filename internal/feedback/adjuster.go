@@ -143,8 +143,15 @@ func (a *Adjuster) correctExtent(o *Obs, cat *catalog.Catalog) []Adjustment {
 			New:    float64(info.Extent.CountObject),
 		}}
 	}
+	ratio := math.Max(o.ActRows, 1) / math.Max(o.EstRows, 1)
+	step := clampF(math.Exp(gain*math.Log(ratio)), 1/maxStep, maxStep)
 	c, ok := a.cards[key]
 	if !ok {
+		if step == 1 {
+			// An exact estimate leaves a new factor at 1: nothing to
+			// correct, store or re-apply.
+			return nil
+		}
 		c = &CardCorrection{
 			Wrapper:    wrapperName,
 			Collection: scan.Collection,
@@ -157,9 +164,6 @@ func (a *Adjuster) correctExtent(o *Obs, cat *catalog.Catalog) []Adjustment {
 		// current catalog value is the wrapper's fresh claim. Rebase.
 		c.Base = info.Extent.CountObject
 	}
-	ratio := math.Max(o.ActRows, 1) / math.Max(o.EstRows, 1)
-	step := math.Exp(gain * math.Log(ratio))
-	step = clampF(step, 1/maxStep, maxStep)
 	c.Factor = clampF(c.Factor*step, 1/maxFactor, maxFactor)
 	c.Samples++
 	old := float64(info.Extent.CountObject)

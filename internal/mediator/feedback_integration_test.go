@@ -100,11 +100,16 @@ func TestFeedbackCorrectsMisregisteredExtent(t *testing.T) {
 	if m.Feedback == nil || len(m.Feedback.Scopes()) == 0 {
 		t.Error("recorder should have accumulated scopes")
 	}
-	// Dept's truthful registration leaves its factor at 1.
+	// Dept's truthful registration corrects nothing, so neither the
+	// adjuster nor a snapshot carries an entry for it.
 	corr := m.Adjuster.Corrections()
-	if len(corr) != 2 || corr[0].Wrapper != "obj1" || corr[0].Collection != "Employee" ||
-		corr[1].Collection != "Dept" || corr[1].Factor != 1 {
+	if len(corr) != 1 || corr[0].Wrapper != "obj1" || corr[0].Collection != "Employee" {
 		t.Fatalf("corrections = %+v", corr)
+	}
+	for _, c := range feedback.Capture(m.Feedback, m.Adjuster).Cards {
+		if c.Collection == "Dept" {
+			t.Errorf("snapshot carries a correction for the truthfully registered Dept: %+v", c)
+		}
 	}
 	if corr[0].Factor > 0.2 {
 		t.Errorf("factor = %v, want close to 0.1", corr[0].Factor)

@@ -48,6 +48,23 @@ func (c *Clock) AdvanceN(ms float64, n int) {
 	c.mu.Unlock()
 }
 
+// Lock holds the clock for a run of AddLocked calls, so a caller charging
+// many small costs in a fixed order takes the lock once; Unlock releases
+// it. A caller that also holds another lock takes that one first.
+func (c *Clock) Lock() { c.mu.Lock() }
+
+// Unlock releases the clock taken by Lock.
+func (c *Clock) Unlock() { c.mu.Unlock() }
+
+// AddLocked is Advance for a caller holding the lock: the same float
+// addition, so a run of them reads bit-identical to the Advance calls it
+// replaces.
+func (c *Clock) AddLocked(ms float64) {
+	if ms > 0 {
+		c.ms += ms
+	}
+}
+
 // Now returns the current virtual time in milliseconds.
 func (c *Clock) Now() float64 {
 	c.mu.Lock()

@@ -1,14 +1,19 @@
 // Package objstore implements the ObjectStore-like simulated object
-// database used as the paper's experimental substrate: slotted pages, an
-// LRU buffer pool, B+-tree indexes, and sequential/index scans whose cost
-// is charged to a deterministic virtual clock (internal/netsim.Clock) as a
-// pure function of pages fetched and objects processed. With the paper's
-// constants (25 ms/page, 9 ms/object) the measured index-scan curve of
-// Figure 12 emerges from the page/buffer mechanics.
+// database used as the paper's experimental substrate: rows packed onto
+// pages by the declared object size and fill factor, an LRU buffer pool,
+// B+-tree indexes, and sequential/index reads whose cost is charged to a
+// deterministic virtual clock (internal/netsim.Clock) as a pure function
+// of pages fetched and objects processed. With the paper's constants
+// (25 ms/page, 9 ms/object) the measured index-scan curve of Figure 12
+// emerges from the page/buffer mechanics.
 //
-// A whole-extent read (Collection.ReadAll) charges a page at a time,
-// exactly as SeqScan charges row by row, and hands out the stored rows
-// themselves: rows a store returns are read-only to every caller.
+// A collection's rows are one slice in insertion order; page p is the
+// p-th run of rows-per-page of them. A whole-extent read
+// (Collection.ReadAll) charges a page at a time, exactly as SeqScan
+// charges row by row, and an index range (Collection.IndexSelect) is
+// fetched in runs charged exactly as IndexScan charges row by row. Both
+// hand out the stored rows themselves: rows a store returns are
+// read-only to every caller.
 package objstore
 
 import (
@@ -177,49 +182,60 @@ type Entry struct {
 	RID RID
 }
 
-// TreeIter iterates entries in key order within an operator-defined
-// range. Steps counts leaf-entry visits for cost charging.
+// TreeIter iterates entries in key order within the range `key op v`.
+// Steps counts leaf-entry visits for cost charging.
 type TreeIter struct {
 	leaf  *btleaf
 	ki    int // key index in leaf
 	vi    int // value index within the current key's RID list
-	until func(k types.Constant) bool
-	skip  func(k types.Constant) bool
+	op    stats.CmpOp
+	v     types.Constant
 	Steps int
 }
 
 // Seek returns an iterator over entries satisfying `key op v`, in key
 // order.
 func (t *BTree) Seek(op stats.CmpOp, v types.Constant) *TreeIter {
-	it := &TreeIter{}
+	it := t.seek(op, v)
+	return &it
+}
+
+// seek is Seek by value, so a caller draining the range in place
+// allocates no iterator.
+func (t *BTree) seek(op stats.CmpOp, v types.Constant) TreeIter {
+	it := TreeIter{op: op, v: v}
 	switch op {
-	case stats.CmpEQ:
+	case stats.CmpEQ, stats.CmpGT, stats.CmpGE:
 		it.leaf, it.ki = t.root.seekLeaf(v)
-		it.until = func(k types.Constant) bool { return !k.Equal(v) }
-	case stats.CmpLT:
+	case stats.CmpLT, stats.CmpLE, stats.CmpNE:
+		// From the first key; NE is a full scan skipping v.
 		it.leaf = t.root.firstLeaf()
-		it.until = func(k types.Constant) bool { return k.Compare(v) >= 0 }
-	case stats.CmpLE:
-		it.leaf = t.root.firstLeaf()
-		it.until = func(k types.Constant) bool { return k.Compare(v) > 0 }
-	case stats.CmpGT:
-		it.leaf, it.ki = t.root.seekLeaf(v)
-		it.skip = func(k types.Constant) bool { return k.Equal(v) }
-	case stats.CmpGE:
-		it.leaf, it.ki = t.root.seekLeaf(v)
-	case stats.CmpNE:
-		// Full scan with the matching key filtered out.
-		it.leaf = t.root.firstLeaf()
-		it.skip = func(k types.Constant) bool { return k.Equal(v) }
-	default:
-		it.leaf = nil
 	}
 	return it
 }
 
 // ScanAll iterates every entry in key order.
 func (t *BTree) ScanAll() *TreeIter {
-	return &TreeIter{leaf: t.root.firstLeaf()}
+	// GE bounds nothing once started at the first leaf.
+	return &TreeIter{leaf: t.root.firstLeaf(), op: stats.CmpGE}
+}
+
+// ends reports whether key lies past the end of the range.
+func (it *TreeIter) ends(k types.Constant) bool {
+	switch it.op {
+	case stats.CmpEQ:
+		return !k.Equal(it.v)
+	case stats.CmpLT:
+		return k.Compare(it.v) >= 0
+	case stats.CmpLE:
+		return k.Compare(it.v) > 0
+	}
+	return false
+}
+
+// skips reports whether the range excludes key without ending there.
+func (it *TreeIter) skips(k types.Constant) bool {
+	return (it.op == stats.CmpGT || it.op == stats.CmpNE) && k.Equal(it.v)
 }
 
 // Next returns the next entry; ok is false at the end of the range.
@@ -231,11 +247,11 @@ func (it *TreeIter) Next() (Entry, bool) {
 			continue
 		}
 		key := it.leaf.keys[it.ki]
-		if it.until != nil && it.until(key) {
+		if it.ends(key) {
 			it.leaf = nil
 			return Entry{}, false
 		}
-		if it.skip != nil && it.skip(key) {
+		if it.skips(key) {
 			it.ki++
 			it.vi = 0
 			continue
@@ -252,6 +268,27 @@ func (it *TreeIter) Next() (Entry, bool) {
 		return e, true
 	}
 	return Entry{}, false
+}
+
+// appendRIDs appends the rest of the range's RIDs to dst in key order, a
+// key's RID list at a time: the entries Next would return, without an
+// Entry per RID.
+func (it *TreeIter) appendRIDs(dst []RID) []RID {
+	for ; it.leaf != nil; it.leaf, it.ki, it.vi = it.leaf.next, 0, 0 {
+		for ; it.ki < len(it.leaf.keys); it.ki, it.vi = it.ki+1, 0 {
+			if it.ends(it.leaf.keys[it.ki]) {
+				it.leaf = nil
+				return dst
+			}
+			if it.skips(it.leaf.keys[it.ki]) {
+				continue
+			}
+			rids := it.leaf.vals[it.ki][it.vi:]
+			it.Steps += len(rids)
+			dst = append(dst, rids...)
+		}
+	}
+	return dst
 }
 
 // check validates tree invariants (test helper, exported for the property

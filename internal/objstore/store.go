@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"disco/internal/netsim"
 	"disco/internal/stats"
@@ -63,7 +64,7 @@ func Open(cfg Config, clock *netsim.Clock) *Store {
 	return &Store{
 		cfg:   cfg,
 		clock: clock,
-		buf:   newBufferPool(cfg.BufferPages, cfg.IOTimeMS, clock),
+		buf:   newBufferPool(cfg.BufferPages),
 		colls: make(map[string]*Collection),
 	}
 }
@@ -94,11 +95,6 @@ func (s *Store) Collection(name string) (*Collection, bool) {
 	return c, ok
 }
 
-// page holds the rows physically placed on one page.
-type page struct {
-	rows []types.Row
-}
-
 // index couples a B+-tree with its attribute position.
 type index struct {
 	attr      string
@@ -108,16 +104,22 @@ type index struct {
 }
 
 // Collection is one extent of objects with a schema, a declared object
-// size (for page packing), pages, and optional indexes.
+// size (for page packing), its rows, and optional indexes. The rows are
+// one slice in physical (insertion) order: page p holds
+// rows[p*perPage:(p+1)*perPage].
 type Collection struct {
 	store      *Store
 	name       string
 	schema     *types.Schema
 	objectSize int
-	pages      []*page
+	rows       []types.Row
 	perPage    int
-	count      int
 	indexes    map[string]*index
+
+	// resident is the buffer pool's page table for this collection:
+	// page -> pool frame, 0 when the page is not buffered. Only the pool
+	// reads or writes it, under its lock.
+	resident []int32
 }
 
 // CreateCollection adds an empty collection. objectSize is the declared
@@ -163,7 +165,17 @@ func (c *Collection) Name() string { return c.name }
 func (c *Collection) Schema() *types.Schema { return c.schema }
 
 // PageCount reports the number of pages.
-func (c *Collection) PageCount() int { return len(c.pages) }
+func (c *Collection) PageCount() int { return (len(c.rows) + c.perPage - 1) / c.perPage }
+
+// ridOf addresses the i-th row in physical order.
+func (c *Collection) ridOf(i int) RID {
+	return RID{Page: int32(i / c.perPage), Slot: int32(i % c.perPage)}
+}
+
+// at returns the row a RID addresses.
+func (c *Collection) at(rid RID) types.Row {
+	return c.rows[int(rid.Page)*c.perPage+int(rid.Slot)]
+}
 
 // Insert appends one object in arrival order (physical placement is
 // insertion order: inserting in key order yields clustering on that key,
@@ -174,13 +186,8 @@ func (c *Collection) Insert(row types.Row) error {
 	if len(row) != c.schema.Len() {
 		return fmt.Errorf("objstore: %s: row arity %d, schema %d", c.name, len(row), c.schema.Len())
 	}
-	if len(c.pages) == 0 || len(c.pages[len(c.pages)-1].rows) >= c.perPage {
-		c.pages = append(c.pages, &page{rows: make([]types.Row, 0, c.perPage)})
-	}
-	p := c.pages[len(c.pages)-1]
-	rid := RID{Page: int32(len(c.pages) - 1), Slot: int32(len(p.rows))}
-	p.rows = append(p.rows, row)
-	c.count++
+	rid := c.ridOf(len(c.rows))
+	c.rows = append(c.rows, row)
 	for _, idx := range c.indexes {
 		idx.tree.Insert(row[idx.fieldPos], rid)
 	}
@@ -198,10 +205,8 @@ func (c *Collection) CreateIndex(attr string, clustered bool) error {
 		return fmt.Errorf("objstore: %s already has an index on %q", c.name, attr)
 	}
 	idx := &index{attr: attr, fieldPos: pos, tree: NewBTree(), clustered: clustered}
-	for pi, p := range c.pages {
-		for si, row := range p.rows {
-			idx.tree.Insert(row[pos], RID{Page: int32(pi), Slot: int32(si)})
-		}
+	for i, row := range c.rows {
+		idx.tree.Insert(row[pos], c.ridOf(i))
 	}
 	c.indexes[key] = idx
 	return nil
@@ -229,19 +234,22 @@ func (c *Collection) HasIndex(attr string) (indexed, clustered bool) {
 	return true, idx.clustered
 }
 
-// fetch reads the object at rid through the buffer pool, charging I/O and
-// CPU.
-func (c *Collection) fetch(rid RID) types.Row {
-	c.store.buf.touch(c.name, rid.Page)
-	c.store.clock.Advance(c.store.cfg.CPUTimeMS)
-	return c.pages[rid.Page].rows[rid.Slot]
+// touch reads a page through the buffer pool, charging an I/O on a miss.
+// The clock is advanced under the pool's lock: every charge takes the
+// pool lock before the clock lock.
+func (c *Collection) touch(page int32) {
+	b := c.store.buf
+	b.mu.Lock()
+	if !b.lookup(c, page) {
+		c.store.clock.Advance(c.store.cfg.IOTimeMS)
+	}
+	b.mu.Unlock()
 }
 
 // SeqIter scans every page in physical order.
 type SeqIter struct {
 	coll *Collection
-	pi   int
-	si   int
+	i    int
 }
 
 // SeqScan starts a sequential scan.
@@ -250,40 +258,36 @@ func (c *Collection) SeqScan() *SeqIter { return &SeqIter{coll: c} }
 // Next returns the next row; ok is false at the end.
 func (s *SeqIter) Next() (types.Row, bool) {
 	c := s.coll
-	for s.pi < len(c.pages) {
-		p := c.pages[s.pi]
-		if s.si == 0 {
-			c.store.buf.touch(c.name, int32(s.pi))
-		}
-		if s.si >= len(p.rows) {
-			s.pi++
-			s.si = 0
-			continue
-		}
-		row := p.rows[s.si]
-		s.si++
-		c.store.clock.Advance(c.store.cfg.CPUTimeMS)
-		return row, true
+	if s.i >= len(c.rows) {
+		return nil, false
 	}
-	return nil, false
+	if s.i%c.perPage == 0 {
+		c.touch(int32(s.i / c.perPage))
+	}
+	row := c.rows[s.i]
+	s.i++
+	c.store.clock.Advance(c.store.cfg.CPUTimeMS)
+	return row, true
 }
 
 // ReadAll reads every page in physical order and charges it exactly as a
 // SeqScan would, a page at a time: the buffer-pool touch, then the
-// per-object CPU time of the objects on it. The rows are gathered into
-// one exact-size slice; they are the store's own and read-only.
+// per-object CPU time of the objects on it. It returns the collection's
+// own rows with the capacity pinned to the length, so a caller's append
+// copies instead of writing into the store; the rows are read-only.
 func (c *Collection) ReadAll() []types.Row {
-	out := make([]types.Row, 0, c.count)
-	for pi, p := range c.pages {
-		c.store.buf.touch(c.name, int32(pi))
-		c.store.clock.AdvanceN(c.store.cfg.CPUTimeMS, len(p.rows))
-		out = append(out, p.rows...)
+	rows := c.rows[:len(c.rows):len(c.rows)]
+	for lo := 0; lo < len(rows); lo += c.perPage {
+		c.touch(int32(lo / c.perPage))
+		c.store.clock.AdvanceN(c.store.cfg.CPUTimeMS, min(c.perPage, len(rows)-lo))
 	}
-	return out
+	return rows
 }
 
-// IndexIter walks an index range, fetching each qualifying object through
-// the buffer pool (the unclustered access pattern of Figure 12).
+// IndexIter walks an index range a row at a time, fetching each
+// qualifying object through the buffer pool (the unclustered access
+// pattern of Figure 12). It is the reference IndexSelect is tested
+// against.
 type IndexIter struct {
 	coll *Collection
 	it   *TreeIter
@@ -292,6 +296,15 @@ type IndexIter struct {
 // IndexScan starts an index scan for `attr op value`; it fails when the
 // attribute has no index or the operator cannot use one.
 func (c *Collection) IndexScan(attr string, op stats.CmpOp, value types.Constant) (*IndexIter, error) {
+	idx, err := c.rangeIndex(attr, op)
+	if err != nil {
+		return nil, err
+	}
+	return &IndexIter{coll: c, it: idx.tree.Seek(op, value)}, nil
+}
+
+// rangeIndex returns the index that can serve `attr op value`.
+func (c *Collection) rangeIndex(attr string, op stats.CmpOp) (*index, error) {
 	idx, ok := c.indexes[strings.ToLower(attr)]
 	if !ok {
 		return nil, fmt.Errorf("objstore: %s has no index on %q", c.name, attr)
@@ -299,17 +312,70 @@ func (c *Collection) IndexScan(attr string, op stats.CmpOp, value types.Constant
 	if op == stats.CmpNE {
 		return nil, fmt.Errorf("objstore: index scan cannot serve <>")
 	}
-	return &IndexIter{coll: c, it: idx.tree.Seek(op, value)}, nil
+	return idx, nil
 }
 
-// Next returns the next row; ok is false at the end.
+// Next returns the next row, charging the index probe, the page fetch
+// and the object's CPU time; ok is false at the end.
 func (i *IndexIter) Next() (types.Row, bool) {
 	e, ok := i.it.Next()
 	if !ok {
 		return nil, false
 	}
-	i.coll.store.clock.Advance(i.coll.store.cfg.ProbeTimeMS)
-	return i.coll.fetch(e.RID), true
+	c := i.coll
+	c.store.clock.Advance(c.store.cfg.ProbeTimeMS)
+	c.touch(e.RID.Page)
+	c.store.clock.Advance(c.store.cfg.CPUTimeMS)
+	return c.at(e.RID), true
+}
+
+// indexRun is the number of index entries IndexSelect fetches under one
+// hold of the pool and clock locks: one executor batch, so locking is paid
+// per run instead of per row while a long range never makes a concurrent
+// query's charges wait behind the whole scan.
+const indexRun = 1024
+
+// ridBuf is IndexSelect's pooled scratch for a range's RIDs.
+type ridBuf struct{ rids []RID }
+
+var ridPool = sync.Pool{New: func() any { return new(ridBuf) }}
+
+// IndexSelect returns the objects satisfying `attr op value` in index
+// order (nil when none), charged exactly as draining IndexScan charges:
+// per entry the probe, the page fetch (an I/O on a buffer miss), then the
+// object's CPU time, in that order. The tree walk charges nothing, so the
+// range's RIDs are gathered first; they are then fetched in runs of
+// indexRun, each under one hold of the pool lock and then the clock lock.
+func (c *Collection) IndexSelect(attr string, op stats.CmpOp, value types.Constant) ([]types.Row, error) {
+	idx, err := c.rangeIndex(attr, op)
+	if err != nil {
+		return nil, err
+	}
+	buf := ridPool.Get().(*ridBuf)
+	defer ridPool.Put(buf)
+	it := idx.tree.seek(op, value)
+	rids := it.appendRIDs(buf.rids[:0])
+	buf.rids = rids
+	if len(rids) == 0 {
+		return nil, nil
+	}
+	out := make([]types.Row, len(rids))
+	b, clock, cfg := c.store.buf, c.store.clock, &c.store.cfg
+	for lo := 0; lo < len(rids); lo += indexRun {
+		b.mu.Lock()
+		clock.Lock()
+		for i, rid := range rids[lo:min(lo+indexRun, len(rids))] {
+			clock.AddLocked(cfg.ProbeTimeMS)
+			if !b.lookup(c, rid.Page) {
+				clock.AddLocked(cfg.IOTimeMS)
+			}
+			clock.AddLocked(cfg.CPUTimeMS)
+			out[lo+i] = c.at(rid)
+		}
+		clock.Unlock()
+		b.mu.Unlock()
+	}
+	return out, nil
 }
 
 // DeliverOutput charges the per-object delivery cost for n result objects;
@@ -323,8 +389,8 @@ func (s *Store) DeliverOutput(n int) {
 // paper's AtomicParts description (1000 pages).
 func (c *Collection) ExtentStats() stats.ExtentStats {
 	return stats.ExtentStats{
-		CountObject: int64(c.count),
-		TotalSize:   int64(len(c.pages) * c.store.cfg.PageSize),
+		CountObject: int64(len(c.rows)),
+		TotalSize:   int64(c.PageCount() * c.store.cfg.PageSize),
 		ObjectSize:  int64(c.objectSize),
 	}
 }
@@ -342,20 +408,18 @@ func (c *Collection) AttributeStats(attr string, buckets int) (stats.AttributeSt
 	distinct := make(map[string]struct{})
 	var values []types.Constant
 	first := true
-	for _, p := range c.pages {
-		for _, row := range p.rows {
-			v := row[pos]
-			distinct[v.Kind().String()+":"+v.String()] = struct{}{}
-			if first || v.Less(out.Min) {
-				out.Min = v
-			}
-			if first || out.Max.Less(v) {
-				out.Max = v
-			}
-			first = false
-			if buckets > 0 && v.IsNumeric() {
-				values = append(values, v)
-			}
+	for _, row := range c.rows {
+		v := row[pos]
+		distinct[v.Kind().String()+":"+v.String()] = struct{}{}
+		if first || v.Less(out.Min) {
+			out.Min = v
+		}
+		if first || out.Max.Less(v) {
+			out.Max = v
+		}
+		first = false
+		if buckets > 0 && v.IsNumeric() {
+			values = append(values, v)
 		}
 	}
 	out.CountDistinct = int64(len(distinct))

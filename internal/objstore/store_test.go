@@ -1,8 +1,12 @@
 package objstore
 
 import (
+	"container/list"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
+	"sync"
 	"testing"
 
 	"disco/internal/netsim"
@@ -374,6 +378,254 @@ func TestReadAllChargesLikeSeqScan(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// lruModel is the map-and-list LRU buffer the flat pool replaced, kept as
+// the reference the pool's hit/miss sequence is checked against.
+type lruModel struct {
+	capacity     int
+	ioTimeMS     float64
+	clock        *netsim.Clock
+	lru          *list.List // of modelKey, front = most recent
+	entries      map[modelKey]*list.Element
+	hits, misses int64
+}
+
+type modelKey struct {
+	coll string
+	page int32
+}
+
+func newLRUModel(capacity int, ioTimeMS float64, clock *netsim.Clock) *lruModel {
+	m := &lruModel{capacity: capacity, ioTimeMS: ioTimeMS, clock: clock}
+	m.reset()
+	return m
+}
+
+func (m *lruModel) touch(coll string, page int32) bool {
+	k := modelKey{coll, page}
+	if el, ok := m.entries[k]; ok {
+		m.lru.MoveToFront(el)
+		m.hits++
+		return true
+	}
+	m.misses++
+	m.clock.Advance(m.ioTimeMS)
+	if m.lru.Len() >= m.capacity {
+		oldest := m.lru.Back()
+		delete(m.entries, oldest.Value.(modelKey))
+		m.lru.Remove(oldest)
+	}
+	m.entries[k] = m.lru.PushFront(k)
+	return false
+}
+
+func (m *lruModel) reset() {
+	m.lru = list.New()
+	m.entries = make(map[modelKey]*list.Element)
+	m.hits, m.misses = 0, 0
+}
+
+// Seeded random page traces over three collections hit and miss the
+// flat pool exactly where they hit and miss the reference LRU, at
+// capacities 1, 2 and 256, across a ResetBuffer partway through and with
+// pages past each collection's earlier maximum; the clocks agree bit for
+// bit.
+func TestBufferPoolMatchesLRUModel(t *testing.T) {
+	for _, capacity := range []int{1, 2, 256} {
+		for seed := int64(1); seed <= 3; seed++ {
+			cfg := DefaultConfig()
+			cfg.BufferPages = capacity
+			poolClock, modelClock := netsim.NewClock(), netsim.NewClock()
+			s := Open(cfg, poolClock)
+			model := newLRUModel(capacity, cfg.IOTimeMS, modelClock)
+			var colls []*Collection
+			for _, name := range []string{"a", "b", "c"} {
+				c, err := s.CreateCollection(name, partsSchema(), 56)
+				if err != nil {
+					t.Fatal(err)
+				}
+				colls = append(colls, c)
+			}
+			maxPage := []int32{4, 40, 400}
+			rng := rand.New(rand.NewSource(seed))
+			const steps = 6000
+			for step := 0; step < steps; step++ {
+				if step == steps/2 {
+					s.ResetBuffer()
+					model.reset()
+				}
+				ci := rng.Intn(len(colls))
+				if rng.Intn(50) == 0 {
+					maxPage[ci] += int32(1 + rng.Intn(8))
+				}
+				// Skew toward low pages so every capacity sees hits.
+				page := int32(rng.Intn(int(maxPage[ci])))
+				if rng.Intn(2) == 0 {
+					page = int32(rng.Intn(int(min(maxPage[ci], 3))))
+				}
+				hits, _ := s.BufferStats()
+				colls[ci].touch(page)
+				hits2, misses := s.BufferStats()
+				if want := model.touch(colls[ci].name, page); (hits2 > hits) != want {
+					t.Fatalf("capacity %d seed %d step %d: %s page %d hit = %v, model %v",
+						capacity, seed, step, colls[ci].name, page, hits2 > hits, want)
+				}
+				if hits2 != model.hits || misses != model.misses {
+					t.Fatalf("capacity %d seed %d step %d: hits/misses %d/%d, model %d/%d",
+						capacity, seed, step, hits2, misses, model.hits, model.misses)
+				}
+			}
+			if math.Float64bits(poolClock.Now()) != math.Float64bits(modelClock.Now()) {
+				t.Errorf("capacity %d seed %d: clock %v, model %v", capacity, seed, poolClock.Now(), modelClock.Now())
+			}
+			if model.hits == 0 || model.misses == 0 {
+				t.Errorf("capacity %d seed %d: trace saw %d hits, %d misses", capacity, seed, model.hits, model.misses)
+			}
+		}
+	}
+}
+
+// IndexSelect returns what draining IndexScan returns, in the same
+// order, and charges the same: clock bit for bit and buffer-pool hits and
+// misses, for every range operator, on unique and duplicate keys, on
+// clustered and scattered placement, from a cold and a warm pool smaller
+// than the extent.
+func TestIndexSelectMatchesIndexIter(t *testing.T) {
+	ops := []stats.CmpOp{stats.CmpEQ, stats.CmpLT, stats.CmpLE, stats.CmpGT, stats.CmpGE}
+	for _, shuffled := range []bool{true, false} {
+		cfg := DefaultConfig()
+		cfg.BufferPages = 40
+		iterClock, selClock := netsim.NewClock(), netsim.NewClock()
+		iterStore, selStore := Open(cfg, iterClock), Open(cfg, selClock)
+		iterColl := loadParts(t, iterStore, 7000, shuffled)
+		selColl := loadParts(t, selStore, 7000, shuffled)
+		for _, c := range []*Collection{iterColl, selColl} {
+			if err := c.CreateIndex("buildDate", false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, attr := range []string{"id", "buildDate"} {
+			for _, op := range ops {
+				for _, v := range []int64{-1, 0, 421, 3500, 6999, 7000} {
+					iterStore.ResetBuffer()
+					selStore.ResetBuffer()
+					for _, pass := range []string{"cold", "warm"} {
+						it, err := iterColl.IndexScan(attr, op, types.Int(v))
+						if err != nil {
+							t.Fatal(err)
+						}
+						var want []types.Row
+						for row, ok := it.Next(); ok; row, ok = it.Next() {
+							want = append(want, row)
+						}
+						got, err := selColl.IndexSelect(attr, op, types.Int(v))
+						if err != nil {
+							t.Fatal(err)
+						}
+						where := func() string {
+							return fmt.Sprintf("shuffled=%v %s %s %d (%s)", shuffled, attr, op, v, pass)
+						}
+						if len(got) != len(want) {
+							t.Fatalf("%s: %d rows, IndexIter %d", where(), len(got), len(want))
+						}
+						for i := range got {
+							if !got[i].Equal(want[i]) {
+								t.Fatalf("%s: row %d = %v, IndexIter %v", where(), i, got[i], want[i])
+							}
+						}
+						if math.Float64bits(selClock.Now()) != math.Float64bits(iterClock.Now()) {
+							t.Fatalf("%s: clock %v, IndexIter %v", where(), selClock.Now(), iterClock.Now())
+						}
+						ih, im := iterStore.BufferStats()
+						sh, sm := selStore.BufferStats()
+						if ih != sh || im != sm {
+							t.Fatalf("%s: hits/misses %d/%d, IndexIter %d/%d", where(), sh, sm, ih, im)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Readers on several goroutines share one buffer pool and clock: every
+// answer matches a sequential read, and the pool counts each page access
+// exactly once (run under -race, this is the pool's concurrency check).
+func TestConcurrentReadsSharePool(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BufferPages = 30
+	s := Open(cfg, nil)
+	c := loadParts(t, s, 7000, true) // 100 pages
+	want, err := c.IndexSelect("id", stats.CmpLT, types.Int(2500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ResetBuffer()
+	const readers, rounds = 4, 20
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				got, err := c.IndexSelect("id", stats.CmpLT, types.Int(2500))
+				if err != nil || len(got) != len(want) {
+					t.Errorf("index read: %d rows, %v; want %d", len(got), err, len(want))
+					return
+				}
+				for j := range got {
+					if !got[j].Equal(want[j]) {
+						t.Errorf("index read row %d = %v, want %v", j, got[j], want[j])
+						return
+					}
+				}
+				if n := len(c.ReadAll()); n != 7000 {
+					t.Errorf("ReadAll read %d rows", n)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	hits, misses := s.BufferStats()
+	if total := int64(readers * rounds * (len(want) + 100)); hits+misses != total {
+		t.Errorf("hits %d + misses %d != %d page accesses", hits, misses, total)
+	}
+}
+
+// The read path's allocation gates: ReadAll hands out the store's own
+// rows, a pool miss that evicts reuses the evicted frame, and an index
+// read allocates its answer and nothing else beyond its pooled RID
+// buffer. The collector is off while measuring, so the pool keeps that
+// buffer.
+func TestStoreReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cfg := DefaultConfig()
+	cfg.BufferPages = 10
+	s := Open(cfg, nil)
+	c := loadParts(t, s, 7000, true) // 100 pages
+	if n := testing.AllocsPerRun(20, func() { c.ReadAll() }); n != 0 {
+		t.Errorf("ReadAll allocates %v times", n)
+	}
+	var page int32
+	_, before := s.BufferStats()
+	if n := testing.AllocsPerRun(200, func() { c.touch(page % 100); page++ }); n != 0 {
+		t.Errorf("a pool miss allocates %v times", n)
+	}
+	if _, after := s.BufferStats(); after-before != 201 {
+		t.Errorf("%d of 201 cycling touches missed", after-before)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := c.IndexSelect("id", stats.CmpLT, types.Int(3000)); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("an index read allocates %v times, want 1 (its answer)", n)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"disco/internal/algebra"
+	"disco/internal/objstore"
 	"disco/internal/refeval"
 	"disco/internal/relstore"
 	"disco/internal/stats"
@@ -76,17 +77,23 @@ func execModes(t *testing.T) map[string]vexec.Options {
 	}
 }
 
-// Scans hand the pipeline a relational table's own rows, so no operator
-// may write into them: every operator kind, in memory and spilling,
-// leaves the store deep-equal to a snapshot taken first. That includes a
-// hash join whose build side is the bare scan of the table with spare
-// capacity, which the in-memory join takes uncopied.
+// Scans hand the pipeline a store's own rows (a relational table's and an
+// object collection's alike), so no operator may write into them: every
+// operator kind, in memory and spilling, leaves each store deep-equal to
+// a snapshot taken first. That includes a hash join whose build side is
+// the bare scan of an extent with spare capacity, which the in-memory
+// join takes uncopied.
 func TestOperatorsLeaveStoreRowsUntouched(t *testing.T) {
 	cat := makeCatalog(3000, 40, 8) // 3000 appends leave spare capacity
-	store := relstore.Open(relstore.DefaultConfig(), nil)
-	snapshot := map[string][]types.Row{}
+	rel := relstore.Open(relstore.DefaultConfig(), nil)
+	obj := objstore.Open(objstore.DefaultConfig(), nil)
+	readAll := map[string]map[string]func() []types.Row{"relstore": {}, "objstore": {}}
 	for name, tbl := range cat {
-		tb, err := store.CreateTable(name, tbl.schema, 0)
+		tb, err := rel.CreateTable(name, tbl.schema, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coll, err := obj.CreateCollection(name, tbl.schema, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,17 +101,21 @@ func TestOperatorsLeaveStoreRowsUntouched(t *testing.T) {
 			if err := tb.Insert(append(types.Row(nil), r...)); err != nil {
 				t.Fatal(err)
 			}
+			if err := coll.Insert(append(types.Row(nil), r...)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		for _, r := range tb.ReadAll() {
-			snapshot[name] = append(snapshot[name], append(types.Row(nil), r...))
-		}
+		readAll["relstore"][name] = tb.ReadAll
+		readAll["objstore"][name] = coll.ReadAll
 	}
-	leaf := func(n *algebra.Node) ([]types.Row, bool, error) {
-		if n.Kind != algebra.OpScan {
-			return nil, false, nil
+	snapshot := map[string]map[string][]types.Row{}
+	for store, tables := range readAll {
+		snapshot[store] = map[string][]types.Row{}
+		for name, read := range tables {
+			for _, r := range read() {
+				snapshot[store][name] = append(snapshot[store][name], append(types.Row(nil), r...))
+			}
 		}
-		tb, _ := store.Table(n.Collection)
-		return tb.ReadAll(), true, nil
 	}
 	plans := testPlans(t, cat)
 	buildParts := algebra.Join(algebra.Scan("src", "suppliers"), algebra.Scan("src", "parts"),
@@ -113,32 +124,39 @@ func TestOperatorsLeaveStoreRowsUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	plans["hashJoinBuildParts"] = buildParts
-	for mode, opts := range execModes(t) {
-		for name, plan := range plans {
-			want, err := refeval.Eval(plan, cat.scanLeaf, nil)
-			if err != nil {
-				t.Fatal(err)
+	for store, tables := range readAll {
+		leaf := func(n *algebra.Node) ([]types.Row, bool, error) {
+			if n.Kind != algebra.OpScan {
+				return nil, false, nil
 			}
-			counts := vexec.Counts{}
-			got, err := vexec.Run(plan, &vexec.Env{Opts: opts, Counts: counts, Leaf: leaf})
-			if err != nil {
-				t.Fatalf("%s %s: %v", mode, name, err)
-			}
-			if len(got) != len(want) {
-				t.Errorf("%s %s: %d rows, reference %d", mode, name, len(got), len(want))
-			}
-			if name == "hashJoinBuildParts" {
-				requireSameBag(t, want, got)
-				if spilled := counts.Stat(plan).Spilled; spilled != (opts.MemBytes > 0) {
-					t.Errorf("%s %s: spilled = %v", mode, name, spilled)
+			return tables[n.Collection](), true, nil
+		}
+		for mode, opts := range execModes(t) {
+			for name, plan := range plans {
+				want, err := refeval.Eval(plan, cat.scanLeaf, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				counts := vexec.Counts{}
+				got, err := vexec.Run(plan, &vexec.Env{Opts: opts, Counts: counts, Leaf: leaf})
+				if err != nil {
+					t.Fatalf("%s %s %s: %v", store, mode, name, err)
+				}
+				if len(got) != len(want) {
+					t.Errorf("%s %s %s: %d rows, reference %d", store, mode, name, len(got), len(want))
+				}
+				if name == "hashJoinBuildParts" {
+					requireSameBag(t, want, got)
+					if spilled := counts.Stat(plan).Spilled; spilled != (opts.MemBytes > 0) {
+						t.Errorf("%s %s %s: spilled = %v", store, mode, name, spilled)
+					}
 				}
 			}
 		}
-	}
-	for name, rows := range snapshot {
-		tb, _ := store.Table(name)
-		if !reflect.DeepEqual(tb.ReadAll(), rows) {
-			t.Errorf("table %s changed under execution", name)
+		for name, read := range tables {
+			if !reflect.DeepEqual(read(), snapshot[store][name]) {
+				t.Errorf("%s %s changed under execution", store, name)
+			}
 		}
 	}
 }

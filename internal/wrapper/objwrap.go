@@ -8,7 +8,6 @@ import (
 	"disco/internal/objstore"
 	"disco/internal/stats"
 	"disco/internal/types"
-	"disco/internal/vexec"
 )
 
 // ObjWrapper exposes a simulated object store (internal/objstore) to the
@@ -217,11 +216,11 @@ func (s objSource) indexSelect(collection string, cmp algebra.Comparison) ([]typ
 	if indexed, _ := c.HasIndex(cmp.Left.Attr); !indexed || cmp.Op == stats.CmpNE {
 		return nil, false, nil
 	}
-	it, err := c.IndexScan(cmp.Left.Attr, cmp.Op, cmp.RightConst)
+	rows, err := c.IndexSelect(cmp.Left.Attr, cmp.Op, cmp.RightConst)
 	if err != nil {
 		return nil, false, nil
 	}
-	return vexec.CollectRows(it.Next), true, nil
+	return rows, true, nil
 }
 
 func (s objSource) deliver(n int) { s.store.DeliverOutput(n) }
