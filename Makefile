@@ -51,9 +51,11 @@ ci-lint:
 	elif GOBIN=$(CURDIR)/.tools $(GO) install $(STATICCHECK) 2>/dev/null; then $(CURDIR)/.tools/staticcheck ./...; \
 	else echo "ci-lint: staticcheck not on PATH and $(STATICCHECK) not installable (offline?) — SKIPPED"; fi
 # Everything that shares state across goroutines: rule registry, history
-# recorder, concurrent prepares, mediator, wrapper server, virtual clock,
-# the stores whose rows answers alias, executor and spill breakers,
-# per-connection frame readers, the bench smoke run.
+# recorder, concurrent prepares, mediator, wrapper server (executes on
+# several connections at once), the buffer pools the stores share and
+# whose rows answers alias, executions metering their own time beside
+# each other, executor and spill breakers, per-connection frame readers,
+# the bench smoke run.
 ci-race:
 	$(GO) test -race ./internal/core ./internal/history ./internal/optimizer ./internal/mediator \
 		./internal/wrapper ./internal/netsim ./internal/engine ./internal/vexec ./internal/serving ./bench \
@@ -66,11 +68,13 @@ ci-race:
 # under 128 KiB, a row frame encodes and decodes with a constant number
 # of allocations, Server.Handle adds a constant to Mediator.Query, a
 # second answer on one connection allocates nothing for its block, a
-# Constant is 32 bytes, and the object store's ReadAll and buffer-pool
-# misses allocate nothing and its index read only its answer.
+# Constant is 32 bytes, the object store's ReadAll and buffer-pool misses
+# allocate nothing and its index read only its answer, the relational
+# store's ReadAll nothing and a warm probe only its answer, and a meter
+# charge nothing.
 ci-alloc:
 	$(GO) test -run 'Alloc|ConstantSize|Slab|ArenaReserve' -count=1 ./internal/core ./internal/optimizer ./internal/vexec \
-		./internal/serving ./internal/proto ./internal/types ./internal/objstore
+		./internal/serving ./internal/proto ./internal/types ./internal/objstore ./internal/relstore
 ci-faultmatrix: # every injected fault recovers or degrades to a partial answer
 	$(GO) test -race -run 'Fault|Remote|Injector|Resilience' ./internal/mediator ./internal/wrapper ./internal/netsim ./internal/experiments
 ci-feedback: # extents mis-registered 10x are repaired by the workload; the probe runs the truth plan from round 2 (E10)

@@ -236,9 +236,8 @@ func BenchmarkFeedbackConvergence(b *testing.B) {
 // every round.
 func benchOptimizeFixture(tb testing.TB, nrel int) (*optimizer.Optimizer, *optimizer.QueryBlock) {
 	tb.Helper()
-	clock := netsim.NewClock()
-	ostore := objstore.Open(objstore.DefaultConfig(), clock)
-	rstore := relstore.Open(relstore.DefaultConfig(), clock)
+	ostore := objstore.Open(objstore.DefaultConfig())
+	rstore := relstore.Open(relstore.DefaultConfig())
 
 	sizes := []int{2000, 120, 900, 60, 1500, 300, 45, 700, 220, 1100, 80, 400}
 	if nrel > len(sizes) {
@@ -319,7 +318,7 @@ func benchOptimizeFixture(tb testing.TB, nrel int) (*optimizer.Optimizer, *optim
 			}
 		}
 	}
-	est := core.NewEstimator(reg, cat, netsim.NewNetwork(netsim.Link{LatencyMS: 10, PerByteMS: 0.0005}, nil))
+	est := core.NewEstimator(reg, cat, netsim.NewNetwork(netsim.Link{LatencyMS: 10, PerByteMS: 0.0005}))
 	opt := optimizer.New(cat, est, optimizer.DefaultOptions())
 	return opt, &optimizer.QueryBlock{Relations: rels, JoinPreds: joins}
 }

@@ -26,7 +26,7 @@ func main() {
 	scale.AtomicParts = *parts
 	scale.ShuffledPlacement = !*clustered
 
-	store := objstore.Open(objstore.DefaultConfig(), nil)
+	store := objstore.Open(objstore.DefaultConfig())
 	if err := oo7.Generate(store, scale, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "oo7gen:", err)
 		os.Exit(1)

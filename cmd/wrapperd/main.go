@@ -42,10 +42,9 @@ func main() {
 		log.Printf("wrapperd: injecting faults: %s", plan)
 	}
 
-	clock := netsim.NewClock()
 	cfg := objstore.DefaultConfig()
 	cfg.BufferPages = *parts/70 + 64
-	store := objstore.Open(cfg, clock)
+	store := objstore.Open(cfg)
 	scale := oo7.PaperScale()
 	scale.AtomicParts = *parts
 	if err := oo7.Generate(store, scale, 1); err != nil {

@@ -7,7 +7,7 @@
 // through wrappers. Registration (paper Figure 1) uploads each wrapper's
 // schema, statistics and cost rules; queries (paper Figure 2) are parsed,
 // optimized against the blended cost model, and executed across the
-// sources on a shared virtual clock:
+// sources, each execution metering its own virtual time:
 //
 //	m, _ := disco.NewMediator(disco.DefaultConfig())
 //	store := disco.OpenObjectStore(m, disco.DefaultObjectStoreConfig())
@@ -63,7 +63,7 @@ type Schema = types.Schema
 // phases.
 type Wrapper = wrapper.Wrapper
 
-// Clock is the shared virtual simulation clock.
+// Clock is the federation's running total of virtual time (Mediator.Clock).
 type Clock = netsim.Clock
 
 // Network models per-wrapper communication links.
@@ -125,19 +125,20 @@ func DefaultRelationalStoreConfig() RelationalStoreConfig { return relstore.Defa
 // DefaultFileStoreConfig returns the flat-file source profile.
 func DefaultFileStoreConfig() FileStoreConfig { return filestore.DefaultConfig() }
 
-// OpenObjectStore creates an object store on the mediator's clock.
+// OpenObjectStore creates an object store for the mediator's federation.
 func OpenObjectStore(m *Mediator, cfg ObjectStoreConfig) *ObjectStore {
-	return objstore.Open(cfg, m.Clock)
+	return objstore.Open(cfg)
 }
 
-// OpenRelationalStore creates a relational store on the mediator's clock.
+// OpenRelationalStore creates a relational store for the mediator's
+// federation.
 func OpenRelationalStore(m *Mediator, cfg RelationalStoreConfig) *RelationalStore {
-	return relstore.Open(cfg, m.Clock)
+	return relstore.Open(cfg)
 }
 
-// OpenFileStore creates a file store on the mediator's clock.
+// OpenFileStore creates a file store for the mediator's federation.
 func OpenFileStore(m *Mediator, cfg FileStoreConfig) *FileStore {
-	return filestore.Open(cfg, m.Clock)
+	return filestore.Open(cfg)
 }
 
 // NewObjectWrapper exposes an object store to the mediator under a
@@ -163,8 +164,8 @@ func NewFileWrapper(name string, s *FileStore) *wrapper.FileWrapper {
 // (paper §3): interfaces with cardinality sections and cost sections. Use
 // DeclareExtent/DeclareAttribute for the hand-written statistics and Load
 // for the rows.
-func NewStaticWrapper(name, idlSrc string, clock *Clock) (*wrapper.StaticWrapper, error) {
-	return wrapper.NewStaticWrapper(name, idlSrc, clock)
+func NewStaticWrapper(name, idlSrc string) (*wrapper.StaticWrapper, error) {
+	return wrapper.NewStaticWrapper(name, idlSrc)
 }
 
 // ExtentStats is a collection's exported extent triplet (CountObject,

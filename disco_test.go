@@ -92,7 +92,7 @@ interface Part {
   cost {
     scan(Part) { TotalTime = Part.CountObject * 2; }
   }
-};`, m.Clock)
+};`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	w, err := disco.NewStaticWrapper("legacy", employeeIDL, m.Clock)
+	w, err := disco.NewStaticWrapper("legacy", employeeIDL)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,8 +2,9 @@
 // draws them. A wrapper is served over TCP (as cmd/wrapperd would host
 // it); the mediator dials it, pulls the registration payload — schema,
 // statistics, cost rules — across the wire, and runs queries whose
-// subplans execute remotely. The remote side's virtual time merges into
-// the mediator's clock, so response-time accounting spans both processes.
+// subplans execute remotely. The remote side's virtual time is part of
+// each query's measured time, so response-time accounting spans both
+// processes.
 //
 // Run with: go run ./examples/remote
 package main
@@ -14,19 +15,17 @@ import (
 	"net"
 
 	"disco"
-	"disco/internal/netsim"
 	"disco/internal/objstore"
 	"disco/internal/oo7"
 	"disco/internal/wrapper"
 )
 
 func main() {
-	// The "wrapper process": its own clock, its own store, served on a
-	// loopback listener (in production this is cmd/wrapperd).
-	backendClock := netsim.NewClock()
+	// The "wrapper process": its own store, served on a loopback
+	// listener (in production this is cmd/wrapperd).
 	cfg := objstore.DefaultConfig()
 	cfg.BufferPages = 300
-	store := objstore.Open(cfg, backendClock)
+	store := objstore.Open(cfg)
 	scale := oo7.TinyScale()
 	scale.AtomicParts = 7000
 	if err := oo7.Generate(store, scale, 1); err != nil {
@@ -45,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rw, err := wrapper.DialRemote(ln.Addr().String(), m.Clock)
+	rw, err := wrapper.DialRemote(ln.Addr().String())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"disco/internal/algebra"
-	"disco/internal/netsim"
 	"disco/internal/objstore"
 	"disco/internal/relstore"
 	"disco/internal/stats"
@@ -92,7 +91,7 @@ type BufferResetter interface {
 // wrapper and records (k, elapsed virtual ms). The attribute must be
 // integer-valued and uniformly distributed in [min, max] for cut
 // placement.
-func ProbeIndexScan(w wrapper.Wrapper, clock *netsim.Clock, collection, attr string,
+func ProbeIndexScan(w wrapper.Wrapper, collection, attr string,
 	min, max int64, sels []float64) ([]Sample, error) {
 
 	schemaSrc := singleWrapperSchemas{w}
@@ -107,7 +106,6 @@ func ProbeIndexScan(w wrapper.Wrapper, clock *netsim.Clock, collection, attr str
 			return nil, err
 		}
 		resetBuffers(w)
-		start := clock.Now()
 		res, err := w.Execute(plan)
 		if err != nil {
 			return nil, err
@@ -115,7 +113,7 @@ func ProbeIndexScan(w wrapper.Wrapper, clock *netsim.Clock, collection, attr str
 		out = append(out, Sample{
 			Selectivity: sel,
 			K:           float64(len(res.Rows)),
-			TimeMS:      clock.Now() - start,
+			TimeMS:      res.VirtualMS,
 		})
 	}
 	return out, nil

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"disco/internal/netsim"
 	"disco/internal/objstore"
 	"disco/internal/oo7"
 	"disco/internal/wrapper"
@@ -81,10 +80,9 @@ func TestErrorMetrics(t *testing.T) {
 // reports — the line fits the probes reasonably but UNDERESTIMATES the
 // midrange where Yao-shaped page fetches dominate.
 func TestCalibrateOnSimulatedStore(t *testing.T) {
-	clock := netsim.NewClock()
 	cfg := objstore.DefaultConfig()
 	cfg.BufferPages = 1200
-	store := objstore.Open(cfg, clock)
+	store := objstore.Open(cfg)
 	scale := oo7.TinyScale()
 	scale.AtomicParts = 14000 // 200 pages
 	if err := oo7.Generate(store, scale, 11); err != nil {
@@ -92,7 +90,7 @@ func TestCalibrateOnSimulatedStore(t *testing.T) {
 	}
 	w := wrapper.NewObjWrapper("obj1", store)
 
-	samples, err := ProbeIndexScan(w, clock, oo7.AtomicParts, "id", 0, int64(scale.AtomicParts),
+	samples, err := ProbeIndexScan(w, oo7.AtomicParts, "id", 0, int64(scale.AtomicParts),
 		[]float64{0.001, 0.01, 0.3, 0.6, 0.9})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +106,7 @@ func TestCalibrateOnSimulatedStore(t *testing.T) {
 		t.Errorf("fit = %s", fit)
 	}
 	// Measure an unseen midrange selectivity and compare.
-	mid, err := ProbeIndexScan(w, clock, oo7.AtomicParts, "id", 0, int64(scale.AtomicParts),
+	mid, err := ProbeIndexScan(w, oo7.AtomicParts, "id", 0, int64(scale.AtomicParts),
 		[]float64{0.08})
 	if err != nil {
 		t.Fatal(err)

@@ -5,17 +5,15 @@ import (
 	"testing"
 
 	"disco/internal/filestore"
-	"disco/internal/netsim"
 	"disco/internal/objstore"
 	"disco/internal/types"
 	"disco/internal/wrapper"
 )
 
-func buildCatalog(t *testing.T) (*Catalog, *netsim.Clock) {
+func buildCatalog(t *testing.T) *Catalog {
 	t.Helper()
-	clock := netsim.NewClock()
 
-	ostore := objstore.Open(objstore.DefaultConfig(), clock)
+	ostore := objstore.Open(objstore.DefaultConfig())
 	emp, err := ostore.CreateCollection("Employee", types.NewSchema(
 		types.Field{Name: "id", Collection: "Employee", Type: types.KindInt},
 		types.Field{Name: "salary", Collection: "Employee", Type: types.KindInt},
@@ -30,7 +28,7 @@ func buildCatalog(t *testing.T) (*Catalog, *netsim.Clock) {
 		t.Fatal(err)
 	}
 
-	fstore := filestore.Open(filestore.DefaultConfig(), clock)
+	fstore := filestore.Open(filestore.DefaultConfig())
 	doc, err := fstore.CreateFile("Docs", types.NewSchema(
 		types.Field{Name: "id", Collection: "Docs", Type: types.KindInt},
 	))
@@ -46,11 +44,11 @@ func buildCatalog(t *testing.T) (*Catalog, *netsim.Clock) {
 	if err := cat.Register(wrapper.NewFileWrapper("files", fstore)); err != nil {
 		t.Fatal(err)
 	}
-	return cat, clock
+	return cat
 }
 
 func TestRegisterAndLookups(t *testing.T) {
-	cat, _ := buildCatalog(t)
+	cat := buildCatalog(t)
 	if got := cat.Wrappers(); len(got) != 2 || got[0] != "files" || got[1] != "obj1" {
 		t.Errorf("Wrappers = %v", got)
 	}
@@ -79,7 +77,7 @@ func TestRegisterAndLookups(t *testing.T) {
 }
 
 func TestStatsExposure(t *testing.T) {
-	cat, _ := buildCatalog(t)
+	cat := buildCatalog(t)
 	ext, ok := cat.Extent("obj1", "Employee")
 	if !ok || ext.CountObject != 100 {
 		t.Errorf("extent = %+v, %v", ext, ok)
@@ -102,7 +100,7 @@ func TestStatsExposure(t *testing.T) {
 }
 
 func TestCapabilitiesAndFind(t *testing.T) {
-	cat, _ := buildCatalog(t)
+	cat := buildCatalog(t)
 	caps, ok := cat.Capabilities("files")
 	if !ok || caps.Join {
 		t.Errorf("files caps = %+v", caps)
@@ -122,7 +120,7 @@ func TestCapabilitiesAndFind(t *testing.T) {
 }
 
 func TestCatalogString(t *testing.T) {
-	cat, _ := buildCatalog(t)
+	cat := buildCatalog(t)
 	s := cat.String()
 	for _, want := range []string{"wrapper obj1", "Employee", "[100 objects"} {
 		if !strings.Contains(s, want) {
@@ -132,7 +130,7 @@ func TestCatalogString(t *testing.T) {
 }
 
 func TestEntryCostRules(t *testing.T) {
-	cat, _ := buildCatalog(t)
+	cat := buildCatalog(t)
 	e, ok := cat.Entry("obj1")
 	if !ok || e.CostRules == "" {
 		t.Error("obj wrapper rules should be captured at registration")

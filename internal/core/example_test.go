@@ -7,7 +7,6 @@ import (
 	"disco/internal/catalog"
 	"disco/internal/core"
 	"disco/internal/costlang"
-	"disco/internal/netsim"
 	"disco/internal/objstore"
 	"disco/internal/stats"
 	"disco/internal/types"
@@ -19,7 +18,7 @@ import (
 // rest, and the estimate for a select-over-scan plan mixes both.
 func Example() {
 	// A small object database source.
-	store := objstore.Open(objstore.DefaultConfig(), netsim.NewClock())
+	store := objstore.Open(objstore.DefaultConfig())
 	schema := types.NewSchema(
 		types.Field{Collection: "Employee", Name: "id", Type: types.KindInt},
 		types.Field{Collection: "Employee", Name: "salary", Type: types.KindInt},

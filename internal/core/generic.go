@@ -8,7 +8,7 @@ import (
 
 // The mediator's per-row processing times in milliseconds: the local-scope
 // coefficients of the generic model and, read by engine.ownCharge, what
-// executing a mediator operator charges the virtual clock. One source for
+// executing a mediator operator charges its execution. One source for
 // both means accurate cardinalities imply accurate mediator estimates.
 const (
 	MedPerObj      = 0.004

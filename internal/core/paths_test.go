@@ -56,9 +56,8 @@ interface Employee {
 // at the mediator.
 func ruleSetFixture(t *testing.T) (*Estimator, []*algebra.Node) {
 	t.Helper()
-	clock := netsim.NewClock()
-	ostore := objstore.Open(objstore.DefaultConfig(), clock)
-	rstore := relstore.Open(relstore.DefaultConfig(), clock)
+	ostore := objstore.Open(objstore.DefaultConfig())
+	rstore := relstore.Open(relstore.DefaultConfig())
 	schema := func(coll string) *types.Schema {
 		return types.NewSchema(
 			types.Field{Name: "id", Collection: coll, Type: types.KindInt},
@@ -85,7 +84,7 @@ func ruleSetFixture(t *testing.T) (*Estimator, []*algebra.Node) {
 		tbl.Insert(types.Row{types.Int(int64(r)), types.Int(int64(r % 7))})
 	}
 	tbl.CreateHashIndex("id")
-	legacy, err := wrapper.NewStaticWrapper("legacy", legacyIDL, clock)
+	legacy, err := wrapper.NewStaticWrapper("legacy", legacyIDL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +110,7 @@ func ruleSetFixture(t *testing.T) (*Estimator, []*algebra.Node) {
 			t.Fatal(err)
 		}
 	}
-	e := NewEstimator(reg, cat, netsim.NewNetwork(netsim.Link{LatencyMS: 10, PerByteMS: 0.0005}, nil))
+	e := NewEstimator(reg, cat, netsim.NewNetwork(netsim.Link{LatencyMS: 10, PerByteMS: 0.0005}))
 
 	scan := algebra.Scan
 	lt := func(coll string, v int64) *algebra.Predicate {

@@ -38,9 +38,8 @@ func (v *spyView) Extent(w, c string) (stats.ExtentStats, bool) {
 // optimizer whose estimator reports its searches to the returned view.
 func chordSearch(t *testing.T) (*optimizer.Optimizer, *optimizer.QueryBlock, *spyView) {
 	t.Helper()
-	clock := netsim.NewClock()
-	ostore := objstore.Open(objstore.DefaultConfig(), clock)
-	rstore := relstore.Open(relstore.DefaultConfig(), clock)
+	ostore := objstore.Open(objstore.DefaultConfig())
+	rstore := relstore.Open(relstore.DefaultConfig())
 	sizes := []int{2000, 120, 900, 60, 1500, 300, 45}
 	rels := make([]optimizer.Rel, len(sizes))
 	var joins []algebra.Comparison
@@ -97,7 +96,7 @@ func chordSearch(t *testing.T) (*optimizer.Optimizer, *optimizer.QueryBlock, *sp
 		}
 	}
 	view := &spyView{CatalogView: cat}
-	view.est = core.NewEstimator(reg, view, netsim.NewNetwork(netsim.Link{LatencyMS: 10, PerByteMS: 0.0005}, nil))
+	view.est = core.NewEstimator(reg, view, netsim.NewNetwork(netsim.Link{LatencyMS: 10, PerByteMS: 0.0005}))
 	return optimizer.New(cat, view.est, optimizer.DefaultOptions()), &optimizer.QueryBlock{Relations: rels, JoinPreds: joins}, view
 }
 

@@ -3,20 +3,23 @@
 // vectorized batch pipeline (internal/vexec), delegates submit subtrees
 // to their wrappers, ships results over the simulated network, and
 // combines subanswers with mediator-side operators, charging all work to
-// the shared virtual clock. Measured (virtual) response times from this
+// the execution's own meter. Measured (virtual) response times from this
 // engine are the "Experiment" series of the reproduction.
 //
-// Virtual time is decoupled from the pipeline's wall-clock execution:
-// submits charge the clock live (wrapper work, shipping, cache hits),
-// while mediator-side operator time is charged analytically after the
-// pipeline drains, from the per-operator row counts vexec reports, so
-// simulated response times — and the per-operator profile built from
-// them — do not depend on how the pipeline batches or spills.
+// Each execution sums its own virtual time from zero, so concurrent
+// executions never land in each other's times. A submit's time is its
+// wrapper's Result.VirtualMS plus its link's transfer time (or the cache
+// hit formula), charged as the pipeline reaches it; mediator-side
+// operator time is charged analytically after the pipeline drains, from
+// the per-operator row counts vexec reports, so simulated response times
+// — and the per-operator profile built from them — do not depend on how
+// the pipeline batches or spills.
 package engine
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -55,7 +58,6 @@ type SubmitCache interface {
 type Engine struct {
 	wrappers map[string]wrapper.Wrapper
 	net      *netsim.Network
-	clock    *netsim.Clock
 
 	// downMu guards down: submits consult it, and a wrapper failing
 	// mid-query updates it.
@@ -78,25 +80,14 @@ type Engine struct {
 	Exec vexec.Options
 }
 
-// New builds an engine over the registered wrappers. All wrappers must
-// share the engine's clock for measured response times to be meaningful;
-// New enforces this. The wrapper map is snapshot-copied: an engine's view
-// of the federation is immutable for its lifetime, so in-flight
-// executions on a superseded engine stay race-free while a registration
-// builds its replacement from the live map.
-func New(clock *netsim.Clock, net *netsim.Network, wrappers map[string]wrapper.Wrapper) (*Engine, error) {
-	ws := make(map[string]wrapper.Wrapper, len(wrappers))
-	for name, w := range wrappers {
-		if w.Clock() != clock {
-			return nil, fmt.Errorf("engine: wrapper %s does not share the engine clock", name)
-		}
-		ws[name] = w
-	}
-	return &Engine{wrappers: ws, net: net, clock: clock, down: make(map[string]bool)}, nil
+// New builds an engine over the registered wrappers; net (nil ships for
+// free) prices each submit's transfer. The wrapper map is snapshot-copied:
+// an engine's view of the federation is immutable for its lifetime, so
+// in-flight executions on a superseded engine stay race-free while a
+// registration builds its replacement from the live map.
+func New(net *netsim.Network, wrappers map[string]wrapper.Wrapper) *Engine {
+	return &Engine{wrappers: maps.Clone(wrappers), net: net, down: make(map[string]bool)}
 }
-
-// Clock returns the shared virtual clock.
-func (e *Engine) Clock() *netsim.Clock { return e.clock }
 
 // MarkUnavailable records a wrapper as down: later submits to it are
 // excluded (partial answers) without re-attempting the transport.
@@ -148,8 +139,10 @@ type submitFacts struct {
 }
 
 // execState accumulates per-execution degradation facts, the profile
-// under construction, and the per-submit transport facts.
+// under construction, the per-submit transport facts and the execution's
+// virtual time.
 type execState struct {
+	meter    netsim.Meter
 	excluded map[string]bool
 	prof     *feedback.Profile
 	submits  map[*algebra.Node]*submitFacts
@@ -171,7 +164,6 @@ func (st *execState) exclude(name string) {
 // no rows and the result is marked Partial with the wrapper listed in
 // Excluded.
 func (e *Engine) Execute(plan *algebra.Node) (*Result, error) {
-	watch := netsim.StartWatch(e.clock)
 	st := execState{prof: feedback.NewProfile(), submits: make(map[*algebra.Node]*submitFacts)}
 	if e.Results != nil {
 		st.cacheGen = e.Results.Begin()
@@ -186,7 +178,7 @@ func (e *Engine) Execute(plan *algebra.Node) (*Result, error) {
 		return nil, err
 	}
 	e.charge(plan, counts, &st)
-	res := &Result{Rows: rows, Schema: plan.OutSchema, ElapsedMS: watch.ElapsedMS(), Profile: st.prof}
+	res := &Result{Rows: rows, Schema: plan.OutSchema, ElapsedMS: st.meter.MS(), Profile: st.prof}
 	if len(st.excluded) > 0 {
 		res.Partial = true
 		res.Excluded = make([]string, 0, len(st.excluded))
@@ -201,17 +193,17 @@ func (e *Engine) Execute(plan *algebra.Node) (*Result, error) {
 }
 
 // leaf is the pipeline's Leaf hook: it executes submit boundaries
-// (wrapper delegation, outage degradation, result cache, shipping) with
-// live clock charging, rejects bare scans, and leaves every other node to
-// the generic vectorized operators.
+// (wrapper delegation, outage degradation, result cache, shipping),
+// charging each submit's time to the execution as it finishes, rejects
+// bare scans, and leaves every other node to the generic vectorized
+// operators.
 func (e *Engine) leaf(n *algebra.Node, st *execState) ([]types.Row, bool, error) {
 	switch n.Kind {
 	case algebra.OpSubmit:
-		t0 := e.clock.Now()
 		f := &submitFacts{}
 		st.submits[n] = f
 		rows, err := e.submit(n, st, f)
-		f.elapsedMS = e.clock.Now() - t0
+		st.meter.Add(f.elapsedMS)
 		return rows, true, err
 
 	case algebra.OpScan:
@@ -220,8 +212,8 @@ func (e *Engine) leaf(n *algebra.Node, st *execState) ([]types.Row, bool, error)
 	return nil, false, nil
 }
 
-// submit executes one submit boundary, recording the transport facts for
-// the profile.
+// submit executes one submit boundary, recording the transport facts and
+// the submit's virtual time for the profile.
 func (e *Engine) submit(n *algebra.Node, st *execState, f *submitFacts) ([]types.Row, error) {
 	w, ok := e.wrappers[n.Wrapper]
 	if !ok {
@@ -241,14 +233,16 @@ func (e *Engine) submit(n *algebra.Node, st *execState, f *submitFacts) ([]types
 		if rows, ok := e.Results.Get(n.StructuralHash()); ok {
 			// Serve the materialized subtree: charge the ScopeCache
 			// formula instead of the wrapper and the wire.
-			e.clock.Advance(resultcache.HitFloorMS + float64(len(rows))*resultcache.HitPerRowMS)
+			f.elapsedMS = resultcache.HitFloorMS + float64(len(rows))*resultcache.HitPerRowMS
 			f.cached = true
 			return rows, nil
 		}
 	}
-	start := e.clock.Now()
 	f.trips = 1
 	res, err := w.Execute(n.Children[0])
+	if res != nil { // a failed execute may still report the time it cost
+		f.elapsedMS = res.VirtualMS
+	}
 	if err != nil {
 		if errors.Is(err, wrapper.ErrUnavailable) {
 			// The source died mid-query: degrade to a partial answer
@@ -262,11 +256,11 @@ func (e *Engine) submit(n *algebra.Node, st *execState, f *submitFacts) ([]types
 		return nil, fmt.Errorf("engine: wrapper %s: %w", n.Wrapper, err)
 	}
 	if e.net != nil {
-		e.net.Ship(n.Wrapper, res.Bytes)
+		f.elapsedMS += e.net.LinkFor(n.Wrapper).TransferMS(res.Bytes)
 	}
 	f.bytes = res.Bytes
 	if e.SubmitHook != nil {
-		e.SubmitHook(n, e.clock.Now()-start, len(res.Rows), res.Bytes)
+		e.SubmitHook(n, f.elapsedMS, len(res.Rows), res.Bytes)
 	}
 	if e.Results != nil {
 		// Only a complete wrapper answer is offered; the excluded paths
@@ -278,7 +272,7 @@ func (e *Engine) submit(n *algebra.Node, st *execState, f *submitFacts) ([]types
 }
 
 // charge replays the mediator-side operator costs analytically after a
-// pipeline drains, advancing the virtual clock and building the profile
+// pipeline drains, charging the execution's meter and building the profile
 // in post-order: a node's own share is its formula, its subtree time is
 // that plus the children's. Submit boundaries carry the live-measured
 // facts from the Leaf hook and are opaque below (the wrapper executed the
@@ -320,7 +314,7 @@ func (e *Engine) charge(n *algebra.Node, counts vexec.Counts, st *execState) *fe
 	}
 	out := counts.Out(n)
 	own := e.ownCharge(n, counts, in, out)
-	e.clock.Advance(own)
+	st.meter.Add(own)
 	a := &feedback.OpActual{RowsIn: in, RowsOut: out, OwnMS: own, SubtreeMS: own + kidsMS}
 	st.prof.ByNode[n] = a
 	return a

@@ -15,12 +15,12 @@ import (
 
 // naiveExec is the engine's oracle: the naive plan evaluator computes the
 // rows, running every submit on its wrapper and shipping the result, and
-// the mediator operators' virtual time is then charged from the row
+// the mediator operators' virtual time is then charged to m from the row
 // counts it observed, with the cost-model formulas written out once more.
 // The identity tests run it against Engine.Execute on identical fresh
 // deployments: rows must match bit for bit and the virtual elapsed time
 // must agree to float round-off.
-func naiveExec(e *Engine, plan *algebra.Node) ([]types.Row, error) {
+func naiveExec(e *Engine, m *netsim.Meter, plan *algebra.Node) ([]types.Row, error) {
 	out := make(map[*algebra.Node]float64)
 	rows, err := refeval.Eval(plan, func(n *algebra.Node) ([]types.Row, bool, error) {
 		if n.Kind != algebra.OpSubmit {
@@ -30,7 +30,7 @@ func naiveExec(e *Engine, plan *algebra.Node) ([]types.Row, error) {
 		if err != nil {
 			return nil, true, err
 		}
-		e.net.Ship(n.Wrapper, res.Bytes)
+		m.Add(res.VirtualMS + e.net.LinkFor(n.Wrapper).TransferMS(res.Bytes))
 		return res.Rows, true, nil
 	}, func(n *algebra.Node, rows []types.Row) { out[n] = float64(len(rows)) })
 	if err != nil {
@@ -43,17 +43,17 @@ func naiveExec(e *Engine, plan *algebra.Node) ([]types.Row, error) {
 		in := out[n.Children[0]]
 		switch n.Kind {
 		case algebra.OpSelect:
-			e.clock.Advance(in * core.MedPerPred)
+			m.Add(in * core.MedPerPred)
 		case algebra.OpProject:
-			e.clock.Advance(in * core.MedProjPerObj)
+			m.Add(in * core.MedProjPerObj)
 		case algebra.OpSort:
-			e.clock.Advance(nLogN(int(in)) * core.MedSortPerObj)
+			m.Add(nLogN(int(in)) * core.MedSortPerObj)
 		case algebra.OpDupElim:
-			e.clock.Advance(in * core.MedHashPerObj)
+			m.Add(in * core.MedHashPerObj)
 		case algebra.OpAggregate:
-			e.clock.Advance(in*core.MedHashPerObj + out[n]*core.MedPerObj)
+			m.Add(in*core.MedHashPerObj + out[n]*core.MedPerObj)
 		case algebra.OpUnion:
-			e.clock.Advance(out[n] * core.MedPerObj)
+			m.Add(out[n] * core.MedPerObj)
 		case algebra.OpJoin:
 			right := out[n.Children[1]]
 			equi := false
@@ -61,9 +61,9 @@ func naiveExec(e *Engine, plan *algebra.Node) ([]types.Row, error) {
 				equi = equi || c.Op == stats.CmpEQ
 			}
 			if equi {
-				e.clock.Advance((in+right)*core.MedHashPerObj + out[n]*core.MedPerObj)
+				m.Add((in+right)*core.MedHashPerObj + out[n]*core.MedPerObj)
 			} else {
-				e.clock.Advance(in * right * core.MedJoinPerPair)
+				m.Add(in * right * core.MedJoinPerPair)
 			}
 		}
 		return true
@@ -114,12 +114,12 @@ func TestVectorizedMatchesLegacy(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			dLegacy := buildDeployment(t)
 			legacyPlan := identityPlans(t, dLegacy)[name]
-			watch := netsim.StartWatch(dLegacy.clock)
-			wantRows, err := naiveExec(dLegacy.engine, legacyPlan)
+			var want netsim.Meter
+			wantRows, err := naiveExec(dLegacy.engine, &want, legacyPlan)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantMS := watch.ElapsedMS()
+			wantMS := want.MS()
 
 			dNew := buildDeployment(t)
 			res, err := dNew.engine.Execute(identityPlans(t, dNew)[name])

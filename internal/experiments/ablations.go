@@ -38,7 +38,7 @@ func newMediatorOO7(scale oo7.Scale, useRules bool) (*oo7Mediator, error) {
 	}
 	scfg := objstore.DefaultConfig()
 	scfg.BufferPages = scale.AtomicParts/70 + 64
-	store := objstore.Open(scfg, m.Clock)
+	store := objstore.Open(scfg)
 	if err := oo7.Generate(store, scale, 1); err != nil {
 		return nil, err
 	}
@@ -216,7 +216,7 @@ func History(scale oo7.Scale) (*HistoryResult, error) {
 	}
 	scfg := objstore.DefaultConfig()
 	scfg.BufferPages = scale.AtomicParts/70 + 64
-	store := objstore.Open(scfg, m.Clock)
+	store := objstore.Open(scfg)
 	if err := oo7.Generate(store, scale, 1); err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 	"disco/internal/calibration"
 	"disco/internal/core"
 	"disco/internal/costlang"
-	"disco/internal/netsim"
 	"disco/internal/objstore"
 	"disco/internal/oo7"
 )
@@ -88,10 +87,9 @@ func newClusteredDeployment(scale oo7.Scale, shuffled bool) (*clusteredDeploymen
 // index clustered when placement is ordered, so the exported statistics
 // carry the Clustered flag the wrapper rule dispatches on.
 func newOO7DeploymentClustered(scale oo7.Scale) (*figure12Deployment, error) {
-	clock := netsim.NewClock()
 	cfg := objstore.DefaultConfig()
 	cfg.BufferPages = scale.AtomicParts/70 + 64
-	store := objstore.Open(cfg, clock)
+	store := objstore.Open(cfg)
 	if err := generateClusterAware(store, scale); err != nil {
 		return nil, err
 	}
@@ -100,7 +98,7 @@ func newOO7DeploymentClustered(scale oo7.Scale) (*figure12Deployment, error) {
 	if cat == nil {
 		return nil, fmt.Errorf("experiments: catalog registration failed")
 	}
-	return &figure12Deployment{clock: clock, store: store, wrap: w, cat: cat, scale: scale}, nil
+	return &figure12Deployment{store: store, wrap: w, cat: cat, scale: scale}, nil
 }
 
 // estimateRange estimates the Figure-12 range plan including delivery
@@ -136,7 +134,7 @@ func Clustering(scale oo7.Scale, sels []float64) (*ClusteringResult, error) {
 
 	// Calibrate the linear model on the unclustered store, as a generic
 	// mediator would have.
-	samples, err := calibration.ProbeIndexScan(unclust.wrap, unclust.clock, oo7.AtomicParts, "id",
+	samples, err := calibration.ProbeIndexScan(unclust.wrap, oo7.AtomicParts, "id",
 		0, int64(scale.AtomicParts), []float64{0.002, 0.005, 0.95, 1.0})
 	if err != nil {
 		return nil, err

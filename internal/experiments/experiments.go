@@ -1,7 +1,7 @@
 // Package experiments regenerates every figure and table of the paper's
 // evaluation (§5) plus the ablations listed in DESIGN.md §3. Each
-// experiment builds its own deployment on a fresh virtual clock, so runs
-// are deterministic and independent. cmd/experiments prints the tables;
+// experiment builds its own deployment and reads each execution's own
+// metered virtual time, so runs are deterministic and independent. cmd/experiments prints the tables;
 // the root bench suite asserts their shapes.
 package experiments
 
@@ -14,7 +14,6 @@ import (
 	"disco/internal/catalog"
 	"disco/internal/core"
 	"disco/internal/costlang"
-	"disco/internal/netsim"
 	"disco/internal/objstore"
 	"disco/internal/oo7"
 	"disco/internal/stats"
@@ -63,7 +62,6 @@ type Figure12Result struct {
 
 // figure12Deployment bundles the pieces several experiments reuse.
 type figure12Deployment struct {
-	clock *netsim.Clock
 	store *objstore.Store
 	wrap  *wrapper.ObjWrapper
 	cat   *catalog.Catalog
@@ -71,12 +69,11 @@ type figure12Deployment struct {
 }
 
 func newOO7Deployment(scale oo7.Scale, bufferPages int) (*figure12Deployment, error) {
-	clock := netsim.NewClock()
 	cfg := objstore.DefaultConfig()
 	if bufferPages > 0 {
 		cfg.BufferPages = bufferPages
 	}
-	store := objstore.Open(cfg, clock)
+	store := objstore.Open(cfg)
 	if err := oo7.Generate(store, scale, 1); err != nil {
 		return nil, err
 	}
@@ -85,7 +82,7 @@ func newOO7Deployment(scale oo7.Scale, bufferPages int) (*figure12Deployment, er
 	if err := cat.Register(w); err != nil {
 		return nil, err
 	}
-	return &figure12Deployment{clock: clock, store: store, wrap: w, cat: cat, scale: scale}, nil
+	return &figure12Deployment{store: store, wrap: w, cat: cat, scale: scale}, nil
 }
 
 func (d *figure12Deployment) rangePlan(sel float64) (*algebra.Node, error) {
@@ -103,12 +100,11 @@ func (d *figure12Deployment) measure(sel float64) (int64, float64, error) {
 		return 0, 0, err
 	}
 	d.store.ResetBuffer()
-	start := d.clock.Now()
 	res, err := d.wrap.Execute(plan)
 	if err != nil {
 		return 0, 0, err
 	}
-	return int64(len(res.Rows)), (d.clock.Now() - start) / 1000, nil
+	return int64(len(res.Rows)), res.VirtualMS / 1000, nil
 }
 
 // Figure12 reproduces the paper's index-scan experiment: the measured
@@ -138,7 +134,7 @@ func Figure12(scale oo7.Scale, calibSels, sels []float64) (*Figure12Result, erro
 	}
 
 	// Calibration baseline: probe, then fit TotalTime = a + b*k.
-	samples, err := calibration.ProbeIndexScan(d.wrap, d.clock, oo7.AtomicParts, "id",
+	samples, err := calibration.ProbeIndexScan(d.wrap, oo7.AtomicParts, "id",
 		0, int64(scale.AtomicParts), calibSels)
 	if err != nil {
 		return nil, err
@@ -349,8 +345,7 @@ func JoinCrossover(innerCards []int64) (*JoinCrossoverResult, error) {
 		innerCards = []int64{200, 2000, 20000, 60000}
 	}
 	const outerSel = 300
-	clock := netsim.NewClock()
-	store := objstore.Open(objstore.DefaultConfig(), clock)
+	store := objstore.Open(objstore.DefaultConfig())
 
 	outerSchema := types.NewSchema(
 		types.Field{Name: "oid", Collection: "Outer", Type: types.KindInt},

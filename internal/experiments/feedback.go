@@ -127,9 +127,7 @@ func buildFeedbackFederation(cfg mediator.Config, misregister bool) (*mediator.M
 	if err != nil {
 		return nil, err
 	}
-	clock := m.Clock
-
-	ostore := objstore.Open(objstore.DefaultConfig(), clock)
+	ostore := objstore.Open(objstore.DefaultConfig())
 	emp, err := ostore.CreateCollection("Employee", types.NewSchema(
 		types.Field{Name: "id", Collection: "Employee", Type: types.KindInt},
 		types.Field{Name: "name", Collection: "Employee", Type: types.KindString},
@@ -148,7 +146,7 @@ func buildFeedbackFederation(cfg mediator.Config, misregister bool) (*mediator.M
 		return nil, err
 	}
 
-	rstore := relstore.Open(relstore.DefaultConfig(), clock)
+	rstore := relstore.Open(relstore.DefaultConfig())
 	dept, err := rstore.CreateTable("Dept", types.NewSchema(
 		types.Field{Name: "dno", Collection: "Dept", Type: types.KindInt},
 		types.Field{Name: "dname", Collection: "Dept", Type: types.KindString},
@@ -161,7 +159,7 @@ func buildFeedbackFederation(cfg mediator.Config, misregister bool) (*mediator.M
 	}
 	dept.CreateHashIndex("dno")
 
-	fstore := filestore.Open(filestore.DefaultConfig(), clock)
+	fstore := filestore.Open(filestore.DefaultConfig())
 	notes, err := fstore.CreateFile("Notes", types.NewSchema(
 		types.Field{Name: "emp", Collection: "Notes", Type: types.KindInt},
 		types.Field{Name: "text", Collection: "Notes", Type: types.KindString},

@@ -116,8 +116,7 @@ func runResilienceScenario(name string, plan netsim.FaultPlan) (*ResilienceRow, 
 		return nil, err
 	}
 
-	backendClock := netsim.NewClock()
-	store := objstore.Open(objstore.DefaultConfig(), backendClock)
+	store := objstore.Open(objstore.DefaultConfig())
 	parts, err := store.CreateCollection("Parts", types.NewSchema(
 		types.Field{Name: "pid", Collection: "Parts", Type: types.KindInt},
 	), 48)
@@ -140,7 +139,7 @@ func runResilienceScenario(name string, plan netsim.FaultPlan) (*ResilienceRow, 
 
 	policy := wrapper.DefaultRetryPolicy()
 	policy.IOTimeout = 2 * time.Second
-	rw, err := wrapper.DialRemotePolicy(ln.Addr().String(), med.Clock, policy)
+	rw, err := wrapper.DialRemotePolicy(ln.Addr().String(), policy)
 	if err != nil {
 		return nil, err
 	}
@@ -150,12 +149,12 @@ func runResilienceScenario(name string, plan netsim.FaultPlan) (*ResilienceRow, 
 	}
 
 	row := &ResilienceRow{Scenario: name, Plan: plan.String(), Queries: len(resilienceWorkload)}
-	start := med.Clock.Now()
 	for _, q := range resilienceWorkload {
 		res, err := med.Query(q.sql)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", q.sql, err)
 		}
+		row.VirtualMS += res.ElapsedMS
 		switch {
 		case res.Partial:
 			row.Partial++
@@ -166,7 +165,6 @@ func runResilienceScenario(name string, plan netsim.FaultPlan) (*ResilienceRow, 
 				q.sql, len(res.Rows), q.rows)
 		}
 	}
-	row.VirtualMS = med.Clock.Now() - start
 	st := rw.Stats()
 	row.Retries, row.Redials = st.Retries, st.Redials
 	return row, nil

@@ -10,7 +10,6 @@ import (
 	"disco/internal/algebra"
 	"disco/internal/catalog"
 	"disco/internal/core"
-	"disco/internal/netsim"
 	"disco/internal/stats"
 	"disco/internal/types"
 	"disco/internal/wrapper"
@@ -149,7 +148,6 @@ func TestRecorderSkipsExcluded(t *testing.T) {
 type fakeWrapper struct {
 	name  string
 	colls map[string]fakeColl
-	clock *netsim.Clock
 }
 
 type fakeColl struct {
@@ -182,7 +180,6 @@ func (f *fakeWrapper) AttributeStats(c, a string) (stats.AttributeStats, bool) {
 }
 func (f *fakeWrapper) CostRules() string                              { return "" }
 func (f *fakeWrapper) Execute(*algebra.Node) (*wrapper.Result, error) { return nil, fmt.Errorf("fake") }
-func (f *fakeWrapper) Clock() *netsim.Clock                           { return f.clock }
 
 func testCatalog(t *testing.T) *catalog.Catalog {
 	t.Helper()
@@ -193,8 +190,7 @@ func testCatalog(t *testing.T) *catalog.Catalog {
 		{Lo: types.Float(4.5), Hi: types.Float(9), Count: 500, Distinct: 5},
 	}}
 	w := &fakeWrapper{
-		name:  "w1",
-		clock: netsim.NewClock(),
+		name: "w1",
 		colls: map[string]fakeColl{
 			"Employee": {
 				schema: types.NewSchema(

@@ -5,9 +5,10 @@
 // case they are not provided, standard values are given, as usual",
 // paper §6).
 //
-// A full read (File.ReadAll) charges the open and every record's parse
-// time, exactly as the Scan iterator does, and returns the file's own
-// records: records a file returns are read-only to every caller.
+// Every read charges the caller's execution meter. A full read
+// (File.ReadAll) charges the open and every record's parse time, exactly
+// as the Scan iterator does, and returns the file's own records: records
+// a file returns are read-only to every caller.
 package filestore
 
 import (
@@ -33,20 +34,13 @@ func DefaultConfig() Config {
 // Store holds named record files.
 type Store struct {
 	cfg   Config
-	clock *netsim.Clock
 	files map[string]*File
 }
 
-// Open creates a store on the clock (nil allocates one).
-func Open(cfg Config, clock *netsim.Clock) *Store {
-	if clock == nil {
-		clock = netsim.NewClock()
-	}
-	return &Store{cfg: cfg, clock: clock, files: make(map[string]*File)}
+// Open creates a store.
+func Open(cfg Config) *Store {
+	return &Store{cfg: cfg, files: make(map[string]*File)}
 }
-
-// Clock returns the store's virtual clock.
-func (s *Store) Clock() *netsim.Clock { return s.clock }
 
 // Files lists file names, sorted.
 func (s *Store) Files() []string {
@@ -103,18 +97,19 @@ func (f *File) Append(row types.Row) error {
 // Iter reads records sequentially, charging per-record parse time.
 type Iter struct {
 	file   *File
+	m      *netsim.Meter
 	i      int
 	opened bool
 }
 
-// Scan starts reading the file from the beginning.
-func (f *File) Scan() *Iter { return &Iter{file: f} }
+// Scan starts reading the file from the beginning, charging m.
+func (f *File) Scan(m *netsim.Meter) *Iter { return &Iter{file: f, m: m} }
 
 // Next returns the next record.
 func (it *Iter) Next() (types.Row, bool) {
 	f := it.file
 	if !it.opened {
-		f.store.clock.Advance(f.store.cfg.OpenMS)
+		it.m.Add(f.store.cfg.OpenMS)
 		it.opened = true
 	}
 	if it.i >= len(f.rows) {
@@ -122,7 +117,7 @@ func (it *Iter) Next() (types.Row, bool) {
 	}
 	row := f.rows[it.i]
 	it.i++
-	f.store.clock.Advance(f.store.cfg.ReadRecordMS)
+	it.m.Add(f.store.cfg.ReadRecordMS)
 	return row, true
 }
 
@@ -130,14 +125,14 @@ func (it *Iter) Next() (types.Row, bool) {
 // would: the open, then the parse time of every record. It returns the
 // file's own records with the capacity pinned to the length, so a
 // caller's append copies; the records are read-only.
-func (f *File) ReadAll() []types.Row {
+func (f *File) ReadAll(m *netsim.Meter) []types.Row {
 	rows := f.rows[:len(f.rows):len(f.rows)]
-	f.store.clock.Advance(f.store.cfg.OpenMS)
-	f.store.clock.AdvanceN(f.store.cfg.ReadRecordMS, len(rows))
+	m.Add(f.store.cfg.OpenMS)
+	m.AddN(f.store.cfg.ReadRecordMS, len(rows))
 	return rows
 }
 
-// DeliverOutput charges per-record delivery for n result records.
-func (s *Store) DeliverOutput(n int) {
-	s.clock.Advance(float64(n) * s.cfg.OutputTimeMS)
+// DeliverOutput charges m the per-record delivery for n result records.
+func (s *Store) DeliverOutput(m *netsim.Meter, n int) {
+	m.Add(float64(n) * s.cfg.OutputTimeMS)
 }

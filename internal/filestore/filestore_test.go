@@ -18,9 +18,9 @@ func docSchema() *types.Schema {
 }
 
 func TestAppendAndScan(t *testing.T) {
-	clock := netsim.NewClock()
+	var m netsim.Meter
 	cfg := DefaultConfig()
-	s := Open(cfg, clock)
+	s := Open(cfg)
 	f, err := s.CreateFile("Doc", docSchema())
 	if err != nil {
 		t.Fatal(err)
@@ -34,8 +34,7 @@ func TestAppendAndScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	start := clock.Now()
-	it := f.Scan()
+	it := f.Scan(&m)
 	var rows []types.Row
 	for {
 		row, ok := it.Next()
@@ -51,13 +50,13 @@ func TestAppendAndScan(t *testing.T) {
 		t.Errorf("scanned %v", rows)
 	}
 	want := cfg.OpenMS + 3*cfg.ReadRecordMS
-	if got := clock.Now() - start; math.Abs(got-want) > 1e-9 {
+	if got := m.MS(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("scan cost = %v, want %v", got, want)
 	}
 }
 
 func TestCreateAppendErrors(t *testing.T) {
-	s := Open(DefaultConfig(), nil)
+	s := Open(DefaultConfig())
 	if _, err := s.CreateFile("x", nil); err == nil {
 		t.Error("nil schema should fail")
 	}
@@ -83,11 +82,10 @@ func TestCreateAppendErrors(t *testing.T) {
 }
 
 func TestDeliverOutput(t *testing.T) {
-	clock := netsim.NewClock()
-	s := Open(DefaultConfig(), clock)
-	s.DeliverOutput(5)
-	if clock.Now() != 10 {
-		t.Errorf("output = %v, want 10", clock.Now())
+	var m netsim.Meter
+	Open(DefaultConfig()).DeliverOutput(&m, 5)
+	if m.MS() != 10 {
+		t.Errorf("output = %v, want 10", m.MS())
 	}
 }
 
@@ -96,10 +94,10 @@ func TestDeliverOutput(t *testing.T) {
 // the capacity pinned.
 func TestReadAllChargesLikeScan(t *testing.T) {
 	for _, n := range []int{0, 1, 1000} {
-		iterClock, readClock := netsim.NewClock(), netsim.NewClock()
+		var iterM, readM netsim.Meter
 		files := make([]*File, 2)
-		for i, clock := range []*netsim.Clock{iterClock, readClock} {
-			f, err := Open(DefaultConfig(), clock).CreateFile("Doc", docSchema())
+		for i := range files {
+			f, err := Open(DefaultConfig()).CreateFile("Doc", docSchema())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,13 +109,13 @@ func TestReadAllChargesLikeScan(t *testing.T) {
 			files[i] = f
 		}
 		var want []types.Row
-		it := files[0].Scan()
+		it := files[0].Scan(&iterM)
 		for row, ok := it.Next(); ok; row, ok = it.Next() {
 			want = append(want, row)
 		}
-		got := files[1].ReadAll()
-		if math.Float64bits(readClock.Now()) != math.Float64bits(iterClock.Now()) {
-			t.Errorf("n=%d: ReadAll clock %v, Scan clock %v", n, readClock.Now(), iterClock.Now())
+		got := files[1].ReadAll(&readM)
+		if math.Float64bits(readM.MS()) != math.Float64bits(iterM.MS()) {
+			t.Errorf("n=%d: ReadAll charged %v, Scan %v", n, readM.MS(), iterM.MS())
 		}
 		if len(got) != len(want) || cap(got) != len(got) {
 			t.Fatalf("n=%d: ReadAll len %d cap %d, Scan %d records", n, len(got), cap(got), len(want))

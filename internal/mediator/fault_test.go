@@ -26,8 +26,7 @@ func startFaultyDeployment(t *testing.T, plan netsim.FaultPlan) (*Mediator, *wra
 	t.Helper()
 	m := buildMediator(t, DefaultConfig())
 
-	backendClock := netsim.NewClock()
-	store := objstore.Open(objstore.DefaultConfig(), backendClock)
+	store := objstore.Open(objstore.DefaultConfig())
 	parts, err := store.CreateCollection("Parts", types.NewSchema(
 		types.Field{Name: "pid", Collection: "Parts", Type: types.KindInt},
 		types.Field{Name: "owner", Collection: "Parts", Type: types.KindInt},
@@ -51,7 +50,7 @@ func startFaultyDeployment(t *testing.T, plan netsim.FaultPlan) (*Mediator, *wra
 	inj := netsim.NewInjector(plan)
 	go wrapper.ServeFaulty(ln, backend, inj)
 
-	rw, err := wrapper.DialRemotePolicy(ln.Addr().String(), m.Clock, testRetryPolicy())
+	rw, err := wrapper.DialRemotePolicy(ln.Addr().String(), testRetryPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ var update = flag.Bool("update", false, "rewrite the .golden files under testdat
 
 // checkGolden compares got against testdata/<name>.golden, rewriting the
 // file when -update is set. Explain output is deterministic: the stores,
-// the optimizer search and the virtual clock all are.
+// the optimizer search and virtual time all are.
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", name+".golden")

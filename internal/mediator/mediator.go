@@ -116,9 +116,10 @@ type Mediator struct {
 	// downMu guards unavailable; see the lock-order note above.
 	downMu sync.Mutex
 
-	// Clock is the shared virtual clock every registered wrapper must
-	// run on; Net is the communication model, a uniform link of 10 ms
-	// latency and 2 MB/s.
+	// Clock is the federation's running total of virtual time: each
+	// execution adds its ElapsedMS once it finishes, and the result
+	// cache's TTL reads it. Net is the communication model, a uniform
+	// link of 10 ms latency and 2 MB/s.
 	Clock    *netsim.Clock
 	Net      *netsim.Network
 	Catalog  *catalog.Catalog
@@ -171,7 +172,7 @@ type Mediator struct {
 // New builds an empty mediator.
 func New(cfg Config) (*Mediator, error) {
 	clock := netsim.NewClock()
-	net := netsim.NewNetwork(netsim.Link{LatencyMS: 10, PerByteMS: 0.0005}, clock)
+	net := netsim.NewNetwork(netsim.Link{LatencyMS: 10, PerByteMS: 0.0005})
 	reg, err := core.NewDefaultRegistry()
 	if err != nil {
 		return nil, err
@@ -212,9 +213,7 @@ func New(cfg Config) (*Mediator, error) {
 			m.deb = feedback.NewDebouncer(cfg.FeedbackStore, feedback.DefaultSaveInterval)
 		}
 	}
-	if err := m.rebuildEngine(); err != nil {
-		return nil, err
-	}
+	m.rebuildEngine()
 	return m, nil
 }
 
@@ -222,11 +221,8 @@ func New(cfg Config) (*Mediator, error) {
 // the caller holds the write lock (or is still constructing). Superseded
 // engines keep serving in-flight executions safely: engine.New snapshots
 // the wrapper map.
-func (m *Mediator) rebuildEngine() error {
-	eng, err := engine.New(m.Clock, m.Net, m.wrappers)
-	if err != nil {
-		return err
-	}
+func (m *Mediator) rebuildEngine() {
+	eng := engine.New(m.Net, m.wrappers)
 	eng.Exec = vexec.Options{
 		MemBytes: m.cfg.ExecMemBytes,
 		SpillDir: m.cfg.ExecSpillDir,
@@ -243,7 +239,6 @@ func (m *Mediator) rebuildEngine() error {
 		eng.Results = submitCacheAdapter{m}
 	}
 	m.Engine = eng
-	return nil
 }
 
 // submitCacheAdapter exposes the mediator's semantic result cache to the
@@ -311,9 +306,6 @@ func (m *Mediator) downedSnapshot() map[string]bool {
 // drains in-flight queries, bumps the catalog epoch (invalidating every
 // cached plan), and publishes a fresh engine.
 func (m *Mediator) Register(w wrapper.Wrapper) error {
-	if w.Clock() != m.Clock {
-		return fmt.Errorf("mediator: wrapper %s does not share the mediator clock", w.Name())
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.Catalog.Register(w); err != nil {
@@ -347,7 +339,8 @@ func (m *Mediator) Register(w wrapper.Wrapper) error {
 	// The epoch bump already invalidates lookups; an explicit clear
 	// releases the memory eagerly and voids raced inserts too.
 	m.rcache.Invalidate()
-	return m.rebuildEngine()
+	m.rebuildEngine()
+	return nil
 }
 
 // Wrapper returns a registered wrapper.
@@ -528,13 +521,12 @@ func (m *Mediator) executeAdmitted(p *Prepared) (*engine.Result, error) {
 	}
 	if m.rcache != nil {
 		if e, ok := m.rcache.Get(p.Hash, p.Epoch); ok {
-			// Whole-plan hit: serve the materialized answer, charging the
-			// ScopeCache formula to the virtual clock. No profile is
-			// attached — there is nothing here the feedback loop should
-			// learn source behaviour from.
-			ms := resultcache.HitCostMS(int64(len(e.Rows)))
-			m.Clock.Advance(ms)
-			res := &engine.Result{Rows: e.Rows, Schema: e.Schema, ElapsedMS: ms}
+			// Whole-plan hit: serve the materialized answer at the
+			// ScopeCache formula's time. No profile is attached — there
+			// is nothing here the feedback loop should learn source
+			// behaviour from.
+			res := &engine.Result{Rows: e.Rows, Schema: e.Schema, ElapsedMS: resultcache.HitCostMS(int64(len(e.Rows)))}
+			m.Clock.Advance(res.ElapsedMS)
 			m.mu.RUnlock()
 			m.served.Add(1)
 			return res, nil
@@ -543,6 +535,9 @@ func (m *Mediator) executeAdmitted(p *Prepared) (*engine.Result, error) {
 	gen := m.rcache.Gen()
 	eng := m.Engine
 	res, err := eng.Execute(p.Plan)
+	if err == nil {
+		m.Clock.Advance(res.ElapsedMS)
+	}
 	if err == nil && res != nil && !res.Partial && m.rcache != nil {
 		// Admit the complete answer under the read lock (no registration
 		// can interleave, so the epoch stamp is the one the plan ran
@@ -753,6 +748,7 @@ func (m *Mediator) ExplainAnalyze(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	m.Clock.Advance(res.ElapsedMS)
 	if m.Feedback != nil {
 		m.mu.Lock()
 		m.absorbLocked(p, res)

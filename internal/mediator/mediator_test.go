@@ -7,7 +7,6 @@ import (
 
 	"disco/internal/algebra"
 	"disco/internal/filestore"
-	"disco/internal/netsim"
 	"disco/internal/objstore"
 	"disco/internal/optimizer"
 	"disco/internal/relstore"
@@ -23,9 +22,7 @@ func buildMediator(t *testing.T, cfg Config) *Mediator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := m.Clock
-
-	ostore := objstore.Open(objstore.DefaultConfig(), clock)
+	ostore := objstore.Open(objstore.DefaultConfig())
 	emp, err := ostore.CreateCollection("Employee", types.NewSchema(
 		types.Field{Name: "id", Collection: "Employee", Type: types.KindInt},
 		types.Field{Name: "name", Collection: "Employee", Type: types.KindString},
@@ -44,7 +41,7 @@ func buildMediator(t *testing.T, cfg Config) *Mediator {
 		t.Fatal(err)
 	}
 
-	rstore := relstore.Open(relstore.DefaultConfig(), clock)
+	rstore := relstore.Open(relstore.DefaultConfig())
 	dept, err := rstore.CreateTable("Dept", types.NewSchema(
 		types.Field{Name: "dno", Collection: "Dept", Type: types.KindInt},
 		types.Field{Name: "dname", Collection: "Dept", Type: types.KindString},
@@ -57,7 +54,7 @@ func buildMediator(t *testing.T, cfg Config) *Mediator {
 	}
 	dept.CreateHashIndex("dno")
 
-	fstore := filestore.Open(filestore.DefaultConfig(), clock)
+	fstore := filestore.Open(filestore.DefaultConfig())
 	notes, err := fstore.CreateFile("Notes", types.NewSchema(
 		types.Field{Name: "emp", Collection: "Notes", Type: types.KindInt},
 		types.Field{Name: "text", Collection: "Notes", Type: types.KindString},
@@ -174,7 +171,7 @@ func TestQueryErrors(t *testing.T) {
 // selection on it). The error names the collection as written.
 func TestDuplicateCollectionRejected(t *testing.T) {
 	m := buildMediator(t, DefaultConfig())
-	other := objstore.Open(objstore.DefaultConfig(), m.Clock)
+	other := objstore.Open(objstore.DefaultConfig())
 	emp2, err := other.CreateCollection("Employee", types.NewSchema(
 		types.Field{Name: "id", Collection: "Employee", Type: types.KindInt},
 	), 16)
@@ -204,7 +201,7 @@ func TestDuplicateCollectionRejected(t *testing.T) {
 func TestAmbiguousCollectionNeedsPin(t *testing.T) {
 	m := buildMediator(t, DefaultConfig())
 	// Create a second wrapper exporting a collection named Employee.
-	other := objstore.Open(objstore.DefaultConfig(), m.Clock)
+	other := objstore.Open(objstore.DefaultConfig())
 	emp2, err := other.CreateCollection("Employee", types.NewSchema(
 		types.Field{Name: "id", Collection: "Employee", Type: types.KindInt},
 	), 16)
@@ -309,27 +306,11 @@ func TestWrapperRulesImproveEstimates(t *testing.T) {
 	}
 }
 
-func TestRegisterRejectsForeignClock(t *testing.T) {
-	m, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := objstore.Open(objstore.DefaultConfig(), netsim.NewClock())
-	if _, err := other.CreateCollection("X", types.NewSchema(
-		types.Field{Name: "a", Type: types.KindInt}), 8); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Register(wrapper.NewObjWrapper("w", other)); err == nil {
-		t.Error("foreign clock should be rejected")
-	}
-}
-
 func TestRemoteWrapperThroughMediator(t *testing.T) {
 	// A full distributed query: the wrapper runs behind the wire protocol
 	// (as cmd/wrapperd would host it) and the mediator registers it via
 	// DialRemote, pulling schema, statistics and cost rules across.
-	backendClock := netsim.NewClock()
-	store := objstore.Open(objstore.DefaultConfig(), backendClock)
+	store := objstore.Open(objstore.DefaultConfig())
 	parts, err := store.CreateCollection("Parts", types.NewSchema(
 		types.Field{Name: "pid", Collection: "Parts", Type: types.KindInt},
 		types.Field{Name: "weight", Collection: "Parts", Type: types.KindInt},
@@ -356,7 +337,7 @@ func TestRemoteWrapperThroughMediator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw, err := wrapper.DialRemote(ln.Addr().String(), m.Clock)
+	rw, err := wrapper.DialRemote(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +357,7 @@ func TestRemoteWrapperThroughMediator(t *testing.T) {
 		t.Errorf("rows = %d", len(res.Rows))
 	}
 	if res.ElapsedMS <= 0 {
-		t.Error("remote virtual time should merge into the mediator clock")
+		t.Error("the remote's virtual time should be the query's time")
 	}
 }
 

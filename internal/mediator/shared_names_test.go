@@ -38,9 +38,9 @@ func buildChordMediator(t *testing.T, maxDP int) *Mediator {
 		t.Fatal(err)
 	}
 	m.Optimizer.Opt.MaxDPRelations = maxDP
-	ostore := objstore.Open(objstore.DefaultConfig(), m.Clock)
-	rstore := relstore.Open(relstore.DefaultConfig(), m.Clock)
-	fstore := filestore.Open(filestore.DefaultConfig(), m.Clock)
+	ostore := objstore.Open(objstore.DefaultConfig())
+	rstore := relstore.Open(relstore.DefaultConfig())
+	fstore := filestore.Open(filestore.DefaultConfig())
 	for i := range chordSizes {
 		name := fmt.Sprintf("R%d", i)
 		schema := types.NewSchema(

@@ -1,11 +1,16 @@
 // Package netsim provides the deterministic simulation substrate of the
-// reproduction: a virtual clock that data sources, the mediator engine and
-// the communication layer advance as they perform work, and a per-wrapper
-// network model feeding the submit operator's communication cost. The
-// paper ran against a real ObjectStore testbed; simulating time as a pure
-// function of pages touched, objects processed and bytes shipped makes
-// every experiment exactly reproducible while preserving the phenomena the
-// cost model is about (see DESIGN.md §2).
+// reproduction: a Meter that one wrapper execution or one mediator
+// execution charges as it performs work, the LRU page buffer the stores
+// share between their collections (Pool), a running federation total
+// (Clock), and a per-wrapper network model feeding the submit operator's
+// communication cost. The paper ran against a real ObjectStore testbed;
+// simulating time as a pure function of pages touched, objects processed
+// and bytes shipped makes every experiment exactly reproducible while
+// preserving the phenomena the cost model is about (see DESIGN.md §2).
+//
+// A query's or a submit's time is the sum its own meter collected,
+// starting at zero, so concurrent executions never land in each other's
+// times.
 package netsim
 
 import (
@@ -13,8 +18,35 @@ import (
 	"sync"
 )
 
-// Clock is a virtual millisecond clock. It is safe for concurrent use; in
-// the serial iterator engine contention is nil.
+// Meter accumulates the virtual milliseconds of one execution. It has no
+// lock: one execution runs on one goroutine.
+type Meter struct{ ms float64 }
+
+// Add charges ms milliseconds (non-positive values are ignored).
+func (m *Meter) Add(ms float64) {
+	if ms > 0 {
+		m.ms += ms
+	}
+}
+
+// AddN is n calls to Add(ms): the same n float additions in the same
+// order, so a page of rows charges bit-identically to one call per row.
+func (m *Meter) AddN(ms float64, n int) {
+	if ms <= 0 {
+		return
+	}
+	for range n {
+		m.ms += ms
+	}
+}
+
+// MS returns the milliseconds charged so far.
+func (m *Meter) MS() float64 { return m.ms }
+
+// Clock is the federation's running total of virtual milliseconds: the
+// mediator adds each execution's time once it finishes, and time-based
+// policies (the result cache's TTL) read it. It is safe for concurrent
+// use. No query's time is read off it.
 type Clock struct {
 	mu sync.Mutex
 	ms float64
@@ -34,55 +66,12 @@ func (c *Clock) Advance(ms float64) {
 	c.mu.Unlock()
 }
 
-// AdvanceN is n calls to Advance(ms) under one lock: the same n float
-// additions in the same order, so a sequential caller reads bit-identical
-// time, at one lock per page of rows instead of one per row.
-func (c *Clock) AdvanceN(ms float64, n int) {
-	if ms <= 0 || n <= 0 {
-		return
-	}
-	c.mu.Lock()
-	for range n {
-		c.ms += ms
-	}
-	c.mu.Unlock()
-}
-
-// Lock holds the clock for a run of AddLocked calls, so a caller charging
-// many small costs in a fixed order takes the lock once; Unlock releases
-// it. A caller that also holds another lock takes that one first.
-func (c *Clock) Lock() { c.mu.Lock() }
-
-// Unlock releases the clock taken by Lock.
-func (c *Clock) Unlock() { c.mu.Unlock() }
-
-// AddLocked is Advance for a caller holding the lock: the same float
-// addition, so a run of them reads bit-identical to the Advance calls it
-// replaces.
-func (c *Clock) AddLocked(ms float64) {
-	if ms > 0 {
-		c.ms += ms
-	}
-}
-
 // Now returns the current virtual time in milliseconds.
 func (c *Clock) Now() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ms
 }
-
-// Stopwatch measures elapsed virtual time.
-type Stopwatch struct {
-	clock *Clock
-	start float64
-}
-
-// StartWatch begins measuring on the clock.
-func StartWatch(c *Clock) *Stopwatch { return &Stopwatch{clock: c, start: c.Now()} }
-
-// ElapsedMS reports virtual milliseconds since the watch started.
-func (s *Stopwatch) ElapsedMS() float64 { return s.clock.Now() - s.start }
 
 // Link describes the connection between the mediator and one wrapper.
 type Link struct {
@@ -109,13 +98,11 @@ type Network struct {
 	Default Link
 	mu      sync.RWMutex
 	links   map[string]Link
-	clock   *Clock
 }
 
-// NewNetwork builds a network with the given default link and clock. A
-// nil clock means transfers advance no virtual time (estimation-only use).
-func NewNetwork(def Link, clock *Clock) *Network {
-	return &Network{Default: def, links: make(map[string]Link), clock: clock}
+// NewNetwork builds a network with the given default link.
+func NewNetwork(def Link) *Network {
+	return &Network{Default: def, links: make(map[string]Link)}
 }
 
 // SetLink overrides the link of one wrapper.
@@ -140,14 +127,6 @@ func (n *Network) LatencyMS(wrapper string) float64 { return n.LinkFor(wrapper).
 
 // PerByteMS implements core.NetProvider.
 func (n *Network) PerByteMS(wrapper string) float64 { return n.LinkFor(wrapper).PerByteMS }
-
-// Ship simulates transferring bytes from a wrapper to the mediator,
-// advancing the clock.
-func (n *Network) Ship(wrapper string, bytes int64) {
-	if n.clock != nil {
-		n.clock.Advance(n.LinkFor(wrapper).TransferMS(bytes))
-	}
-}
 
 // String renders the default link for diagnostics.
 func (n *Network) String() string {

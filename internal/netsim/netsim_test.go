@@ -38,16 +38,6 @@ func TestClockConcurrentAdvance(t *testing.T) {
 	}
 }
 
-func TestStopwatch(t *testing.T) {
-	c := NewClock()
-	c.Advance(5)
-	w := StartWatch(c)
-	c.Advance(7)
-	if w.ElapsedMS() != 7 {
-		t.Errorf("Elapsed = %v", w.ElapsedMS())
-	}
-}
-
 func TestLinkTransfer(t *testing.T) {
 	l := Link{LatencyMS: 10, PerByteMS: 0.001}
 	if got := l.TransferMS(1000); got != 11 {
@@ -56,8 +46,7 @@ func TestLinkTransfer(t *testing.T) {
 }
 
 func TestNetworkLinksAndShip(t *testing.T) {
-	clock := NewClock()
-	n := NewNetwork(Link{LatencyMS: 10, PerByteMS: 0.001}, clock)
+	n := NewNetwork(Link{LatencyMS: 10, PerByteMS: 0.001})
 	n.SetLink("slow", Link{LatencyMS: 100, PerByteMS: 0.01})
 
 	if n.LatencyMS("fast") != 10 || n.PerByteMS("fast") != 0.001 {
@@ -66,19 +55,15 @@ func TestNetworkLinksAndShip(t *testing.T) {
 	if n.LatencyMS("slow") != 100 {
 		t.Error("override link")
 	}
-	n.Ship("fast", 1000) // 11 ms
-	n.Ship("slow", 1000) // 110 ms
-	if clock.Now() != 121 {
-		t.Errorf("clock = %v, want 121", clock.Now())
+	var m Meter
+	m.Add(n.LinkFor("fast").TransferMS(1000)) // 11 ms
+	m.Add(n.LinkFor("slow").TransferMS(1000)) // 110 ms
+	if m.MS() != 121 {
+		t.Errorf("shipping = %v ms, want 121", m.MS())
 	}
 	if !strings.Contains(n.String(), "latency=10ms") {
 		t.Errorf("String = %q", n.String())
 	}
-}
-
-func TestNetworkNilClock(t *testing.T) {
-	n := NewNetwork(Link{LatencyMS: 1}, nil)
-	n.Ship("w", 100) // must not panic
 }
 
 // TestNetworkConcurrentReconfigure is the regression test for the links
@@ -86,7 +71,7 @@ func TestNetworkNilClock(t *testing.T) {
 // concurrently, which used to race with SetLink on the unguarded map
 // (caught only under -race, which CI runs on this package).
 func TestNetworkConcurrentReconfigure(t *testing.T) {
-	n := NewNetwork(Link{LatencyMS: 10, PerByteMS: 0.001}, NewClock())
+	n := NewNetwork(Link{LatencyMS: 10, PerByteMS: 0.001})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
@@ -102,7 +87,7 @@ func TestNetworkConcurrentReconfigure(t *testing.T) {
 				_ = n.LatencyMS("w")
 				_ = n.PerByteMS("w")
 				_ = n.LinkFor("other")
-				n.Ship("w", 64)
+				_ = n.LinkFor("w").TransferMS(64)
 			}
 		}()
 	}
@@ -116,26 +101,28 @@ func TestNetworkConcurrentReconfigure(t *testing.T) {
 	}
 }
 
-// AdvanceN must be n Advance calls bit for bit: the stores charge a page
-// of rows with one call where they used to make one per row.
-func TestClockAdvanceNMatchesAdvance(t *testing.T) {
+// AddN must be n Add calls bit for bit: the stores charge a page of rows
+// with one call where they used to make one per row.
+func TestMeterAddNMatchesAdd(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 127, 1000, 12345} {
-		a, b := NewClock(), NewClock()
-		a.Advance(1.0 / 3)
-		b.Advance(1.0 / 3)
-		a.AdvanceN(0.1, n)
+		var a, b Meter
+		a.Add(1.0 / 3)
+		b.Add(1.0 / 3)
+		a.AddN(0.1, n)
 		for range n {
-			b.Advance(0.1)
+			b.Add(0.1)
 		}
-		if math.Float64bits(a.Now()) != math.Float64bits(b.Now()) {
-			t.Errorf("n=%d: AdvanceN reads %v, %d Advance calls %v", n, a.Now(), n, b.Now())
+		if math.Float64bits(a.MS()) != math.Float64bits(b.MS()) {
+			t.Errorf("n=%d: AddN reads %v, %d Add calls %v", n, a.MS(), n, b.MS())
 		}
 	}
-	c := NewClock()
-	c.AdvanceN(-1, 5)
-	c.AdvanceN(0, 5)
-	c.AdvanceN(2, -1)
-	if c.Now() != 0 {
-		t.Errorf("non-positive AdvanceN moved the clock to %v", c.Now())
+	var c Meter
+	c.Add(-1)
+	c.Add(0)
+	c.AddN(-1, 5)
+	c.AddN(0, 5)
+	c.AddN(2, -1)
+	if c.MS() != 0 {
+		t.Errorf("non-positive charges moved the meter to %v", c.MS())
 	}
 }

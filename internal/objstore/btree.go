@@ -1,9 +1,10 @@
 // Package objstore implements the ObjectStore-like simulated object
 // database used as the paper's experimental substrate: rows packed onto
-// pages by the declared object size and fill factor, an LRU buffer pool,
-// B+-tree indexes, and sequential/index reads whose cost is charged to a
-// deterministic virtual clock (internal/netsim.Clock) as a pure function
-// of pages fetched and objects processed. With the paper's constants
+// pages by the declared object size and fill factor, a shared LRU buffer
+// pool (internal/netsim.Pool), B+-tree indexes, and sequential/index
+// reads whose cost is charged to the caller's execution meter
+// (internal/netsim.Meter) as a pure function of pages fetched and objects
+// processed. With the paper's constants
 // (25 ms/page, 9 ms/object) the measured index-scan curve of Figure 12
 // emerges from the page/buffer mechanics.
 //

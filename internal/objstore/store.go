@@ -38,20 +38,15 @@ func DefaultConfig() Config {
 }
 
 // Store is one simulated object database holding named collections and
-// sharing a buffer pool.
+// sharing a buffer pool. Reads charge the meter their caller passes.
 type Store struct {
 	cfg   Config
-	clock *netsim.Clock
-	buf   *bufferPool
+	buf   *netsim.Pool
 	colls map[string]*Collection
 }
 
-// Open creates a store on the given virtual clock (nil allocates a private
-// clock).
-func Open(cfg Config, clock *netsim.Clock) *Store {
-	if clock == nil {
-		clock = netsim.NewClock()
-	}
+// Open creates a store.
+func Open(cfg Config) *Store {
 	if cfg.PageSize <= 0 {
 		cfg.PageSize = 4096
 	}
@@ -63,21 +58,17 @@ func Open(cfg Config, clock *netsim.Clock) *Store {
 	}
 	return &Store{
 		cfg:   cfg,
-		clock: clock,
-		buf:   newBufferPool(cfg.BufferPages),
+		buf:   netsim.NewPool(cfg.BufferPages),
 		colls: make(map[string]*Collection),
 	}
 }
-
-// Clock returns the store's virtual clock.
-func (s *Store) Clock() *netsim.Clock { return s.clock }
 
 // Config returns the store configuration.
 func (s *Store) Config() Config { return s.cfg }
 
 // ResetBuffer empties the buffer pool, so the next measurement starts
 // cold.
-func (s *Store) ResetBuffer() { s.buf.reset() }
+func (s *Store) ResetBuffer() { s.buf.Reset() }
 
 // Collections lists collection names, sorted.
 func (s *Store) Collections() []string {
@@ -116,10 +107,8 @@ type Collection struct {
 	perPage    int
 	indexes    map[string]*index
 
-	// resident is the buffer pool's page table for this collection:
-	// page -> pool frame, 0 when the page is not buffered. Only the pool
-	// reads or writes it, under its lock.
-	resident []int32
+	// pages is the buffer pool's page table for this collection.
+	pages netsim.PageTable
 }
 
 // CreateCollection adds an empty collection. objectSize is the declared
@@ -180,8 +169,8 @@ func (c *Collection) at(rid RID) types.Row {
 // Insert appends one object in arrival order (physical placement is
 // insertion order: inserting in key order yields clustering on that key,
 // inserting shuffled yields the scattered placement of Figure 12's
-// unclustered index scan). Insertion is a bulk-load operation and advances
-// no clock time.
+// unclustered index scan). Insertion is a bulk-load operation and charges
+// no time.
 func (c *Collection) Insert(row types.Row) error {
 	if len(row) != c.schema.Len() {
 		return fmt.Errorf("objstore: %s: row arity %d, schema %d", c.name, len(row), c.schema.Len())
@@ -235,25 +224,21 @@ func (c *Collection) HasIndex(attr string) (indexed, clustered bool) {
 }
 
 // touch reads a page through the buffer pool, charging an I/O on a miss.
-// The clock is advanced under the pool's lock: every charge takes the
-// pool lock before the clock lock.
-func (c *Collection) touch(page int32) {
-	b := c.store.buf
-	b.mu.Lock()
-	if !b.lookup(c, page) {
-		c.store.clock.Advance(c.store.cfg.IOTimeMS)
+func (c *Collection) touch(m *netsim.Meter, page int32) {
+	if !c.store.buf.Touch(&c.pages, page) {
+		m.Add(c.store.cfg.IOTimeMS)
 	}
-	b.mu.Unlock()
 }
 
 // SeqIter scans every page in physical order.
 type SeqIter struct {
 	coll *Collection
+	m    *netsim.Meter
 	i    int
 }
 
-// SeqScan starts a sequential scan.
-func (c *Collection) SeqScan() *SeqIter { return &SeqIter{coll: c} }
+// SeqScan starts a sequential scan charging m.
+func (c *Collection) SeqScan(m *netsim.Meter) *SeqIter { return &SeqIter{coll: c, m: m} }
 
 // Next returns the next row; ok is false at the end.
 func (s *SeqIter) Next() (types.Row, bool) {
@@ -262,11 +247,11 @@ func (s *SeqIter) Next() (types.Row, bool) {
 		return nil, false
 	}
 	if s.i%c.perPage == 0 {
-		c.touch(int32(s.i / c.perPage))
+		c.touch(s.m, int32(s.i/c.perPage))
 	}
 	row := c.rows[s.i]
 	s.i++
-	c.store.clock.Advance(c.store.cfg.CPUTimeMS)
+	s.m.Add(c.store.cfg.CPUTimeMS)
 	return row, true
 }
 
@@ -275,11 +260,11 @@ func (s *SeqIter) Next() (types.Row, bool) {
 // per-object CPU time of the objects on it. It returns the collection's
 // own rows with the capacity pinned to the length, so a caller's append
 // copies instead of writing into the store; the rows are read-only.
-func (c *Collection) ReadAll() []types.Row {
+func (c *Collection) ReadAll(m *netsim.Meter) []types.Row {
 	rows := c.rows[:len(c.rows):len(c.rows)]
 	for lo := 0; lo < len(rows); lo += c.perPage {
-		c.touch(int32(lo / c.perPage))
-		c.store.clock.AdvanceN(c.store.cfg.CPUTimeMS, min(c.perPage, len(rows)-lo))
+		c.touch(m, int32(lo/c.perPage))
+		m.AddN(c.store.cfg.CPUTimeMS, min(c.perPage, len(rows)-lo))
 	}
 	return rows
 }
@@ -290,17 +275,18 @@ func (c *Collection) ReadAll() []types.Row {
 // against.
 type IndexIter struct {
 	coll *Collection
+	m    *netsim.Meter
 	it   *TreeIter
 }
 
-// IndexScan starts an index scan for `attr op value`; it fails when the
-// attribute has no index or the operator cannot use one.
-func (c *Collection) IndexScan(attr string, op stats.CmpOp, value types.Constant) (*IndexIter, error) {
+// IndexScan starts an index scan for `attr op value` charging m; it fails
+// when the attribute has no index or the operator cannot use one.
+func (c *Collection) IndexScan(m *netsim.Meter, attr string, op stats.CmpOp, value types.Constant) (*IndexIter, error) {
 	idx, err := c.rangeIndex(attr, op)
 	if err != nil {
 		return nil, err
 	}
-	return &IndexIter{coll: c, it: idx.tree.Seek(op, value)}, nil
+	return &IndexIter{coll: c, m: m, it: idx.tree.Seek(op, value)}, nil
 }
 
 // rangeIndex returns the index that can serve `attr op value`.
@@ -323,16 +309,16 @@ func (i *IndexIter) Next() (types.Row, bool) {
 		return nil, false
 	}
 	c := i.coll
-	c.store.clock.Advance(c.store.cfg.ProbeTimeMS)
-	c.touch(e.RID.Page)
-	c.store.clock.Advance(c.store.cfg.CPUTimeMS)
+	i.m.Add(c.store.cfg.ProbeTimeMS)
+	c.touch(i.m, e.RID.Page)
+	i.m.Add(c.store.cfg.CPUTimeMS)
 	return c.at(e.RID), true
 }
 
 // indexRun is the number of index entries IndexSelect fetches under one
-// hold of the pool and clock locks: one executor batch, so locking is paid
-// per run instead of per row while a long range never makes a concurrent
-// query's charges wait behind the whole scan.
+// hold of the pool lock: one executor batch, so locking is paid per run
+// instead of per row while a long range never makes a concurrent query's
+// page touches wait behind the whole scan.
 const indexRun = 1024
 
 // ridBuf is IndexSelect's pooled scratch for a range's RIDs.
@@ -341,12 +327,12 @@ type ridBuf struct{ rids []RID }
 var ridPool = sync.Pool{New: func() any { return new(ridBuf) }}
 
 // IndexSelect returns the objects satisfying `attr op value` in index
-// order (nil when none), charged exactly as draining IndexScan charges:
+// order (nil when none), charging m exactly as draining IndexScan charges:
 // per entry the probe, the page fetch (an I/O on a buffer miss), then the
 // object's CPU time, in that order. The tree walk charges nothing, so the
 // range's RIDs are gathered first; they are then fetched in runs of
-// indexRun, each under one hold of the pool lock and then the clock lock.
-func (c *Collection) IndexSelect(attr string, op stats.CmpOp, value types.Constant) ([]types.Row, error) {
+// indexRun, each under one hold of the pool lock.
+func (c *Collection) IndexSelect(m *netsim.Meter, attr string, op stats.CmpOp, value types.Constant) ([]types.Row, error) {
 	idx, err := c.rangeIndex(attr, op)
 	if err != nil {
 		return nil, err
@@ -360,28 +346,26 @@ func (c *Collection) IndexSelect(attr string, op stats.CmpOp, value types.Consta
 		return nil, nil
 	}
 	out := make([]types.Row, len(rids))
-	b, clock, cfg := c.store.buf, c.store.clock, &c.store.cfg
+	b, cfg := c.store.buf, &c.store.cfg
 	for lo := 0; lo < len(rids); lo += indexRun {
-		b.mu.Lock()
-		clock.Lock()
+		b.Lock()
 		for i, rid := range rids[lo:min(lo+indexRun, len(rids))] {
-			clock.AddLocked(cfg.ProbeTimeMS)
-			if !b.lookup(c, rid.Page) {
-				clock.AddLocked(cfg.IOTimeMS)
+			m.Add(cfg.ProbeTimeMS)
+			if !b.Lookup(&c.pages, rid.Page) {
+				m.Add(cfg.IOTimeMS)
 			}
-			clock.AddLocked(cfg.CPUTimeMS)
+			m.Add(cfg.CPUTimeMS)
 			out[lo+i] = c.at(rid)
 		}
-		clock.Unlock()
-		b.mu.Unlock()
+		b.Unlock()
 	}
 	return out, nil
 }
 
-// DeliverOutput charges the per-object delivery cost for n result objects;
-// the wrapper layer calls it when rows leave the source.
-func (s *Store) DeliverOutput(n int) {
-	s.clock.Advance(float64(n) * s.cfg.OutputTimeMS)
+// DeliverOutput charges m the per-object delivery cost for n result
+// objects; the wrapper layer calls it when rows leave the source.
+func (s *Store) DeliverOutput(m *netsim.Meter, n int) {
+	m.Add(float64(n) * s.cfg.OutputTimeMS)
 }
 
 // ExtentStats computes the collection's exported extent statistics:
@@ -396,7 +380,7 @@ func (c *Collection) ExtentStats() stats.ExtentStats {
 }
 
 // AttributeStats computes the exported statistics of one attribute by a
-// full pass over the data (registration-time work, no clock cost). The
+// full pass over the data (registration-time work, no charge). The
 // optional histogram uses equi-depth buckets when buckets > 0.
 func (c *Collection) AttributeStats(attr string, buckets int) (stats.AttributeStats, error) {
 	pos, ok := c.schema.Lookup(attr)

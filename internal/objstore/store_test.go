@@ -1,7 +1,6 @@
 package objstore
 
 import (
-	"container/list"
 	"fmt"
 	"math"
 	"math/rand"
@@ -53,7 +52,7 @@ func loadParts(t *testing.T, s *Store, n int, shuffled bool) *Collection {
 }
 
 func TestPagePacking(t *testing.T) {
-	s := Open(DefaultConfig(), nil)
+	s := Open(DefaultConfig())
 	c := loadParts(t, s, 70000, false)
 	// 4096*0.96/56 = 70 objects per page -> exactly 1000 pages: the
 	// paper's AtomicParts layout.
@@ -67,7 +66,7 @@ func TestPagePacking(t *testing.T) {
 }
 
 func TestCreateErrors(t *testing.T) {
-	s := Open(DefaultConfig(), nil)
+	s := Open(DefaultConfig())
 	if _, err := s.CreateCollection("c", nil, 0); err == nil {
 		t.Error("nil schema should fail")
 	}
@@ -90,21 +89,21 @@ func TestCreateErrors(t *testing.T) {
 	if err := c.CreateIndex("id", false); err == nil {
 		t.Error("duplicate index should fail")
 	}
-	if _, err := c.IndexScan("x", stats.CmpEQ, types.Int(1)); err == nil {
+	var m netsim.Meter
+	if _, err := c.IndexScan(&m, "x", stats.CmpEQ, types.Int(1)); err == nil {
 		t.Error("index scan without index should fail")
 	}
-	if _, err := c.IndexScan("id", stats.CmpNE, types.Int(1)); err == nil {
+	if _, err := c.IndexScan(&m, "id", stats.CmpNE, types.Int(1)); err == nil {
 		t.Error("index scan with <> should fail")
 	}
 }
 
 func TestSeqScanCostAndResults(t *testing.T) {
-	clock := netsim.NewClock()
+	var m netsim.Meter
 	cfg := DefaultConfig()
-	s := Open(cfg, clock)
+	s := Open(cfg)
 	c := loadParts(t, s, 7000, true) // 100 pages
-	start := clock.Now()
-	it := c.SeqScan()
+	it := c.SeqScan(&m)
 	n := 0
 	for {
 		if _, ok := it.Next(); !ok {
@@ -115,7 +114,7 @@ func TestSeqScanCostAndResults(t *testing.T) {
 	if n != 7000 {
 		t.Fatalf("scanned %d rows", n)
 	}
-	elapsed := clock.Now() - start
+	elapsed := m.MS()
 	want := 100*cfg.IOTimeMS + 7000*cfg.CPUTimeMS
 	if math.Abs(elapsed-want) > 1e-6 {
 		t.Errorf("seq scan time = %v, want %v", elapsed, want)
@@ -123,14 +122,13 @@ func TestSeqScanCostAndResults(t *testing.T) {
 }
 
 func TestIndexScanExactCost(t *testing.T) {
-	clock := netsim.NewClock()
+	var m netsim.Meter
 	cfg := DefaultConfig()
 	cfg.BufferPages = 2000 // hold the whole collection
-	s := Open(cfg, clock)
+	s := Open(cfg)
 	c := loadParts(t, s, 7000, true)
 	s.ResetBuffer()
-	start := clock.Now()
-	it, err := c.IndexScan("id", stats.CmpEQ, types.Int(4242))
+	it, err := c.IndexScan(&m, "id", stats.CmpEQ, types.Int(4242))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +139,7 @@ func TestIndexScanExactCost(t *testing.T) {
 	if _, ok := it.Next(); ok {
 		t.Error("unique probe should yield one row")
 	}
-	elapsed := clock.Now() - start
+	elapsed := m.MS()
 	want := cfg.IOTimeMS + cfg.CPUTimeMS + cfg.ProbeTimeMS
 	if math.Abs(elapsed-want) > 1e-9 {
 		t.Errorf("probe time = %v, want %v", elapsed, want)
@@ -154,19 +152,18 @@ func TestIndexScanExactCost(t *testing.T) {
 // IO*CountPage*Yao(sel) + per-object costs — strictly concave in the
 // midrange, not linear.
 func TestIndexScanYaoShape(t *testing.T) {
-	clock := netsim.NewClock()
 	cfg := DefaultConfig()
 	cfg.BufferPages = 1200
 	cfg.CPUTimeMS = 0 // isolate the I/O component
 	cfg.ProbeTimeMS = 0
-	s := Open(cfg, clock)
+	s := Open(cfg)
 	n := 70000
 	c := loadParts(t, s, n, true)
 
 	measure := func(sel float64) float64 {
 		s.ResetBuffer()
-		start := clock.Now()
-		it, err := c.IndexScan("id", stats.CmpLT, types.Int(int64(sel*float64(n))))
+		var m netsim.Meter
+		it, err := c.IndexScan(&m, "id", stats.CmpLT, types.Int(int64(sel*float64(n))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +172,7 @@ func TestIndexScanYaoShape(t *testing.T) {
 				break
 			}
 		}
-		return clock.Now() - start
+		return m.MS()
 	}
 
 	for _, sel := range []float64{0.01, 0.05, 0.1, 0.3, 0.5} {
@@ -197,23 +194,22 @@ func TestClusteredIndexScanIsLinear(t *testing.T) {
 	// With id-ordered placement the same range scan touches only
 	// contiguous pages: cost is linear in selectivity — the clustering
 	// effect §5 says calibration cannot capture.
-	clock := netsim.NewClock()
+	var m netsim.Meter
 	cfg := DefaultConfig()
 	cfg.BufferPages = 1200
 	cfg.CPUTimeMS = 0
 	cfg.ProbeTimeMS = 0
-	s := Open(cfg, clock)
+	s := Open(cfg)
 	c := loadParts(t, s, 70000, false)
 
 	s.ResetBuffer()
-	start := clock.Now()
-	it, _ := c.IndexScan("id", stats.CmpLT, types.Int(7000)) // sel 0.1
+	it, _ := c.IndexScan(&m, "id", stats.CmpLT, types.Int(7000)) // sel 0.1
 	for {
 		if _, ok := it.Next(); !ok {
 			break
 		}
 	}
-	elapsed := clock.Now() - start
+	elapsed := m.MS()
 	want := 100 * cfg.IOTimeMS // 10% of 1000 pages
 	if math.Abs(elapsed-want)/want > 0.05 {
 		t.Errorf("clustered scan = %v ms, want ~%v", elapsed, want)
@@ -221,15 +217,15 @@ func TestClusteredIndexScanIsLinear(t *testing.T) {
 }
 
 func TestBufferEviction(t *testing.T) {
-	clock := netsim.NewClock()
+	var m netsim.Meter
 	cfg := DefaultConfig()
 	cfg.BufferPages = 10 // much smaller than the collection
-	s := Open(cfg, clock)
+	s := Open(cfg)
 	c := loadParts(t, s, 7000, true) // 100 pages
 	// Two sequential scans: with only 10 buffer pages the second scan
 	// re-faults every page.
 	for range [2]int{} {
-		it := c.SeqScan()
+		it := c.SeqScan(&m)
 		for {
 			if _, ok := it.Next(); !ok {
 				break
@@ -243,16 +239,16 @@ func TestBufferEviction(t *testing.T) {
 }
 
 func TestDeliverOutput(t *testing.T) {
-	clock := netsim.NewClock()
-	s := Open(DefaultConfig(), clock)
-	s.DeliverOutput(100)
-	if got := clock.Now(); got != 900 {
+	var m netsim.Meter
+	s := Open(DefaultConfig())
+	s.DeliverOutput(&m, 100)
+	if got := m.MS(); got != 900 {
 		t.Errorf("output cost = %v, want 900", got)
 	}
 }
 
 func TestAttributeStatsExport(t *testing.T) {
-	s := Open(DefaultConfig(), nil)
+	s := Open(DefaultConfig())
 	c := loadParts(t, s, 7000, true)
 	ast, err := c.AttributeStats("id", 0)
 	if err != nil {
@@ -281,7 +277,7 @@ func TestAttributeStatsExport(t *testing.T) {
 }
 
 func TestCollectionsListing(t *testing.T) {
-	s := Open(DefaultConfig(), nil)
+	s := Open(DefaultConfig())
 	loadParts(t, s, 70, false)
 	if _, ok := s.Collection("AtomicParts"); !ok {
 		t.Error("collection lookup failed")
@@ -292,16 +288,16 @@ func TestCollectionsListing(t *testing.T) {
 }
 
 func TestBufferLRUKeepsHotPages(t *testing.T) {
-	clock := netsim.NewClock()
+	var m netsim.Meter
 	cfg := DefaultConfig()
 	cfg.BufferPages = 2
-	s := Open(cfg, clock)
+	s := Open(cfg)
 	c := loadParts(t, s, 70*3, true) // 3 pages
 	s.ResetBuffer()
 	// Touch page 0 repeatedly while cycling pages 1 and 2: page 0 stays
 	// resident because each access refreshes it.
 	probe := func(id int64) {
-		it, err := c.IndexScan("id", stats.CmpEQ, types.Int(id))
+		it, err := c.IndexScan(&m, "id", stats.CmpEQ, types.Int(id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +306,7 @@ func TestBufferLRUKeepsHotPages(t *testing.T) {
 	// Find one id per page by scanning placement.
 	var idByPage [3]int64
 	seen := 0
-	itAll := c.SeqScan()
+	itAll := c.SeqScan(&m)
 	for p := 0; p < 3; p++ {
 		for i := 0; i < 70; i++ {
 			row, ok := itAll.Next()
@@ -347,20 +343,20 @@ func TestReadAllChargesLikeSeqScan(t *testing.T) {
 		for _, bufPages := range []int{256, 40} {
 			cfg := DefaultConfig()
 			cfg.BufferPages = bufPages
-			iterClock, readClock := netsim.NewClock(), netsim.NewClock()
-			iterStore, readStore := Open(cfg, iterClock), Open(cfg, readClock)
+			var iterM, readM netsim.Meter
+			iterStore, readStore := Open(cfg), Open(cfg)
 			iterColl := loadParts(t, iterStore, n, true)
 			readColl := loadParts(t, readStore, n, true)
 			for pass := 0; pass < 2; pass++ { // cold, then warm
 				var want []types.Row
-				it := iterColl.SeqScan()
+				it := iterColl.SeqScan(&iterM)
 				for row, ok := it.Next(); ok; row, ok = it.Next() {
 					want = append(want, row)
 				}
-				got := readColl.ReadAll()
-				if math.Float64bits(readClock.Now()) != math.Float64bits(iterClock.Now()) {
+				got := readColl.ReadAll(&readM)
+				if math.Float64bits(readM.MS()) != math.Float64bits(iterM.MS()) {
 					t.Errorf("n=%d buffer=%d pass %d: ReadAll clock %v, SeqScan clock %v",
-						n, bufPages, pass, readClock.Now(), iterClock.Now())
+						n, bufPages, pass, readM.MS(), iterM.MS())
 				}
 				ih, im := iterStore.BufferStats()
 				rh, rm := readStore.BufferStats()
@@ -381,112 +377,6 @@ func TestReadAllChargesLikeSeqScan(t *testing.T) {
 	}
 }
 
-// lruModel is the map-and-list LRU buffer the flat pool replaced, kept as
-// the reference the pool's hit/miss sequence is checked against.
-type lruModel struct {
-	capacity     int
-	ioTimeMS     float64
-	clock        *netsim.Clock
-	lru          *list.List // of modelKey, front = most recent
-	entries      map[modelKey]*list.Element
-	hits, misses int64
-}
-
-type modelKey struct {
-	coll string
-	page int32
-}
-
-func newLRUModel(capacity int, ioTimeMS float64, clock *netsim.Clock) *lruModel {
-	m := &lruModel{capacity: capacity, ioTimeMS: ioTimeMS, clock: clock}
-	m.reset()
-	return m
-}
-
-func (m *lruModel) touch(coll string, page int32) bool {
-	k := modelKey{coll, page}
-	if el, ok := m.entries[k]; ok {
-		m.lru.MoveToFront(el)
-		m.hits++
-		return true
-	}
-	m.misses++
-	m.clock.Advance(m.ioTimeMS)
-	if m.lru.Len() >= m.capacity {
-		oldest := m.lru.Back()
-		delete(m.entries, oldest.Value.(modelKey))
-		m.lru.Remove(oldest)
-	}
-	m.entries[k] = m.lru.PushFront(k)
-	return false
-}
-
-func (m *lruModel) reset() {
-	m.lru = list.New()
-	m.entries = make(map[modelKey]*list.Element)
-	m.hits, m.misses = 0, 0
-}
-
-// Seeded random page traces over three collections hit and miss the
-// flat pool exactly where they hit and miss the reference LRU, at
-// capacities 1, 2 and 256, across a ResetBuffer partway through and with
-// pages past each collection's earlier maximum; the clocks agree bit for
-// bit.
-func TestBufferPoolMatchesLRUModel(t *testing.T) {
-	for _, capacity := range []int{1, 2, 256} {
-		for seed := int64(1); seed <= 3; seed++ {
-			cfg := DefaultConfig()
-			cfg.BufferPages = capacity
-			poolClock, modelClock := netsim.NewClock(), netsim.NewClock()
-			s := Open(cfg, poolClock)
-			model := newLRUModel(capacity, cfg.IOTimeMS, modelClock)
-			var colls []*Collection
-			for _, name := range []string{"a", "b", "c"} {
-				c, err := s.CreateCollection(name, partsSchema(), 56)
-				if err != nil {
-					t.Fatal(err)
-				}
-				colls = append(colls, c)
-			}
-			maxPage := []int32{4, 40, 400}
-			rng := rand.New(rand.NewSource(seed))
-			const steps = 6000
-			for step := 0; step < steps; step++ {
-				if step == steps/2 {
-					s.ResetBuffer()
-					model.reset()
-				}
-				ci := rng.Intn(len(colls))
-				if rng.Intn(50) == 0 {
-					maxPage[ci] += int32(1 + rng.Intn(8))
-				}
-				// Skew toward low pages so every capacity sees hits.
-				page := int32(rng.Intn(int(maxPage[ci])))
-				if rng.Intn(2) == 0 {
-					page = int32(rng.Intn(int(min(maxPage[ci], 3))))
-				}
-				hits, _ := s.BufferStats()
-				colls[ci].touch(page)
-				hits2, misses := s.BufferStats()
-				if want := model.touch(colls[ci].name, page); (hits2 > hits) != want {
-					t.Fatalf("capacity %d seed %d step %d: %s page %d hit = %v, model %v",
-						capacity, seed, step, colls[ci].name, page, hits2 > hits, want)
-				}
-				if hits2 != model.hits || misses != model.misses {
-					t.Fatalf("capacity %d seed %d step %d: hits/misses %d/%d, model %d/%d",
-						capacity, seed, step, hits2, misses, model.hits, model.misses)
-				}
-			}
-			if math.Float64bits(poolClock.Now()) != math.Float64bits(modelClock.Now()) {
-				t.Errorf("capacity %d seed %d: clock %v, model %v", capacity, seed, poolClock.Now(), modelClock.Now())
-			}
-			if model.hits == 0 || model.misses == 0 {
-				t.Errorf("capacity %d seed %d: trace saw %d hits, %d misses", capacity, seed, model.hits, model.misses)
-			}
-		}
-	}
-}
-
 // IndexSelect returns what draining IndexScan returns, in the same
 // order, and charges the same: clock bit for bit and buffer-pool hits and
 // misses, for every range operator, on unique and duplicate keys, on
@@ -497,8 +387,8 @@ func TestIndexSelectMatchesIndexIter(t *testing.T) {
 	for _, shuffled := range []bool{true, false} {
 		cfg := DefaultConfig()
 		cfg.BufferPages = 40
-		iterClock, selClock := netsim.NewClock(), netsim.NewClock()
-		iterStore, selStore := Open(cfg, iterClock), Open(cfg, selClock)
+		var iterM, selM netsim.Meter
+		iterStore, selStore := Open(cfg), Open(cfg)
 		iterColl := loadParts(t, iterStore, 7000, shuffled)
 		selColl := loadParts(t, selStore, 7000, shuffled)
 		for _, c := range []*Collection{iterColl, selColl} {
@@ -512,7 +402,7 @@ func TestIndexSelectMatchesIndexIter(t *testing.T) {
 					iterStore.ResetBuffer()
 					selStore.ResetBuffer()
 					for _, pass := range []string{"cold", "warm"} {
-						it, err := iterColl.IndexScan(attr, op, types.Int(v))
+						it, err := iterColl.IndexScan(&iterM, attr, op, types.Int(v))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -520,7 +410,7 @@ func TestIndexSelectMatchesIndexIter(t *testing.T) {
 						for row, ok := it.Next(); ok; row, ok = it.Next() {
 							want = append(want, row)
 						}
-						got, err := selColl.IndexSelect(attr, op, types.Int(v))
+						got, err := selColl.IndexSelect(&selM, attr, op, types.Int(v))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -535,8 +425,8 @@ func TestIndexSelectMatchesIndexIter(t *testing.T) {
 								t.Fatalf("%s: row %d = %v, IndexIter %v", where(), i, got[i], want[i])
 							}
 						}
-						if math.Float64bits(selClock.Now()) != math.Float64bits(iterClock.Now()) {
-							t.Fatalf("%s: clock %v, IndexIter %v", where(), selClock.Now(), iterClock.Now())
+						if math.Float64bits(selM.MS()) != math.Float64bits(iterM.MS()) {
+							t.Fatalf("%s: clock %v, IndexIter %v", where(), selM.MS(), iterM.MS())
 						}
 						ih, im := iterStore.BufferStats()
 						sh, sm := selStore.BufferStats()
@@ -550,15 +440,17 @@ func TestIndexSelectMatchesIndexIter(t *testing.T) {
 	}
 }
 
-// Readers on several goroutines share one buffer pool and clock: every
-// answer matches a sequential read, and the pool counts each page access
-// exactly once (run under -race, this is the pool's concurrency check).
+// Readers on several goroutines share one buffer pool, each charging its
+// own meter: every answer matches a sequential read, and the pool counts
+// each page access exactly once (run under -race, this is the pool's
+// concurrency check).
 func TestConcurrentReadsSharePool(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BufferPages = 30
-	s := Open(cfg, nil)
+	s := Open(cfg)
 	c := loadParts(t, s, 7000, true) // 100 pages
-	want, err := c.IndexSelect("id", stats.CmpLT, types.Int(2500))
+	var m netsim.Meter
+	want, err := c.IndexSelect(&m, "id", stats.CmpLT, types.Int(2500))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,8 +461,9 @@ func TestConcurrentReadsSharePool(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var m netsim.Meter
 			for i := 0; i < rounds; i++ {
-				got, err := c.IndexSelect("id", stats.CmpLT, types.Int(2500))
+				got, err := c.IndexSelect(&m, "id", stats.CmpLT, types.Int(2500))
 				if err != nil || len(got) != len(want) {
 					t.Errorf("index read: %d rows, %v; want %d", len(got), err, len(want))
 					return
@@ -581,7 +474,7 @@ func TestConcurrentReadsSharePool(t *testing.T) {
 						return
 					}
 				}
-				if n := len(c.ReadAll()); n != 7000 {
+				if n := len(c.ReadAll(&m)); n != 7000 {
 					t.Errorf("ReadAll read %d rows", n)
 					return
 				}
@@ -598,8 +491,8 @@ func TestConcurrentReadsSharePool(t *testing.T) {
 // The read path's allocation gates: ReadAll hands out the store's own
 // rows, a pool miss that evicts reuses the evicted frame, and an index
 // read allocates its answer and nothing else beyond its pooled RID
-// buffer. The collector is off while measuring, so the pool keeps that
-// buffer.
+// buffer; charging the meter allocates nothing. The collector is off
+// while measuring, so the pool keeps that buffer.
 func TestStoreReadAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -607,21 +500,22 @@ func TestStoreReadAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cfg := DefaultConfig()
 	cfg.BufferPages = 10
-	s := Open(cfg, nil)
+	s := Open(cfg)
 	c := loadParts(t, s, 7000, true) // 100 pages
-	if n := testing.AllocsPerRun(20, func() { c.ReadAll() }); n != 0 {
+	var m netsim.Meter
+	if n := testing.AllocsPerRun(20, func() { c.ReadAll(&m) }); n != 0 {
 		t.Errorf("ReadAll allocates %v times", n)
 	}
 	var page int32
 	_, before := s.BufferStats()
-	if n := testing.AllocsPerRun(200, func() { c.touch(page % 100); page++ }); n != 0 {
+	if n := testing.AllocsPerRun(200, func() { c.touch(&m, page%100); page++ }); n != 0 {
 		t.Errorf("a pool miss allocates %v times", n)
 	}
 	if _, after := s.BufferStats(); after-before != 201 {
 		t.Errorf("%d of 201 cycling touches missed", after-before)
 	}
 	if n := testing.AllocsPerRun(20, func() {
-		if _, err := c.IndexSelect("id", stats.CmpLT, types.Int(3000)); err != nil {
+		if _, err := c.IndexSelect(&m, "id", stats.CmpLT, types.Int(3000)); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 1 {
@@ -630,11 +524,4 @@ func TestStoreReadAllocs(t *testing.T) {
 }
 
 // BufferStats reports buffer pool hits and misses since the last reset.
-func (s *Store) BufferStats() (hits, misses int64) { return s.buf.stats() }
-
-// stats snapshots the hit/miss counters.
-func (b *bufferPool) stats() (hits, misses int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.Hits, b.Misses
-}
+func (s *Store) BufferStats() (hits, misses int64) { return s.buf.Stats() }

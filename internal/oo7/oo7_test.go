@@ -3,13 +3,14 @@ package oo7
 import (
 	"testing"
 
+	"disco/internal/netsim"
 	"disco/internal/objstore"
 	"disco/internal/stats"
 	"disco/internal/types"
 )
 
 func TestGeneratePaperLayout(t *testing.T) {
-	store := objstore.Open(objstore.DefaultConfig(), nil)
+	store := objstore.Open(objstore.DefaultConfig())
 	if err := Generate(store, PaperScale(), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestGeneratePaperLayout(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	mk := func() *objstore.Collection {
-		store := objstore.Open(objstore.DefaultConfig(), nil)
+		store := objstore.Open(objstore.DefaultConfig())
 		if err := Generate(store, TinyScale(), 42); err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +49,8 @@ func TestGenerateDeterministic(t *testing.T) {
 		return c
 	}
 	a, b := mk(), mk()
-	ita, itb := a.SeqScan(), b.SeqScan()
+	var m netsim.Meter
+	ita, itb := a.SeqScan(&m), b.SeqScan(&m)
 	for {
 		ra, oka := ita.Next()
 		rb, okb := itb.Next()
@@ -65,7 +67,7 @@ func TestGenerateDeterministic(t *testing.T) {
 }
 
 func TestGenerateAllCollections(t *testing.T) {
-	store := objstore.Open(objstore.DefaultConfig(), nil)
+	store := objstore.Open(objstore.DefaultConfig())
 	scale := TinyScale()
 	if err := Generate(store, scale, 3); err != nil {
 		t.Fatal(err)
@@ -84,25 +86,19 @@ func TestGenerateAllCollections(t *testing.T) {
 	}
 	// Referential structure: every connection src indexes a real part.
 	atomic, _ := store.Collection(AtomicParts)
-	it, err := conns.IndexScan("src", stats.CmpEQ, types.Int(0))
+	var m netsim.Meter
+	rows, err := conns.IndexSelect(&m, "src", stats.CmpEQ, types.Int(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != scale.ConnectionsPerAtomic {
+	if n := len(rows); n != scale.ConnectionsPerAtomic {
 		t.Errorf("part 0 has %d connections, want %d", n, scale.ConnectionsPerAtomic)
 	}
 	_ = atomic
 }
 
 func TestGenerateErrors(t *testing.T) {
-	store := objstore.Open(objstore.DefaultConfig(), nil)
+	store := objstore.Open(objstore.DefaultConfig())
 	if err := Generate(store, Scale{}, 1); err == nil {
 		t.Error("zero scale should fail")
 	}

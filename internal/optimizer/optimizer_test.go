@@ -32,9 +32,8 @@ func buildFixture(t *testing.T) *fixture { return buildFixtureOf(t, 5000) }
 // employees.
 func buildFixtureOf(t *testing.T, employees int) *fixture {
 	t.Helper()
-	clock := netsim.NewClock()
 
-	ostore := objstore.Open(objstore.DefaultConfig(), clock)
+	ostore := objstore.Open(objstore.DefaultConfig())
 	emp, err := ostore.CreateCollection("Employee", types.NewSchema(
 		types.Field{Name: "id", Collection: "Employee", Type: types.KindInt},
 		types.Field{Name: "name", Collection: "Employee", Type: types.KindString},
@@ -62,7 +61,7 @@ func buildFixtureOf(t *testing.T, employees int) *fixture {
 		mgr.Insert(types.Row{types.Int(int64(i)), types.Int(int64(i))})
 	}
 
-	rstore := relstore.Open(relstore.DefaultConfig(), clock)
+	rstore := relstore.Open(relstore.DefaultConfig())
 	dept, err := rstore.CreateTable("Dept", types.NewSchema(
 		types.Field{Name: "dno", Collection: "Dept", Type: types.KindInt},
 		types.Field{Name: "dname", Collection: "Dept", Type: types.KindString},
@@ -75,7 +74,7 @@ func buildFixtureOf(t *testing.T, employees int) *fixture {
 	}
 	dept.CreateHashIndex("dno")
 
-	fstore := filestore.Open(filestore.DefaultConfig(), clock)
+	fstore := filestore.Open(filestore.DefaultConfig())
 	doc, err := fstore.CreateFile("Docs", types.NewSchema(
 		types.Field{Name: "did", Collection: "Docs", Type: types.KindInt},
 		types.Field{Name: "body", Collection: "Docs", Type: types.KindString},
@@ -142,7 +141,7 @@ func buildFixtureOf(t *testing.T, employees int) *fixture {
 			}
 		}
 	}
-	est := core.NewEstimator(reg, cat, netsim.NewNetwork(netsim.Link{LatencyMS: 10, PerByteMS: 0.0005}, nil))
+	est := core.NewEstimator(reg, cat, netsim.NewNetwork(netsim.Link{LatencyMS: 10, PerByteMS: 0.0005}))
 	return &fixture{cat: cat, reg: reg, fstore: fstore, est: est, opt: New(cat, est, DefaultOptions()), wrappers: wrappers}
 }
 
@@ -462,7 +461,7 @@ func TestNonUniformLinksChangeEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := netsim.NewNetwork(netsim.Link{LatencyMS: 10, PerByteMS: 0.0005}, nil)
+	slow := netsim.NewNetwork(netsim.Link{LatencyMS: 10, PerByteMS: 0.0005})
 	slow.SetLink("obj1", netsim.Link{LatencyMS: 5000, PerByteMS: 0.5})
 	f.est.Net = slow
 	res2, err := f.opt.Optimize(qb)

@@ -118,7 +118,7 @@ type WrapperResponse struct {
 	Rows  []types.Row `json:"-"` // travels as the frame's row block
 	Bytes int64       `json:"bytes,omitempty"`
 	// VirtualMS is the wrapper-side virtual time the subquery consumed;
-	// the mediator advances its clock by it.
+	// it becomes the remote wrapper's Result.VirtualMS.
 	VirtualMS float64 `json:"virtualMs,omitempty"`
 }
 

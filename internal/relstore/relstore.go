@@ -5,16 +5,18 @@
 // on one generic cost model mispredicts one of the two source classes;
 // blending per-wrapper rules fixes that (the paper's central claim).
 //
-// A full read (Table.ReadAll) charges a page at a time, exactly as the
-// Scan iterator charges row by row, and returns the heap file's own rows:
-// rows a table returns are read-only to every caller.
+// Page fetches go through the store's LRU buffer pool (internal/netsim.Pool,
+// BufferPages pages shared by its tables), and every read charges the
+// caller's execution meter. A full read (Table.ReadAll) charges a page at
+// a time, exactly as the Scan iterator charges row by row, and returns
+// the heap file's own rows: rows a table returns are read-only to every
+// caller.
 package relstore
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"disco/internal/netsim"
 	"disco/internal/stats"
@@ -44,42 +46,29 @@ func DefaultConfig() Config {
 	}
 }
 
-// Store is a set of tables sharing a clock and timing profile.
+// Store is a set of tables sharing a buffer pool and timing profile.
 type Store struct {
 	cfg    Config
-	clock  *netsim.Clock
+	buf    *netsim.Pool
 	tables map[string]*Table
-	// Buffer accounting is per-store, approximated per table page set.
-	// cacheMu makes the accounting safe under concurrent scans — the
-	// mediator executes many queries at once against one store.
-	cacheMu sync.Mutex
-	cached  map[string]map[int]struct{}
 }
 
-// Open creates a store on the clock (nil allocates one).
-func Open(cfg Config, clock *netsim.Clock) *Store {
-	if clock == nil {
-		clock = netsim.NewClock()
-	}
+// Open creates a store.
+func Open(cfg Config) *Store {
 	if cfg.PageSize <= 0 {
 		cfg.PageSize = 8192
 	}
-	return &Store{cfg: cfg, clock: clock, tables: make(map[string]*Table),
-		cached: make(map[string]map[int]struct{})}
+	if cfg.BufferPages <= 0 {
+		cfg.BufferPages = 512
+	}
+	return &Store{cfg: cfg, buf: netsim.NewPool(cfg.BufferPages), tables: make(map[string]*Table)}
 }
-
-// Clock returns the store's virtual clock.
-func (s *Store) Clock() *netsim.Clock { return s.clock }
 
 // Config returns the store's configuration.
 func (s *Store) Config() Config { return s.cfg }
 
 // ResetBuffer drops all cached pages (cold-start measurements).
-func (s *Store) ResetBuffer() {
-	s.cacheMu.Lock()
-	defer s.cacheMu.Unlock()
-	s.cached = make(map[string]map[int]struct{})
-}
+func (s *Store) ResetBuffer() { s.buf.Reset() }
 
 // Tables lists table names, sorted.
 func (s *Store) Tables() []string {
@@ -105,8 +94,9 @@ type Table struct {
 	rows     []types.Row
 	rowSize  int
 	perPage  int
-	hashIdx  map[string]map[string][]int // attr -> key -> row positions
-	idxAttrs map[string]int              // attr -> field position
+	hashIdx  map[string]map[types.Constant][]int // attr -> key -> row positions
+	idxAttrs map[string]int                      // attr -> field position
+	pages    netsim.PageTable                    // the buffer pool's page table
 }
 
 // CreateTable adds an empty table; rowSize 0 derives a default from the
@@ -133,7 +123,7 @@ func (s *Store) CreateTable(name string, schema *types.Schema, rowSize int) (*Ta
 		perPage = 1
 	}
 	t := &Table{store: s, name: name, schema: schema, rowSize: rowSize, perPage: perPage,
-		hashIdx: make(map[string]map[string][]int), idxAttrs: make(map[string]int)}
+		hashIdx: make(map[string]map[types.Constant][]int), idxAttrs: make(map[string]int)}
 	s.tables[name] = t
 	return t, nil
 }
@@ -147,7 +137,7 @@ func (t *Table) Schema() *types.Schema { return t.schema }
 // PageCount reports how many heap pages the table occupies.
 func (t *Table) PageCount() int { return (len(t.rows) + t.perPage - 1) / t.perPage }
 
-// Insert appends a row (bulk load; no clock cost).
+// Insert appends a row (bulk load; no charge).
 func (t *Table) Insert(row types.Row) error {
 	if len(row) != t.schema.Len() {
 		return fmt.Errorf("relstore: %s: row arity %d, schema %d", t.name, len(row), t.schema.Len())
@@ -155,7 +145,7 @@ func (t *Table) Insert(row types.Row) error {
 	pos := len(t.rows)
 	t.rows = append(t.rows, row)
 	for attr, fi := range t.idxAttrs {
-		key := t.rows[pos][fi].Kind().String() + ":" + t.rows[pos][fi].String()
+		key := row[fi]
 		t.hashIdx[attr][key] = append(t.hashIdx[attr][key], pos)
 	}
 	return nil
@@ -171,10 +161,9 @@ func (t *Table) CreateHashIndex(attr string) error {
 	if _, dup := t.hashIdx[key]; dup {
 		return fmt.Errorf("relstore: %s already has an index on %q", t.name, attr)
 	}
-	m := make(map[string][]int)
+	m := make(map[types.Constant][]int)
 	for pos, row := range t.rows {
-		k := row[fi].Kind().String() + ":" + row[fi].String()
-		m[k] = append(m[k], pos)
+		m[row[fi]] = append(m[row[fi]], pos)
 	}
 	t.hashIdx[key] = m
 	t.idxAttrs[key] = fi
@@ -187,40 +176,30 @@ func (t *Table) HasIndex(attr string) bool {
 	return ok
 }
 
-// touchPage charges a page fetch unless cached.
-func (t *Table) touchPage(pageNo int) {
-	t.store.cacheMu.Lock()
-	pages := t.store.cached[t.name]
-	if pages == nil {
-		pages = make(map[int]struct{})
-		t.store.cached[t.name] = pages
+// touchPage reads a page through the buffer pool, charging a fetch on a
+// miss.
+func (t *Table) touchPage(m *netsim.Meter, pageNo int) {
+	if !t.store.buf.Touch(&t.pages, int32(pageNo)) {
+		m.Add(t.store.cfg.IOTimeMS)
 	}
-	if _, hit := pages[pageNo]; hit {
-		t.store.cacheMu.Unlock()
-		return
-	}
-	// Evict-free approximation: the relational server's cache is large;
-	// capacity pressure is modelled only across ResetBuffer boundaries.
-	if len(pages) < t.store.cfg.BufferPages {
-		pages[pageNo] = struct{}{}
-	}
-	t.store.cacheMu.Unlock()
-	t.store.clock.Advance(t.store.cfg.IOTimeMS)
 }
 
-// Iter is a sequential or probe iterator over the table.
+// Iter is a sequential iterator over the table, the row-at-a-time
+// reference ReadAll is tested against.
 type Iter struct {
 	table *Table
-	pos   []int // explicit positions (probe); nil = sequential
+	m     *netsim.Meter
 	i     int
 }
 
-// Scan starts a full table scan.
-func (t *Table) Scan() *Iter { return &Iter{table: t} }
+// Scan starts a full table scan charging m.
+func (t *Table) Scan(m *netsim.Meter) *Iter { return &Iter{table: t, m: m} }
 
-// Probe starts a hash-index probe for attr = value; it fails when no hash
-// index exists (hash indexes serve equality only).
-func (t *Table) Probe(attr string, op stats.CmpOp, value types.Constant) (*Iter, error) {
+// Probe returns the rows with attr = value through the hash index, in
+// insertion order (nil when none), charging m the probe and then, per
+// match, the page fetch (an I/O on a buffer miss) and the row's CPU time.
+// It fails when no hash index exists (hash indexes serve equality only).
+func (t *Table) Probe(m *netsim.Meter, attr string, op stats.CmpOp, value types.Constant) ([]types.Row, error) {
 	if op != stats.CmpEQ {
 		return nil, fmt.Errorf("relstore: hash index on %q serves equality only", attr)
 	}
@@ -228,37 +207,32 @@ func (t *Table) Probe(attr string, op stats.CmpOp, value types.Constant) (*Iter,
 	if !ok {
 		return nil, fmt.Errorf("relstore: %s has no index on %q", t.name, attr)
 	}
-	t.store.clock.Advance(t.store.cfg.HashProbeMS)
-	key := value.Kind().String() + ":" + value.String()
-	positions := idx[key]
-	if positions == nil {
-		positions = []int{}
+	m.Add(t.store.cfg.HashProbeMS)
+	positions := idx[value]
+	if len(positions) == 0 {
+		return nil, nil
 	}
-	return &Iter{table: t, pos: positions}, nil
+	out := make([]types.Row, len(positions))
+	for i, p := range positions {
+		t.touchPage(m, p/t.perPage)
+		m.Add(t.store.cfg.CPUTimeMS)
+		out[i] = t.rows[p]
+	}
+	return out, nil
 }
 
 // Next returns the next row.
 func (it *Iter) Next() (types.Row, bool) {
 	t := it.table
-	if it.pos != nil {
-		if it.i >= len(it.pos) {
-			return nil, false
-		}
-		p := it.pos[it.i]
-		it.i++
-		t.touchPage(p / t.perPage)
-		t.store.clock.Advance(t.store.cfg.CPUTimeMS)
-		return t.rows[p], true
-	}
 	if it.i >= len(t.rows) {
 		return nil, false
 	}
 	if it.i%t.perPage == 0 {
-		t.touchPage(it.i / t.perPage)
+		t.touchPage(it.m, it.i/t.perPage)
 	}
 	row := t.rows[it.i]
 	it.i++
-	t.store.clock.Advance(t.store.cfg.CPUTimeMS)
+	it.m.Add(t.store.cfg.CPUTimeMS)
 	return row, true
 }
 
@@ -267,18 +241,18 @@ func (it *Iter) Next() (types.Row, bool) {
 // CPU time of the rows on it. It returns the table's own rows with the
 // capacity pinned to the length, so a caller's append copies instead of
 // writing into the heap file; the rows are read-only.
-func (t *Table) ReadAll() []types.Row {
+func (t *Table) ReadAll(m *netsim.Meter) []types.Row {
 	rows := t.rows[:len(t.rows):len(t.rows)]
 	for lo := 0; lo < len(rows); lo += t.perPage {
-		t.touchPage(lo / t.perPage)
-		t.store.clock.AdvanceN(t.store.cfg.CPUTimeMS, min(t.perPage, len(rows)-lo))
+		t.touchPage(m, lo/t.perPage)
+		m.AddN(t.store.cfg.CPUTimeMS, min(t.perPage, len(rows)-lo))
 	}
 	return rows
 }
 
-// DeliverOutput charges per-tuple delivery for n result rows.
-func (s *Store) DeliverOutput(n int) {
-	s.clock.Advance(float64(n) * s.cfg.OutputTimeMS)
+// DeliverOutput charges m the per-tuple delivery for n result rows.
+func (s *Store) DeliverOutput(m *netsim.Meter, n int) {
+	m.Add(float64(n) * s.cfg.OutputTimeMS)
 }
 
 // ExtentStats exports the table's extent statistics.

@@ -36,7 +36,7 @@ func loadBooks(t *testing.T, s *Store, n int) *Table {
 }
 
 func TestTableBasics(t *testing.T) {
-	s := Open(DefaultConfig(), nil)
+	s := Open(DefaultConfig())
 	tb := loadBooks(t, s, 1000)
 	if tb.Count() != 1000 {
 		t.Errorf("Count = %d", tb.Count())
@@ -58,7 +58,7 @@ func TestTableBasics(t *testing.T) {
 }
 
 func TestCreateAndInsertErrors(t *testing.T) {
-	s := Open(DefaultConfig(), nil)
+	s := Open(DefaultConfig())
 	if _, err := s.CreateTable("x", nil, 0); err == nil {
 		t.Error("nil schema should fail")
 	}
@@ -75,21 +75,21 @@ func TestCreateAndInsertErrors(t *testing.T) {
 	if err := tb.CreateHashIndex("author"); err == nil {
 		t.Error("duplicate index should fail")
 	}
-	if _, err := tb.Probe("year", stats.CmpEQ, types.Int(1900)); err == nil {
+	var m netsim.Meter
+	if _, err := tb.Probe(&m, "year", stats.CmpEQ, types.Int(1900)); err == nil {
 		t.Error("probe without index should fail")
 	}
-	if _, err := tb.Probe("author", stats.CmpLT, types.Int(5)); err == nil {
+	if _, err := tb.Probe(&m, "author", stats.CmpLT, types.Int(5)); err == nil {
 		t.Error("hash probe with range op should fail")
 	}
 }
 
 func TestScanCost(t *testing.T) {
-	clock := netsim.NewClock()
+	var m netsim.Meter
 	cfg := DefaultConfig()
-	s := Open(cfg, clock)
+	s := Open(cfg)
 	tb := loadBooks(t, s, 1024) // 8 pages
-	start := clock.Now()
-	it := tb.Scan()
+	it := tb.Scan(&m)
 	n := 0
 	for {
 		if _, ok := it.Next(); !ok {
@@ -101,87 +101,81 @@ func TestScanCost(t *testing.T) {
 		t.Fatalf("rows = %d", n)
 	}
 	want := 8*cfg.IOTimeMS + 1024*cfg.CPUTimeMS
-	if got := clock.Now() - start; math.Abs(got-want) > 1e-9 {
+	if got := m.MS(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("scan cost = %v, want %v", got, want)
 	}
 	// Second scan: pages cached, only CPU.
-	start = clock.Now()
-	it = tb.Scan()
+	m = netsim.Meter{}
+	it = tb.Scan(&m)
 	for {
 		if _, ok := it.Next(); !ok {
 			break
 		}
 	}
 	want = 1024 * cfg.CPUTimeMS
-	if got := clock.Now() - start; math.Abs(got-want) > 1e-9 {
+	if got := m.MS(); math.Abs(got-want) > 1e-9 {
 		t.Errorf("warm scan cost = %v, want %v", got, want)
 	}
 	s.ResetBuffer()
-	start = clock.Now()
-	it = tb.Scan()
+	m = netsim.Meter{}
+	it = tb.Scan(&m)
 	it.Next()
-	if got := clock.Now() - start; got < cfg.IOTimeMS {
+	if got := m.MS(); got < cfg.IOTimeMS {
 		t.Errorf("after ResetBuffer the first page should fault again: %v", got)
 	}
 }
 
 func TestHashProbe(t *testing.T) {
-	clock := netsim.NewClock()
+	var m netsim.Meter
 	cfg := DefaultConfig()
-	s := Open(cfg, clock)
+	s := Open(cfg)
 	tb := loadBooks(t, s, 1000)
-	it, err := tb.Probe("author", stats.CmpEQ, types.Int(42))
+	rows, err := tb.Probe(&m, "author", stats.CmpEQ, types.Int(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for {
-		row, ok := it.Next()
-		if !ok {
-			break
+	if len(rows) != 10 { // 1000 rows, author = i%100
+		t.Errorf("probe matched %d rows, want 10", len(rows))
+	}
+	for i, row := range rows {
+		if row[0].AsInt() != int64(42+100*i) || row[1].AsInt() != 42 {
+			t.Fatalf("probe row %d = %v", i, row)
 		}
-		if row[1].AsInt() != 42 {
-			t.Fatalf("probe returned author %v", row[1])
-		}
-		n++
 	}
-	if n != 10 { // 1000 rows, author = i%100
-		t.Errorf("probe matched %d rows, want 10", n)
+	// Rows 42, 142, ..., 942 lie on 8 of the 8 pages (128 rows a page).
+	want := cfg.HashProbeMS + 8*cfg.IOTimeMS + 10*cfg.CPUTimeMS
+	if math.Abs(m.MS()-want) > 1e-9 {
+		t.Errorf("cold probe cost = %v, want %v", m.MS(), want)
 	}
-	// Probe for an absent key yields nothing.
-	it, err = tb.Probe("author", stats.CmpEQ, types.Int(4242))
-	if err != nil {
-		t.Fatal(err)
+	// Probe for an absent key yields nothing and charges the probe.
+	m = netsim.Meter{}
+	rows, err = tb.Probe(&m, "author", stats.CmpEQ, types.Int(4242))
+	if err != nil || rows != nil {
+		t.Errorf("absent key matched %v, %v", rows, err)
 	}
-	if _, ok := it.Next(); ok {
-		t.Error("absent key should match nothing")
+	if m.MS() != cfg.HashProbeMS {
+		t.Errorf("absent-key probe cost = %v, want %v", m.MS(), cfg.HashProbeMS)
 	}
 }
 
 func TestInsertMaintainsIndex(t *testing.T) {
-	s := Open(DefaultConfig(), nil)
+	s := Open(DefaultConfig())
 	tb := loadBooks(t, s, 10)
 	if err := tb.Insert(types.Row{types.Int(100), types.Int(7), types.Int(1950)}); err != nil {
 		t.Fatal(err)
 	}
-	it, err := tb.Probe("author", stats.CmpEQ, types.Int(7))
+	var m netsim.Meter
+	rows, err := tb.Probe(&m, "author", stats.CmpEQ, types.Int(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for {
-		if _, ok := it.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 2 { // row 7 from the load plus the new one
-		t.Errorf("index probe after insert = %d rows, want 2", n)
+	if len(rows) != 2 { // row 7 from the load plus the new one
+		t.Errorf("index probe after insert = %d rows, want 2", len(rows))
 	}
 }
 
 func TestAttributeStats(t *testing.T) {
-	s := Open(DefaultConfig(), nil)
+	s := Open(DefaultConfig())
 	tb := loadBooks(t, s, 1000)
 	ast, err := tb.AttributeStats("author", 10)
 	if err != nil {
@@ -200,18 +194,17 @@ func TestAttributeStats(t *testing.T) {
 }
 
 func TestDeliverOutput(t *testing.T) {
-	clock := netsim.NewClock()
-	s := Open(DefaultConfig(), clock)
-	s.DeliverOutput(10)
-	if clock.Now() != 15 {
-		t.Errorf("output = %v, want 15", clock.Now())
+	var m netsim.Meter
+	Open(DefaultConfig()).DeliverOutput(&m, 10)
+	if m.MS() != 15 {
+		t.Errorf("output = %v, want 15", m.MS())
 	}
 }
 
-// scanRows drains a sequential iterator.
-func scanRows(tb *Table) []types.Row {
+// scanRows drains a sequential iterator charging m.
+func scanRows(m *netsim.Meter, tb *Table) []types.Row {
 	var rows []types.Row
-	it := tb.Scan()
+	it := tb.Scan(m)
 	for {
 		row, ok := it.Next()
 		if !ok {
@@ -223,22 +216,23 @@ func scanRows(tb *Table) []types.Row {
 
 // ReadAll charges exactly what a Scan iterator charges, bit for bit, on
 // an empty table, a partial last page, a cold and a warm cache, and a
-// cache too small to hold the table; it returns the table's own rows
-// with the capacity pinned.
+// cache too small to hold the table (3 pages of 8, so the warm pass
+// evicts LRU and faults every page again); it returns the table's own
+// rows with the capacity pinned.
 func TestReadAllChargesLikeScan(t *testing.T) {
 	for _, n := range []int{0, 1000, 1024} {
 		for _, bufPages := range []int{512, 3} {
 			cfg := DefaultConfig()
 			cfg.BufferPages = bufPages
-			iterClock, readClock := netsim.NewClock(), netsim.NewClock()
-			iterTb := loadBooks(t, Open(cfg, iterClock), n)
-			readTb := loadBooks(t, Open(cfg, readClock), n)
+			var iterM, readM netsim.Meter
+			iterTb := loadBooks(t, Open(cfg), n)
+			readTb := loadBooks(t, Open(cfg), n)
 			for pass := 0; pass < 2; pass++ { // cold, then warm
-				want := scanRows(iterTb)
-				got := readTb.ReadAll()
-				if math.Float64bits(readClock.Now()) != math.Float64bits(iterClock.Now()) {
-					t.Errorf("n=%d buffer=%d pass %d: ReadAll clock %v, Scan clock %v",
-						n, bufPages, pass, readClock.Now(), iterClock.Now())
+				want := scanRows(&iterM, iterTb)
+				got := readTb.ReadAll(&readM)
+				if math.Float64bits(readM.MS()) != math.Float64bits(iterM.MS()) {
+					t.Errorf("n=%d buffer=%d pass %d: ReadAll charged %v, Scan %v",
+						n, bufPages, pass, readM.MS(), iterM.MS())
 				}
 				if len(got) != len(want) || cap(got) != len(got) {
 					t.Fatalf("n=%d: ReadAll len %d cap %d, Scan %d rows", n, len(got), cap(got), len(want))
@@ -250,6 +244,32 @@ func TestReadAllChargesLikeScan(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The read path's allocation gates: ReadAll hands out the table's own
+// rows, a warm probe allocates its answer and nothing else, and charging
+// the meter allocates nothing.
+func TestStoreReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	s := Open(DefaultConfig())
+	tb := loadBooks(t, s, 1024) // 8 pages
+	var m netsim.Meter
+	tb.ReadAll(&m) // warm the pool
+	if n := testing.AllocsPerRun(20, func() { tb.ReadAll(&m) }); n != 0 {
+		t.Errorf("ReadAll allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := tb.Probe(&m, "author", stats.CmpEQ, types.Int(42)); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("a warm probe allocates %v times, want 1 (its answer)", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { m.Add(1); m.AddN(0.5, 3) }); n != 0 {
+		t.Errorf("a meter charge allocates %v times", n)
 	}
 }
 

@@ -19,8 +19,9 @@
 //     rejects inserts whose generation predates an invalidation — an
 //     execution that raced an outage cannot slip its rows in afterwards).
 //
-// TTL runs on the shared virtual clock, so expiry is deterministic under
-// the simulation like every other cost in the system.
+// TTL runs on the federation's virtual clock (the running total of
+// executions' virtual time), so expiry is deterministic under the
+// simulation like every other cost in the system.
 //
 // The zero Config disables the cache entirely (New returns nil, every
 // method is nil-receiver-safe), preserving the bit-identical-when-
@@ -48,8 +49,8 @@ const (
 // in-memory lookup floor plus one touch per row. They are the ScopeCache
 // cost rule of the blended hierarchy (core.ScopeCache, DESIGN.md §11):
 // the optimizer prices a cache-hit access path with them, and the engine
-// charges exactly the same formula to the virtual clock when it serves a
-// hit — so the estimate is accurate by construction.
+// charges exactly the same formula to the execution when it serves a hit
+// — so the estimate is accurate by construction.
 const (
 	HitFloorMS  = 0.05
 	HitPerRowMS = 0.0002

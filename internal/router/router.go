@@ -54,9 +54,9 @@ type Config struct {
 	WarmLimit int
 	// Now supplies the timestamps the router uses to measure replica
 	// request latency (nil = time.Now). The rest of the system bills
-	// I/O to the netsim virtual clock; the router fronts real TCP
-	// replicas, so its clock is injected rather than shared — tests
-	// substitute a deterministic source and production uses wall time.
+	// I/O to netsim execution meters; the router fronts real TCP
+	// replicas, so its clock is injected — tests substitute a
+	// deterministic source and production uses wall time.
 	Now func() time.Time
 }
 

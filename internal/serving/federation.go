@@ -106,7 +106,7 @@ func NewDemoFederation(opts Options) (*Federation, error) {
 	// OO7 object database.
 	scfg := objstore.DefaultConfig()
 	scfg.BufferPages = opts.Parts/70 + 64
-	ostore := objstore.Open(scfg, m.Clock)
+	ostore := objstore.Open(scfg)
 	scale := oo7.PaperScale()
 	scale.AtomicParts = opts.Parts
 	if err := oo7.Generate(ostore, scale, 1); err != nil {
@@ -117,7 +117,7 @@ func NewDemoFederation(opts Options) (*Federation, error) {
 	}
 
 	// Relational suppliers.
-	rstore := relstore.Open(relstore.DefaultConfig(), m.Clock)
+	rstore := relstore.Open(relstore.DefaultConfig())
 	sup, err := rstore.CreateTable("Suppliers", types.NewSchema(
 		types.Field{Collection: "Suppliers", Name: "sid", Type: types.KindInt},
 		types.Field{Collection: "Suppliers", Name: "sname", Type: types.KindString},
@@ -143,7 +143,7 @@ func NewDemoFederation(opts Options) (*Federation, error) {
 	}
 
 	// Flat-file inspection notes.
-	fstore := filestore.Open(filestore.DefaultConfig(), m.Clock)
+	fstore := filestore.Open(filestore.DefaultConfig())
 	notes, err := fstore.CreateFile("Inspections", types.NewSchema(
 		types.Field{Collection: "Inspections", Name: "part", Type: types.KindInt},
 		types.Field{Collection: "Inspections", Name: "passed", Type: types.KindBool},

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"disco/internal/algebra"
+	"disco/internal/netsim"
 	"disco/internal/objstore"
 	"disco/internal/refeval"
 	"disco/internal/relstore"
@@ -85,9 +86,9 @@ func execModes(t *testing.T) map[string]vexec.Options {
 // join takes uncopied.
 func TestOperatorsLeaveStoreRowsUntouched(t *testing.T) {
 	cat := makeCatalog(3000, 40, 8) // 3000 appends leave spare capacity
-	rel := relstore.Open(relstore.DefaultConfig(), nil)
-	obj := objstore.Open(objstore.DefaultConfig(), nil)
-	readAll := map[string]map[string]func() []types.Row{"relstore": {}, "objstore": {}}
+	rel := relstore.Open(relstore.DefaultConfig())
+	obj := objstore.Open(objstore.DefaultConfig())
+	readAll := map[string]map[string]func(*netsim.Meter) []types.Row{"relstore": {}, "objstore": {}}
 	for name, tbl := range cat {
 		tb, err := rel.CreateTable(name, tbl.schema, 0)
 		if err != nil {
@@ -112,7 +113,7 @@ func TestOperatorsLeaveStoreRowsUntouched(t *testing.T) {
 	for store, tables := range readAll {
 		snapshot[store] = map[string][]types.Row{}
 		for name, read := range tables {
-			for _, r := range read() {
+			for _, r := range read(new(netsim.Meter)) {
 				snapshot[store][name] = append(snapshot[store][name], append(types.Row(nil), r...))
 			}
 		}
@@ -129,7 +130,7 @@ func TestOperatorsLeaveStoreRowsUntouched(t *testing.T) {
 			if n.Kind != algebra.OpScan {
 				return nil, false, nil
 			}
-			return tables[n.Collection](), true, nil
+			return tables[n.Collection](new(netsim.Meter)), true, nil
 		}
 		for mode, opts := range execModes(t) {
 			for name, plan := range plans {
@@ -154,7 +155,7 @@ func TestOperatorsLeaveStoreRowsUntouched(t *testing.T) {
 			}
 		}
 		for name, read := range tables {
-			if !reflect.DeepEqual(read(), snapshot[store][name]) {
+			if !reflect.DeepEqual(read(new(netsim.Meter)), snapshot[store][name]) {
 				t.Errorf("%s %s changed under execution", store, name)
 			}
 		}

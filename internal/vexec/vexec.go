@@ -197,22 +197,6 @@ func collect(op Op, batchSize int) ([]types.Row, error) {
 	}
 }
 
-// CollectRows pulls next to exhaustion and returns its rows in one
-// exact-size slice (nil when there are none), gathered in the same pooled
-// chunks Drain uses, so a row iterator of unknown length is collected
-// once instead of by append's regrowth.
-func CollectRows(next func() (types.Row, bool)) []types.Row {
-	c := collectorPool.Get().(*collector)
-	defer collectorPool.Put(c)
-	for {
-		r, ok := next()
-		if !ok {
-			return c.result()
-		}
-		c.push(r)
-	}
-}
-
 // chunkRows is the row-header capacity of one collector chunk.
 const chunkRows = 4096
 

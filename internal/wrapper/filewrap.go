@@ -30,9 +30,6 @@ func (w *FileWrapper) Store() *filestore.Store { return w.store }
 // Name implements Wrapper.
 func (w *FileWrapper) Name() string { return w.name }
 
-// Clock implements Wrapper.
-func (w *FileWrapper) Clock() *netsim.Clock { return w.store.Clock() }
-
 // Collections implements Wrapper.
 func (w *FileWrapper) Collections() []string { return w.store.Files() }
 
@@ -67,19 +64,19 @@ func (w *FileWrapper) CostRules() string { return "" }
 // fileSource adapts the store to the shared evaluator.
 type fileSource struct{ store *filestore.Store }
 
-func (s fileSource) scanAll(collection string) ([]types.Row, error) {
+func (s fileSource) scanAll(m *netsim.Meter, collection string) ([]types.Row, error) {
 	f, ok := s.store.File(collection)
 	if !ok {
 		return nil, fmt.Errorf("wrapper: no file %q", collection)
 	}
-	return f.ReadAll(), nil
+	return f.ReadAll(m), nil
 }
 
-func (s fileSource) indexSelect(string, algebra.Comparison) ([]types.Row, bool, error) {
+func (s fileSource) indexSelect(*netsim.Meter, string, algebra.Comparison) ([]types.Row, bool, error) {
 	return nil, false, nil // files have no indexes
 }
 
-func (s fileSource) deliver(n int) { s.store.DeliverOutput(n) }
+func (s fileSource) deliver(m *netsim.Meter, n int) { s.store.DeliverOutput(m, n) }
 
 // Execute implements Wrapper.
 func (w *FileWrapper) Execute(plan *algebra.Node) (*Result, error) {

@@ -32,9 +32,6 @@ func (w *ObjWrapper) Store() *objstore.Store { return w.store }
 // Name implements Wrapper.
 func (w *ObjWrapper) Name() string { return w.name }
 
-// Clock implements Wrapper.
-func (w *ObjWrapper) Clock() *netsim.Clock { return w.store.Clock() }
-
 // Collections implements Wrapper.
 func (w *ObjWrapper) Collections() []string { return w.store.Collections() }
 
@@ -200,15 +197,15 @@ submit(C) {
 // objSource adapts the store to the shared evaluator.
 type objSource struct{ store *objstore.Store }
 
-func (s objSource) scanAll(collection string) ([]types.Row, error) {
+func (s objSource) scanAll(m *netsim.Meter, collection string) ([]types.Row, error) {
 	c, ok := s.store.Collection(collection)
 	if !ok {
 		return nil, fmt.Errorf("wrapper: no collection %q", collection)
 	}
-	return c.ReadAll(), nil
+	return c.ReadAll(m), nil
 }
 
-func (s objSource) indexSelect(collection string, cmp algebra.Comparison) ([]types.Row, bool, error) {
+func (s objSource) indexSelect(m *netsim.Meter, collection string, cmp algebra.Comparison) ([]types.Row, bool, error) {
 	c, ok := s.store.Collection(collection)
 	if !ok {
 		return nil, false, fmt.Errorf("wrapper: no collection %q", collection)
@@ -216,14 +213,14 @@ func (s objSource) indexSelect(collection string, cmp algebra.Comparison) ([]typ
 	if indexed, _ := c.HasIndex(cmp.Left.Attr); !indexed || cmp.Op == stats.CmpNE {
 		return nil, false, nil
 	}
-	rows, err := c.IndexSelect(cmp.Left.Attr, cmp.Op, cmp.RightConst)
+	rows, err := c.IndexSelect(m, cmp.Left.Attr, cmp.Op, cmp.RightConst)
 	if err != nil {
 		return nil, false, nil
 	}
 	return rows, true, nil
 }
 
-func (s objSource) deliver(n int) { s.store.DeliverOutput(n) }
+func (s objSource) deliver(m *netsim.Meter, n int) { s.store.DeliverOutput(m, n) }
 
 // Execute implements Wrapper.
 func (w *ObjWrapper) Execute(plan *algebra.Node) (*Result, error) {

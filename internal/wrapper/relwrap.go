@@ -8,7 +8,6 @@ import (
 	"disco/internal/relstore"
 	"disco/internal/stats"
 	"disco/internal/types"
-	"disco/internal/vexec"
 )
 
 // RelWrapper exposes a relational heap-file store. Its exported cost
@@ -31,9 +30,6 @@ func (w *RelWrapper) Store() *relstore.Store { return w.store }
 
 // Name implements Wrapper.
 func (w *RelWrapper) Name() string { return w.name }
-
-// Clock implements Wrapper.
-func (w *RelWrapper) Clock() *netsim.Clock { return w.store.Clock() }
 
 // Collections implements Wrapper.
 func (w *RelWrapper) Collections() []string { return w.store.Tables() }
@@ -141,15 +137,15 @@ submit(C) {
 // relSource adapts the store to the shared evaluator.
 type relSource struct{ store *relstore.Store }
 
-func (s relSource) scanAll(collection string) ([]types.Row, error) {
+func (s relSource) scanAll(m *netsim.Meter, collection string) ([]types.Row, error) {
 	t, ok := s.store.Table(collection)
 	if !ok {
 		return nil, fmt.Errorf("wrapper: no table %q", collection)
 	}
-	return t.ReadAll(), nil
+	return t.ReadAll(m), nil
 }
 
-func (s relSource) indexSelect(collection string, cmp algebra.Comparison) ([]types.Row, bool, error) {
+func (s relSource) indexSelect(m *netsim.Meter, collection string, cmp algebra.Comparison) ([]types.Row, bool, error) {
 	t, ok := s.store.Table(collection)
 	if !ok {
 		return nil, false, fmt.Errorf("wrapper: no table %q", collection)
@@ -157,14 +153,14 @@ func (s relSource) indexSelect(collection string, cmp algebra.Comparison) ([]typ
 	if cmp.Op != stats.CmpEQ || !t.HasIndex(cmp.Left.Attr) {
 		return nil, false, nil
 	}
-	it, err := t.Probe(cmp.Left.Attr, cmp.Op, cmp.RightConst)
+	rows, err := t.Probe(m, cmp.Left.Attr, cmp.Op, cmp.RightConst)
 	if err != nil {
 		return nil, false, nil
 	}
-	return vexec.CollectRows(it.Next), true, nil
+	return rows, true, nil
 }
 
-func (s relSource) deliver(n int) { s.store.DeliverOutput(n) }
+func (s relSource) deliver(m *netsim.Meter, n int) { s.store.DeliverOutput(m, n) }
 
 // Execute implements Wrapper.
 func (w *RelWrapper) Execute(plan *algebra.Node) (*Result, error) {

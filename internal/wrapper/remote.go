@@ -24,12 +24,12 @@ var ErrUnavailable = errors.New("wrapper unavailable")
 // RetryPolicy governs RemoteWrapper's per-request resilience: every
 // request runs under a wall-clock I/O deadline, transport failures tear
 // the connection down and redial, and retries back off exponentially.
-// Backoff is charged to the mediator's virtual clock so that waiting out
+// Backoff is charged to the execution's virtual time so that waiting out
 // a flaky source costs simulated time, exactly like any other work.
 type RetryPolicy struct {
 	// MaxAttempts bounds the total tries per request (minimum 1).
 	MaxAttempts int
-	// BackoffMS is the virtual-clock backoff before the first retry.
+	// BackoffMS is the virtual backoff before the first retry.
 	BackoffMS float64
 	// BackoffMult scales the backoff on each further retry.
 	BackoffMult float64
@@ -69,9 +69,10 @@ type RemoteStats struct {
 
 // RemoteWrapper exposes a wrapper running in another process (served by
 // Serve / cmd/wrapperd) to a local mediator. The registration payload is
-// fetched once at dial time; subplans are shipped as serialized plans and
-// the remote's measured virtual time is merged into the mediator's clock,
-// so response-time accounting stays consistent across processes.
+// fetched once at dial time; subplans are shipped as serialized plans, and
+// an execute's Result.VirtualMS is the remote's measured virtual time plus
+// any retry backoff, so response-time accounting stays consistent across
+// processes.
 //
 // The transport self-heals: requests run under an I/O deadline, any
 // send/receive failure discards the connection (never reusing a half-read
@@ -79,7 +80,6 @@ type RemoteStats struct {
 // until RetryPolicy.MaxAttempts is exhausted — at which point the error
 // wraps ErrUnavailable so the mediator can degrade gracefully.
 type RemoteWrapper struct {
-	clock  *netsim.Clock
 	policy RetryPolicy
 	dial   func() (net.Conn, error) // nil: connection cannot be re-established
 
@@ -93,34 +93,30 @@ type RemoteWrapper struct {
 }
 
 // DialRemote connects to a wrapper server with the default retry policy
-// and fetches its registration payload. clock is the mediator's virtual
-// clock.
-func DialRemote(addr string, clock *netsim.Clock) (*RemoteWrapper, error) {
-	return DialRemotePolicy(addr, clock, DefaultRetryPolicy())
+// and fetches its registration payload.
+func DialRemote(addr string) (*RemoteWrapper, error) {
+	return DialRemotePolicy(addr, DefaultRetryPolicy())
 }
 
 // DialRemotePolicy is DialRemote with an explicit retry policy.
-func DialRemotePolicy(addr string, clock *netsim.Clock, policy RetryPolicy) (*RemoteWrapper, error) {
+func DialRemotePolicy(addr string, policy RetryPolicy) (*RemoteWrapper, error) {
 	dial := func() (net.Conn, error) { return net.Dial("tcp", addr) }
 	conn, err := dial()
 	if err != nil {
 		return nil, fmt.Errorf("wrapper: dialing %s: %w", addr, err)
 	}
-	return newRemote(conn, clock, dial, policy)
+	return newRemote(conn, dial, policy)
 }
 
 // newRemote wraps an established connection with a redial function and a
 // retry policy. Without a dialer the wrapper cannot redial: the first
 // transport failure after the initial handshake makes it unavailable.
-func newRemote(conn net.Conn, clock *netsim.Clock, dial func() (net.Conn, error), policy RetryPolicy) (*RemoteWrapper, error) {
-	if clock == nil {
-		clock = netsim.NewClock()
-	}
+func newRemote(conn net.Conn, dial func() (net.Conn, error), policy RetryPolicy) (*RemoteWrapper, error) {
 	if policy.MaxAttempts < 1 {
 		policy.MaxAttempts = 1
 	}
-	w := &RemoteWrapper{clock: clock, policy: policy, dial: dial, conn: conn, r: proto.NewReader(conn)}
-	resp, err := w.roundtrip(&proto.WrapperRequest{Op: "meta"})
+	w := &RemoteWrapper{policy: policy, dial: dial, conn: conn, r: proto.NewReader(conn)}
+	resp, _, err := w.roundtrip(&proto.WrapperRequest{Op: "meta"})
 	if err != nil {
 		w.Close()
 		return nil, err
@@ -183,22 +179,24 @@ func (w *RemoteWrapper) teardown() {
 
 // roundtrip sends one request and decodes its response, healing the
 // transport as needed: backoff (virtual time) between attempts, redial
-// after teardown, bounded by the retry policy. Responses marked
-// Unavailable, and exhausted retries, return an error wrapping
-// ErrUnavailable.
-func (w *RemoteWrapper) roundtrip(req *proto.WrapperRequest) (*proto.WrapperResponse, error) {
+// after teardown, bounded by the retry policy. It also returns the
+// request's virtual milliseconds: the backoffs and every response's
+// measured time, failed attempts included. Responses marked Unavailable,
+// and exhausted retries, return an error wrapping ErrUnavailable.
+func (w *RemoteWrapper) roundtrip(req *proto.WrapperRequest) (*proto.WrapperResponse, float64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	var m netsim.Meter
 	var lastErr error
 	for attempt := 1; attempt <= w.policy.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			// Waiting out a flaky source costs simulated time.
-			w.clock.Advance(w.policy.backoffMS(attempt - 1))
+			m.Add(w.policy.backoffMS(attempt - 1))
 			w.stats.Retries++
 		}
 		if w.conn == nil {
 			if w.dial == nil {
-				return nil, fmt.Errorf("wrapper: connection lost and no redial target (last error: %v): %w",
+				return nil, m.MS(), fmt.Errorf("wrapper: connection lost and no redial target (last error: %v): %w",
 					lastErr, ErrUnavailable)
 			}
 			conn, err := w.dial()
@@ -217,22 +215,22 @@ func (w *RemoteWrapper) roundtrip(req *proto.WrapperRequest) (*proto.WrapperResp
 			continue
 		}
 		// The remote measured virtual time even for failed attempts;
-		// merge it so injected delays and wasted work stay accounted.
-		w.clock.Advance(resp.VirtualMS)
+		// add it so injected delays and wasted work stay accounted.
+		m.Add(resp.VirtualMS)
 		switch {
 		case resp.Unavailable:
 			w.teardown()
-			return nil, fmt.Errorf("wrapper: remote declared itself down: %s: %w", resp.Error, ErrUnavailable)
+			return nil, m.MS(), fmt.Errorf("wrapper: remote declared itself down: %s: %w", resp.Error, ErrUnavailable)
 		case resp.OK:
-			return resp, nil
+			return resp, m.MS(), nil
 		case resp.Retryable:
 			lastErr = fmt.Errorf("wrapper: remote transient error: %s", resp.Error)
 		default:
 			// Semantic failure: retrying cannot help.
-			return nil, fmt.Errorf("wrapper: remote: %s", resp.Error)
+			return nil, m.MS(), fmt.Errorf("wrapper: remote: %s", resp.Error)
 		}
 	}
-	return nil, fmt.Errorf("wrapper: request failed after %d attempts (last error: %v): %w",
+	return nil, m.MS(), fmt.Errorf("wrapper: request failed after %d attempts (last error: %v): %w",
 		w.policy.MaxAttempts, lastErr, ErrUnavailable)
 }
 
@@ -255,10 +253,6 @@ func (w *RemoteWrapper) attempt(req *proto.WrapperRequest) (*proto.WrapperRespon
 
 // Name implements Wrapper.
 func (w *RemoteWrapper) Name() string { return w.meta.Name }
-
-// Clock implements Wrapper: the mediator's clock (remote time merges into
-// it on every execute).
-func (w *RemoteWrapper) Clock() *netsim.Clock { return w.clock }
 
 // Collections implements Wrapper.
 func (w *RemoteWrapper) Collections() []string {
@@ -319,14 +313,14 @@ func (w *RemoteWrapper) AttributeStats(collection, attr string) (stats.Attribute
 func (w *RemoteWrapper) CostRules() string { return w.meta.CostRules }
 
 // Execute implements Wrapper: ships the subplan and decodes the rows. The
-// remote's measured virtual time (roundtrip merges it) advances the
-// mediator clock.
+// Result's VirtualMS is the remote's measured time plus any backoff; a
+// failed execute returns that time too.
 func (w *RemoteWrapper) Execute(plan *algebra.Node) (*Result, error) {
-	resp, err := w.roundtrip(&proto.WrapperRequest{Op: "execute", Plan: proto.EncodePlan(plan)})
+	resp, ms, err := w.roundtrip(&proto.WrapperRequest{Op: "execute", Plan: proto.EncodePlan(plan)})
 	if err != nil {
-		return nil, err
+		return &Result{VirtualMS: ms}, err
 	}
-	return &Result{Rows: resp.Rows, Schema: plan.OutSchema, Bytes: resp.Bytes}, nil
+	return &Result{Rows: resp.Rows, Schema: plan.OutSchema, Bytes: resp.Bytes, VirtualMS: ms}, nil
 }
 
 // Serve answers the wrapper wire protocol for one local wrapper,
@@ -342,26 +336,21 @@ func Serve(ln net.Listener, w Wrapper) error { return ServeFaulty(ln, w, nil) }
 // wires its -faults flag here; in-process test servers drive the fault
 // matrix through the same path.
 //
-// Locking is scoped per request type. Only "execute" takes clockMu: the
-// virtual clock is per-process state shared by every connection, and the
-// elapsed-time measurement (Now, Execute, Now) must not interleave with
-// another execute or both would bill each other's virtual time — so the
-// lock is process-wide by design, not an accident of plumbing. "meta" and
-// "ping" read only the wrapper's immutable registration state and run
-// lock-free, so catalog refreshes on one connection never stall behind a
-// long-running execute on another.
+// Requests take no server-wide lock: each execute meters its own virtual
+// time (Result.VirtualMS), so executes on different connections run
+// concurrently, and "meta" and "ping" read only the wrapper's immutable
+// registration state.
 func ServeFaulty(ln net.Listener, w Wrapper, inj *netsim.Injector) error {
-	var clockMu sync.Mutex
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			return err
 		}
-		go serveConn(conn, w, &clockMu, inj)
+		go serveConn(conn, w, inj)
 	}
 }
 
-func serveConn(conn net.Conn, w Wrapper, clockMu *sync.Mutex, inj *netsim.Injector) {
+func serveConn(conn net.Conn, w Wrapper, inj *netsim.Injector) {
 	defer conn.Close()
 	r := proto.NewReader(conn)
 	for {
@@ -387,7 +376,7 @@ func serveConn(conn net.Conn, w Wrapper, clockMu *sync.Mutex, inj *netsim.Inject
 			}
 			continue
 		}
-		resp := handleWrapperRequest(req, w, clockMu)
+		resp := handleWrapperRequest(req, w)
 		// A slow source bills its delay as virtual time the client merges.
 		resp.VirtualMS += fault.DelayMS
 		if fault.Kind == netsim.FaultDrop {
@@ -410,7 +399,7 @@ func serveConn(conn net.Conn, w Wrapper, clockMu *sync.Mutex, inj *netsim.Inject
 	}
 }
 
-func handleWrapperRequest(req *proto.WrapperRequest, w Wrapper, clockMu *sync.Mutex) *proto.WrapperResponse {
+func handleWrapperRequest(req *proto.WrapperRequest, w Wrapper) *proto.WrapperResponse {
 	switch req.Op {
 	case "ping":
 		return &proto.WrapperResponse{OK: true}
@@ -455,17 +444,11 @@ func handleWrapperRequest(req *proto.WrapperRequest, w Wrapper, clockMu *sync.Mu
 		if plan == nil {
 			return &proto.WrapperResponse{Error: "execute needs a plan"}
 		}
-		// Plan decoding stays outside the critical section; only the
-		// clock-bracketed execution is serialized.
-		clockMu.Lock()
-		start := w.Clock().Now()
 		res, err := w.Execute(plan)
-		elapsed := w.Clock().Now() - start
-		clockMu.Unlock()
 		if err != nil {
 			return &proto.WrapperResponse{Error: err.Error()}
 		}
-		return &proto.WrapperResponse{OK: true, Rows: res.Rows, Bytes: res.Bytes, VirtualMS: elapsed}
+		return &proto.WrapperResponse{OK: true, Rows: res.Rows, Bytes: res.Bytes, VirtualMS: res.VirtualMS}
 
 	default:
 		return &proto.WrapperResponse{Error: fmt.Sprintf("unknown op %q", req.Op)}

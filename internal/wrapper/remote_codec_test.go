@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"disco/internal/algebra"
-	"disco/internal/netsim"
 	"disco/internal/types"
 )
 
@@ -40,7 +39,7 @@ func TestRemoteExecuteKeepsKindAndBits(t *testing.T) {
 		{types.Null, types.Float(math.Inf(-1)), types.Str("x")},
 	}
 	addr := startRemote(t, &cannedWrapper{Wrapper: newObjWrapper(t, 10), answers: [][]types.Row{sent}})
-	rw, err := DialRemotePolicy(addr, netsim.NewClock(), testPolicy())
+	rw, err := DialRemotePolicy(addr, testPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +78,7 @@ func TestRemoteOversizedAnswerIsAPlainError(t *testing.T) {
 		{{types.Str(strings.Repeat("x", 17<<20))}},
 		{{types.Int(1)}},
 	}})
-	rw, err := DialRemotePolicy(addr, netsim.NewClock(), testPolicy())
+	rw, err := DialRemotePolicy(addr, testPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,13 +35,13 @@ func startFaultyRemote(t *testing.T, w Wrapper, inj *netsim.Injector) (string, f
 }
 
 // dialFaulty connects a hardened client to a served wrapper.
-func dialFaulty(t *testing.T, dial func() (net.Conn, error), clock *netsim.Clock) *RemoteWrapper {
+func dialFaulty(t *testing.T, dial func() (net.Conn, error)) *RemoteWrapper {
 	t.Helper()
 	conn, err := dial()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw, err := newRemote(conn, clock, dial, testPolicy())
+	rw, err := newRemote(conn, dial, testPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,6 @@ func TestRemoteTruncatedFrameRedial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	var clockMu sync.Mutex
 	var connSeq int
 	var seqMu sync.Mutex
 	go func() {
@@ -93,7 +92,7 @@ func TestRemoteTruncatedFrameRedial(t *testing.T) {
 					if err != nil {
 						return
 					}
-					resp := handleWrapperRequest(req, backend, &clockMu)
+					resp := handleWrapperRequest(req, backend)
 					if truncateExecutes && req.Op == "execute" {
 						proto.WriteTruncated(conn, resp, 0.6)
 						return
@@ -108,8 +107,7 @@ func TestRemoteTruncatedFrameRedial(t *testing.T) {
 
 	addr := ln.Addr().String()
 	dial := func() (net.Conn, error) { return net.Dial("tcp", addr) }
-	clock := netsim.NewClock()
-	rw := dialFaulty(t, dial, clock)
+	rw := dialFaulty(t, dial)
 
 	res, err := rw.Execute(idPlan(t, rw, 7))
 	if err != nil {
@@ -141,7 +139,6 @@ func TestRemoteStaleResponseNotReused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	var clockMu sync.Mutex
 	var connSeq int
 	var seqMu sync.Mutex
 	go func() {
@@ -162,7 +159,7 @@ func TestRemoteStaleResponseNotReused(t *testing.T) {
 					if err != nil {
 						return
 					}
-					resp := handleWrapperRequest(req, backend, &clockMu)
+					resp := handleWrapperRequest(req, backend)
 					if slow && req.Op == "execute" {
 						time.Sleep(250 * time.Millisecond) // past the client deadline
 					}
@@ -182,7 +179,7 @@ func TestRemoteStaleResponseNotReused(t *testing.T) {
 	}
 	policy := testPolicy()
 	policy.IOTimeout = 50 * time.Millisecond
-	rw, err := newRemote(conn, netsim.NewClock(), dial, policy)
+	rw, err := newRemote(conn, dial, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +207,6 @@ func TestRemoteStaleResponseNotReused(t *testing.T) {
 func TestRemoteNoRedialBecomesUnavailable(t *testing.T) {
 	backend := newObjWrapper(t, 50)
 	client, server := net.Pipe()
-	var clockMu sync.Mutex
 	go func() {
 		defer server.Close()
 		r := proto.NewReader(server)
@@ -219,7 +215,7 @@ func TestRemoteNoRedialBecomesUnavailable(t *testing.T) {
 			if err != nil {
 				return
 			}
-			resp := handleWrapperRequest(req, backend, &clockMu)
+			resp := handleWrapperRequest(req, backend)
 			if req.Op == "execute" {
 				proto.WriteTruncated(server, resp, 0.5)
 				return
@@ -229,7 +225,7 @@ func TestRemoteNoRedialBecomesUnavailable(t *testing.T) {
 			}
 		}
 	}()
-	rw, err := newRemote(client, netsim.NewClock(), nil, testPolicy())
+	rw, err := newRemote(client, nil, testPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +248,6 @@ func TestRemoteInjectedTransientErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	var clockMu sync.Mutex
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -277,7 +272,7 @@ func TestRemoteInjectedTransientErrors(t *testing.T) {
 						}
 						continue
 					}
-					if err := proto.Write(conn, handleWrapperRequest(req, backend, &clockMu)); err != nil {
+					if err := proto.Write(conn, handleWrapperRequest(req, backend)); err != nil {
 						return
 					}
 				}
@@ -286,9 +281,7 @@ func TestRemoteInjectedTransientErrors(t *testing.T) {
 	}()
 
 	addr := ln.Addr().String()
-	clock := netsim.NewClock()
-	rw := dialFaulty(t, func() (net.Conn, error) { return net.Dial("tcp", addr) }, clock)
-	before := clock.Now()
+	rw := dialFaulty(t, func() (net.Conn, error) { return net.Dial("tcp", addr) })
 	res, err := rw.Execute(idPlan(t, rw, 7))
 	if err != nil || len(res.Rows) != 7 {
 		t.Fatalf("execute = %d rows, %v", len(res.Rows), err)
@@ -300,29 +293,25 @@ func TestRemoteInjectedTransientErrors(t *testing.T) {
 	if st.Redials != 0 {
 		t.Errorf("redials = %d; transient errors should not tear the connection down", st.Redials)
 	}
-	// Backoff was charged to the virtual clock: 10 + 20 ms.
-	if got := clock.Now() - before; got < 30 {
+	// Backoff was charged to the execute's virtual time: 10 + 20 ms.
+	if got := res.VirtualMS; got < 30 {
 		t.Errorf("virtual time for two backoffs = %v ms, want >= 30", got)
 	}
 }
 
 // TestRemoteInjectedDelay: ServeFaulty's delay faults surface as wrapper
-// virtual time merged into the mediator clock.
+// virtual time in the execute's Result, on top of the backend's own work.
 func TestRemoteInjectedDelay(t *testing.T) {
 	backend := newObjWrapper(t, 50)
 	inj := netsim.NewInjector(netsim.FaultPlan{DelayMS: 123})
 	_, dial := startFaultyRemote(t, backend, inj)
-	clock := netsim.NewClock()
-	rw := dialFaulty(t, dial, clock) // meta: +123 ms
-	afterDial := clock.Now()
-	if afterDial < 123 {
-		t.Errorf("clock after dial = %v, want >= 123", afterDial)
-	}
-	if _, err := rw.Execute(idPlan(t, rw, 5)); err != nil {
+	rw := dialFaulty(t, dial)
+	res, err := rw.Execute(idPlan(t, rw, 5))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := clock.Now() - afterDial; got < 123 {
-		t.Errorf("execute advanced %v ms, want >= 123 (injected delay)", got)
+	if res.VirtualMS < 123 {
+		t.Errorf("execute took %v virtual ms, want >= 123 (injected delay)", res.VirtualMS)
 	}
 }
 
@@ -332,7 +321,7 @@ func TestRemoteInjectedDropsRecover(t *testing.T) {
 	backend := newObjWrapper(t, 100)
 	inj := netsim.NewInjector(netsim.FaultPlan{DropProb: 0.4, Seed: 11})
 	_, dial := startFaultyRemote(t, backend, inj)
-	rw := dialFaulty(t, dial, netsim.NewClock())
+	rw := dialFaulty(t, dial)
 	for i := 0; i < 8; i++ {
 		n := int64(2 + i)
 		res, err := rw.Execute(idPlan(t, rw, n))
@@ -355,7 +344,7 @@ func TestRemoteUnavailableAfter(t *testing.T) {
 	backend := newObjWrapper(t, 50)
 	inj := netsim.NewInjector(netsim.FaultPlan{UnavailableAfter: 2})
 	_, dial := startFaultyRemote(t, backend, inj)
-	rw := dialFaulty(t, dial, netsim.NewClock()) // meta = request 1
+	rw := dialFaulty(t, dial) // meta = request 1
 	if _, err := rw.Execute(idPlan(t, rw, 5)); err != nil {
 		t.Fatalf("request 2 should still be served: %v", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"disco/internal/algebra"
-	"disco/internal/netsim"
 	"disco/internal/stats"
 	"disco/internal/types"
 )
@@ -27,8 +26,7 @@ func TestRemoteWrapperEndToEnd(t *testing.T) {
 	backend := newObjWrapper(t, 400)
 	addr := startRemote(t, backend)
 
-	medClock := netsim.NewClock()
-	rw, err := DialRemote(addr, medClock)
+	rw, err := DialRemote(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +68,6 @@ func TestRemoteWrapperEndToEnd(t *testing.T) {
 	if err := algebra.Resolve(plan, wrapperSchemaSource{rw}); err != nil {
 		t.Fatal(err)
 	}
-	before := medClock.Now()
 	res, err := rw.Execute(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -81,9 +78,9 @@ func TestRemoteWrapperEndToEnd(t *testing.T) {
 	if res.Rows[0][1].Kind() != types.KindString {
 		t.Errorf("string fields should decode as strings: %v", res.Rows[0])
 	}
-	// The remote's virtual time merged into the mediator clock.
-	if medClock.Now() <= before {
-		t.Error("mediator clock should advance by the remote virtual time")
+	// The remote's virtual time crossed the wire.
+	if res.VirtualMS <= 0 {
+		t.Error("the result should carry the remote virtual time")
 	}
 
 	// Execution errors propagate.
@@ -97,7 +94,7 @@ func TestRemoteWrapperEndToEnd(t *testing.T) {
 func TestRemoteWrapperRowsMatchLocal(t *testing.T) {
 	backend := newObjWrapper(t, 200)
 	addr := startRemote(t, backend)
-	rw, err := DialRemote(addr, netsim.NewClock())
+	rw, err := DialRemote(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,6 @@ import (
 // or multimedia files (§7).
 type StaticWrapper struct {
 	name  string
-	clock *netsim.Clock
 	file  *idl.File
 	colls map[string]*staticCollection
 	// PerRecordMS is the scan cost per record; delivery is free (the
@@ -38,17 +37,13 @@ type staticCollection struct {
 
 // NewStaticWrapper parses the IDL source and prepares one collection per
 // interface.
-func NewStaticWrapper(name, idlSrc string, clock *netsim.Clock) (*StaticWrapper, error) {
-	if clock == nil {
-		clock = netsim.NewClock()
-	}
+func NewStaticWrapper(name, idlSrc string) (*StaticWrapper, error) {
 	file, err := idl.Parse(idlSrc)
 	if err != nil {
 		return nil, err
 	}
 	w := &StaticWrapper{
 		name:        name,
-		clock:       clock,
 		file:        file,
 		colls:       make(map[string]*staticCollection),
 		PerRecordMS: 0.5,
@@ -122,9 +117,6 @@ func (w *StaticWrapper) DeclareAttribute(collection, attr string, a stats.Attrib
 // Name implements Wrapper.
 func (w *StaticWrapper) Name() string { return w.name }
 
-// Clock implements Wrapper.
-func (w *StaticWrapper) Clock() *netsim.Clock { return w.clock }
-
 // Collections implements Wrapper (declaration order).
 func (w *StaticWrapper) Collections() []string {
 	out := make([]string, 0, len(w.file.Interfaces))
@@ -176,20 +168,20 @@ func (w *StaticWrapper) CostRules() string {
 // staticSource adapts the wrapper to the shared evaluator.
 type staticSource struct{ w *StaticWrapper }
 
-func (s staticSource) scanAll(collection string) ([]types.Row, error) {
+func (s staticSource) scanAll(m *netsim.Meter, collection string) ([]types.Row, error) {
 	c, err := s.w.collection(collection)
 	if err != nil {
 		return nil, err
 	}
-	s.w.clock.Advance(float64(len(c.rows)) * s.w.PerRecordMS)
+	m.Add(float64(len(c.rows)) * s.w.PerRecordMS)
 	return c.rows, nil
 }
 
-func (s staticSource) indexSelect(string, algebra.Comparison) ([]types.Row, bool, error) {
+func (s staticSource) indexSelect(*netsim.Meter, string, algebra.Comparison) ([]types.Row, bool, error) {
 	return nil, false, nil // declared sources expose no physical indexes
 }
 
-func (s staticSource) deliver(int) {}
+func (s staticSource) deliver(*netsim.Meter, int) {}
 
 // Execute implements Wrapper.
 func (w *StaticWrapper) Execute(plan *algebra.Node) (*Result, error) {

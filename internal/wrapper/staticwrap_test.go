@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"disco/internal/algebra"
-	"disco/internal/netsim"
 	"disco/internal/stats"
 	"disco/internal/types"
 )
@@ -30,7 +29,7 @@ interface Employee {
 
 func newStatic(t *testing.T) *StaticWrapper {
 	t.Helper()
-	w, err := NewStaticWrapper("legacy", figure6IDL, netsim.NewClock())
+	w, err := NewStaticWrapper("legacy", figure6IDL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +91,6 @@ func TestStaticWrapperExecute(t *testing.T) {
 	if err := algebra.Resolve(plan, wrapperSchemaSource{w}); err != nil {
 		t.Fatal(err)
 	}
-	start := w.Clock().Now()
 	res, err := w.Execute(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -100,13 +98,13 @@ func TestStaticWrapperExecute(t *testing.T) {
 	if len(res.Rows) != 4 { // 1000, 1290, 1580, 1870
 		t.Errorf("rows = %d", len(res.Rows))
 	}
-	if w.Clock().Now()-start != 100*0.5 {
-		t.Errorf("scan cost = %v, want 50", w.Clock().Now()-start)
+	if res.VirtualMS != 100*0.5 {
+		t.Errorf("scan cost = %v, want 50", res.VirtualMS)
 	}
 }
 
 func TestStaticWrapperErrors(t *testing.T) {
-	if _, err := NewStaticWrapper("x", `interface T { attribute bogus x; };`, nil); err == nil {
+	if _, err := NewStaticWrapper("x", `interface T { attribute bogus x; };`); err == nil {
 		t.Error("bad IDL should fail")
 	}
 	w := newStatic(t)
@@ -123,7 +121,7 @@ func TestStaticWrapperErrors(t *testing.T) {
 		t.Error("unknown attribute should fail")
 	}
 	// IDL without cardinality methods cannot declare statistics.
-	w2, err := NewStaticWrapper("bare", `interface T { attribute long x; };`, nil)
+	w2, err := NewStaticWrapper("bare", `interface T { attribute long x; };`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,6 +68,10 @@ type Result struct {
 	Schema *types.Schema
 	// Bytes is the estimated wire size the network layer ships.
 	Bytes int64
+	// VirtualMS is the wrapper's own work on this execution in virtual
+	// milliseconds (for a remote wrapper also its retry backoffs),
+	// summed from zero on the execution's meter.
+	VirtualMS float64
 }
 
 // Wrapper is the registration- and query-phase interface of a data source.
@@ -90,20 +94,21 @@ type Wrapper interface {
 	// covers this source.
 	CostRules() string
 	// Execute runs a resolved subplan against the source and returns the
-	// materialized result, advancing the source's virtual clock.
+	// materialized result with the virtual time it took. A failed
+	// execution may still return a Result carrying only VirtualMS, the
+	// time the failure cost.
 	Execute(plan *algebra.Node) (*Result, error)
-	// Clock exposes the source's virtual clock.
-	Clock() *netsim.Clock
 }
 
 // planSource is the access-path interface the shared subplan evaluator
-// needs from a concrete store.
+// needs from a concrete store. Every access charges the execution's
+// meter m.
 type planSource interface {
-	scanAll(collection string) ([]types.Row, error)
+	scanAll(m *netsim.Meter, collection string) ([]types.Row, error)
 	// indexSelect attempts to answer `collection WHERE cmp` through an
 	// index; ok is false when no suitable access path exists.
-	indexSelect(collection string, cmp algebra.Comparison) ([]types.Row, bool, error)
-	deliver(n int)
+	indexSelect(m *netsim.Meter, collection string, cmp algebra.Comparison) ([]types.Row, bool, error)
+	deliver(m *netsim.Meter, n int)
 }
 
 // execPlan evaluates a resolved subplan against a source through the
@@ -115,11 +120,11 @@ type planSource interface {
 // capable wrapper accepted) runs on the generic batch operators, never
 // spilling: the spill budget is a mediator-side feature, and a wrapper's
 // virtual time is charged by its store, not by operator formulas.
-func execPlan(src planSource, n *algebra.Node) ([]types.Row, error) {
+func execPlan(src planSource, m *netsim.Meter, n *algebra.Node) ([]types.Row, error) {
 	return vexec.Run(n, &vexec.Env{Leaf: func(n *algebra.Node) ([]types.Row, bool, error) {
 		switch n.Kind {
 		case algebra.OpScan:
-			rows, err := src.scanAll(n.Collection)
+			rows, err := src.scanAll(m, n.Collection)
 			return rows, true, err
 
 		case algebra.OpSelect:
@@ -131,7 +136,7 @@ func execPlan(src planSource, n *algebra.Node) ([]types.Row, error) {
 				if cmp.IsJoin() {
 					continue
 				}
-				rows, ok, err := src.indexSelect(child.Collection, cmp)
+				rows, ok, err := src.indexSelect(m, child.Collection, cmp)
 				if err != nil {
 					return nil, true, err
 				}
@@ -155,14 +160,16 @@ func execPlan(src planSource, n *algebra.Node) ([]types.Row, error) {
 	}})
 }
 
-// runSubplan executes a subplan and wraps the result, charging delivery.
+// runSubplan executes a subplan on a fresh meter and wraps the result,
+// charging delivery.
 func runSubplan(src planSource, plan *algebra.Node) (*Result, error) {
-	rows, err := execPlan(src, plan)
+	var m netsim.Meter
+	rows, err := execPlan(src, &m, plan)
 	if err != nil {
 		return nil, err
 	}
-	src.deliver(len(rows))
-	return &Result{Rows: rows, Schema: plan.OutSchema, Bytes: types.RowBytes(rows)}, nil
+	src.deliver(&m, len(rows))
+	return &Result{Rows: rows, Schema: plan.OutSchema, Bytes: types.RowBytes(rows), VirtualMS: m.MS()}, nil
 }
 
 // checkCapabilities walks a subplan and verifies the wrapper advertises

@@ -7,7 +7,6 @@ import (
 	"disco/internal/algebra"
 	"disco/internal/costlang"
 	"disco/internal/filestore"
-	"disco/internal/netsim"
 	"disco/internal/objstore"
 	"disco/internal/relstore"
 	"disco/internal/stats"
@@ -24,7 +23,7 @@ func empSchema() *types.Schema {
 
 func newObjWrapper(t *testing.T, n int) *ObjWrapper {
 	t.Helper()
-	store := objstore.Open(objstore.DefaultConfig(), netsim.NewClock())
+	store := objstore.Open(objstore.DefaultConfig())
 	c, err := store.CreateCollection("Employee", empSchema(), 120)
 	if err != nil {
 		t.Fatal(err)
@@ -109,8 +108,8 @@ func TestObjWrapperExecuteScanSelect(t *testing.T) {
 	if res.Schema.Len() != 3 || res.Bytes <= 0 {
 		t.Errorf("result meta = %v, %d", res.Schema, res.Bytes)
 	}
-	if w.Clock().Now() <= 0 {
-		t.Error("execution should advance the clock")
+	if res.VirtualMS <= 0 {
+		t.Error("execution should take virtual time")
 	}
 }
 
@@ -136,29 +135,27 @@ func TestObjWrapperIndexSelectResidual(t *testing.T) {
 
 func TestObjWrapperIndexVsSeqTiming(t *testing.T) {
 	w := newObjWrapper(t, 4000)
-	clock := w.Clock()
 
 	w.Store().ResetBuffer()
-	start := clock.Now()
 	planIdx := resolveAt(t, w, algebra.Select(
 		algebra.Scan("obj1", "Employee"), selPred("id", stats.CmpEQ, 7)))
 	res, err := w.Execute(planIdx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idxTime := clock.Now() - start
+	idxTime := res.VirtualMS
 	if len(res.Rows) != 1 {
 		t.Fatalf("index probe rows = %d", len(res.Rows))
 	}
 
 	w.Store().ResetBuffer()
-	start = clock.Now()
 	planSeq := resolveAt(t, w, algebra.Select(
 		algebra.Scan("obj1", "Employee"), selPred("salary", stats.CmpEQ, 1007)))
-	if _, err := w.Execute(planSeq); err != nil {
+	res, err = w.Execute(planSeq)
+	if err != nil {
 		t.Fatal(err)
 	}
-	seqTime := clock.Now() - start
+	seqTime := res.VirtualMS
 	if idxTime*10 > seqTime {
 		t.Errorf("index probe (%v ms) should be much cheaper than seq scan (%v ms)", idxTime, seqTime)
 	}
@@ -236,7 +233,7 @@ func TestObjWrapperRejectsNestedSubmit(t *testing.T) {
 }
 
 func TestRelWrapperExecuteAndRules(t *testing.T) {
-	store := relstore.Open(relstore.DefaultConfig(), netsim.NewClock())
+	store := relstore.Open(relstore.DefaultConfig())
 	tb, err := store.CreateTable("Book", types.NewSchema(
 		types.Field{Name: "id", Collection: "Book", Type: types.KindInt},
 		types.Field{Name: "author", Collection: "Book", Type: types.KindInt},
@@ -273,7 +270,7 @@ func TestRelWrapperExecuteAndRules(t *testing.T) {
 }
 
 func TestFileWrapperIsOpaque(t *testing.T) {
-	store := filestore.Open(filestore.DefaultConfig(), netsim.NewClock())
+	store := filestore.Open(filestore.DefaultConfig())
 	f, err := store.CreateFile("Docs", types.NewSchema(
 		types.Field{Name: "id", Collection: "Docs", Type: types.KindInt},
 		types.Field{Name: "title", Collection: "Docs", Type: types.KindString},
