@@ -70,11 +70,12 @@ ci-race:
 # second answer on one connection allocates nothing for its block, a
 # Constant is 32 bytes, the object store's ReadAll and buffer-pool misses
 # allocate nothing and its index read only its answer, the relational
-# store's ReadAll nothing and a warm probe only its answer, and a meter
-# charge nothing.
+# store's ReadAll nothing and a warm probe only its answer, a meter
+# charge nothing, an int column's statistics at most two allocations
+# whatever its length, and an index build fewer than its tree's leaves.
 ci-alloc:
 	$(GO) test -run 'Alloc|ConstantSize|Slab|ArenaReserve' -count=1 ./internal/core ./internal/optimizer ./internal/vexec \
-		./internal/serving ./internal/proto ./internal/types ./internal/objstore ./internal/relstore
+		./internal/serving ./internal/proto ./internal/types ./internal/objstore ./internal/relstore ./internal/stats
 ci-faultmatrix: # every injected fault recovers or degrades to a partial answer
 	$(GO) test -race -run 'Fault|Remote|Injector|Resilience' ./internal/mediator ./internal/wrapper ./internal/netsim ./internal/experiments
 ci-feedback: # extents mis-registered 10x are repaired by the workload; the probe runs the truth plan from round 2 (E10)

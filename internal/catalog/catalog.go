@@ -32,11 +32,12 @@ type Entry struct {
 }
 
 // Catalog stores registration results. It is not internally synchronized:
-// the mediator serializes mutation (Register/Deregister and the feedback
-// adjuster's statistics writes) behind its write lock and reads behind its
-// read lock. The epoch counter lets cached artifacts derived from catalog
-// state (prepared plans, most importantly) detect that a (re-)registration
-// happened since they were built.
+// the mediator serializes mutation (Install and the feedback adjuster's
+// statistics writes) behind its write lock and reads behind its read
+// lock; Collect touches no catalog and runs outside both. The epoch
+// counter lets cached artifacts derived from catalog state (prepared
+// plans, most importantly) detect that a (re-)registration happened
+// since they were built.
 type Catalog struct {
 	entries map[string]*Entry
 	epoch   uint64
@@ -46,19 +47,34 @@ type Catalog struct {
 func New() *Catalog { return &Catalog{entries: make(map[string]*Entry)} }
 
 // Epoch returns the registration epoch: it starts at zero and is bumped by
-// every Register and Deregister call. Two reads returning the same epoch
-// bracket a span in which no wrapper was added, replaced or removed, so any
-// plan bound against the catalog at that epoch is still executable.
+// every Install (so every Register). Two reads returning the same epoch
+// bracket a span in which no wrapper was added or replaced, so any plan
+// bound against the catalog at that epoch is still executable.
 func (c *Catalog) Epoch() uint64 { return c.epoch }
 
 // Register uploads a wrapper's schema, capabilities and statistics into
 // the catalog (the paper's registration phase: the mediator calls the
 // wrapper's extent and attribute cardinality methods and stores the
-// results). Re-registering a name replaces the previous entry.
+// results). Re-registering a name replaces the previous entry. It is
+// Collect followed by Install.
 func (c *Catalog) Register(w wrapper.Wrapper) error {
+	e, err := Collect(w)
+	if err != nil {
+		return err
+	}
+	c.Install(e)
+	return nil
+}
+
+// Collect is the wrapper-facing half of Register: it asks the wrapper
+// for its capabilities, cost rules, schemas and statistics and returns
+// the entry they make, touching no catalog. It is the slow half (a
+// store's statistics are a pass over its data), so the mediator runs it
+// before taking its write lock.
+func Collect(w wrapper.Wrapper) (*Entry, error) {
 	name := w.Name()
 	if name == "" {
-		return fmt.Errorf("catalog: wrapper has no name")
+		return nil, fmt.Errorf("catalog: wrapper has no name")
 	}
 	e := &Entry{
 		Name:        name,
@@ -69,7 +85,7 @@ func (c *Catalog) Register(w wrapper.Wrapper) error {
 	for _, coll := range w.Collections() {
 		schema, err := w.Schema(coll)
 		if err != nil {
-			return fmt.Errorf("catalog: registering %s/%s: %w", name, coll, err)
+			return nil, fmt.Errorf("catalog: registering %s/%s: %w", name, coll, err)
 		}
 		info := &CollectionInfo{Schema: schema, Attrs: make(map[string]stats.AttributeStats)}
 		if ext, ok := w.ExtentStats(coll); ok {
@@ -84,9 +100,14 @@ func (c *Catalog) Register(w wrapper.Wrapper) error {
 		}
 		e.Collections[coll] = info
 	}
-	c.entries[name] = e
+	return e, nil
+}
+
+// Install publishes a collected entry, replacing any entry of the same
+// name, and bumps the epoch.
+func (c *Catalog) Install(e *Entry) {
+	c.entries[e.Name] = e
 	c.epoch++
-	return nil
 }
 
 // Wrappers lists registered wrapper names, sorted.

@@ -7,13 +7,16 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"disco/internal/core"
 	"disco/internal/feedback"
 	"disco/internal/netsim"
+	"disco/internal/stats"
 	"disco/internal/types"
+	"disco/internal/wrapper"
 )
 
 // concurrencyQueries is a mixed query-only workload over the
@@ -644,5 +647,103 @@ func TestPlanCacheStaleAccounting(t *testing.T) {
 	}
 	if s.PlanCacheHits != 1 || s.PlanCacheMisses != 2 {
 		t.Errorf("stats = hits %d misses %d, want 1/2", s.PlanCacheHits, s.PlanCacheMisses)
+	}
+}
+
+// parkingWrapper counts registrations (one Collections call each) and
+// stamps every attribute's CountDistinct with the registration's number;
+// the registration numbered parkAt blocks in its first AttributeStats
+// call, after announcing itself on parked, until release is closed.
+type parkingWrapper struct {
+	wrapper.Wrapper
+	parkAt  int64
+	regs    atomic.Int64
+	once    sync.Once
+	parked  chan int64
+	release chan struct{}
+}
+
+func (w *parkingWrapper) Collections() []string {
+	w.regs.Add(1)
+	return w.Wrapper.Collections()
+}
+
+func (w *parkingWrapper) AttributeStats(coll, attr string) (stats.AttributeStats, bool) {
+	st, ok := w.Wrapper.AttributeStats(coll, attr)
+	reg := w.regs.Load()
+	if reg == w.parkAt {
+		w.once.Do(func() {
+			w.parked <- reg
+			<-w.release
+		})
+	}
+	st.CountDistinct = reg
+	return st, ok
+}
+
+// TestConcurrentRegisterCollectsOffWriteLock: a registration asks its
+// wrapper for statistics before it takes the serving write lock, so
+// queries on the other wrappers complete while that pass is parked; and
+// registrations run one at a time, so a second registration of the same
+// wrapper neither reaches the wrapper while the first is collecting nor
+// installs before it.
+func TestConcurrentRegisterCollectsOffWriteLock(t *testing.T) {
+	m := buildMediator(t, DefaultConfig())
+	rel, _ := m.Wrapper("rel1")
+	w := &parkingWrapper{Wrapper: rel, parkAt: 2, parked: make(chan int64, 1), release: make(chan struct{})}
+	if err := m.Register(w); err != nil { // registration 1 does not park
+		t.Fatal(err)
+	}
+	epoch := m.Catalog.Epoch()
+
+	const wait = 10 * time.Second
+	first, second := make(chan error, 1), make(chan error, 1)
+	go func() { first <- m.Register(w) }()
+	select {
+	case <-w.parked:
+	case <-time.After(wait):
+		t.Fatal("registration 2 never reached AttributeStats")
+	}
+	queried := make(chan error, 1)
+	go func() {
+		for _, sql := range []string{`SELECT name FROM Employee WHERE id = 421`, `SELECT COUNT(*) FROM Notes`} {
+			if _, err := m.Query(sql); err != nil {
+				queried <- err
+				return
+			}
+		}
+		queried <- nil
+	}()
+	select {
+	case err := <-queried:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(wait):
+		t.Error("queries on obj1 and files waited behind a registration of rel1 collecting statistics")
+	}
+	go func() { second <- m.Register(w) }()
+	// A registration rightly blocked signals nothing to wait on, so a
+	// wrongly unblocked one gets 50 ms to reach the wrapper.
+	time.Sleep(50 * time.Millisecond)
+	if n := w.regs.Load(); n != 2 {
+		t.Errorf("registration %d reached the wrapper while registration 2 was collecting", n)
+	}
+	close(w.release)
+	for _, done := range []chan error{first, second} {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(wait):
+			t.Fatal("a registration did not finish after release")
+		}
+	}
+	if got := m.Catalog.Epoch() - epoch; got != 2 {
+		t.Errorf("two registrations moved the epoch by %d", got)
+	}
+	if ast, _ := m.Catalog.Attribute("rel1", "Dept", "dno"); ast.CountDistinct != 3 {
+		t.Errorf("installed statistics are registration %d's, want the last serialized (3)", ast.CountDistinct)
 	}
 }

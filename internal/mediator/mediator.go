@@ -98,10 +98,12 @@ func DefaultConfig() Config {
 
 // Mediator is one running mediator instance. It is safe for concurrent
 // use: queries, explains and plan executions run in parallel under a
-// read lock, while (re-)registration and feedback absorption take the
-// write lock and drain in-flight queries first.
+// read lock, while installing a (re-)registration and feedback
+// absorption take the write lock and drain in-flight queries first. A
+// registration asks its wrapper for statistics before that, under regMu
+// alone.
 //
-// Lock order (outermost first): mu → downMu → inner package locks
+// Lock order (outermost first): regMu → mu → downMu → inner package locks
 // (registry, recorder, adjuster, cache, buffer pools). The down-marks
 // live under their own mutex because sources fail DURING read-locked
 // execution — the engine's outage callback cannot upgrade to the write
@@ -109,9 +111,13 @@ func DefaultConfig() Config {
 type Mediator struct {
 	cfg Config
 
+	// regMu serializes Register: one registration collects and installs
+	// before the next begins, so entries install in the order their
+	// collections ran.
+	regMu sync.Mutex
 	// mu is the serving lock. Read side: Prepare, Query, ExecutePlan,
-	// Explain, ExplainAnalyze, accessors. Write side: Register, feedback
-	// absorption, Close.
+	// Explain, ExplainAnalyze, accessors. Write side: Register's install,
+	// feedback absorption, Close.
 	mu sync.RWMutex
 	// downMu guards unavailable; see the lock-order note above.
 	downMu sync.Mutex
@@ -302,25 +308,32 @@ func (m *Mediator) downedSnapshot() map[string]bool {
 // Register runs the registration phase for one wrapper: catalog upload
 // plus cost-rule integration (paper Figure 1). Re-registering a name
 // replaces its catalog entry and rules (the paper's administrative
-// re-registration interface). Registration takes the write lock — it
-// drains in-flight queries, bumps the catalog epoch (invalidating every
-// cached plan), and publishes a fresh engine.
+// re-registration interface). Registrations run one at a time under
+// regMu. The wrapper is asked for its schemas and statistics, and its
+// cost rules are parsed, before the write lock is taken, so queries keep
+// being served during that pass; the write lock is held only to install
+// the entry — draining in-flight queries, bumping the catalog epoch
+// (invalidating every cached plan) and publishing a fresh engine.
 func (m *Mediator) Register(w wrapper.Wrapper) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.Catalog.Register(w); err != nil {
+	m.regMu.Lock()
+	defer m.regMu.Unlock()
+	e, err := catalog.Collect(w)
+	if err != nil {
 		return err
 	}
-	m.Registry.DropWrapper(w.Name())
-	if m.cfg.UseWrapperRules {
-		if src := w.CostRules(); src != "" {
-			file, err := costlang.Parse(src)
-			if err != nil {
-				return fmt.Errorf("mediator: parsing %s cost rules: %w", w.Name(), err)
-			}
-			if err := m.Registry.IntegrateWrapper(w.Name(), file, m.Catalog); err != nil {
-				return fmt.Errorf("mediator: integrating %s cost rules: %w", w.Name(), err)
-			}
+	var rules *costlang.File
+	if m.cfg.UseWrapperRules && e.CostRules != "" {
+		if rules, err = costlang.Parse(e.CostRules); err != nil {
+			return fmt.Errorf("mediator: parsing %s cost rules: %w", e.Name, err)
+		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.Catalog.Install(e)
+	m.Registry.DropWrapper(e.Name)
+	if rules != nil {
+		if err := m.Registry.IntegrateWrapper(e.Name, rules, m.Catalog); err != nil {
+			return fmt.Errorf("mediator: integrating %s cost rules: %w", e.Name, err)
 		}
 	}
 	m.wrappers[w.Name()] = w

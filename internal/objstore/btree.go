@@ -15,10 +15,19 @@
 // fetched in runs charged exactly as IndexScan charges row by row. Both
 // hand out the stored rows themselves: rows a store returns are
 // read-only to every caller.
+//
+// Registration-time work charges nothing and is built for speed: an
+// index over existing objects (Collection.CreateIndex) comes from one
+// sort of their keys, packed bottom-up into the tree inserting them one
+// by one would hold, and an attribute's statistics are one typed pass
+// (stats.Summarize).
 package objstore
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"disco/internal/stats"
 	"disco/internal/types"
@@ -75,6 +84,129 @@ func (t *BTree) Insert(key types.Constant, rid RID) {
 		t.root = &btinner{keys: []types.Constant{sep}, children: []btnode{t.root, right}}
 	}
 	t.size++
+}
+
+// buildBTree returns the tree that inserting key(i) -> rid(i) for i = 0
+// .. n-1 in turn would hold: the same keys in the same order, each stored
+// as first inserted and holding its RIDs in insertion order. It sorts the
+// insertion indices once (sortKeys), groups Equal keys and packs the
+// leaves and then each inner level bottom-up, a level's nodes, keys and
+// RIDs in a few allocations. A NaN key falls back to inserting one at a
+// time: Compare ties a NaN with every number, so there is no order to
+// sort by.
+func buildBTree(n int, key func(int) types.Constant, rid func(int) RID) *BTree {
+	if n == 0 {
+		return NewBTree()
+	}
+	row, same, ok := sortKeys(n, key)
+	if !ok {
+		t := NewBTree()
+		for i := 0; i < n; i++ {
+			t.Insert(key(i), rid(i))
+		}
+		return t
+	}
+	groups := 1
+	for j := 1; j < n; j++ {
+		if !same(j) {
+			groups++
+		}
+	}
+	keys := make([]types.Constant, 0, groups)
+	vals := make([][]RID, 0, groups)
+	rids := make([]RID, n)
+	start := 0
+	for j := range rids {
+		rids[j] = rid(row(j))
+		if j+1 == n || !same(j+1) {
+			keys = append(keys, key(row(start)))
+			vals = append(vals, rids[start:j+1:j+1])
+			start = j + 1
+		}
+	}
+	return &BTree{root: packLevels(keys, vals), size: n}
+}
+
+// sortKeys sorts the insertion indices by key, ties in insertion order:
+// row(j) is the j-th index in that order, and same(j) reports whether its
+// key is Equal to the (j-1)-th's. Int keys within a 2^32 span sort as
+// packed (key offset, index) words with no comparison callback; other
+// keys sort by Compare. ok is false when a key is NaN.
+func sortKeys(n int, key func(int) types.Constant) (row func(int) int, same func(int) bool, ok bool) {
+	if lo, ok := intSpan(n, key); ok {
+		packed := make([]uint64, n)
+		for i := range packed {
+			packed[i] = (uint64(key(i).AsInt())-uint64(lo))<<32 | uint64(i)
+		}
+		slices.Sort(packed)
+		return func(j int) int { return int(uint32(packed[j])) },
+			func(j int) bool { return packed[j]>>32 == packed[j-1]>>32 }, true
+	}
+	order := make([]int32, n)
+	for i := range order {
+		if k := key(i); k.Kind() == types.KindFloat && math.IsNaN(k.AsFloat()) {
+			return nil, nil, false
+		}
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Or(key(int(a)).Compare(key(int(b))), cmp.Compare(a, b))
+	})
+	return func(j int) int { return int(order[j]) },
+		func(j int) bool { return key(int(order[j])).Equal(key(int(order[j-1]))) }, true
+}
+
+// intSpan returns the least of n keys when every key is an int and all
+// lie within a span of 2^32, so a key's offset and its index pack into
+// one word.
+func intSpan(n int, key func(int) types.Constant) (lo int64, ok bool) {
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for i := 0; i < n; i++ {
+		k := key(i)
+		if k.Kind() != types.KindInt {
+			return 0, false
+		}
+		lo, hi = min(lo, k.AsInt()), max(hi, k.AsInt())
+	}
+	return lo, n <= math.MaxUint32 && uint64(hi)-uint64(lo) <= math.MaxUint32
+}
+
+// packLevels lays sorted, distinct keys and their RID lists into leaves
+// of at most btreeOrder keys, then groups each level into inner nodes of
+// at most btreeOrder+1 children until one node is left. Nodes of a level
+// are spread evenly, so every node but a lone root is at least half full;
+// each node's slices have their capacity pinned, so a later Insert copies
+// instead of writing into a neighbour.
+func packLevels(keys []types.Constant, vals [][]RID) btnode {
+	nl := (len(keys) + btreeOrder - 1) / btreeOrder
+	leaves := make([]btleaf, nl)
+	level := make([]btnode, nl)
+	firsts := make([]types.Constant, nl) // first key under each node
+	for i := range leaves {
+		lo, hi := len(keys)*i/nl, len(keys)*(i+1)/nl
+		leaves[i] = btleaf{keys: keys[lo:hi:hi], vals: vals[lo:hi:hi]}
+		if i > 0 {
+			leaves[i-1].next = &leaves[i]
+		}
+		level[i], firsts[i] = &leaves[i], keys[lo]
+	}
+	for len(level) > 1 {
+		nn := (len(level) + btreeOrder) / (btreeOrder + 1)
+		inners := make([]btinner, nn)
+		up := make([]btnode, nn)
+		upFirsts := make([]types.Constant, nn)
+		seps := make([]types.Constant, len(level)-nn)
+		for i := range inners {
+			lo, hi := len(level)*i/nn, len(level)*(i+1)/nn
+			k := seps[: hi-lo-1 : hi-lo-1]
+			seps = seps[hi-lo-1:]
+			copy(k, firsts[lo+1:hi])
+			inners[i] = btinner{keys: k, children: level[lo:hi:hi]}
+			up[i], upFirsts[i] = &inners[i], firsts[lo]
+		}
+		level, firsts = up, upFirsts
+	}
+	return level[0]
 }
 
 // --- leaf ---

@@ -183,7 +183,9 @@ func (c *Collection) Insert(row types.Row) error {
 	return nil
 }
 
-// CreateIndex builds a B+-tree on the attribute over all existing objects.
+// CreateIndex builds a B+-tree on the attribute over all existing objects
+// from one sort of their keys (buildBTree); it holds what inserting them
+// in physical order would.
 func (c *Collection) CreateIndex(attr string, clustered bool) error {
 	pos, ok := c.schema.Lookup(attr)
 	if !ok {
@@ -193,11 +195,8 @@ func (c *Collection) CreateIndex(attr string, clustered bool) error {
 	if _, exists := c.indexes[key]; exists {
 		return fmt.Errorf("objstore: %s already has an index on %q", c.name, attr)
 	}
-	idx := &index{attr: attr, fieldPos: pos, tree: NewBTree(), clustered: clustered}
-	for i, row := range c.rows {
-		idx.tree.Insert(row[pos], c.ridOf(i))
-	}
-	c.indexes[key] = idx
+	tree := buildBTree(len(c.rows), func(i int) types.Constant { return c.rows[i][pos] }, c.ridOf)
+	c.indexes[key] = &index{attr: attr, fieldPos: pos, tree: tree, clustered: clustered}
 	return nil
 }
 
@@ -379,36 +378,15 @@ func (c *Collection) ExtentStats() stats.ExtentStats {
 	}
 }
 
-// AttributeStats computes the exported statistics of one attribute by a
-// full pass over the data (registration-time work, no charge). The
-// optional histogram uses equi-depth buckets when buckets > 0.
+// AttributeStats computes the exported statistics of one attribute with
+// stats.Summarize (registration-time work, no charge). The optional
+// histogram uses equi-depth buckets when buckets > 0.
 func (c *Collection) AttributeStats(attr string, buckets int) (stats.AttributeStats, error) {
 	pos, ok := c.schema.Lookup(attr)
 	if !ok {
 		return stats.AttributeStats{}, fmt.Errorf("objstore: %s has no attribute %q", c.name, attr)
 	}
-	out := stats.AttributeStats{}
+	out := stats.Summarize(c.rows, pos, buckets)
 	out.Indexed, out.Clustered = c.HasIndex(attr)
-	distinct := make(map[string]struct{})
-	var values []types.Constant
-	first := true
-	for _, row := range c.rows {
-		v := row[pos]
-		distinct[v.Kind().String()+":"+v.String()] = struct{}{}
-		if first || v.Less(out.Min) {
-			out.Min = v
-		}
-		if first || out.Max.Less(v) {
-			out.Max = v
-		}
-		first = false
-		if buckets > 0 && v.IsNumeric() {
-			values = append(values, v)
-		}
-	}
-	out.CountDistinct = int64(len(distinct))
-	if buckets > 0 && len(values) > 0 {
-		out.Histogram = stats.NewEquiDepth(values, buckets)
-	}
 	return out, nil
 }

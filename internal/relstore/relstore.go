@@ -271,25 +271,7 @@ func (t *Table) AttributeStats(attr string, buckets int) (stats.AttributeStats, 
 	if !ok {
 		return stats.AttributeStats{}, fmt.Errorf("relstore: %s has no attribute %q", t.name, attr)
 	}
-	out := stats.AttributeStats{Indexed: t.HasIndex(attr)}
-	distinct := make(map[string]struct{})
-	var values []types.Constant
-	for i, row := range t.rows {
-		v := row[fi]
-		distinct[v.Kind().String()+":"+v.String()] = struct{}{}
-		if i == 0 || v.Less(out.Min) {
-			out.Min = v
-		}
-		if i == 0 || out.Max.Less(v) {
-			out.Max = v
-		}
-		if buckets > 0 && v.IsNumeric() {
-			values = append(values, v)
-		}
-	}
-	out.CountDistinct = int64(len(distinct))
-	if buckets > 0 && len(values) > 0 {
-		out.Histogram = stats.NewEquiDepth(values, buckets)
-	}
+	out := stats.Summarize(t.rows, fi, buckets)
+	out.Indexed = t.HasIndex(attr)
 	return out, nil
 }

@@ -175,10 +175,12 @@ func (f *Federation) register(w wrapper.Wrapper) error {
 }
 
 // Reregister re-runs the registration phase for a wrapper already in the
-// federation — the paper's administrative re-registration interface. It
-// takes the mediator's write lock: in-flight queries drain, the catalog
-// epoch bumps, and every cached plan is invalidated. The soak harness
-// fires these mid-run to prove serving survives live catalog churn.
+// federation — the paper's administrative re-registration interface.
+// The wrapper's statistics are collected while queries keep being
+// served; only installing them takes the mediator's write lock:
+// in-flight queries drain, the catalog epoch bumps, and every cached
+// plan is invalidated. The soak harness fires these mid-run to prove
+// serving survives live catalog churn.
 func (f *Federation) Reregister(name string) error {
 	w, ok := f.wrappers[name]
 	if !ok {

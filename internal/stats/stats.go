@@ -1,8 +1,9 @@
 // Package stats implements the statistical machinery of the DISCO cost
 // model: the extent and attribute statistics a wrapper exports through its
-// cardinality methods (paper §3.2), histogram-based selectivity estimation
-// [IP95, PIHS96], and Yao's page-access formula [Yao77] which the paper's
-// Figure 12 experiment is built on.
+// cardinality methods (paper §3.2), the kernel the stores compute an
+// attribute's statistics with (Summarize), histogram-based selectivity
+// estimation [IP95, PIHS96], and Yao's page-access formula [Yao77] which
+// the paper's Figure 12 experiment is built on.
 package stats
 
 import (
