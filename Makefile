@@ -102,7 +102,7 @@ ci-exec:
 	$(SOAK) 'TestSoakExecSpill'
 ci-resultcache:
 	$(GO) test -race -count=2 -run 'ResultCache|NormalizeSQL|PlanCacheStale|Hist' \
-		./internal/resultcache ./internal/mediator ./internal/optimizer ./internal/loadgen
+		./internal/resultcache ./internal/mediator ./internal/loadgen
 	$(SOAK) 'TestSoakResultCache'
 ci-router:
 	$(GO) test -race -count=3 ./internal/router

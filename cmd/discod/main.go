@@ -25,8 +25,8 @@
 // drains in-flight connections for up to -drain-timeout, and flushes
 // the feedback snapshot.
 //
-// -result-cache enables the semantic result cache: materialized answers
-// keyed by structural plan hash, served for repeated (sub)queries and
+// -result-cache enables the semantic result cache: whole-plan answers
+// keyed by structural plan hash, served for repeated queries and
 // invalidated by re-registration, wrapper outages and feedback
 // corrections. -result-cache-entries / -result-cache-bytes bound it and
 // -result-cache-ttl-ms ages entries on the virtual clock (0 = no TTL).

@@ -164,7 +164,8 @@ func (h *structHasher) pred(p *Predicate) {
 // in the optimizer mutates plans after construction, so in practice the
 // cache is write-once. Lazy cache fills are not synchronized — concurrent
 // hashers must pre-hash shared subtrees from one goroutine first (the
-// plan search hashes each level's candidates while enumerating them).
+// mediator's prepare hashes each plan before the plan cache shares it;
+// see mediator.Prepared.Hash).
 func (n *Node) StructuralHash() Hash128 {
 	if n == nil {
 		return Hash128{}

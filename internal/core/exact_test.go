@@ -110,21 +110,22 @@ func TestExactRulesCostNothingToOthers(t *testing.T) {
 }
 
 // TestExactRuleLevelOrder: the indexed rule lands where the sorted bucket
-// would have held it — under a cache-scope rule, over every wrapper rule.
+// would have held it — over every wrapper rule, the predicate-scope one
+// included.
 func TestExactRuleLevelOrder(t *testing.T) {
 	e := newTestEstimator(t)
 	plan := salarySubmit(t, 1000)
 	reg := e.Registry
 
-	// A cache-scope and a predicate-scope rule for the same submit, put in
-	// the bucket the way integration would.
+	// A predicate-scope and a wrapper-scope rule for the same submit, put
+	// in the bucket the way integration would, wrapper rule first.
 	bucket := []*Rule{
+		{Op: algebra.OpSubmit, Scope: ScopeWrapper, Wrapper: "src1", Funcs: reg.baseFuncs,
+			Terms:    []HeadTerm{{Kind: TermVar, Name: "C"}},
+			Formulas: []Formula{{Var: "TotalTime", Prog: mustCompileConst(t, 100)}}},
 		{Op: algebra.OpSubmit, Scope: ScopePredicate, Specificity: 1, Wrapper: "src1", Funcs: reg.baseFuncs,
 			Terms:    []HeadTerm{{Kind: TermCollection, Name: "Employee"}},
 			Formulas: []Formula{{Var: "TotalTime", Prog: mustCompileConst(t, 300)}}},
-		{Op: algebra.OpSubmit, Scope: ScopeCache, Wrapper: "src1", Funcs: reg.baseFuncs,
-			Terms:    []HeadTerm{{Kind: TermVar, Name: "C"}},
-			Formulas: []Formula{{Var: "TotalTime", Prog: mustCompileConst(t, 100)}}},
 	}
 	for i, r := range bucket {
 		r.Seq = 1000 + i
@@ -139,7 +140,7 @@ func TestExactRuleLevelOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Scope{ScopeCache, ScopeQuery, ScopePredicate}
+	want := []Scope{ScopeQuery, ScopePredicate, ScopeWrapper}
 	if len(root.levels) < len(want) {
 		t.Fatalf("submit matched %d levels, want at least %d", len(root.levels), len(want))
 	}
@@ -148,11 +149,11 @@ func TestExactRuleLevelOrder(t *testing.T) {
 			t.Errorf("level %d is %s-scope, want %s", i, got, s)
 		}
 	}
-	if got := root.vars[idxTotalTime]; got != 100 {
-		t.Errorf("TotalTime = %v, want the cache rule's 100", got)
+	if got := root.vars[idxTotalTime]; got != 200 {
+		t.Errorf("TotalTime = %v, want the query rule's 200", got)
 	}
-	if got := reg.WrapperRules("src1"); len(got) != 3 || got[0].Scope != ScopeCache ||
-		got[1].Scope != ScopeQuery || got[2].Scope != ScopePredicate {
+	if got := reg.WrapperRules("src1"); len(got) != 3 || got[0].Scope != ScopeQuery ||
+		got[1].Scope != ScopePredicate || got[2].Scope != ScopeWrapper {
 		t.Errorf("WrapperRules order = %v", got)
 	}
 }

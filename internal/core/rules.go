@@ -46,14 +46,6 @@ const (
 	// ScopeQuery rules record the observed cost of one exact subquery
 	// (the historical extension of §4.3.1).
 	ScopeQuery
-	// ScopeCache prices a subplan whose materialized result the mediator
-	// already holds (internal/resultcache): submit cost collapses to an
-	// in-memory lookup and the cardinality is known exactly. It sits
-	// above ScopeQuery — nothing is more specific than having the answer
-	// — and is the result cache's slot in the paper's extensible
-	// hierarchy; the optimizer applies it directly rather than through
-	// integrated rules.
-	ScopeCache
 )
 
 // String renders the scope name.
@@ -71,8 +63,6 @@ func (s Scope) String() string {
 		return "predicate"
 	case ScopeQuery:
 		return "query"
-	case ScopeCache:
-		return "cache"
 	default:
 		return fmt.Sprintf("scope(%d)", uint8(s))
 	}

@@ -8,12 +8,12 @@
 //
 // Each execution sums its own virtual time from zero, so concurrent
 // executions never land in each other's times. A submit's time is its
-// wrapper's Result.VirtualMS plus its link's transfer time (or the cache
-// hit formula), charged as the pipeline reaches it; mediator-side
-// operator time is charged analytically after the pipeline drains, from
-// the per-operator row counts vexec reports, so simulated response times
-// — and the per-operator profile built from them — do not depend on how
-// the pipeline batches or spills.
+// wrapper's Result.VirtualMS plus its link's transfer time, charged as
+// the pipeline reaches it; mediator-side operator time is charged
+// analytically after the pipeline drains, from the per-operator row
+// counts vexec reports, so simulated response times — and the
+// per-operator profile built from them — do not depend on how the
+// pipeline batches or spills.
 package engine
 
 import (
@@ -27,32 +27,10 @@ import (
 	"disco/internal/core"
 	"disco/internal/feedback"
 	"disco/internal/netsim"
-	"disco/internal/resultcache"
 	"disco/internal/types"
 	"disco/internal/vexec"
 	"disco/internal/wrapper"
 )
-
-// SubmitCache serves and admits materialized submit results, keyed by the
-// subtree's 128-bit structural hash. The mediator wires its semantic
-// result cache in through this interface (nil disables it); the engine
-// consults it at every submit boundary whose wrapper is up, and offers
-// every complete wrapper answer back. Implementations must be safe for
-// concurrent use.
-//
-// Callers sharing one plan across goroutines must pre-hash it (computing
-// the root's StructuralHash fills every descendant's cache) — the
-// mediator's Prepare does exactly that via Prepared.Hash.
-type SubmitCache interface {
-	// Begin snapshots the invalidation generation at execution start;
-	// the engine passes it back through Put so inserts that raced an
-	// invalidation (e.g. an outage mark) are refused.
-	Begin() uint64
-	// Get returns the cached rows for a live entry.
-	Get(h algebra.Hash128) ([]types.Row, bool)
-	// Put offers a complete (never partial/excluded) wrapper answer.
-	Put(h algebra.Hash128, rows []types.Row, schema *types.Schema, bytes int64, gen uint64)
-}
 
 // Engine executes optimized plans.
 type Engine struct {
@@ -72,9 +50,6 @@ type Engine struct {
 	// mediator uses it to drop the wrapper's cost rules so estimation
 	// falls back to the generic model.
 	OnUnavailable func(wrapper string)
-	// Results, when set, is the semantic result cache consulted at submit
-	// boundaries (see SubmitCache); nil disables it.
-	Results SubmitCache
 	// Exec configures the vectorized pipeline: the spill memory budget,
 	// spill directory and batch size. The zero value never spills.
 	Exec vexec.Options
@@ -134,7 +109,6 @@ type submitFacts struct {
 	trips     int
 	bytes     int64
 	excluded  bool
-	cached    bool
 	elapsedMS float64
 }
 
@@ -146,9 +120,6 @@ type execState struct {
 	excluded map[string]bool
 	prof     *feedback.Profile
 	submits  map[*algebra.Node]*submitFacts
-	// cacheGen is the result cache's invalidation generation at execution
-	// start; Put carries it so a mid-query invalidation voids the insert.
-	cacheGen uint64
 }
 
 func (st *execState) exclude(name string) {
@@ -165,9 +136,6 @@ func (st *execState) exclude(name string) {
 // Excluded.
 func (e *Engine) Execute(plan *algebra.Node) (*Result, error) {
 	st := execState{prof: feedback.NewProfile(), submits: make(map[*algebra.Node]*submitFacts)}
-	if e.Results != nil {
-		st.cacheGen = e.Results.Begin()
-	}
 	counts := vexec.Counts{}
 	rows, err := vexec.Run(plan, &vexec.Env{
 		Opts:   e.Exec,
@@ -193,10 +161,9 @@ func (e *Engine) Execute(plan *algebra.Node) (*Result, error) {
 }
 
 // leaf is the pipeline's Leaf hook: it executes submit boundaries
-// (wrapper delegation, outage degradation, result cache, shipping),
-// charging each submit's time to the execution as it finishes, rejects
-// bare scans, and leaves every other node to the generic vectorized
-// operators.
+// (wrapper delegation, outage degradation, shipping), charging each
+// submit's time to the execution as it finishes, rejects bare scans, and
+// leaves every other node to the generic vectorized operators.
 func (e *Engine) leaf(n *algebra.Node, st *execState) ([]types.Row, bool, error) {
 	switch n.Kind {
 	case algebra.OpSubmit:
@@ -221,22 +188,9 @@ func (e *Engine) submit(n *algebra.Node, st *execState, f *submitFacts) ([]types
 	}
 	if e.isDown(n.Wrapper) {
 		// Known-dead source: exclude without touching the transport.
-		// The down check comes before the cache — a cached answer must
-		// never mask an outage into a silently complete result; the
-		// mediator invalidated the cache when it marked the wrapper
-		// down anyway.
 		st.exclude(n.Wrapper)
 		f.excluded = true
 		return nil, nil
-	}
-	if e.Results != nil {
-		if rows, ok := e.Results.Get(n.StructuralHash()); ok {
-			// Serve the materialized subtree: charge the ScopeCache
-			// formula instead of the wrapper and the wire.
-			f.elapsedMS = resultcache.HitFloorMS + float64(len(rows))*resultcache.HitPerRowMS
-			f.cached = true
-			return rows, nil
-		}
 	}
 	f.trips = 1
 	res, err := w.Execute(n.Children[0])
@@ -261,12 +215,6 @@ func (e *Engine) submit(n *algebra.Node, st *execState, f *submitFacts) ([]types
 	f.bytes = res.Bytes
 	if e.SubmitHook != nil {
 		e.SubmitHook(n, f.elapsedMS, len(res.Rows), res.Bytes)
-	}
-	if e.Results != nil {
-		// Only a complete wrapper answer is offered; the excluded paths
-		// above return before reaching here, so a partial run can never
-		// seed the cache (the partial-answer leakage guard).
-		e.Results.Put(n.StructuralHash(), res.Rows, n.OutSchema, res.Bytes, st.cacheGen)
 	}
 	return res.Rows, nil
 }
@@ -297,10 +245,6 @@ func (e *Engine) charge(n *algebra.Node, counts vexec.Counts, st *execState) *fe
 			RoundTrips: f.trips,
 			Bytes:      f.bytes,
 			Excluded:   f.excluded,
-			FromCache:  f.cached,
-		}
-		if f.cached {
-			st.prof.CacheServed++
 		}
 		st.prof.ByNode[n] = a
 		return a

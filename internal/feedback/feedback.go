@@ -43,12 +43,6 @@ type OpActual struct {
 	// contributed no rows and the answer is partial. Profiles from
 	// degraded runs record these explicitly rather than staying empty.
 	Excluded bool
-	// FromCache marks a submit served from the mediator's semantic result
-	// cache: no wrapper was contacted and the measured time is the cache
-	// lookup, not the source. The adjuster must not learn from such runs
-	// — a cache-served submit would teach the model that sources are
-	// free.
-	FromCache bool
 }
 
 // Profile is the per-operator execution record of one plan run, keyed by
@@ -61,10 +55,6 @@ type Profile struct {
 	// Partial mirrors engine.Result.Partial: at least one wrapper was
 	// excluded from the answer.
 	Partial bool
-	// CacheServed counts submits answered from the semantic result cache
-	// in this run. Profiles with CacheServed > 0 are not absorbed into
-	// the model: their timings measure the cache, not the sources.
-	CacheServed int
 }
 
 // NewProfile returns an empty profile ready for recording.

@@ -25,7 +25,6 @@ import (
 	"disco/internal/optimizer"
 	"disco/internal/resultcache"
 	"disco/internal/sqlparser"
-	"disco/internal/types"
 	"disco/internal/vexec"
 	"disco/internal/wrapper"
 )
@@ -62,14 +61,14 @@ type Config struct {
 	// outages, and by feedback corrections.
 	PlanCacheSize int
 	// ResultCache configures the semantic result cache
-	// (internal/resultcache): materialized row sets keyed by the 128-bit
-	// structural plan hash, served for whole plans and at submit
-	// boundaries, and priced by the optimizer as a ScopeCache access
-	// path. Off by default (the zero value); a disabled cache leaves
-	// chosen plans and results bit-identical to a build without the
-	// subsystem. Entries are invalidated by catalog epoch bumps, wrapper
-	// outage marks and feedback adjustments — the same hooks that clear
-	// the plan cache — and Result.Partial answers are never admitted.
+	// (internal/resultcache): whole-plan answers keyed by the prepared
+	// plan's 128-bit structural hash, looked up and admitted only when a
+	// prepared plan executes. The cache never changes a chosen plan. Off
+	// by default (the zero value); a disabled cache leaves results
+	// bit-identical to a build without the subsystem. Entries are
+	// invalidated by catalog epoch bumps, wrapper outage marks and
+	// feedback adjustments — the same hooks that clear the plan cache —
+	// and Result.Partial answers are never admitted.
 	ResultCache resultcache.Config
 	// MaxInFlight caps concurrently admitted queries (Query, ExecutePlan,
 	// Explain, ExplainAnalyze). Zero means unlimited. Excess callers
@@ -241,31 +240,7 @@ func (m *Mediator) rebuildEngine() {
 		}
 	}
 	eng.OnUnavailable = m.markUnavailable
-	if m.rcache != nil {
-		eng.Results = submitCacheAdapter{m}
-	}
 	m.Engine = eng
-}
-
-// submitCacheAdapter exposes the mediator's semantic result cache to the
-// engine's submit boundaries. Lookups validate against the live catalog
-// epoch; inserts stamp it. Engine executions run under the mediator's
-// read lock, so the epoch reads here are properly synchronized against
-// registrations.
-type submitCacheAdapter struct{ m *Mediator }
-
-func (a submitCacheAdapter) Begin() uint64 { return a.m.rcache.Gen() }
-
-func (a submitCacheAdapter) Get(h algebra.Hash128) ([]types.Row, bool) {
-	e, ok := a.m.rcache.Get(h, a.m.Catalog.Epoch())
-	if !ok {
-		return nil, false
-	}
-	return e.Rows, true
-}
-
-func (a submitCacheAdapter) Put(h algebra.Hash128, rows []types.Row, schema *types.Schema, bytes int64, gen uint64) {
-	a.m.rcache.Put(h, rows, schema, a.m.Catalog.Epoch(), bytes, gen)
 }
 
 // markUnavailable degrades the mediator after a source outage: the
@@ -378,7 +353,11 @@ type Prepared struct {
 	// Epoch is the catalog epoch the plan was built under; ExecutePlan
 	// re-prepares (or rejects) plans whose epoch no longer matches.
 	Epoch uint64
-	// Hash is the 128-bit structural hash of the chosen plan.
+	// Hash is the 128-bit structural hash of the chosen plan, the key of
+	// its whole-plan result-cache entry. Computing it at prepare time also
+	// fills every descendant's hash cache before the plan is shared:
+	// concurrent executions of one plan then only read the cached hashes
+	// when the history recorder hashes their submits.
 	Hash algebra.Hash128
 }
 
@@ -431,14 +410,6 @@ func (m *Mediator) prepareLocked(sql string, trace, capture bool) (*Prepared, *c
 	opts := m.Optimizer.Opt
 	if capture {
 		opts.CapturePlanCosts = true
-	}
-	// Price cache-hit access paths against a frozen snapshot of the
-	// result cache: the live cache may churn mid-search, and the search
-	// must see one consistent view for the chosen plan to stay
-	// deterministic. A nil view (cache disabled or empty) leaves the
-	// search bit-identical to the cache-less build.
-	if view := m.rcache.SnapshotView(m.Catalog.Epoch()); view != nil {
-		opts.CacheView = view
 	}
 	res, err := optimizer.New(m.Catalog, est, opts).Optimize(block)
 	if err != nil {
@@ -535,9 +506,9 @@ func (m *Mediator) executeAdmitted(p *Prepared) (*engine.Result, error) {
 	if m.rcache != nil {
 		if e, ok := m.rcache.Get(p.Hash, p.Epoch); ok {
 			// Whole-plan hit: serve the materialized answer at the
-			// ScopeCache formula's time. No profile is attached — there
-			// is nothing here the feedback loop should learn source
-			// behaviour from.
+			// cache's lookup time (resultcache.HitCostMS). No profile is
+			// attached — there is nothing here the feedback loop should
+			// learn source behaviour from.
 			res := &engine.Result{Rows: e.Rows, Schema: e.Schema, ElapsedMS: resultcache.HitCostMS(int64(len(e.Rows)))}
 			m.Clock.Advance(res.ElapsedMS)
 			m.mu.RUnlock()
@@ -557,7 +528,7 @@ func (m *Mediator) executeAdmitted(p *Prepared) (*engine.Result, error) {
 		// under). Partial answers are refused here, and gen — snapshotted
 		// before execution — voids the insert if an outage mark or
 		// feedback adjustment invalidated the cache mid-run.
-		m.rcache.Put(p.Hash, res.Rows, res.Schema, p.Epoch, 0, gen)
+		m.rcache.Put(p.Hash, res.Rows, res.Schema, p.Epoch, gen)
 	}
 	m.mu.RUnlock()
 	if err != nil {
@@ -584,13 +555,6 @@ func (m *Mediator) executeAdmitted(p *Prepared) (*engine.Result, error) {
 // no usable profile).
 func (m *Mediator) absorbLocked(p *Prepared, res *engine.Result) *feedback.Report {
 	if m.Feedback == nil || p == nil || p.Cost == nil || res == nil || res.Profile == nil {
-		return nil
-	}
-	if res.Profile.CacheServed > 0 {
-		// Cache-served submits measured an in-memory lookup, not the
-		// source; absorbing them would teach the adjuster that wrappers
-		// are nearly free. (Whole-plan cache hits carry no profile at all
-		// and never reach this point.)
 		return nil
 	}
 	rep := m.Feedback.Observe(p.Plan, p.Cost, res.Profile)

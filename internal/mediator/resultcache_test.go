@@ -2,6 +2,7 @@ package mediator
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestResultCacheServesRepeatedQuery(t *testing.T) {
 	if second.Partial {
 		t.Error("cache-served answer marked Partial")
 	}
-	// A whole-plan hit is charged the near-zero ScopeCache time, far
+	// A whole-plan hit is charged the near-zero cache lookup time, far
 	// below a real execution over the simulated network.
 	if second.ElapsedMS >= first.ElapsedMS {
 		t.Errorf("hit elapsed %.4f ms, miss elapsed %.4f ms — hit should be cheaper",
@@ -74,8 +75,8 @@ func TestResultCacheServesRepeatedQuery(t *testing.T) {
 // with the zero-value config the result cache does not exist — every
 // counter stays zero, repeated executions cost identical virtual time
 // (nothing is served from memory), and the chosen plan matches what an
-// enabled-but-empty cache mediator picks (an empty cache contributes no
-// ScopeCache candidates).
+// enabled-cache mediator picks (the cache never reaches the optimizer;
+// TestResultCacheLeavesPlansAlone covers a populated cache).
 func TestResultCacheDisabledBitIdentical(t *testing.T) {
 	queries := []string{
 		`SELECT name, salary FROM Employee WHERE id < 25`,
@@ -111,7 +112,7 @@ func TestResultCacheDisabledBitIdentical(t *testing.T) {
 			t.Errorf("disabled cache: repeated query %q changed its answer", sql)
 		}
 		// The repeat re-executes against the sources: its virtual time
-		// stays orders of magnitude above the ScopeCache hit floor.
+		// stays orders of magnitude above the cache hit floor.
 		// (Exact equality would overreach — source-side buffer pools warm
 		// between runs, with or without this subsystem.)
 		if r2.ElapsedMS < 100*resultcache.HitFloorMS {
@@ -333,5 +334,45 @@ func TestResultCacheFeedbackInteraction(t *testing.T) {
 	if got := observations(); got != absorbedAfterFirst {
 		t.Errorf("feedback absorbed cache-served executions (%d -> %d observations)",
 			absorbedAfterFirst, got)
+	}
+}
+
+// TestResultCacheLeavesPlansAlone: what the result cache holds never
+// reaches the optimizer. A mediator whose cache holds the answers of
+// Employee's selective submit (run alone and under a join) prepares
+// another join over that submit exactly as a mediator that has run
+// nothing: same plan, same root cost bits. History is off on both, so
+// only the cache contents differ.
+func TestResultCacheLeavesPlansAlone(t *testing.T) {
+	cfg := resultCacheConfig()
+	cfg.RecordHistory = false
+	warm := buildMediator(t, cfg)
+	cold := buildMediator(t, cfg)
+	for _, sql := range []string{
+		`SELECT name, salary FROM Employee WHERE id < 25`,
+		`SELECT name, dname FROM Employee, Dept WHERE dept = dno AND id < 25`,
+	} {
+		if _, err := warm.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := warm.Stats(); st.ResultCacheEntries == 0 {
+		t.Fatal("warm-up cached nothing")
+	}
+
+	const join = `SELECT name, salary, dname FROM Employee, Dept WHERE dept = dno AND id < 25`
+	pw, err := warm.Prepare(join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := cold.Prepare(join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pw.Plan.Signature() != pc.Plan.Signature() {
+		t.Errorf("cached answers changed the plan:\nwarm: %s\ncold: %s", pw.Plan.Signature(), pc.Plan.Signature())
+	}
+	if w, c := pw.Cost.TotalTime(), pc.Cost.TotalTime(); math.Float64bits(w) != math.Float64bits(c) {
+		t.Errorf("cached answers changed the root cost: warm %v ms, cold %v ms", w, c)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"disco/internal/algebra"
 	"disco/internal/catalog"
 	"disco/internal/core"
-	"disco/internal/resultcache"
 )
 
 // Rel is one base relation of a query block with its single-relation
@@ -56,22 +55,6 @@ type Options struct {
 	// these predictions against observed actuals, so it needs estimated
 	// cardinalities and times at every node, not just the root.
 	CapturePlanCosts bool
-	// CacheView, when set, prices cache-hit access paths: a submit-rooted
-	// candidate whose structural hash the view answers costs the
-	// ScopeCache formula (resultcache.HitCostMS over the known
-	// cardinality) instead of a model estimation — the semantic result
-	// cache as a candidate access path in the blending hierarchy. The
-	// view must be immutable for the duration of one Optimize call (the
-	// mediator passes a frozen resultcache snapshot), or the chosen plan
-	// would depend on when the cache changed.
-	CacheView CacheView
-}
-
-// CacheView answers whether a materialized result for the plan with the
-// given structural hash is available, and at what cardinality.
-// resultcache.Snapshot implements it.
-type CacheView interface {
-	Lookup(h algebra.Hash128) (rows int64, ok bool)
 }
 
 // DefaultOptions searches left-deep trees by dynamic programming up to 10
@@ -84,9 +67,6 @@ type Result struct {
 	Cost *core.PlanCost
 	// PlansCosted counts candidate estimations, the final one included.
 	PlansCosted int
-	// CachePricedPaths counts candidates priced as cache-hit access
-	// paths through Options.CacheView (always 0 without a view).
-	CachePricedPaths int
 }
 
 // Optimizer searches plans for query blocks.
@@ -172,7 +152,7 @@ func (o *Optimizer) Optimize(qb *QueryBlock) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Plan: plan, Cost: cost, PlansCosted: s.plansCosted, CachePricedPaths: s.cacheHits}, nil
+	return &Result{Plan: plan, Cost: cost, PlansCosted: s.plansCosted}, nil
 }
 
 // tagged is a candidate subplan with its execution site: site != "" means
@@ -420,16 +400,6 @@ func (o *Optimizer) finalize(qb *QueryBlock, t *tagged) (*algebra.Node, error) {
 // is a no-op.
 func (s *search) costTagged(t *tagged) (float64, error) {
 	plan := t.materialize()
-	if cv := s.o.Opt.CacheView; cv != nil && plan.Kind == algebra.OpSubmit {
-		// ScopeCache access path: the subtree's answer is already
-		// materialized at the mediator, so the candidate costs a cache
-		// lookup at a known cardinality — cheaper than any submit, and
-		// exact.
-		if rows, ok := cv.Lookup(plan.StructuralHash()); ok {
-			s.cacheHits++
-			return resultcache.HitCostMS(rows), nil
-		}
-	}
 	rc, err := s.costRoot(plan, t.checked)
 	if err != nil {
 		return 0, err

@@ -16,7 +16,6 @@ type search struct {
 	o           *Optimizer
 	edges       []edge
 	plansCosted int
-	cacheHits   int
 	// adj holds, per base unit, the units an edge connects it to, and
 	// incident the indexes of its edges; all indexes every edge. All are
 	// in edge order.

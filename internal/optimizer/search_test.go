@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"disco/internal/algebra"
+	"disco/internal/core"
 	"disco/internal/history"
 	"disco/internal/stats"
 	"disco/internal/types"
@@ -147,34 +148,42 @@ type scanOnly struct{ wrapper.Wrapper }
 
 func (scanOnly) Capabilities() wrapper.Capabilities { return wrapper.Capabilities{} }
 
-// lateRuleView is an empty cache view whose fourth lookup has the history
-// recorder publish a query-scope rule for the scan-only wrapper — what an
-// execution finishing on another goroutine does to a search in flight.
-type lateRuleView struct {
-	lookups int
-	rec     *history.Recorder
-	t       *testing.T
+// lateRuleNet is the fixture's network model with a side effect: the
+// first latency it is asked for on obj1 after one on the scan-only wrapper
+// has the history recorder publish a query-scope rule for that wrapper —
+// what an execution finishing on another goroutine does to a search in
+// flight.
+type lateRuleNet struct {
+	core.NetProvider
+	rec       *history.Recorder
+	t         *testing.T
+	sawRaw    bool
+	published bool
 }
 
-func (v *lateRuleView) Lookup(algebra.Hash128) (int64, bool) {
-	if v.lookups++; v.lookups == 4 {
-		if err := v.rec.Record(algebra.Submit(algebra.Project(algebra.Scan("raw", "Docs"), "did"), "raw"), 5, 7, 70); err != nil {
-			v.t.Error(err)
+func (n *lateRuleNet) LatencyMS(w string) float64 {
+	switch {
+	case w == "raw":
+		n.sawRaw = true
+	case w == "obj1" && n.sawRaw && !n.published:
+		n.published = true
+		if err := n.rec.Record(algebra.Submit(algebra.Project(algebra.Scan("raw", "Docs"), "did"), "raw"), 5, 7, 70); err != nil {
+			n.t.Error(err)
 		}
 	}
-	return 0, false
+	return n.NetProvider.LatencyMS(w)
 }
 
 // TestRulePublishedMidSearch publishes a history rule while a search is
 // pricing candidates. The scan-only wrapper's base plan is a mediator
-// select over its submit, so the cache view is never asked about it and
-// no exact rule exists when it is priced. The view's first three lookups
-// price the other base relations; the fourth is the co-located
-// Employee-Manager candidate at the head of level 2, and publishes the
-// rule while the level is being priced. The submit was priced before the
-// rule existed, so the search keeps that estimate for it: the rule
-// reaches only nodes priced after it, and every search on a fresh fixture
-// chooses the same plan after the same number of estimations.
+// select over its submit, and no exact rule exists when it is priced.
+// Base relations are priced first, the scan-only one last; the next
+// obj1 submit priced is the co-located Employee-Manager candidate of
+// level 2, and pricing it publishes the rule while the level is being
+// priced. The submit was priced before the rule existed, so the search
+// keeps that estimate for it: the rule reaches only nodes priced after
+// it, and every search on a fresh fixture chooses the same plan after
+// the same number of estimations.
 func TestRulePublishedMidSearch(t *testing.T) {
 	eq := func(lc, la, rc, ra string) algebra.Comparison {
 		r := algebra.Ref{Collection: rc, Attr: ra}
@@ -201,10 +210,14 @@ func TestRulePublishedMidSearch(t *testing.T) {
 		if err := f.cat.Register(scanOnly{wrapper.NewFileWrapper("raw", f.fstore)}); err != nil {
 			t.Fatal(err)
 		}
-		f.opt.Opt = Options{MaxDPRelations: 10, CacheView: &lateRuleView{rec: history.NewRecorder(f.reg), t: t}}
+		net := &lateRuleNet{NetProvider: f.est.Net, rec: history.NewRecorder(f.reg), t: t}
+		f.est.Net = net
 		got, err := f.opt.Optimize(qb)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
+		}
+		if !net.published {
+			t.Fatalf("round %d: the search never priced an obj1 submit after the scan-only one", round)
 		}
 		if want == nil {
 			want = got

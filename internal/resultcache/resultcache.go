@@ -1,10 +1,12 @@
 // Package resultcache is the mediator's semantic result cache: a
-// bounded, byte-budgeted LRU of materialized row sets keyed by the
-// 128-bit incremental structural hash of the (sub)plan that produced
-// them (internal/algebra). PR 5 cached *plans*; this caches *answers* —
-// a repeated zipf-hot statement, or any query sharing a pushed-down
-// submit subtree with one, is served from mediator memory instead of
-// re-submitting to the wrappers.
+// bounded, byte-budgeted LRU of materialized answers keyed by the 128-bit
+// incremental structural hash of the prepared plan that produced them
+// (internal/algebra). The plan cache caches *plans*; this caches
+// *answers* — a repeated zipf-hot statement is served from mediator
+// memory instead of re-submitting to the wrappers. The mediator reads
+// and writes it in one place, around a prepared plan's execution; the
+// optimizer never sees it, so a cached answer never changes a chosen
+// plan.
 //
 // Correctness rests on three invalidation signals, the exact hooks the
 // prepared-plan cache already uses:
@@ -45,18 +47,16 @@ const (
 	DefaultMaxBytes = 64 << 20
 )
 
-// HitFloorMS and HitPerRowMS price serving a cached result: a fixed
-// in-memory lookup floor plus one touch per row. They are the ScopeCache
-// cost rule of the blended hierarchy (core.ScopeCache, DESIGN.md §11):
-// the optimizer prices a cache-hit access path with them, and the engine
-// charges exactly the same formula to the execution when it serves a hit
-// — so the estimate is accurate by construction.
+// HitFloorMS and HitPerRowMS price serving a cached answer: a fixed
+// in-memory lookup floor plus one touch per row. A whole-plan hit
+// advances the federation's virtual clock by this time and reports it as
+// the answer's elapsed time, in place of the sources' and the wire's.
 const (
 	HitFloorMS  = 0.05
 	HitPerRowMS = 0.0002
 )
 
-// HitCostMS is the ScopeCache pricing formula.
+// HitCostMS is the virtual time of serving a cached answer of rows rows.
 func HitCostMS(rows int64) float64 {
 	return HitFloorMS + float64(rows)*HitPerRowMS
 }
@@ -230,20 +230,19 @@ func (c *Cache) Peek(hash algebra.Hash128, epoch uint64) bool {
 	return true
 }
 
-// Put stores a materialized result, evicting least-recently-used entries
-// until both budgets hold. gen must be the value Gen returned before the
-// execution that produced rows started; a mismatch means an invalidation
-// raced the execution and the insert is refused. Results larger than the
-// byte budget are refused rather than flushing the whole cache. The rows
-// slice is owned by the cache after Put — callers must not append to or
-// mutate it.
-func (c *Cache) Put(hash algebra.Hash128, rows []types.Row, schema *types.Schema, epoch uint64, bytes int64, gen uint64) {
+// Put stores a materialized result, charged ApproxBytes(rows) against the
+// byte budget, evicting least-recently-used entries until both budgets
+// hold. gen must be the value Gen returned before the execution that
+// produced rows started; a mismatch means an invalidation raced the
+// execution and the insert is refused. Results larger than the byte
+// budget are refused rather than flushing the whole cache. The rows slice
+// is owned by the cache after Put — callers must not append to or mutate
+// it.
+func (c *Cache) Put(hash algebra.Hash128, rows []types.Row, schema *types.Schema, epoch, gen uint64) {
 	if c == nil {
 		return
 	}
-	if bytes <= 0 {
-		bytes = ApproxBytes(rows)
-	}
+	bytes := ApproxBytes(rows)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if gen != c.gen || bytes > c.cfg.MaxBytes {
@@ -306,56 +305,6 @@ func (c *Cache) Counters() Stats {
 		Evictions: c.evictions, Invalidations: c.invalidations, Rejected: c.rejected,
 		Entries: c.lru.Len(), Bytes: c.bytes,
 	}
-}
-
-// Snapshot is a frozen view of the cache for one plan search: the
-// cardinalities of every entry live under a given epoch at snapshot
-// time. The optimizer prices cache-hit access paths against it
-// (optimizer.Options.CacheView) — freezing it matters because the live
-// cache may change during a search, and the chosen plan must depend on
-// one consistent view.
-type Snapshot struct {
-	rows map[algebra.Hash128]int64
-}
-
-// Lookup reports the cached cardinality of the plan with the given
-// structural hash. The signature matches optimizer.CacheView.
-func (s *Snapshot) Lookup(h algebra.Hash128) (int64, bool) {
-	if s == nil {
-		return 0, false
-	}
-	n, ok := s.rows[h]
-	return n, ok
-}
-
-// SnapshotView freezes the current-epoch, unexpired entries into a
-// Snapshot. Returns nil when the cache is disabled or empty (no
-// CacheView — zero overhead on the search).
-func (c *Cache) SnapshotView(epoch uint64) *Snapshot {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.lru.Len() == 0 {
-		return nil
-	}
-	now := c.now()
-	rows := make(map[algebra.Hash128]int64, c.lru.Len())
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*Entry)
-		if e.Epoch != epoch {
-			continue
-		}
-		if c.cfg.TTLMS > 0 && now-e.storedMS > c.cfg.TTLMS {
-			continue
-		}
-		rows[e.hash] = int64(len(e.Rows))
-	}
-	if len(rows) == 0 {
-		return nil
-	}
-	return &Snapshot{rows: rows}
 }
 
 // ApproxBytes estimates the memory footprint of a materialized result:

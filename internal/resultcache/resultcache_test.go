@@ -31,7 +31,7 @@ func TestResultCacheDisabledNil(t *testing.T) {
 	if c != nil {
 		t.Fatal("zero Config must disable the cache")
 	}
-	c.Put(h(1), rowsOf(3), nil, 1, 0, c.Gen())
+	c.Put(h(1), rowsOf(3), nil, 1, c.Gen())
 	if _, ok := c.Get(h(1), 1); ok {
 		t.Error("nil cache returned a hit")
 	}
@@ -39,19 +39,15 @@ func TestResultCacheDisabledNil(t *testing.T) {
 	if s := c.Counters(); s != (Stats{}) {
 		t.Errorf("nil cache counters = %+v", s)
 	}
-	v := c.SnapshotView(1)
-	if v != nil {
-		t.Error("nil cache produced a snapshot view")
-	}
-	if _, ok := v.Lookup(h(1)); ok {
-		t.Error("nil snapshot answered a lookup")
+	if c.Peek(h(1), 1) {
+		t.Error("nil cache peeked a live entry")
 	}
 }
 
 // TestResultCacheHitMiss pins the basic LRU behaviour and counters.
 func TestResultCacheHitMiss(t *testing.T) {
 	c := New(enabled(2, 0, 0), nil)
-	c.Put(h(1), rowsOf(2), nil, 7, 0, c.Gen())
+	c.Put(h(1), rowsOf(2), nil, 7, c.Gen())
 	if e, ok := c.Get(h(1), 7); !ok || len(e.Rows) != 2 {
 		t.Fatalf("expected hit with 2 rows, got %v", e)
 	}
@@ -61,11 +57,11 @@ func TestResultCacheHitMiss(t *testing.T) {
 	// Capacity 2: the third insert evicts the least recently used entry.
 	// Inserts push to the front, so after Put(h2), Put(h3) the back is
 	// h(1) — touch it first so h(2) is the LRU victim instead.
-	c.Put(h(2), rowsOf(1), nil, 7, 0, c.Gen())
+	c.Put(h(2), rowsOf(1), nil, 7, c.Gen())
 	if _, ok := c.Get(h(1), 7); !ok {
 		t.Fatal("h(1) missing before over-capacity insert")
 	}
-	c.Put(h(3), rowsOf(1), nil, 7, 0, c.Gen())
+	c.Put(h(3), rowsOf(1), nil, 7, c.Gen())
 	if _, ok := c.Get(h(1), 7); !ok {
 		t.Fatal("h(1) evicted despite being recently used")
 	}
@@ -89,7 +85,7 @@ func TestResultCacheHitMiss(t *testing.T) {
 // one stale.
 func TestResultCacheEpochStale(t *testing.T) {
 	c := New(enabled(8, 0, 0), nil)
-	c.Put(h(1), rowsOf(4), nil, 1, 0, c.Gen())
+	c.Put(h(1), rowsOf(4), nil, 1, c.Gen())
 	if _, ok := c.Get(h(1), 2); ok {
 		t.Fatal("epoch-stale entry served")
 	}
@@ -110,27 +106,28 @@ func TestResultCacheEpochStale(t *testing.T) {
 	}
 }
 
-// TestResultCacheByteBudget pins the byte budget: entries are evicted to
-// fit, and a result larger than the whole budget is refused outright.
+// TestResultCacheByteBudget pins the byte budget: every entry is charged
+// ApproxBytes of its rows, entries are evicted to fit, and a result larger
+// than the whole budget is refused outright.
 func TestResultCacheByteBudget(t *testing.T) {
 	rows := rowsOf(10)
 	per := ApproxBytes(rows)
 	c := New(enabled(100, 2*per+per/2, 0), nil)
-	c.Put(h(1), rows, nil, 1, 0, c.Gen())
-	c.Put(h(2), rows, nil, 1, 0, c.Gen())
-	c.Put(h(3), rows, nil, 1, 0, c.Gen()) // budget holds 2: evicts h(1)
+	c.Put(h(1), rows, nil, 1, c.Gen())
+	c.Put(h(2), rows, nil, 1, c.Gen())
+	c.Put(h(3), rows, nil, 1, c.Gen()) // budget holds 2: evicts h(1)
 	if _, ok := c.Get(h(1), 1); ok {
 		t.Error("byte budget did not evict the oldest entry")
 	}
 	if _, ok := c.Get(h(3), 1); !ok {
 		t.Error("newest entry missing")
 	}
-	if s := c.Counters(); s.Bytes > 2*per+per/2 {
-		t.Errorf("bytes = %d exceeds budget %d", s.Bytes, 2*per+per/2)
+	if s := c.Counters(); s.Bytes != 2*per {
+		t.Errorf("bytes = %d, want two entries of %d (budget %d)", s.Bytes, per, 2*per+per/2)
 	}
 	// Oversize insert: refused, cache untouched.
 	big := rowsOf(100)
-	c.Put(h(4), big, nil, 1, 0, c.Gen())
+	c.Put(h(4), big, nil, 1, c.Gen())
 	if _, ok := c.Get(h(4), 1); ok {
 		t.Error("over-budget result admitted")
 	}
@@ -144,7 +141,7 @@ func TestResultCacheByteBudget(t *testing.T) {
 func TestResultCacheTTL(t *testing.T) {
 	clock := netsim.NewClock()
 	c := New(enabled(8, 0, 100), clock.Now)
-	c.Put(h(1), rowsOf(1), nil, 1, 0, c.Gen())
+	c.Put(h(1), rowsOf(1), nil, 1, c.Gen())
 	clock.Advance(99)
 	if _, ok := c.Get(h(1), 1); !ok {
 		t.Fatal("entry expired before its TTL")
@@ -169,7 +166,7 @@ func TestResultCacheGenerationRejectsRacedInsert(t *testing.T) {
 	c := New(enabled(8, 0, 0), nil)
 	gen := c.Gen()
 	c.Invalidate() // the outage arrives mid-execution
-	c.Put(h(1), rowsOf(2), nil, 1, 0, gen)
+	c.Put(h(1), rowsOf(2), nil, 1, gen)
 	if _, ok := c.Get(h(1), 1); ok {
 		t.Fatal("insert from a pre-invalidation execution admitted")
 	}
@@ -178,47 +175,14 @@ func TestResultCacheGenerationRejectsRacedInsert(t *testing.T) {
 		t.Errorf("rejected/invalidations = %d/%d, want 1/1", s.Rejected, s.Invalidations)
 	}
 	// The next execution observes the new generation and is admitted.
-	c.Put(h(1), rowsOf(2), nil, 1, 0, c.Gen())
+	c.Put(h(1), rowsOf(2), nil, 1, c.Gen())
 	if _, ok := c.Get(h(1), 1); !ok {
 		t.Fatal("post-invalidation insert refused")
 	}
 }
 
-// TestResultCacheSnapshotView pins the optimizer view: only
-// current-epoch, unexpired entries appear, and the snapshot is frozen —
-// later cache churn does not change it.
-func TestResultCacheSnapshotView(t *testing.T) {
-	clock := netsim.NewClock()
-	c := New(enabled(8, 0, 50), clock.Now)
-	c.Put(h(1), rowsOf(3), nil, 1, 0, c.Gen())
-	c.Put(h(2), rowsOf(5), nil, 2, 0, c.Gen()) // different epoch
-	c.Put(h(3), rowsOf(7), nil, 1, 0, c.Gen())
-	clock.Advance(60) // h(1) and h(3) expire...
-	c.Put(h(4), rowsOf(9), nil, 1, 0, c.Gen())
-
-	v := c.SnapshotView(1)
-	if v == nil {
-		t.Fatal("no snapshot despite live entries")
-	}
-	if n, ok := v.Lookup(h(4)); !ok || n != 9 {
-		t.Errorf("Lookup(h4) = %d,%v want 9,true", n, ok)
-	}
-	for _, bad := range []algebra.Hash128{h(1), h(2), h(3)} {
-		if _, ok := v.Lookup(bad); ok {
-			t.Errorf("snapshot leaked stale/expired/foreign-epoch entry %v", bad)
-		}
-	}
-	c.Invalidate()
-	if n, ok := v.Lookup(h(4)); !ok || n != 9 {
-		t.Errorf("frozen snapshot changed after Invalidate: %d,%v", n, ok)
-	}
-	if c.SnapshotView(1) != nil {
-		t.Error("empty cache produced a snapshot")
-	}
-}
-
 // TestResultCacheConcurrent hammers the cache from many goroutines under
-// -race: mixed gets, puts, invalidations and snapshots must stay
+// -race: mixed gets, puts, invalidations and peeks must stay
 // internally consistent (the budget invariants hold at the end).
 func TestResultCacheConcurrent(t *testing.T) {
 	clock := netsim.NewClock()
@@ -232,12 +196,12 @@ func TestResultCacheConcurrent(t *testing.T) {
 				k := h(uint64(i % 40))
 				switch i % 5 {
 				case 0:
-					c.Put(k, rowsOf(i%7+1), nil, 1, 0, c.Gen())
+					c.Put(k, rowsOf(i%7+1), nil, 1, c.Gen())
 				case 4:
 					if g == 0 && i%50 == 0 {
 						c.Invalidate()
 					}
-					c.SnapshotView(1)
+					c.Peek(k, 1)
 				default:
 					c.Get(k, 1)
 				}

@@ -83,7 +83,6 @@ func (s *ConnServer) Serve(ln net.Listener) error {
 			return ErrServerClosed
 		}
 		s.accepted.Add(1)
-		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
 			defer s.untrack(conn)
@@ -92,6 +91,9 @@ func (s *ConnServer) Serve(ln net.Listener) error {
 	}
 }
 
+// track registers an accepted connection and counts its handler in wg,
+// both under mu and only while the server is open: Shutdown sets closed
+// under mu before it waits, so every Add happens before that Wait.
 func (s *ConnServer) track(conn net.Conn) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -99,6 +101,7 @@ func (s *ConnServer) track(conn net.Conn) bool {
 		return false
 	}
 	s.conns[conn] = struct{}{}
+	s.wg.Add(1)
 	return true
 }
 
