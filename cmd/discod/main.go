@@ -11,8 +11,8 @@
 //	discod [-listen :4077] [-parts 14000] [-feedback] [-feedback-snapshot file]
 //	       [-max-inflight 32] [-queue-timeout 1s] [-idle-timeout 5m]
 //	       [-drain-timeout 5s] [-result-cache] [-result-cache-entries 1024]
-//	       [-result-cache-bytes 67108864] [-result-cache-ttl-ms 0]
-//	       [-exec-mem-bytes 0] [-exec-spill-dir dir]
+//	       [-result-cache-bytes 67108864] [-exec-mem-bytes 0]
+//	       [-exec-spill-dir dir]
 //
 // With -feedback (the default) every executed query is profiled and fed
 // back into the cost model; -feedback-snapshot names a JSON file that
@@ -28,9 +28,9 @@
 // -result-cache enables the semantic result cache: whole-plan answers
 // keyed by structural plan hash, served for repeated queries and
 // invalidated by re-registration, wrapper outages and feedback
-// corrections. -result-cache-entries / -result-cache-bytes bound it and
-// -result-cache-ttl-ms ages entries on the virtual clock (0 = no TTL).
-// Hit/miss/eviction counters appear in the `stats` admin op.
+// corrections; nothing expires by age. -result-cache-entries /
+// -result-cache-bytes bound it. Hit/miss/eviction counters appear in the
+// `stats` admin op.
 //
 // -exec-mem-bytes bounds the memory the mediator's hash joins and
 // aggregations may hold before Grace-style spilling to -exec-spill-dir

@@ -13,7 +13,7 @@
 // address c mod len). With -demo it starts an in-process demo-federation
 // server on an ephemeral port and tears it down after the run — the
 // single-binary soak mode CI uses. Demo mode accepts -result-cache (plus
-// -result-cache-bytes / -result-cache-ttl-ms) to serve the zipf-hot pool
+// -result-cache-bytes) to serve the zipf-hot pool
 // from the semantic result cache; the scraped hit rate lands in the
 // report as result_cache_hit_rate. -exec-mem-bytes bounds the memory the
 // mediator's hash joins and aggregations hold before spilling.

@@ -43,7 +43,7 @@ func main() {
 		schema := c.Schema()
 		for i := 0; i < schema.Len(); i++ {
 			attr := schema.Field(i).Name
-			st, err := c.AttributeStats(attr, 0)
+			st, err := c.AttributeStats(attr)
 			if err != nil {
 				continue
 			}

@@ -63,9 +63,6 @@ type Schema = types.Schema
 // phases.
 type Wrapper = wrapper.Wrapper
 
-// Clock is the federation's running total of virtual time (Mediator.Clock).
-type Clock = netsim.Clock
-
 // Network models per-wrapper communication links.
 type Network = netsim.Network
 
@@ -173,7 +170,7 @@ func NewStaticWrapper(name, idlSrc string) (*wrapper.StaticWrapper, error) {
 type ExtentStats = stats.ExtentStats
 
 // AttributeStats is an attribute's exported statistics (Indexed,
-// CountDistinct, Min, Max, optional histogram).
+// Clustered, CountDistinct, Min, Max).
 type AttributeStats = stats.AttributeStats
 
 // Field builds a schema field.

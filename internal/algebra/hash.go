@@ -159,10 +159,12 @@ func (h *structHasher) pred(p *Predicate) {
 // lazily and copied by Clone (a clone is structurally equal by
 // construction); OutSchema is excluded, so Resolve never invalidates it.
 //
-// Callers that mutate a node's structural fields after hashing must call
-// InvalidateHashes on every tree containing it before rehashing; nothing
-// in the optimizer mutates plans after construction, so in practice the
-// cache is write-once. Lazy cache fills are not synchronized — concurrent
+// The cache is write-once: nothing clears it, so a node's structural
+// fields must not change after the node (or any tree containing it) is
+// first hashed. To vary a plan, build new nodes with the constructors; a
+// Clone carries the cached hash, so a mutated clone would hash stale.
+// Nothing in the optimizer mutates plans after construction. Lazy cache
+// fills are not synchronized — concurrent
 // hashers must pre-hash shared subtrees from one goroutine first (the
 // mediator's prepare hashes each plan before the plan cache shares it;
 // see mediator.Prepared.Hash).

@@ -154,9 +154,9 @@ type Node struct {
 	OutSchema *types.Schema
 
 	// Cached structural hash (see hash.go): filled lazily by
-	// StructuralHash, copied by Clone, cleared by InvalidateHashes. It
-	// covers only the structural fields above — never OutSchema — so
-	// Resolve does not invalidate it.
+	// StructuralHash, copied by Clone, never cleared, so the structural
+	// fields above must not change once it is set. It covers only those
+	// fields — never OutSchema — so Resolve may fill OutSchema after it.
 	hashLo, hashHi uint64
 	hashOK         bool
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"disco/internal/algebra"
@@ -116,41 +115,6 @@ select(C, A = V) {
 		algebra.NewSelPred(ref("Employee", "salary"), stats.CmpEQ, types.Int(5000))))
 	pc := estimate(t, e, plan)
 	approx(t, "CountObject", pc.Root.Vars["CountObject"], 5000, 1e-6)
-}
-
-// TestHistogramImprovesSelectivity: attribute stats carrying an equi-depth
-// histogram beat the uniform assumption on skewed data.
-func TestHistogramImprovesSelectivity(t *testing.T) {
-	view := newFixtureView()
-	// Skewed age: 90% of employees are 20 (value 20), the rest uniform to
-	// 67. Build a histogram reflecting that.
-	var vals []types.Constant
-	for i := 0; i < 9000; i++ {
-		vals = append(vals, types.Int(20))
-	}
-	for i := 0; i < 1000; i++ {
-		vals = append(vals, types.Int(21+int64(i%47)))
-	}
-	h := stats.NewEquiDepth(vals, 20)
-	st := view.attrs["src1/Employee/age"]
-	st.Histogram = h
-	view.attrs["src1/Employee/age"] = st
-
-	reg := MustDefaultRegistry()
-	e := NewEstimator(reg, view, UniformNet{})
-	plan := resolve(t, algebra.Select(
-		algebra.Scan("src1", "Employee"),
-		algebra.NewSelPred(ref("Employee", "age"), stats.CmpLE, types.Int(20))))
-	pc, err := e.Estimate(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Truth: 90% of 10000 = 9000. Uniform assumption would say
-	// (20-18)/(67-18) ~ 4%.
-	got := pc.Root.Vars["CountObject"]
-	if math.Abs(got-9000) > 500 {
-		t.Errorf("histogram-based estimate = %v, want ~9000", got)
-	}
 }
 
 // TestAmbiguousSameLevelUsesRegistrationOrder: the paper's tiebreak.

@@ -9,15 +9,14 @@ import (
 	"disco/internal/algebra"
 	"disco/internal/catalog"
 	"disco/internal/stats"
-	"disco/internal/types"
 )
 
 // Adjuster feeds execution observations back into the catalog
-// statistics: it refines extent cardinalities, attribute selectivities and
-// histogram bucket weights toward observed cardinalities. The mediator's
-// own coefficients are not its business; they are set once, by
-// calibration. Every correction is bounded and exponentially decayed so a
-// single outlier observation cannot poison the model.
+// statistics: it refines extent cardinalities and equality selectivities
+// toward observed cardinalities. The mediator's own coefficients are not
+// its business; they are set once, by calibration. Every correction is
+// bounded and exponentially decayed so a single outlier observation
+// cannot poison the model.
 type Adjuster struct {
 	mu    sync.Mutex
 	cards map[string]*CardCorrection
@@ -65,7 +64,7 @@ type CardCorrection struct {
 // Adjustment describes one applied correction, for experiment tables and
 // diagnostics.
 type Adjustment struct {
-	Kind   string // "extent", "extent-learned", "distinct" or "histogram"
+	Kind   string // "extent", "extent-learned" or "distinct"
 	Target string
 	Old    float64
 	New    float64
@@ -76,9 +75,9 @@ func (a Adjustment) String() string {
 }
 
 // Apply folds one execution report into the catalog: submit-boundary
-// cardinalities correct the source collections' extents (and rescale
-// their histograms), and mediator-side selection cardinalities refine
-// attribute selectivities. It returns the applied corrections.
+// cardinalities correct the source collections' extents, and mediator-side
+// equality selections refine attribute distinct counts. It returns the
+// applied corrections.
 func (a *Adjuster) Apply(rep *Report, cat *catalog.Catalog) []Adjustment {
 	if rep == nil || cat == nil {
 		return nil
@@ -180,8 +179,7 @@ func (a *Adjuster) correctExtent(o *Obs, cat *catalog.Catalog) []Adjustment {
 }
 
 // writeExtent installs a correction into the catalog entry, keeping the
-// derived statistics consistent: TotalSize tracks the corrected count and
-// every histogram is rescaled so its mass matches the corrected extent.
+// derived statistics consistent: TotalSize tracks the corrected count.
 func (a *Adjuster) writeExtent(info *catalog.CollectionInfo, c *CardCorrection) {
 	n := int64(math.Round(float64(c.Base) * c.Factor))
 	if n < 1 {
@@ -198,48 +196,20 @@ func (a *Adjuster) writeExtent(info *catalog.CollectionInfo, c *CardCorrection) 
 		info.Extent.TotalSize = int64(math.Round(float64(info.Extent.TotalSize) * float64(n) / float64(prev)))
 	}
 	c.applied = n
-	for attr, ast := range info.Attrs {
-		if ast.Histogram == nil || ast.Histogram.Total == n || ast.Histogram.Total <= 0 {
-			continue
-		}
-		ast.Histogram = scaleHistogram(ast.Histogram, n)
-		info.Attrs[attr] = ast
-	}
 }
 
-// scaleHistogram returns a copy whose total mass is target, bucket counts
-// scaled proportionally. The original is never mutated: the catalog may
-// share histogram pointers with the wrapper's own statistics.
-func scaleHistogram(h *stats.Histogram, target int64) *stats.Histogram {
-	out := &stats.Histogram{Buckets: make([]stats.Bucket, len(h.Buckets))}
-	copy(out.Buckets, h.Buckets)
-	scale := float64(target) / float64(h.Total)
-	var total int64
-	for i := range out.Buckets {
-		b := &out.Buckets[i]
-		b.Count = int64(math.Round(float64(b.Count) * scale))
-		if b.Count < 0 {
-			b.Count = 0
-		}
-		if b.Distinct > b.Count && b.Count > 0 {
-			b.Distinct = b.Count
-		}
-		total += b.Count
-	}
-	out.Total = total
-	return out
-}
-
-// refineSelectivity nudges an attribute's statistics toward the observed
-// selectivity of a mediator-side selection (rows out / rows in). Only
-// single-comparison predicates against a constant are attributable.
+// refineSelectivity nudges an attribute's distinct count toward the
+// observed selectivity of a mediator-side equality selection (rows out /
+// rows in). Only single-comparison predicates against a constant are
+// attributable. A range leaves the statistics alone: the uniform Min/Max
+// model has nothing it could safely adjust.
 func (a *Adjuster) refineSelectivity(o *Obs, cat *catalog.Catalog) []Adjustment {
 	n := o.Node
 	if n.Pred == nil || len(n.Pred.Conjuncts) != 1 || o.ActIn <= 0 {
 		return nil
 	}
 	cmp := n.Pred.Conjuncts[0]
-	if cmp.RightAttr != nil || cmp.RightConst.IsNull() {
+	if cmp.Op != stats.CmpEQ || cmp.RightAttr != nil || cmp.RightConst.IsNull() {
 		return nil
 	}
 	scan := findScan(n, cmp.Left)
@@ -266,149 +236,22 @@ func (a *Adjuster) refineSelectivity(o *Obs, cat *catalog.Catalog) []Adjustment 
 	newSel := math.Exp(math.Log(estSel) + gain*(math.Log(lo)-math.Log(estSel)))
 	newSel = clampF(newSel, estSel/maxStep, estSel*maxStep)
 	newSel = clampF(newSel, 1e-9, 1)
-	target := scan.Wrapper + "/" + scan.Collection + "." + key
-
-	switch cmp.Op {
-	case stats.CmpEQ:
-		if ast.Histogram != nil {
-			h, changed := retuneBucketDistinct(ast.Histogram, cmp.RightConst, newSel)
-			if !changed {
-				return nil
-			}
-			ast.Histogram = h
-			info.Attrs[key] = ast
-			return []Adjustment{{Kind: "histogram", Target: target, Old: estSel, New: newSel}}
-		}
-		old := ast.CountDistinct
-		d := int64(math.Round(1 / newSel))
-		if d < 1 {
-			d = 1
-		}
-		if d == old {
-			return nil
-		}
-		ast.CountDistinct = d
-		info.Attrs[key] = ast
-		return []Adjustment{{Kind: "distinct", Target: target, Old: float64(old), New: float64(d)}}
-	case stats.CmpLT, stats.CmpLE, stats.CmpGT, stats.CmpGE:
-		if ast.Histogram == nil {
-			return nil // uniform min/max model: nothing safely adjustable
-		}
-		below := newSel
-		if cmp.Op == stats.CmpGT || cmp.Op == stats.CmpGE {
-			below = 1 - newSel
-		}
-		h, changed := reweightHistogram(ast.Histogram, cmp.RightConst, below)
-		if !changed {
-			return nil
-		}
-		ast.Histogram = h
-		info.Attrs[key] = ast
-		return []Adjustment{{Kind: "histogram", Target: target, Old: estSel, New: newSel}}
-	default:
+	old := ast.CountDistinct
+	d := int64(math.Round(1 / newSel))
+	if d < 1 {
+		d = 1
+	}
+	if d == old {
 		return nil
 	}
-}
-
-// retuneBucketDistinct adjusts the distinct count of the bucket holding
-// value so the histogram's equality selectivity approaches sel. Works on
-// a copy; reports whether anything changed.
-func retuneBucketDistinct(h *stats.Histogram, value types.Constant, sel float64) (*stats.Histogram, bool) {
-	if h.Total <= 0 || sel <= 0 {
-		return h, false
-	}
-	out := &stats.Histogram{Buckets: make([]stats.Bucket, len(h.Buckets)), Total: h.Total}
-	copy(out.Buckets, h.Buckets)
-	for i := range out.Buckets {
-		b := &out.Buckets[i]
-		if !bucketContains(out, i, value) || b.Count <= 0 {
-			continue
-		}
-		// sel = Count/Distinct/Total  =>  Distinct = Count/(sel*Total).
-		d := int64(math.Round(float64(b.Count) / (sel * float64(h.Total))))
-		if d < 1 {
-			d = 1
-		}
-		if d > b.Count {
-			d = b.Count
-		}
-		if d == b.Distinct {
-			return h, false
-		}
-		b.Distinct = d
-		return out, true
-	}
-	return h, false
-}
-
-// bucketContains mirrors the histogram's bucket membership rule: buckets
-// are half-open [Lo, Hi) except the last, which is closed.
-func bucketContains(h *stats.Histogram, i int, v types.Constant) bool {
-	b := h.Buckets[i]
-	if v.Compare(b.Lo) < 0 {
-		return false
-	}
-	if i == len(h.Buckets)-1 {
-		return v.Compare(b.Hi) <= 0
-	}
-	return v.Compare(b.Hi) < 0
-}
-
-// reweightHistogram shifts bucket mass so the cumulative fraction below
-// the cut approaches target, preserving the total. Works on a copy.
-func reweightHistogram(h *stats.Histogram, cut types.Constant, target float64) (*stats.Histogram, bool) {
-	if h.Total <= 0 {
-		return h, false
-	}
-	target = clampF(target, 0.001, 0.999)
-	// Current split around the cut, counting partial buckets by the
-	// uniform within-bucket assumption.
-	var below float64
-	for _, b := range h.Buckets {
-		switch {
-		case cut.Compare(b.Hi) >= 0:
-			below += float64(b.Count)
-		case cut.Compare(b.Lo) <= 0:
-		default:
-			below += types.Fraction(cut, b.Lo, b.Hi) * float64(b.Count)
-		}
-	}
-	total := float64(h.Total)
-	cur := below / total
-	if cur <= 0 || cur >= 1 || math.Abs(cur-target) < 1e-9 {
-		return h, false
-	}
-	wBelow := target / cur
-	wAbove := (1 - target) / (1 - cur)
-	out := &stats.Histogram{Buckets: make([]stats.Bucket, len(h.Buckets))}
-	copy(out.Buckets, h.Buckets)
-	var sum int64
-	for i := range out.Buckets {
-		b := &out.Buckets[i]
-		var w float64
-		switch {
-		case cut.Compare(b.Hi) >= 0:
-			w = wBelow
-		case cut.Compare(b.Lo) <= 0:
-			w = wAbove
-		default:
-			f := types.Fraction(cut, b.Lo, b.Hi)
-			w = f*wBelow + (1-f)*wAbove
-		}
-		b.Count = int64(math.Round(float64(b.Count) * w))
-		if b.Count < 0 {
-			b.Count = 0
-		}
-		if b.Distinct > b.Count && b.Count > 0 {
-			b.Distinct = b.Count
-		}
-		sum += b.Count
-	}
-	out.Total = sum
-	if out.Total <= 0 {
-		return h, false
-	}
-	return out, true
+	ast.CountDistinct = d
+	info.Attrs[key] = ast
+	return []Adjustment{{
+		Kind:   "distinct",
+		Target: scan.Wrapper + "/" + scan.Collection + "." + key,
+		Old:    float64(old),
+		New:    float64(d),
+	}}
 }
 
 // Reapply installs every learned cardinality correction into the catalog

@@ -5,7 +5,9 @@
 // executed plan (the engine attaches a Profile of per-operator actuals to
 // each Result), joins the actuals against the estimator's per-node
 // predictions (Recorder), and feeds bounded, exponentially decayed
-// corrections back into the catalog statistics (Adjuster). A Store
+// corrections back into the catalog statistics (Adjuster): a collection's
+// extent from selection-free submits, an attribute's distinct count from
+// mediator-side equality selections. A Store
 // snapshots the learned corrections so a daemon survives restarts without
 // relearning.
 package feedback

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"disco/internal/engine"
 	"disco/internal/netsim"
 	"disco/internal/objstore"
 	"disco/internal/types"
@@ -61,9 +62,9 @@ func startFaultyDeployment(t *testing.T, plan netsim.FaultPlan) (*Mediator, *wra
 	return m, rw, inj
 }
 
-// queryParts runs one indexed query against the remote wrapper and
-// asserts the full answer arrived.
-func queryParts(t *testing.T, m *Mediator, lim int) {
+// queryParts runs one indexed query against the remote wrapper, asserts
+// the full answer arrived, and returns it.
+func queryParts(t *testing.T, m *Mediator, lim int) *engine.Result {
 	t.Helper()
 	res, err := m.Query(`SELECT pid FROM Parts WHERE pid < ` + types.Int(int64(lim)).String())
 	if err != nil {
@@ -75,6 +76,7 @@ func queryParts(t *testing.T, m *Mediator, lim int) {
 	if res.Partial || len(res.Excluded) != 0 {
 		t.Fatalf("query pid < %d: unexpectedly partial (excluded %v)", lim, res.Excluded)
 	}
+	return res
 }
 
 // TestFaultMatrix drives every injected failure mode through the full
@@ -94,20 +96,35 @@ func TestFaultMatrix(t *testing.T) {
 	})
 
 	t.Run("error/recovers", func(t *testing.T) {
+		// The same queries on a fault-free deployment give each query's
+		// time without retries.
+		clean, _, _ := startFaultyDeployment(t, netsim.FaultPlan{})
 		m, rw, _ := startFaultyDeployment(t, netsim.FaultPlan{ErrorProb: 0.4, Seed: 3})
-		before := m.Clock.Now()
+		retried := 0
 		for i := 1; i <= 8; i++ {
-			queryParts(t, m, i*3)
+			base := queryParts(t, clean, i*3)
+			before := rw.Stats().Retries
+			got := queryParts(t, m, i*3)
+			retries := rw.Stats().Retries - before
+			if retries == 0 {
+				if got.ElapsedMS != base.ElapsedMS {
+					t.Errorf("pid < %d ran without retries in %v ms, fault-free %v ms", i*3, got.ElapsedMS, base.ElapsedMS)
+				}
+				continue
+			}
+			retried++
+			// Retry backoff is billed to the retried query's own time.
+			if got.ElapsedMS <= base.ElapsedMS {
+				t.Errorf("pid < %d retried %d times in %v ms, fault-free %v ms: backoff not billed",
+					i*3, retries, got.ElapsedMS, base.ElapsedMS)
+			}
 		}
 		st := rw.Stats()
-		if st.Retries == 0 {
+		if retried == 0 {
 			t.Errorf("transient errors should force retries, stats = %+v", st)
 		}
 		if st.Redials != 0 {
 			t.Errorf("error responses keep the connection; stats = %+v", st)
-		}
-		if m.Clock.Now() <= before {
-			t.Error("retry backoff should bill virtual time")
 		}
 	})
 

@@ -121,11 +121,8 @@ type Mediator struct {
 	// downMu guards unavailable; see the lock-order note above.
 	downMu sync.Mutex
 
-	// Clock is the federation's running total of virtual time: each
-	// execution adds its ElapsedMS once it finishes, and the result
-	// cache's TTL reads it. Net is the communication model, a uniform
-	// link of 10 ms latency and 2 MB/s.
-	Clock    *netsim.Clock
+	// Net is the communication model, a uniform link of 10 ms latency
+	// and 2 MB/s.
 	Net      *netsim.Network
 	Catalog  *catalog.Catalog
 	Registry *core.Registry
@@ -176,7 +173,6 @@ type Mediator struct {
 
 // New builds an empty mediator.
 func New(cfg Config) (*Mediator, error) {
-	clock := netsim.NewClock()
 	net := netsim.NewNetwork(netsim.Link{LatencyMS: 10, PerByteMS: 0.0005})
 	reg, err := core.NewDefaultRegistry()
 	if err != nil {
@@ -189,14 +185,13 @@ func New(cfg Config) (*Mediator, error) {
 	opt.CapturePlanCosts = cfg.Feedback
 	m := &Mediator{
 		cfg:         cfg,
-		Clock:       clock,
 		Net:         net,
 		Catalog:     catalog.New(),
 		Registry:    reg,
 		wrappers:    make(map[string]wrapper.Wrapper),
 		unavailable: make(map[string]bool),
 		cache:       newPlanCache(cfg.PlanCacheSize),
-		rcache:      resultcache.New(cfg.ResultCache, clock.Now),
+		rcache:      resultcache.New(cfg.ResultCache),
 		adm:         newAdmission(cfg.MaxInFlight, cfg.AdmissionTimeout),
 	}
 	m.Estimator = core.NewEstimator(reg, m.Catalog, net)
@@ -510,7 +505,6 @@ func (m *Mediator) executeAdmitted(p *Prepared) (*engine.Result, error) {
 			// attached — there is nothing here the feedback loop should
 			// learn source behaviour from.
 			res := &engine.Result{Rows: e.Rows, Schema: e.Schema, ElapsedMS: resultcache.HitCostMS(int64(len(e.Rows)))}
-			m.Clock.Advance(res.ElapsedMS)
 			m.mu.RUnlock()
 			m.served.Add(1)
 			return res, nil
@@ -519,9 +513,6 @@ func (m *Mediator) executeAdmitted(p *Prepared) (*engine.Result, error) {
 	gen := m.rcache.Gen()
 	eng := m.Engine
 	res, err := eng.Execute(p.Plan)
-	if err == nil {
-		m.Clock.Advance(res.ElapsedMS)
-	}
 	if err == nil && res != nil && !res.Partial && m.rcache != nil {
 		// Admit the complete answer under the read lock (no registration
 		// can interleave, so the epoch stamp is the one the plan ran
@@ -602,16 +593,14 @@ type Stats struct {
 	// PlanCacheEntries is the current cache population.
 	PlanCacheEntries int
 	// Result-cache counters (all zero when Config.ResultCache is
-	// disabled). Hits and misses count lookups at whole-plan and submit
-	// granularity; Stale and Expired are the miss subsets evicted by an
-	// epoch bump or the TTL. Evictions counts budget displacements,
-	// Invalidations whole-cache clears (registration, outage, feedback
-	// adjustment), Rejected refused inserts (raced invalidations,
-	// over-budget results).
+	// disabled). Hits and misses count whole-plan lookups; Stale is the
+	// miss subset evicted by an epoch bump. Evictions counts budget
+	// displacements, Invalidations whole-cache clears (registration,
+	// outage, feedback adjustment), Rejected refused inserts (raced
+	// invalidations, over-budget results).
 	ResultCacheHits          int64
 	ResultCacheMisses        int64
 	ResultCacheStale         int64
-	ResultCacheExpired       int64
 	ResultCacheEvictions     int64
 	ResultCacheInvalidations int64
 	ResultCacheRejected      int64
@@ -658,7 +647,6 @@ func (m *Mediator) Stats() Stats {
 		ResultCacheHits:          rc.Hits,
 		ResultCacheMisses:        rc.Misses,
 		ResultCacheStale:         rc.Stale,
-		ResultCacheExpired:       rc.Expired,
 		ResultCacheEvictions:     rc.Evictions,
 		ResultCacheInvalidations: rc.Invalidations,
 		ResultCacheRejected:      rc.Rejected,
@@ -725,7 +713,6 @@ func (m *Mediator) ExplainAnalyze(sql string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	m.Clock.Advance(res.ElapsedMS)
 	if m.Feedback != nil {
 		m.mu.Lock()
 		m.absorbLocked(p, res)

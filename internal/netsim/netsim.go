@@ -1,12 +1,12 @@
 // Package netsim provides the deterministic simulation substrate of the
 // reproduction: a Meter that one wrapper execution or one mediator
 // execution charges as it performs work, the LRU page buffer the stores
-// share between their collections (Pool), a running federation total
-// (Clock), and a per-wrapper network model feeding the submit operator's
-// communication cost. The paper ran against a real ObjectStore testbed;
-// simulating time as a pure function of pages touched, objects processed
-// and bytes shipped makes every experiment exactly reproducible while
-// preserving the phenomena the cost model is about (see DESIGN.md §2).
+// share between their collections (Pool), and a per-wrapper network
+// model feeding the submit operator's communication cost. The paper ran
+// against a real ObjectStore testbed; simulating time as a pure function
+// of pages touched, objects processed and bytes shipped makes every
+// experiment exactly reproducible while preserving the phenomena the
+// cost model is about (see DESIGN.md §2).
 //
 // A query's or a submit's time is the sum its own meter collected,
 // starting at zero, so concurrent executions never land in each other's
@@ -42,36 +42,6 @@ func (m *Meter) AddN(ms float64, n int) {
 
 // MS returns the milliseconds charged so far.
 func (m *Meter) MS() float64 { return m.ms }
-
-// Clock is the federation's running total of virtual milliseconds: the
-// mediator adds each execution's time once it finishes, and time-based
-// policies (the result cache's TTL) read it. It is safe for concurrent
-// use. No query's time is read off it.
-type Clock struct {
-	mu sync.Mutex
-	ms float64
-}
-
-// NewClock returns a clock at time zero.
-func NewClock() *Clock { return &Clock{} }
-
-// Advance moves the clock forward by ms milliseconds (negative values are
-// ignored).
-func (c *Clock) Advance(ms float64) {
-	if ms <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.ms += ms
-	c.mu.Unlock()
-}
-
-// Now returns the current virtual time in milliseconds.
-func (c *Clock) Now() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ms
-}
 
 // Link describes the connection between the mediator and one wrapper.
 type Link struct {

@@ -7,37 +7,6 @@ import (
 	"testing"
 )
 
-func TestClockAdvance(t *testing.T) {
-	c := NewClock()
-	if c.Now() != 0 {
-		t.Error("fresh clock should be at 0")
-	}
-	c.Advance(10.5)
-	c.Advance(-5) // ignored
-	c.Advance(0)  // ignored
-	if c.Now() != 10.5 {
-		t.Errorf("Now = %v", c.Now())
-	}
-}
-
-func TestClockConcurrentAdvance(t *testing.T) {
-	c := NewClock()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Advance(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Now() != 8000 {
-		t.Errorf("Now = %v, want 8000", c.Now())
-	}
-}
-
 func TestLinkTransfer(t *testing.T) {
 	l := Link{LatencyMS: 10, PerByteMS: 0.001}
 	if got := l.TransferMS(1000); got != 11 {

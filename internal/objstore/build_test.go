@@ -247,7 +247,7 @@ func TestAttributeStatsAllocs(t *testing.T) {
 		c := loadParts(t, Open(DefaultConfig()), n, true)
 		for _, attr := range []string{"id", "buildDate", "x"} {
 			allocs := testing.AllocsPerRun(5, func() {
-				if _, err := c.AttributeStats(attr, 0); err != nil {
+				if _, err := c.AttributeStats(attr); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -379,14 +379,13 @@ func (c *Collection) ExtentStats() stats.ExtentStats {
 }
 
 // AttributeStats computes the exported statistics of one attribute with
-// stats.Summarize (registration-time work, no charge). The optional
-// histogram uses equi-depth buckets when buckets > 0.
-func (c *Collection) AttributeStats(attr string, buckets int) (stats.AttributeStats, error) {
+// stats.Summarize (registration-time work, no charge).
+func (c *Collection) AttributeStats(attr string) (stats.AttributeStats, error) {
 	pos, ok := c.schema.Lookup(attr)
 	if !ok {
 		return stats.AttributeStats{}, fmt.Errorf("objstore: %s has no attribute %q", c.name, attr)
 	}
-	out := stats.Summarize(c.rows, pos, buckets)
+	out := stats.Summarize(c.rows, pos)
 	out.Indexed, out.Clustered = c.HasIndex(attr)
 	return out, nil
 }

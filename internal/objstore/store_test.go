@@ -250,7 +250,7 @@ func TestDeliverOutput(t *testing.T) {
 func TestAttributeStatsExport(t *testing.T) {
 	s := Open(DefaultConfig())
 	c := loadParts(t, s, 7000, true)
-	ast, err := c.AttributeStats("id", 0)
+	ast, err := c.AttributeStats("id")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,17 +261,14 @@ func TestAttributeStatsExport(t *testing.T) {
 		t.Errorf("stats = %+v", ast)
 	}
 	// buildDate has 1000 distinct values and no index.
-	bd, err := c.AttributeStats("buildDate", 20)
+	bd, err := c.AttributeStats("buildDate")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bd.Indexed || bd.CountDistinct != 1000 {
 		t.Errorf("buildDate stats = %+v", bd)
 	}
-	if bd.Histogram == nil {
-		t.Error("histogram requested but missing")
-	}
-	if _, err := c.AttributeStats("bogus", 0); err == nil {
+	if _, err := c.AttributeStats("bogus"); err == nil {
 		t.Error("unknown attribute should fail")
 	}
 }

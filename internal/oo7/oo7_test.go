@@ -29,7 +29,7 @@ func TestGeneratePaperLayout(t *testing.T) {
 	if ext.ObjectSize != 56 || ext.TotalSize != 4096000 {
 		t.Errorf("extent = %+v", ext)
 	}
-	idStats, err := atomic.AttributeStats("id", 0)
+	idStats, err := atomic.AttributeStats("id")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,8 +26,9 @@ type ExtentJSON struct {
 	ObjectSize  int64 `json:"objectSize"`
 }
 
-// AttrStatsJSON serializes exported attribute statistics. Histograms are
-// summarized by their buckets.
+// AttrStatsJSON serializes exported attribute statistics: the paper's
+// Indexed/CountDistinct/Min/Max tuple plus the clustering flag, with each
+// bound's kind so an int survives JSON's numbers.
 type AttrStatsJSON struct {
 	Indexed       bool   `json:"indexed,omitempty"`
 	Clustered     bool   `json:"clustered,omitempty"`
@@ -38,8 +39,7 @@ type AttrStatsJSON struct {
 	MaxKind       string `json:"maxKind,omitempty"`
 }
 
-// EncodeAttrStats serializes attribute statistics (histograms do not
-// cross the wire; the summary statistics do).
+// EncodeAttrStats serializes attribute statistics.
 func EncodeAttrStats(a stats.AttributeStats) AttrStatsJSON {
 	return AttrStatsJSON{
 		Indexed:       a.Indexed,

@@ -264,14 +264,14 @@ func (t *Table) ExtentStats() stats.ExtentStats {
 	}
 }
 
-// AttributeStats exports statistics for one attribute; buckets > 0 adds an
-// equi-depth histogram over numeric values.
-func (t *Table) AttributeStats(attr string, buckets int) (stats.AttributeStats, error) {
+// AttributeStats computes the exported statistics of one attribute with
+// stats.Summarize (registration-time work, no charge).
+func (t *Table) AttributeStats(attr string) (stats.AttributeStats, error) {
 	fi, ok := t.schema.Lookup(attr)
 	if !ok {
 		return stats.AttributeStats{}, fmt.Errorf("relstore: %s has no attribute %q", t.name, attr)
 	}
-	out := stats.Summarize(t.rows, fi, buckets)
+	out := stats.Summarize(t.rows, fi)
 	out.Indexed = t.HasIndex(attr)
 	return out, nil
 }

@@ -21,9 +21,9 @@
 //     rejects inserts whose generation predates an invalidation — an
 //     execution that raced an outage cannot slip its rows in afterwards).
 //
-// TTL runs on the federation's virtual clock (the running total of
-// executions' virtual time), so expiry is deterministic under the
-// simulation like every other cost in the system.
+// There is no time-based expiry: the served stores change only through
+// registration, which the epoch already retires, so an entry lives until
+// one of these signals or the LRU budget removes it.
 //
 // The zero Config disables the cache entirely (New returns nil, every
 // method is nil-receiver-safe), preserving the bit-identical-when-
@@ -49,8 +49,8 @@ const (
 
 // HitFloorMS and HitPerRowMS price serving a cached answer: a fixed
 // in-memory lookup floor plus one touch per row. A whole-plan hit
-// advances the federation's virtual clock by this time and reports it as
-// the answer's elapsed time, in place of the sources' and the wire's.
+// reports this time as the answer's elapsed time, in place of the
+// sources' and the wire's.
 const (
 	HitFloorMS  = 0.05
 	HitPerRowMS = 0.0002
@@ -72,9 +72,6 @@ type Config struct {
 	// (0 = DefaultMaxBytes). A single result larger than the budget is
 	// never admitted.
 	MaxBytes int64
-	// TTLMS expires entries this many virtual milliseconds after
-	// insertion (0 = no TTL).
-	TTLMS float64
 }
 
 // Entry is one cached materialization.
@@ -90,19 +87,17 @@ type Entry struct {
 	// Bytes is the estimated memory footprint charged to the budget.
 	Bytes int64
 
-	hash     algebra.Hash128
-	storedMS float64
+	hash algebra.Hash128
 }
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
-	// Hits/Misses count lookups; Stale and Expired are the subsets of
-	// misses that also evicted an entry (epoch bump, TTL). Like the plan
-	// cache, a stale lookup counts as exactly one miss and one stale.
-	Hits    int64
-	Misses  int64
-	Stale   int64
-	Expired int64
+	// Hits/Misses count lookups; Stale is the subset of misses that also
+	// evicted an entry after an epoch bump. Like the plan cache, a stale
+	// lookup counts as exactly one miss and one stale.
+	Hits   int64
+	Misses int64
+	Stale  int64
 	// Evictions counts entries displaced by the entry or byte budget;
 	// Invalidations counts whole-cache clears (epoch-independent hooks:
 	// outage marks, feedback adjustments, registrations).
@@ -121,7 +116,6 @@ type Stats struct {
 type Cache struct {
 	mu  sync.Mutex
 	cfg Config
-	now func() float64 // virtual clock, for TTL
 
 	lru   *list.List // of *Entry, front = most recent
 	byKey map[algebra.Hash128]*list.Element
@@ -131,14 +125,14 @@ type Cache struct {
 	// the generation observed at execution start) is rejected.
 	gen uint64
 
-	hits, misses, stale, expired int64
-	evictions, invalidations     int64
-	rejected                     int64
+	hits, misses, stale      int64
+	evictions, invalidations int64
+	rejected                 int64
 }
 
 // New builds a cache, or returns nil when cfg.Enabled is false — the
 // nil cache is the disabled subsystem and every method no-ops on it.
-func New(cfg Config, now func() float64) *Cache {
+func New(cfg Config) *Cache {
 	if !cfg.Enabled {
 		return nil
 	}
@@ -148,12 +142,8 @@ func New(cfg Config, now func() float64) *Cache {
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = DefaultMaxBytes
 	}
-	if now == nil {
-		now = func() float64 { return 0 }
-	}
 	return &Cache{
 		cfg:   cfg,
-		now:   now,
 		lru:   list.New(),
 		byKey: make(map[algebra.Hash128]*list.Element, cfg.Entries),
 	}
@@ -173,9 +163,8 @@ func (c *Cache) Gen() uint64 {
 }
 
 // Get returns the cached result for hash if it was computed under the
-// given catalog epoch and has not expired. Epoch-stale and TTL-expired
-// entries are evicted on sight, each counting one miss plus its
-// distinguishing counter.
+// given catalog epoch. An epoch-stale entry is evicted on sight,
+// counting one miss and one stale.
 func (c *Cache) Get(hash algebra.Hash128, epoch uint64) (*Entry, bool) {
 	if c == nil {
 		return nil, false
@@ -194,18 +183,12 @@ func (c *Cache) Get(hash algebra.Hash128, epoch uint64) (*Entry, bool) {
 		c.misses++
 		return nil, false
 	}
-	if c.cfg.TTLMS > 0 && c.now()-e.storedMS > c.cfg.TTLMS {
-		c.removeLocked(el)
-		c.expired++
-		c.misses++
-		return nil, false
-	}
 	c.lru.MoveToFront(el)
 	c.hits++
 	return e, true
 }
 
-// Peek reports whether a live (right-epoch, unexpired) entry exists for
+// Peek reports whether a live (right-epoch) entry exists for
 // hash without touching the counters, the LRU order, or stale entries.
 // Cache warmers use it to decide whether a statement still needs to be
 // executed; a Peek is invisible to the hit/miss accounting so warming
@@ -220,14 +203,7 @@ func (c *Cache) Peek(hash algebra.Hash128, epoch uint64) bool {
 	if !ok {
 		return false
 	}
-	e := el.Value.(*Entry)
-	if e.Epoch != epoch {
-		return false
-	}
-	if c.cfg.TTLMS > 0 && c.now()-e.storedMS > c.cfg.TTLMS {
-		return false
-	}
-	return true
+	return el.Value.(*Entry).Epoch == epoch
 }
 
 // Put stores a materialized result, charged ApproxBytes(rows) against the
@@ -261,7 +237,7 @@ func (c *Cache) Put(hash algebra.Hash128, rows []types.Row, schema *types.Schema
 		}
 		c.removeLocked(oldest)
 	}
-	e := &Entry{Rows: rows, Schema: schema, Epoch: epoch, Bytes: bytes, hash: hash, storedMS: c.now()}
+	e := &Entry{Rows: rows, Schema: schema, Epoch: epoch, Bytes: bytes, hash: hash}
 	c.byKey[hash] = c.lru.PushFront(e)
 	c.bytes += bytes
 }
@@ -301,7 +277,7 @@ func (c *Cache) Counters() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Hits: c.hits, Misses: c.misses, Stale: c.stale, Expired: c.expired,
+		Hits: c.hits, Misses: c.misses, Stale: c.stale,
 		Evictions: c.evictions, Invalidations: c.invalidations, Rejected: c.rejected,
 		Entries: c.lru.Len(), Bytes: c.bytes,
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"disco/internal/algebra"
-	"disco/internal/netsim"
 	"disco/internal/types"
 )
 
@@ -20,14 +19,14 @@ func rowsOf(n int) []types.Row {
 	return out
 }
 
-func enabled(entries int, maxBytes int64, ttl float64) Config {
-	return Config{Enabled: true, Entries: entries, MaxBytes: maxBytes, TTLMS: ttl}
+func enabled(entries int, maxBytes int64) Config {
+	return Config{Enabled: true, Entries: entries, MaxBytes: maxBytes}
 }
 
 // TestResultCacheDisabledNil pins the disabled contract: the zero Config
 // yields a nil cache and every method no-ops on it.
 func TestResultCacheDisabledNil(t *testing.T) {
-	c := New(Config{}, nil)
+	c := New(Config{})
 	if c != nil {
 		t.Fatal("zero Config must disable the cache")
 	}
@@ -46,7 +45,7 @@ func TestResultCacheDisabledNil(t *testing.T) {
 
 // TestResultCacheHitMiss pins the basic LRU behaviour and counters.
 func TestResultCacheHitMiss(t *testing.T) {
-	c := New(enabled(2, 0, 0), nil)
+	c := New(enabled(2, 0))
 	c.Put(h(1), rowsOf(2), nil, 7, c.Gen())
 	if e, ok := c.Get(h(1), 7); !ok || len(e.Rows) != 2 {
 		t.Fatalf("expected hit with 2 rows, got %v", e)
@@ -84,7 +83,7 @@ func TestResultCacheHitMiss(t *testing.T) {
 // epoch-stale lookup evicts the entry and counts exactly one miss and
 // one stale.
 func TestResultCacheEpochStale(t *testing.T) {
-	c := New(enabled(8, 0, 0), nil)
+	c := New(enabled(8, 0))
 	c.Put(h(1), rowsOf(4), nil, 1, c.Gen())
 	if _, ok := c.Get(h(1), 2); ok {
 		t.Fatal("epoch-stale entry served")
@@ -112,7 +111,7 @@ func TestResultCacheEpochStale(t *testing.T) {
 func TestResultCacheByteBudget(t *testing.T) {
 	rows := rowsOf(10)
 	per := ApproxBytes(rows)
-	c := New(enabled(100, 2*per+per/2, 0), nil)
+	c := New(enabled(100, 2*per+per/2))
 	c.Put(h(1), rows, nil, 1, c.Gen())
 	c.Put(h(2), rows, nil, 1, c.Gen())
 	c.Put(h(3), rows, nil, 1, c.Gen()) // budget holds 2: evicts h(1)
@@ -136,34 +135,11 @@ func TestResultCacheByteBudget(t *testing.T) {
 	}
 }
 
-// TestResultCacheTTL pins virtual-clock expiry: an expired entry is
-// evicted on lookup, counting one miss and one expired.
-func TestResultCacheTTL(t *testing.T) {
-	clock := netsim.NewClock()
-	c := New(enabled(8, 0, 100), clock.Now)
-	c.Put(h(1), rowsOf(1), nil, 1, c.Gen())
-	clock.Advance(99)
-	if _, ok := c.Get(h(1), 1); !ok {
-		t.Fatal("entry expired before its TTL")
-	}
-	clock.Advance(2)
-	if _, ok := c.Get(h(1), 1); ok {
-		t.Fatal("entry served past its TTL")
-	}
-	s := c.Counters()
-	if s.Expired != 1 || s.Misses != 1 || s.Hits != 1 {
-		t.Errorf("hits/misses/expired = %d/%d/%d, want 1/1/1", s.Hits, s.Misses, s.Expired)
-	}
-	if s.Entries != 0 {
-		t.Errorf("expired entry not evicted: entries = %d", s.Entries)
-	}
-}
-
 // TestResultCacheGenerationRejectsRacedInsert pins the partial-answer
 // race guard: an insert whose generation predates an Invalidate (an
 // outage mark landed while the query executed) is refused.
 func TestResultCacheGenerationRejectsRacedInsert(t *testing.T) {
-	c := New(enabled(8, 0, 0), nil)
+	c := New(enabled(8, 0))
 	gen := c.Gen()
 	c.Invalidate() // the outage arrives mid-execution
 	c.Put(h(1), rowsOf(2), nil, 1, gen)
@@ -185,8 +161,7 @@ func TestResultCacheGenerationRejectsRacedInsert(t *testing.T) {
 // -race: mixed gets, puts, invalidations and peeks must stay
 // internally consistent (the budget invariants hold at the end).
 func TestResultCacheConcurrent(t *testing.T) {
-	clock := netsim.NewClock()
-	c := New(enabled(32, 1<<20, 0), clock.Now)
+	c := New(enabled(32, 1<<20))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

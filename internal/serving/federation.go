@@ -63,7 +63,6 @@ func RegisterFlags(fs *flag.FlagSet, defaultParts int) *Options {
 	fs.DurationVar(&o.QueueTimeout, "queue-timeout", time.Second, "admission queue wait before shedding a query")
 	fs.BoolVar(&o.ResultCache.Enabled, "result-cache", false, "enable the semantic result cache")
 	fs.Int64Var(&o.ResultCache.MaxBytes, "result-cache-bytes", resultcache.DefaultMaxBytes, "result cache byte budget")
-	fs.Float64Var(&o.ResultCache.TTLMS, "result-cache-ttl-ms", 0, "result cache entry TTL in virtual ms (0 = none)")
 	fs.Int64Var(&o.ExecMemBytes, "exec-mem-bytes", 0, "spill budget for mediator hash joins/aggregations (0 = never spill)")
 	return o
 }

@@ -1,9 +1,9 @@
 // Package stats implements the statistical machinery of the DISCO cost
 // model: the extent and attribute statistics a wrapper exports through its
 // cardinality methods (paper §3.2), the kernel the stores compute an
-// attribute's statistics with (Summarize), histogram-based selectivity
-// estimation [IP95, PIHS96], and Yao's page-access formula [Yao77] which
-// the paper's Figure 12 experiment is built on.
+// attribute's statistics with (Summarize), the uniform selectivity rules
+// over them, and Yao's page-access formula [Yao77] which the paper's
+// Figure 12 experiment is built on.
 package stats
 
 import (
@@ -40,9 +40,6 @@ type AttributeStats struct {
 	Clustered     bool // extension: index is clustering (paper §5 mentions clustering as hard for calibration)
 	CountDistinct int64
 	Min, Max      types.Constant
-	// Histogram is optional richer distribution information; nil means
-	// assume a uniform distribution between Min and Max.
-	Histogram *Histogram
 }
 
 // CmpOp is a comparison operator appearing in selection predicates.
@@ -115,14 +112,10 @@ func (op CmpOp) Flip() CmpOp {
 }
 
 // Selectivity estimates the fraction of objects satisfying `attr op value`
-// given the attribute's statistics. With a histogram present, the estimate
-// integrates bucket frequencies; otherwise the classical uniform
-// assumptions apply: 1/CountDistinct for equality, linear interpolation
-// between Min and Max for ranges. The result is clamped to [0, 1].
+// given the attribute's statistics, under the classical uniform
+// assumptions: 1/CountDistinct for equality, linear interpolation between
+// Min and Max for ranges. The result is clamped to [0, 1].
 func (a AttributeStats) Selectivity(op CmpOp, value types.Constant) float64 {
-	if a.Histogram != nil {
-		return a.Histogram.Selectivity(op, value)
-	}
 	switch op {
 	case CmpEQ:
 		if a.CountDistinct > 0 {

@@ -10,9 +10,8 @@ import (
 
 // Summarize computes the statistics a store exports for the column at
 // pos of rows (registration-time work): the distinct count, Min and Max
-// under types.Constant ordering, and, when buckets > 0, an equi-depth
-// histogram over the numeric values. Indexed and Clustered are left to
-// the caller.
+// under types.Constant ordering. Indexed and Clustered are left to the
+// caller.
 //
 // Two values are distinct when their kinds or renderings differ: Int(3)
 // and Float(3) count twice, -0 and +0 twice, and every NaN once. The
@@ -20,7 +19,7 @@ import (
 // and counts distinct values with a bitmap over [Min, Max] when that
 // span is dense, else by sorting a copy; an all-string column keys a set
 // by the string; any other column keys a set by the constant itself.
-func Summarize(rows []types.Row, pos, buckets int) AttributeStats {
+func Summarize(rows []types.Row, pos int) AttributeStats {
 	var out AttributeStats
 	if len(rows) == 0 {
 		return out
@@ -32,17 +31,6 @@ func Summarize(rows []types.Row, pos, buckets int) AttributeStats {
 		out.Min, out.Max, out.CountDistinct = summarizeStrings(rows, pos)
 	} else {
 		out.Min, out.Max, out.CountDistinct = summarizeConstants(rows, pos)
-	}
-	if buckets > 0 {
-		var values []types.Constant
-		for _, row := range rows {
-			if v := row[pos]; v.IsNumeric() {
-				values = append(values, v)
-			}
-		}
-		if len(values) > 0 {
-			out.Histogram = NewEquiDepth(values, buckets)
-		}
 	}
 	return out
 }

@@ -3,19 +3,17 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"disco/internal/types"
 )
 
 // referenceSummary is the loop the stores ran before Summarize: a set
-// keyed by kind and rendering, Min and Max by Less, and the numeric
-// values for the histogram. Summarize must agree with it on every column.
-func referenceSummary(rows []types.Row, pos, buckets int) AttributeStats {
+// keyed by kind and rendering, and Min and Max by Less. Summarize must
+// agree with it on every column.
+func referenceSummary(rows []types.Row, pos int) AttributeStats {
 	out := AttributeStats{}
 	distinct := make(map[string]struct{})
-	var values []types.Constant
 	for i, row := range rows {
 		v := row[pos]
 		distinct[v.Kind().String()+":"+v.String()] = struct{}{}
@@ -25,14 +23,8 @@ func referenceSummary(rows []types.Row, pos, buckets int) AttributeStats {
 		if i == 0 || out.Max.Less(v) {
 			out.Max = v
 		}
-		if buckets > 0 && v.IsNumeric() {
-			values = append(values, v)
-		}
 	}
 	out.CountDistinct = int64(len(distinct))
-	if buckets > 0 && len(values) > 0 {
-		out.Histogram = NewEquiDepth(values, buckets)
-	}
 	return out
 }
 
@@ -108,21 +100,17 @@ func TestSummarizeMatchesReference(t *testing.T) {
 	}
 	for _, c := range cases {
 		rows := column(c.values)
-		for _, buckets := range []int{0, 1, 7} {
-			got, want := Summarize(rows, 1, buckets), referenceSummary(rows, 1, buckets)
-			if !sameSummary(got, want) {
-				t.Errorf("%s, %d buckets: Summarize = %+v (hist %s), reference %+v (hist %s)",
-					c.name, buckets, got, got.Histogram, want, want.Histogram)
-			}
+		if got, want := Summarize(rows, 1), referenceSummary(rows, 1); !sameSummary(got, want) {
+			t.Errorf("%s: Summarize = %+v, reference %+v", c.name, got, want)
 		}
 	}
 }
 
 // sameSummary compares two summaries field by field, bounds by kind and
-// payload so -0 and +0 or two NaN payloads differ, histograms by value.
+// payload so -0 and +0 or two NaN payloads differ.
 func sameSummary(a, b AttributeStats) bool {
 	return a.CountDistinct == b.CountDistinct && a.Indexed == b.Indexed && a.Clustered == b.Clustered &&
-		a.Min == b.Min && a.Max == b.Max && reflect.DeepEqual(a.Histogram, b.Histogram)
+		a.Min == b.Min && a.Max == b.Max
 }
 
 // An int column's summary allocates its distinct-value bitmap or sorted
@@ -139,7 +127,7 @@ func TestSummarizeIntAllocs(t *testing.T) {
 			sparse[i] = types.Int(int64(i) * 1e9)
 		}
 		for name, rows := range map[string][]types.Row{"dense": column(dense), "sparse": column(sparse)} {
-			if a := testing.AllocsPerRun(10, func() { Summarize(rows, 1, 0) }); a > 1 {
+			if a := testing.AllocsPerRun(10, func() { Summarize(rows, 1) }); a > 1 {
 				t.Errorf("%s int column of %d rows: %v allocations, want at most 1", name, n, a)
 			}
 		}

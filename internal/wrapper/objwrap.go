@@ -63,7 +63,7 @@ func (w *ObjWrapper) AttributeStats(collection, attr string) (stats.AttributeSta
 	if !ok {
 		return stats.AttributeStats{}, false
 	}
-	st, err := c.AttributeStats(attr, 0)
+	st, err := c.AttributeStats(attr)
 	if err != nil {
 		return stats.AttributeStats{}, false
 	}

@@ -61,7 +61,7 @@ func (w *RelWrapper) AttributeStats(collection, attr string) (stats.AttributeSta
 	if !ok {
 		return stats.AttributeStats{}, false
 	}
-	st, err := t.AttributeStats(attr, 0)
+	st, err := t.AttributeStats(attr)
 	if err != nil {
 		return stats.AttributeStats{}, false
 	}
